@@ -145,10 +145,6 @@ def an_deserialize(obj: dict) -> AlgebraicNumber:
 # rational views
 
 
-def an_is_rational(a: AlgebraicNumber) -> bool:
-    return a.degree == 1
-
-
 def an_rational_value(a: AlgebraicNumber) -> Fraction:
     if a.degree != 1:
         raise ValueError("not a rational value")

@@ -45,8 +45,10 @@ class BoxAmbiguous(MahlerdynError):
 class InternalPrecisionExceeded(MahlerdynError):
     """The working-precision ladder hit its hard cap before certifying.
 
-    Raised instead of ever returning an uncertified answer. The cap can be
-    raised with the MAHLER_PRECISION_CAP environment variable.
+    Raised instead of ever returning an uncertified answer. The caps are
+    fixed: root isolation and refinement stop at ``roots._PREC_CAP`` =
+    2^16 bits, and the minpoly-guessing ladder in ``mahler`` stops at 4096
+    bits.
     """
 
 

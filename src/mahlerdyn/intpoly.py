@@ -4,6 +4,8 @@ Dense representation, constant term first. All decision procedures here are
 exact: integer subresultant PRS for resultants and gcds, Sturm sequences over
 exact rationals for real-root counts, and integer-only reciprocal/trace
 transforms for unit-circle work. No floating point anywhere in this module.
+It also holds the all-integer LLL that minpoly guessing (mahler) and
+automorphism discovery (nfield) share.
 
 The polynomial text grammar used across the package (CLI included) is
 comma-separated decimal integers, constant term first: x^2 - 2 is "-2,0,1".
@@ -22,6 +24,7 @@ from .errors import (
     NotReciprocal,
     NotSquarefree,
     OddDegree,
+    RankDeficient,
     ZeroPolynomial,
 )
 
@@ -157,11 +160,6 @@ X = IntPoly((0, 1))
 ONE = IntPoly((1,))
 
 
-def monomial_root(value: int) -> IntPoly:
-    """x - value."""
-    return IntPoly((-value, 1))
-
-
 def from_rational(q: Fraction) -> IntPoly:
     """Canonical degree-1 polynomial with root q."""
     return IntPoly((-q.numerator, q.denominator))
@@ -252,25 +250,6 @@ def div_z(p: IntPoly, q: IntPoly) -> Optional[IntPoly]:
     return IntPoly(out)
 
 
-def divmod_q(p: Sequence[Fraction], q: Sequence[Fraction]):
-    """Schoolbook divmod over Q on constant-first Fraction lists."""
-    rem = list(p)
-    dq = len(q) - 1
-    lq = q[-1]
-    if len(rem) - 1 < dq:
-        return [Fraction(0)], rem
-    quo = [Fraction(0)] * (len(rem) - dq)
-    for i in range(len(rem) - 1 - dq, -1, -1):
-        t = rem[i + dq] / lq
-        quo[i] = t
-        if t:
-            for j, cq in enumerate(q):
-                rem[i + j] -= t * cq
-    while len(rem) > 1 and rem[-1] == 0:
-        rem.pop()
-    return quo, rem
-
-
 def prem(a: IntPoly, b: IntPoly) -> IntPoly:
     """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a = q*b + r."""
     da, db = a.degree, b.degree
@@ -299,10 +278,6 @@ def canonicalize(p: IntPoly) -> IntPoly:
     if p.is_zero:
         return p
     return p.primitive()
-
-
-def is_canonical(p: IntPoly) -> bool:
-    return p.is_zero or (p.content() == 1 and p.lc > 0)
 
 
 def _pp_signed(p: IntPoly) -> IntPoly:
@@ -676,6 +651,70 @@ def transform_resolvent(f: IntPoly, g_num: IntPoly, g_den: int = 1) -> IntPoly:
         return resultant(f, IntPoly(cs))
 
     return canonicalize(_interp_integer_poly(m, value_at))
+
+
+# -- lattice reduction ---------------------------------------------------------
+
+
+def lll_reduce(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """LLL-reduced basis (delta = 3/4) of the lattice spanned by ``rows``.
+
+    Cohen's all-integer LLL (GTM 138, Alg. 2.6.7): the Gram-Schmidt data is
+    kept as the integers d_i (Gram determinants of the first i rows) and
+    lambda_ij = d_j * mu_ij, so every step is exact at any entry size.
+    Raises RankDeficient when the rows are linearly dependent.
+    """
+    b = [[int(v) for v in row] for row in rows]
+    m = len(b)
+    d = [1] + [0] * m  # d[i + 1] belongs to row i
+    lam = [[0] * m for _ in range(m)]
+
+    def reduce(k, l):
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    def swap(k, kmax):
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        t = lam[k][k - 1]
+        B = (d[k - 1] * d[k + 1] + t * t) // d[k]
+        for i in range(k + 1, kmax + 1):
+            s = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - t * s) // d[k]
+            lam[i][k - 1] = (B * s + t * lam[i][k]) // d[k + 1]
+        d[k] = B
+
+    k, kmax = 0, -1
+    while k < m:
+        if k > kmax:
+            kmax = k
+            for j in range(k + 1):
+                u = sum(x * y for x, y in zip(b[k], b[j]))
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                elif u == 0:
+                    raise RankDeficient(f"LLL input row {k} is linearly dependent")
+                else:
+                    d[k + 1] = u
+        if k == 0:
+            k = 1
+            continue
+        reduce(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+            swap(k, kmax)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
+    return b
 
 
 # -- cyclotomic detection --------------------------------------------------------

@@ -35,7 +35,7 @@ from .errors import (
     TrichotomyViolation,
     ZeroInput,
 )
-from .intpoly import IntPoly, cyclotomic_part, monicize
+from .intpoly import IntPoly, cyclotomic_part, gcd_z, lll_reduce, monicize
 from .roots import IsolatingBox, circle_partition, isolate_roots, refine
 
 _X = IntPoly((0, 1))
@@ -187,6 +187,19 @@ def _disk_excludes_zero(h: IntPoly, box: IsolatingBox) -> bool:
     return vx * vx + vy * vy > vr * vr
 
 
+# Minpoly guessing. At each rung of the precision ladder the subset product t
+# is computed once from mpmath.polyroots; then, for D = 4, 8, 16, ... up to
+# top = min(64, max(4, prec // 24)), one (D+1)x(D+2) integer lattice with rows
+# e_i + round(2^prec * t^i / max_{j<=D} |t^j|) is LLL-reduced. Scaling by the
+# largest power, not by 2^prec alone, keeps the rounding noise of the big
+# entries below the relation's own size. The integer relations of degree <= D
+# are the multiples q*h of the minpoly q with deg h <= D - deg q, so the
+# leading reduced rows are such multiples, and a single row can be q*(x+c):
+# the candidate is the gcd of the leading rows, taken until it drops to a
+# constant, with any factor x stripped. These are guesses only;
+# _verified_candidate makes every accept decision exactly.
+
+
 def _candidate_minpolys(p: IntPoly, boxes, idx, lc: int, prec: int):
     """Minpoly guesses for prod_{i in idx} lc*root_i(p) via integer relations
     on a high-precision numeric value. Guesses only; callers must verify."""
@@ -196,7 +209,7 @@ def _candidate_minpolys(p: IntPoly, boxes, idx, lc: int, prec: int):
         try:
             rts = mp.polyroots([mp.mpf(c) for c in reversed(p.coeffs)],
                                maxsteps=200, extraprec=prec // 2)
-        except Exception:
+        except (mp.mp.NoConvergence, ArithmeticError):
             return
         t = mp.mpc(lc) ** len(idx)
         for i in idx:
@@ -205,22 +218,42 @@ def _candidate_minpolys(p: IntPoly, boxes, idx, lc: int, prec: int):
             t *= min(rts, key=lambda r: abs(r - c))
         if abs(t.imag) > mp.mpf(2) ** (-prec // 2) * (1 + abs(t.real)):
             return
-        tr = t.real
-        pows = [mp.mpf(1)]
-        # relations in degree d need roughly d * (coeff bits) working bits;
+        # relations in degree D need roughly D * (coeff bits) working bits;
         # skip degrees this precision level cannot support
-        for d in range(1, min(64, max(4, prec // 24)) + 1):
-            pows.append(pows[-1] * tr)
-            try:
-                rel = mp.pslq(pows, maxcoeff=int(2 ** max(prec // 4, 64)), maxsteps=4000 + 200 * d)
-            except Exception:
-                continue
-            if not rel or all(c == 0 for c in rel):
-                continue
-            resid = mp.fsum(rel[k] * pows[k] for k in range(d + 1))
-            scale = max(abs(c) for c in rel) * max(1, abs(pows[d]))
-            if abs(resid) <= scale * mp.mpf(2) ** (-prec // 3):
-                yield IntPoly(tuple(rel))
+        top = min(64, max(4, prec // 24))
+        pows = [mp.mpf(1)]
+        for _ in range(top):
+            pows.append(pows[-1] * t.real)
+        D = 4
+        while True:
+            big = max(abs(v) for v in pows[:D + 1])
+            rows = []
+            for i in range(D + 1):
+                row = [0] * (D + 2)
+                row[i] = 1
+                row[D + 1] = int(mp.nint(mp.ldexp(pows[i] / big, prec)))
+                rows.append(row)
+            q = _leading_gcd(lll_reduce(rows), D)
+            if q.degree >= 1:
+                yield q
+            if D == top:
+                return
+            D = min(2 * D, top)
+
+
+def _leading_gcd(reduced, D: int) -> IntPoly:
+    """gcd of the polynomials read off the leading reduced rows, taken until
+    it would drop to a constant, with any factor x stripped."""
+    g = IntPoly(reduced[0][:D + 1])
+    for row in reduced[1:]:
+        h = gcd_z(g, IntPoly(row[:D + 1]))
+        if h.degree < 1:
+            break
+        g = h
+    k = 0
+    while g[k] == 0:
+        k += 1
+    return IntPoly(g.coeffs[k:])
 
 
 def _verified_candidate(q, res, p, boxes, idx, lc):

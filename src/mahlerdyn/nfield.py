@@ -33,7 +33,7 @@ from .errors import (
     RankDeficient,
 )
 from .factor import is_irreducible
-from .intpoly import IntPoly, cyclotomic_part, resultant, transform_resolvent
+from .intpoly import IntPoly, cyclotomic_part, lll_reduce, resultant, transform_resolvent
 from .mahler import an_compare
 from .roots import (
     IsolatingBox,
@@ -466,67 +466,6 @@ def _short_relations(rows, n: int):
         if a == 0:
             continue
         yield [Fraction(-row[k], a) for k in range(n)]
-
-
-def lll_reduce(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """LLL-reduced basis (delta = 3/4) of the lattice spanned by ``rows``.
-
-    Cohen's all-integer LLL (GTM 138, Alg. 2.6.7): the Gram-Schmidt data is
-    kept as the integers d_i (Gram determinants of the first i rows) and
-    lambda_ij = d_j * mu_ij, so every step is exact at any entry size.
-    Raises RankDeficient when the rows are linearly dependent.
-    """
-    b = [[int(v) for v in row] for row in rows]
-    m = len(b)
-    d = [1] + [0] * m  # d[i + 1] belongs to row i
-    lam = [[0] * m for _ in range(m)]
-
-    def reduce(k, l):
-        if 2 * abs(lam[k][l]) > d[l + 1]:
-            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
-            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
-            lam[k][l] -= q * d[l + 1]
-            for i in range(l):
-                lam[k][i] -= q * lam[l][i]
-
-    def swap(k, kmax):
-        b[k], b[k - 1] = b[k - 1], b[k]
-        for j in range(k - 1):
-            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
-        t = lam[k][k - 1]
-        B = (d[k - 1] * d[k + 1] + t * t) // d[k]
-        for i in range(k + 1, kmax + 1):
-            s = lam[i][k]
-            lam[i][k] = (d[k + 1] * lam[i][k - 1] - t * s) // d[k]
-            lam[i][k - 1] = (B * s + t * lam[i][k]) // d[k + 1]
-        d[k] = B
-
-    k, kmax = 0, -1
-    while k < m:
-        if k > kmax:
-            kmax = k
-            for j in range(k + 1):
-                u = sum(x * y for x, y in zip(b[k], b[j]))
-                for i in range(j):
-                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
-                if j < k:
-                    lam[k][j] = u
-                elif u == 0:
-                    raise RankDeficient(f"LLL input row {k} is linearly dependent")
-                else:
-                    d[k + 1] = u
-        if k == 0:
-            k = 1
-            continue
-        reduce(k, k - 1)
-        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
-            swap(k, kmax)
-            k = max(1, k - 1)
-        else:
-            for l in range(k - 2, -1, -1):
-                reduce(k, l)
-            k += 1
-    return b
 
 
 def _is_root_of_defining(K: NumberField, g: FieldElement) -> bool:

@@ -2,15 +2,17 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
+from mahlerdyn import mahler
 from mahlerdyn.errors import NotAFixedPoint, ZeroInput
 from mahlerdyn.factor import is_irreducible
-from mahlerdyn.intpoly import IntPoly, canonicalize, from_text, to_text
-from mahlerdyn.roots import isolate_roots, refine
+from mahlerdyn.intpoly import IntPoly, canonicalize, from_text, monicize, to_text
+from mahlerdyn.roots import circle_partition, isolate_roots, refine
 from mahlerdyn.algnum import (
     an_conjugates,
     an_equal,
@@ -426,3 +428,110 @@ class TestVerdictTypes:
         assert (c.k, c.l, c.n) == (4, 2, 20)
         t = TorsionFreePower(k=2, n=2)
         assert (t.k, t.n) == (2, 2)
+
+
+def _from_mahler(fn):
+    """Wrap fn so that only calls made from mahlerdyn.mahler reach it."""
+    orig = getattr(mp, fn.__name__)
+
+    def wrapped(*args, **kwargs):
+        if sys._getframe(1).f_globals.get("__name__") == "mahlerdyn.mahler":
+            return fn(*args, **kwargs)
+        return orig(*args, **kwargs)
+
+    return wrapped
+
+
+class TestMinpolyGuess:
+    """The LLL minpoly guess behind every measure past _DIRECT_FACTOR_CAP."""
+
+    @staticmethod
+    def _m2_subset_product():
+        """The arguments _select_product_root gets for M(M(WANDER6)): the
+        degree-12 p = M(WANDER6).minpoly, its subset resolvent (degree 792,
+        past the direct-factor cap), the boxes, the chosen roots and lc."""
+        p = mahler_measure(any_root(WANDER6)).minpoly
+        n = p.degree
+        outside = circle_partition(p).outside
+        s = len(outside)
+        idx = outside if s <= n - s else tuple(i for i in range(n) if i not in outside)
+        res = mahler._subset_product_poly(monicize(p)[0], len(idx))
+        assert res.degree > mahler._DIRECT_FACTOR_CAP
+        return res, p, isolate_roots(p), idx, p.lc
+
+    def test_orbit_without_pslq(self, monkeypatch):
+        def no_pslq(*args, **kwargs):
+            raise AssertionError("mpmath.pslq called")
+
+        monkeypatch.setattr(mahler, "_measure_cache", {})
+        monkeypatch.setattr(mp, "pslq", no_pslq)
+        r = orbit(any_root(WANDER6))
+        assert r.verdict == Wandering(PowerIdentity(k=2, l=1, n=3))
+        assert [t.degree for t in r.trace] == [6, 12, 12]
+
+    def test_verified_candidate_rejects_multiple(self):
+        res, p, boxes, idx, lc = self._m2_subset_product()
+        w = mahler._select_product_root(res, p, boxes, idx, lc)
+        q = w.minpoly
+        assert q.degree == 12
+        assert mahler._verified_candidate(q, res, p, boxes, idx, lc) is not None
+        qx1 = q * IntPoly((1, 1))
+        assert mahler._verified_candidate(qx1, res, p, boxes, idx, lc) is None
+
+    def test_gcd_recovers_minpoly_from_multiples(self):
+        m1 = mahler_measure(any_root(WANDER6))
+        q = mahler_measure(m1).minpoly
+        assert q.degree == 12
+        D = 16
+        other = IntPoly((1,) + (0,) * (D - 1) + (1,))  # x^16 + 1, coprime to q
+
+        def row(f, tail):
+            return list(f.coeffs) + [0] * (D + 1 - len(f.coeffs)) + [tail]
+
+        # first row a multiple q*(x+1); LLL does return such rows: the D = 16
+        # lattice at 2048 bits for the step from M^2 to M^3 of WANDER6 has a
+        # degree-13 first row over the degree-12 minpoly
+        reduced = [row(q * IntPoly((1, 1)), 3), row(q * IntPoly((-2, 1)), -1),
+                   row(q * IntPoly((0, 0, 1)), 2), row(other, 1 << 40)]
+        assert mahler._leading_gcd(reduced, D) == q
+        # a common factor x is stripped
+        reduced = [row(q * IntPoly((0, 1)), 0), row(q * IntPoly((0, 0, 1)), 0),
+                   row(other, 1 << 40)]
+        assert mahler._leading_gcd(reduced, D) == q
+
+    def test_first_guess_for_a_real_root(self):
+        # sqrt 2 + sqrt 3 has minpoly x^4 - 10x^2 + 1; the D = 4 lattice at
+        # 256 bits already gives it exactly
+        p = P("1,0,-10,0,1")
+        boxes = isolate_roots(p)
+        i = max(range(4), key=lambda k: boxes[k].center[0])
+        first = next(mahler._candidate_minpolys(p, boxes, (i,), 1, 256))
+        assert canonicalize(first) == p
+
+
+class TestRelationPathFailure:
+    """A numeric failure in the relation path surfaces as Inconclusive or as
+    an exception, never as a verdict."""
+
+    def test_no_convergence_is_inconclusive(self, monkeypatch):
+        @_from_mahler
+        def polyroots(*args, **kwargs):
+            raise mp.mp.NoConvergence("injected")
+
+        monkeypatch.setattr(mahler, "_measure_cache", {})
+        monkeypatch.setattr(mp, "polyroots", polyroots)
+        r = orbit(any_root(WANDER6))
+        assert isinstance(r.verdict, Inconclusive)
+        assert r.verdict.reason.startswith("precision:")
+        # M(WANDER6) is direct-factored; M^2 needs the relation path
+        assert [t.degree for t in r.trace] == [6, 12]
+
+    def test_type_error_propagates(self, monkeypatch):
+        @_from_mahler
+        def polyroots(*args, **kwargs):
+            raise TypeError("injected")
+
+        monkeypatch.setattr(mahler, "_measure_cache", {})
+        monkeypatch.setattr(mp, "polyroots", polyroots)
+        with pytest.raises(TypeError, match="injected"):
+            orbit(any_root(WANDER6))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from mahlerdyn.errors import NotFound, NotIrreducible, NotMonic, RankDeficient
-from mahlerdyn.intpoly import from_text
+from mahlerdyn.intpoly import from_text, lll_reduce
 from mahlerdyn.roots import refine
 from mahlerdyn.algnum import an_equal, an_from_rational, an_mul, an_rational_value
 from mahlerdyn.mahler import an_compare, an_sign, mahler_measure
@@ -23,7 +23,6 @@ from mahlerdyn.nfield import (
     fe_sub,
     fe_theta,
     fe_to_algnum,
-    lll_reduce,
     nf_apply,
     nf_automorphisms,
     nf_compose,
