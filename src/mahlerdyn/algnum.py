@@ -34,14 +34,16 @@ from .intpoly import (
 )
 from .roots import (
     IsolatingBox,
+    _abs_bounds,
+    _box_horner,
+    _box_inv,
+    _box_mul,
     _disjoint,
-    _sqrt_upper,
     circle_partition,
     isolate_roots,
     refine,
 )
 
-_ZERO = Fraction(0)
 _X = IntPoly((0, 1))
 
 
@@ -170,30 +172,6 @@ def _select_by_enclosure(p: IntPoly, enclosures: Iterator[IsolatingBox]) -> Alge
     raise InternalPrecisionExceeded("enclosure stream exhausted")
 
 
-def _abs_upper(box: IsolatingBox, bits: int = 64) -> Fraction:
-    return _sqrt_upper(box.center[0] ** 2 + box.center[1] ** 2, bits) + box.radius
-
-
-def _mul_boxes(a: IsolatingBox, b: IsolatingBox) -> IsolatingBox:
-    ax, ay = a.center
-    bx, by = b.center
-    center = (ax * bx - ay * by, ax * by + ay * bx)
-    amag = _sqrt_upper(ax * ax + ay * ay, 64)
-    bmag = _sqrt_upper(bx * bx + by * by, 64)
-    radius = amag * b.radius + bmag * a.radius + a.radius * b.radius
-    if radius == 0:
-        radius = Fraction(1, 1 << 80)
-    return IsolatingBox(center, radius, 1)
-
-
-def _inv_box(b: IsolatingBox) -> IsolatingBox:
-    """Exact image of a disk not containing 0 under z -> 1/z."""
-    cx, cy = b.center
-    den = cx * cx + cy * cy - b.radius * b.radius
-    assert den > 0
-    return IsolatingBox((cx / den, -cy / den), b.radius / den, 1)
-
-
 # ---------------------------------------------------------------------------
 # arithmetic
 
@@ -207,19 +185,17 @@ def an_mul(a: AlgebraicNumber, b: AlgebraicNumber) -> AlgebraicNumber:
             return an_from_rational(an_rational_value(a) * r)
         if r == 0:
             return an_from_rational(0)
-        # scale: roots of h are r * (roots of minpoly)
+        # scale: roots of res are r * (roots of minpoly)
         u, v = r.numerator, r.denominator
         d = a.degree
-        h = canonicalize(IntPoly([a.minpoly[i] * v**i * u ** (d - i) for i in range(d + 1)]))
-        cx, cy = a.box.center
-        scaled = IsolatingBox((cx * r, cy * r), a.box.radius * abs(r), 1)
-        return an_from_poly_root(h, scaled)
-    res = product_resolvent(a.minpoly, b.minpoly)
+        res = canonicalize(IntPoly([a.minpoly[i] * v**i * u ** (d - i) for i in range(d + 1)]))
+    else:
+        res = product_resolvent(a.minpoly, b.minpoly)
 
     def stream() -> Iterator[IsolatingBox]:
         ab, bb = a.box, b.box
         while True:
-            yield _mul_boxes(ab, bb)
+            yield _box_mul(ab, bb)
             ab = refine(ab, a.minpoly, ab.radius / 16)
             bb = refine(bb, b.minpoly, bb.radius / 16)
 
@@ -232,10 +208,15 @@ def an_inv(a: AlgebraicNumber) -> AlgebraicNumber:
     if a.degree == 1:
         return an_from_rational(1 / an_rational_value(a))
     rev = canonicalize(a.minpoly.reversal())
-    box = a.box
-    while box.center[0] ** 2 + box.center[1] ** 2 <= box.radius ** 2:
-        box = refine(box, a.minpoly, box.radius / 16)
-    return an_from_poly_root(rev, _inv_box(box))
+
+    def stream() -> Iterator[IsolatingBox]:
+        box = a.box
+        while True:
+            if _abs_bounds(box)[0] > 0:
+                yield _box_inv(box)
+            box = refine(box, a.minpoly, box.radius / 16)
+
+    return _select_by_enclosure(rev, stream())
 
 
 def an_neg(a: AlgebraicNumber) -> AlgebraicNumber:
@@ -250,19 +231,12 @@ def an_pow(a: AlgebraicNumber, n: int) -> AlgebraicNumber:
     if a.degree == 1:
         return an_from_rational(an_rational_value(a) ** n)
     pn = power_map(a.minpoly, n)
+    zn = (0,) * n + (1,)
 
     def stream() -> Iterator[IsolatingBox]:
         box = a.box
         while True:
-            cx, cy = box.center
-            px, py = Fraction(1), _ZERO
-            for _ in range(n):
-                px, py = px * cx - py * cy, px * cy + py * cx
-            mag = _sqrt_upper(cx * cx + cy * cy, 64)
-            radius = n * (mag + box.radius) ** (n - 1) * box.radius
-            if radius == 0:
-                radius = Fraction(1, 1 << 80)
-            yield IsolatingBox((px, py), radius, 1)
+            yield _box_horner(zn, box)
             box = refine(box, a.minpoly, box.radius / 16)
 
     return _select_by_enclosure(pn, stream())
@@ -320,9 +294,9 @@ def _ratio_on_unit_circle(p: IntPoly, num: IsolatingBox, den: IsolatingBox) -> s
         status[i] = "in"
     nb, db = num, den
     while True:
-        while db.center[0] ** 2 + db.center[1] ** 2 <= db.radius ** 2:
+        while _abs_bounds(db)[0] == 0:
             db = refine(db, p, db.radius / 16)
-        ratio = _mul_boxes(nb, _inv_box(db))
+        ratio = _box_mul(nb, _box_inv(db))
         hits = [i for i, gb in enumerate(gboxes) if not _disjoint(ratio, gb)]
         assert hits
         if len(hits) == 1:
@@ -336,12 +310,10 @@ def _ratio_on_unit_circle(p: IntPoly, num: IsolatingBox, den: IsolatingBox) -> s
 def _strictly_dominates(p: IntPoly, abox: IsolatingBox, bbox: IsolatingBox) -> bool:
     """Whether the positive real root in abox strictly exceeds |root in bbox|."""
     for _ in range(6):
-        lower = abox.center[0] - abox.radius
-        if lower > _abs_upper(bbox):
+        lo, hi = _abs_bounds(bbox)
+        if abox.center[0] - abox.radius > hi:
             return True
-        bx, by = bbox.center
-        mag_lo = _sqrt_upper(bx * bx + by * by, 64) - Fraction(1, 1 << 32) - bbox.radius
-        if mag_lo > abox.center[0] + abox.radius:
+        if lo > abox.center[0] + abox.radius:
             return False
         abox = refine(abox, p, abox.radius / 16)
         bbox = refine(bbox, p, bbox.radius / 16)

@@ -51,7 +51,6 @@ from .nfield import (
     ConjugatePattern,
     FieldElement,
     NumberField,
-    _abs_interval,
     _abs_squared_algnum,
     _conjugate_pairs,
     _is_root_of_defining,
@@ -75,7 +74,16 @@ from .nfield import (
     nf_pattern_search,
     nf_unit_sublattice,
 )
-from .roots import isolate_roots, refine, signature
+from .roots import (
+    IsolatingBox,
+    _abs_bounds,
+    _box_add,
+    _box_mul,
+    _point_in,
+    isolate_roots,
+    refine,
+    signature,
+)
 
 __all__ = [
     "AllPreperiodic",
@@ -219,40 +227,12 @@ def _galois_quartic(G: IntPoly) -> str:
 
 
 # ---------------------------------------------------------------------------
-# quintic resolvent: certified ball arithmetic over the root boxes
-
-Ball = tuple[Fraction, Fraction, Fraction]  # (re, im, radius), radius >= 0
+# quintic resolvent: certified disk arithmetic over the root boxes
 
 
-def _ball_fix(re: Fraction, im: Fraction, rad: Fraction, bits: int) -> Ball:
-    # dyadic rounding keeps numerators bounded; the slack covers both the
-    # center shift (< 2/scale) and the downward rounding of the radius
-    scale = 1 << bits
-
-    def dy(v: Fraction) -> Fraction:
-        return Fraction((v.numerator * scale) // v.denominator, scale)
-
-    return (dy(re), dy(im), dy(rad) + Fraction(3, scale))
-
-
-def _ball_add(a: Ball, b: Ball, bits: int) -> Ball:
-    return _ball_fix(a[0] + b[0], a[1] + b[1], a[2] + b[2], bits)
-
-
-def _ball_sub(a: Ball, b: Ball, bits: int) -> Ball:
-    return _ball_fix(a[0] - b[0], a[1] - b[1], a[2] + b[2], bits)
-
-
-def _ball_mul(a: Ball, b: Ball, bits: int) -> Ball:
-    re = a[0] * b[0] - a[1] * b[1]
-    im = a[0] * b[1] + a[1] * b[0]
-    na = abs(a[0]) + abs(a[1])  # upper bound for the modulus
-    nb = abs(b[0]) + abs(b[1])
-    return _ball_fix(re, im, na * b[2] + nb * a[2] + a[2] * b[2], bits)
-
-
-def _ball_integer(b: Ball) -> Optional[int]:
-    lo, hi = b[0] - b[2], b[0] + b[2]
+def _box_integer(b: IsolatingBox) -> Optional[int]:
+    """The integer in [re - r, re + r] of b, when there is exactly one."""
+    lo, hi = b.center[0] - b.radius, b.center[0] + b.radius
     m = math.ceil(lo)
     return m if m == math.floor(hi) else None
 
@@ -278,44 +258,43 @@ _PENTAGON_PAIRS = _pentagon_pairs()
 
 
 @functools.lru_cache(maxsize=64)
-def _cayley_sextic(h: IntPoly) -> tuple[IntPoly, tuple[Ball, ...]]:
-    """Resolvent sextic of a monic quintic, one root ball per pentagon pair.
+def _cayley_sextic(h: IntPoly) -> tuple[IntPoly, tuple[IsolatingBox, ...]]:
+    """Resolvent sextic of a monic quintic, one root disk per pentagon pair.
 
     For a pentagon P on the roots with edge sum u_P = sum x_i x_{i+1}, the
     quantity (u_P - u_{P'})^2 against the complement pentagon P' is stable
     under the full symmetric group as a set of six values, so the product of
     (y - delta) has integer coefficients; they are recovered by shrinking the
-    root balls until every coefficient traps a unique integer.
+    root boxes until every coefficient traps a unique integer.
     """
     assert h.degree == 5 and h[5] == 1
     boxes = isolate_roots(h)
+    zero = IsolatingBox((Fraction(0), Fraction(0)), Fraction(0))
+    one = IsolatingBox((Fraction(1), Fraction(0)), Fraction(0))
     for prec in (160, 320, 640, 1280, 2560, 5120):
         eps = Fraction(1, 1 << prec)
         boxes = [refine(b, h, eps) for b in boxes]
-        bits = prec + 32
-        balls = [(b.center[0], b.center[1], b.radius) for b in boxes]
-        edge_sums: dict[tuple[int, ...], Ball] = {}
+        edge_sums: dict[tuple[int, ...], IsolatingBox] = {}
         for pent, comp in _PENTAGON_PAIRS:
             for cyc in (pent, comp):
                 if cyc in edge_sums:
                     continue
-                acc = (Fraction(0), Fraction(0), Fraction(0))
+                acc = zero
                 for i in range(5):
-                    term = _ball_mul(balls[cyc[i]], balls[cyc[(i + 1) % 5]], bits)
-                    acc = _ball_add(acc, term, bits)
+                    acc = _box_add(acc, _box_mul(boxes[cyc[i]], boxes[cyc[(i + 1) % 5]]))
                 edge_sums[cyc] = acc
         deltas = []
         for pent, comp in _PENTAGON_PAIRS:
-            d = _ball_sub(edge_sums[pent], edge_sums[comp], bits)
-            deltas.append(_ball_mul(d, d, bits))
-        coeffs: list[Ball] = [(Fraction(1), Fraction(0), Fraction(0))]
+            d = _box_add(edge_sums[pent], edge_sums[comp], -1)
+            deltas.append(_box_mul(d, d))
+        coeffs = [one]
         for d in deltas:
-            nxt = [(Fraction(0), Fraction(0), Fraction(0))] * (len(coeffs) + 1)
+            nxt = [zero] * (len(coeffs) + 1)
             for k, c in enumerate(coeffs):
-                nxt[k + 1] = _ball_add(nxt[k + 1], c, bits)
-                nxt[k] = _ball_sub(nxt[k], _ball_mul(d, c, bits), bits)
+                nxt[k + 1] = _box_add(nxt[k + 1], c)
+                nxt[k] = _box_add(nxt[k], _box_mul(d, c), -1)
             coeffs = nxt
-        ints = [_ball_integer(c) for c in coeffs]
+        ints = [_box_integer(c) for c in coeffs]
         if all(v is not None for v in ints):
             return IntPoly(ints), tuple(deltas)
     raise InternalPrecisionExceeded("resolvent coefficients did not stabilize")
@@ -352,7 +331,7 @@ def _stable_cycles(G: IntPoly) -> list[tuple[int, ...]]:
     cycles = []
     for r in _rational_roots(res):
         for i, d in enumerate(deltas):
-            if abs(r - d[0]) <= d[2] and abs(d[1]) <= d[2]:
+            if _point_in(d, r, Fraction(0)):
                 cycles.extend(_PENTAGON_PAIRS[i])
     return cycles
 
@@ -1050,7 +1029,7 @@ def _classify_sextic_galois(K, autos) -> FieldVerdict:
 def _stable_log(
     K, x: FieldElement, place: int, prec: int
 ) -> Optional[tuple[Fraction, Fraction]]:
-    lo, hi = _abs_interval(nf_embed(K, x, place, prec))
+    lo, hi = _abs_bounds(nf_embed(K, x, place, prec))
     if lo <= 0:
         return None
     return _log_interval(lo, hi)
@@ -1289,7 +1268,7 @@ def _nonic_c3c3_witness(K, autos) -> HasWanderer:
     a, b = choice
     gamma = fe_mul(K, fe_pow(K, l1, a), fe_pow(K, l2, b))
     for prec in (192, 768, 3072):
-        ivs = [_abs_interval(nf_embed(K, gamma, pl, prec)) for pl in range(9)]
+        ivs = [_abs_bounds(nf_embed(K, gamma, pl, prec)) for pl in range(9)]
         best = max(range(9), key=lambda i: ivs[i][0])
         if all(ivs[best][0] > ivs[i][1] for i in range(9) if i != best):
             w_an = fe_to_algnum(K, gamma, best)

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+import mpmath as mp
+
 from .algnum import (
     AlgebraicNumber,
     NumberClass,
-    _mul_boxes,
     an_conjugates,
     an_equal,
     an_from_poly_root,
@@ -35,8 +36,17 @@ from .errors import (
     TrichotomyViolation,
     ZeroInput,
 )
-from .intpoly import IntPoly, cyclotomic_part, gcd_z, lll_reduce, monicize
-from .roots import IsolatingBox, circle_partition, isolate_roots, refine
+from .factor import is_irreducible
+from .intpoly import IntPoly, canonicalize, cyclotomic_part, div_z, gcd_z, lll_reduce, monicize
+from .roots import (
+    IsolatingBox,
+    _abs_bounds,
+    _box_horner,
+    _box_mul,
+    circle_partition,
+    isolate_roots,
+    refine,
+)
 
 _X = IntPoly((0, 1))
 
@@ -155,36 +165,10 @@ def _subset_product_poly(g: IntPoly, s: int) -> IntPoly:
 
 
 def _product_enclosure(cur, idx, lc: int) -> IsolatingBox:
-    enc = None
+    enc = IsolatingBox((Fraction(lc ** len(idx)), Fraction(0)), Fraction(0))
     for i in idx:
-        b = cur[i]
-        sb = IsolatingBox((lc * b.center[0], lc * b.center[1]), lc * b.radius)
-        enc = sb if enc is None else _mul_boxes(enc, sb)
+        enc = _box_mul(enc, cur[i])
     return enc
-
-
-def _disk_excludes_zero(h: IntPoly, box: IsolatingBox) -> bool:
-    """Certified: h has no root inside the disk.
-
-    Horner in fixed-point ball arithmetic at scale 2^128; every truncation
-    is absorbed into the radius, so a True answer is exact."""
-    S = 128
-    def fix(fr: Fraction) -> int:
-        return (fr.numerator << S) // fr.denominator
-
-    bx, by = fix(box.center[0]), fix(box.center[1])
-    br = fix(box.radius) + 2
-    bmag = math.isqrt(bx * bx + by * by) + 1
-    d = h.degree
-    vx, vy, vr = h[d] << S, 0, 0
-    for k in range(d - 1, -1, -1):
-        nx = vx * bx - vy * by
-        ny = vx * by + vy * bx
-        nr = (math.isqrt(vx * vx + vy * vy) + 1) * br + bmag * vr + vr * br
-        vx = (nx >> S) + (h[k] << S)
-        vy = ny >> S
-        vr = (nr >> S) + 4
-    return vx * vx + vy * vy > vr * vr
 
 
 # Minpoly guessing. At each rung of the precision ladder the subset product t
@@ -203,8 +187,6 @@ def _disk_excludes_zero(h: IntPoly, box: IsolatingBox) -> bool:
 def _candidate_minpolys(p: IntPoly, boxes, idx, lc: int, prec: int):
     """Minpoly guesses for prod_{i in idx} lc*root_i(p) via integer relations
     on a high-precision numeric value. Guesses only; callers must verify."""
-    import mpmath as mp
-
     with mp.workprec(prec + 64):
         try:
             rts = mp.polyroots([mp.mpf(c) for c in reversed(p.coeffs)],
@@ -260,9 +242,6 @@ def _verified_candidate(q, res, p, boxes, idx, lc):
     """Exact proof that irreducible q is the minpoly of the subset product:
     q | res, and the cofactor has no root in a certified enclosure of the
     product, which therefore must be the (unique) q-root it contains."""
-    from .intpoly import canonicalize, div_z
-    from .factor import is_irreducible
-
     q = canonicalize(q)
     if q.degree < 1:
         return None
@@ -272,7 +251,7 @@ def _verified_candidate(q, res, p, boxes, idx, lc):
     cur = {i: boxes[i] for i in idx}
     for _ in range(40):
         enc = _product_enclosure(cur, idx, lc)
-        if h.degree < 1 or _disk_excludes_zero(h, enc):
+        if h.degree < 1 or _abs_bounds(_box_horner(h.coeffs, enc))[0] > 0:
             try:
                 return an_from_poly_root(q, enc)
             except BoxAmbiguous:

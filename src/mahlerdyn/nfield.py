@@ -37,8 +37,10 @@ from .intpoly import IntPoly, cyclotomic_part, lll_reduce, resultant, transform_
 from .mahler import an_compare
 from .roots import (
     IsolatingBox,
+    _abs_bounds,
+    _box_horner,
+    _disjoint,
     _frac_from_mp,
-    _sqrt_upper,
     isolate_roots,
     refine,
     signature,
@@ -182,63 +184,32 @@ def fe_mul(K: NumberField, x: FieldElement, y: FieldElement) -> FieldElement:
 
 
 def fe_inv(K: NumberField, x: FieldElement) -> FieldElement:
-    """Inverse mod the defining polynomial by the extended Euclid algorithm."""
+    """Inverse from a characteristic polynomial: if chi(t) = sum a_k t^k
+    vanishes at x, then x^-1 = -(sum_{k>=1} a_k x^(k-1)) / a_0."""
     if fe_is_zero(x):
         raise ZeroDivisionError("field element 0 has no inverse")
     if fe_is_rational(x):
         return fe_rational(K, 1 / x.coords[0])
-    f = [Fraction(c) for c in K.defining.coeffs]
-    g = list(x.coords)
-    while g and g[-1] == 0:
-        g.pop()
-    # invariants: s*x = r mod f for each remainder r in the chain
-    r0, r1 = f, g
-    s0, s1 = [_ZERO], [_ONE]
-    while True:
-        if len(r1) == 1:
-            inv = [c / r1[0] for c in s1]
-            return nf_element(K, inv)
-        q, r = _poly_divmod(r0, r1)
-        s = _poly_sub(s0, _poly_mul(q, s1))
-        r0, s0 = r1, s1
-        r1, s1 = r, s
-        assert r1, "defining polynomial must be irreducible"
+    a = _char_poly(K, x).coeffs
+    s = _fe_horner(K, a[1:], x)
+    return FieldElement(tuple(c / -a[0] for c in s.coords))
 
 
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    q = [_ZERO] * max(1, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    while len(a) >= len(b) and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = a[-1] * inv_lead
-        d = len(a) - len(b)
-        q[d] = c
-        for i, bc in enumerate(b):
-            a[d + i] -= c * bc
-        a.pop()
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return q, (a if any(a) else [_ZERO])
+def _char_poly(K: NumberField, x: FieldElement) -> IntPoly:
+    """Integer polynomial proportional to the characteristic polynomial of x."""
+    den = math.lcm(*(c.denominator for c in x.coords))
+    G = IntPoly([int(c * den) for c in x.coords])
+    return transform_resolvent(K.defining, G, den)
 
 
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [_ZERO] * (n - len(a))
-    b = b + [_ZERO] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
+def _fe_horner(K: NumberField, coeffs: Sequence, g: FieldElement) -> FieldElement:
+    """sum_k coeffs[k] g^k in K."""
+    acc = fe_rational(K, 0)
+    for c in reversed(coeffs):
+        acc = fe_mul(K, acc, g)
+        if c:
+            acc = fe_add(K, acc, fe_rational(K, c))
+    return acc
 
 
 def fe_pow(K: NumberField, x: FieldElement, e: int) -> FieldElement:
@@ -256,12 +227,7 @@ def fe_pow(K: NumberField, x: FieldElement, e: int) -> FieldElement:
 
 def nf_apply(K: NumberField, g: FieldElement, x: FieldElement) -> FieldElement:
     """Image of x under the automorphism sending theta to g."""
-    acc = fe_rational(K, 0)
-    for c in reversed(x.coords):
-        acc = fe_mul(K, acc, g)
-        if c:
-            acc = fe_add(K, acc, fe_rational(K, c))
-    return acc
+    return _fe_horner(K, x.coords, g)
 
 
 def nf_compose(K: NumberField, g: FieldElement, h: FieldElement) -> FieldElement:
@@ -281,7 +247,7 @@ def nf_embedding_permutation(K: NumberField, g: FieldElement) -> tuple[int, ...]
         prec = 64
         while True:
             ball = nf_embed(K, g, i, prec)
-            hits = [j for j, b in enumerate(boxes) if not _boxes_disjoint(ball, b)]
+            hits = [j for j, b in enumerate(boxes) if not _disjoint(ball, b)]
             if len(hits) == 1:
                 out.append(hits[0])
                 break
@@ -305,23 +271,6 @@ def nf_norm(K: NumberField, x: FieldElement) -> Fraction:
     return Fraction(resultant(K.defining, G), den**K.degree)
 
 
-def _eval_ball(coords: Sequence[Fraction], box: IsolatingBox) -> IsolatingBox:
-    """Certified ball for the coordinate polynomial evaluated on box."""
-    bx, by = box.center
-    br = box.radius
-    bmag = _sqrt_upper(bx * bx + by * by, 96) + br
-    vx, vy, vr = _ZERO, _ZERO, _ZERO
-    for c in reversed(coords):
-        nx = vx * bx - vy * by
-        ny = vx * by + vy * bx
-        vmag = _sqrt_upper(vx * vx + vy * vy, 96)
-        vr = vmag * br + bmag * vr
-        vx, vy = nx + c, ny
-    if vr == 0:
-        vr = Fraction(1, 1 << 200)
-    return IsolatingBox((vx, vy), vr, 1)
-
-
 def nf_embed(K: NumberField, x: FieldElement, place: int, precision: int) -> IsolatingBox:
     """Certified ball of radius <= 2^-precision around sigma_place(x)."""
     target = Fraction(1, 1 << precision)
@@ -329,7 +278,7 @@ def nf_embed(K: NumberField, x: FieldElement, place: int, precision: int) -> Iso
     eps = min(box.radius, Fraction(1, 1 << max(32, precision)))
     for _ in range(24):
         box = refine(box, K.defining, eps)
-        val = _eval_ball(x.coords, box)
+        val = _box_horner(x.coords, box)
         if val.radius <= target:
             return val
         eps /= Fraction(1 << 64)
@@ -352,23 +301,16 @@ def _conjugate_pairs(K: NumberField) -> dict[int, int]:
         hits = [
             j
             for j, other in enumerate(boxes)
-            if other.center[1] != 0 and not _boxes_disjoint(mirror, other)
+            if other.center[1] != 0 and not _disjoint(mirror, other)
         ]
         while len(hits) > 1:
             boxes = [refine(bb, K.defining, bb.radius / 16) for bb in boxes]
             b = boxes[i]
             mirror = IsolatingBox((b.center[0], -b.center[1]), b.radius, 1)
-            hits = [j for j in hits if not _boxes_disjoint(mirror, boxes[j])]
+            hits = [j for j in hits if not _disjoint(mirror, boxes[j])]
         assert hits, "conjugate root lost"
         pairs[i] = hits[0]
     return pairs
-
-
-def _boxes_disjoint(a: IsolatingBox, b: IsolatingBox) -> bool:
-    dx = a.center[0] - b.center[0]
-    dy = a.center[1] - b.center[1]
-    rr = a.radius + b.radius
-    return dx * dx + dy * dy > rr * rr
 
 
 def _places(K: NumberField) -> tuple[tuple[int, int], ...]:
@@ -469,12 +411,7 @@ def _short_relations(rows, n: int):
 
 
 def _is_root_of_defining(K: NumberField, g: FieldElement) -> bool:
-    acc = fe_rational(K, 0)
-    for c in reversed(K.defining.coeffs):
-        acc = fe_mul(K, acc, g)
-        if c:
-            acc = fe_add(K, acc, fe_rational(K, c))
-    return fe_is_zero(acc)
+    return fe_is_zero(_fe_horner(K, K.defining.coeffs, g))
 
 
 def _close_under_composition(K: NumberField, found: dict) -> None:
@@ -505,14 +442,6 @@ def _verify_group_closure(K: NumberField, autos: list[FieldElement]) -> None:
 # log vectors and certified interval helpers
 
 
-def _abs_interval(ball: IsolatingBox) -> tuple[Fraction, Fraction]:
-    cx, cy = ball.center
-    s = cx * cx + cy * cy
-    hi = _sqrt_upper(s, 96) + ball.radius
-    lo = (s / _sqrt_upper(s, 96) if s else _ZERO) - ball.radius
-    return (max(lo, _ZERO), hi)
-
-
 def _log_interval(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
     """Certified enclosure of [log lo, log hi] for 0 < lo <= hi."""
     assert lo > 0
@@ -523,17 +452,20 @@ def _log_interval(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
     return (llo - pad, lhi + pad)
 
 
+def _log_abs(K: NumberField, x: FieldElement, place: int, prec: int) -> tuple[Fraction, Fraction]:
+    """Certified interval for log|sigma_place(x)| of a nonzero x."""
+    while True:
+        lo, hi = _abs_bounds(nf_embed(K, x, place, prec))
+        if lo > 0:
+            return _log_interval(lo, hi)
+        prec *= 2  # nonzero element; eventually 0 is excluded
+
+
 def _log_vector(K: NumberField, x: FieldElement, prec: int) -> LogVector:
     entries = []
     weights = []
     for idx, w in _places(K):
-        p = prec
-        while True:
-            lo, hi = _abs_interval(nf_embed(K, x, idx, p))
-            if lo > 0:
-                break
-            p *= 2  # nonzero element; eventually 0 is excluded
-        llo, lhi = _log_interval(lo, hi)
+        llo, lhi = _log_abs(K, x, idx, prec)
         entries.append((w * llo, w * lhi))
         weights.append(w)
     return LogVector(tuple(entries), tuple(weights))
@@ -548,13 +480,7 @@ def _embedding_log_table(K: NumberField, xs, prec: int):
         for j in range(K.degree):
             if row[j] is not None:
                 continue
-            p = prec
-            while True:
-                lo, hi = _abs_interval(nf_embed(K, x, j, p))
-                if lo > 0:
-                    break
-                p *= 2
-            row[j] = _log_interval(lo, hi)
+            row[j] = _log_abs(K, x, j, prec)
             if pairs[j] != j:
                 row[pairs[j]] = row[j]
         table.append(row)
@@ -772,7 +698,7 @@ def _coord_rung_vec(K: NumberField, approx, prev: int, h: int):
 def _is_torsion_unit(K: NumberField, u: FieldElement) -> bool:
     # quick negative: some |sigma(u)| certified away from 1
     for idx, _ in _places(K):
-        lo, hi = _abs_interval(nf_embed(K, u, idx, 64))
+        lo, hi = _abs_bounds(nf_embed(K, u, idx, 64))
         if lo > 1 or (hi < 1 and lo > 0):
             return False
     q = fe_to_algnum(K, u).minpoly
@@ -787,9 +713,7 @@ def fe_to_algnum(K: NumberField, x: FieldElement, place: int = 0) -> AlgebraicNu
     """The algebraic number sigma_place(x), with exact minimal polynomial."""
     if fe_is_rational(x):
         return an_from_rational(x.coords[0])
-    den = math.lcm(*(c.denominator for c in x.coords))
-    G = IntPoly([int(c * den) for c in x.coords])
-    res = transform_resolvent(K.defining, G, den)
+    res = _char_poly(K, x)
 
     def enclosures():
         for p in (64, 128, 256, 512, 1024, 2048, 4096):
@@ -807,13 +731,13 @@ def _abs_squared_algnum(K: NumberField, x: FieldElement, place: int) -> Algebrai
         return an_pow(z, 2)
     boxes = isolate_roots(z.minpoly)
     mirror = IsolatingBox((box.center[0], -box.center[1]), box.radius, 1)
-    hits = [j for j, b in enumerate(boxes) if not _boxes_disjoint(mirror, b)]
+    hits = [j for j, b in enumerate(boxes) if not _disjoint(mirror, b)]
     cur = box
     while len(hits) > 1:
         cur = refine(cur, z.minpoly, cur.radius / 16)
         mirror = IsolatingBox((cur.center[0], -cur.center[1]), cur.radius, 1)
         boxes = [refine(b, z.minpoly, b.radius / 16) for b in boxes]
-        hits = [j for j in hits if not _boxes_disjoint(mirror, boxes[j])]
+        hits = [j for j in hits if not _disjoint(mirror, boxes[j])]
     zbar = AlgebraicNumber(z.minpoly, boxes[hits[0]])
     return an_mul(z, zbar)
 

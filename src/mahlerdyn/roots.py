@@ -38,15 +38,21 @@ _PREC_CAP = 1 << 16
 _ORDER_RADIUS = Fraction(1, 1 << 20)  # boxes are sorted once refined this far
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 _X = IntPoly((0, 1))
 
 
 @dataclass(frozen=True)
 class IsolatingBox:
-    """Closed disk certified to contain exactly one root of its polynomial."""
+    """Closed dyadic disk {z : |z - center| <= radius}.
+
+    It holds exactly one root of a polynomial only when it comes from
+    isolate_roots or refine. The disk arithmetic below returns disks that
+    merely enclose a value; radius 0 is an exact point.
+    """
 
     center: tuple[Fraction, Fraction]  # dyadic (re, im)
-    radius: Fraction  # dyadic, > 0
+    radius: Fraction  # dyadic, >= 0
     root_count: int = 1
 
 
@@ -91,6 +97,114 @@ def _eval_gauss(p: IntPoly, x: Fraction, y: Fraction) -> tuple[Fraction, Fractio
     for c in reversed(p.coeffs):
         u, v = u * x - v * y + c, u * y + v * x
     return u, v
+
+
+# ---------------------------------------------------------------------------
+# disk arithmetic
+#
+# Midpoint-radius arithmetic on IsolatingBox: each result holds the exact
+# result for every choice of points in the operand disks. Centres are
+# truncated toward 0 to a multiple of 2^-b, so they stay dyadic and short
+# and conjugate disks give conjugate results; the truncation is added to
+# the radius. The unit 2^-b is at most 2^-_GUARD times the radius being
+# rounded (for the modulus bounds and Horner, the operand's radius), so the
+# truncation stays far below the width the operands already carry.
+
+_GUARD = 32
+
+
+def _unit_bits(t: Fraction) -> int:
+    """b >= 0 with 2^-b <= t * 2^-_GUARD, for t > 0."""
+    return max(0, _GUARD + 1 + t.denominator.bit_length() - t.numerator.bit_length())
+
+
+def _trunc(n: int, d: int) -> int:
+    """n / d truncated toward 0, for d > 0."""
+    q = abs(n) // d
+    return q if n >= 0 else -q
+
+
+def _rounded(x: Fraction, y: Fraction, r: Fraction) -> IsolatingBox:
+    """A dyadic disk holding the disk (x + iy, r); r = 0 stays exact."""
+    if r == 0:
+        return IsolatingBox((x, y), r)
+    b = _unit_bits(r)
+    scale = 1 << b
+    # each centre coordinate moves by < 1 unit, so the centre by < 2 units
+    return IsolatingBox(
+        (Fraction(_trunc(x.numerator << b, x.denominator), scale),
+         Fraction(_trunc(y.numerator << b, y.denominator), scale)),
+        Fraction(-(-(r.numerator << b) // r.denominator) + 2, scale),
+    )
+
+
+def _abs_bounds(a: IsolatingBox) -> tuple[Fraction, Fraction]:
+    """(lower, upper) bounds on |z| over the disk a; lower >= 0."""
+    x, y = a.center
+    s = x * x + y * y
+    if s == 0:
+        return (_ZERO, a.radius)
+    up = _sqrt_upper(s, _unit_bits(a.radius or min(s, _ONE)))
+    # s / up <= sqrt(s) <= up
+    return (max(_ZERO, s / up - a.radius), up + a.radius)
+
+
+def _box_add(a: IsolatingBox, b: IsolatingBox, sign: int = 1) -> IsolatingBox:
+    """Disk holding u + sign*v for u in a, v in b (sign is 1 or -1)."""
+    return _rounded(
+        a.center[0] + sign * b.center[0],
+        a.center[1] + sign * b.center[1],
+        a.radius + b.radius,
+    )
+
+
+def _box_mul(a: IsolatingBox, b: IsolatingBox) -> IsolatingBox:
+    """Disk holding u*v for u in a, v in b."""
+    ax, ay = a.center
+    bx, by = b.center
+    # |a_c| rb + |b_c| ra + ra rb, with |a_c| + ra the upper modulus bound of a
+    r = _abs_bounds(a)[1] * b.radius + _abs_bounds(b)[1] * a.radius - a.radius * b.radius
+    return _rounded(ax * bx - ay * by, ax * by + ay * bx, r)
+
+
+def _box_inv(a: IsolatingBox) -> IsolatingBox:
+    """Disk holding 1/z for z in a; a must exclude 0.
+
+    The image of the disk (c, r) under z -> 1/z is exactly the disk
+    (conj(c), r) / (|c|^2 - r^2), which is then rounded."""
+    x, y = a.center
+    den = x * x + y * y - a.radius * a.radius
+    if den <= 0:
+        raise ZeroDivisionError("disk inverse of a disk meeting 0")
+    return _rounded(x / den, -y / den, a.radius / den)
+
+
+def _box_horner(coeffs, a: IsolatingBox) -> IsolatingBox:
+    """Disk holding sum_k coeffs[k] z^k for z in a, for a.radius > 0.
+
+    Horner in fixed-point integers with unit 2^-b, 2^-b <= a.radius *
+    2^-_GUARD; every truncation is absorbed into the radius. The
+    coefficients are ints or Fractions, constant first."""
+    b = _unit_bits(a.radius)
+    scale = 1 << b
+
+    def fix(v) -> int:
+        return _trunc(v.numerator << b, v.denominator)
+
+    ax, ay = fix(a.center[0]), fix(a.center[1])
+    ar = fix(a.radius) + 3  # rounded up, plus the centre shift < sqrt(2)
+    amag = math.isqrt(ax * ax + ay * ay) + 1
+    vx, vy, vr = fix(coeffs[-1]), 0, 1
+    for c in reversed(coeffs[:-1]):
+        nx = vx * ax - vy * ay
+        ny = vx * ay + vy * ax
+        nr = (math.isqrt(vx * vx + vy * vy) + 1) * ar + amag * vr + vr * ar
+        # truncating nx, ny and c moves the centre by < 3 units; the radius
+        # shift truncates by < 1 unit
+        vx = _trunc(nx, scale) + fix(c)
+        vy = _trunc(ny, scale)
+        vr = (nr >> b) + 4
+    return IsolatingBox((Fraction(vx, scale), Fraction(vy, scale)), Fraction(vr, scale))
 
 
 def _disjoint(a: IsolatingBox, b: IsolatingBox) -> bool:

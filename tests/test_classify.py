@@ -1,11 +1,14 @@
-"""Field-level verdicts: regressions for the CM test and the C4 quartic witness."""
+"""Field-level verdicts: regressions for the CM test and the C4 quartic
+witness, and the quintic resolvent behind galois_group_small."""
 
 from mahlerdyn.algnum import an_from_rational
 from mahlerdyn.classify import (
     AllPreperiodic,
     HasWanderer,
+    _stable_cycles,
     classify_cm,
     classify_quartic,
+    galois_group_small,
 )
 from mahlerdyn.intpoly import from_text
 from mahlerdyn.mahler import an_compare, mahler_measure
@@ -16,6 +19,12 @@ P = from_text
 CM6 = P("1,0,8,0,6,0,1")  # x^6 + 6x^4 + 8x^2 + 1, a CM sextic
 S4_IMAG = P("1,1,0,0,1")  # x^4 + x + 1, totally imaginary with group S4
 C4_REAL = P("2,0,-4,0,1")  # x^4 - 4x^2 + 2, totally real cyclic quartic
+
+S5_QUINTIC = P("-1,-1,0,0,0,1")  # x^5 - x - 1
+F5_QUINTIC = P("-2,0,0,0,0,1")  # x^5 - 2
+D5_QUINTIC = P("12,-5,0,0,0,1")  # x^5 - 5x + 12
+C5_QUINTIC = P("1,3,-3,-4,1,1")  # x^5 + x^4 - 4x^3 - 3x^2 + 3x + 1
+A5_QUINTIC = P("16,20,0,0,0,1")  # x^5 + 20x + 16
 
 
 class TestClassifyCM:
@@ -47,3 +56,25 @@ class TestClassifyQuartic:
             chain.append(x)
         for lo, hi in zip(chain, chain[1:]):
             assert an_compare(lo, hi) == -1
+
+
+class TestQuinticResolvent:
+    """The Cayley sextic decides solvability and, for a solvable quintic,
+    names the pentagons fixed by the Galois group."""
+
+    def test_galois_groups(self):
+        cases = [
+            (S5_QUINTIC, "S5"),
+            (F5_QUINTIC, "F5"),
+            (D5_QUINTIC, "D5"),
+            (C5_QUINTIC, "C5"),
+            (A5_QUINTIC, "A5"),
+        ]
+        for p, group in cases:
+            assert galois_group_small(p) == group
+
+    def test_stable_cycles(self):
+        # indices follow the isolate_roots order of each quintic's roots
+        assert _stable_cycles(F5_QUINTIC) == [(0, 1, 3, 4, 2), (0, 3, 2, 1, 4)]
+        assert _stable_cycles(D5_QUINTIC) == [(0, 1, 4, 3, 2), (0, 3, 1, 2, 4)]
+        assert _stable_cycles(C5_QUINTIC) == [(0, 1, 4, 2, 3), (0, 2, 1, 3, 4)]

@@ -16,6 +16,7 @@ from mahlerdyn.nfield import (
     _short_relations,
     fe_add,
     fe_inv,
+    fe_is_zero,
     fe_mul,
     fe_neg,
     fe_pow,
@@ -79,6 +80,17 @@ class TestElementArithmetic:
         K = nf_new(C4_POLY)
         x = nf_element(K, [Fraction(1, 2), 3, 0, -1])
         assert fe_mul(K, x, fe_inv(K, x)) == fe_rational(K, 1)
+        rng = random.Random(5)
+        for poly in (SQRT2_POLY, C4_POLY, C5_POLY, X5M2):
+            K = nf_new(poly)
+            for _ in range(8):
+                coords = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(K.degree)]
+                x = nf_element(K, coords)
+                if fe_is_zero(x):
+                    continue
+                y = fe_inv(K, x)
+                assert fe_mul(K, x, y) == fe_rational(K, 1)
+                assert fe_inv(K, y) == x
 
     def test_theta_satisfies_defining(self):
         K = nf_new(C5_POLY)

@@ -1,13 +1,28 @@
 """Root isolation, refinement, circle partition, and signature tests."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mahlerdyn.errors import NotIrreducible, NotSquarefree
 from mahlerdyn.intpoly import IntPoly, from_text, is_squarefree
-from mahlerdyn.roots import circle_partition, isolate_roots, refine, signature
+from mahlerdyn.roots import (
+    IsolatingBox,
+    _abs_bounds,
+    _box_add,
+    _box_horner,
+    _box_inv,
+    _box_mul,
+    _point_in,
+    circle_partition,
+    isolate_roots,
+    refine,
+    signature,
+)
 
 P = from_text
 
@@ -190,3 +205,138 @@ class TestSignature:
             signature(P("-1,0,1"))
         with pytest.raises(NotIrreducible):
             signature(P("-4,0,2"))
+
+
+# disk arithmetic: random dyadic disks of radius about 2^-k (k = 2 is a
+# coarse rounding unit, k = 200 a fine one) and exact points in them: inside,
+# anywhere on the edge, or on the edge nearest to or farthest from 0, where
+# a disk operation's own bound is tight
+
+_N = 1 << 10
+
+
+def _circle_point(t: Fraction) -> tuple[Fraction, Fraction]:
+    """The exact point of the unit circle at angle 2 * atan(t)."""
+    d = 1 + t * t
+    return (1 - t * t) / d, 2 * t / d
+
+
+def _direction(x: Fraction, y: Fraction) -> tuple[Fraction, Fraction]:
+    """An exact unit vector within about 2^-400 of the direction of x + iy."""
+    if y == 0:
+        return (Fraction(1 if x >= 0 else -1), Fraction(0))
+    s = x * x + y * y
+    m = 1 << 400
+    mod = Fraction(math.isqrt(s.numerator * m * m // s.denominator) + 1, m)
+    return _circle_point(y / (mod + x))  # tan(arg / 2), with mod >= |x + iy|
+
+
+@st.composite
+def disk_and_point(draw, k):
+    # centres carry more bits than the rounding unit, so they get truncated
+    den = 1 << (k + 80)
+    x = Fraction(draw(st.integers(-(16 << (k + 80)), 16 << (k + 80))), den)
+    y = Fraction(draw(st.integers(-(16 << (k + 80)), 16 << (k + 80))), den)
+    r = Fraction(draw(st.integers(1, 1 << 8)), 1 << (k + 8))
+    where = draw(st.sampled_from(["inside", "edge", "far", "near"]))
+    if where == "inside":
+        p = draw(st.integers(-_N, _N))
+        q = draw(st.integers(-_N, _N))
+        assume(p * p + q * q <= _N * _N)
+        dx, dy = Fraction(p, _N), Fraction(q, _N)
+    elif where == "edge":
+        dx, dy = _circle_point(Fraction(draw(st.integers(-_N, _N)), draw(st.integers(1, _N))))
+    else:
+        dx, dy = _direction(x, y)
+        if where == "near":
+            dx, dy = -dx, -dy
+    return IsolatingBox((x, y), r), (x + r * dx, y + r * dy)
+
+
+def _holds(box, z):
+    return _point_in(box, z[0], z[1])
+
+
+def _is_dyadic(box):
+    return all(v.denominator & (v.denominator - 1) == 0 for v in (*box.center, box.radius))
+
+
+class TestDiskArithmetic:
+    @pytest.mark.parametrize("k", [2, 200])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_add_and_mul_hold_exact_results(self, k, data):
+        a, (ux, uy) = data.draw(disk_and_point(k))
+        b, (vx, vy) = data.draw(disk_and_point(k))
+        prod = _box_mul(a, b)
+        assert _is_dyadic(prod)
+        assert _holds(prod, (ux * vx - uy * vy, ux * vy + uy * vx))
+        for sign in (1, -1):
+            total = _box_add(a, b, sign)
+            assert _is_dyadic(total)
+            assert _holds(total, (ux + sign * vx, uy + sign * vy))
+            # rounding widens the radius by a relative 2^-29 at most
+            assert total.radius <= (a.radius + b.radius) * (1 + Fraction(1, 1 << 29))
+
+    @pytest.mark.parametrize("k", [2, 200])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_inverse_holds_exact_inverse(self, k, data):
+        a, (ux, uy) = data.draw(disk_and_point(k))
+        if _abs_bounds(a)[0] == 0:
+            # move the disk and its point off 0
+            shift = 3 * a.radius + 1
+            a = IsolatingBox((a.center[0] + shift, a.center[1]), a.radius)
+            ux += shift
+        inv = _box_inv(a)
+        n = ux * ux + uy * uy
+        assert _is_dyadic(inv)
+        assert _holds(inv, (ux / n, -uy / n))
+
+    @pytest.mark.parametrize("k", [2, 200])
+    @given(data=st.data(), coeffs=st.lists(st.integers(-50, 50), min_size=1, max_size=9),
+           den=st.integers(1, 7))
+    @settings(max_examples=60, deadline=None)
+    def test_horner_holds_exact_value(self, k, data, coeffs, den):
+        a, (ux, uy) = data.draw(disk_and_point(k))
+        # for a monomial the disk bound is tight at the far edge
+        monomial = [0] * (len(coeffs) - 1) + [coeffs[-1] or 1]
+        mirror = IsolatingBox((a.center[0], -a.center[1]), a.radius)
+        for cs in (coeffs, [Fraction(c, den) for c in coeffs], monomial):
+            vx, vy = Fraction(0), Fraction(0)
+            for c in reversed(cs):
+                vx, vy = vx * ux - vy * uy + c, vx * uy + vy * ux
+            val = _box_horner(cs, a)
+            assert _is_dyadic(val)
+            assert _holds(val, (vx, vy))
+            # real coefficients: the conjugate disk gives the conjugate disk
+            assert _box_horner(cs, mirror) == IsolatingBox((val.center[0], -val.center[1]), val.radius)
+
+    @pytest.mark.parametrize("k", [2, 200])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_modulus_bounds_bracket_abs(self, k, data):
+        a, (ux, uy) = data.draw(disk_and_point(k))
+        lo, hi = _abs_bounds(a)
+        assert 0 <= lo and lo * lo <= ux * ux + uy * uy <= hi * hi
+        # the bounds are as tight as the disk allows, up to the rounding unit
+        assert hi - lo <= 2 * a.radius * (1 + Fraction(1, 1 << 29))
+
+    def test_worst_case_truncation_is_covered(self):
+        # a centre whose coordinates each lose almost a whole rounding unit
+        # (2^-73 for this radius), and a point on the edge in that direction
+        r = Fraction(1, 1 << 40)
+        lost = Fraction((1 << 20) - 1, 1 << 93)
+        a = IsolatingBox((Fraction(9) + lost, Fraction(9) + lost), r)
+        dx, dy = _direction(*a.center)
+        ux, uy = a.center[0] + r * dx, a.center[1] + r * dy
+        zero = IsolatingBox((Fraction(0), Fraction(0)), Fraction(0))
+        assert _holds(_box_add(a, zero), (ux, uy))
+        vx, vy = Fraction(1), Fraction(0)
+        for n in range(1, 41):
+            vx, vy = vx * ux - vy * uy, vx * uy + vy * ux
+            assert _holds(_box_horner([0] * n + [1], a), (vx, vy))
+
+    def test_inverse_of_disk_meeting_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            _box_inv(IsolatingBox((Fraction(1), Fraction(0)), Fraction(1)))
