@@ -38,6 +38,7 @@ from .roots import (
     _box_horner,
     _box_inv,
     _box_mul,
+    _contained,
     _disjoint,
     circle_partition,
     isolate_roots,
@@ -84,7 +85,9 @@ def an_from_poly_root(p: IntPoly, box: IsolatingBox) -> AlgebraicNumber:
     """Canonical representative of the root of p isolated by box.
 
     Factors p, picks the irreducible factor owning the boxed root, and
-    re-isolates within that factor.
+    re-isolates within that factor. Only the factors' certified boxes are
+    refined; box may be any disk, and BoxAmbiguous is raised as soon as two
+    disjoint factor boxes lie inside it, i.e. when it holds two roots.
     """
     if p.is_zero:
         raise ZeroPolynomial("an_from_poly_root of zero polynomial")
@@ -95,16 +98,17 @@ def an_from_poly_root(p: IntPoly, box: IsolatingBox) -> AlgebraicNumber:
     for q, _ in factor_z(sq).factors:
         for idx, qb in enumerate(isolate_roots(q)):
             cands.append((q, idx, qb))
-    cur = box
     try:
         while True:
-            cands = [(q, i, qb) for q, i, qb in cands if not _disjoint(cur, qb)]
+            cands = [(q, i, qb) for q, i, qb in cands if not _disjoint(box, qb)]
             if len(cands) == 1:
                 q, idx, _ = cands[0]
                 return _canonical_at(q, idx)
             if not cands:
                 raise BoxAmbiguous("box isolates no root of the polynomial")
-            cur = refine(cur, sq, cur.radius / 16)
+            inside = [qb for _, _, qb in cands if _contained(qb, box)]
+            if any(_disjoint(a, b) for i, a in enumerate(inside) for b in inside[:i]):
+                raise BoxAmbiguous("box holds more than one root of the polynomial")
             cands = [(q, i, refine(qb, q, qb.radius / 16)) for q, i, qb in cands]
     except InternalPrecisionExceeded as e:
         raise BoxAmbiguous(f"certification failed at precision cap: {e}") from e

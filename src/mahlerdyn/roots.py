@@ -1,12 +1,28 @@
 """Certified complex root isolation and the exact unit-circle partition.
 
-Real roots are isolated by Sturm bisection over exact dyadic rationals.
-Complex roots start from numeric seeds (mpmath.polyroots); every seed is then
-wrapped in a disk of certified radius n*|p(c)|/|p'(c)| computed in exact
-rational arithmetic, so a disk is guaranteed to contain at least one root.
-When the full set of disks is pairwise disjoint and counts match the degree,
-each disk provably contains exactly one root. Numerics only ever choose where
-to look; all accept/reject decisions are exact.
+Isolation is seed-and-certify. A ladder of seeders proposes all n roots at
+once. Rung 0 is an Aberth-Ehrlich iteration in builtin double-precision
+complex numbers; the later rungs are mpmath.polyroots at 64, 128, ... bits up
+to _PREC_CAP. The seeds are rounded to dyadic points, polished by exact
+Newton steps and then certified all together:
+
+* a seed with negligible imaginary part is snapped onto the real axis, a
+  seed in the upper half-plane is kept and mirrored into the lower one, and a
+  seed in the lower half-plane is dropped;
+* each kept centre c gets the disk of radius n*|p(c)|/|p'(c)|, which always
+  holds at least one root of p;
+* the rung is accepted only when there are exactly n disks, they are
+  pairwise disjoint, every radius is at most _ORDER_RADIUS, and every upper
+  disk stays above the real axis (r < Im c).
+
+Then each disk holds exactly one root. A disk centred on the real axis holds
+a real root: the disk is its own mirror image, so a nonreal root in it would
+bring its conjugate along, and the disk would hold two. Snapping can
+therefore make a rung fail, never make the answer wrong. p and p' are
+evaluated at the dyadic centres by an exact integer Horner, so the numerics
+only choose where to look and every accept/reject decision is exact. A rung
+fails, and the ladder moves on, when the coefficients overflow a double, the
+iteration does not settle, or the certificate fails.
 
 Unit-circle membership is never decided by refinement alone: a root can lie
 on the circle only if its irreducible factor is reciprocal, and then the
@@ -16,6 +32,7 @@ polynomial on (-2, 2).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,6 +53,10 @@ from .intpoly import (
 _PREC_START = 64
 _PREC_CAP = 1 << 16
 _ORDER_RADIUS = Fraction(1, 1 << 20)  # boxes are sorted once refined this far
+_ORDER_GRID = 40  # real parts are compared rounded to a multiple of 2^-40
+_ABERTH_BITS = 128  # rung 0 polishes its seeds at the unit 2^-128
+_ABERTH_ITERS = 100
+_POLISH = 2  # exact Newton steps per seed
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -67,11 +88,6 @@ class CirclePartition:
 # exact helpers
 
 
-def _dyadic(x: Fraction, bits: int) -> Fraction:
-    scale = 1 << bits
-    return Fraction(round(x * scale), scale)
-
-
 def _sqrt_upper(s: Fraction, bits: int) -> Fraction:
     """Dyadic upper bound for sqrt(s)."""
     if s == 0:
@@ -91,12 +107,28 @@ def _frac_from_mp(v) -> Fraction:
     return -f if sign else f
 
 
-def _eval_gauss(p: IntPoly, x: Fraction, y: Fraction) -> tuple[Fraction, Fraction]:
-    """p(x + iy) as an exact pair (re, im)."""
-    u, v = _ZERO, _ZERO
-    for c in reversed(p.coeffs):
-        u, v = u * x - v * y + c, u * y + v * x
+def _horner(coeffs, x: int, y: int, d: int) -> tuple[int, int]:
+    """d^n * p((x + iy) / d) as an exact integer pair (re, im), for d > 0 and
+    the coefficients of p constant first, n = len(coeffs) - 1."""
+    u, v, s = coeffs[-1], 0, 1
+    for c in reversed(coeffs[:-1]):
+        s *= d
+        u, v = u * x - v * y + c * s, u * y + v * x
     return u, v
+
+
+def _newton_disk(p: IntPoly, dp: IntPoly, x: int, y: int, b: int) -> tuple[int, int, int] | None:
+    """At c = (x + iy) / 2^b: (k, sx, sy) with n|p(c)|/|p'(c)| < k / 2^b and
+    (sx + i sy) / 2^b about the Newton step -p(c)/p'(c); None if p'(c) = 0."""
+    d = 1 << b
+    u, v = _horner(p.coeffs, x, y, d)  # 2^(bn) p(c)
+    du, dv = _horner(dp.coeffs, x, y, d)  # 2^(b(n-1)) p'(c)
+    den = du * du + dv * dv
+    if den == 0:
+        return None
+    n = p.degree
+    k = math.isqrt(n * n * (u * u + v * v) // den) + 1
+    return k, -((u * du + v * dv) // den), -((v * du - u * dv) // den)
 
 
 # ---------------------------------------------------------------------------
@@ -230,154 +262,217 @@ def _point_in(box: IsolatingBox, x: Fraction, y: Fraction) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# numeric seeds
+# numeric seeds: the rungs of the ladder
 
 
-def _seeds(p: IntPoly, prec: int) -> list[tuple[Fraction, Fraction]]:
-    """Dyadic approximations of all roots at roughly prec bits; may raise
-    mpmath's NoConvergence, which callers treat as a ladder step."""
-    with mpmath.workprec(prec + 40):
-        roots = mpmath.polyroots(
-            [mpmath.mpf(c) for c in reversed(p.coeffs)],
-            maxsteps=120,
-            extraprec=prec,
-        )
-        out = []
-        for z in roots:
-            z = mpmath.mpc(z)
-            out.append((_dyadic(_frac_from_mp(z.real), prec), _dyadic(_frac_from_mp(z.imag), prec)))
-    return out
+def _fixed(v, b: int) -> int:
+    """The integer nearest v * 2^b, for a finite float or mpf v."""
+    return round(_frac_from_mp(v) * (1 << b))
+
+
+def _mp_seeds(p: IntPoly, prec: int) -> list[tuple[int, int]] | None:
+    """All roots from mpmath.polyroots at about prec bits, as integer pairs
+    at the unit 2^-prec; None when polyroots does not converge."""
+    try:
+        with mpmath.workprec(prec + 40):
+            roots = mpmath.polyroots(
+                [mpmath.mpf(c) for c in reversed(p.coeffs)],
+                maxsteps=120,
+                extraprec=prec,
+            )
+            return [(_fixed(mpmath.re(z), prec), _fixed(mpmath.im(z), prec)) for z in roots]
+    except (mpmath.mp.NoConvergence, ArithmeticError):
+        return None
+
+
+def _fhorner(cs, z: complex) -> tuple[complex, complex, float]:
+    """(q(z), q'(z), sum |c| |z|^k) for the coefficients cs of q, highest first."""
+    v, dv, e = cs[0], 0j, abs(cs[0])
+    az = abs(z)
+    for c in cs[1:]:
+        dv = dv * z + v
+        v = v * z + c
+        e = e * az + abs(c)
+    return v, dv, e
+
+
+def _initial_guesses(a: list[float]) -> list[complex]:
+    """Starting points from the Newton polygon (Bini, Numer. Algorithms 13,
+    1996): each edge of the upper hull of (k, log|a_k|) of horizontal length
+    m puts m points on a circle of the radius that edge predicts."""
+    n = len(a) - 1
+    pts = [(k, math.log(abs(c))) for k, c in enumerate(a) if c]
+    hull: list[tuple[int, float]] = []
+    for q in pts:
+        while len(hull) >= 2 and (
+            (hull[-1][0] - hull[-2][0]) * (q[1] - hull[-2][1])
+            - (hull[-1][1] - hull[-2][1]) * (q[0] - hull[-2][0])
+        ) >= 0:
+            hull.pop()
+        hull.append(q)
+    zs = [0j] * pts[0][0]  # roots at 0
+    for (k1, l1), (k2, l2) in zip(hull, hull[1:]):
+        m = k2 - k1
+        radius = math.exp((l1 - l2) / m)
+        zs.extend(cmath.rect(radius, 2 * math.pi * (j / m + k1 / n) + 0.7) for j in range(m))
+    return zs
+
+
+def _aberth_seeds(p: IntPoly) -> list[tuple[int, int]] | None:
+    """All roots by an Aberth-Ehrlich iteration in double precision (Aberth,
+    Math. Comp. 27, 1973), as integer pairs at the unit 2^-_ABERTH_BITS; None
+    when the coefficients overflow a double or the iteration does not
+    settle within _ABERTH_ITERS sweeps.
+
+    A root is settled when |p(z)| <= 4nu sum_k |a_k| |z|^k, with u the unit
+    roundoff, which is about what Horner's own rounding error can reach, or
+    when its correction is below u|z|. For |z| > 1 the reversed polynomial
+    is evaluated at 1/z instead, so Horner sees no power above 1."""
+    n = p.degree
+    try:
+        a = [float(c) for c in p.coeffs]
+    except OverflowError:
+        return None
+    hi = a[::-1]
+    unit = 2.0 ** -53
+    tol = 4 * n * unit
+    zs = _initial_guesses(a)
+    done = [False] * n
+    try:
+        for _ in range(_ABERTH_ITERS):
+            for i, z in enumerate(zs):
+                if done[i]:
+                    continue
+                if abs(z) <= 1:
+                    v, dv, e = _fhorner(hi, z)
+                    inv = dv / v if abs(v) > tol * e else None
+                else:
+                    w = 1 / z
+                    v, dv, e = _fhorner(a, w)
+                    # p'/p = (n q - w q') / (z q) for the reversal q(w)
+                    inv = (n - w * dv / v) / z if abs(v) > tol * e else None
+                if inv is None:
+                    done[i] = True
+                    continue
+                step = 1 / (inv - sum(1 / (z - zj) for j, zj in enumerate(zs) if j != i))
+                zs[i] = z - step
+                done[i] = abs(step) <= unit * abs(z)
+            if all(done):
+                return [(_fixed(z.real, _ABERTH_BITS), _fixed(z.imag, _ABERTH_BITS)) for z in zs]
+    except ArithmeticError:  # a zero denominator or an overflow
+        pass
+    return None
 
 
 # ---------------------------------------------------------------------------
-# real roots: exact Sturm machinery
+# the all-roots certificate
 
 
-def _sign(p: IntPoly, x: Fraction) -> int:
-    v = p(x)
-    return (v > 0) - (v < 0)
+def _certify(p: IntPoly, seeds: list[tuple[int, int]], b: int, snap: int) -> tuple[IsolatingBox, ...] | None:
+    """Isolating disks, one per root in canonical order, from seeds given at
+    the unit 2^-b, or None when the certificate fails.
 
-
-def _root_bound_pow2(p: IntPoly) -> Fraction:
-    b = 1 + Fraction(max(abs(c) for c in p.coeffs), abs(p.lc))
-    val = Fraction(2)
-    while val <= b:
-        val *= 2
-    return val
-
-
-def _real_isolating_intervals(p: IntPoly) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint dyadic sign-change intervals, one per real root."""
-    bound = _root_bound_pow2(p)
-    total = sturm_real_roots(p, -bound, bound)
-    out: list[tuple[Fraction, Fraction]] = []
-    stack = [(-bound, bound, total)]
-    while stack:
-        lo, hi, cnt = stack.pop()
-        if cnt == 0:
+    A seed (x, y) is snapped onto the real axis when |y| <= 2^-snap (1 + |x|),
+    polished by _POLISH exact Newton steps, and then given the disk of radius
+    n|p(c)|/|p'(c)|; see the module docstring for why the accepted disks
+    isolate. The canonical order is by (re, im), with real parts rounded to
+    2^-_ORDER_GRID, so roots of equal real part sort by imaginary part
+    whatever the last bits of their centres."""
+    n = p.degree
+    dp = p.derivative()
+    one = 1 << b
+    disks = []
+    for x, y in seeds:
+        if abs(y) << snap <= one + abs(x):
+            y = 0
+        elif y < 0:
             continue
-        if cnt == 1:
-            out.append((lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        if p(mid) == 0:
-            delta = (hi - lo) / 8
-            while p(mid - delta) == 0 or p(mid + delta) == 0 or sturm_real_roots(p, mid - delta, mid + delta) != 1:
-                delta /= 2
-            out.append((mid - delta, mid + delta))
-            left = sturm_real_roots(p, lo, mid - delta)
-            stack.append((lo, mid - delta, left))
-            stack.append((mid + delta, hi, cnt - 1 - left))
-        else:
-            left = sturm_real_roots(p, lo, mid)
-            stack.append((lo, mid, left))
-            stack.append((mid, hi, cnt - left))
-    out.sort()
-    return out
-
-
-def _shrink_interval(p: IntPoly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
-    """Bisect a sign-change interval down to the requested width."""
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        if p(mid) == 0:
-            # the root is exactly mid; nest a symmetric interval around it
-            delta = min((hi - lo) / 8, width / 4)
-            while p(mid - delta) == 0 or p(mid + delta) == 0 or _sign(p, mid - delta) == _sign(p, mid + delta):
-                delta /= 2
-            return (mid - delta, mid + delta)
-        if _sign(p, lo) != _sign(p, mid):
-            hi = mid
-        else:
-            lo = mid
-    return (lo, hi)
+        got = _newton_disk(p, dp, x, y, b)
+        for _ in range(_POLISH):
+            if got is None:
+                return None
+            x, y = x + got[1], y + got[2]
+            got = _newton_disk(p, dp, x, y, b)
+        if got is None:
+            return None
+        k = got[0]
+        if Fraction(k, one) > _ORDER_RADIUS or (y and k >= y):
+            return None
+        disks.append((x, y, k))
+        if y:
+            disks.append((x, -y, k))
+        if len(disks) > n:
+            return None
+    if len(disks) != n:
+        return None
+    for i, (xi, yi, ki) in enumerate(disks):
+        for xj, yj, kj in disks[:i]:
+            if (xi - xj) ** 2 + (yi - yj) ** 2 <= (ki + kj) ** 2:
+                return None
+    half = 1 << (b - _ORDER_GRID - 1)
+    disks.sort(key=lambda t: ((t[0] + half) >> (b - _ORDER_GRID), t[1]))
+    return tuple(IsolatingBox((Fraction(x, one), Fraction(y, one)), Fraction(k, one)) for x, y, k in disks)
 
 
 # ---------------------------------------------------------------------------
 # isolation
 
 
-def _try_isolate(p: IntPoly, reals, n_upper: int, prec: int):
-    n = p.degree
-    dp = p.derivative()
-    boxes = []
-    for lo, hi in reals:
-        boxes.append(IsolatingBox(((lo + hi) / 2, _ZERO), (hi - lo) / 2))
-    if n_upper:
-        try:
-            seeds = _seeds(p, prec)
-        except (mpmath.mp.NoConvergence, ArithmeticError):
-            return None
-        upper = [(x, y) for x, y in seeds if y > 0]
-        if len(upper) != n_upper:
-            return None
-        for x, y in upper:
-            u, v = _eval_gauss(p, x, y)
-            du, dv = _eval_gauss(dp, x, y)
-            den = du * du + dv * dv
-            if den == 0:
-                return None
-            s = Fraction(n * n) * (u * u + v * v) / den
-            r = _sqrt_upper(s, prec) if s else Fraction(1, 1 << prec)
-            # ordering radius, and strictly in the upper half plane
-            if r > _ORDER_RADIUS or r >= y:
-                return None
-            boxes.append(IsolatingBox((x, y), r))
-            boxes.append(IsolatingBox((x, -y), r))
-    for i in range(len(boxes)):
-        for j in range(i):
-            if not _disjoint(boxes[i], boxes[j]):
-                return None
-    return boxes
+def _ladder(p: IntPoly):
+    """(seeds or None, b, snap) per rung, for _certify: the double-precision
+    Aberth seeds, then mpmath.polyroots at 64, 128, ... bits up to
+    _PREC_CAP. A seed snaps onto the real axis within about half the bits
+    its seeder carries."""
+    yield _aberth_seeds(p), _ABERTH_BITS, 26
+    prec = _PREC_START
+    while prec <= _PREC_CAP:
+        yield _mp_seeds(p, prec), prec, prec // 2
+        prec *= 2
 
 
 @lru_cache(maxsize=256)
 def _isolate_cached(coeffs: tuple[int, ...]) -> tuple[IsolatingBox, ...]:
     p = IntPoly(coeffs)
-    n = p.degree
-    reals = _real_isolating_intervals(p)
-    n_upper = (n - len(reals)) // 2
-    reals = [_shrink_interval(p, lo, hi, _ORDER_RADIUS) for lo, hi in reals]
-    prec = _PREC_START
-    while prec <= _PREC_CAP:
-        boxes = _try_isolate(p, reals, n_upper, prec)
+    if p.degree < 1 or not is_squarefree(p):
+        raise NotSquarefree("isolate_roots expects a squarefree nonconstant polynomial")
+    for seeds, b, snap in _ladder(p):
+        boxes = None if seeds is None else _certify(p, seeds, b, snap)
         if boxes is not None:
-            boxes.sort(key=lambda b: (b.center[0], b.center[1]))
-            return tuple(boxes)
-        reals = [_shrink_interval(p, lo, hi, (hi - lo) / 4) for lo, hi in reals]
-        prec *= 2
-    raise InternalPrecisionExceeded(f"root isolation for degree {n} exceeded {_PREC_CAP} bits")
+            return boxes
+    raise InternalPrecisionExceeded(f"root isolation for degree {p.degree} exceeded {_PREC_CAP} bits")
 
 
 def isolate_roots(p: IntPoly) -> list[IsolatingBox]:
     """Pairwise-disjoint certified boxes, one per root, sorted by (re, im)."""
-    if p.is_zero or p.degree < 1 or not is_squarefree(p):
-        raise NotSquarefree("isolate_roots expects a squarefree nonconstant polynomial")
     return list(_isolate_cached(p.coeffs))
 
 
 # ---------------------------------------------------------------------------
 # refinement
+
+
+def _sign(p: IntPoly, x: Fraction) -> int:
+    u = _horner(p.coeffs, x.numerator, 0, x.denominator)[0]
+    return (u > 0) - (u < 0)
+
+
+def _shrink_interval(p: IntPoly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
+    """Bisect a sign-change interval down to the requested width."""
+    slo = _sign(p, lo)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        smid = _sign(p, mid)
+        if smid == 0:
+            # the root is exactly mid; nest a symmetric interval around it
+            delta = min((hi - lo) / 8, width / 4)
+            while _sign(p, mid - delta) * _sign(p, mid + delta) >= 0:
+                delta /= 2
+            return (mid - delta, mid + delta)
+        if smid != slo:
+            hi = mid
+        else:
+            lo = mid
+    return (lo, hi)
 
 
 def refine(box: IsolatingBox, p: IntPoly, eps: Fraction) -> IsolatingBox:
@@ -397,30 +492,21 @@ def refine(box: IsolatingBox, p: IntPoly, eps: Fraction) -> IsolatingBox:
 
 
 def _refine_certified(box: IsolatingBox, p: IntPoly, eps: Fraction) -> IsolatingBox:
-    n = p.degree
     dp = p.derivative()
     need = max(1, (eps.denominator // max(eps.numerator, 1)).bit_length())
     prec = max(_PREC_START, need + 20)
     while prec <= _PREC_CAP:
-        try:
-            seeds = _seeds(p, prec)
-        except (mpmath.mp.NoConvergence, ArithmeticError):
-            prec *= 2
-            continue
-        for x, y in seeds:
+        scale = 1 << prec
+        for x, y in _mp_seeds(p, prec) or ():
             if box.center[1] == 0:
-                y = _ZERO
-            if not _point_in(box, x, y):
+                y = 0
+            if not _point_in(box, Fraction(x, scale), Fraction(y, scale)):
                 continue
-            u, v = _eval_gauss(p, x, y)
-            du, dv = _eval_gauss(dp, x, y)
-            den = du * du + dv * dv
-            if den == 0:
+            got = _newton_disk(p, dp, x, y, prec)
+            if got is None:
                 continue
-            s = Fraction(n * n) * (u * u + v * v) / den
-            r = _sqrt_upper(s, prec) if s else Fraction(1, 1 << prec)
-            cand = IsolatingBox((x, y), r)
-            if r <= eps and _contained(cand, box):
+            cand = IsolatingBox((Fraction(x, scale), Fraction(y, scale)), Fraction(got[0], scale))
+            if cand.radius <= eps and _contained(cand, box):
                 return cand
         prec *= 2
     raise InternalPrecisionExceeded(f"refinement to {eps} exceeded {_PREC_CAP} bits")

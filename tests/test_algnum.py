@@ -1,6 +1,7 @@
 """Algebraic number arithmetic and classification tests."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -79,6 +80,19 @@ class TestConstruction:
         box = IsolatingBox((Fraction(10), Fraction(0)), Fraction(1, 4))
         with pytest.raises(BoxAmbiguous):
             an_from_poly_root(P("-2,0,1"), box)
+
+    def test_box_with_several_roots(self):
+        # a disk that is not a certified box: it must resolve when it holds
+        # one root and refuse, not pick one, when it holds more
+        near = IsolatingBox((Fraction(3, 2), Fraction(0)), Fraction(1, 2))
+        assert an_from_poly_root(P("-2,0,1"), near) == SQRT2
+        disk = IsolatingBox((Fraction(0), Fraction(0)), Fraction(2))
+        with pytest.raises(BoxAmbiguous):
+            an_from_poly_root(P("-2,0,1"), disk)
+        start = time.perf_counter()
+        with pytest.raises(BoxAmbiguous):
+            an_from_poly_root(P("1,0,1,0,1"), disk)  # four roots of modulus 1
+        assert time.perf_counter() - start < 1
 
     def test_serialize_round_trip(self):
         obj = an_serialize(TAU)

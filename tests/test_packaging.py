@@ -1,5 +1,9 @@
-"""Packaging: the source tree ships the package and no dangling entry point."""
+"""Packaging: the source tree ships the package, no dangling entry point and
+no runtime dependency beyond mpmath."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,3 +24,14 @@ def test_scripts_name_existing_modules():
         module = target.split(":")[0]
         path = ROOT / "src" / Path(*module.split("."))
         assert path.with_suffix(".py").is_file() or (path / "__init__.py").is_file(), target
+
+
+def test_runtime_imports_mpmath_only():
+    # numpy is an optional accelerator for nfield alone; sympy is a test extra
+    code = (
+        "import sys, mahlerdyn.roots, mahlerdyn.algnum, mahlerdyn.mahler; "
+        "print(sorted(m for m in ('numpy', 'sympy') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

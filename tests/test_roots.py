@@ -2,14 +2,16 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mahlerdyn.errors import NotIrreducible, NotSquarefree
-from mahlerdyn.intpoly import IntPoly, from_text, is_squarefree
+from mahlerdyn.intpoly import IntPoly, from_text, is_squarefree, sturm_real_roots
 from mahlerdyn.roots import (
     IsolatingBox,
     _abs_bounds,
@@ -17,12 +19,16 @@ from mahlerdyn.roots import (
     _box_horner,
     _box_inv,
     _box_mul,
+    _certify,
+    _ladder,
     _point_in,
     circle_partition,
     isolate_roots,
     refine,
     signature,
 )
+from oracles import numeric_roots
+from test_mahler import CM6, WANDER6, rand_algnum
 
 P = from_text
 
@@ -99,6 +105,79 @@ class TestIsolate:
             isolate_roots(P("1,2,1"))
         with pytest.raises(NotSquarefree):
             isolate_roots(P("5"))
+        # raised before any seed is drawn, and on every call
+        start = time.perf_counter()
+        for _ in range(2):
+            with pytest.raises(NotSquarefree):
+                isolate_roots(LEHMER * LEHMER)
+        assert time.perf_counter() - start < 1
+
+
+class TestSeedLadder:
+    """Inputs on which the double-precision rung fails and a later one settles."""
+
+    @pytest.mark.parametrize("n, a, reals", [(9, 100, 3), (12, 1000, 4)])
+    def test_mignotte_cluster(self, n, a, reals):
+        # x^n - 2(ax - 1)^2 has two real roots about 2^-36 (n = 9) apart
+        p = IntPoly((0,) * n + (1,)) - IntPoly((2, -4 * a, 2 * a * a))
+        seeds, b, snap = next(_ladder(p))
+        assert seeds is None or _certify(p, seeds, b, snap) is None
+        boxes = isolate_roots(p)
+        assert len(boxes) == n
+        assert sum(1 for box in boxes if box.center[1] == 0) == sturm_real_roots(p) == reals
+
+    def test_coefficients_beyond_double_range(self):
+        p = IntPoly((-1, -10 ** 320, 0, 1))
+        assert next(_ladder(p))[0] is None
+        boxes = isolate_roots(p)
+        assert len(boxes) == 3
+        assert sum(1 for box in boxes if box.center[1] == 0) == sturm_real_roots(p) == 3
+
+
+def _oracle_in_order(p):
+    """mpmath's 60-digit roots sorted by (re, im); real parts equal to 40
+    digits count as equal, so a conjugate pair sorts by its imaginary part."""
+    with mpmath.workdps(60):
+        return sorted(numeric_roots(p), key=lambda z: (mpmath.nint(z.real * 10 ** 40), z.imag))
+
+
+def _holds_root(box, z):
+    with mpmath.workdps(60):
+        def mp(v):
+            return mpmath.mpf(v.numerator) / v.denominator
+        return abs(mpmath.mpc(mp(box.center[0]), mp(box.center[1])) - z) <= mp(box.radius)
+
+
+class TestCanonicalOrder:
+    """Box i holds the i-th root in (re, im) order, checked against mpmath,
+    and the real-centred boxes are as many as Sturm counts real roots."""
+
+    def _check(self, p):
+        boxes = isolate_roots(p)
+        roots = _oracle_in_order(p)
+        assert len(boxes) == len(roots) == p.degree
+        for box, z in zip(boxes, roots):
+            assert _holds_root(box, z), (p, box, z)
+
+    @pytest.mark.parametrize(
+        "p",
+        [LEHMER, SALEM4, CM6, WANDER6, P("36,0,49,0,14,0,1")],
+        ids=["tau", "salem4", "cm6", "wander6", "equal-re"],  # (x^2+1)(x^2+4)(x^2+9)
+    )
+    def test_named_fixtures(self, p):
+        self._check(p)
+
+    def test_random_minpolys(self):
+        rng = random.Random(20260814)
+        for _ in range(30):
+            self._check(rand_algnum(rng).minpoly)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_real_boxes_match_sturm_count(self, seed):
+        p = rand_squarefree(random.Random(seed), max_deg=8)
+        boxes = isolate_roots(p)
+        assert sum(1 for b in boxes if b.center[1] == 0) == sturm_real_roots(p)
 
 
 class TestRefine:
