@@ -52,6 +52,7 @@ from .nfield import (
     FieldElement,
     NumberField,
     _abs_squared_algnum,
+    _aut_bound_reason,
     _conjugate_pairs,
     _is_root_of_defining,
     _log_interval,
@@ -456,7 +457,8 @@ def _verified_automorphisms(
         autos = nf_automorphisms(K)
         if len(autos) != K.degree:
             raise NotGalois(
-                f"found {len(autos)} automorphisms on a degree-{K.degree} field"
+                f"{len(autos)} automorphisms on a degree-{K.degree} field; "
+                + _aut_bound_reason(K.defining)
             )
         return autos
     autos = [nf_element(K, getattr(g, "coords", g)) for g in supplied]
@@ -874,7 +876,10 @@ def classify_cyclic(p: IntPoly) -> FieldVerdict:
     K = nf_new(G)
     autos = nf_automorphisms(K)
     if len(autos) != n:
-        raise NotCyclic(f"automorphism count {len(autos)} on a degree-{n} field")
+        raise NotCyclic(
+            f"{len(autos)} automorphisms on a degree-{n} field; "
+            + _aut_bound_reason(K.defining)
+        )
     sigma = next((g for g in autos if _auto_order(K, g) == n), None)
     if sigma is None:
         raise NotCyclic("no automorphism of full order")

@@ -93,6 +93,19 @@ class NotCyclic(MahlerdynError):
     """Operation requires a cyclic Galois group."""
 
 
+class AutomorphismsUndecided(MahlerdynError):
+    """Automorphism discovery ended with fewer verified automorphisms than
+    the Frobenius upper bound allows, so the exact count is unknown."""
+
+    def __init__(self, lower: int, upper: int):
+        super().__init__(
+            f"{lower} automorphisms verified, Frobenius bound {upper}; "
+            "the discovery ladder ended undecided"
+        )
+        self.lower = lower
+        self.upper = upper
+
+
 class UnsupportedGroup(MahlerdynError):
     """Verified Galois group is outside the classified families."""
 

@@ -726,7 +726,10 @@ def _is_cyclotomic_irreducible(f: IntPoly) -> bool:
     Iterate the squarefree Graeffe map; the root set of a monic irreducible is
     eventually fixed under squaring iff all roots are roots of unity
     (Kronecker). phi(n) = d forces n <= 2d^2, so log2(2d^2)+2 iterations
-    suffice to reach the odd-order fixed point when f is cyclotomic.
+    suffice to reach the odd-order fixed point when f is cyclotomic. Every
+    iterate stays monic, and a monic polynomial whose roots all lie on the
+    unit circle has |h_k| <= C(deg h, k), so a larger coefficient ends the
+    loop early.
     """
     d = f.degree
     if d < 1 or f.lc != 1:
@@ -736,6 +739,8 @@ def _is_cyclotomic_irreducible(f: IntPoly) -> bool:
     h = f
     bound = max(1, (2 * d * d + 4).bit_length() + 2)
     for _ in range(bound):
+        if any(abs(c) > math.comb(h.degree, k) for k, c in enumerate(h.coeffs)):
+            return False
         h2 = squarefree_part(power_map(h, 2))
         if h2 == h:
             return True

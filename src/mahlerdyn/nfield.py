@@ -26,14 +26,22 @@ from .algnum import (
     an_pow,
 )
 from .errors import (
+    AutomorphismsUndecided,
     NotFound,
     NotIrreducible,
     NotMonic,
     PrecisionExceeded,
     RankDeficient,
 )
-from .factor import is_irreducible
-from .intpoly import IntPoly, cyclotomic_part, lll_reduce, resultant, transform_resolvent
+from .factor import _gf_from, _gf_gcd, _gf_pow_mod, _gf_sub, _small_primes, is_irreducible
+from .intpoly import (
+    IntPoly,
+    cyclotomic_part,
+    discriminant,
+    lll_reduce,
+    resultant,
+    transform_resolvent,
+)
 from .mahler import an_compare
 from .roots import (
     IsolatingBox,
@@ -52,6 +60,7 @@ _ONE = Fraction(1)
 _H_CAP = 64  # coordinate-bound ladder limit for unit enumeration
 _E_CAP = 8  # exponent-bound ladder limit for pattern search
 _AUTO_PREC = (192, 384, 768, 1536)  # discovery ladder, bits
+_AUT_PRIMES = 40  # good primes the Frobenius bound tries at most
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +80,6 @@ class NumberField:
     degree: int
     signature: tuple[int, int]
     embeddings: tuple[IsolatingBox, ...]
-    automorphisms: Optional[tuple[FieldElement, ...]] = None
 
 
 @dataclass(frozen=True)
@@ -331,53 +339,105 @@ def _places(K: NumberField) -> tuple[tuple[int, int], ...]:
 
 
 def nf_automorphisms(K: NumberField) -> list[FieldElement]:
-    """All roots of the defining polynomial that lie in K, exactly verified.
+    """All automorphisms of K, as the roots of the defining polynomial in K.
 
-    Candidates are discovered by integer-relation (LLL) reconstruction from
-    high-precision embeddings and accepted only when f(g) = 0 mod f holds in
-    exact arithmetic, so a discovery failure can lose automorphisms but never
-    invent one. For Galois K the returned list has size = degree and is
-    closed under composition (verified).
+    The count is exact. The upper bound comes from Frobenius patterns
+    (`_aut_upper_bound`): Aut(K) permutes the roots of f freely, and for a
+    prime p not dividing disc(f) it maps the roots in F_p to roots in F_p,
+    so |Aut(K)| divides their number. The lower bound is the set found so
+    far: candidates come from integer-relation (LLL) reconstruction between
+    the base embedding and each other embedding, and a candidate is accepted
+    only when f(g) = 0 mod f holds in exact arithmetic.
+
+    The search is rung-major: every candidate embedding is tried at 192
+    bits, then every one again at 384, and so on up to the top of
+    `_AUTO_PREC`, so the automorphisms visible at 192 bits are all found
+    before any higher rung runs. After each accepted root the set is closed
+    under composition, and the search stops once its size equals the bound;
+    a bound of 1 needs no search. If the ladder ends below the bound, or a
+    refinement exceeds its precision cap, AutomorphismsUndecided names both
+    numbers: a partial list is never returned. The order of the list is not
+    part of the contract.
     """
-    n = K.degree
-    if n == 1:
-        return [fe_theta(K)]
-    found: dict[tuple, FieldElement] = {}
+    f, n = K.defining, K.degree
     ident = fe_theta(K)
-    found[ident.coords] = ident
+    bound, _ = _aut_upper_bound(f)
+    if bound == 1:
+        return [ident]
     base = next((i for i, b in enumerate(K.embeddings) if b.center[1] == 0), 0)
     base_real = K.embeddings[base].center[1] == 0
-    for j in range(n):
-        if j == base:
-            continue
-        if base_real and K.embeddings[j].center[1] != 0:
-            # the image of a root under a real embedding is a real root
-            continue
-        g = _root_in_field(K, base, j)
-        if g is not None and g.coords not in found:
-            found[g.coords] = g
-    _close_under_composition(K, found)
-    autos = list(found.values())
-    if len(autos) == n:
-        _verify_group_closure(K, autos)
-    return autos
+    # the image of a root under a real embedding is a real root
+    todo = [
+        j
+        for j in range(n)
+        if j != base and not (base_real and K.embeddings[j].center[1] != 0)
+    ]
+    found = {ident.coords: ident}
+    boxes = list(K.embeddings)
+    try:
+        for prec in _AUTO_PREC:
+            eps = Fraction(1, 1 << (prec + 16))
+            boxes[base] = refine(boxes[base], f, eps)
+            for j in todo:
+                boxes[j] = refine(boxes[j], f, eps)
+                g = _root_in_field(K, boxes[base], boxes[j], prec)
+                if g is None:
+                    continue
+                found[g.coords] = g
+                _close_under_composition(K, found)
+                if len(found) == bound:
+                    autos = list(found.values())
+                    if bound == n:
+                        _verify_group_closure(K, autos)
+                    return autos
+    except PrecisionExceeded as exc:
+        raise AutomorphismsUndecided(len(found), bound) from exc
+    raise AutomorphismsUndecided(len(found), bound)
 
 
-def _root_in_field(K: NumberField, base: int, j: int) -> Optional[FieldElement]:
-    n = K.degree
-    f = K.defining
-    for prec in _AUTO_PREC:
-        eps = Fraction(1, 1 << (prec + 16))
-        try:
-            b0 = refine(K.embeddings[base], f, eps)
-            bj = refine(K.embeddings[j], f, eps)
-        except PrecisionExceeded:
-            return None
-        rows = _relation_lattice(b0, bj, n, prec)
-        for cand in _short_relations(rows, n):
-            g = nf_element(K, cand)
-            if _is_root_of_defining(K, g):
-                return g
+def _aut_upper_bound(f: IntPoly) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Upper bound on |Aut(K)| for K = Q[x]/(f), f monic irreducible.
+
+    For p not dividing disc(f), the roots of f in F_p are the Frobenius-fixed
+    roots, and by Dedekind their number is that of the linear factors of f
+    mod p, deg gcd(x^p - x, f). Aut(K) permutes them freely, so |Aut(K)|
+    divides it. Returns the gcd of the degree and these counts over at most
+    _AUT_PRIMES good primes, with the (p, count) pairs that lowered it.
+    """
+    disc = discriminant(f).numerator
+    bound, witnesses, tried = f.degree, [], 0
+    for p in _small_primes():
+        if bound == 1 or tried == _AUT_PRIMES:
+            break
+        if disc % p == 0:
+            continue
+        tried += 1
+        fp = _gf_from(f, p)
+        xp = _gf_pow_mod([0, 1], p, fp, p)
+        count = len(_gf_gcd(_gf_sub(xp, [0, 1], p), fp, p)) - 1
+        if math.gcd(bound, count) < bound:
+            bound = math.gcd(bound, count)
+            witnesses.append((p, count))
+    return bound, tuple(witnesses)
+
+
+def _aut_bound_reason(f: IntPoly) -> str:
+    """The primes and linear-factor counts behind the Frobenius bound."""
+    bound, witnesses = _aut_upper_bound(f)
+    counts = ", ".join(f"{c} linear factors mod {p}" for p, c in witnesses)
+    return f"|Aut(K)| divides {bound}, as f has {counts}"
+
+
+def _root_in_field(
+    K: NumberField, b0: IsolatingBox, bj: IsolatingBox, prec: int
+) -> Optional[FieldElement]:
+    """A verified root of f in K guessed from the relation between the two
+    embeddings at one rung, or None."""
+    rows = _relation_lattice(b0, bj, K.degree, prec)
+    for cand in _short_relations(rows, K.degree):
+        g = nf_element(K, cand)
+        if _is_root_of_defining(K, g):
+            return g
     return None
 
 
@@ -600,9 +660,13 @@ def nf_unit_sublattice(K: NumberField, search_bound: Optional[int] = None) -> Un
                     square = [
                         [v.entries[c] for c in range(rank_target)] for v in vectors
                     ]
-                    assert _interval_det_excludes_zero(square) or _rank_certified_hard(
-                        K, gens, rank_target
-                    ), "full-rank log matrix failed its determinant check"
+                    if not (
+                        _interval_det_excludes_zero(square)
+                        or _rank_certified_hard(K, gens, rank_target)
+                    ):
+                        raise RankDeficient(
+                            "full-rank log matrix failed its determinant check"
+                        )
                     return UnitSublattice(tuple(gens), vectors)
         prev, h = h, h * 2
     raise RankDeficient(f"unit search exhausted coordinate bound {cap}")

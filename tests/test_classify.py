@@ -1,15 +1,22 @@
 """Field-level verdicts: regressions for the CM test and the C4 quartic
-witness, and the quintic resolvent behind galois_group_small."""
+witness, the quintic resolvent behind galois_group_small, the sextic and
+C2^3 octic verdicts, and the undecided automorphism count."""
 
+import pytest
+
+from mahlerdyn import nfield
 from mahlerdyn.algnum import an_from_rational
 from mahlerdyn.classify import (
     AllPreperiodic,
     HasWanderer,
     _stable_cycles,
+    _verified_automorphisms,
     classify_cm,
+    classify_galois_small,
     classify_quartic,
     galois_group_small,
 )
+from mahlerdyn.errors import AutomorphismsUndecided, NotGalois
 from mahlerdyn.intpoly import from_text
 from mahlerdyn.mahler import an_compare, mahler_measure
 from mahlerdyn.roots import signature
@@ -26,6 +33,19 @@ D5_QUINTIC = P("12,-5,0,0,0,1")  # x^5 - 5x + 12
 C5_QUINTIC = P("1,3,-3,-4,1,1")  # x^5 + x^4 - 4x^3 - 3x^2 + 3x + 1
 A5_QUINTIC = P("16,20,0,0,0,1")  # x^5 + 20x + 16
 
+C6_SEXTIC = P("-1,3,6,-4,-5,1,1")  # x^6 + x^5 - 5x^4 - 4x^3 + 6x^2 + 3x - 1
+X6P108 = P("108,0,0,0,0,0,1")  # x^6 + 108, Galois with group S3
+C2CUBED_OCTIC = P("576,0,-960,0,352,0,-40,0,1")  # Q(sqrt 2, sqrt 3, sqrt 5)
+
+
+def _assert_wandering_unit(v, degree):
+    assert isinstance(v, HasWanderer)
+    assert v.certificate is not None
+    w = v.witness
+    assert degree % w.degree == 0
+    assert abs(w.minpoly.coeffs[0]) == 1 and w.minpoly.coeffs[-1] == 1
+    assert an_compare(mahler_measure(w), an_from_rational(1)) == 1
+
 
 class TestClassifyCM:
     def test_cm_sextic_is_all_preperiodic(self):
@@ -36,6 +56,11 @@ class TestClassifyCM:
     def test_s4_quartic_is_not_cm(self):
         # an S4 quartic field has no quadratic subfield, so it cannot be CM
         assert classify_cm(S4_IMAG) is None
+
+    def test_not_galois_names_the_primes(self):
+        # |Aut(CM6)| = 2: the Frobenius bound proves the field is not Galois
+        with pytest.raises(NotGalois, match="linear factors mod"):
+            _verified_automorphisms(nfield.nf_new(CM6))
 
 
 class TestClassifyQuartic:
@@ -78,3 +103,34 @@ class TestQuinticResolvent:
         assert _stable_cycles(F5_QUINTIC) == [(0, 1, 3, 4, 2), (0, 3, 2, 1, 4)]
         assert _stable_cycles(D5_QUINTIC) == [(0, 1, 4, 3, 2), (0, 3, 1, 2, 4)]
         assert _stable_cycles(C5_QUINTIC) == [(0, 1, 4, 2, 3), (0, 2, 1, 3, 4)]
+
+
+class TestGaloisSmall:
+    def test_cyclic_sextic_has_certified_wanderer(self):
+        _assert_wandering_unit(classify_galois_small(C6_SEXTIC), 6)
+
+    def test_x6_plus_108_is_all_preperiodic(self):
+        # totally imaginary Galois sextic
+        assert isinstance(classify_galois_small(X6P108), AllPreperiodic)
+
+    def test_c2cubed_octic_has_certified_wanderer(self):
+        _assert_wandering_unit(classify_galois_small(C2CUBED_OCTIC), 8)
+
+
+class TestUndecidedAutomorphisms:
+    """With relation finding switched off, a count below the Frobenius bound
+    raises instead of reading as "not CM" or "not Galois"."""
+
+    @pytest.fixture(autouse=True)
+    def no_relations(self, monkeypatch):
+        monkeypatch.setattr(nfield, "_short_relations", lambda rows, n: iter(()))
+
+    def test_classify_cm_raises(self):
+        with pytest.raises(AutomorphismsUndecided) as info:
+            classify_cm(CM6)
+        assert (info.value.lower, info.value.upper) == (1, 2)
+
+    def test_classify_galois_small_raises(self):
+        with pytest.raises(AutomorphismsUndecided) as info:
+            classify_galois_small(C6_SEXTIC)
+        assert (info.value.lower, info.value.upper) == (1, 6)

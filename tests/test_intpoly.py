@@ -333,6 +333,15 @@ class TestCyclotomicPart:
     def test_salem_not_cyclotomic(self):
         assert cyclotomic_part(LEHMER) == IntPoly((1,))
 
+    def test_large_coefficient_exits_before_graeffe(self, monkeypatch):
+        # |-3| > C(2, 1): the roots of x^2 - 3x + 1 cannot all lie on the
+        # unit circle, so no Graeffe step is needed to say "not cyclotomic"
+        def no_graeffe(p, n):
+            raise AssertionError("Graeffe step taken")
+
+        monkeypatch.setattr(intpoly, "power_map", no_graeffe)
+        assert not intpoly._is_cyclotomic_irreducible(P("1,-3,1"))
+
 
 class TestDiscriminant:
     def test_quadratic(self):

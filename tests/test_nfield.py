@@ -1,17 +1,31 @@
 """Number field arithmetic, automorphisms, units, and pattern search."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from mahlerdyn.errors import NotFound, NotIrreducible, NotMonic, RankDeficient
-from mahlerdyn.intpoly import from_text, lll_reduce
+from mahlerdyn import nfield
+from mahlerdyn.classify import classify_cm, classify_cyclic, galois_group_small
+from mahlerdyn.errors import (
+    AutomorphismsUndecided,
+    NotCyclic,
+    NotFound,
+    NotIrreducible,
+    NotMonic,
+    RankDeficient,
+)
+from mahlerdyn.intpoly import discriminant, from_text, lll_reduce
 from mahlerdyn.roots import refine
 from mahlerdyn.algnum import an_equal, an_from_rational, an_mul, an_rational_value
 from mahlerdyn.mahler import an_compare, an_sign, mahler_measure
 from mahlerdyn.nfield import (
     ConjugatePattern,
+    _aut_upper_bound,
     _relation_lattice,
     _short_relations,
     fe_add,
@@ -42,6 +56,10 @@ SQRT2_POLY = P("-2,0,1")
 C4_POLY = P("2,0,-4,0,1")  # totally real cyclic quartic
 C5_POLY = P("1,3,-3,-4,1,1")  # minimal polynomial of 2cos(2pi/11)
 X5M2 = P("-2,0,0,0,0,1")
+CM6 = P("1,0,8,0,6,0,1")  # x^6 + 6x^4 + 8x^2 + 1, a CM sextic
+S5_QUINTIC = P("-1,-1,0,0,0,1")  # x^5 - x - 1
+D5_QUINTIC = P("12,-5,0,0,0,1")  # x^5 - 5x + 12
+C2CUBED_OCTIC = P("576,0,-960,0,352,0,-40,0,1")  # Q(sqrt 2, sqrt 3, sqrt 5)
 
 ONE = an_from_rational(1)
 
@@ -224,6 +242,62 @@ class TestAutomorphisms:
         assert pc == tuple(pb[pa[i]] for i in range(4))
 
 
+class TestAutomorphismBound:
+    """The Frobenius upper bound, and the exact counts it makes possible."""
+
+    @pytest.mark.parametrize(
+        "text, bound",
+        [
+            ("1,1,0,0,1", 1),  # x^4 + x + 1, S4
+            ("1,-1,0,0,1", 1),  # x^4 - x + 1, S4
+            ("1,0,8,0,6,0,1", 2),  # CM6
+            ("2,0,-4,0,1", 4),  # x^4 - 4x^2 + 2, C4
+            ("1,0,-4,0,1", 4),  # x^4 - 4x^2 + 1, V4
+            ("-1,-1,0,0,0,1", 1),  # x^5 - x - 1, S5
+            ("12,-5,0,0,0,1", 1),  # x^5 - 5x + 12, D5
+            ("1,3,-3,-4,1,1", 5),  # C5
+            ("1,0,0,0,-12,0,0,0,1", 4),  # x^8 - 12x^4 + 1
+            ("576,0,-960,0,352,0,-40,0,1", 8),  # C2^3
+        ],
+    )
+    def test_bound_is_the_automorphism_count(self, text, bound):
+        f = P(text)
+        got, witnesses = _aut_upper_bound(f)
+        assert got == bound
+        # each witness is a good prime with its count of linear factors
+        for p, count in witnesses:
+            assert count % got == 0
+            assert discriminant(f).numerator % p != 0
+
+    def test_bound_of_one_needs_no_lll(self, monkeypatch):
+        def no_lll(rows):
+            raise AssertionError("LLL called")
+
+        monkeypatch.setattr(nfield, "lll_reduce", no_lll)
+        assert classify_cm(P("1,1,0,0,1")) is None
+        assert galois_group_small(D5_QUINTIC) == "D5"
+        K = nf_new(S5_QUINTIC)
+        assert nf_automorphisms(K) == [fe_theta(K)]
+
+    def test_count_below_bound_is_undecided(self, monkeypatch):
+        monkeypatch.setattr(nfield, "_short_relations", lambda rows, n: iter(()))
+        with pytest.raises(AutomorphismsUndecided) as info:
+            nf_automorphisms(nf_new(CM6))
+        assert (info.value.lower, info.value.upper) == (1, 2)
+
+    def test_not_cyclic_names_the_primes(self):
+        with pytest.raises(NotCyclic, match="2 linear factors mod 17"):
+            classify_cyclic(S5_QUINTIC)
+
+    def test_octic_group_found_and_closed(self):
+        K = nf_new(C2CUBED_OCTIC)
+        autos = nf_automorphisms(K)
+        assert len({g.coords for g in autos}) == 8
+        ident = fe_theta(K)
+        for g in autos:
+            assert nf_compose(K, g, g) == ident  # every element has order <= 2
+
+
 def _gram_schmidt(basis):
     """Exact Gram-Schmidt: squared lengths |b*_i|^2 and coefficients mu_ij."""
     stars, norms, mu = [], [], []
@@ -337,6 +411,36 @@ class TestUnitSublattice:
         K = nf_new(P("1,1"))
         with pytest.raises(RankDeficient):
             nf_unit_sublattice(K)
+
+    def test_failed_determinant_check_raises(self, monkeypatch):
+        monkeypatch.setattr(nfield, "_interval_det_excludes_zero", lambda rows: False)
+        monkeypatch.setattr(nfield, "_rank_certified_hard", lambda K, gens, r: False)
+        with pytest.raises(RankDeficient):
+            nf_unit_sublattice(nf_new(SQRT2_POLY))
+
+    def test_failed_determinant_check_raises_under_optimize(self):
+        # python -O strips asserts; the certificate must not be one
+        code = (
+            "from mahlerdyn import nfield\n"
+            "from mahlerdyn.errors import RankDeficient\n"
+            "from mahlerdyn.intpoly import from_text\n"
+            "nfield._interval_det_excludes_zero = lambda rows: False\n"
+            "nfield._rank_certified_hard = lambda K, gens, r: False\n"
+            "try:\n"
+            "    nfield.nf_unit_sublattice(nfield.nf_new(from_text('-2,0,1')))\n"
+            "except RankDeficient:\n"
+            "    print('raised')\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "raised"
 
 
 class TestPatternSearch:
