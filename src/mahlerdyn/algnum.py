@@ -267,20 +267,39 @@ def an_equal(a: AlgebraicNumber, b: AlgebraicNumber) -> bool:
     return not _disjoint(ra, rb)
 
 
-# ---------------------------------------------------------------------------
-# classification
-
-
-def _refine_sign(a: AlgebraicNumber) -> int:
-    """Sign of a real algebraic number (box center on the real axis)."""
+def an_sign(a: AlgebraicNumber) -> int:
+    """Sign of a real algebraic number."""
+    if a.box.center[1] != 0:
+        raise ValueError("sign of a non-real value")
+    if a.minpoly == _X:
+        return 0
     box = a.box
     while True:
-        c, r = box.center[0], box.radius
-        if c - r > 0:
+        if box.center[0] - box.radius > 0:
             return 1
-        if c + r < 0:
+        if box.center[0] + box.radius < 0:
             return -1
         box = refine(box, a.minpoly, box.radius / 16)
+
+
+def an_compare(a: AlgebraicNumber, b: AlgebraicNumber) -> int:
+    """Exact three-way comparison of two real algebraic numbers."""
+    if a.box.center[1] != 0 or b.box.center[1] != 0:
+        raise ValueError("comparison of non-real values")
+    if an_equal(a, b):
+        return 0
+    ba, bb = a.box, b.box
+    while True:
+        if ba.center[0] + ba.radius < bb.center[0] - bb.radius:
+            return -1
+        if bb.center[0] + bb.radius < ba.center[0] - ba.radius:
+            return 1
+        ba = refine(ba, a.minpoly, ba.radius / 16)
+        bb = refine(bb, b.minpoly, bb.radius / 16)
+
+
+# ---------------------------------------------------------------------------
+# classification
 
 
 def _ratio_on_unit_circle(p: IntPoly, num: IsolatingBox, den: IsolatingBox) -> str:
@@ -349,7 +368,7 @@ def classify_number(a: AlgebraicNumber) -> NumberClass:
         return NumberClass("RootOfUnity", {"order": _rou_order(p)})
     if a.box.center[1] != 0:
         return NumberClass("Other", {"reason": "not real"})
-    if _refine_sign(a) < 0:
+    if an_sign(a) < 0:
         return NumberClass("Other", {"reason": "negative"})
     if p.lc != 1:
         return NumberClass("Other", {"reason": "not an algebraic integer"})

@@ -19,11 +19,13 @@ from typing import Iterator, Optional, Sequence, Union
 
 from .algnum import (
     AlgebraicNumber,
+    an_compare,
     an_equal,
     an_from_rational,
     an_mul,
     an_neg,
     an_pow,
+    an_sign,
 )
 from .errors import (
     InternalPrecisionExceeded,
@@ -43,8 +45,6 @@ from .mahler import (
     TorsionFreePower,
     WanderCert,
     _torsion_free,
-    an_compare,
-    an_sign,
     mahler_measure,
 )
 from .nfield import (

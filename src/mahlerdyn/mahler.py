@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-import mpmath as mp
-
 from .algnum import (
     AlgebraicNumber,
     NumberClass,
@@ -27,6 +25,7 @@ from .algnum import (
     an_neg,
     an_pow,
     an_rational_value,
+    an_sign,
     classify_number,
 )
 from .errors import (
@@ -171,56 +170,52 @@ def _product_enclosure(cur, idx, lc: int) -> IsolatingBox:
     return enc
 
 
-# Minpoly guessing. At each rung of the precision ladder the subset product t
-# is computed once from mpmath.polyroots; then, for D = 4, 8, 16, ... up to
-# top = min(64, max(4, prec // 24)), one (D+1)x(D+2) integer lattice with rows
-# e_i + round(2^prec * t^i / max_{j<=D} |t^j|) is LLL-reduced. Scaling by the
-# largest power, not by 2^prec alone, keeps the rounding noise of the big
-# entries below the relation's own size. The integer relations of degree <= D
-# are the multiples q*h of the minpoly q with deg h <= D - deg q, so the
-# leading reduced rows are such multiples, and a single row can be q*(x+c):
-# the candidate is the gcd of the leading rows, taken until it drops to a
-# constant, with any factor x stripped. These are guesses only;
-# _verified_candidate makes every accept decision exactly.
+# Minpoly guessing. At each rung of the precision ladder the certified boxes
+# of the chosen roots are refined to radius 2^-(prec+64), and t is the centre
+# of their product enclosure; the enclosure also shows when t cannot be real.
+# The powers t^i are fixed-point integers at the same unit 2^-(prec+64). Then,
+# for D = 4, 8, 16, ... up to top = min(64, max(4, prec // 24)), one
+# (D+1)x(D+2) integer lattice with rows e_i + floor(2^prec * t^i / max_{j<=D}
+# |t^j|) is LLL-reduced. Scaling by the largest power, not by 2^prec alone,
+# keeps the rounding noise of the big entries below the relation's own size.
+# The integer relations of degree <= D are the multiples q*h of the minpoly q
+# with deg h <= D - deg q, so the leading reduced rows are such multiples, and
+# a single row can be q*(x+c): the candidate is the gcd of the leading rows,
+# taken until it drops to a constant, with any factor x stripped. These are
+# guesses only; _verified_candidate makes every accept decision exactly.
 
 
 def _candidate_minpolys(p: IntPoly, boxes, idx, lc: int, prec: int):
     """Minpoly guesses for prod_{i in idx} lc*root_i(p) via integer relations
-    on a high-precision numeric value. Guesses only; callers must verify."""
-    with mp.workprec(prec + 64):
-        try:
-            rts = mp.polyroots([mp.mpf(c) for c in reversed(p.coeffs)],
-                               maxsteps=200, extraprec=prec // 2)
-        except (mp.mp.NoConvergence, ArithmeticError):
+    on a high-precision value. Guesses only; callers must verify."""
+    w = prec + 64
+    eps = Fraction(1, 1 << w)
+    enc = _product_enclosure({i: refine(boxes[i], p, eps) for i in idx}, idx, lc)
+    tx, ty = enc.center
+    if abs(ty) > enc.radius:
+        return
+    t = (tx.numerator << w) // tx.denominator
+    # relations in degree D need roughly D * (coeff bits) working bits;
+    # skip degrees this precision level cannot support
+    top = min(64, max(4, prec // 24))
+    pows = [1 << w]
+    for _ in range(top):
+        pows.append((pows[-1] * t) >> w)
+    D = 4
+    while True:
+        big = max(abs(v) for v in pows[:D + 1])
+        rows = []
+        for i in range(D + 1):
+            row = [0] * (D + 2)
+            row[i] = 1
+            row[D + 1] = (pows[i] << prec) // big
+            rows.append(row)
+        q = _leading_gcd(lll_reduce(rows), D)
+        if q.degree >= 1:
+            yield q
+        if D == top:
             return
-        t = mp.mpc(lc) ** len(idx)
-        for i in idx:
-            c = mp.mpc(mp.mpf(boxes[i].center[0].numerator) / mp.mpf(boxes[i].center[0].denominator),
-                       mp.mpf(boxes[i].center[1].numerator) / mp.mpf(boxes[i].center[1].denominator))
-            t *= min(rts, key=lambda r: abs(r - c))
-        if abs(t.imag) > mp.mpf(2) ** (-prec // 2) * (1 + abs(t.real)):
-            return
-        # relations in degree D need roughly D * (coeff bits) working bits;
-        # skip degrees this precision level cannot support
-        top = min(64, max(4, prec // 24))
-        pows = [mp.mpf(1)]
-        for _ in range(top):
-            pows.append(pows[-1] * t.real)
-        D = 4
-        while True:
-            big = max(abs(v) for v in pows[:D + 1])
-            rows = []
-            for i in range(D + 1):
-                row = [0] * (D + 2)
-                row[i] = 1
-                row[D + 1] = int(mp.nint(mp.ldexp(pows[i] / big, prec)))
-                rows.append(row)
-            q = _leading_gcd(lll_reduce(rows), D)
-            if q.degree >= 1:
-                yield q
-            if D == top:
-                return
-            D = min(2 * D, top)
+        D = min(2 * D, top)
 
 
 def _leading_gcd(reduced, D: int) -> IntPoly:
@@ -329,37 +324,6 @@ def _measure_uncached(p: IntPoly) -> AlgebraicNumber:
     if an_sign(z) < 0:
         z = an_neg(z)
     return z
-
-
-def an_sign(a: AlgebraicNumber) -> int:
-    """Sign of a real algebraic number."""
-    if a.box.center[1] != 0:
-        raise ValueError("sign of a non-real value")
-    if a.minpoly == _X:
-        return 0
-    box = a.box
-    while True:
-        if box.center[0] - box.radius > 0:
-            return 1
-        if box.center[0] + box.radius < 0:
-            return -1
-        box = refine(box, a.minpoly, box.radius / 16)
-
-
-def an_compare(a: AlgebraicNumber, b: AlgebraicNumber) -> int:
-    """Exact three-way comparison of two real algebraic numbers."""
-    if a.box.center[1] != 0 or b.box.center[1] != 0:
-        raise ValueError("comparison of non-real values")
-    if an_equal(a, b):
-        return 0
-    ba, bb = a.box, b.box
-    while True:
-        if ba.center[0] + ba.radius < bb.center[0] - bb.radius:
-            return -1
-        if bb.center[0] + bb.radius < ba.center[0] - ba.radius:
-            return 1
-        ba = refine(ba, a.minpoly, ba.radius / 16)
-        bb = refine(bb, b.minpoly, bb.radius / 16)
 
 
 # ---------------------------------------------------------------------------

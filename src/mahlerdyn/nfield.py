@@ -21,6 +21,7 @@ except ImportError:  # pragma: no cover - numpy is an optional accelerator
 from .algnum import (
     AlgebraicNumber,
     _select_by_enclosure,
+    an_compare,
     an_from_rational,
     an_mul,
     an_pow,
@@ -42,7 +43,6 @@ from .intpoly import (
     resultant,
     transform_resolvent,
 )
-from .mahler import an_compare
 from .roots import (
     IsolatingBox,
     _abs_bounds,

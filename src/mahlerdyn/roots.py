@@ -24,6 +24,15 @@ only choose where to look and every accept/reject decision is exact. A rung
 fails, and the ladder moves on, when the coefficients overflow a double, the
 iteration does not settle, or the certificate fails.
 
+Refinement uses the same disk on one box at a time, with no numeric seeder.
+refine takes exact Newton steps from the box centre at a unit 2^-b set by the
+radius asked for, and returns the first Newton disk that is small enough and
+contained in the box. That disk holds a root of p and lies in a disk that
+holds only one, so it holds that one. From a real centre every step has
+imaginary part exactly 0, so a real box stays real. Newton doubles the
+correct bits per step; a box that has not settled within twice that many
+steps, or a radius below 2^-_PREC_CAP, raises InternalPrecisionExceeded.
+
 Unit-circle membership is never decided by refinement alone: a root can lie
 on the circle only if its irreducible factor is reciprocal, and then the
 on-circle count is obtained exactly from a Sturm count of the trace
@@ -451,65 +460,33 @@ def isolate_roots(p: IntPoly) -> list[IsolatingBox]:
 # refinement
 
 
-def _sign(p: IntPoly, x: Fraction) -> int:
-    u = _horner(p.coeffs, x.numerator, 0, x.denominator)[0]
-    return (u > 0) - (u < 0)
-
-
-def _shrink_interval(p: IntPoly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
-    """Bisect a sign-change interval down to the requested width."""
-    slo = _sign(p, lo)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        smid = _sign(p, mid)
-        if smid == 0:
-            # the root is exactly mid; nest a symmetric interval around it
-            delta = min((hi - lo) / 8, width / 4)
-            while _sign(p, mid - delta) * _sign(p, mid + delta) >= 0:
-                delta /= 2
-            return (mid - delta, mid + delta)
-        if smid != slo:
-            hi = mid
-        else:
-            lo = mid
-    return (lo, hi)
-
-
 def refine(box: IsolatingBox, p: IntPoly, eps: Fraction) -> IsolatingBox:
-    """Shrink a certified box to radius <= eps; the result nests inside box."""
+    """Shrink a certified box to radius <= eps; the result nests inside box.
+
+    Newton runs at the unit 2^-b, b = 20 + log2(1/eps) and at least
+    _PREC_START, for at most 2 log2(b) steps; see the module docstring."""
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     if box.radius <= eps:
         return box
-    cx, cy = box.center
-    if cy == 0:
-        lo, hi = cx - box.radius, cx + box.radius
-        if _sign(p, lo) * _sign(p, hi) < 0:
-            lo, hi = _shrink_interval(p, lo, hi, 2 * eps)
-            return IsolatingBox(((lo + hi) / 2, _ZERO), (hi - lo) / 2)
-    return _refine_certified(box, p, eps)
-
-
-def _refine_certified(box: IsolatingBox, p: IntPoly, eps: Fraction) -> IsolatingBox:
+    bits = (eps.denominator // eps.numerator).bit_length()
+    b = max(_PREC_START, bits + 20)
+    if b > _PREC_CAP:
+        raise InternalPrecisionExceeded(f"refinement to radius 2^-{bits} exceeds {_PREC_CAP} bits")
     dp = p.derivative()
-    need = max(1, (eps.denominator // max(eps.numerator, 1)).bit_length())
-    prec = max(_PREC_START, need + 20)
-    while prec <= _PREC_CAP:
-        scale = 1 << prec
-        for x, y in _mp_seeds(p, prec) or ():
-            if box.center[1] == 0:
-                y = 0
-            if not _point_in(box, Fraction(x, scale), Fraction(y, scale)):
-                continue
-            got = _newton_disk(p, dp, x, y, prec)
-            if got is None:
-                continue
-            cand = IsolatingBox((Fraction(x, scale), Fraction(y, scale)), Fraction(got[0], scale))
-            if cand.radius <= eps and _contained(cand, box):
-                return cand
-        prec *= 2
-    raise InternalPrecisionExceeded(f"refinement to {eps} exceeded {_PREC_CAP} bits")
+    one = 1 << b
+    x, y = (_trunc(v.numerator << b, v.denominator) for v in box.center)
+    for _ in range(2 * b.bit_length()):
+        got = _newton_disk(p, dp, x, y, b)
+        if got is None:
+            break
+        k, sx, sy = got
+        cand = IsolatingBox((Fraction(x, one), Fraction(y, one)), Fraction(k, one))
+        if cand.radius <= eps and _contained(cand, box):
+            return cand
+        x, y = x + sx, y + sy
+    raise InternalPrecisionExceeded(f"Newton refinement to radius 2^-{bits} did not settle at {b} bits")
 
 
 # ---------------------------------------------------------------------------

@@ -49,11 +49,12 @@ def sylvester_resultant(p: IntPoly, q: IntPoly) -> int:
     return sign * a[size - 1][size - 1]
 
 
-def numeric_roots(p: IntPoly, dps: int = 60):
-    """All complex roots via mpmath, highest precision seed for cross-checks."""
+def numeric_roots(p: IntPoly, dps: int = 60, extraprec: int = 200):
+    """All complex roots via mpmath, highest precision seed for cross-checks.
+    Roots spread over many orders of magnitude need a larger extraprec."""
     with mpmath.workdps(dps):
         cs = [mpmath.mpf(c) for c in reversed(p.coeffs)]
-        return mpmath.polyroots(cs, maxsteps=200, extraprec=200)
+        return mpmath.polyroots(cs, maxsteps=200, extraprec=extraprec)
 
 
 def numeric_real_root_count(p: IntPoly, a=None, b=None, dps: int = 60, tol: float = 1e-30) -> int:

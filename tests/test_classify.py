@@ -5,7 +5,7 @@ C2^3 octic verdicts, and the undecided automorphism count."""
 import pytest
 
 from mahlerdyn import nfield
-from mahlerdyn.algnum import an_from_rational
+from mahlerdyn.algnum import an_compare, an_from_rational
 from mahlerdyn.classify import (
     AllPreperiodic,
     HasWanderer,
@@ -18,7 +18,7 @@ from mahlerdyn.classify import (
 )
 from mahlerdyn.errors import AutomorphismsUndecided, NotGalois
 from mahlerdyn.intpoly import from_text
-from mahlerdyn.mahler import an_compare, mahler_measure
+from mahlerdyn.mahler import mahler_measure
 from mahlerdyn.roots import signature
 
 P = from_text

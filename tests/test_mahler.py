@@ -9,11 +9,12 @@ import mpmath as mp
 import pytest
 
 from mahlerdyn import mahler
-from mahlerdyn.errors import NotAFixedPoint, ZeroInput
+from mahlerdyn.errors import InternalPrecisionExceeded, NotAFixedPoint, ZeroInput
 from mahlerdyn.factor import is_irreducible
 from mahlerdyn.intpoly import IntPoly, canonicalize, from_text, monicize, to_text
 from mahlerdyn.roots import circle_partition, isolate_roots, refine
 from mahlerdyn.algnum import (
+    an_compare,
     an_conjugates,
     an_equal,
     an_from_poly_root,
@@ -21,6 +22,7 @@ from mahlerdyn.algnum import (
     an_inv,
     an_pow,
     an_rational_value,
+    an_sign,
     classify_number,
 )
 from mahlerdyn.mahler import (
@@ -31,8 +33,6 @@ from mahlerdyn.mahler import (
     Preperiodic,
     TorsionFreePower,
     Wandering,
-    an_compare,
-    an_sign,
     fixed_point_class,
     mahler_measure,
     orbit,
@@ -430,14 +430,17 @@ class TestVerdictTypes:
         assert (t.k, t.n) == (2, 2)
 
 
-def _from_mahler(fn):
-    """Wrap fn so that only calls made from mahlerdyn.mahler reach it."""
-    orig = getattr(mp, fn.__name__)
+def _from_candidate_minpolys(fn):
+    """Wrap fn so that only the refine calls made from
+    mahler._candidate_minpolys reach it; the others reach refine."""
 
     def wrapped(*args, **kwargs):
-        if sys._getframe(1).f_globals.get("__name__") == "mahlerdyn.mahler":
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension's frame
+            frame = frame.f_back
+        if frame.f_code.co_name == "_candidate_minpolys":
             return fn(*args, **kwargs)
-        return orig(*args, **kwargs)
+        return refine(*args, **kwargs)
 
     return wrapped
 
@@ -463,8 +466,12 @@ class TestMinpolyGuess:
         def no_pslq(*args, **kwargs):
             raise AssertionError("mpmath.pslq called")
 
+        def no_polyroots(*args, **kwargs):
+            raise AssertionError("mpmath.polyroots called")
+
         monkeypatch.setattr(mahler, "_measure_cache", {})
         monkeypatch.setattr(mp, "pslq", no_pslq)
+        monkeypatch.setattr(mp, "polyroots", no_polyroots)
         r = orbit(any_root(WANDER6))
         assert r.verdict == Wandering(PowerIdentity(k=2, l=1, n=3))
         assert [t.degree for t in r.trace] == [6, 12, 12]
@@ -514,12 +521,12 @@ class TestRelationPathFailure:
     an exception, never as a verdict."""
 
     def test_no_convergence_is_inconclusive(self, monkeypatch):
-        @_from_mahler
-        def polyroots(*args, **kwargs):
-            raise mp.mp.NoConvergence("injected")
+        @_from_candidate_minpolys
+        def failing_refine(*args, **kwargs):
+            raise InternalPrecisionExceeded("injected")
 
         monkeypatch.setattr(mahler, "_measure_cache", {})
-        monkeypatch.setattr(mp, "polyroots", polyroots)
+        monkeypatch.setattr(mahler, "refine", failing_refine)
         r = orbit(any_root(WANDER6))
         assert isinstance(r.verdict, Inconclusive)
         assert r.verdict.reason.startswith("precision:")
@@ -527,11 +534,11 @@ class TestRelationPathFailure:
         assert [t.degree for t in r.trace] == [6, 12]
 
     def test_type_error_propagates(self, monkeypatch):
-        @_from_mahler
-        def polyroots(*args, **kwargs):
+        @_from_candidate_minpolys
+        def failing_refine(*args, **kwargs):
             raise TypeError("injected")
 
         monkeypatch.setattr(mahler, "_measure_cache", {})
-        monkeypatch.setattr(mp, "polyroots", polyroots)
+        monkeypatch.setattr(mahler, "refine", failing_refine)
         with pytest.raises(TypeError, match="injected"):
             orbit(any_root(WANDER6))

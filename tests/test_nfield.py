@@ -21,8 +21,15 @@ from mahlerdyn.errors import (
 )
 from mahlerdyn.intpoly import discriminant, from_text, lll_reduce
 from mahlerdyn.roots import refine
-from mahlerdyn.algnum import an_equal, an_from_rational, an_mul, an_rational_value
-from mahlerdyn.mahler import an_compare, an_sign, mahler_measure
+from mahlerdyn.algnum import (
+    an_compare,
+    an_equal,
+    an_from_rational,
+    an_mul,
+    an_rational_value,
+    an_sign,
+)
+from mahlerdyn.mahler import mahler_measure
 from mahlerdyn.nfield import (
     ConjugatePattern,
     _aut_upper_bound,

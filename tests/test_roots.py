@@ -10,7 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mahlerdyn.errors import NotIrreducible, NotSquarefree
+from mahlerdyn import roots
+from mahlerdyn.errors import InternalPrecisionExceeded, NotIrreducible, NotSquarefree
 from mahlerdyn.intpoly import IntPoly, from_text, is_squarefree, sturm_real_roots
 from mahlerdyn.roots import (
     IsolatingBox,
@@ -20,8 +21,10 @@ from mahlerdyn.roots import (
     _box_inv,
     _box_mul,
     _certify,
+    _contained,
     _ladder,
     _point_in,
+    _PREC_CAP,
     circle_partition,
     isolate_roots,
     refine,
@@ -113,13 +116,20 @@ class TestIsolate:
         assert time.perf_counter() - start < 1
 
 
+def mignotte(n, a):
+    """x^n - 2(ax - 1)^2: two real roots about 2^-36 (n = 9, a = 100) apart."""
+    return IntPoly((0,) * n + (1,)) - IntPoly((2, -4 * a, 2 * a * a))
+
+
+BEYOND_DOUBLE = IntPoly((-1, -10 ** 320, 0, 1))
+
+
 class TestSeedLadder:
     """Inputs on which the double-precision rung fails and a later one settles."""
 
     @pytest.mark.parametrize("n, a, reals", [(9, 100, 3), (12, 1000, 4)])
     def test_mignotte_cluster(self, n, a, reals):
-        # x^n - 2(ax - 1)^2 has two real roots about 2^-36 (n = 9) apart
-        p = IntPoly((0,) * n + (1,)) - IntPoly((2, -4 * a, 2 * a * a))
+        p = mignotte(n, a)
         seeds, b, snap = next(_ladder(p))
         assert seeds is None or _certify(p, seeds, b, snap) is None
         boxes = isolate_roots(p)
@@ -127,7 +137,7 @@ class TestSeedLadder:
         assert sum(1 for box in boxes if box.center[1] == 0) == sturm_real_roots(p) == reals
 
     def test_coefficients_beyond_double_range(self):
-        p = IntPoly((-1, -10 ** 320, 0, 1))
+        p = BEYOND_DOUBLE
         assert next(_ladder(p))[0] is None
         boxes = isolate_roots(p)
         assert len(boxes) == 3
@@ -209,6 +219,49 @@ class TestRefine:
         box = max(isolate_roots(LEHMER), key=lambda b: b.center[0])
         r = refine(box, LEHMER, Fraction(1, 10 ** 9))
         assert abs(float(r.center[0]) - 1.17628) < 1e-5
+
+    @pytest.mark.parametrize(
+        "p",
+        [mignotte(9, 100), mignotte(12, 1000), BEYOND_DOUBLE, LEHMER, CM6],
+        ids=["mignotte9", "mignotte12", "beyond-double", "tau", "cm6"],
+    )
+    def test_every_root_to_2048_bits(self, p):
+        # each refined disk nests in its input, keeps a real centre real and
+        # holds the input's one root, taken from a 700-digit oracle; the
+        # oracle gets working bits for roots spread over 10^+-320
+        eps = Fraction(1, 1 << 2048)
+        zs = numeric_roots(p, 700, extraprec=200 + 3 * p.max_coeff_bits())
+        with mpmath.workdps(700):
+            def near(box, z):
+                c = mpmath.mpc(*(mpmath.mpf(v.numerator) / v.denominator for v in box.center))
+                r = mpmath.mpf(box.radius.numerator) / box.radius.denominator
+                return abs(c - z) <= r + mpmath.mpf(10) ** -690 * max(1, abs(z))
+
+            for box in isolate_roots(p):
+                r = refine(box, p, eps)
+                assert r.radius <= eps
+                assert _contained(r, box)
+                assert (r.center[1] == 0) == (box.center[1] == 0)
+                (z,) = [z for z in zs if near(box, z)]
+                assert near(r, z)
+
+    def test_eps_below_cap_raises_at_once(self, monkeypatch):
+        def no_newton(*args):
+            raise AssertionError("Newton step taken")
+
+        monkeypatch.setattr(roots, "_newton_disk", no_newton)
+        box = isolate_roots(LEHMER)[0]
+        with pytest.raises(InternalPrecisionExceeded):
+            refine(box, LEHMER, Fraction(1, 1 << (_PREC_CAP + 1)))
+
+    def test_newton_leaving_the_box_raises(self):
+        # [1/20, 21/20] holds the root 1 of x^3 - x alone, but Newton from
+        # its centre 11/20 jumps to -3.6 and settles on the root -1; a disk
+        # there must never be returned
+        p = P("0,-1,0,1")
+        box = IsolatingBox((Fraction(11, 20), Fraction(0)), Fraction(1, 2))
+        with pytest.raises(InternalPrecisionExceeded):
+            refine(box, p, Fraction(1, 1 << 64))
 
 
 class TestCirclePartition:
