@@ -72,6 +72,16 @@ class TrichotomyViolation(MahlerdynError):
     """
 
 
+class ExactCheckFailed(MahlerdynError):
+    """An exact identity that a computed result must satisfy did not hold:
+    an inexact division in Newton's identities, a measure with nonzero
+    imaginary part, a factorization that does not multiply back to its input.
+
+    Raised, never asserted, so ``python -O`` keeps the check; like
+    TrichotomyViolation it indicates an internal bug.
+    """
+
+
 class RankDeficient(MahlerdynError):
     """Unit search could not certify a full-rank log lattice within budget,
     or the rows handed to LLL are linearly dependent."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import ZeroPolynomial
+from .errors import ExactCheckFailed, ZeroPolynomial
 from .intpoly import IntPoly, canonicalize, div_z, gcd_z, monicize
 
 # ---------------------------------------------------------------------------
@@ -444,8 +444,8 @@ def _factor_cached(coeffs: tuple[int, ...]) -> Factorization:
     # the canonical factors are primitive with positive lc, so the sign and
     # any residual unit live in the content
     result = Factorization(content, tuple(factors))
-    check = result.expand()
-    assert check == p, "factorization must reproduce the input"
+    if result.expand() != p:
+        raise ExactCheckFailed("factorization does not reproduce its input")
     return result
 
 

@@ -656,6 +656,9 @@ def transform_resolvent(f: IntPoly, g_num: IntPoly, g_den: int = 1) -> IntPoly:
 # -- lattice reduction ---------------------------------------------------------
 
 
+_FEED_BITS = 64
+
+
 def lll_reduce(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """LLL-reduced basis (delta = 3/4) of the lattice spanned by ``rows``.
 
@@ -663,8 +666,40 @@ def lll_reduce(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     kept as the integers d_i (Gram determinants of the first i rows) and
     lambda_ij = d_j * mu_ij, so every step is exact at any entry size.
     Raises RankDeficient when the rows are linearly dependent.
+
+    Rows of the form [e_i | C_i] (m rows, an identity block first, B the
+    largest bit length in C) are reduced by gradual feeding when m^2 <= B
+    (van Hoeij-Novocin, Algorithmica 63 (2012)): starting from U = I, the
+    rows [U_i | U_i * (C >> (B - sub))] are reduced for sub = 64, 128, ...
+    and U becomes the reduced identity block each time. The last step uses
+    the exact C, so the result is an exact reduced basis of the input
+    lattice; each earlier step leaves it a nearly reduced basis to start
+    from. When m^2 > B the integral kernel runs once on the input: a dense
+    fed basis makes the Gram determinants grow with m, while the knapsack
+    shape of the input keeps them near 2B.
     """
     b = [[int(v) for v in row] for row in rows]
+    m = len(b)
+    C = [row[m:] for row in b]
+    B = max((abs(v).bit_length() for c in C for v in c), default=0)
+    if B <= _FEED_BITS or m * m > B or any(
+        row[:m] != [int(i == k) for i in range(m)] for k, row in enumerate(b)
+    ):
+        return _lll_integral(b)
+    U = [row[:m] for row in b]
+    for sub in range(_FEED_BITS, B, _FEED_BITS):
+        Cs = [[v >> (B - sub) for v in c] for c in C]
+        U = [row[:m] for row in _lll_integral(_with_images(U, Cs))]
+    return _lll_integral(_with_images(U, C))
+
+
+def _with_images(U: list[list[int]], C: list[list[int]]) -> list[list[int]]:
+    """The rows [U_i | U_i * C]."""
+    return [u + [sum(x * c[j] for x, c in zip(u, C)) for j in range(len(C[0]))] for u in U]
+
+
+def _lll_integral(b: list[list[int]]) -> list[list[int]]:
+    """Cohen's integral LLL on the rows ``b``, reduced in place."""
     m = len(b)
     d = [1] + [0] * m  # d[i + 1] belongs to row i
     lam = [[0] * m for _ in range(m)]

@@ -30,6 +30,7 @@ from .algnum import (
 )
 from .errors import (
     BoxAmbiguous,
+    ExactCheckFailed,
     InternalPrecisionExceeded,
     NotAFixedPoint,
     TrichotomyViolation,
@@ -141,7 +142,8 @@ def _elem_from_power_sums(p: list, m: int) -> list:
         for i in range(1, k + 1):
             acc += ((-1) ** (i - 1)) * e[k - i] * p[i]
         q, r = divmod(acc, k)
-        assert r == 0, "power sums of algebraic integers"
+        if r:
+            raise ExactCheckFailed(f"e_{k} from power sums is not an integer")
         e[k] = q
     return e
 
@@ -178,6 +180,10 @@ def _product_enclosure(cur, idx, lc: int) -> IsolatingBox:
 # (D+1)x(D+2) integer lattice with rows e_i + floor(2^prec * t^i / max_{j<=D}
 # |t^j|) is LLL-reduced. Scaling by the largest power, not by 2^prec alone,
 # keeps the rounding noise of the big entries below the relation's own size.
+# The lattice has the shape [I | c] with c of about prec bits, so lll_reduce
+# feeds c in 64 bits at a time when (D+1)^2 <= prec: every lattice up to 512
+# bits, D <= 16 at 1024 bits, D <= 32 at 2048 and 4096 bits. The largest
+# (D = 32 and 42 at 1024 bits, 64 above) get one integral LLL run.
 # The integer relations of degree <= D are the multiples q*h of the minpoly q
 # with deg h <= D - deg q, so the leading reduced rows are such multiples, and
 # a single row can be q*(x+c): the candidate is the gcd of the leading rows,
@@ -320,7 +326,8 @@ def _measure_uncached(p: IntPoly) -> AlgebraicNumber:
         comp = tuple(i for i in range(n) if i not in part.outside)
         w = _select_product_root(_subset_product_poly(g, n - s), p, boxes, comp, lc)
         z = an_mul(an_inv(w), an_from_rational(p[0] * lc ** (n - s)))
-    assert z.box.center[1] == 0, "measure must be real"
+    if z.box.center[1] != 0:
+        raise ExactCheckFailed(f"measure of a degree-{n} number is not real")
     if an_sign(z) < 0:
         z = an_neg(z)
     return z

@@ -1,6 +1,6 @@
-"""Field-level verdicts: regressions for the CM test and the C4 quartic
-witness, the quintic resolvent behind galois_group_small, the sextic and
-C2^3 octic verdicts, and the undecided automorphism count."""
+"""Field-level verdicts: regressions for the CM test, the C4 quartic and S5
+quintic witnesses, the quintic resolvent behind galois_group_small, the
+sextic and C2^3 octic verdicts, and the undecided automorphism count."""
 
 import pytest
 
@@ -14,6 +14,7 @@ from mahlerdyn.classify import (
     classify_cm,
     classify_galois_small,
     classify_quartic,
+    classify_quintic,
     galois_group_small,
 )
 from mahlerdyn.errors import AutomorphismsUndecided, NotGalois
@@ -47,6 +48,17 @@ def _assert_wandering_unit(v, degree):
     assert an_compare(mahler_measure(w), an_from_rational(1)) == 1
 
 
+def _assert_measure_grows(w, steps=3):
+    """1 < M(w) < M^2(w) < ... along the first ``steps`` iterates."""
+    chain = [an_from_rational(1)]
+    x = w
+    for _ in range(steps):
+        x = mahler_measure(x)
+        chain.append(x)
+    for lo, hi in zip(chain, chain[1:]):
+        assert an_compare(lo, hi) == -1
+
+
 class TestClassifyCM:
     def test_cm_sextic_is_all_preperiodic(self):
         # complex conjugation is an automorphism of CM6 whose fixed field is
@@ -73,14 +85,21 @@ class TestClassifyQuartic:
         assert w.degree == 4
         assert abs(w.minpoly.coeffs[0]) == 1 and w.minpoly.coeffs[-1] == 1
         assert signature(w.minpoly) == (4, 0)
-        # the measure strictly grows along the first three iterates
-        chain = [an_from_rational(1)]
-        x = w
-        for _ in range(3):
-            x = mahler_measure(x)
-            chain.append(x)
-        for lo, hi in zip(chain, chain[1:]):
-            assert an_compare(lo, hi) == -1
+        _assert_measure_grows(w)
+
+
+class TestClassifyQuintic:
+    def test_s5_quintic_has_certified_wanderer(self):
+        # M(w) has degree 10 and its measure a degree-120 subset resolvent,
+        # past the direct-factor cap: this runs minpoly guessing (fed LLL)
+        v = classify_quintic(S5_QUINTIC)
+        assert isinstance(v, HasWanderer)
+        assert v.certificate is not None
+        w = v.witness
+        # a unit of the quintic field
+        assert w.degree == 5
+        assert abs(w.minpoly.coeffs[0]) == 1 and w.minpoly.coeffs[-1] == 1
+        _assert_measure_grows(w)
 
 
 class TestQuinticResolvent:

@@ -1,9 +1,12 @@
 """Measure computation, orbit verdicts, and certificate tests."""
 
 import math
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -542,3 +545,50 @@ class TestRelationPathFailure:
         monkeypatch.setattr(mahler, "refine", failing_refine)
         with pytest.raises(TypeError, match="injected"):
             orbit(any_root(WANDER6))
+
+
+class TestExactChecksUnderOptimize:
+    """python -O strips asserts; the exact checks on the measure path are
+    raised errors, so an injected fault still stops the computation."""
+
+    FAULTS = {
+        # Newton's identities on power sums that no monic integer
+        # polynomial has: e_2 = (p_1^2 - p_2) / 2 = 1/2
+        "inexact_power_sums": "mahler._elem_from_power_sums([0, 1, 0], 2)\n",
+        # a subset product that is not real, so neither is the measure
+        "nonreal_measure": (
+            "i = an_from_poly_root(from_text('1,0,1'), isolate_roots(from_text('1,0,1'))[0])\n"
+            "mahler._select_product_root = lambda *args: i\n"
+            "mahler.mahler_measure(an_from_poly_root(from_text('1,-3,1'), "
+            "isolate_roots(from_text('1,-3,1'))[0]))\n"
+        ),
+        # a squarefree factor reported twice
+        "wrong_factorization": (
+            "factor._factor_primitive_squarefree = lambda f: [f, f]\n"
+            "factor.factor_z(from_text('-2,0,1'))\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_injected_fault_raises_under_optimize(self, fault):
+        code = (
+            "from mahlerdyn import factor, mahler\n"
+            "from mahlerdyn.algnum import an_from_poly_root\n"
+            "from mahlerdyn.errors import ExactCheckFailed\n"
+            "from mahlerdyn.intpoly import from_text\n"
+            "from mahlerdyn.roots import isolate_roots\n"
+            "try:\n"
+            + "".join("    " + line + "\n" for line in self.FAULTS[fault].splitlines())
+            + "except ExactCheckFailed:\n"
+            "    print('raised')\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "raised"

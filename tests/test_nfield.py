@@ -305,27 +305,34 @@ class TestAutomorphismBound:
             assert nf_compose(K, g, g) == ident  # every element has order <= 2
 
 
+def _gram(basis):
+    return [[sum(x * y for x, y in zip(u, v)) for v in basis] for u in basis]
+
+
 def _gram_schmidt(basis):
-    """Exact Gram-Schmidt: squared lengths |b*_i|^2 and coefficients mu_ij."""
-    stars, norms, mu = [], [], []
-    for b in basis:
-        v = [Fraction(x) for x in b]
-        row = []
-        for s, ns in zip(stars, norms):
-            m = sum(Fraction(x) * y for x, y in zip(b, s)) / ns
-            row.append(m)
-            v = [x - m * y for x, y in zip(v, s)]
-        stars.append(v)
-        norms.append(sum(x * x for x in v))
+    """Exact Gram-Schmidt from the Gram matrix: squared lengths |b*_i|^2 and
+    coefficients mu_ij, with r_ij = <b_i, b*_j> = G_ij - sum_k mu_jk r_ik."""
+    norms, mu = [], []
+    for i, g in enumerate(_gram(basis)):
+        r = []
+        for j in range(i):
+            r.append(g[j] - sum(mu[j][k] * r[k] for k in range(j)))
+        row = [Fraction(x) / n for x, n in zip(r, norms)]
+        norms.append(g[i] - sum(x * y for x, y in zip(row, r)))
         mu.append(row)
     return norms, mu
 
 
-def _product(xs):
-    out = Fraction(1)
-    for x in xs:
-        out *= x
-    return out
+def _gram_det(basis):
+    """Determinant of the Gram matrix by fraction-free (Bareiss) elimination."""
+    a = _gram(basis)
+    n, prev = len(a), 1
+    for k in range(n - 1):
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return a[-1][-1]
 
 
 class TestLLL:
@@ -337,26 +344,37 @@ class TestLLL:
                for _ in range(rows)]
         return [[int(i == k) for i in range(rows)] + big[k] for k in range(rows)]
 
-    def test_reduced_basis_of_large_lattice(self):
-        rows = self._knapsack(6, 2, 128, seed=20260814)
-        assert min(abs(v) for r in rows for v in r[6:]) >= 1 << 128
+    @pytest.mark.parametrize(
+        "m, cols, bits, fed",
+        [
+            pytest.param(6, 2, 128, True, id="fed-6x2-128"),
+            pytest.param(17, 1, 512, True, id="fed-17x1-512"),
+            # m^2 > B: the integral kernel runs once, without feeding
+            pytest.param(40, 1, 1024, False, id="direct-40x1-1024"),
+        ],
+    )
+    def test_reduced_basis_of_large_lattice(self, m, cols, bits, fed):
+        rows = self._knapsack(m, cols, bits, seed=20260814)
+        assert min(abs(v) for r in rows for v in r[m:]) >= 1 << bits
+        B = max(abs(v).bit_length() for r in rows for v in r[m:])
+        assert (m * m <= B) == fed
         red = lll_reduce(rows)
         assert len(red) == len(rows)
         norms, mu = _gram_schmidt(red)
         assert all(n > 0 for n in norms)
         for k, row in enumerate(mu):
             # size-reduced: 2|lambda_kj| <= d_j, i.e. |mu_kj| <= 1/2
-            assert all(2 * abs(m) <= 1 for m in row)
+            assert all(2 * abs(v) <= 1 for v in row)
             if k:
                 # Lovasz condition with delta = 3/4
                 assert norms[k] >= (Fraction(3, 4) - row[k - 1] ** 2) * norms[k - 1]
         # the identity block holds each row's coefficients on the input rows,
         # so every output row is in the input lattice ...
         for r in red:
-            combo = [sum(c * row[i] for c, row in zip(r[:6], rows)) for i in range(8)]
+            combo = [sum(c * row[i] for c, row in zip(r[:m], rows)) for i in range(m + cols)]
             assert combo == r
         # ... and the equal Gram determinant makes the two lattices equal
-        assert _product(norms) == _product(_gram_schmidt(rows)[0])
+        assert _gram_det(red) == _gram_det(rows)
 
     def test_dependent_rows_raise(self):
         with pytest.raises(RankDeficient):
