@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterable, Optional
 
 from .errors import (
     BoxAmbiguous,
@@ -40,6 +40,8 @@ from .roots import (
     _box_mul,
     _contained,
     _disjoint,
+    _pin,
+    _refinements,
     circle_partition,
     isolate_roots,
     refine,
@@ -119,13 +121,7 @@ def root_index(a: AlgebraicNumber) -> int:
     boxes = isolate_roots(a.minpoly)
     if a.box in boxes:
         return boxes.index(a.box)
-    hits = [i for i, b in enumerate(boxes) if not _disjoint(a.box, b)]
-    cur = a.box
-    while len(hits) > 1:
-        cur = refine(cur, a.minpoly, cur.radius / 16)
-        hits = [i for i in hits if not _disjoint(cur, boxes[i])]
-    assert hits
-    return hits[0]
+    return _pin(_refinements(a.box, a.minpoly), a.minpoly, boxes)
 
 
 def an_conjugates(a: AlgebraicNumber) -> list[AlgebraicNumber]:
@@ -161,19 +157,11 @@ def an_rational_value(a: AlgebraicNumber) -> Fraction:
 # enclosure plumbing
 
 
-def _select_by_enclosure(p: IntPoly, enclosures: Iterator[IsolatingBox]) -> AlgebraicNumber:
-    """Resolve the target value (a root of p) from a shrinking enclosure
-    stream; the stream is advanced until the enclosure pins a single root."""
+def _select_by_enclosure(p: IntPoly, enclosures: Iterable[IsolatingBox]) -> AlgebraicNumber:
+    """The root of p that a shrinking enclosure stream holds (see _pin)."""
     sq = squarefree_part(p)
-    pboxes = list(isolate_roots(sq))
-    for box in enclosures:
-        hits = [i for i, pb in enumerate(pboxes) if not _disjoint(box, pb)]
-        assert hits, "enclosure lost its root"
-        if len(hits) == 1:
-            return an_from_poly_root(sq, pboxes[hits[0]])
-        for i in hits:
-            pboxes[i] = refine(pboxes[i], sq, pboxes[i].radius / 16)
-    raise InternalPrecisionExceeded("enclosure stream exhausted")
+    pboxes = isolate_roots(sq)
+    return an_from_poly_root(sq, pboxes[_pin(enclosures, sq, pboxes)])
 
 
 # ---------------------------------------------------------------------------
@@ -195,15 +183,8 @@ def an_mul(a: AlgebraicNumber, b: AlgebraicNumber) -> AlgebraicNumber:
         res = canonicalize(IntPoly([a.minpoly[i] * v**i * u ** (d - i) for i in range(d + 1)]))
     else:
         res = product_resolvent(a.minpoly, b.minpoly)
-
-    def stream() -> Iterator[IsolatingBox]:
-        ab, bb = a.box, b.box
-        while True:
-            yield _box_mul(ab, bb)
-            ab = refine(ab, a.minpoly, ab.radius / 16)
-            bb = refine(bb, b.minpoly, bb.radius / 16)
-
-    return _select_by_enclosure(res, stream())
+    pairs = zip(_refinements(a.box, a.minpoly), _refinements(b.box, b.minpoly))
+    return _select_by_enclosure(res, (_box_mul(ab, bb) for ab, bb in pairs))
 
 
 def an_inv(a: AlgebraicNumber) -> AlgebraicNumber:
@@ -212,15 +193,8 @@ def an_inv(a: AlgebraicNumber) -> AlgebraicNumber:
     if a.degree == 1:
         return an_from_rational(1 / an_rational_value(a))
     rev = canonicalize(a.minpoly.reversal())
-
-    def stream() -> Iterator[IsolatingBox]:
-        box = a.box
-        while True:
-            if _abs_bounds(box)[0] > 0:
-                yield _box_inv(box)
-            box = refine(box, a.minpoly, box.radius / 16)
-
-    return _select_by_enclosure(rev, stream())
+    invs = (_box_inv(box) for box in _refinements(a.box, a.minpoly) if _abs_bounds(box)[0] > 0)
+    return _select_by_enclosure(rev, invs)
 
 
 def an_neg(a: AlgebraicNumber) -> AlgebraicNumber:
@@ -236,14 +210,7 @@ def an_pow(a: AlgebraicNumber, n: int) -> AlgebraicNumber:
         return an_from_rational(an_rational_value(a) ** n)
     pn = power_map(a.minpoly, n)
     zn = (0,) * n + (1,)
-
-    def stream() -> Iterator[IsolatingBox]:
-        box = a.box
-        while True:
-            yield _box_horner(zn, box)
-            box = refine(box, a.minpoly, box.radius / 16)
-
-    return _select_by_enclosure(pn, stream())
+    return _select_by_enclosure(pn, (_box_horner(zn, box) for box in _refinements(a.box, a.minpoly)))
 
 
 def an_equal(a: AlgebraicNumber, b: AlgebraicNumber) -> bool:
@@ -306,7 +273,6 @@ def _ratio_on_unit_circle(p: IntPoly, num: IsolatingBox, den: IsolatingBox) -> s
     """Exact status of (root in num)/(root in den) against the unit circle,
     both roots of the irreducible p: 'in', 'on', or 'out'."""
     g = squarefree_part(ratio_resolvent(p, p))
-    gboxes = list(isolate_roots(g))
     part = circle_partition(g)
     status = {}
     for i in part.outside:
@@ -315,19 +281,9 @@ def _ratio_on_unit_circle(p: IntPoly, num: IsolatingBox, den: IsolatingBox) -> s
         status[i] = "on"
     for i in part.inside:
         status[i] = "in"
-    nb, db = num, den
-    while True:
-        while _abs_bounds(db)[0] == 0:
-            db = refine(db, p, db.radius / 16)
-        ratio = _box_mul(nb, _box_inv(db))
-        hits = [i for i, gb in enumerate(gboxes) if not _disjoint(ratio, gb)]
-        assert hits
-        if len(hits) == 1:
-            return status[hits[0]]
-        for i in hits:
-            gboxes[i] = refine(gboxes[i], g, gboxes[i].radius / 16)
-        nb = refine(nb, p, nb.radius / 16)
-        db = refine(db, p, db.radius / 16)
+    pairs = zip(_refinements(num, p), _refinements(den, p))
+    ratios = (_box_mul(nb, _box_inv(db)) for nb, db in pairs if _abs_bounds(db)[0] > 0)
+    return status[_pin(ratios, g, isolate_roots(g))]
 
 
 def _strictly_dominates(p: IntPoly, abox: IsolatingBox, bbox: IsolatingBox) -> bool:

@@ -55,7 +55,7 @@ from .nfield import (
     _aut_bound_reason,
     _conjugate_pairs,
     _is_root_of_defining,
-    _log_interval,
+    _log_abs,
     _verify_group_closure,
     fe_add,
     fe_inv,
@@ -1031,15 +1031,6 @@ def _classify_sextic_galois(K, autos) -> FieldVerdict:
     raise WitnessSearchFailed(f"no verified chain unit in the {shape} sextic")
 
 
-def _stable_log(
-    K, x: FieldElement, place: int, prec: int
-) -> Optional[tuple[Fraction, Fraction]]:
-    lo, hi = _abs_bounds(nf_embed(K, x, place, prec))
-    if lo <= 0:
-        return None
-    return _log_interval(lo, hi)
-
-
 def _octic_c2cubed_witness(K, autos) -> HasWanderer:
     """Product of powered quadratic-subfield units with measure its square.
 
@@ -1074,9 +1065,7 @@ def _octic_c2cubed_witness(K, autos) -> HasWanderer:
             x = _positive_at(K, fe_inv(K, x), 0)
         units.append(x)
     for prec in (192, 768, 3072, 12288):
-        logs = [_stable_log(K, x, 0, prec) for x in units]
-        if any(v is None for v in logs):
-            continue
+        logs = [_log_abs(K, x, 0, prec) for x in units]
         # stable means: floor(b), floor(1/b) and the ceil(1/b)*b ordering are
         # all decided by the intervals (b and 1/b are never integers)
         if any(math.floor(lo) != math.floor(hi) for lo, hi in logs):
@@ -1224,21 +1213,10 @@ def _nonic_c3c3_witness(K, autos) -> HasWanderer:
         Ksub, x, top = found
         pisot.append((Ksub, x, top, _lift_subfield_element(K, x, w)))
     (K1, x1, t1, l1), (K2, x2, t2, l2) = pisot
-
-    def all_logs(Ksub, x, prec):
-        out = []
-        for pl in range(3):
-            iv = _stable_log(Ksub, x, pl, prec)
-            if iv is None:
-                return None
-            out.append(iv)
-        return out
-
     choice = None
     for prec in (192, 768, 3072):
-        lg1, lg2 = all_logs(K1, x1, prec), all_logs(K2, x2, prec)
-        if lg1 is None or lg2 is None:
-            continue
+        lg1 = [_log_abs(K1, x1, pl, prec) for pl in range(3)]
+        lg2 = [_log_abs(K2, x2, pl, prec) for pl in range(3)]
         undecided = False
         for total in range(2, 65):
             for a in range(1, total):

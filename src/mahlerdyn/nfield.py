@@ -13,11 +13,6 @@ from typing import Optional, Sequence
 
 import mpmath as mp
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is an optional accelerator
-    _np = None
-
 from .algnum import (
     AlgebraicNumber,
     _select_by_enclosure,
@@ -47,8 +42,9 @@ from .roots import (
     IsolatingBox,
     _abs_bounds,
     _box_horner,
-    _disjoint,
     _frac_from_mp,
+    _pin,
+    _refinements,
     isolate_roots,
     refine,
     signature,
@@ -247,21 +243,13 @@ def nf_embedding_permutation(K: NumberField, g: FieldElement) -> tuple[int, ...]
     """Permutation pi with sigma_g(x) at embedding i = x at embedding pi(i).
 
     pi(i) is the index of the root box that g evaluated on embedding i lands
-    in, certified by shrinking the evaluation ball until it meets one box.
+    in, pinned by evaluation balls of radius 2^-64, 2^-128, ...
     """
-    out = []
     boxes = list(K.embeddings)
-    for i in range(K.degree):
-        prec = 64
-        while True:
-            ball = nf_embed(K, g, i, prec)
-            hits = [j for j, b in enumerate(boxes) if not _disjoint(ball, b)]
-            if len(hits) == 1:
-                out.append(hits[0])
-                break
-            prec *= 2
-            boxes = [refine(b, K.defining, b.radius / 16) for b in boxes]
-    return tuple(out)
+    return tuple(
+        _pin((nf_embed(K, g, i, 64 << k) for k in itertools.count()), K.defining, boxes)
+        for i in range(K.degree)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -297,28 +285,19 @@ def nf_embed(K: NumberField, x: FieldElement, place: int, precision: int) -> Iso
 # conjugate pairing of embeddings
 
 
+def _mirrors(box: IsolatingBox, p: IntPoly):
+    """The complex conjugates of box and of its refinements for p."""
+    for b in _refinements(box, p):
+        yield IsolatingBox((b.center[0], -b.center[1]), b.radius)
+
+
 def _conjugate_pairs(K: NumberField) -> dict[int, int]:
     """Map each embedding index to the index of its complex conjugate."""
     boxes = list(K.embeddings)
-    pairs: dict[int, int] = {}
-    for i, b in enumerate(boxes):
-        if b.center[1] == 0:
-            pairs[i] = i
-            continue
-        mirror = IsolatingBox((b.center[0], -b.center[1]), b.radius, 1)
-        hits = [
-            j
-            for j, other in enumerate(boxes)
-            if other.center[1] != 0 and not _disjoint(mirror, other)
-        ]
-        while len(hits) > 1:
-            boxes = [refine(bb, K.defining, bb.radius / 16) for bb in boxes]
-            b = boxes[i]
-            mirror = IsolatingBox((b.center[0], -b.center[1]), b.radius, 1)
-            hits = [j for j in hits if not _disjoint(mirror, boxes[j])]
-        assert hits, "conjugate root lost"
-        pairs[i] = hits[0]
-    return pairs
+    return {
+        i: i if b.center[1] == 0 else _pin(_mirrors(b, K.defining), K.defining, boxes)
+        for i, b in enumerate(K.embeddings)
+    }
 
 
 def _places(K: NumberField) -> tuple[tuple[int, int], ...]:
@@ -626,7 +605,7 @@ def _interval_det_excludes_zero(rows) -> bool:
 # unit sublattice
 
 
-def nf_unit_sublattice(K: NumberField, search_bound: Optional[int] = None) -> UnitSublattice:
+def nf_unit_sublattice(K: NumberField) -> UnitSublattice:
     """A full-rank sublattice of unit log vectors from Z[theta] coordinates.
 
     Enumerates integer coordinate vectors by sup-norm rungs, keeps exact
@@ -637,12 +616,11 @@ def nf_unit_sublattice(K: NumberField, search_bound: Optional[int] = None) -> Un
     rank_target = r1 + r2 - 1
     if rank_target < 1:
         raise RankDeficient("unit rank r1+r2-1 is zero for this field")
-    cap = search_bound if search_bound is not None else _H_CAP
     gens: list[FieldElement] = []
     picked_rows: list = []
     prec = 96
     h, prev = 1, 0
-    while h <= cap:
+    while h <= _H_CAP:
         for coords in _coord_rung(K, prev, h):
             u = nf_element(K, coords)
             if _is_torsion_unit(K, u):
@@ -669,7 +647,7 @@ def nf_unit_sublattice(K: NumberField, search_bound: Optional[int] = None) -> Un
                         )
                     return UnitSublattice(tuple(gens), vectors)
         prev, h = h, h * 2
-    raise RankDeficient(f"unit search exhausted coordinate bound {cap}")
+    raise RankDeficient(f"unit search exhausted coordinate bound {_H_CAP}")
 
 
 def _rank_certified_hard(K, gens, rank_target) -> bool:
@@ -692,9 +670,6 @@ def _coord_rung(K: NumberField, prev: int, h: int):
     n = K.degree
     refined = [refine(b, K.defining, Fraction(1, 1 << 64)) for b in K.embeddings]
     approx = [complex(float(b.center[0]), float(b.center[1])) for b in refined]
-    if _np is not None:
-        yield from _coord_rung_vec(K, approx, prev, h)
-        return
     for coords in itertools.product(range(-h, h + 1), repeat=n):
         m = max(abs(c) for c in coords)
         if m <= prev or m > h:
@@ -712,51 +687,6 @@ def _coord_rung(K: NumberField, prev: int, h: int):
             continue
         if abs(resultant(K.defining, IntPoly(list(coords)))) == 1:
             yield coords
-
-
-def _coord_rung_vec(K: NumberField, approx, prev: int, h: int):
-    """Same candidate stream as the scalar loop, filtered in numpy blocks.
-
-    The first k coordinates run in a python loop, the remaining n-k in one
-    lexicographic grid, so survivors keep the scalar iteration order.
-    """
-    n = K.degree
-    width = 2 * h + 1
-    k, tail = n, 1
-    while k > 0 and tail * width <= (1 << 18):
-        tail *= width
-        k -= 1
-    d = n - k
-    vals = _np.arange(-h, h + 1, dtype=_np.int64)
-    grids = _np.meshgrid(*([vals] * d), indexing="ij")
-    suffix = _np.stack([g.reshape(-1) for g in grids], axis=1)
-    sufmax = _np.abs(suffix).max(axis=1)
-    sufzero = (suffix == 0).all(axis=1)
-    zs = [complex(z) for z in approx]
-    if k == 0:
-        rational = (suffix[:, 1:] == 0).all(axis=1)
-    for prefix in itertools.product(range(-h, h + 1), repeat=k):
-        pm = max((abs(c) for c in prefix), default=0)
-        mask = _np.maximum(sufmax, pm) > prev
-        if k == 0:
-            mask &= ~rational
-        elif not any(prefix[1:]):
-            mask &= ~sufzero  # c0 free, every other coordinate zero
-        if not mask.any():
-            continue
-        prod = _np.ones(suffix.shape[0])
-        for z in zs:
-            acc = _np.zeros(suffix.shape[0], dtype=_np.complex128)
-            for col in range(d - 1, -1, -1):
-                acc = acc * z + suffix[:, col]
-            for c in reversed(prefix):
-                acc = acc * z + c
-            prod *= _np.abs(acc)
-        mask &= (prod > 0.05) & (prod < 20.0)
-        for row in _np.nonzero(mask)[0]:
-            coords = prefix + tuple(int(v) for v in suffix[row])
-            if abs(resultant(K.defining, IntPoly(list(coords)))) == 1:
-                yield coords
 
 
 def _is_torsion_unit(K: NumberField, u: FieldElement) -> bool:
@@ -777,33 +707,19 @@ def fe_to_algnum(K: NumberField, x: FieldElement, place: int = 0) -> AlgebraicNu
     """The algebraic number sigma_place(x), with exact minimal polynomial."""
     if fe_is_rational(x):
         return an_from_rational(x.coords[0])
-    res = _char_poly(K, x)
-
-    def enclosures():
-        for p in (64, 128, 256, 512, 1024, 2048, 4096):
-            yield nf_embed(K, x, place, p)
-
-    return _select_by_enclosure(res, enclosures())
+    return _select_by_enclosure(_char_poly(K, x), (nf_embed(K, x, place, 64 << k) for k in range(7)))
 
 
 def _abs_squared_algnum(K: NumberField, x: FieldElement, place: int) -> AlgebraicNumber:
     """|sigma_place(x)|^2 as an exact algebraic number."""
     z = fe_to_algnum(K, x, place)
-    box = z.box
-    if box.center[1] == 0:
+    if z.box.center[1] == 0:
         # real embedding: z^2 via the power map, degree n instead of n^2
         return an_pow(z, 2)
     boxes = isolate_roots(z.minpoly)
-    mirror = IsolatingBox((box.center[0], -box.center[1]), box.radius, 1)
-    hits = [j for j, b in enumerate(boxes) if not _disjoint(mirror, b)]
-    cur = box
-    while len(hits) > 1:
-        cur = refine(cur, z.minpoly, cur.radius / 16)
-        mirror = IsolatingBox((cur.center[0], -cur.center[1]), cur.radius, 1)
-        boxes = [refine(b, z.minpoly, b.radius / 16) for b in boxes]
-        hits = [j for j in hits if not _disjoint(mirror, boxes[j])]
-    zbar = AlgebraicNumber(z.minpoly, boxes[hits[0]])
-    return an_mul(z, zbar)
+    # _pin refines the boxes of a copy; the conjugate keeps its canonical box
+    conj = _pin(_mirrors(z.box, z.minpoly), z.minpoly, list(boxes))
+    return an_mul(z, AlgebraicNumber(z.minpoly, boxes[conj]))
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,13 @@ imaginary part exactly 0, so a real box stays real. Newton doubles the
 correct bits per step; a box that has not settled within twice that many
 steps, or a radius below 2^-_PREC_CAP, raises InternalPrecisionExceeded.
 
+Which root of p a shrinking enclosure holds is decided in one place: _pin
+takes the enclosures (often _refinements of a box, or values computed from
+them) and refines only the boxes of p they still meet, until one is left.
+Every caller that names a conjugate (a factor's root among p's, a product
+among its resolvent's, an automorphism's image, a complex conjugate) goes
+through it.
+
 Unit-circle membership is never decided by refinement alone: a root can lie
 on the circle only if its irreducible factor is reciprocal, and then the
 on-circle count is obtained exactly from a Sturm count of the trace
@@ -46,10 +53,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable, Iterator
 
 import mpmath
 
-from .errors import InternalPrecisionExceeded, NotIrreducible, NotSquarefree
+from .errors import ExactCheckFailed, InternalPrecisionExceeded, NotIrreducible, NotSquarefree
 from .factor import factor_z, is_irreducible
 from .intpoly import (
     IntPoly,
@@ -490,6 +498,38 @@ def refine(box: IsolatingBox, p: IntPoly, eps: Fraction) -> IsolatingBox:
 
 
 # ---------------------------------------------------------------------------
+# which root an enclosure holds
+
+
+def _refinements(box: IsolatingBox, p: IntPoly) -> Iterator[IsolatingBox]:
+    """box, then refine(box, p, radius / 16) again and again, without end."""
+    while True:
+        yield box
+        box = refine(box, p, box.radius / 16)
+
+
+def _pin(probes: Iterable[IsolatingBox], p: IntPoly, boxes: list[IsolatingBox]) -> int:
+    """Index of the box in boxes that holds the root of p the probes enclose.
+
+    probes is a stream of ever-smaller disks around one root of p, and boxes
+    are p's certified boxes, one per root. Each probe is checked against the
+    boxes it has not yet been found disjoint from; those it still meets are
+    refined in place, and the first probe that meets exactly one box decides.
+    A probe that meets none raises ExactCheckFailed; a stream that ends first
+    raises InternalPrecisionExceeded."""
+    hits = range(len(boxes))
+    for probe in probes:
+        hits = [i for i in hits if not _disjoint(probe, boxes[i])]
+        if len(hits) == 1:
+            return hits[0]
+        if not hits:
+            raise ExactCheckFailed("an enclosure of a root meets no certified box of its polynomial")
+        for i in hits:
+            boxes[i] = refine(boxes[i], p, boxes[i].radius / 16)
+    raise InternalPrecisionExceeded("enclosures ended before one certified box remained")
+
+
+# ---------------------------------------------------------------------------
 # the unit-circle partition
 
 
@@ -547,18 +587,6 @@ def _factor_statuses(q: IntPoly) -> list[str]:
         boxes = [refine(b, q, b.radius / 16) if statuses[i] is None else b for i, b in enumerate(boxes)]
 
 
-def _match_box(qb: IsolatingBox, q: IntPoly, pboxes: list[IsolatingBox], p: IntPoly) -> int:
-    """Index of the p-box holding the same root as qb (q divides p)."""
-    while True:
-        hits = [i for i, pb in enumerate(pboxes) if not _disjoint(qb, pb)]
-        assert hits, "a factor root must meet some box of the full polynomial"
-        if len(hits) == 1:
-            return hits[0]
-        qb = refine(qb, q, qb.radius / 16)
-        for i in hits:
-            pboxes[i] = refine(pboxes[i], p, pboxes[i].radius / 16)
-
-
 def circle_partition(p: IntPoly) -> CirclePartition:
     """Exact indices of roots with |a| > 1, = 1, < 1 under the canonical order."""
     if p.is_zero or p.degree < 1 or not is_squarefree(p):
@@ -573,7 +601,7 @@ def circle_partition(p: IntPoly) -> CirclePartition:
             break
         qboxes = list(isolate_roots(q))
         for qb, status in zip(qboxes, statuses):
-            idx = _match_box(qb, q, pboxes, p)
+            idx = _pin(_refinements(qb, q), p, pboxes)
             assert labels[idx] is None
             labels[idx] = status
     assert None not in labels

@@ -27,9 +27,10 @@ def test_scripts_name_existing_modules():
 
 
 def test_runtime_imports_mpmath_only():
-    # numpy is an optional accelerator for nfield alone; sympy is a test extra
+    # sympy is a test extra
     code = (
-        "import sys, mahlerdyn.roots, mahlerdyn.algnum, mahlerdyn.mahler; "
+        "import sys, mahlerdyn.roots, mahlerdyn.algnum, mahlerdyn.mahler, "
+        "mahlerdyn.nfield, mahlerdyn.classify; "
         "print(sorted(m for m in ('numpy', 'sympy') if m in sys.modules))"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -1,9 +1,14 @@
 """Root isolation, refinement, circle partition, and signature tests."""
 
+import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -11,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mahlerdyn import roots
-from mahlerdyn.errors import InternalPrecisionExceeded, NotIrreducible, NotSquarefree
+from mahlerdyn.errors import ExactCheckFailed, InternalPrecisionExceeded, NotIrreducible, NotSquarefree
 from mahlerdyn.intpoly import IntPoly, from_text, is_squarefree, sturm_real_roots
 from mahlerdyn.roots import (
     IsolatingBox,
@@ -22,9 +27,12 @@ from mahlerdyn.roots import (
     _box_mul,
     _certify,
     _contained,
+    _disjoint,
     _ladder,
+    _pin,
     _point_in,
     _PREC_CAP,
+    _refinements,
     circle_partition,
     isolate_roots,
     refine,
@@ -262,6 +270,76 @@ class TestRefine:
         box = IsolatingBox((Fraction(11, 20), Fraction(0)), Fraction(1, 2))
         with pytest.raises(InternalPrecisionExceeded):
             refine(box, p, Fraction(1, 1 << 64))
+
+
+SQRT2 = P("-2,0,1")
+# sqrt(2) and sqrt(2 + 10^-12), about 2^-41 apart, and their negatives
+CLOSE_PAIR = SQRT2 * P("-2000000000001,0,1000000000000")
+
+
+def _holds_sqrt2(box):
+    lo, hi = box.center[0] - box.radius, box.center[0] + box.radius
+    return box.center[1] == 0 and 0 < lo and lo * lo <= 2 <= hi * hi
+
+
+class TestPin:
+    def _probe(self):
+        # holds sqrt(2) and, 2^-41 away, the next root of CLOSE_PAIR
+        return IsolatingBox((Fraction(round(math.sqrt(2) * 2 ** 40), 2 ** 40), Fraction(0)), Fraction(1, 1 << 20))
+
+    def _coarse_boxes(self):
+        """CLOSE_PAIR's boxes with sqrt(2)'s shrunk to 2^-210 and its
+        neighbour's grown until it reaches within 2^-200 of sqrt(2): still
+        isolating, but a probe misses it unrefined only below 2^-200."""
+        boxes = isolate_roots(CLOSE_PAIR)
+        i = next(k for k, b in enumerate(boxes) if _holds_sqrt2(b))
+        near = refine(boxes[i], CLOSE_PAIR, Fraction(1, 1 << 210))
+        far = refine(boxes[i + 1], CLOSE_PAIR, Fraction(1, 1 << 210))
+        edge = near.center[0] + near.radius + Fraction(1, 1 << 200)
+        boxes[i], boxes[i + 1] = near, IsolatingBox(far.center, far.center[0] - edge)
+        assert _disjoint(boxes[i], boxes[i + 1])
+        return boxes, i
+
+    def test_two_roots_closer_than_the_probe(self):
+        boxes, i = self._coarse_boxes()
+        probe = self._probe()
+        assert [k for k, b in enumerate(boxes) if not _disjoint(probe, b)] == [i, i + 1]
+        # six probes reach 2^-139: enough once the hit boxes are refined,
+        # not enough while the neighbour keeps its 2^-200 edge
+        assert _pin(itertools.islice(_refinements(probe, SQRT2), 6), CLOSE_PAIR, boxes) == i
+        assert _holds_sqrt2(boxes[i])
+
+    def test_isolated_boxes_of_a_close_pair(self):
+        boxes = isolate_roots(CLOSE_PAIR)
+        i = _pin(_refinements(self._probe(), SQRT2), CLOSE_PAIR, boxes)
+        assert _holds_sqrt2(isolate_roots(CLOSE_PAIR)[i])
+
+    def test_probe_meeting_no_box_raises(self):
+        probe = IsolatingBox((Fraction(3), Fraction(0)), Fraction(1, 4))
+        with pytest.raises(ExactCheckFailed):
+            _pin([probe], SQRT2, isolate_roots(SQRT2))
+
+    def test_probe_meeting_no_box_raises_under_optimize(self):
+        code = (
+            "from fractions import Fraction\n"
+            "from mahlerdyn.errors import ExactCheckFailed\n"
+            "from mahlerdyn.intpoly import from_text\n"
+            "from mahlerdyn.roots import IsolatingBox, _pin, isolate_roots\n"
+            "p = from_text('-2,0,1')\n"
+            "try:\n"
+            "    _pin([IsolatingBox((Fraction(3), Fraction(0)), Fraction(1, 4))], p, isolate_roots(p))\n"
+            "except ExactCheckFailed:\n"
+            "    print('raised')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "raised"
+
+    def test_stream_ending_first_raises(self):
+        # a disk around 0 of radius 2 holds both roots of x^2 - 2
+        probe = IsolatingBox((Fraction(0), Fraction(0)), Fraction(2))
+        with pytest.raises(InternalPrecisionExceeded):
+            _pin([probe], SQRT2, isolate_roots(SQRT2))
 
 
 class TestCirclePartition:
