@@ -169,20 +169,9 @@ def _select_by_enclosure(p: IntPoly, enclosures: Iterable[IsolatingBox]) -> Alge
 
 
 def an_mul(a: AlgebraicNumber, b: AlgebraicNumber) -> AlgebraicNumber:
-    if a.degree == 1:
-        a, b = b, a
-    if b.degree == 1:
-        r = an_rational_value(b)
-        if a.degree == 1:
-            return an_from_rational(an_rational_value(a) * r)
-        if r == 0:
-            return an_from_rational(0)
-        # scale: roots of res are r * (roots of minpoly)
-        u, v = r.numerator, r.denominator
-        d = a.degree
-        res = canonicalize(IntPoly([a.minpoly[i] * v**i * u ** (d - i) for i in range(d + 1)]))
-    else:
-        res = product_resolvent(a.minpoly, b.minpoly)
+    if a.degree == 1 and b.degree == 1:
+        return an_from_rational(an_rational_value(a) * an_rational_value(b))
+    res = product_resolvent(a.minpoly, b.minpoly)
     pairs = zip(_refinements(a.box, a.minpoly), _refinements(b.box, b.minpoly))
     return _select_by_enclosure(res, (_box_mul(ab, bb) for ab, bb in pairs))
 

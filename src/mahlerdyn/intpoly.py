@@ -1,9 +1,14 @@
 """Exact arithmetic on integer polynomials.
 
 Dense representation, constant term first. All decision procedures here are
-exact: integer subresultant PRS for resultants and gcds, Sturm sequences over
-exact rationals for real-root counts, and integer-only reciprocal/trace
-transforms for unit-circle work. No floating point anywhere in this module.
+exact: integer subresultant PRS for resultants (norms, discriminants) and
+gcds, Sturm sequences over exact rationals for real-root counts, and
+integer-only reciprocal/trace transforms for unit-circle work. Every
+resolvent (power map, product, ratio, transform, and the subset product
+behind the Mahler measure) is built one way: the power sums of the input
+roots are mapped to those of the resolvent roots, and Newton's identities,
+with exact divisions, give the coefficients. No floating point anywhere in
+this module.
 It also holds the all-integer LLL that minpoly guessing (mahler) and
 automorphism discovery (nfield) share.
 
@@ -16,11 +21,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     EndpointRoot,
+    ExactCheckFailed,
     InvalidPoly,
+    NotMonic,
     NotReciprocal,
     NotSquarefree,
     OddDegree,
@@ -507,150 +514,120 @@ def untrace_poly(h: IntPoly) -> IntPoly:
     return out
 
 
-# -- power maps and resolvents --------------------------------------------------
+# -- resolvents from power sums -------------------------------------------------
+#
+# Every resolvent is built one way: map the power sums of the input roots to
+# the power sums of the resolvent roots, then recover the polynomial with
+# Newton's identities. Power sums of algebraic integers are integers, so a
+# non-monic input is monicized first (roots c*alpha) and the roots are divided
+# by c again at the end. Every division in Newton's identities must be exact;
+# one that is not raises ExactCheckFailed.
 
 
-def _interp_integer_poly(deg_bound: int, value_at: Callable[[int], int], skip_zero: bool = False) -> IntPoly:
-    """Reconstruct an integer polynomial of degree <= deg_bound from exact
-    integer evaluations at small integer points (Lagrange over Q)."""
-    pts: list[int] = []
-    x0 = 1 if skip_zero else 0
-    while len(pts) < deg_bound + 1:
-        if not (skip_zero and x0 == 0):
-            pts.append(x0)
-        x0 = -x0 if x0 > 0 else -x0 + 1
-    vals = [value_at(x) for x in pts]
-    # Newton's divided differences, exact over Q
-    coefs = [Fraction(v) for v in vals]
-    for j in range(1, len(pts)):
-        for i in range(len(pts) - 1, j - 1, -1):
-            coefs[i] = (coefs[i] - coefs[i - 1]) / (pts[i] - pts[i - j])
-    # expand Newton form
-    poly = [Fraction(0)] * len(pts)
-    acc = [Fraction(1)]
-    for i, c in enumerate(coefs):
-        for k, a in enumerate(acc):
-            poly[k] += c * a
-        # acc *= (x - pts[i])
-        nxt = [Fraction(0)] * (len(acc) + 1)
-        for k, a in enumerate(acc):
-            nxt[k] -= a * pts[i]
-            nxt[k + 1] += a
-        acc = nxt
-    out = []
-    for f in poly:
-        if f.denominator != 1:
-            raise ArithmeticError("interpolated polynomial not integral")
-        out.append(f.numerator)
-    return IntPoly(out)
+def _power_sums(g: IntPoly, m: int) -> list:
+    """Power sums p_1..p_m of the roots of monic g (index 0 unused)."""
+    n = g.degree
+    e = [((-1) ** k) * g[n - k] for k in range(n + 1)]
+    p = [0] * (m + 1)
+    for k in range(1, m + 1):
+        acc = ((-1) ** (k - 1)) * k * e[k] if k <= n else 0
+        for i in range(1, min(k - 1, n) + 1):
+            acc += ((-1) ** (i - 1)) * e[i] * p[k - i]
+        p[k] = acc
+    return p
+
+
+def _elem_from_power_sums(p: list, m: int) -> list:
+    """e_0..e_m from power sums p[1..m]; divisions must be exact."""
+    e = [1] + [0] * m
+    for k in range(1, m + 1):
+        acc = 0
+        for i in range(1, k + 1):
+            acc += ((-1) ** (i - 1)) * e[k - i] * p[i]
+        q, r = divmod(acc, k)
+        if r:
+            raise ExactCheckFailed(f"e_{k} from power sums is not an integer")
+        e[k] = q
+    return e
+
+
+def _from_power_sums(p: list, c: int = 1) -> IntPoly:
+    """Canonical polynomial whose roots are gamma_i / c, where p[1..D] are the
+    power sums of D algebraic integers gamma_i (index 0 unused)."""
+    d = len(p) - 1
+    e = _elem_from_power_sums(p, d)
+    # prod (c x - gamma_i) = sum_j (-1)^(d-j) e_(d-j) c^j x^j
+    return canonicalize(IntPoly([(-1) ** (d - j) * e[d - j] * c**j for j in range(d + 1)]))
+
+
+def _subset_product_poly(g: IntPoly, s: int) -> IntPoly:
+    """Monic polynomial whose roots are the products over every size-s
+    subset of the roots of monic g, with multiplicity."""
+    cnt = math.comb(g.degree, s)
+    ps = _power_sums(g, s * cnt)
+    big = [0] * (cnt + 1)
+    for k in range(1, cnt + 1):
+        pk = [0] + [ps[j * k] for j in range(1, s + 1)]
+        big[k] = _elem_from_power_sums(pk, s)[s]
+    return _from_power_sums(big)
 
 
 def power_map(p: IntPoly, n: int) -> IntPoly:
-    """Canonical polynomial whose roots are the n-th powers of the roots of p.
-
-    Res_y(p(y), x - y^n), reconstructed by interpolation from integer
-    resultants, then canonicalized. Same degree as p; for non-monic p the
-    leading coefficient is normalized by content removal.
-    """
+    """Canonical polynomial whose roots are the n-th powers of the roots of p,
+    with multiplicity: p_k(alpha^n) = p_(kn)(alpha)."""
     if p.is_zero:
         raise ZeroPolynomial("power_map of zero polynomial")
     if n < 1:
         raise ValueError("n must be >= 1")
     if p.degree == 0:
         return ONE
-    if n == 1:
-        return canonicalize(p)
-    d = p.degree
-
-    def value_at(x0: int) -> int:
-        second = IntPoly((x0,) + (0,) * (n - 1) + (-1,))  # x0 - y^n
-        return resultant(p, second)
-
-    return canonicalize(_interp_integer_poly(d, value_at))
+    G, c = monicize(p)
+    ps = _power_sums(G, n * G.degree)
+    return _from_power_sums(ps[::n], c**n)
 
 
 def product_resolvent(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Polynomial (up to content) vanishing on all products alpha*beta of roots.
-
-    Res_y(f(y), y^deg(g) * g(x/y)); requires g(0) != 0 so the y-degree of the
-    second argument never drops at an evaluation point.
-    """
+    """Canonical polynomial whose roots are all products alpha*beta of a root
+    of f and a root of g: p_k(alpha*beta) = p_k(alpha) * p_k(beta)."""
     if f.is_zero or g.is_zero:
         raise ZeroPolynomial("product_resolvent of zero polynomial")
-    if g[0] == 0:
-        raise ZeroPolynomial("product_resolvent requires g(0) != 0")
     if f.degree == 0 or g.degree == 0:
         return ONE
-    m, n = f.degree, g.degree
-
-    def value_at(x0: int) -> int:
-        second = IntPoly(tuple(g[n - j] * x0 ** (n - j) for j in range(n + 1)))
-        return resultant(f, second)
-
-    return canonicalize(_interp_integer_poly(m * n, value_at))
-
-
-def sum_resolvent(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Polynomial (up to content) vanishing on all sums alpha+beta of roots:
-    Res_y(f(y), g(x - y))."""
-    if f.is_zero or g.is_zero:
-        raise ZeroPolynomial("sum_resolvent of zero polynomial")
-    if f.degree == 0 or g.degree == 0:
-        return ONE
-    m, n = f.degree, g.degree
-
-    def value_at(x0: int) -> int:
-        # g(x0 - y) as a polynomial in y
-        cs = [Fraction(0)] * (n + 1)
-        for i in range(n + 1):
-            gi = g[i]
-            if not gi:
-                continue
-            # (x0 - y)^i
-            for j in range(i + 1):
-                cs[j] += gi * math.comb(i, j) * x0 ** (i - j) * (-1) ** j
-        second = IntPoly([int(c) for c in cs])
-        return resultant(f, second)
-
-    return canonicalize(_interp_integer_poly(m * n, value_at))
+    (F, a), (G, b) = monicize(f), monicize(g)
+    d = f.degree * g.degree
+    pf, pg = _power_sums(F, d), _power_sums(G, d)
+    return _from_power_sums([x * y for x, y in zip(pf, pg)], a * b)
 
 
 def ratio_resolvent(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Polynomial (up to content) vanishing on all ratios alpha/beta, where
-    alpha runs over roots of f and beta over roots of g: Res_y(g(y), f(x*y))."""
+    """Canonical polynomial whose roots are all ratios alpha/beta, where alpha
+    runs over roots of f and beta over roots of g."""
     if f.is_zero or g.is_zero:
         raise ZeroPolynomial("ratio_resolvent of zero polynomial")
     if g[0] == 0:
         raise ZeroPolynomial("ratio_resolvent requires g(0) != 0")
-    if f.degree == 0 or g.degree == 0:
-        return ONE
-    m, n = f.degree, g.degree
-
-    def value_at(x0: int) -> int:
-        second = IntPoly(tuple(f[i] * x0 ** i for i in range(m + 1)))
-        return resultant(g, second)
-
-    return canonicalize(_interp_integer_poly(m * n, value_at, skip_zero=True))
+    return product_resolvent(f, g.reversal())
 
 
 def transform_resolvent(f: IntPoly, g_num: IntPoly, g_den: int = 1) -> IntPoly:
-    """Polynomial (up to content) vanishing on g(alpha) = g_num(alpha)/g_den
-    over the roots alpha of f: Res_y(f(y), g_den*x - g_num(y))."""
+    """Canonical polynomial whose roots are g(alpha) = g_num(alpha)/g_den over
+    the roots alpha of monic f: p_k(g(alpha)) = sum_j [g^k mod f]_j p_j(f)."""
     if f.is_zero or g_num.is_zero:
         raise ZeroPolynomial("transform_resolvent of zero polynomial")
     if f.degree == 0:
         return ONE
+    if f.lc != 1:
+        raise NotMonic("transform_resolvent requires a monic f")
     m = f.degree
-    if g_num.degree == 0:
-        # constant map: all roots map to g_num[0]/g_den
-        return canonicalize(IntPoly((-g_num[0], g_den)))
-
-    def value_at(x0: int) -> int:
-        cs = list(-c for c in g_num.coeffs)
-        cs[0] += g_den * x0
-        return resultant(f, IntPoly(cs))
-
-    return canonicalize(_interp_integer_poly(m, value_at))
+    pf = _power_sums(f, m - 1)
+    pf[0] = m
+    # f is monic, so prem is the exact remainder mod f
+    r = prem(g_num, f)
+    h, ps = ONE, [0]
+    for _ in range(m):
+        h = prem(h * r, f)
+        ps.append(sum(h[j] * pf[j] for j in range(m)))
+    return _from_power_sums(ps, g_den)
 
 
 # -- lattice reduction ---------------------------------------------------------

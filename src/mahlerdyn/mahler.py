@@ -37,7 +37,17 @@ from .errors import (
     ZeroInput,
 )
 from .factor import is_irreducible
-from .intpoly import IntPoly, canonicalize, cyclotomic_part, div_z, gcd_z, lll_reduce, monicize
+from .intpoly import (
+    IntPoly,
+    _elem_from_power_sums,
+    _subset_product_poly,
+    canonicalize,
+    cyclotomic_part,
+    div_z,
+    gcd_z,
+    lll_reduce,
+    monicize,
+)
 from .roots import (
     IsolatingBox,
     _abs_bounds,
@@ -115,54 +125,13 @@ class OrbitResult:
 #
 # The product of s conjugates is computed on the subset-product resolvent:
 # the monic integer polynomial whose roots are all s-fold products of roots
-# of the monicized minpoly. Its power sums come from Newton's identities, so
-# the construction is exact integer arithmetic end to end, and the degree is
-# C(n, s) instead of the n^s a repeated-resultant fold would pay. When more
-# than half the roots are outside, the complement product is used instead.
-
-
-def _power_sums(g: IntPoly, m: int) -> list:
-    """Power sums p_1..p_m of the roots of monic g (index 0 unused)."""
-    n = g.degree
-    e = [((-1) ** k) * g[n - k] for k in range(n + 1)]
-    p = [0] * (m + 1)
-    for k in range(1, m + 1):
-        acc = ((-1) ** (k - 1)) * k * e[k] if k <= n else 0
-        for i in range(1, min(k - 1, n) + 1):
-            acc += ((-1) ** (i - 1)) * e[i] * p[k - i]
-        p[k] = acc
-    return p
-
-
-def _elem_from_power_sums(p: list, m: int) -> list:
-    """e_0..e_m from power sums p[1..m]; divisions must be exact."""
-    e = [1] + [0] * m
-    for k in range(1, m + 1):
-        acc = 0
-        for i in range(1, k + 1):
-            acc += ((-1) ** (i - 1)) * e[k - i] * p[i]
-        q, r = divmod(acc, k)
-        if r:
-            raise ExactCheckFailed(f"e_{k} from power sums is not an integer")
-        e[k] = q
-    return e
-
-
-def _subset_product_poly(g: IntPoly, s: int) -> IntPoly:
-    """Monic polynomial whose roots are the products over every size-s
-    subset of the roots of monic g, with multiplicity."""
-    n = g.degree
-    cnt = math.comb(n, s)
-    ps = _power_sums(g, s * cnt)
-    big = [0] * (cnt + 1)
-    for k in range(1, cnt + 1):
-        pk = [0] + [ps[j * k] for j in range(1, s + 1)]
-        big[k] = _elem_from_power_sums(pk, s)[s]
-    e = _elem_from_power_sums(big, cnt)
-    coeffs = [0] * (cnt + 1)
-    for k in range(cnt + 1):
-        coeffs[cnt - k] = ((-1) ** k) * e[k]
-    return IntPoly(tuple(coeffs))
+# of the monicized minpoly. It is built like every other resolvent in the
+# package (intpoly._subset_product_poly): power sums of the roots, mapped to
+# power sums of the products and turned back into coefficients by Newton's
+# identities, so the construction is exact integer arithmetic end to end, and
+# the degree is C(n, s) instead of the n^s a repeated-resultant fold would
+# pay. When more than half the roots are outside, the complement product is
+# used instead.
 
 
 def _product_enclosure(cur, idx, lc: int) -> IsolatingBox:

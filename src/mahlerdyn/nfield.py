@@ -500,10 +500,11 @@ def _log_abs(K: NumberField, x: FieldElement, place: int, prec: int) -> tuple[Fr
         prec *= 2  # nonzero element; eventually 0 is excluded
 
 
-def _log_vector(K: NumberField, x: FieldElement, prec: int) -> LogVector:
+def _log_vector(K: NumberField, places, x: FieldElement, prec: int) -> LogVector:
+    """Log vector of x over places, the output of _places(K)."""
     entries = []
     weights = []
-    for idx, w in _places(K):
+    for idx, w in places:
         llo, lhi = _log_abs(K, x, idx, prec)
         entries.append((w * llo, w * lhi))
         weights.append(w)
@@ -616,25 +617,28 @@ def nf_unit_sublattice(K: NumberField) -> UnitSublattice:
     rank_target = r1 + r2 - 1
     if rank_target < 1:
         raise RankDeficient("unit rank r1+r2-1 is zero for this field")
+    places = _places(K)
     gens: list[FieldElement] = []
-    picked_rows: list = []
+    vectors: list[LogVector] = []  # log vectors of gens at prec
+    rows_hi: list = []  # log vectors of gens at 4 * prec, filled on demand
     prec = 96
     h, prev = 1, 0
     while h <= _H_CAP:
         for coords in _coord_rung(K, prev, h):
             u = nf_element(K, coords)
-            if _is_torsion_unit(K, u):
+            if _is_torsion_unit(K, places, u):
                 continue
-            rows = _rank_rows(K, gens + [u], prec)
-            ok = _interval_rank(rows)
+            v = _log_vector(K, places, u, prec)
+            ok = _interval_rank([w.entries for w in vectors + [v]])
             if not ok:
                 # dependent or precision-starved; one escalation then skip
-                rows = _rank_rows(K, gens + [u], prec * 4)
-                ok = _interval_rank(rows)
+                for g in gens[len(rows_hi):]:
+                    rows_hi.append(_log_vector(K, places, g, prec * 4).entries)
+                ok = _interval_rank(rows_hi + [_log_vector(K, places, u, prec * 4).entries])
             if ok:
                 gens.append(u)
+                vectors.append(v)
                 if len(gens) == rank_target:
-                    vectors = tuple(_log_vector(K, g, prec) for g in gens)
                     square = [
                         [v.entries[c] for c in range(rank_target)] for v in vectors
                     ]
@@ -645,24 +649,20 @@ def nf_unit_sublattice(K: NumberField) -> UnitSublattice:
                         raise RankDeficient(
                             "full-rank log matrix failed its determinant check"
                         )
-                    return UnitSublattice(tuple(gens), vectors)
+                    return UnitSublattice(tuple(gens), tuple(vectors))
         prev, h = h, h * 2
     raise RankDeficient(f"unit search exhausted coordinate bound {_H_CAP}")
 
 
 def _rank_certified_hard(K, gens, rank_target) -> bool:
     # retry the determinant at higher precision before declaring failure
+    places = _places(K)
     for prec in (384, 1536):
-        vectors = [_log_vector(K, g, prec) for g in gens]
+        vectors = [_log_vector(K, places, g, prec) for g in gens]
         square = [[v.entries[c] for c in range(rank_target)] for v in vectors]
         if _interval_det_excludes_zero(square):
             return True
     return False
-
-
-def _rank_rows(K, elements, prec):
-    vectors = [_log_vector(K, g, prec) for g in elements]
-    return [list(v.entries) for v in vectors]
 
 
 def _coord_rung(K: NumberField, prev: int, h: int):
@@ -689,9 +689,9 @@ def _coord_rung(K: NumberField, prev: int, h: int):
             yield coords
 
 
-def _is_torsion_unit(K: NumberField, u: FieldElement) -> bool:
+def _is_torsion_unit(K: NumberField, places, u: FieldElement) -> bool:
     # quick negative: some |sigma(u)| certified away from 1
-    for idx, _ in _places(K):
+    for idx, _ in places:
         lo, hi = _abs_bounds(nf_embed(K, u, idx, 64))
         if lo > 1 or (hi < 1 and lo > 0):
             return False

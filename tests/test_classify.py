@@ -1,16 +1,20 @@
-"""Field-level verdicts: regressions for the CM test, the C4 quartic and S5
-quintic witnesses, the quintic resolvent behind galois_group_small, the
-sextic and C2^3 octic verdicts, and the undecided automorphism count."""
+"""Field-level verdicts: regressions for the CM test, the abelian rule, the
+quartic (C4, S4) and quintic (S5, F5, C5) witnesses, the quintic resolvent
+behind galois_group_small, the sextic and C2^3 octic verdicts, and the
+undecided automorphism count."""
 
 import pytest
 
 from mahlerdyn import nfield
-from mahlerdyn.algnum import an_compare, an_from_rational
+from mahlerdyn.algnum import an_compare, an_equal, an_from_rational, an_pow
 from mahlerdyn.classify import (
     AllPreperiodic,
     HasWanderer,
+    HasWandererByTheorem,
+    _invariant_factors,
     _stable_cycles,
     _verified_automorphisms,
+    classify_abelian,
     classify_cm,
     classify_galois_small,
     classify_quartic,
@@ -19,13 +23,14 @@ from mahlerdyn.classify import (
 )
 from mahlerdyn.errors import AutomorphismsUndecided, NotGalois
 from mahlerdyn.intpoly import from_text
-from mahlerdyn.mahler import mahler_measure
+from mahlerdyn.mahler import CitedGrowth, PowerIdentity, TorsionFreePower, mahler_measure
 from mahlerdyn.roots import signature
 
 P = from_text
 
 CM6 = P("1,0,8,0,6,0,1")  # x^6 + 6x^4 + 8x^2 + 1, a CM sextic
 S4_IMAG = P("1,1,0,0,1")  # x^4 + x + 1, totally imaginary with group S4
+S4_MIXED = P("-1,-1,0,0,1")  # x^4 - x - 1, signature (2, 1) with group S4
 C4_REAL = P("2,0,-4,0,1")  # x^4 - 4x^2 + 2, totally real cyclic quartic
 
 S5_QUINTIC = P("-1,-1,0,0,0,1")  # x^5 - x - 1
@@ -46,6 +51,13 @@ def _assert_wandering_unit(v, degree):
     assert degree % w.degree == 0
     assert abs(w.minpoly.coeffs[0]) == 1 and w.minpoly.coeffs[-1] == 1
     assert an_compare(mahler_measure(w), an_from_rational(1)) == 1
+
+
+def _iterate(w, k):
+    """M^k(w)."""
+    for _ in range(k):
+        w = mahler_measure(w)
+    return w
 
 
 def _assert_measure_grows(w, steps=3):
@@ -75,6 +87,33 @@ class TestClassifyCM:
             _verified_automorphisms(nfield.nf_new(CM6))
 
 
+class TestClassifyAbelian:
+    def test_small_groups_are_all_preperiodic(self):
+        # C1, C2, C3 and C2 x C2, C1 also given as a trivial factor
+        for invariants in ([], [1], [2], [3], [2, 2]):
+            assert isinstance(classify_abelian(invariants), AllPreperiodic)
+
+    def test_every_other_group_names_its_quotient(self):
+        cases = [
+            ([4], "C4"),
+            ([5], "C5"),
+            ([2, 2, 2], "C2cubed"),
+            ([6], "C6"),
+            ([2, 3], "C6"),
+            ([3, 3], "C3xC3"),
+        ]
+        for invariants, quotient in cases:
+            assert classify_abelian(invariants) == HasWandererByTheorem(quotient=quotient)
+
+    def test_invariant_factors(self):
+        # a divisibility chain d1 | d2 | ..., whatever the input order
+        assert _invariant_factors([2, 3]) == [6]
+        assert _invariant_factors([6, 4]) == [2, 12]
+        assert _invariant_factors([3, 1, 9]) == [3, 9]
+        with pytest.raises(ValueError):
+            _invariant_factors([0])
+
+
 class TestClassifyQuartic:
     def test_cyclic_quartic_has_certified_wanderer(self):
         v = classify_quartic(C4_REAL)
@@ -88,7 +127,33 @@ class TestClassifyQuartic:
         _assert_measure_grows(w)
 
 
+    def test_s4_quartic_has_certified_wanderer(self):
+        # the S4 branch: a unit whose k-th measure is its n-th power
+        v = classify_quartic(S4_MIXED)
+        _assert_wandering_unit(v, 4)
+        cert = v.certificate
+        assert isinstance(cert, TorsionFreePower) and cert.k >= 1 and cert.n >= 2
+        assert an_equal(_iterate(v.witness, cert.k), an_pow(v.witness, cert.n))
+
+
 class TestClassifyQuintic:
+    def test_f5_quintic_has_power_identity(self):
+        v = classify_quintic(F5_QUINTIC)
+        _assert_wandering_unit(v, 5)
+        cert = v.certificate
+        assert isinstance(cert, PowerIdentity) and cert.k > cert.l >= 1 and cert.n >= 2
+        w = v.witness
+        assert an_equal(_iterate(w, cert.k), an_pow(_iterate(w, cert.l), cert.n))
+
+    def test_c5_quintic_goes_through_the_cyclic_chain(self):
+        v = classify_quintic(C5_QUINTIC)
+        _assert_wandering_unit(v, 5)
+        cert = v.certificate
+        assert isinstance(cert, CitedGrowth) and cert.tag == "distribution-invariant"
+        # one verified fact per exact iteration of the chain
+        assert len(cert.facts) == 3
+        _assert_measure_grows(v.witness)
+
     def test_s5_quintic_has_certified_wanderer(self):
         # M(w) has degree 10 and its measure a degree-120 subset resolvent,
         # past the direct-factor cap: this runs minpoly guessing (fed LLL)

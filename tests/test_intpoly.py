@@ -10,6 +10,7 @@ from mahlerdyn import intpoly
 from mahlerdyn.errors import (
     EndpointRoot,
     InvalidPoly,
+    NotMonic,
     NotReciprocal,
     NotSquarefree,
     OddDegree,
@@ -23,6 +24,7 @@ from mahlerdyn.intpoly import (
     discriminant,
     from_text,
     gcd_z,
+    monicize,
     power_map,
     product_resolvent,
     ratio_resolvent,
@@ -30,7 +32,6 @@ from mahlerdyn.intpoly import (
     resultant,
     squarefree_part,
     sturm_real_roots,
-    sum_resolvent,
     to_text,
     trace_poly,
     transform_resolvent,
@@ -277,16 +278,32 @@ class TestPowerMap:
         assert power_map(P("-1,0,2"), 2) == P("-1,2") * P("-1,2")
 
 
+def rand_root_poly(rng, max_deg, zero_root=False):
+    """Nonconstant, leading coefficient in +-{1, 2, 3}; a root at 0 exactly
+    when zero_root."""
+    cs = [rng.randint(-9, 9) for _ in range(rng.randint(1, max_deg))]
+    cs.append(rng.choice((-3, -2, -1, 1, 2, 3)))
+    cs[0] = 0 if zero_root else cs[0] or rng.choice((-1, 1))
+    return IntPoly(cs)
+
+
+def assert_proportional(r, degree, definition):
+    """r has the given degree and is a constant multiple of the polynomial
+    whose value at each integer x0 is definition(x0), of degree <= degree;
+    checked at degree + 2 nonzero points."""
+    assert r.degree == degree
+    pts = [s * k for k in range(1, degree + 3) for s in (1, -1)][: degree + 2]
+    vals = [definition(x0) for x0 in pts]
+    base = next(i for i, v in enumerate(vals) if v != 0)
+    for x0, v in zip(pts, vals):
+        assert r(x0) * vals[base] == r(pts[base]) * v
+
+
 class TestResolvents:
     def test_product_sqrt2_sqrt3(self):
         r = product_resolvent(P("-2,0,1"), P("-3,0,1"))
         # vanishes on +-sqrt(6): x^4 - 12x^2 + 36... actually (x^2-6)^2
         assert intpoly.div_z(r, P("-6,0,1")) is not None
-
-    def test_sum_sqrt2_sqrt3(self):
-        r = sum_resolvent(P("-2,0,1"), P("-3,0,1"))
-        # sqrt(2)+sqrt(3) has minimal polynomial x^4 - 10x^2 + 1
-        assert intpoly.div_z(r, P("1,0,-10,0,1")) is not None
 
     def test_ratio_resolvent_unity(self):
         r = ratio_resolvent(P("-2,0,1"), P("-2,0,1"))
@@ -303,6 +320,45 @@ class TestResolvents:
         r = transform_resolvent(P("-2,0,1"), IntPoly((1, 1)), 2)
         # value (1+sqrt2)/2 satisfies 4x^2-4x-1
         assert intpoly.div_z(r, P("-1,-4,4")) is not None
+
+    def test_transform_requires_monic(self):
+        with pytest.raises(NotMonic):
+            transform_resolvent(P("-1,0,2"), IntPoly((0, 1)))
+
+    def test_product_with_rational_and_zero(self):
+        # the products of 0 or of 2/3 with +-sqrt(2)
+        assert product_resolvent(P("0,1"), P("-2,0,1")) == P("0,0,1")
+        assert product_resolvent(P("-2,3"), P("-2,0,1")) == P("-8,0,9")
+
+    def test_resultant_definitions(self):
+        # each resolvent is proportional to the resultant that defines it, on
+        # non-monic f and g, negative leading coefficients, a root of f at 0,
+        # and g_num of any degree, constants included
+        rng = random.Random(20261018)
+        for i in range(30):
+            f = rand_root_poly(rng, 4, zero_root=i % 3 == 0)
+            g = rand_root_poly(rng, 3)
+            m, k, n = f.degree, g.degree, rng.randint(2, 5)
+            assert_proportional(
+                power_map(f, n), m,
+                lambda x0: resultant(f, IntPoly((x0,) + (0,) * (n - 1) + (-1,))),
+            )
+            # y^k g(x/y) keeps its y-degree only because g(0) != 0
+            assert_proportional(
+                product_resolvent(f, g), m * k,
+                lambda x0: resultant(f, IntPoly([g[k - j] * x0 ** (k - j) for j in range(k + 1)])),
+            )
+            assert_proportional(
+                ratio_resolvent(f, g), m * k,
+                lambda x0: resultant(g, IntPoly([f[j] * x0**j for j in range(m + 1)])),
+            )
+            F = monicize(f)[0]
+            h = IntPoly([rng.randint(-5, 5) for _ in range(rng.randint(0, 6))] + [rng.randint(1, 4)])
+            den = rng.choice((1, 2, -3, 6))
+            assert_proportional(
+                transform_resolvent(F, h, den), m,
+                lambda x0: resultant(F, q) if (q := IntPoly((den * x0,)) - h) else 0,
+            )
 
 
 class TestCyclotomicPart:
