@@ -1,11 +1,15 @@
 """Field-level verdicts: which number fields carry wandering units.
 
 Verdicts are either AllPreperiodic (every element's measure orbit terminates),
-HasWanderer (a concrete unit plus a machine-checked growth certificate), or
+HasWanderer (a concrete unit plus a machine-checked certificate), or
 Unsupported (no proven statement applies).  Witnesses are found by searching
-unit sublattices for prescribed conjugate-modulus layouts; every candidate is
-then validated by exact certificate arithmetic, so a wrong layout guess can
-never produce a wrong verdict, only a skipped candidate.
+unit sublattices for prescribed conjugate-modulus layouts.  Every candidate is
+then certified exactly, so a wrong layout guess can never produce a wrong
+verdict, only a skipped candidate.  There are two certifiers: the orbit engine
+(``_orbit_witness``: an exact PowerIdentity or TorsionFreePower, with a cited
+theorem's growth chain 1 < M^1 < ... < M^k as the fallback), and the product
+recurrence (``_recurrence_witness``: M(x) is the product of the outside
+conjugates of x, three times).
 """
 
 from __future__ import annotations
@@ -41,11 +45,11 @@ from .factor import factor_z, is_irreducible
 from .intpoly import IntPoly, discriminant, is_squarefree, monicize, transform_resolvent
 from .mahler import (
     CitedGrowth,
-    PowerIdentity,
-    TorsionFreePower,
+    Inconclusive,
     WanderCert,
-    _torsion_free,
+    Wandering,
     mahler_measure,
+    orbit,
 )
 from .nfield import (
     ConjugatePattern,
@@ -54,9 +58,7 @@ from .nfield import (
     _abs_squared_algnum,
     _aut_bound_reason,
     _conjugate_pairs,
-    _is_root_of_defining,
     _log_abs,
-    _verify_group_closure,
     fe_add,
     fe_inv,
     fe_mul,
@@ -92,8 +94,6 @@ __all__ = [
     "HasWandererByTheorem",
     "Unsupported",
     "FieldVerdict",
-    "SuppliedGalois",
-    "GaloisTag",
     "galois_group_small",
     "classify_quartic",
     "classify_quintic",
@@ -134,21 +134,6 @@ class Unsupported:
 
 
 FieldVerdict = Union[AllPreperiodic, HasWanderer, HasWandererByTheorem, Unsupported]
-
-
-@dataclass(frozen=True)
-class SuppliedGalois:
-    """Galois data handed in by the caller: group order and Cayley table.
-
-    table[i][j] is the index of automorphism i composed with automorphism j,
-    indices referring to the caller's automorphism list.
-    """
-
-    order: int
-    table: tuple[tuple[int, ...], ...]
-
-
-GaloisTag = Union[str, SuppliedGalois]
 
 
 _ONE = an_from_rational(1)
@@ -349,7 +334,7 @@ def _galois_quintic(G: IntPoly) -> str:
     return "C5" if len(nf_automorphisms(K)) == 5 else "D5"
 
 
-def galois_group_small(p: IntPoly) -> GaloisTag:
+def galois_group_small(p: IntPoly) -> str:
     """Galois group of the splitting field, degrees 2 through 5.
 
     Degree 4 splits on the resolvent cubic, with the C4/D4 case decided by
@@ -377,14 +362,6 @@ def _sq_table(K: NumberField, x: FieldElement) -> dict[int, AlgebraicNumber]:
     return {i: _abs_squared_algnum(K, x, i) for i in range(K.degree)}
 
 
-def _measure_chain(w: AlgebraicNumber, steps: int) -> list[AlgebraicNumber]:
-    out, cur = [], w
-    for _ in range(steps):
-        cur = mahler_measure(cur)
-        out.append(cur)
-    return out
-
-
 def _strictly_increasing_above_one(ms: Sequence[AlgebraicNumber]) -> bool:
     if an_compare(ms[0], _ONE) != 1:
         return False
@@ -396,28 +373,47 @@ def _fact_chain(ms: Sequence[AlgebraicNumber]) -> str:
     return f"1 < {links} verified exactly"
 
 
-def _torsion_free_power_cert(
-    w: AlgebraicNumber, k: int, n: int
-) -> Optional[TorsionFreePower]:
-    if _torsion_free(w) is not True:
+def _orbit_witness(w, steps, tag=None, facts=()) -> Optional[HasWanderer]:
+    """w with the orbit engine's exact certificate from its first ``steps``
+    measures; failing that, when the cited theorem ``tag`` applies, w with
+    the exact growth chain 1 < M^1 < ... < M^steps appended to ``facts``.
+    A precision failure is raised, never read as a rejected candidate.
+    """
+    res = orbit(w, {"max_iters": steps})
+    v = res.verdict
+    if isinstance(v, Wandering):
+        return HasWanderer(witness=w, certificate=v.certificate)
+    if isinstance(v, Inconclusive) and v.reason != "budget: max_iters exhausted":
+        raise InternalPrecisionExceeded(v.reason)
+    ms = res.trace[1:]
+    if tag is None or len(ms) < steps or not _strictly_increasing_above_one(ms):
         return None
-    m = _measure_chain(w, k)
-    if an_compare(m[0], _ONE) != 1:
-        return None
-    if not an_equal(m[-1], an_pow(w, n)):
-        return None
-    return TorsionFreePower(k=k, n=n)
+    cert = CitedGrowth(tag=tag, facts=facts + (_fact_chain(ms),))
+    return HasWanderer(witness=w, certificate=cert)
 
 
-def _power_identity_cert(
-    w: AlgebraicNumber, k: int, l: int, n: int
-) -> Optional[PowerIdentity]:
-    m = _measure_chain(w, k)
-    if an_compare(m[0], _ONE) != 1:
-        return None
-    if not an_equal(m[k - 1], an_pow(m[l - 1], n)):
-        return None
-    return PowerIdentity(k=k, l=l, n=n)
+def _recurrence_witness(K, alpha, step, tag) -> Optional[HasWanderer]:
+    """alpha with three exact iterations of M(x) = (outside conjugates of x).
+
+    step(x) returns the product of the conjugates of x outside the unit
+    circle, with the fact that pattern stands for, or None when x leaves the
+    pattern.  That product, made positive, must equal M(x) exactly and grow
+    strictly from 1; it is then the next x.
+    """
+    x, prev, facts = alpha, _ONE, []
+    for k in range(1, 4):
+        got = step(x)
+        if got is None:
+            return None
+        prod, fact = got
+        m = mahler_measure(fe_to_algnum(K, x))
+        nxt = _positive_at(K, prod, 0)
+        if not an_equal(fe_to_algnum(K, nxt), m) or an_compare(m, prev) != 1:
+            return None
+        facts.append(f"M^{k} {fact}")
+        x, prev = nxt, m
+    cert = CitedGrowth(tag=tag, facts=tuple(facts))
+    return HasWanderer(witness=fe_to_algnum(K, alpha), certificate=cert)
 
 
 def _pattern_units(
@@ -450,24 +446,13 @@ def _auto_order(K: NumberField, g: FieldElement) -> int:
     return k
 
 
-def _verified_automorphisms(
-    K: NumberField, supplied: Optional[Sequence] = None
-) -> list[FieldElement]:
-    if supplied is None:
-        autos = nf_automorphisms(K)
-        if len(autos) != K.degree:
-            raise NotGalois(
-                f"{len(autos)} automorphisms on a degree-{K.degree} field; "
-                + _aut_bound_reason(K.defining)
-            )
-        return autos
-    autos = [nf_element(K, getattr(g, "coords", g)) for g in supplied]
-    if len(autos) != K.degree or len({a.coords for a in autos}) != K.degree:
-        raise NotGalois("supplied automorphisms are not distinct of full count")
-    for g in autos:
-        if not _is_root_of_defining(K, g):
-            raise NotGalois("supplied map is not a root of the defining polynomial")
-    _verify_group_closure(K, autos)
+def _verified_automorphisms(K: NumberField) -> list[FieldElement]:
+    autos = nf_automorphisms(K)
+    if len(autos) != K.degree:
+        raise NotGalois(
+            f"{len(autos)} automorphisms on a degree-{K.degree} field; "
+            + _aut_bound_reason(K.defining)
+        )
     return autos
 
 
@@ -568,19 +553,19 @@ def _quartic_square_witness(K, lattice, sig) -> Optional[HasWanderer]:
         ]
     for pattern, x in _pattern_units(K, lattice, patterns):
         top = pattern.order[0][0]
-        x = _positive_at(K, x, top)
-        w = fe_to_algnum(K, x, top)
-        cert = _torsion_free_power_cert(w, 2, 2)
-        if cert is not None:
-            return HasWanderer(witness=w, certificate=cert)
+        found = _orbit_witness(fe_to_algnum(K, _positive_at(K, x, top), top), 2)
+        if found is not None:
+            return found
     return None
 
 
 def _quartic_real_chain_witness(K, lattice, tag) -> Optional[HasWanderer]:
-    """Totally real C4/D4 unit whose measure orbit strictly grows three times.
+    """Totally real C4/D4 unit with an exact orbit certificate from its first
+    three measures, or else a measure orbit that strictly grows three times.
 
     The chain puts two conjugates outside with the top strictly dominant; the
-    != guard keeps the product of the extreme conjugates off the unit circle.
+    != guard keeps the product of the extreme conjugates off the unit circle,
+    which is the cited theorem's hypothesis for the growth-chain fallback.
     Assignments follow the order-4 walk for C4; for D4 the closure's 4-cycle
     is invisible from inside the field, so all labelings are tried.
     """
@@ -595,25 +580,20 @@ def _quartic_real_chain_witness(K, lattice, tag) -> Optional[HasWanderer]:
         for a, b, d in itertools.permutations(range(4), 3):
             (c,) = set(range(4)) - {a, b, d}
             assignments.append((a, b, c, d))
+    cited = "FPZ2020-Thm2-totally-real-quartic-unit-3-orbit"
+    facts = (
+        "unit of a totally real quartic field",
+        "exactly two conjugates strictly outside the unit circle, "
+        "with |top * bottom| != 1",
+    )
     for a, b, c, d in assignments:
         pattern = ConjugatePattern(
             order=((a,), (b,), (c, d)), one_position=2, extras=(((a, d), "!="),)
         )
         for _, x in _pattern_units(K, lattice, [pattern]):
-            w = fe_to_algnum(K, x, a)
-            ms = _measure_chain(w, 3)
-            if not _strictly_increasing_above_one(ms):
-                continue
-            facts = (
-                "unit of a totally real quartic field",
-                "exactly two conjugates strictly outside the unit circle, "
-                "with |top * bottom| != 1",
-                _fact_chain(ms),
-            )
-            cert = CitedGrowth(
-                tag="FPZ2020-Thm2-totally-real-quartic-unit-3-orbit", facts=facts
-            )
-            return HasWanderer(witness=w, certificate=cert)
+            found = _orbit_witness(fe_to_algnum(K, x, a), 3, cited, facts)
+            if found is not None:
+                return found
     return None
 
 
@@ -655,10 +635,12 @@ def classify_quartic(p: IntPoly) -> FieldVerdict:
 
 
 def _quintic_nonsolvable_witness(K, lattice) -> Optional[HasWanderer]:
-    """Any unit with two conjugates strictly outside and two strictly inside.
+    """Any unit with two conjugates strictly outside and two strictly inside,
+    certified by the orbit engine from its first three measures.
 
     No associate +-x, +-1/x of such a unit is Pisot, which is the cited
-    hypothesis; three strictly increasing exact measures corroborate it.
+    theorem's hypothesis for the fallback; three strictly increasing exact
+    measures corroborate it.
     """
     reals, pairs = _place_layout(K)
     if len(reals) == 5:
@@ -671,19 +653,16 @@ def _quintic_nonsolvable_witness(K, lattice) -> Optional[HasWanderer]:
         pattern = ConjugatePattern(
             order=(pairs[0], (reals[0],), pairs[1]), one_position=1
         )
+    facts = (
+        "unit of degree 5",
+        "at least two conjugates strictly outside and two strictly inside "
+        "the unit circle, so no associate is Pisot",
+    )
     for pat, x in _pattern_units(K, lattice, [pattern]):
         w = fe_to_algnum(K, x, pat.order[0][0])
-        ms = _measure_chain(w, 3)
-        if not _strictly_increasing_above_one(ms):
-            continue
-        facts = (
-            "unit of degree 5",
-            "at least two conjugates strictly outside and two strictly inside "
-            "the unit circle, so no associate is Pisot",
-            _fact_chain(ms),
-        )
-        cert = CitedGrowth(tag="FPZ2020-Thm3-non-pisot-quintic-unit", facts=facts)
-        return HasWanderer(witness=w, certificate=cert)
+        found = _orbit_witness(w, 3, "FPZ2020-Thm3-non-pisot-quintic-unit", facts)
+        if found is not None:
+            return found
     return None
 
 
@@ -745,10 +724,9 @@ def _quintic_f5_witness(K, lattice, G) -> Optional[HasWanderer]:
                 extras=(((a, s2), "<"),),
             )
         for _, x in _pattern_units(K, lattice, [pattern]):
-            w = fe_to_algnum(K, x, a)
-            cert = _power_identity_cert(w, 2, 1, 2)
-            if cert is not None:
-                return HasWanderer(witness=w, certificate=cert)
+            found = _orbit_witness(fe_to_algnum(K, x, a), 2)
+            if found is not None:
+                return found
     return None
 
 
@@ -892,38 +870,28 @@ def classify_cyclic(p: IntPoly) -> FieldVerdict:
         e.append(pi[e[-1]])
     pattern = ConjugatePattern(order=tuple((e[k],) for k in shapes["A"]), one_position=hi)
     bounds = (1, 2) if n >= 9 else (1, 2, 3)
+
+    def step(x):
+        state = _cyclic_state(K, x, e, shapes, hi, lo)
+        if state is None:
+            return None
+        shape, count = state
+        prod = fe_rational(K, 1)
+        for t in range(count):
+            img = x
+            for _ in range(shapes[shape][t]):
+                img = nf_apply(K, sigma, img)
+            prod = fe_mul(K, prod, img)
+        return prod, (
+            f"is the product of the {count} outside conjugates "
+            f"(chain shape {shape}), strictly larger than its predecessor"
+        )
+
     for bound in bounds:
         for _, alpha in _pattern_units(K, lattice, [pattern], bound):
-            x = alpha
-            facts, ok, prev = [], True, None
-            for step in range(1, 4):
-                state = _cyclic_state(K, x, e, shapes, hi, lo)
-                if state is None:
-                    ok = False
-                    break
-                shape, count = state
-                m = mahler_measure(fe_to_algnum(K, x))
-                nxt = fe_rational(K, 1)
-                for t in range(count):
-                    img = x
-                    for _ in range(shapes[shape][t]):
-                        img = nf_apply(K, sigma, img)
-                    nxt = fe_mul(K, nxt, img)
-                nxt = _positive_at(K, nxt, 0)
-                if not an_equal(fe_to_algnum(K, nxt), m):
-                    ok = False
-                    break
-                if an_compare(m, prev if prev is not None else _ONE) != 1:
-                    ok = False
-                    break
-                facts.append(
-                    f"M^{step} is the product of the {count} outside conjugates "
-                    f"(chain shape {shape}), strictly larger than its predecessor"
-                )
-                x, prev = nxt, m
-            if ok:
-                cert = CitedGrowth(tag="distribution-invariant", facts=tuple(facts))
-                return HasWanderer(witness=fe_to_algnum(K, alpha), certificate=cert)
+            found = _recurrence_witness(K, alpha, step, "distribution-invariant")
+            if found is not None:
+                return found
     raise WitnessSearchFailed("no unit with the alternating cyclic chain verified")
 
 
@@ -957,40 +925,30 @@ def _sextic_chain_witness(K, lattice, labeled, chain, bound) -> Optional[HasWand
     e = {name: _embedding_index(K, g) for name, g in labeled.items()}
     if len(set(e.values())) != 6:
         return None
-    pattern = ConjugatePattern(order=tuple((e[name],) for name in chain), one_position=3)
+    seq = [e[name] for name in chain]
+    pattern = ConjugatePattern(order=tuple((i,) for i in seq), one_position=3)
+
+    def step(x):
+        sq = _sq_table(K, x)
+        chained = all(an_compare(sq[u], sq[v]) == 1 for u, v in zip(seq, seq[1:]))
+        if (
+            not chained
+            or an_compare(sq[seq[2]], _ONE) != 1
+            or an_compare(_ONE, sq[seq[3]]) != 1
+        ):
+            return None
+        prod = x
+        for name in chain[1:3]:
+            prod = fe_mul(K, prod, nf_apply(K, labeled[name], x))
+        return prod, (
+            "equals the product of the three outside conjugates "
+            "and satisfies the same modulus chain"
+        )
+
     for _, alpha in _pattern_units(K, lattice, [pattern], bound):
-        x = alpha
-        facts, ok, prev = [], True, None
-        for step in range(1, 4):
-            sq = _sq_table(K, x)
-            seq = [e[name] for name in chain]
-            chained = all(an_compare(sq[u], sq[v]) == 1 for u, v in zip(seq, seq[1:]))
-            if (
-                not chained
-                or an_compare(sq[seq[2]], _ONE) != 1
-                or an_compare(_ONE, sq[seq[3]]) != 1
-            ):
-                ok = False
-                break
-            m = mahler_measure(fe_to_algnum(K, x))
-            nxt = x
-            for name in chain[1:3]:
-                nxt = fe_mul(K, nxt, nf_apply(K, labeled[name], x))
-            nxt = _positive_at(K, nxt, 0)
-            if not an_equal(fe_to_algnum(K, nxt), m):
-                ok = False
-                break
-            if an_compare(m, prev if prev is not None else _ONE) != 1:
-                ok = False
-                break
-            facts.append(
-                f"M^{step} equals the product of the three outside conjugates "
-                "and satisfies the same modulus chain"
-            )
-            x, prev = nxt, m
-        if ok:
-            cert = CitedGrowth(tag="pattern-recurrence", facts=tuple(facts))
-            return HasWanderer(witness=fe_to_algnum(K, alpha), certificate=cert)
+        found = _recurrence_witness(K, alpha, step, "pattern-recurrence")
+        if found is not None:
+            return found
     return None
 
 
@@ -1089,11 +1047,10 @@ def _octic_c2cubed_witness(K, autos) -> HasWanderer:
         alpha = fe_rational(K, 1)
         for i in range(3):
             alpha = fe_mul(K, alpha, fe_pow(K, units[i], n[i]))
-        w_an = fe_to_algnum(K, alpha)
-        cert = _torsion_free_power_cert(w_an, 1, 2)
-        if cert is None:
+        found = _orbit_witness(fe_to_algnum(K, alpha), 1)
+        if found is None:
             raise WitnessSearchFailed("powered subfield unit failed M(x) = x^2")
-        return HasWanderer(witness=w_an, certificate=cert)
+        return found
     raise InternalPrecisionExceeded("subfield unit logs did not stabilize")
 
 
@@ -1131,10 +1088,9 @@ def _octic_q8_witness(K, autos) -> HasWanderer:
         patterns.append(ConjugatePattern(order=order, one_position=4, extras=extras))
     for bound in (2, 3, None):
         for _, x in _pattern_units(K, lattice, patterns, bound):
-            w = fe_to_algnum(K, x)
-            cert = _power_identity_cert(w, 3, 1, 4)
-            if cert is not None:
-                return HasWanderer(witness=w, certificate=cert)
+            found = _orbit_witness(fe_to_algnum(K, x), 3)
+            if found is not None:
+                return found
     raise WitnessSearchFailed("no quaternion chain unit verified M^3 = (M^1)^4")
 
 
@@ -1254,22 +1210,19 @@ def _nonic_c3c3_witness(K, autos) -> HasWanderer:
         ivs = [_abs_bounds(nf_embed(K, gamma, pl, prec)) for pl in range(9)]
         best = max(range(9), key=lambda i: ivs[i][0])
         if all(ivs[best][0] > ivs[i][1] for i in range(9) if i != best):
-            w_an = fe_to_algnum(K, gamma, best)
-            cert = _torsion_free_power_cert(w_an, 1, 2)
-            if cert is None:
+            found = _orbit_witness(fe_to_algnum(K, gamma, best), 1)
+            if found is None:
                 raise WitnessSearchFailed("powered Pisot product failed M(x) = x^2")
-            return HasWanderer(witness=w_an, certificate=cert)
+            return found
     raise InternalPrecisionExceeded("dominant conjugate did not separate")
 
 
-def classify_galois_small(
-    p: IntPoly, supplied_autos: Optional[Sequence] = None
-) -> FieldVerdict:
+def classify_galois_small(p: IntPoly) -> FieldVerdict:
     """Verdicts for Galois fields of degree 6, 8, or 9.
 
     Degree 6 first tries the CM criterion, which also covers the non-Galois
-    CM sextics; after that the field must be Galois, with automorphisms
-    either discovered or supplied (always verified exactly before use).
+    CM sextics; after that the field must be Galois, with its exact
+    automorphism group from nf_automorphisms.
     """
     G = _monic_irreducible(p)
     n = G.degree
@@ -1281,9 +1234,9 @@ def classify_galois_small(
             return cm
     K = nf_new(G)
     try:
-        autos = _verified_automorphisms(K, supplied_autos)
+        autos = _verified_automorphisms(K)
     except NotGalois:
-        if n == 6 and supplied_autos is None:
+        if n == 6:
             return Unsupported(
                 reason="degree-6 field is neither CM nor Galois; "
                 "no proven verdict applies"

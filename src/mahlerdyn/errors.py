@@ -52,10 +52,6 @@ class InternalPrecisionExceeded(MahlerdynError):
     """
 
 
-# Name used by the higher layers for the same condition.
-PrecisionExceeded = InternalPrecisionExceeded
-
-
 class ZeroInput(MahlerdynError):
     """The algebraic number 0 was passed where it is not meaningful."""
 

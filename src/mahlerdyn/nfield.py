@@ -23,10 +23,10 @@ from .algnum import (
 )
 from .errors import (
     AutomorphismsUndecided,
+    InternalPrecisionExceeded,
     NotFound,
     NotIrreducible,
     NotMonic,
-    PrecisionExceeded,
     RankDeficient,
 )
 from .factor import _gf_from, _gf_gcd, _gf_pow_mod, _gf_sub, _small_primes, is_irreducible
@@ -278,7 +278,7 @@ def nf_embed(K: NumberField, x: FieldElement, place: int, precision: int) -> Iso
         if val.radius <= target:
             return val
         eps /= Fraction(1 << 64)
-    raise PrecisionExceeded(f"embedding of width 2^-{precision} not reached")
+    raise InternalPrecisionExceeded(f"embedding of width 2^-{precision} not reached")
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +369,7 @@ def nf_automorphisms(K: NumberField) -> list[FieldElement]:
                     if bound == n:
                         _verify_group_closure(K, autos)
                     return autos
-    except PrecisionExceeded as exc:
+    except InternalPrecisionExceeded as exc:
         raise AutomorphismsUndecided(len(found), bound) from exc
     raise AutomorphismsUndecided(len(found), bound)
 

@@ -1,11 +1,12 @@
 """Field-level verdicts: regressions for the CM test, the abelian rule, the
 quartic (C4, S4) and quintic (S5, F5, C5) witnesses, the quintic resolvent
-behind galois_group_small, the sextic and C2^3 octic verdicts, and the
-undecided automorphism count."""
+behind galois_group_small, the sextic and C2^3 octic verdicts, the undecided
+automorphism count, and the two paths around the orbit certificate: the cited
+growth-chain fallback and a precision failure that must surface."""
 
 import pytest
 
-from mahlerdyn import nfield
+from mahlerdyn import mahler, nfield
 from mahlerdyn.algnum import an_compare, an_equal, an_from_rational, an_pow
 from mahlerdyn.classify import (
     AllPreperiodic,
@@ -21,7 +22,7 @@ from mahlerdyn.classify import (
     classify_quintic,
     galois_group_small,
 )
-from mahlerdyn.errors import AutomorphismsUndecided, NotGalois
+from mahlerdyn.errors import AutomorphismsUndecided, InternalPrecisionExceeded, NotGalois
 from mahlerdyn.intpoly import from_text
 from mahlerdyn.mahler import CitedGrowth, PowerIdentity, TorsionFreePower, mahler_measure
 from mahlerdyn.roots import signature
@@ -58,6 +59,16 @@ def _iterate(w, k):
     for _ in range(k):
         w = mahler_measure(w)
     return w
+
+
+def _assert_exact_certificate(v):
+    """v's certificate is an exact identity on the orbit of its witness."""
+    cert, w = v.certificate, v.witness
+    if isinstance(cert, PowerIdentity):
+        assert an_equal(_iterate(w, cert.k), an_pow(_iterate(w, cert.l), cert.n))
+    else:
+        assert isinstance(cert, TorsionFreePower)
+        assert an_equal(_iterate(w, cert.k), an_pow(w, cert.n))
 
 
 def _assert_measure_grows(w, steps=3):
@@ -124,8 +135,8 @@ class TestClassifyQuartic:
         assert w.degree == 4
         assert abs(w.minpoly.coeffs[0]) == 1 and w.minpoly.coeffs[-1] == 1
         assert signature(w.minpoly) == (4, 0)
+        _assert_exact_certificate(v)
         _assert_measure_grows(w)
-
 
     def test_s4_quartic_has_certified_wanderer(self):
         # the S4 branch: a unit whose k-th measure is its n-th power
@@ -133,7 +144,29 @@ class TestClassifyQuartic:
         _assert_wandering_unit(v, 4)
         cert = v.certificate
         assert isinstance(cert, TorsionFreePower) and cert.k >= 1 and cert.n >= 2
-        assert an_equal(_iterate(v.witness, cert.k), an_pow(v.witness, cert.n))
+        _assert_exact_certificate(v)
+
+    def test_growth_chain_is_the_fallback(self, monkeypatch):
+        # with no orbit certificate, the C4 unit rests on the cited theorem
+        # and the exact chain of its first three measures
+        monkeypatch.setattr(mahler, "wandering_certificate", lambda trace: None)
+        v = classify_quartic(C4_REAL)
+        assert isinstance(v, HasWanderer)
+        cert = v.certificate
+        assert isinstance(cert, CitedGrowth)
+        assert cert.tag == "FPZ2020-Thm2-totally-real-quartic-unit-3-orbit"
+        assert cert.facts[-1] == "1 < M^1 < M^2 < M^3 verified exactly"
+
+    def test_precision_failure_is_raised(self, monkeypatch):
+        # a measure that cannot be certified is an error, never a rejected
+        # candidate that ends in WitnessSearchFailed
+        def fail(p):
+            raise InternalPrecisionExceeded("injected")
+
+        monkeypatch.setattr(mahler, "_measure_uncached", fail)
+        monkeypatch.setattr(mahler, "_measure_cache", {})
+        with pytest.raises(InternalPrecisionExceeded, match="injected"):
+            classify_quartic(S4_MIXED)
 
 
 class TestClassifyQuintic:
@@ -142,8 +175,7 @@ class TestClassifyQuintic:
         _assert_wandering_unit(v, 5)
         cert = v.certificate
         assert isinstance(cert, PowerIdentity) and cert.k > cert.l >= 1 and cert.n >= 2
-        w = v.witness
-        assert an_equal(_iterate(w, cert.k), an_pow(_iterate(w, cert.l), cert.n))
+        _assert_exact_certificate(v)
 
     def test_c5_quintic_goes_through_the_cyclic_chain(self):
         v = classify_quintic(C5_QUINTIC)
@@ -155,8 +187,10 @@ class TestClassifyQuintic:
         _assert_measure_grows(v.witness)
 
     def test_s5_quintic_has_certified_wanderer(self):
-        # M(w) has degree 10 and its measure a degree-120 subset resolvent,
-        # past the direct-factor cap: this runs minpoly guessing (fed LLL)
+        # M(w) has degree 10, so M^2 and M^3 come from degree-120 subset
+        # resolvents, past the direct-factor cap, through minpoly guessing
+        # (fed LLL). The orbit certificate M^2 = (M^1)^2 stops the verdict at
+        # M^2; the costly M^3 runs only in this test's own growth check.
         v = classify_quintic(S5_QUINTIC)
         assert isinstance(v, HasWanderer)
         assert v.certificate is not None
@@ -164,6 +198,7 @@ class TestClassifyQuintic:
         # a unit of the quintic field
         assert w.degree == 5
         assert abs(w.minpoly.coeffs[0]) == 1 and w.minpoly.coeffs[-1] == 1
+        _assert_exact_certificate(v)
         _assert_measure_grows(w)
 
 
@@ -198,7 +233,9 @@ class TestGaloisSmall:
         assert isinstance(classify_galois_small(X6P108), AllPreperiodic)
 
     def test_c2cubed_octic_has_certified_wanderer(self):
-        _assert_wandering_unit(classify_galois_small(C2CUBED_OCTIC), 8)
+        v = classify_galois_small(C2CUBED_OCTIC)
+        _assert_wandering_unit(v, 8)
+        _assert_exact_certificate(v)
 
 
 class TestUndecidedAutomorphisms:
