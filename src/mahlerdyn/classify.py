@@ -2,10 +2,14 @@
 
 Verdicts are either AllPreperiodic (every element's measure orbit terminates),
 HasWanderer (a concrete unit plus a machine-checked certificate), or
-Unsupported (no proven statement applies).  Witnesses are found by searching
-unit sublattices for prescribed conjugate-modulus layouts.  Every candidate is
-then certified exactly, so a wrong layout guess can never produce a wrong
-verdict, only a skipped candidate.  There are two certifiers: the orbit engine
+Unsupported (no proven statement applies).  Witnesses are found by one
+search loop (``_first_witness``): over exponent bounds, then over (pattern,
+certify) pairs, it asks ``nf_pattern_search`` for the first unit of the unit
+sublattice with the pattern's conjugate-modulus layout and returns the first
+certificate.  Every layout is checked exactly by one check,
+``nfield._verify_pattern_exact``, and every candidate is then certified
+exactly, so a wrong layout guess can never produce a wrong verdict, only a
+skipped candidate.  There are two certifiers: the orbit engine
 (``_orbit_witness``: an exact PowerIdentity or TorsionFreePower, with a cited
 theorem's growth chain 1 < M^1 < ... < M^k as the fallback), and the product
 recurrence (``_recurrence_witness``: M(x) is the product of the outside
@@ -19,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .algnum import (
     AlgebraicNumber,
@@ -59,6 +63,7 @@ from .nfield import (
     _aut_bound_reason,
     _conjugate_pairs,
     _log_abs,
+    _verify_pattern_exact,
     fe_add,
     fe_inv,
     fe_mul,
@@ -243,7 +248,6 @@ def _pentagon_pairs() -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
 _PENTAGON_PAIRS = _pentagon_pairs()
 
 
-@functools.lru_cache(maxsize=64)
 def _cayley_sextic(h: IntPoly) -> tuple[IntPoly, tuple[IsolatingBox, ...]]:
     """Resolvent sextic of a monic quintic, one root disk per pentagon pair.
 
@@ -286,7 +290,6 @@ def _cayley_sextic(h: IntPoly) -> tuple[IntPoly, tuple[IsolatingBox, ...]]:
     raise InternalPrecisionExceeded("resolvent coefficients did not stabilize")
 
 
-@functools.lru_cache(maxsize=64)
 def _squarefree_quintic_model(G: IntPoly) -> tuple[IntPoly, IntPoly]:
     """A defining quintic of the same field whose resolvent is squarefree.
 
@@ -358,10 +361,6 @@ def galois_group_small(p: IntPoly) -> str:
 # witness verification helpers
 
 
-def _sq_table(K: NumberField, x: FieldElement) -> dict[int, AlgebraicNumber]:
-    return {i: _abs_squared_algnum(K, x, i) for i in range(K.degree)}
-
-
 def _strictly_increasing_above_one(ms: Sequence[AlgebraicNumber]) -> bool:
     if an_compare(ms[0], _ONE) != 1:
         return False
@@ -392,20 +391,30 @@ def _orbit_witness(w, steps, tag=None, facts=()) -> Optional[HasWanderer]:
     return HasWanderer(witness=w, certificate=cert)
 
 
-def _recurrence_witness(K, alpha, step, tag) -> Optional[HasWanderer]:
+def _orbit_at(K, place, steps, tag=None, facts=()):
+    """certify for _first_witness: the orbit witness of x at ``place``."""
+    return lambda x: _orbit_witness(fe_to_algnum(K, x, place), steps, tag, facts)
+
+
+def _recurrence_witness(K, alpha, states, tag) -> Optional[HasWanderer]:
     """alpha with three exact iterations of M(x) = (outside conjugates of x).
 
-    step(x) returns the product of the conjugates of x outside the unit
-    circle, with the fact that pattern stands for, or None when x leaves the
-    pattern.  That product, made positive, must equal M(x) exactly and grow
-    strictly from 1; it is then the next x.
+    states are (pattern, automorphisms, fact) triples. x must match one of
+    the patterns exactly; the first state whose pattern it matches names the
+    automorphisms sending x to its conjugates outside the unit circle, and
+    the fact their product stands for. That product, made positive, must
+    equal M(x) exactly and grow strictly from 1; it is then the next x.
     """
+    patterns = [pattern for pattern, _, _ in states]
     x, prev, facts = alpha, _ONE, []
     for k in range(1, 4):
-        got = step(x)
-        if got is None:
+        i = _verify_pattern_exact(K, x, patterns)
+        if i is None:
             return None
-        prod, fact = got
+        _, autos, fact = states[i]
+        prod = fe_rational(K, 1)
+        for g in autos:
+            prod = fe_mul(K, prod, nf_apply(K, g, x))
         m = mahler_measure(fe_to_algnum(K, x))
         nxt = _positive_at(K, prod, 0)
         if not an_equal(fe_to_algnum(K, nxt), m) or an_compare(m, prev) != 1:
@@ -416,15 +425,22 @@ def _recurrence_witness(K, alpha, step, tag) -> Optional[HasWanderer]:
     return HasWanderer(witness=fe_to_algnum(K, alpha), certificate=cert)
 
 
-def _pattern_units(
-    K, lattice, patterns, exponent_bound=None
-) -> Iterator[tuple[ConjugatePattern, FieldElement]]:
-    """First exact match per pattern, silently skipping empty searches."""
-    for pattern in patterns:
-        try:
-            yield pattern, nf_pattern_search(K, lattice, pattern, exponent_bound)
-        except NotFound:
-            continue
+def _first_witness(K, lattice, candidates, bounds=(None,)):
+    """First non-None certify(x) over the exponent bounds, then over the
+    (pattern, certify) pairs, where x is the first unit of the lattice that
+    nf_pattern_search finds with the pattern's layout. A pattern with no
+    match within the bound is skipped.
+    """
+    for bound in bounds:
+        for pattern, certify in candidates:
+            try:
+                x = nf_pattern_search(K, lattice, pattern, bound)
+            except NotFound:
+                continue
+            found = certify(x)
+            if found is not None:
+                return found
+    return None
 
 
 def _positive_at(K, x: FieldElement, place: int) -> FieldElement:
@@ -551,12 +567,11 @@ def _quartic_square_witness(K, lattice, sig) -> Optional[HasWanderer]:
             ConjugatePattern(order=((a,), (b,), pairs[0]), one_position=2)
             for a, b in (tuple(reals), tuple(reals[::-1]))
         ]
-    for pattern, x in _pattern_units(K, lattice, patterns):
-        top = pattern.order[0][0]
-        found = _orbit_witness(fe_to_algnum(K, _positive_at(K, x, top), top), 2)
-        if found is not None:
-            return found
-    return None
+
+    def certify(top):
+        return lambda x: _orbit_witness(fe_to_algnum(K, _positive_at(K, x, top), top), 2)
+
+    return _first_witness(K, lattice, [(p, certify(p.order[0][0])) for p in patterns])
 
 
 def _quartic_real_chain_witness(K, lattice, tag) -> Optional[HasWanderer]:
@@ -586,15 +601,16 @@ def _quartic_real_chain_witness(K, lattice, tag) -> Optional[HasWanderer]:
         "exactly two conjugates strictly outside the unit circle, "
         "with |top * bottom| != 1",
     )
-    for a, b, c, d in assignments:
-        pattern = ConjugatePattern(
-            order=((a,), (b,), (c, d)), one_position=2, extras=(((a, d), "!="),)
+    candidates = [
+        (
+            ConjugatePattern(
+                order=((a,), (b,), (c, d)), one_position=2, extras=(((a, d), "!="),)
+            ),
+            _orbit_at(K, a, 3, cited, facts),
         )
-        for _, x in _pattern_units(K, lattice, [pattern]):
-            found = _orbit_witness(fe_to_algnum(K, x, a), 3, cited, facts)
-            if found is not None:
-                return found
-    return None
+        for a, b, c, d in assignments
+    ]
+    return _first_witness(K, lattice, candidates)
 
 
 def classify_quartic(p: IntPoly) -> FieldVerdict:
@@ -658,16 +674,14 @@ def _quintic_nonsolvable_witness(K, lattice) -> Optional[HasWanderer]:
         "at least two conjugates strictly outside and two strictly inside "
         "the unit circle, so no associate is Pisot",
     )
-    for pat, x in _pattern_units(K, lattice, [pattern]):
-        w = fe_to_algnum(K, x, pat.order[0][0])
-        found = _orbit_witness(w, 3, "FPZ2020-Thm3-non-pisot-quintic-unit", facts)
-        if found is not None:
-            return found
-    return None
+    tag = "FPZ2020-Thm3-non-pisot-quintic-unit"
+    certify = _orbit_at(K, pattern.order[0][0], 3, tag, facts)
+    return _first_witness(K, lattice, [(pattern, certify)])
 
 
-def _quintic_chain_assignments(K, G) -> list[dict]:
-    """Labelings a, s(a), ..., s4(a) -> embedding indices along the 5-cycle.
+def _quintic_chain_assignments(K, G) -> list[tuple]:
+    """Labelings (a, s(a), s2(a), s3(a), s4(a), paired) -> embedding indices
+    along the 5-cycle.
 
     For signature (1,2) complex conjugation inverts the cycle, pinning
     {s, s4} and {s2, s3} to the two conjugate pairs.  For the totally real
@@ -675,114 +689,87 @@ def _quintic_chain_assignments(K, G) -> list[dict]:
     then rotated and reflected.
     """
     reals, pairs = _place_layout(K)
-    out = []
     if len(reals) == 1:
-        r = reals[0]
-        for outp, inp in (tuple(pairs), tuple(pairs[::-1])):
-            out.append(
-                {
-                    "a": r,
-                    "s": outp[0],
-                    "s4": outp[1],
-                    "s2": inp[0],
-                    "s3": inp[1],
-                    "paired": True,
-                }
-            )
-        return out
+        return [
+            (reals[0], outp[0], inp[0], inp[1], outp[1], True)
+            for outp, inp in (tuple(pairs), tuple(pairs[::-1]))
+        ]
+    out = []
     for cyc in _stable_cycles(G):
         for seq in (cyc, cyc[::-1]):
-            nxt = {seq[i]: seq[(i + 1) % 5] for i in range(5)}
-            prv = {v: k for k, v in nxt.items()}
-            for a in seq:
-                out.append(
-                    {
-                        "a": a,
-                        "s": nxt[a],
-                        "s4": prv[a],
-                        "s2": nxt[nxt[a]],
-                        "s3": prv[prv[a]],
-                        "paired": False,
-                    }
-                )
+            for i in range(5):
+                a, s, s2, s3, s4 = (seq[(i + k) % 5] for k in range(5))
+                out.append((a, s, s2, s3, s4, False))
     return out
 
 
+def _chain_pattern(lab, extras) -> ConjugatePattern:
+    """The 5-cycle layout |x| > |s(x)|, |s4(x)| > 1 > |s2(x)|, |s3(x)|."""
+    a, s, s2, s3, s4, paired = lab
+    if paired:
+        return ConjugatePattern(order=((a,), (s, s4), (s2, s3)), one_position=2, extras=extras)
+    return ConjugatePattern(
+        order=((a,), (s,), (s4,), (s2,), (s3,)), one_position=3, extras=extras
+    )
+
+
 def _quintic_f5_witness(K, lattice, G) -> Optional[HasWanderer]:
-    for lab in _quintic_chain_assignments(K, G):
-        a, s, s2, s3, s4 = lab["a"], lab["s"], lab["s2"], lab["s3"], lab["s4"]
-        if lab["paired"]:
-            pattern = ConjugatePattern(
-                order=((a,), (s, s4), (s2, s3)),
-                one_position=2,
-                extras=(((a, s2), "<"),),
-            )
-        else:
-            pattern = ConjugatePattern(
-                order=((a,), (s,), (s4,), (s2,), (s3,)),
-                one_position=3,
-                extras=(((a, s2), "<"),),
-            )
-        for _, x in _pattern_units(K, lattice, [pattern]):
-            found = _orbit_witness(fe_to_algnum(K, x, a), 2)
-            if found is not None:
-                return found
-    return None
+    candidates = [
+        (_chain_pattern(lab, (((lab[0], lab[2]), "<"),)), _orbit_at(K, lab[0], 2))
+        for lab in _quintic_chain_assignments(K, G)
+    ]
+    return _first_witness(K, lattice, candidates)
 
 
-def _quintic_d5_witness(K, lattice, G) -> Optional[HasWanderer]:
-    """Dihedral witness via the exponent recursion (j, i) -> (j + i, j).
+def _d5_chain_witness(K, lab, x) -> Optional[HasWanderer]:
+    """x with the dihedral exponent recursion (j, i) -> (j + i, j).
 
     Verified facts: with P = s(x) s4(x), the measure of x^j P^i is the next
     chain element of (1,0) -> (1,1) -> (2,1) -> (3,2) up to sign, with
     strictly growing measures.  The comparison |s2(x) s4(x)| < |x s3(x)| is
-    not expressible as a pattern constraint, so it is re-checked exactly.
+    not expressible as a pattern constraint, so it is checked exactly here.
     """
+    a, s, s2, s3, s4, _ = lab
+    sq = {j: _abs_squared_algnum(K, x, j) for j in (a, s2, s3, s4)}
+    if an_compare(an_mul(sq[s2], sq[s4]), an_mul(sq[a], sq[s3])) != -1:
+        return None
+    wa = fe_to_algnum(K, x, a)
+    pair_prod = an_mul(fe_to_algnum(K, x, s), fe_to_algnum(K, x, s4))
+    chain = [
+        an_pow(wa, j) if i == 0 else an_mul(an_pow(wa, j), an_pow(pair_prod, i))
+        for j, i in ((1, 0), (1, 1), (2, 1), (3, 2))
+    ]
+    ms = []
+    for cur, nxt in zip(chain, chain[1:]):
+        m = mahler_measure(cur)
+        if not (an_equal(m, nxt) or an_equal(m, an_neg(nxt))):
+            return None
+        ms.append(m)
+    if not _strictly_increasing_above_one(ms):
+        return None
+    facts = (
+        "unit chain |x| > |s(x)|, |s4(x)| > 1 > |s2(x)|, |s3(x)|",
+        "|s2(x) s4(x)| < |x s3(x)| < 1 verified exactly",
+        "M(x^j P^i) = +-x^(j+i) P^j for P = s(x) s4(x) and "
+        "(j, i) = (1,0), (1,1), (2,1)",
+        _fact_chain(ms),
+    )
+    cert = CitedGrowth(tag="dihedral-quintic-exponent-recursion", facts=facts)
+    return HasWanderer(witness=wa, certificate=cert)
+
+
+def _quintic_d5_witness(K, lattice, G) -> Optional[HasWanderer]:
+    """Dihedral witness: a unit on the 5-cycle layout, by _d5_chain_witness."""
+    candidates = []
     for lab in _quintic_chain_assignments(K, G):
-        a, s, s2, s3, s4 = lab["a"], lab["s"], lab["s2"], lab["s3"], lab["s4"]
-        if lab["paired"]:
-            pattern = ConjugatePattern(
-                order=((a,), (s, s4), (s2, s3)),
-                one_position=2,
-                extras=(((s2, s), "<"), ((a, s2), "<")),
-            )
+        a, s, s2, s3, s4, paired = lab
+        if paired:
+            extras = (((s2, s), "<"), ((a, s2), "<"))
         else:
-            pattern = ConjugatePattern(
-                order=((a,), (s,), (s4,), (s2,), (s3,)),
-                one_position=3,
-                extras=(((s2, s4), "<"), ((a, s3), "<")),
-            )
-        for _, x in _pattern_units(K, lattice, [pattern]):
-            sq = _sq_table(K, x)
-            if an_compare(an_mul(sq[s2], sq[s4]), an_mul(sq[a], sq[s3])) != -1:
-                continue
-            wa = fe_to_algnum(K, x, a)
-            pair_prod = an_mul(fe_to_algnum(K, x, s), fe_to_algnum(K, x, s4))
-
-            def elem(j: int, i: int) -> AlgebraicNumber:
-                v = an_pow(wa, j)
-                return v if i == 0 else an_mul(v, an_pow(pair_prod, i))
-
-            chain = [elem(j, i) for j, i in ((1, 0), (1, 1), (2, 1), (3, 2))]
-            ms, ok = [], True
-            for cur, nxt in zip(chain, chain[1:]):
-                m = mahler_measure(cur)
-                if not (an_equal(m, nxt) or an_equal(m, an_neg(nxt))):
-                    ok = False
-                    break
-                ms.append(m)
-            if not ok or not _strictly_increasing_above_one(ms):
-                continue
-            facts = (
-                "unit chain |x| > |s(x)|, |s4(x)| > 1 > |s2(x)|, |s3(x)|",
-                "|s2(x) s4(x)| < |x s3(x)| < 1 verified exactly",
-                "M(x^j P^i) = +-x^(j+i) P^j for P = s(x) s4(x) and "
-                "(j, i) = (1,0), (1,1), (2,1)",
-                _fact_chain(ms),
-            )
-            cert = CitedGrowth(tag="dihedral-quintic-exponent-recursion", facts=facts)
-            return HasWanderer(witness=wa, certificate=cert)
-    return None
+            extras = (((s2, s4), "<"), ((a, s3), "<"))
+        certify = functools.partial(_d5_chain_witness, K, lab)
+        candidates.append((_chain_pattern(lab, extras), certify))
+    return _first_witness(K, lattice, candidates)
 
 
 def classify_quintic(p: IntPoly) -> FieldVerdict:
@@ -820,32 +807,13 @@ def _shape_powers(n: int) -> dict[str, tuple[int, ...]]:
     return {"A": tuple(a[:n]), "B": tuple(b[:n])}
 
 
-def _cyclic_state(K, x, e, shapes, hi, lo) -> Optional[tuple[str, int]]:
-    """Exact (chain shape, outside count) of x, or None outside the states."""
-    sq = _sq_table(K, x)
-    shape = None
-    for name, powers in shapes.items():
-        chain = [e[k] for k in powers]
-        if all(an_compare(sq[u], sq[v]) == 1 for u, v in zip(chain, chain[1:])):
-            shape = name
-            break
-    if shape is None:
-        return None
-    count = sum(1 for i in sq if an_compare(sq[i], _ONE) == 1)
-    if count not in (hi, lo):
-        return None
-    chain = [e[k] for k in shapes[shape]]
-    if not all(an_compare(sq[chain[t]], _ONE) == 1 for t in range(count)):
-        return None
-    return shape, count
-
-
 def classify_cyclic(p: IntPoly) -> FieldVerdict:
     """Wanderer in a cyclic field of odd degree n >= 5.
 
     Searches the alternating chain with (n+1)/2 conjugates outside, then
     verifies for three exact iterations that the measure is the product of
-    the outside conjugates and lands in one of the four trapped chain states.
+    the outside conjugates and lands in one of the four trapped chain states:
+    shape A or B, with (n+1)/2 or (n-1)/2 conjugates outside.
     """
     G = _monic_irreducible(p)
     n = G.degree
@@ -862,36 +830,28 @@ def classify_cyclic(p: IntPoly) -> FieldVerdict:
     if sigma is None:
         raise NotCyclic("no automorphism of full order")
     lattice = nf_unit_sublattice(K)
-    shapes = _shape_powers(n)
-    hi, lo = (n + 1) // 2, (n - 1) // 2
     pi = nf_embedding_permutation(K, sigma)
     e = [0]
     for _ in range(n - 1):
         e.append(pi[e[-1]])
-    pattern = ConjugatePattern(order=tuple((e[k],) for k in shapes["A"]), one_position=hi)
-    bounds = (1, 2) if n >= 9 else (1, 2, 3)
-
-    def step(x):
-        state = _cyclic_state(K, x, e, shapes, hi, lo)
-        if state is None:
-            return None
-        shape, count = state
-        prod = fe_rational(K, 1)
-        for t in range(count):
-            img = x
-            for _ in range(shapes[shape][t]):
-                img = nf_apply(K, sigma, img)
-            prod = fe_mul(K, prod, img)
-        return prod, (
+    walk = _power_walk(K, sigma, n)
+    states = [
+        (
+            ConjugatePattern(order=tuple((e[k],) for k in powers), one_position=count),
+            [walk[k] for k in powers[:count]],
             f"is the product of the {count} outside conjugates "
-            f"(chain shape {shape}), strictly larger than its predecessor"
+            f"(chain shape {shape}), strictly larger than its predecessor",
         )
-
-    for bound in bounds:
-        for _, alpha in _pattern_units(K, lattice, [pattern], bound):
-            found = _recurrence_witness(K, alpha, step, "distribution-invariant")
-            if found is not None:
-                return found
+        for shape, powers in _shape_powers(n).items()
+        for count in ((n + 1) // 2, (n - 1) // 2)
+    ]
+    certify = functools.partial(
+        _recurrence_witness, K, states=states, tag="distribution-invariant"
+    )
+    bounds = (1, 2) if n >= 9 else (1, 2, 3)
+    found = _first_witness(K, lattice, [(states[0][0], certify)], bounds)
+    if found is not None:
+        return found
     raise WitnessSearchFailed("no unit with the alternating cyclic chain verified")
 
 
@@ -915,43 +875,6 @@ def _group_shape(K, autos) -> str:
     return "Q8" if orders.count(2) == 1 else "D4_8"
 
 
-def _sextic_chain_witness(K, lattice, labeled, chain, bound) -> Optional[HasWanderer]:
-    """Three-conjugate product chain, re-verified on the measure three times.
-
-    labeled maps names to automorphisms; the first three names in chain are
-    the outside conjugates, whose product must equal the measure exactly and
-    must satisfy the same chain again.
-    """
-    e = {name: _embedding_index(K, g) for name, g in labeled.items()}
-    if len(set(e.values())) != 6:
-        return None
-    seq = [e[name] for name in chain]
-    pattern = ConjugatePattern(order=tuple((i,) for i in seq), one_position=3)
-
-    def step(x):
-        sq = _sq_table(K, x)
-        chained = all(an_compare(sq[u], sq[v]) == 1 for u, v in zip(seq, seq[1:]))
-        if (
-            not chained
-            or an_compare(sq[seq[2]], _ONE) != 1
-            or an_compare(_ONE, sq[seq[3]]) != 1
-        ):
-            return None
-        prod = x
-        for name in chain[1:3]:
-            prod = fe_mul(K, prod, nf_apply(K, labeled[name], x))
-        return prod, (
-            "equals the product of the three outside conjugates "
-            "and satisfies the same modulus chain"
-        )
-
-    for _, alpha in _pattern_units(K, lattice, [pattern], bound):
-        found = _recurrence_witness(K, alpha, step, "pattern-recurrence")
-        if found is not None:
-            return found
-    return None
-
-
 def _classify_sextic_galois(K, autos) -> FieldVerdict:
     if K.signature == (0, 3):
         return AllPreperiodic(
@@ -959,33 +882,39 @@ def _classify_sextic_galois(K, autos) -> FieldVerdict:
         )
     shape = _group_shape(K, autos)
     lattice = nf_unit_sublattice(K)
-    ident = fe_theta(K)
+    # each setup lists automorphisms in modulus-chain order; the first three
+    # send x to its outside conjugates, and their product must be M(x)
     setups = []
     if shape == "C6":
         for g in autos:
-            if _auto_order(K, g) != 6:
-                continue
-            walk = _power_walk(K, g, 6)
-            labeled = {f"s{k}": walk[k] for k in range(6)}
-            setups.append((labeled, ("s0", "s5", "s1", "s4", "s2", "s3")))
+            if _auto_order(K, g) == 6:
+                walk = _power_walk(K, g, 6)
+                setups.append([walk[k] for k in (0, 5, 1, 4, 2, 3)])
     else:
+        ident = fe_theta(K)
         threes = [g for g in autos if _auto_order(K, g) == 3]
         twos = [g for g in autos if _auto_order(K, g) == 2]
         for s, t in itertools.product(threes, twos):
-            labeled = {
-                "id": ident,
-                "s": s,
-                "s2": nf_compose(K, s, s),
-                "t": t,
-                "ts": nf_compose(K, t, s),
-                "ts2": nf_compose(K, t, nf_compose(K, s, s)),
-            }
-            setups.append((labeled, ("id", "ts", "ts2", "s", "s2", "t")))
-    for bound in (2, 3, None):
-        for labeled, chain in setups:
-            found = _sextic_chain_witness(K, lattice, labeled, chain, bound)
-            if found is not None:
-                return found
+            s2 = nf_compose(K, s, s)
+            setups.append([ident, nf_compose(K, t, s), nf_compose(K, t, s2), s, s2, t])
+    fact = (
+        "equals the product of the three outside conjugates "
+        "and satisfies the same modulus chain"
+    )
+    candidates = []
+    for seq in setups:
+        e = [_embedding_index(K, g) for g in seq]
+        if len(set(e)) != 6:
+            continue
+        pattern = ConjugatePattern(order=tuple((i,) for i in e), one_position=3)
+        states = [(pattern, seq[:3], fact)]
+        certify = functools.partial(
+            _recurrence_witness, K, states=states, tag="pattern-recurrence"
+        )
+        candidates.append((pattern, certify))
+    found = _first_witness(K, lattice, candidates, (2, 3, None))
+    if found is not None:
+        return found
     raise WitnessSearchFailed(f"no verified chain unit in the {shape} sextic")
 
 
@@ -1086,12 +1015,11 @@ def _octic_q8_witness(K, autos) -> HasWanderer:
             continue
         seen.add((order, extras))
         patterns.append(ConjugatePattern(order=order, one_position=4, extras=extras))
-    for bound in (2, 3, None):
-        for _, x in _pattern_units(K, lattice, patterns, bound):
-            found = _orbit_witness(fe_to_algnum(K, x), 3)
-            if found is not None:
-                return found
-    raise WitnessSearchFailed("no quaternion chain unit verified M^3 = (M^1)^4")
+    candidates = [(p, _orbit_at(K, p.order[0][0], 3)) for p in patterns]
+    found = _first_witness(K, lattice, candidates, (2, 3, None))
+    if found is None:
+        raise WitnessSearchFailed("no quaternion chain unit verified M^3 = (M^1)^4")
+    return found
 
 
 def _octic_cyclic_quartic_subfield(K, autos, shape) -> IntPoly:
@@ -1155,18 +1083,18 @@ def _nonic_c3c3_witness(K, autos) -> HasWanderer:
         members = [nf_element(K, c) for c in H]
         poly, w = _fixed_field_poly(K, members, 3)
         Ksub = nf_new(poly)
-        lat = nf_unit_sublattice(Ksub)
-        found = None
-        for a, b, c in itertools.permutations(range(3)):
-            pattern = ConjugatePattern(order=((a,), (b,), (c,)), one_position=1)
-            for _, x in _pattern_units(Ksub, lat, [pattern]):
-                found = (Ksub, _positive_at(Ksub, x, a), a)
-                break
-            if found:
-                break
+
+        def pisot_at(a):
+            return lambda x: (_positive_at(Ksub, x, a), a)
+
+        candidates = [
+            (ConjugatePattern(order=((a,), (b,), (c,)), one_position=1), pisot_at(a))
+            for a, b, c in itertools.permutations(range(3))
+        ]
+        found = _first_witness(Ksub, nf_unit_sublattice(Ksub), candidates)
         if found is None:
             raise WitnessSearchFailed("no Pisot unit in a cubic subfield")
-        Ksub, x, top = found
+        x, top = found
         pisot.append((Ksub, x, top, _lift_subfield_element(K, x, w)))
     (K1, x1, t1, l1), (K2, x2, t2, l2) = pisot
     choice = None

@@ -62,7 +62,7 @@ def _gf_mul(a, b, m):
 
 
 def _gf_divmod(a, b, m):
-    """divmod in GF(m)[x] (m prime); b nonzero."""
+    """divmod in (Z/m)[x]; lc(b) must be invertible mod m (b monic, or m prime)."""
     a = list(a)
     db, lb = len(b) - 1, b[-1]
     inv = pow(lb, -1, m)
@@ -174,38 +174,6 @@ def _factor_gf(f: list[int], p: int, seed: int) -> list[list[int]]:
 # Hensel lifting (quadratic, two-factor step + multifactor recursion)
 
 
-def _zp_poly(a: list[int], m: int) -> list[int]:
-    return _gf_trim([c % m for c in a])
-
-
-def _zp_divmod_monic(a, b, m):
-    """divmod mod m by monic b (unit leading coefficient not required beyond 1)."""
-    a = [c % m for c in a]
-    db = len(b) - 1
-    if len(a) - 1 < db:
-        return [], _gf_trim(a)
-    q = [0] * (len(a) - db)
-    for i in range(len(a) - 1 - db, -1, -1):
-        t = a[i + db] % m
-        if t:
-            q[i] = t
-            for j in range(db + 1):
-                a[i + j] = (a[i + j] - t * b[j]) % m
-    return _gf_trim(q), _gf_trim(a[:db])
-
-
-def _zp_mul(a, b, m):
-    return _gf_mul(a, b, m)
-
-
-def _zp_sub(a, b, m):
-    return _gf_sub(a, b, m)
-
-
-def _zp_add(a, b, m):
-    return _gf_add(a, b, m)
-
-
 def _gf_xgcd(a, b, m):
     """(g, s, t) with s*a + t*b = g (monic) in GF(m)[x]."""
     r0, r1 = list(a), list(b)
@@ -228,14 +196,14 @@ def _hensel_step(m, F, G, H, S, T):
     F = G*H mod m, S*G + T*H = 1 mod m, H monic; returns (G*, H*, S*, T*).
     """
     m2 = m * m
-    e = _zp_sub(F, _zp_mul(G, H, m2), m2)
-    q, r = _zp_divmod_monic(_zp_mul(S, e, m2), H, m2)
-    G1 = _zp_add(_zp_add(G, _zp_mul(T, e, m2), m2), _zp_mul(q, G, m2), m2)
-    H1 = _zp_add(H, r, m2)
-    b = _zp_sub(_zp_add(_zp_mul(S, G1, m2), _zp_mul(T, H1, m2), m2), [1], m2)
-    c, d = _zp_divmod_monic(_zp_mul(S, b, m2), H1, m2)
-    S1 = _zp_sub(S, d, m2)
-    T1 = _zp_sub(_zp_sub(T, _zp_mul(T, b, m2), m2), _zp_mul(c, G1, m2), m2)
+    e = _gf_sub(F, _gf_mul(G, H, m2), m2)
+    q, r = _gf_divmod(_gf_mul(S, e, m2), H, m2)
+    G1 = _gf_add(_gf_add(G, _gf_mul(T, e, m2), m2), _gf_mul(q, G, m2), m2)
+    H1 = _gf_add(H, r, m2)
+    b = _gf_sub(_gf_add(_gf_mul(S, G1, m2), _gf_mul(T, H1, m2), m2), [1], m2)
+    c, d = _gf_divmod(_gf_mul(S, b, m2), H1, m2)
+    S1 = _gf_sub(S, d, m2)
+    T1 = _gf_sub(_gf_sub(T, _gf_mul(T, b, m2), m2), _gf_mul(c, G1, m2), m2)
     return G1, H1, S1, T1
 
 
@@ -245,10 +213,10 @@ def _hensel_lift_pair(F, G0, H0, p, P):
     m = p
     G, H = list(G0), list(H0)
     while m < P:
-        G, H, S, T = _hensel_step(m, _zp_poly(F, m * m), G, H, S, T)
+        G, H, S, T = _hensel_step(m, _gf_trim([c % (m * m) for c in F]), G, H, S, T)
         m *= m
     assert m == P
-    return _zp_poly(G, P), _zp_poly(H, P)
+    return G, H
 
 
 def _hensel_multifactor(F, factors, p, P):
@@ -341,7 +309,7 @@ def _factor_squarefree_monic(F: IntPoly) -> list[IntPoly]:
         for combo in combinations(range(len(idx)), s):
             prod = [1]
             for ci in combo:
-                prod = _zp_mul(prod, lifted[idx[ci]], pk)
+                prod = _gf_mul(prod, lifted[idx[ci]], pk)
             cand = IntPoly([_symmetric(c, pk) for c in prod])
             if cand.degree >= remaining.degree:
                 continue

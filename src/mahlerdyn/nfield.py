@@ -23,6 +23,7 @@ from .algnum import (
 )
 from .errors import (
     AutomorphismsUndecided,
+    ExactCheckFailed,
     InternalPrecisionExceeded,
     NotFound,
     NotIrreducible,
@@ -471,10 +472,12 @@ def _close_under_composition(K: NumberField, found: dict) -> None:
 
 def _verify_group_closure(K: NumberField, autos: list[FieldElement]) -> None:
     keys = {g.coords for g in autos}
-    assert fe_theta(K).coords in keys, "identity automorphism missing"
+    if fe_theta(K).coords not in keys:
+        raise ExactCheckFailed("identity automorphism missing")
     for g in autos:
         for h in autos:
-            assert nf_compose(K, g, h).coords in keys, "automorphisms not closed"
+            if nf_compose(K, g, h).coords not in keys:
+                raise ExactCheckFailed("automorphisms not closed under composition")
 
 
 # ---------------------------------------------------------------------------
@@ -609,9 +612,11 @@ def _interval_det_excludes_zero(rows) -> bool:
 def nf_unit_sublattice(K: NumberField) -> UnitSublattice:
     """A full-rank sublattice of unit log vectors from Z[theta] coordinates.
 
-    Enumerates integer coordinate vectors by sup-norm rungs, keeps exact
-    norm +-1 elements, discards torsion, and greedily collects generators
-    until the log matrix has certified rank r1+r2-1.
+    Enumerates integer coordinate vectors by sup-norm rungs h = 1, 2, 4, ...
+    up to _H_CAP, each rung only the band prev < sup-norm <= h (_sup_band,
+    so no rung repeats an earlier one), keeps exact norm +-1 elements,
+    discards torsion, and greedily collects generators until the log matrix
+    has certified rank r1+r2-1.
     """
     r1, r2 = K.signature
     rank_target = r1 + r2 - 1
@@ -665,15 +670,31 @@ def _rank_certified_hard(K, gens, rank_target) -> bool:
     return False
 
 
+def _sup_band(n: int, prev: int, h: int):
+    """Integer vectors of length n with prev < sup-norm <= h, in the
+    lexicographic order of itertools.product(range(-h, h + 1), repeat=n).
+
+    Once a coordinate exceeds prev the rest is the whole cube; otherwise the
+    rest must itself lie in the band, so no vector is built only to be
+    skipped. The band of prev = -1, h = 0 is the zero vector alone.
+    """
+    if n == 0:
+        if prev < 0:
+            yield ()
+        return
+    for c in range(-h, h + 1):
+        if abs(c) > prev:
+            rest = itertools.product(range(-h, h + 1), repeat=n - 1)
+        else:
+            rest = _sup_band(n - 1, prev, h)
+        yield from map((c,).__add__, rest)
+
+
 def _coord_rung(K: NumberField, prev: int, h: int):
     """Integer coordinate vectors with prev < sup-norm <= h, unit norm only."""
-    n = K.degree
     refined = [refine(b, K.defining, Fraction(1, 1 << 64)) for b in K.embeddings]
     approx = [complex(float(b.center[0]), float(b.center[1])) for b in refined]
-    for coords in itertools.product(range(-h, h + 1), repeat=n):
-        m = max(abs(c) for c in coords)
-        if m <= prev or m > h:
-            continue
+    for coords in _sup_band(K.degree, prev, h):
         if all(c == 0 for c in coords[1:]):
             continue  # rational: unit only when torsion
         # cheap non-certified filter; false negatives only cost completeness
@@ -726,13 +747,6 @@ def _abs_squared_algnum(K: NumberField, x: FieldElement, place: int) -> Algebrai
 # pattern search
 
 
-def _pattern_indices(pattern: ConjugatePattern) -> list[int]:
-    out = []
-    for level in pattern.order:
-        out.extend(level)
-    return out
-
-
 def _validate_pattern(K: NumberField, pattern: ConjugatePattern) -> None:
     seen = set()
     for level in pattern.order:
@@ -778,35 +792,38 @@ def _screen_candidate(logs, pattern: ConjugatePattern) -> bool:
     return True
 
 
-def _verify_pattern_exact(K: NumberField, u: FieldElement, pattern: ConjugatePattern) -> bool:
-    """Exact re-verification of every constraint on the constructed unit."""
+def _verify_pattern_exact(
+    K: NumberField, u: FieldElement, patterns: Sequence[ConjugatePattern]
+) -> Optional[int]:
+    """Index of the first pattern whose every constraint holds exactly on u,
+    or None. Each |sigma_j(u)|^2 is computed at most once, when first needed."""
     one = an_from_rational(1)
-    needed = set(_pattern_indices(pattern))
-    for indices, _ in pattern.extras:
-        needed.update(indices)
-    sq = {j: _abs_squared_algnum(K, u, j) for j in needed}
-    for t in range(len(pattern.order) - 1):
-        for a in pattern.order[t]:
-            for b in pattern.order[t + 1]:
-                if an_compare(sq[a], sq[b]) <= 0:
-                    return False
-    for t, level in enumerate(pattern.order):
-        want = 1 if t < pattern.one_position else -1
-        for j in level:
-            if an_compare(sq[j], one) != want:
+    sq: dict[int, AlgebraicNumber] = {}
+
+    def at(j: int) -> AlgebraicNumber:
+        if j not in sq:
+            sq[j] = _abs_squared_algnum(K, u, j)
+        return sq[j]
+
+    def holds(pattern: ConjugatePattern) -> bool:
+        levels = pattern.order
+        for upper, lower in zip(levels, levels[1:]):
+            if any(an_compare(at(a), at(b)) <= 0 for a in upper for b in lower):
                 return False
-    for indices, rel in pattern.extras:
-        prod = an_from_rational(1)
-        for j in indices:
-            prod = an_mul(prod, sq[j])
-        cmp = an_compare(prod, one)
-        if rel == "<" and cmp != -1:
-            return False
-        if rel == ">" and cmp != 1:
-            return False
-        if rel == "!=" and cmp == 0:
-            return False
-    return True
+        for t, level in enumerate(levels):
+            want = 1 if t < pattern.one_position else -1
+            if any(an_compare(at(j), one) != want for j in level):
+                return False
+        for indices, rel in pattern.extras:
+            prod = one
+            for j in indices:
+                prod = an_mul(prod, at(j))
+            cmp = an_compare(prod, one)
+            if (rel == "<" and cmp != -1) or (rel == ">" and cmp != 1) or cmp == 0:
+                return False
+        return True
+
+    return next((i for i, pattern in enumerate(patterns) if holds(pattern)), None)
 
 
 def nf_pattern_search(
@@ -817,9 +834,11 @@ def nf_pattern_search(
 ) -> FieldElement:
     """First unit (in sup-norm-then-lex exponent order) matching the pattern.
 
-    Candidates are screened with certified interval log vectors; a screened
-    hit is constructed exactly and every constraint is re-verified on the
-    exact element before it is returned.
+    Exponent vectors come shell by shell from _sup_band, up to
+    exponent_bound (default _E_CAP). Candidates are screened with certified
+    interval log vectors; a screened hit is constructed exactly and must
+    pass _verify_pattern_exact, the one exact layout check, before it is
+    returned. NotFound when no vector within the bound passes.
     """
     _validate_pattern(K, pattern)
     cap = exponent_bound if exponent_bound is not None else _E_CAP
@@ -827,14 +846,10 @@ def nf_pattern_search(
     r = len(gens)
     prec = 96
     table = _embedding_log_table(K, gens, prec)
-    needed = set(_pattern_indices(pattern))
-    for indices, _ in pattern.extras:
-        needed.update(indices)
-    shell = 0
-    while shell <= cap:
-        for evec in itertools.product(range(-shell, shell + 1), repeat=r):
-            if max((abs(e) for e in evec), default=0) != shell:
-                continue
+    needed = {j for level in pattern.order for j in level}
+    needed.update(j for indices, _ in pattern.extras for j in indices)
+    for shell in range(cap + 1):
+        for evec in _sup_band(r, shell - 1, shell):
             logs = {}
             for j in needed:
                 acc = (_ZERO, _ZERO)
@@ -848,7 +863,6 @@ def nf_pattern_search(
             for i in range(r):
                 if evec[i]:
                     u = fe_mul(K, u, fe_pow(K, gens[i], evec[i]))
-            if _verify_pattern_exact(K, u, pattern):
+            if _verify_pattern_exact(K, u, [pattern]) is not None:
                 return u
-        shell += 1
     raise NotFound(f"no unit matched the pattern within exponent bound {cap}")

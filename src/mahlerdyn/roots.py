@@ -564,7 +564,8 @@ def _factor_statuses(q: IntPoly) -> list[str]:
                 status = _circle_status(b)
             out.append(status)
         return out
-    assert kind == "Plus", "an irreducible Minus-reciprocal polynomial is x-1"
+    if kind != "Plus":
+        raise ExactCheckFailed("an irreducible Minus-reciprocal polynomial is x-1")
     t = trace_poly(q)
     on_count = 2 * sturm_real_roots(t, Fraction(-2), Fraction(2))
     expect_off = (q.degree - on_count) // 2
@@ -602,9 +603,11 @@ def circle_partition(p: IntPoly) -> CirclePartition:
         qboxes = list(isolate_roots(q))
         for qb, status in zip(qboxes, statuses):
             idx = _pin(_refinements(qb, q), p, pboxes)
-            assert labels[idx] is None
+            if labels[idx] is not None:
+                raise ExactCheckFailed("two factor roots pinned to one root of p")
             labels[idx] = status
-    assert None not in labels
+    if None in labels:
+        raise ExactCheckFailed("a root of p got no factor root")
     return CirclePartition(
         outside=tuple(i for i, s in enumerate(labels) if s == "out"),
         on=tuple(i for i, s in enumerate(labels) if s == "on"),

@@ -1,5 +1,5 @@
 """Field-level verdicts: regressions for the CM test, the abelian rule, the
-quartic (C4, S4) and quintic (S5, F5, C5) witnesses, the quintic resolvent
+quartic (C4, S4) and quintic (S5, F5, C5, D5) witnesses, the quintic resolvent
 behind galois_group_small, the sextic and C2^3 octic verdicts, the undecided
 automorphism count, and the two paths around the orbit certificate: the cited
 growth-chain fallback and a precision failure that must surface."""
@@ -39,6 +39,8 @@ F5_QUINTIC = P("-2,0,0,0,0,1")  # x^5 - 2
 D5_QUINTIC = P("12,-5,0,0,0,1")  # x^5 - 5x + 12
 C5_QUINTIC = P("1,3,-3,-4,1,1")  # x^5 + x^4 - 4x^3 - 3x^2 + 3x + 1
 A5_QUINTIC = P("16,20,0,0,0,1")  # x^5 + 20x + 16
+D5_COMPLEX = P("1,0,-1,2,-2,1")  # x^5 - 2x^4 + 2x^3 - x^2 + 1, signature (1, 2)
+D5_REAL = P("-1,3,4,-5,-1,1")  # x^5 - x^4 - 5x^3 + 4x^2 + 3x - 1, totally real
 
 C6_SEXTIC = P("-1,3,6,-4,-5,1,1")  # x^6 + x^5 - 5x^4 - 4x^3 + 6x^2 + 3x - 1
 X6P108 = P("108,0,0,0,0,0,1")  # x^6 + 108, Galois with group S3
@@ -186,6 +188,19 @@ class TestClassifyQuintic:
         assert len(cert.facts) == 3
         _assert_measure_grows(v.witness)
 
+    @pytest.mark.parametrize("p", [D5_COMPLEX, D5_REAL], ids=["complex", "real"])
+    def test_d5_quintic_goes_through_the_exponent_recursion(self, p):
+        # conjugate pairs label the 5-cycle in one field, the stable
+        # pentagon of the resolvent in the other
+        assert galois_group_small(p) == "D5"
+        v = classify_quintic(p)
+        _assert_wandering_unit(v, 5)
+        cert = v.certificate
+        assert isinstance(cert, CitedGrowth)
+        assert cert.tag == "dihedral-quintic-exponent-recursion"
+        assert cert.facts[-1] == "1 < M^1 < M^2 < M^3 verified exactly"
+        _assert_measure_grows(v.witness)
+
     def test_s5_quintic_has_certified_wanderer(self):
         # M(w) has degree 10, so M^2 and M^3 come from degree-120 subset
         # resolvents, past the direct-factor cap, through minpoly guessing
@@ -226,7 +241,12 @@ class TestQuinticResolvent:
 
 class TestGaloisSmall:
     def test_cyclic_sextic_has_certified_wanderer(self):
-        _assert_wandering_unit(classify_galois_small(C6_SEXTIC), 6)
+        v = classify_galois_small(C6_SEXTIC)
+        _assert_wandering_unit(v, 6)
+        cert = v.certificate
+        assert isinstance(cert, CitedGrowth) and cert.tag == "pattern-recurrence"
+        # one verified fact per exact iteration of the product recurrence
+        assert len(cert.facts) == 3
 
     def test_x6_plus_108_is_all_preperiodic(self):
         # totally imaginary Galois sextic

@@ -548,8 +548,9 @@ class TestRelationPathFailure:
 
 
 class TestExactChecksUnderOptimize:
-    """python -O strips asserts; the exact checks on the measure path are
-    raised errors, so an injected fault still stops the computation."""
+    """python -O strips asserts; the exact checks on the measure path and in
+    automorphism discovery are raised errors, so an injected fault still
+    stops the computation."""
 
     FAULTS = {
         # Newton's identities on power sums that no monic integer
@@ -567,12 +568,27 @@ class TestExactChecksUnderOptimize:
             "factor._factor_primitive_squarefree = lambda f: [f, f]\n"
             "factor.factor_z(from_text('-2,0,1'))\n"
         ),
+        # every root of (x^2-2)(x^2-3) pinned to the first root box
+        "pinned_twice": (
+            "roots._pin = lambda *args: 0\n"
+            "roots.circle_partition(from_text('6,0,-5,0,1'))\n"
+        ),
+        # an irreducible plus-reciprocal factor read as minus-reciprocal
+        "minus_reciprocal": (
+            "roots.reciprocal_test = lambda q: 'Minus'\n"
+            "roots.circle_partition(from_text('1,-3,1'))\n"
+        ),
+        # an automorphism set without the identity
+        "group_without_identity": (
+            "K = nfield.nf_new(from_text('-2,0,1'))\n"
+            "nfield._verify_group_closure(K, [nfield.fe_neg(K, nfield.fe_theta(K))])\n"
+        ),
     }
 
     @pytest.mark.parametrize("fault", sorted(FAULTS))
     def test_injected_fault_raises_under_optimize(self, fault):
         code = (
-            "from mahlerdyn import factor, mahler\n"
+            "from mahlerdyn import factor, mahler, nfield, roots\n"
             "from mahlerdyn.algnum import an_from_poly_root\n"
             "from mahlerdyn.errors import ExactCheckFailed\n"
             "from mahlerdyn.intpoly import from_text\n"

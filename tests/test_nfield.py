@@ -1,5 +1,6 @@
 """Number field arithmetic, automorphisms, units, and pattern search."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -468,7 +469,57 @@ class TestUnitSublattice:
         assert out.stdout.strip() == "raised"
 
 
+class TestSupBand:
+    """_sup_band walks the vectors with prev < sup-norm <= h in the order of
+    the filtered itertools.product it replaces."""
+
+    @staticmethod
+    def _filtered(n, prev, h):
+        return [
+            v
+            for v in itertools.product(range(-h, h + 1), repeat=n)
+            if prev < max((abs(c) for c in v), default=0) <= h
+        ]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_filtered_product(self, n):
+        for h in range(4):
+            for prev in range(-1, h):
+                assert list(nfield._sup_band(n, prev, h)) == self._filtered(n, prev, h)
+
+    def test_shell_zero_is_the_zero_vector(self):
+        for n in range(5):
+            assert list(nfield._sup_band(n, -1, 0)) == [(0,) * n]
+
+    def test_doubling_rungs_cover_the_cube_once(self):
+        rungs = [(0, 1), (1, 2), (2, 4)]
+        walked = [v for prev, h in rungs for v in nfield._sup_band(3, prev, h)]
+        assert len(walked) == len(set(walked)) == 9**3 - 1
+
+
 class TestPatternSearch:
+    def test_layout_check_picks_the_first_match_lazily(self, monkeypatch):
+        K = nf_new(SQRT2_POLY)
+        u = nf_element(K, [1, 1])  # 1 + sqrt 2: |u| > 1 at place 1 only
+        calls = []
+        exact = nfield._abs_squared_algnum
+
+        def counted(K, x, j):
+            calls.append(j)
+            return exact(K, x, j)
+
+        monkeypatch.setattr(nfield, "_abs_squared_algnum", counted)
+        patterns = [
+            ConjugatePattern(order=((0,), (1,)), one_position=1),
+            ConjugatePattern(order=((0, 1),), one_position=1),
+            ConjugatePattern(order=((1,), (0,)), one_position=1),
+        ]
+        assert nfield._verify_pattern_exact(K, u, patterns) == 2
+        assert sorted(calls) == [0, 1]
+        calls.clear()
+        assert nfield._verify_pattern_exact(K, u, patterns[:2]) is None
+        assert sorted(calls) == [0, 1]
+
     def test_real_quadratic_pisot_unit(self):
         K = nf_new(SQRT2_POLY)
         lat = nf_unit_sublattice(K)
