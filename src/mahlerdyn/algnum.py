@@ -3,7 +3,9 @@ root box, with multiplicative arithmetic and Perron/Pisot/Salem
 classification.
 
 Every constructor funnels through factor selection against canonical root
-boxes, so two equal values always carry identical (minpoly, box) pairs.
+boxes, so two equal values always carry identical (minpoly, box) pairs. A
+number built by hand with a refined box is still named exactly by root_index,
+the index of its canonical box, and equality compares minpolys and indices.
 """
 
 from __future__ import annotations
@@ -203,24 +205,12 @@ def an_pow(a: AlgebraicNumber, n: int) -> AlgebraicNumber:
 
 
 def an_equal(a: AlgebraicNumber, b: AlgebraicNumber) -> bool:
-    if a.minpoly != b.minpoly:
-        return False
-    if a.box == b.box:
-        return True
-    # Mahler's root separation: sep^2 > 3 n^-(n+2) ||f||_2^-2(n-1)
-    f = a.minpoly
-    n = f.degree
-    if n == 1:
-        return True
-    norm_sq = sum(c * c for c in f.coeffs)
-    sep_sq = Fraction(3, n ** (n + 2) * norm_sq ** (n - 1))
-    # dyadic eps with eps <= sep/4
-    need = Fraction(16) / sep_sq  # (4/sep)^2
-    bits = (need.numerator // need.denominator + 1).bit_length() // 2 + 2
-    eps = Fraction(1, 1 << bits)
-    ra = refine(a.box, f, eps)
-    rb = refine(b.box, f, eps)
-    return not _disjoint(ra, rb)
+    """Whether a and b are the same number.
+
+    Equal numbers have one minpoly, and a root of it is named by its index
+    among the canonical boxes: root_index pins a refined box to that index
+    exactly, so no separation bound is needed."""
+    return a.minpoly == b.minpoly and (a.box == b.box or root_index(a) == root_index(b))
 
 
 def an_sign(a: AlgebraicNumber) -> int:

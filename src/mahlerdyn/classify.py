@@ -36,6 +36,7 @@ from .algnum import (
     an_sign,
 )
 from .errors import (
+    ExactCheckFailed,
     InternalPrecisionExceeded,
     NotCyclic,
     NotFound,
@@ -180,7 +181,8 @@ def _monic_irreducible(p: IntPoly) -> IntPoly:
 def _depressed_quartic(G: IntPoly) -> IntPoly:
     # roots are 4*theta + a3, which kills the cubic term and stays integral
     dep = transform_resolvent(G, IntPoly((G[3], 4)))
-    assert dep.degree == 4 and dep[4] == 1 and dep[3] == 0
+    if dep.degree != 4 or dep[4] != 1 or dep[3] != 0:
+        raise ExactCheckFailed("depressed quartic is not monic without a cubic term")
     return dep
 
 
@@ -213,7 +215,8 @@ def _galois_quartic(G: IntPoly) -> str:
     if not rational:
         return "A4" if _is_square(discriminant(G)) else "S4"
     D = discriminant(dep)
-    assert D.denominator == 1
+    if D.denominator != 1:
+        raise ExactCheckFailed("discriminant of a monic quartic is not an integer")
     return "C4" if _quartic_splits_over_disc_field(P, Q, R, int(D)) else "D4"
 
 
@@ -241,7 +244,8 @@ def _pentagon_pairs() -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
         if key not in seen:
             seen.add(key)
             pairs.append((p, canon))
-    assert len(pairs) == 6
+    if len(pairs) != 6:
+        raise ExactCheckFailed("pentagons do not form 6 complementary pairs")
     return tuple(pairs)
 
 
@@ -257,7 +261,8 @@ def _cayley_sextic(h: IntPoly) -> tuple[IntPoly, tuple[IsolatingBox, ...]]:
     (y - delta) has integer coefficients; they are recovered by shrinking the
     root boxes until every coefficient traps a unique integer.
     """
-    assert h.degree == 5 and h[5] == 1
+    if h.degree != 5 or h[5] != 1:
+        raise ExactCheckFailed("the Cayley sextic needs a monic quintic")
     boxes = isolate_roots(h)
     zero = IsolatingBox((Fraction(0), Fraction(0)), Fraction(0))
     one = IsolatingBox((Fraction(1), Fraction(0)), Fraction(0))
@@ -1193,8 +1198,7 @@ def classify_cm(p: IntPoly) -> Optional[FieldVerdict]:
     K = nf_new(G)
     if K.signature[0] != 0:
         return None
-    pairs = _conjugate_pairs(K)
-    mirror = tuple(pairs[i] for i in range(n))
+    mirror = tuple(_conjugate_pairs(K))
     ident = fe_theta(K)
     conj = None
     for g in nf_automorphisms(K):

@@ -18,10 +18,6 @@ class NotSquarefree(MahlerdynError):
     """Input polynomial has a repeated root where a squarefree one is required."""
 
 
-class EndpointRoot(MahlerdynError):
-    """A Sturm count was requested on an interval whose endpoint is a root."""
-
-
 class NotReciprocal(MahlerdynError):
     """trace_poly requires a plus-reciprocal polynomial."""
 

@@ -215,14 +215,16 @@ def _hensel_lift_pair(F, G0, H0, p, P):
     while m < P:
         G, H, S, T = _hensel_step(m, _gf_trim([c % (m * m) for c in F]), G, H, S, T)
         m *= m
-    assert m == P
+    if m != P:
+        raise ExactCheckFailed("Hensel lifting overshot its modulus")
     return G, H
 
 
 def _hensel_multifactor(F, factors, p, P):
     """Lift monic squarefree F = prod(factors) (mod p) to mod P; F given mod P."""
     if len(factors) == 1:
-        assert F and F[-1] == 1
+        if not F or F[-1] != 1:
+            raise ExactCheckFailed("a lifted factor is not monic")
         return [F]
     half = len(factors) // 2
     L, R = factors[:half], factors[half:]
@@ -343,7 +345,8 @@ def _yun_squarefree(f: IntPoly) -> list[tuple[IntPoly, int]]:
         return [(f, 1)]
     c = div_z(f, g)
     w = div_z(fp, g)
-    assert c is not None and w is not None
+    if c is None or w is None:
+        raise ExactCheckFailed("gcd(f, f') does not divide f and f'")
     out = []
     i = 1
     while c.degree > 0:
@@ -353,7 +356,8 @@ def _yun_squarefree(f: IntPoly) -> list[tuple[IntPoly, int]]:
             out.append((a, i))
             c = div_z(c, a)
             w = div_z(y, a)
-            assert c is not None and w is not None
+            if c is None or w is None:
+                raise ExactCheckFailed("a Yun gcd does not divide its arguments")
         else:
             w = y
         i += 1

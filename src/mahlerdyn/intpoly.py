@@ -2,8 +2,8 @@
 
 Dense representation, constant term first. All decision procedures here are
 exact: integer subresultant PRS for resultants (norms, discriminants) and
-gcds, Sturm sequences over exact rationals for real-root counts, and
-integer-only reciprocal/trace transforms for unit-circle work. Every
+gcds, and integer-only reciprocal/trace transforms for unit-circle work. Real
+roots are counted from the certified isolation in roots, not here. Every
 resolvent (power map, product, ratio, transform, and the subset product
 behind the Mahler measure) is built one way: the power sums of the input
 roots are mapped to those of the resolvent roots, and Newton's identities,
@@ -20,16 +20,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
-    EndpointRoot,
     ExactCheckFailed,
     InvalidPoly,
     NotMonic,
     NotReciprocal,
-    NotSquarefree,
     OddDegree,
     RankDeficient,
     ZeroPolynomial,
@@ -159,9 +156,6 @@ class IntPoly:
     def __repr__(self) -> str:
         return f"IntPoly({to_text(self)!r})"
 
-    def __str__(self) -> str:
-        return pretty(self)
-
 
 X = IntPoly((0, 1))
 ONE = IntPoly((1,))
@@ -190,30 +184,6 @@ def to_text(p: IntPoly) -> str:
     if p.is_zero:
         return "0"
     return ",".join(str(c) for c in p.coeffs)
-
-
-def pretty(p: IntPoly) -> str:
-    """Human-readable form, highest degree first."""
-    if p.is_zero:
-        return "0"
-    terms = []
-    for i in range(p.degree, -1, -1):
-        c = p[i]
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        if i == 0:
-            body = str(mag)
-        else:
-            var = "x" if i == 1 else f"x^{i}"
-            body = var if mag == 1 else f"{mag}*{var}"
-        terms.append((sign, body))
-    s0, b0 = terms[0]
-    out = ("-" if s0 == "-" else "") + b0
-    for s, b in terms[1:]:
-        out += f" {s} {b}"
-    return out
 
 
 # -- division -----------------------------------------------------------------
@@ -270,7 +240,8 @@ def prem(a: IntPoly, b: IntPoly) -> IntPoly:
         if c == 0:
             continue
         t, r = divmod(c, d)
-        assert r == 0
+        if r:
+            raise ExactCheckFailed("pseudo-remainder step is not an exact division")
         rem[i + db] = 0
         for j in range(db):
             rem[i + j] -= t * bc[j]
@@ -319,7 +290,8 @@ def _resultant_prs(p: IntPoly, q: IntPoly) -> int:
         if delta > 0:
             num = g ** delta
             qh, rh = divmod(num, h ** (delta - 1))
-            assert rh == 0
+            if rh:
+                raise ExactCheckFailed("subresultant h is not an integer")
             h = qh
         if b.degree <= 0:
             break
@@ -327,7 +299,8 @@ def _resultant_prs(p: IntPoly, q: IntPoly) -> int:
     da = a.degree
     num = b.lc ** da
     qh, rh = divmod(num, h ** (da - 1)) if da >= 1 else (num, 0)
-    assert rh == 0
+    if rh:
+        raise ExactCheckFailed("resultant is not an integer")
     return sign * t * qh
 
 
@@ -380,86 +353,13 @@ def squarefree_part(p: IntPoly) -> IntPoly:
         return canonicalize(p)
     # Gauss: the primitive gcd divides the primitive part exactly over Z.
     q = div_z(canonicalize(p), g)
-    assert q is not None
+    if q is None:
+        raise ExactCheckFailed("gcd(p, p') does not divide p")
     return canonicalize(q)
 
 
 def is_squarefree(p: IntPoly) -> bool:
     return not p.is_zero and (p.degree <= 0 or gcd_z(p, p.derivative()).degree == 0)
-
-
-# -- Sturm sequences ----------------------------------------------------------
-
-
-@lru_cache(maxsize=512)
-def _sturm_chain(coeffs: tuple[int, ...]) -> tuple[IntPoly, ...]:
-    """Sturm chain of a squarefree polynomial, each member primitive over Z.
-
-    Scaling by positive rationals preserves sign variation counts, so each
-    remainder is renormalized to a primitive integer polynomial.
-    """
-    p = IntPoly(coeffs)
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero and chain[-1].degree > 0:
-        a, b = chain[-2], chain[-1]
-        r = prem(a, b)
-        # prem multiplies a by lc(b)^(delta+1); if that factor is negative and
-        # was applied an odd number of times the sign flips, which breaks the
-        # Sturm sign convention.  Renormalize: the true remainder is
-        # r / lc(b)^(delta+1), a positive-multiple-of it suffices.
-        scale = b.lc ** (a.degree - b.degree + 1)
-        if scale < 0:
-            r = -r
-        chain.append(-_pp_signed(r) if not r.is_zero else r)
-    if chain[-1].is_zero:
-        chain.pop()
-    return tuple(chain)
-
-
-def _sign_at(p: IntPoly, x: Optional[Fraction], at_neg_inf: bool = False) -> int:
-    if x is None:
-        s = 1 if p.lc > 0 else -1 if p.lc < 0 else 0
-        if at_neg_inf and p.degree % 2 == 1:
-            s = -s
-        return s
-    v = p(x)
-    return (v > 0) - (v < 0)
-
-
-def _variations(chain: Sequence[IntPoly], x: Optional[Fraction], at_neg_inf: bool = False) -> int:
-    signs = [s for s in (_sign_at(q, x, at_neg_inf) for q in chain) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def sturm_real_roots(
-    p: IntPoly,
-    a: Optional[Fraction] = None,
-    b: Optional[Fraction] = None,
-) -> int:
-    """Exact count of real roots of squarefree p in the open interval (a, b).
-
-    ``None`` endpoints mean -oo / +oo respectively.
-    """
-    if p.is_zero:
-        raise ZeroPolynomial("sturm_real_roots of zero polynomial")
-    if p.degree <= 0:
-        return 0
-    if not is_squarefree(p):
-        raise NotSquarefree("sturm_real_roots requires a squarefree polynomial")
-    if a is not None and b is not None and not a < b:
-        raise ValueError("need a < b")
-    if a is not None and p(Fraction(a)) == 0:
-        raise EndpointRoot(f"polynomial vanishes at left endpoint {a}")
-    if b is not None and p(Fraction(b)) == 0:
-        raise EndpointRoot(f"polynomial vanishes at right endpoint {b}")
-    chain = _sturm_chain(p.coeffs)
-    va = _variations(chain, None if a is None else Fraction(a), at_neg_inf=a is None)
-    vb = _variations(chain, None if b is None else Fraction(b))
-    return va - vb
-
-
-def count_real_roots(p: IntPoly) -> int:
-    return sturm_real_roots(p, None, None)
 
 
 # -- reciprocal / trace machinery ----------------------------------------------

@@ -20,6 +20,7 @@ from .algnum import (
     an_from_rational,
     an_mul,
     an_pow,
+    root_index,
 )
 from .errors import (
     AutomorphismsUndecided,
@@ -43,9 +44,9 @@ from .roots import (
     IsolatingBox,
     _abs_bounds,
     _box_horner,
+    _conjugates,
     _frac_from_mp,
     _pin,
-    _refinements,
     isolate_roots,
     refine,
     signature,
@@ -286,19 +287,9 @@ def nf_embed(K: NumberField, x: FieldElement, place: int, precision: int) -> Iso
 # conjugate pairing of embeddings
 
 
-def _mirrors(box: IsolatingBox, p: IntPoly):
-    """The complex conjugates of box and of its refinements for p."""
-    for b in _refinements(box, p):
-        yield IsolatingBox((b.center[0], -b.center[1]), b.radius)
-
-
-def _conjugate_pairs(K: NumberField) -> dict[int, int]:
-    """Map each embedding index to the index of its complex conjugate."""
-    boxes = list(K.embeddings)
-    return {
-        i: i if b.center[1] == 0 else _pin(_mirrors(b, K.defining), K.defining, boxes)
-        for i, b in enumerate(K.embeddings)
-    }
+def _conjugate_pairs(K: NumberField) -> list[int]:
+    """The index of each embedding's complex conjugate (see roots._conjugates)."""
+    return _conjugates(K.embeddings)
 
 
 def _places(K: NumberField) -> tuple[tuple[int, int], ...]:
@@ -486,7 +477,8 @@ def _verify_group_closure(K: NumberField, autos: list[FieldElement]) -> None:
 
 def _log_interval(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
     """Certified enclosure of [log lo, log hi] for 0 < lo <= hi."""
-    assert lo > 0
+    if lo <= 0:
+        raise ExactCheckFailed("log of a modulus interval that reaches 0")
     with mp.workprec(120):
         llo = _frac_from_mp(mp.log(mp.mpf(lo.numerator) / mp.mpf(lo.denominator)))
         lhi = _frac_from_mp(mp.log(mp.mpf(hi.numerator) / mp.mpf(hi.denominator)))
@@ -551,7 +543,8 @@ def _iv_sub(a, b):
 
 
 def _iv_div(a, b):
-    assert b[0] > 0 or b[1] < 0, "interval division by interval containing 0"
+    if not (b[0] > 0 or b[1] < 0):
+        raise ExactCheckFailed("interval division by an interval containing 0")
     vals = (a[0] / b[0], a[0] / b[1], a[1] / b[0], a[1] / b[1])
     return (min(vals), max(vals))
 
@@ -738,8 +731,7 @@ def _abs_squared_algnum(K: NumberField, x: FieldElement, place: int) -> Algebrai
         # real embedding: z^2 via the power map, degree n instead of n^2
         return an_pow(z, 2)
     boxes = isolate_roots(z.minpoly)
-    # _pin refines the boxes of a copy; the conjugate keeps its canonical box
-    conj = _pin(_mirrors(z.box, z.minpoly), z.minpoly, list(boxes))
+    conj = _conjugates(boxes)[root_index(z)]
     return an_mul(z, AlgebraicNumber(z.minpoly, boxes[conj]))
 
 

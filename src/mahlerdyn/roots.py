@@ -40,10 +40,18 @@ Every caller that names a conjugate (a factor's root among p's, a product
 among its resolvent's, an automorphism's image, a complex conjugate) goes
 through it.
 
-Unit-circle membership is never decided by refinement alone: a root can lie
-on the circle only if its irreducible factor is reciprocal, and then the
-on-circle count is obtained exactly from a Sturm count of the trace
-polynomial on (-2, 2).
+The canonical boxes are also the certificate of every exact fact about roots
+that the package uses. A real root has a real-centred box, so signature
+counts those. A nonreal box's conjugate is its exact mirror image, because
+_certify builds it that way, so _conjugates finds it by lookup. A root is
+named by the index of its box, so two numbers are equal when their minpolys
+agree and root_index (a _pin) gives one index. Unit-circle membership is
+never decided by refinement alone: a root can lie on the circle only if its
+irreducible factor q is reciprocal, and then the roots on the circle are the
+preimages of the real roots of trace_poly(q) in (-2, 2). Those are counted
+by refining each real box of the trace polynomial until it lies strictly
+inside or strictly outside [-2, 2], which ends because q(1) and q(-1) are
+nonzero.
 """
 
 from __future__ import annotations
@@ -53,19 +61,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import mpmath
 
 from .errors import ExactCheckFailed, InternalPrecisionExceeded, NotIrreducible, NotSquarefree
 from .factor import factor_z, is_irreducible
-from .intpoly import (
-    IntPoly,
-    is_squarefree,
-    reciprocal_test,
-    sturm_real_roots,
-    trace_poly,
-)
+from .intpoly import IntPoly, is_squarefree, reciprocal_test, trace_poly
 
 _PREC_START = 64
 _PREC_CAP = 1 << 16
@@ -78,6 +80,7 @@ _POLISH = 2  # exact Newton steps per seed
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _X = IntPoly((0, 1))
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,6 @@ class IsolatingBox:
 
     center: tuple[Fraction, Fraction]  # dyadic (re, im)
     radius: Fraction  # dyadic, >= 0
-    root_count: int = 1
 
 
 @dataclass(frozen=True)
@@ -529,6 +531,28 @@ def _pin(probes: Iterable[IsolatingBox], p: IntPoly, boxes: list[IsolatingBox]) 
     raise InternalPrecisionExceeded("enclosures ended before one certified box remained")
 
 
+def _settle(box: IsolatingBox, p: IntPoly, status: Callable[[IsolatingBox], _T | None]) -> _T:
+    """status(box), refining box for p by 16-fold steps while it is None."""
+    s = status(box)
+    while s is None:
+        box = refine(box, p, box.radius / 16)
+        s = status(box)
+    return s
+
+
+def _conjugates(boxes: Sequence[IsolatingBox]) -> list[int]:
+    """Index of each canonical box's complex conjugate among boxes.
+
+    Isolation gives a nonreal root's conjugate exactly the mirrored disk and
+    a real root a real-centred disk, its own mirror, so the conjugate is
+    found by lookup. A missing mirror raises ExactCheckFailed."""
+    where = {b: i for i, b in enumerate(boxes)}
+    try:
+        return [where[IsolatingBox((b.center[0], -b.center[1]), b.radius)] for b in boxes]
+    except KeyError:
+        raise ExactCheckFailed("a nonreal root box has no mirrored box") from None
+
+
 # ---------------------------------------------------------------------------
 # the unit-circle partition
 
@@ -544,6 +568,17 @@ def _circle_status(box: IsolatingBox) -> str | None:
     return None
 
 
+def _in_window(box: IsolatingBox) -> bool | None:
+    """True/False when a real disk lies strictly inside (-2, 2) / strictly
+    outside [-2, 2], else None."""
+    lo, hi = box.center[0] - box.radius, box.center[0] + box.radius
+    if -2 < lo and hi < 2:
+        return True
+    if hi < -2 or lo > 2:
+        return False
+    return None
+
+
 def _factor_statuses(q: IntPoly) -> list[str]:
     """Status per canonical root box of an irreducible q: 'in'/'on'/'out'."""
     if q == _X:
@@ -553,46 +588,30 @@ def _factor_statuses(q: IntPoly) -> list[str]:
     if q.degree == 1:
         return ["out" if abs(q[0]) > abs(q[1]) else "in"]
     kind = reciprocal_test(q)
-    boxes = list(isolate_roots(q))
+    boxes = isolate_roots(q)
     if kind == "No":
         # an irreducible non-reciprocal polynomial has no root on the circle
-        out = []
-        for b in boxes:
-            status = _circle_status(b)
-            while status is None:
-                b = refine(b, q, b.radius / 16)
-                status = _circle_status(b)
-            out.append(status)
-        return out
+        return [_settle(b, q, _circle_status) for b in boxes]
     if kind != "Plus":
         raise ExactCheckFailed("an irreducible Minus-reciprocal polynomial is x-1")
+    # q(x) = x^k t(x + 1/x): each real root of t in (-2, 2) gives a conjugate
+    # pair on the circle. t(2) = q(1) and t(-2) = +-q(-1) are nonzero, so
+    # _settle ends.
     t = trace_poly(q)
-    on_count = 2 * sturm_real_roots(t, Fraction(-2), Fraction(2))
+    on_count = 2 * sum(_settle(b, t, _in_window) for b in isolate_roots(t) if b.center[1] == 0)
     expect_off = (q.degree - on_count) // 2
-    statuses: list[str | None] = [None] * q.degree
     while True:
-        n_out = n_in = 0
-        unresolved = []
-        for i, b in enumerate(boxes):
-            statuses[i] = _circle_status(b)
-            if statuses[i] == "out":
-                n_out += 1
-            elif statuses[i] == "in":
-                n_in += 1
-            else:
-                unresolved.append(i)
-        if n_out == expect_off and n_in == expect_off:
-            for i in unresolved:
-                statuses[i] = "on"
-            return statuses  # type: ignore[return-value]
-        boxes = [refine(b, q, b.radius / 16) if statuses[i] is None else b for i, b in enumerate(boxes)]
+        statuses = [_circle_status(b) for b in boxes]
+        if statuses.count("out") == statuses.count("in") == expect_off:
+            return [s or "on" for s in statuses]
+        boxes = [b if s else refine(b, q, b.radius / 16) for b, s in zip(boxes, statuses)]
 
 
 def circle_partition(p: IntPoly) -> CirclePartition:
     """Exact indices of roots with |a| > 1, = 1, < 1 under the canonical order."""
     if p.is_zero or p.degree < 1 or not is_squarefree(p):
         raise NotSquarefree("circle_partition expects a squarefree nonconstant polynomial")
-    pboxes = list(isolate_roots(p))
+    pboxes = isolate_roots(p)
     labels: list[str | None] = [None] * p.degree
     factors = factor_z(p).factors
     for q, _ in factors:
@@ -600,8 +619,7 @@ def circle_partition(p: IntPoly) -> CirclePartition:
         if len(factors) == 1 and q == p:
             labels = list(statuses)
             break
-        qboxes = list(isolate_roots(q))
-        for qb, status in zip(qboxes, statuses):
+        for qb, status in zip(isolate_roots(q), statuses):
             idx = _pin(_refinements(qb, q), p, pboxes)
             if labels[idx] is not None:
                 raise ExactCheckFailed("two factor roots pinned to one root of p")
@@ -619,5 +637,5 @@ def signature(p: IntPoly) -> tuple[int, int]:
     """(real embeddings, conjugate complex pairs) of an irreducible p."""
     if not is_irreducible(p):
         raise NotIrreducible("signature is defined for irreducible polynomials")
-    r1 = sturm_real_roots(p)
+    r1 = sum(1 for b in isolate_roots(p) if b.center[1] == 0)
     return (r1, (p.degree - r1) // 2)

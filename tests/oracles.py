@@ -1,8 +1,9 @@
 """Independent oracles used to freeze expected test values.
 
 These deliberately avoid the package's own algorithms: the resultant oracle is
-a fraction-free Sylvester determinant, and root counts/positions come from
-mpmath at high working precision. They exist to cross-check, never to decide.
+a fraction-free Sylvester determinant, exact real-root counts come from Sturm
+chains over Q, and numeric root counts/positions come from mpmath at high
+working precision. They exist to cross-check, never to decide.
 """
 
 from fractions import Fraction
@@ -47,6 +48,55 @@ def sylvester_resultant(p: IntPoly, q: IntPoly) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[size - 1][size - 1]
+
+
+def sturm_real_roots(p: IntPoly, a=None, b=None) -> int:
+    """Exact count of the real roots of a squarefree p in the open interval
+    (a, b), from its Sturm chain over Q; None endpoints mean -oo and +oo.
+
+    Raises ValueError on a zero or non-squarefree p, on a >= b, and when p
+    vanishes at an endpoint."""
+    if p.is_zero:
+        raise ValueError("Sturm count of the zero polynomial")
+    if a is not None and b is not None and not a < b:
+        raise ValueError("need a < b")
+    if any(x is not None and eval_frac(p, Fraction(x)) == 0 for x in (a, b)):
+        raise ValueError("the polynomial vanishes at an endpoint")
+    chain = [[Fraction(c) for c in p.coeffs]]
+    chain.append([k * c for k, c in enumerate(chain[0])][1:])
+    while len(chain[-1]) > 1:
+        r = _remainder(chain[-2], chain[-1])
+        if not r:
+            raise ValueError("the polynomial is not squarefree")
+        chain.append([-c for c in r])
+    chain = [q for q in chain if q]
+
+    def variations(x, sign_at_inf):
+        signs = []
+        for q in chain:
+            if x is None:
+                v = q[-1] * sign_at_inf ** (len(q) - 1)
+            else:
+                v = sum(c * Fraction(x) ** k for k, c in enumerate(q))
+            if v:
+                signs.append(v > 0)
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    return variations(a, -1) - variations(b, 1)
+
+
+def _remainder(a: list, b: list) -> list:
+    """Remainder of a by b over Q; coefficient lists constant first, no
+    trailing zeros, empty for zero."""
+    a = list(a)
+    while len(a) >= len(b):
+        q = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        for i, c in enumerate(b):
+            a[shift + i] -= q * c
+        while a and a[-1] == 0:
+            a.pop()
+    return a
 
 
 def numeric_roots(p: IntPoly, dps: int = 60, extraprec: int = 200):

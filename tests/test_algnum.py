@@ -209,6 +209,21 @@ class TestEqual:
         fine = AlgebraicNumber(SQRT2.minpoly, refine(SQRT2.box, SQRT2.minpoly, Fraction(1, 1 << 100)))
         assert an_equal(SQRT2, fine)
 
+    def test_refined_conjugates_differ(self):
+        from mahlerdyn.roots import refine
+
+        # the complex conjugates of TAU's minpoly, both given as refined boxes
+        p = TAU.minpoly
+        boxes = isolate_roots(p)
+        i = next(k for k, b in enumerate(boxes) if b.center[1] > 0)
+        j = next(k for k, b in enumerate(boxes) if b.center == (boxes[i].center[0], -boxes[i].center[1]))
+        eps = Fraction(1, 1 << 200)
+        a, b = (AlgebraicNumber(p, refine(boxes[k], p, eps)) for k in (i, j))
+        assert a.box not in boxes and b.box not in boxes
+        assert not an_equal(a, b)
+        assert an_equal(a, AlgebraicNumber(p, boxes[i]))
+        assert (root_index(a), root_index(b)) == (i, j)
+
 
 class TestClassify:
     def test_salem_tau(self):

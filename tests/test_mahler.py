@@ -548,9 +548,8 @@ class TestRelationPathFailure:
 
 
 class TestExactChecksUnderOptimize:
-    """python -O strips asserts; the exact checks on the measure path and in
-    automorphism discovery are raised errors, so an injected fault still
-    stops the computation."""
+    """python -O strips asserts; every exact check in the package is a raised
+    error, so an injected fault still stops the computation."""
 
     FAULTS = {
         # Newton's identities on power sums that no monic integer
@@ -583,12 +582,35 @@ class TestExactChecksUnderOptimize:
             "K = nfield.nf_new(from_text('-2,0,1'))\n"
             "nfield._verify_group_closure(K, [nfield.fe_neg(K, nfield.fe_theta(K))])\n"
         ),
+        # a gcd(p, p') that does not divide p
+        "squarefree_gcd_not_dividing": (
+            "intpoly.gcd_z = lambda p, q: from_text('1,1')\n"
+            "intpoly.squarefree_part(from_text('-2,0,1'))\n"
+        ),
+        # an exact division in Yun's algorithm that fails
+        "yun_division_fails": (
+            "factor.div_z = lambda p, q: None\n"
+            "factor._yun_squarefree(from_text('1,0,-2,0,1'))\n"
+        ),
+        # Hensel lifting towards a modulus that is not p^(2^t)
+        "hensel_modulus_overshot": "factor._hensel_lift_pair([9, 0, 1], [2, 1], [1, 1], 3, 10)\n",
+        # a single lifted factor that is not monic
+        "hensel_factor_not_monic": "factor._hensel_multifactor([1, 2], [[1, 2]], 3, 9)\n",
+        # a modulus interval that reaches 0 has no logarithm
+        "log_of_zero_modulus": "nfield._log_interval(0, 1)\n",
+        # interval division by an interval holding 0
+        "interval_division_by_zero": "nfield._iv_div((1, 2), (-1, 1))\n",
+        # a depressed quartic that is not a monic quartic without cubic term
+        "depressed_quartic_wrong": (
+            "classify.transform_resolvent = lambda *args: from_text('1,1')\n"
+            "classify._depressed_quartic(from_text('1,0,0,0,1'))\n"
+        ),
     }
 
     @pytest.mark.parametrize("fault", sorted(FAULTS))
     def test_injected_fault_raises_under_optimize(self, fault):
         code = (
-            "from mahlerdyn import factor, mahler, nfield, roots\n"
+            "from mahlerdyn import classify, factor, intpoly, mahler, nfield, roots\n"
             "from mahlerdyn.algnum import an_from_poly_root\n"
             "from mahlerdyn.errors import ExactCheckFailed\n"
             "from mahlerdyn.intpoly import from_text\n"

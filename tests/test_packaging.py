@@ -1,6 +1,7 @@
-"""Packaging: the source tree ships the package, no dangling entry point and
-no runtime dependency beyond mpmath."""
+"""Packaging: the source tree ships the package, no dangling entry point,
+no runtime dependency beyond mpmath and no assert statement."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -36,3 +37,14 @@ def test_runtime_imports_mpmath_only():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_no_assert_statements():
+    # python -O strips asserts, so every exact check must be a raised error
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "mahlerdyn").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

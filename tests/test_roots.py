@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from mahlerdyn import roots
 from mahlerdyn.errors import ExactCheckFailed, InternalPrecisionExceeded, NotIrreducible, NotSquarefree
-from mahlerdyn.intpoly import IntPoly, from_text, is_squarefree, sturm_real_roots
+from mahlerdyn.factor import is_irreducible
+from mahlerdyn.intpoly import IntPoly, from_text, is_squarefree, trace_poly
 from mahlerdyn.roots import (
     IsolatingBox,
     _abs_bounds,
@@ -26,6 +27,7 @@ from mahlerdyn.roots import (
     _box_inv,
     _box_mul,
     _certify,
+    _conjugates,
     _contained,
     _disjoint,
     _ladder,
@@ -38,7 +40,7 @@ from mahlerdyn.roots import (
     refine,
     signature,
 )
-from oracles import numeric_roots
+from oracles import numeric_roots, sturm_real_roots
 from test_mahler import CM6, WANDER6, rand_algnum
 
 P = from_text
@@ -66,7 +68,7 @@ class TestIsolate:
         vals = sorted(float(b.center[0]) for b in boxes)
         assert abs(vals[0] + 1.41421) < 1e-4 and abs(vals[1] - 1.41421) < 1e-4
         for b in boxes:
-            assert b.center[1] == 0 and b.root_count == 1
+            assert b.center[1] == 0
 
     def test_lehmer_box_count(self):
         boxes = isolate_roots(LEHMER)
@@ -387,7 +389,7 @@ class TestCirclePartition:
 
     def test_deep_refinement_cross_check(self):
         # numeric sanity at radius 2^-200: boxes that cannot exclude the unit
-        # circle are exactly the Sturm-certified on-circle ones
+        # circle are exactly the trace-certified on-circle ones
         eps = Fraction(1, 1 << 200)
         for q in (P("1,1,1,1,1"), SALEM4, LEHMER, P("1,0,0,0,1")):
             cp = circle_partition(q)
@@ -402,6 +404,42 @@ class TestCirclePartition:
     def test_not_squarefree(self):
         with pytest.raises(NotSquarefree):
             circle_partition(P("0,0,1"))
+
+    def test_on_circle_count_matches_trace_sturm(self):
+        # a plus-reciprocal irreducible q has two roots on the circle per
+        # real root of trace_poly(q) in (-2, 2); Sturm is the exact reference
+        rng = random.Random(20261018)
+        with_on = 0
+        while with_on < 100:
+            k = rng.randint(1, 5)
+            half = [rng.randint(-4, 4) for _ in range(k)]
+            q = IntPoly([1] + half + half[-2::-1] + [1])
+            if not is_irreducible(q):
+                continue
+            on = circle_partition(q).on
+            assert len(on) == 2 * sturm_real_roots(trace_poly(q), Fraction(-2), Fraction(2)), q
+            with_on += bool(on)
+
+
+class TestConjugates:
+    def test_mirrored_boxes_pair_up(self):
+        for p in (CM6, WANDER6, LEHMER, P("-2,0,0,0,0,1"), P("2,0,-4,0,1")):
+            boxes = isolate_roots(p)
+            conj = _conjugates(boxes)
+            for i, b in enumerate(boxes):
+                c = boxes[conj[i]]
+                assert conj[conj[i]] == i
+                assert c.center == (b.center[0], -b.center[1]) and c.radius == b.radius
+                assert (conj[i] == i) == (b.center[1] == 0)
+
+    def test_unmatched_nonreal_box_raises(self):
+        boxes = isolate_roots(P("1,0,1"))  # i and -i
+        with pytest.raises(ExactCheckFailed):
+            _conjugates(boxes[:1])
+        refined = refine(boxes[1], P("1,0,1"), boxes[1].radius / 16)
+        assert refined != boxes[1]
+        with pytest.raises(ExactCheckFailed):
+            _conjugates([boxes[0], refined])
 
 
 class TestSignature:
