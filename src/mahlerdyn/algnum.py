@@ -2,8 +2,11 @@
 root box, with multiplicative arithmetic and Perron/Pisot/Salem
 classification.
 
-Every constructor funnels through factor selection against canonical root
-boxes, so two equal values always carry identical (minpoly, box) pairs. A
+Every constructor ends on a canonical box of a canonical minpoly, so two
+equal values always carry identical (minpoly, box) pairs. Roots of arbitrary
+polynomials, general products and powers get there by factor selection;
+rational scalings, negation and inversion map an irreducible minpoly to an
+irreducible one, so their image's root is pinned directly, unfactored. A
 number built by hand with a refined box is still named exactly by root_index,
 the index of its canonical box, and equality compares minpolys and indices.
 """
@@ -166,29 +169,52 @@ def _select_by_enclosure(p: IntPoly, enclosures: Iterable[IsolatingBox]) -> Alge
     return an_from_poly_root(sq, pboxes[_pin(enclosures, sq, pboxes)])
 
 
+def _image_root(q: IntPoly, probes: Iterable[IsolatingBox]) -> AlgebraicNumber:
+    """The root of q that a shrinking probe stream holds, for q irreducible
+    by construction: the image of a minpoly under x -> c*x or x -> 1/x.
+    Nothing is factored; _pin names the canonical box exactly."""
+    q = canonicalize(q)
+    return _canonical_at(q, _pin(probes, q, isolate_roots(q)))
+
+
 # ---------------------------------------------------------------------------
 # arithmetic
 
 
 def an_mul(a: AlgebraicNumber, b: AlgebraicNumber) -> AlgebraicNumber:
-    if a.degree == 1 and b.degree == 1:
-        return an_from_rational(an_rational_value(a) * an_rational_value(b))
-    res = product_resolvent(a.minpoly, b.minpoly)
-    pairs = zip(_refinements(a.box, a.minpoly), _refinements(b.box, b.minpoly))
-    return _select_by_enclosure(res, (_box_mul(ab, bb) for ab, bb in pairs))
+    """a * b. Two irrational operands go through the product resolvent and
+    factor selection; a rational operand c = u/v only scales: c*a has the
+    irreducible minpoly sum p_i u^(d-i) v^i x^i, so nothing is factored."""
+    if a.degree == 1:
+        a, b = b, a
+    if b.degree != 1:
+        res = product_resolvent(a.minpoly, b.minpoly)
+        pairs = zip(_refinements(a.box, a.minpoly), _refinements(b.box, b.minpoly))
+        return _select_by_enclosure(res, (_box_mul(ab, bb) for ab, bb in pairs))
+    c = an_rational_value(b)
+    if c == 0:
+        return an_from_rational(0)
+    if a.degree == 1:
+        return an_from_rational(an_rational_value(a) * c)
+    u, v, d = c.numerator, c.denominator, a.degree
+    scaled = IntPoly(tuple(pi * u ** (d - i) * v ** i for i, pi in enumerate(a.minpoly.coeffs)))
+    cbox = IsolatingBox((c, Fraction(0)), Fraction(0))
+    return _image_root(scaled, (_box_mul(box, cbox) for box in _refinements(a.box, a.minpoly)))
 
 
 def an_inv(a: AlgebraicNumber) -> AlgebraicNumber:
+    """1/a. The reversed minpoly of an irrational a is irreducible, so the
+    image root is pinned on it directly, without factoring."""
     if a.minpoly == _X:
         raise ZeroInput("inverse of zero")
     if a.degree == 1:
         return an_from_rational(1 / an_rational_value(a))
-    rev = canonicalize(a.minpoly.reversal())
     invs = (_box_inv(box) for box in _refinements(a.box, a.minpoly) if _abs_bounds(box)[0] > 0)
-    return _select_by_enclosure(rev, invs)
+    return _image_root(a.minpoly.reversal(), invs)
 
 
 def an_neg(a: AlgebraicNumber) -> AlgebraicNumber:
+    """-a: the rational scaling of an_mul by -1, which never factors."""
     return an_mul(a, an_from_rational(-1))
 
 

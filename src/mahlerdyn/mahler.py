@@ -22,7 +22,6 @@ from .algnum import (
     an_from_rational,
     an_inv,
     an_mul,
-    an_neg,
     an_pow,
     an_rational_value,
     an_sign,
@@ -132,6 +131,13 @@ class OrbitResult:
 # the degree is C(n, s) instead of the n^s a repeated-resultant fold would
 # pay. When more than half the roots are outside, the complement product is
 # used instead.
+#
+# The subset product w is a product of lc*root_i, so with s outside roots
+# M = |w| / |lc|^(s-1), and in the complement case (n - s roots)
+# M = |p[0]| |lc|^(n-s) / |w|. w is checked real first; then M is one exact
+# rational map of w (a scaling by sign(w)/|lc|^(s-1), or an inversion and a
+# scaling by sign(w) |p[0]| |lc|^(n-s)). Both keep the minpoly irreducible,
+# so nothing past the subset product is factored.
 
 
 def _product_enclosure(cur, idx, lc: int) -> IsolatingBox:
@@ -287,19 +293,15 @@ def _measure_uncached(p: IntPoly) -> AlgebraicNumber:
         raise InternalPrecisionExceeded(f"subset resolvent degree {math.comb(n, size)} over cap")
     boxes = isolate_roots(p)
     g, _ = monicize(p)
-    if s <= n - s:
-        w = _select_product_root(_subset_product_poly(g, s), p, boxes, part.outside, lc)
-        denom = lc ** (s - 1)
-        z = w if denom == 1 else an_mul(w, an_from_rational(Fraction(1, denom)))
-    else:
-        comp = tuple(i for i in range(n) if i not in part.outside)
-        w = _select_product_root(_subset_product_poly(g, n - s), p, boxes, comp, lc)
-        z = an_mul(an_inv(w), an_from_rational(p[0] * lc ** (n - s)))
-    if z.box.center[1] != 0:
+    comp = s > n - s
+    idx = tuple(i for i in range(n) if i not in part.outside) if comp else part.outside
+    w = _select_product_root(_subset_product_poly(g, len(idx)), p, boxes, idx, lc)
+    if w.box.center[1] != 0:
         raise ExactCheckFailed(f"measure of a degree-{n} number is not real")
-    if an_sign(z) < 0:
-        z = an_neg(z)
-    return z
+    if comp:
+        return an_mul(an_inv(w), an_from_rational(an_sign(w) * abs(p[0]) * abs(lc) ** (n - s)))
+    c = Fraction(an_sign(w), abs(lc) ** (s - 1))
+    return w if c == 1 else an_mul(w, an_from_rational(c))
 
 
 # ---------------------------------------------------------------------------

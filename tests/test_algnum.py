@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from mahlerdyn import algnum, factor
 from mahlerdyn.errors import BoxAmbiguous, NotIrreducible, ZeroInput
 from mahlerdyn.factor import is_irreducible
-from mahlerdyn.intpoly import IntPoly, from_text
-from mahlerdyn.roots import IsolatingBox, isolate_roots
+from mahlerdyn.intpoly import IntPoly, from_text, product_resolvent
+from mahlerdyn.roots import IsolatingBox, _abs_bounds, _box_inv, _box_mul, _refinements, isolate_roots
 from mahlerdyn.algnum import (
     AlgebraicNumber,
     an_conjugates,
@@ -130,6 +131,21 @@ class TestMul:
     def test_zero(self):
         assert an_rational_value(an_mul(SQRT2, an_from_rational(0))) == 0
 
+    def test_zero_on_either_side(self):
+        zero = an_from_rational(0)
+        for a in (SQRT2, TAU, nth_root("1,0,1", key=lambda b: b.center[1])):
+            assert an_mul(a, zero) == zero
+            assert an_mul(zero, a) == zero
+
+    def test_rational_left_operand(self):
+        rng = random.Random(11)
+        for c in (Fraction(3, 2), Fraction(-7), Fraction(-1, 3)):
+            r = an_from_rational(c)
+            for a in (SQRT2, TAU, rand_an(rng), rand_an(rng)):
+                left = an_mul(r, a)
+                assert left == an_mul(a, r)
+                assert left.box in isolate_roots(left.minpoly)
+
     def test_imaginary(self):
         i_unit = an_from_poly_root(P("1,0,1"), isolate_roots(P("1,0,1"))[1])
         sq = an_mul(i_unit, i_unit)
@@ -190,6 +206,57 @@ class TestInvNegPow:
     def test_pow_rejects_zero_exponent(self):
         with pytest.raises(ValueError):
             an_pow(SQRT2, 0)
+
+
+class TestRationalMapsOracle:
+    """an_inv, an_neg and an_mul by a rational pin the image's root on the
+    mapped minpoly without factoring; the resolvent route (reversal or
+    product resolvent, then factor selection by an_from_poly_root) must name
+    the same canonical root."""
+
+    SCALES = (Fraction(-7), Fraction(-1), Fraction(-1, 2), Fraction(3, 5), Fraction(5, 3), Fraction(4))
+
+    @staticmethod
+    def _by_factoring(res, probes):
+        for probe in probes:
+            try:
+                return an_from_poly_root(res, probe)
+            except BoxAmbiguous:
+                continue
+
+    def _roots(self):
+        rng = random.Random(20261018)
+        polys = []
+        while len(polys) < 100:
+            deg = rng.randint(2, 6)
+            p = IntPoly([rng.randint(-5, 5) for _ in range(deg)] + [rng.choice((1, 1, 2, 3, 6))])
+            if p[0] != 0 and is_irreducible(p):
+                polys.append(p)
+        return [an_from_poly_root(p, b) for p in polys for b in isolate_roots(p)]
+
+    def test_maps_match_resolvent_route(self, monkeypatch):
+        roots = self._roots()
+        assert any(a.minpoly.lc > 1 for a in roots)
+        wants = []
+        for a in roots:
+            invs = (_box_inv(b) for b in _refinements(a.box, a.minpoly) if _abs_bounds(b)[0] > 0)
+            row = [self._by_factoring(a.minpoly.reversal(), invs)]
+            for c in self.SCALES:
+                cbox = IsolatingBox((c, Fraction(0)), Fraction(0))
+                res = product_resolvent(a.minpoly, an_from_rational(c).minpoly)
+                row.append(self._by_factoring(res, (_box_mul(b, cbox) for b in _refinements(a.box, a.minpoly))))
+            wants.append(row)
+
+        def no_factoring(p):
+            raise AssertionError("a rational map factored a polynomial")
+
+        monkeypatch.setattr(factor, "factor_z", no_factoring)
+        monkeypatch.setattr(algnum, "factor_z", no_factoring)
+        for a, (inv, *scaled) in zip(roots, wants):
+            got = [an_inv(a)] + [an_mul(a, an_from_rational(c)) for c in self.SCALES]
+            assert got == [inv, *scaled]
+            assert an_neg(a) == scaled[self.SCALES.index(-1)]
+            assert [root_index(g) for g in got] == [root_index(w) for w in [inv, *scaled]]
 
 
 class TestEqual:

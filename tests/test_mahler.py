@@ -11,7 +11,7 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
-from mahlerdyn import mahler
+from mahlerdyn import factor, mahler
 from mahlerdyn.errors import InternalPrecisionExceeded, NotAFixedPoint, ZeroInput
 from mahlerdyn.factor import is_irreducible
 from mahlerdyn.intpoly import IntPoly, canonicalize, from_text, monicize, to_text
@@ -152,6 +152,16 @@ class TestMeasureExamples:
     def test_salem_quartic_fixed(self):
         a = nth_root("1,-1,-1,-1,1")
         assert an_equal(mahler_measure(a), a)
+
+    def test_measure_factors_input_and_resolvent_only(self, monkeypatch):
+        # the final scaling (and inversion) of the subset product keeps its
+        # minpoly irreducible, so a measure factors the degree-5 input and
+        # its degree-10 subset resolvent, and nothing else
+        monkeypatch.setattr(mahler, "_measure_cache", {})
+        factor._factor_cached.cache_clear()
+        m = mahler_measure(any_root(P("7,13,-13,-14,-11,9")))
+        assert factor._factor_cached.cache_info().misses == 2
+        assert m.degree == 10
 
 
 class TestFixedPointClass:
@@ -562,6 +572,12 @@ class TestExactChecksUnderOptimize:
             "mahler.mahler_measure(an_from_poly_root(from_text('1,-3,1'), "
             "isolate_roots(from_text('1,-3,1'))[0]))\n"
         ),
+        # a scaled root's probe that meets no box of the scaled minpoly
+        "scaled_probe_far": (
+            "algnum._box_mul = lambda a, b: roots.IsolatingBox((roots.Fraction(1000), roots._ZERO), roots._ONE)\n"
+            "algnum.an_mul(an_from_poly_root(from_text('-2,0,1'), isolate_roots(from_text('-2,0,1'))[1]), "
+            "algnum.an_from_rational(3))\n"
+        ),
         # a squarefree factor reported twice
         "wrong_factorization": (
             "factor._factor_primitive_squarefree = lambda f: [f, f]\n"
@@ -610,7 +626,7 @@ class TestExactChecksUnderOptimize:
     @pytest.mark.parametrize("fault", sorted(FAULTS))
     def test_injected_fault_raises_under_optimize(self, fault):
         code = (
-            "from mahlerdyn import classify, factor, intpoly, mahler, nfield, roots\n"
+            "from mahlerdyn import algnum, classify, factor, intpoly, mahler, nfield, roots\n"
             "from mahlerdyn.algnum import an_from_poly_root\n"
             "from mahlerdyn.errors import ExactCheckFailed\n"
             "from mahlerdyn.intpoly import from_text\n"
