@@ -4,11 +4,11 @@ Dense representation, constant term first. All decision procedures here are
 exact: integer subresultant PRS for resultants (norms, discriminants) and
 gcds, and integer-only reciprocal/trace transforms for unit-circle work. Real
 roots are counted from the certified isolation in roots, not here. Every
-resolvent (power map, product, ratio, transform, and the subset product
-behind the Mahler measure) is built one way: the power sums of the input
-roots are mapped to those of the resolvent roots, and Newton's identities,
-with exact divisions, give the coefficients. No floating point anywhere in
-this module.
+resolvent (power map, product, ratio, transform, and the subset and pair
+products behind the Mahler measure) is built one way: the power sums of the
+input roots are mapped to those of the resolvent roots, and Newton's
+identities, with exact divisions, give the coefficients. No floating point
+anywhere in this module.
 It also holds the all-integer LLL that minpoly guessing (mahler) and
 automorphism discovery (nfield) share.
 
@@ -19,6 +19,7 @@ comma-separated decimal integers, constant term first: x^2 - 2 is "-2,0,1".
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -422,32 +423,47 @@ def untrace_poly(h: IntPoly) -> IntPoly:
 # non-monic input is monicized first (roots c*alpha) and the roots are divided
 # by c again at the end. Every division in Newton's identities must be exact;
 # one that is not raises ExactCheckFailed.
+#
+# The two product resolvents behind the Mahler measure share one loop
+# (_esym_resolvent): the k-th power sum of the resolvent is e_s of numbers
+# u_j(k), read off their first s power sums by Newton's identities.
+# - Subset products of the n roots alpha_j of monic g: u_j = alpha_j^k, so
+#   sum_j u_j^i = p_(ik); degree C(n, s).
+# - Pair products of a monic plus-reciprocal g of degree 2m, whose roots
+#   pair up as {r_j, 1/r_j}: the roots are prod_{j in J} r_j^(+-1) over the
+#   s-subsets J of pairs, degree C(m, s) 2^s. Here u_j = r_j^k + r_j^-k and
+#     sum_j u_j^i = sum_{l < i/2} C(i, l) p_(k(i-2l)) + [i even] C(i, i/2) m,
+#   from the power sums of g alone, with no division.
+# The pair products are the subset products that take at most one root from
+# each pair, so the pair resolvent divides the subset resolvent exactly over
+# Z, and its cofactor's roots are among the subset resolvent's cofactor's.
 
 
 def _power_sums(g: IntPoly, m: int) -> list:
     """Power sums p_1..p_m of the roots of monic g (index 0 unused)."""
     n = g.degree
-    e = [((-1) ** k) * g[n - k] for k in range(n + 1)]
+    # p_k = (-1)^(k-1) k e_k + sum_{i=1}^{min(k-1, n)} (-1)^(i-1) e_i p_(k-i),
+    # where (-1)^(i-1) e_i = -g[n-i] is held at index n - i of se
+    se = [-c for c in g.coeffs[:n]]
     p = [0] * (m + 1)
     for k in range(1, m + 1):
-        acc = ((-1) ** (k - 1)) * k * e[k] if k <= n else 0
-        for i in range(1, min(k - 1, n) + 1):
-            acc += ((-1) ** (i - 1)) * e[i] * p[k - i]
-        p[k] = acc
+        t = min(k - 1, n)
+        acc = sum(map(operator.mul, p[k - t:k], se[n - t:]))
+        p[k] = acc + k * se[n - k] if k <= n else acc
     return p
 
 
 def _elem_from_power_sums(p: list, m: int) -> list:
     """e_0..e_m from power sums p[1..m]; divisions must be exact."""
-    e = [1] + [0] * m
+    # e_k = (1/k) sum_{i=1}^k (-1)^(i-1) e_(k-i) p_i, where (-1)^(i-1) p_i is
+    # held at index m - i of sp
+    sp = [p[i] if i % 2 else -p[i] for i in range(m, 0, -1)]
+    e = [1]
     for k in range(1, m + 1):
-        acc = 0
-        for i in range(1, k + 1):
-            acc += ((-1) ** (i - 1)) * e[k - i] * p[i]
-        q, r = divmod(acc, k)
+        q, r = divmod(sum(map(operator.mul, e, sp[m - k:])), k)
         if r:
             raise ExactCheckFailed(f"e_{k} from power sums is not an integer")
-        e[k] = q
+        e.append(q)
     return e
 
 
@@ -460,16 +476,34 @@ def _from_power_sums(p: list, c: int = 1) -> IntPoly:
     return canonicalize(IntPoly([(-1) ** (d - j) * e[d - j] * c**j for j in range(d + 1)]))
 
 
+def _esym_resolvent(cnt: int, s: int, sums) -> IntPoly:
+    """Degree-cnt polynomial whose k-th power sum is e_s of the numbers whose
+    first s power sums are sums(k)[1..s]."""
+    return _from_power_sums([0] + [_elem_from_power_sums(sums(k), s)[s] for k in range(1, cnt + 1)])
+
+
 def _subset_product_poly(g: IntPoly, s: int) -> IntPoly:
     """Monic polynomial whose roots are the products over every size-s
     subset of the roots of monic g, with multiplicity."""
     cnt = math.comb(g.degree, s)
     ps = _power_sums(g, s * cnt)
-    big = [0] * (cnt + 1)
-    for k in range(1, cnt + 1):
-        pk = [0] + [ps[j * k] for j in range(1, s + 1)]
-        big[k] = _elem_from_power_sums(pk, s)[s]
-    return _from_power_sums(big)
+    return _esym_resolvent(cnt, s, lambda k: [ps[i * k] for i in range(s + 1)])
+
+
+def _pair_product_poly(g: IntPoly, s: int) -> IntPoly:
+    """Monic polynomial whose roots are the products prod_{j in J} r_j^(+-1)
+    over every s-subset J of the root pairs {r_j, 1/r_j} of monic
+    plus-reciprocal g, with multiplicity: degree C(m, s) 2^s for deg g = 2m."""
+    m = g.degree // 2
+    cnt = math.comb(m, s) << s
+    ps = _power_sums(g, s * cnt)
+    terms = [[(math.comb(i, l), i - 2 * l) for l in range((i + 1) // 2)] for i in range(s + 1)]
+    mid = [math.comb(i, i // 2) * m if i % 2 == 0 else 0 for i in range(s + 1)]
+
+    def sums(k):
+        return [sum(b * ps[k * t] for b, t in terms[i]) + mid[i] for i in range(s + 1)]
+
+    return _esym_resolvent(cnt, s, sums)
 
 
 def power_map(p: IntPoly, n: int) -> IntPoly:

@@ -39,6 +39,7 @@ from .factor import is_irreducible
 from .intpoly import (
     IntPoly,
     _elem_from_power_sums,
+    _pair_product_poly,
     _subset_product_poly,
     canonicalize,
     cyclotomic_part,
@@ -46,6 +47,7 @@ from .intpoly import (
     gcd_z,
     lll_reduce,
     monicize,
+    reciprocal_test,
 )
 from .roots import (
     IsolatingBox,
@@ -63,8 +65,8 @@ DEFAULT_BUDGET = {"max_iters": 12, "max_degree": 512, "max_coeff_bits": 20000}
 
 _EXPONENT_CAP = 64
 
-# products over subsets of conjugates live on a resolvent of degree C(n, s);
-# past this size the engine reports failure instead of grinding
+# the largest product resolvent (subset or pair, see "the measure") the engine
+# builds; past this degree it reports failure instead of grinding
 _SUBSET_CAP = 1024
 
 
@@ -122,22 +124,36 @@ class OrbitResult:
 # ---------------------------------------------------------------------------
 # the measure
 #
-# The product of s conjugates is computed on the subset-product resolvent:
-# the monic integer polynomial whose roots are all s-fold products of roots
-# of the monicized minpoly. It is built like every other resolvent in the
-# package (intpoly._subset_product_poly): power sums of the roots, mapped to
+# The product of s conjugates is computed on a product resolvent, built like
+# every other resolvent in the package: power sums of the roots, mapped to
 # power sums of the products and turned back into coefficients by Newton's
-# identities, so the construction is exact integer arithmetic end to end, and
-# the degree is C(n, s) instead of the n^s a repeated-resultant fold would
-# pay. When more than half the roots are outside, the complement product is
-# used instead.
+# identities, so the construction is exact integer arithmetic end to end.
+# - In general it is the subset-product resolvent
+#   (intpoly._subset_product_poly): the monic integer polynomial whose roots
+#   are all s-fold products of roots of the monicized minpoly, of degree
+#   C(n, s) instead of the n^s a repeated-resultant fold would pay. When more
+#   than half the roots are outside, the complement product is used instead.
+# - A monic plus-reciprocal minpoly of degree n = 2m has its roots in m
+#   pairs {r_j, 1/r_j}, so its s outside roots are one root from each of s
+#   pairs (every measure is an algebraic integer, so every orbit step past
+#   the input is monic; the steps of WANDER6's orbit are also palindromic).
+#   Their product is a root of the pair resolvent
+#   (intpoly._pair_product_poly), of degree C(m, s) 2^s: 192 instead of
+#   C(12, 5) = 792 for M(WANDER6). Its k-th power sum is e_s(v_1, ..., v_m)
+#   with v_j = r_j^k + r_j^-k, and
+#     sum_j v_j^i = sum_{l < i/2} C(i, l) p_(k(i-2l)) + [i even] C(i, i/2) m
+#   in the power sums p_t of the minpoly. Its roots are a sub-multiset of the
+#   subset resolvent's, so it divides that resolvent over Z and its
+#   cofactor's roots are among the subset cofactor's: the root selection and
+#   its exact checks below are the same on both routes, and certify the
+#   product wherever the subset route does.
 #
-# The subset product w is a product of lc*root_i, so with s outside roots
+# The product w is a product of lc*root_i, so with s outside roots
 # M = |w| / |lc|^(s-1), and in the complement case (n - s roots)
 # M = |p[0]| |lc|^(n-s) / |w|. w is checked real first; then M is one exact
 # rational map of w (a scaling by sign(w)/|lc|^(s-1), or an inversion and a
 # scaling by sign(w) |p[0]| |lc|^(n-s)). Both keep the minpoly irreducible,
-# so nothing past the subset product is factored.
+# so nothing past the product is factored.
 
 
 def _product_enclosure(cur, idx, lc: int) -> IsolatingBox:
@@ -289,13 +305,16 @@ def _measure_uncached(p: IntPoly) -> AlgebraicNumber:
     if s == n:
         return an_from_rational(abs(p[0]))
     size = min(s, n - s)
-    if math.comb(n, size) > _SUBSET_CAP:
-        raise InternalPrecisionExceeded(f"subset resolvent degree {math.comb(n, size)} over cap")
-    boxes = isolate_roots(p)
-    g, _ = monicize(p)
     comp = s > n - s
+    if lc == 1 and not comp and reciprocal_test(p) == "Plus":
+        build, deg = _pair_product_poly, math.comb(n // 2, s) << s
+    else:
+        build, deg = _subset_product_poly, math.comb(n, size)
+    if deg > _SUBSET_CAP:
+        raise InternalPrecisionExceeded(f"product resolvent degree {deg} over cap")
+    boxes = isolate_roots(p)
     idx = tuple(i for i in range(n) if i not in part.outside) if comp else part.outside
-    w = _select_product_root(_subset_product_poly(g, len(idx)), p, boxes, idx, lc)
+    w = _select_product_root(build(monicize(p)[0], size), p, boxes, idx, lc)
     if w.box.center[1] != 0:
         raise ExactCheckFailed(f"measure of a degree-{n} number is not real")
     if comp:

@@ -11,10 +11,10 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
-from mahlerdyn import factor, mahler
+from mahlerdyn import factor, intpoly, mahler
 from mahlerdyn.errors import InternalPrecisionExceeded, NotAFixedPoint, ZeroInput
 from mahlerdyn.factor import is_irreducible
-from mahlerdyn.intpoly import IntPoly, canonicalize, from_text, monicize, to_text
+from mahlerdyn.intpoly import IntPoly, canonicalize, div_z, from_text, to_text, untrace_poly
 from mahlerdyn.roots import circle_partition, isolate_roots, refine
 from mahlerdyn.algnum import (
     an_compare,
@@ -27,6 +27,7 @@ from mahlerdyn.algnum import (
     an_rational_value,
     an_sign,
     classify_number,
+    root_index,
 )
 from mahlerdyn.mahler import (
     DEFAULT_BUDGET,
@@ -462,16 +463,14 @@ class TestMinpolyGuess:
     """The LLL minpoly guess behind every measure past _DIRECT_FACTOR_CAP."""
 
     @staticmethod
-    def _m2_subset_product():
+    def _m2_product():
         """The arguments _select_product_root gets for M(M(WANDER6)): the
-        degree-12 p = M(WANDER6).minpoly, its subset resolvent (degree 792,
-        past the direct-factor cap), the boxes, the chosen roots and lc."""
+        degree-12 monic plus-reciprocal p = M(WANDER6).minpoly, its pair
+        resolvent (degree 192, past the direct-factor cap), the boxes, the
+        five outside roots and lc = 1."""
         p = mahler_measure(any_root(WANDER6)).minpoly
-        n = p.degree
-        outside = circle_partition(p).outside
-        s = len(outside)
-        idx = outside if s <= n - s else tuple(i for i in range(n) if i not in outside)
-        res = mahler._subset_product_poly(monicize(p)[0], len(idx))
+        idx = circle_partition(p).outside
+        res = mahler._pair_product_poly(p, len(idx))
         assert res.degree > mahler._DIRECT_FACTOR_CAP
         return res, p, isolate_roots(p), idx, p.lc
 
@@ -490,7 +489,7 @@ class TestMinpolyGuess:
         assert [t.degree for t in r.trace] == [6, 12, 12]
 
     def test_verified_candidate_rejects_multiple(self):
-        res, p, boxes, idx, lc = self._m2_subset_product()
+        res, p, boxes, idx, lc = self._m2_product()
         w = mahler._select_product_root(res, p, boxes, idx, lc)
         q = w.minpoly
         assert q.degree == 12
@@ -527,6 +526,81 @@ class TestMinpolyGuess:
         i = max(range(4), key=lambda k: boxes[k].center[0])
         first = next(mahler._candidate_minpolys(p, boxes, (i,), 1, 256))
         assert canonicalize(first) == p
+
+
+class TestPairResolvent:
+    """A monic plus-reciprocal minpoly of degree 2m with s roots outside the
+    circle is measured on the pair resolvent (degree C(m, s) 2^s), a divisor
+    of the subset resolvent (degree C(2m, s))."""
+
+    @staticmethod
+    def _inputs(max_m, count):
+        """Seeded irreducible untrace_poly(h), h monic of degree 1..max_m,
+        with s >= 1 roots outside the circle, as (p, s)."""
+        rng = random.Random(20261018)
+        out = []
+        while len(out) < count:
+            m = rng.randint(1, max_m)
+            p = untrace_poly(IntPoly([rng.randint(-6, 6) for _ in range(m)] + [1]))
+            if p[0] != 0 and is_irreducible(p):
+                s = len(circle_partition(p).outside)
+                if s:
+                    out.append((p, s))
+        return out
+
+    def test_divides_subset_resolvent(self):
+        inputs = self._inputs(5, 40)
+        assert max(p.degree for p, _ in inputs) == 10
+        for p, s in inputs:
+            q = intpoly._pair_product_poly(p, s)
+            assert q.degree == math.comb(p.degree // 2, s) << s
+            assert div_z(intpoly._subset_product_poly(p, s), q) is not None, to_text(p)
+
+    def test_routes_agree(self, monkeypatch):
+        # up to degree 6 both routes factor their resolvent directly; along
+        # WANDER6's trace both guess the minpoly (192 against 792 at M^1 and
+        # M^2). Past degree 6 the products' minpolys reach degree 32-80 and
+        # either route takes from 5 s to over 20 s per measure.
+        polys = [p for p, _ in self._inputs(3, 30)]
+        polys += [t.minpoly for t in orbit(any_root(WANDER6)).trace]
+        built = []
+
+        def pair_spy(g, s):
+            built.append(g)
+            return intpoly._pair_product_poly(g, s)
+
+        def measures():
+            monkeypatch.setattr(mahler, "_measure_cache", {})
+            got = [mahler_measure(a) for p in polys for a in an_conjugates(any_root(p))]
+            return [(m.minpoly, root_index(m)) for m in got]
+
+        monkeypatch.setattr(mahler, "_pair_product_poly", pair_spy)
+        by_pairs = measures()
+        assert sorted(built, key=to_text) == sorted(set(polys), key=to_text)
+        built.clear()
+        monkeypatch.setattr(mahler, "reciprocal_test", lambda p: "No")
+        assert measures() == by_pairs
+        assert built == []
+
+    def test_wandering_step_builds_degree_192(self, monkeypatch):
+        # a silent fallback to the degree-792 subset resolvent fails here
+        m1 = mahler_measure(any_root(WANDER6))
+        built = []
+
+        def pair_spy(g, s):
+            res = intpoly._pair_product_poly(g, s)
+            built.append(res.degree)
+            return res
+
+        def no_subset(g, s):
+            raise AssertionError("subset resolvent built")
+
+        monkeypatch.setattr(mahler, "_measure_cache", {})
+        monkeypatch.setattr(mahler, "_pair_product_poly", pair_spy)
+        monkeypatch.setattr(mahler, "_subset_product_poly", no_subset)
+        m2 = mahler_measure(m1)
+        assert built == [192]
+        assert an_equal(m2, an_pow(m1, 3))
 
 
 class TestRelationPathFailure:
