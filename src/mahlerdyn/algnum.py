@@ -3,12 +3,13 @@ root box, with multiplicative arithmetic and Perron/Pisot/Salem
 classification.
 
 Every constructor ends on a canonical box of a canonical minpoly, so two
-equal values always carry identical (minpoly, box) pairs. Roots of arbitrary
-polynomials, general products and powers get there by factor selection;
-rational scalings, negation and inversion map an irreducible minpoly to an
-irreducible one, so their image's root is pinned directly, unfactored. A
-number built by hand with a refined box is still named exactly by root_index,
-the index of its canonical box, and equality compares minpolys and indices.
+equal values always carry identical (minpoly, box) pairs. A computed value
+is named by _select_root: roots._pin pins its shrinking enclosures among the
+roots of irreducible polynomials, which are the factors of the resolvent for
+products and powers, and the image minpoly alone, unfactored, for rational
+scalings, negation and inversion. So only irreducible polynomials are
+isolated. root_index names a number by the index of its canonical box, and
+equality compares minpolys and indices.
 """
 
 from __future__ import annotations
@@ -89,34 +90,30 @@ def an_from_rational(v) -> AlgebraicNumber:
 
 
 def an_from_poly_root(p: IntPoly, box: IsolatingBox) -> AlgebraicNumber:
-    """Canonical representative of the root of p isolated by box.
+    """Canonical representative of the root of p in the fixed disk box.
 
-    Factors p, picks the irreducible factor owning the boxed root, and
-    re-isolates within that factor. Only the factors' certified boxes are
-    refined; box may be any disk, and BoxAmbiguous is raised as soon as two
-    disjoint factor boxes lie inside it, i.e. when it holds two roots.
+    The public entry point for a root given by a disk, not by a shrinking
+    enclosure. Only the canonical boxes of the roots of p's irreducible
+    factors are refined. BoxAmbiguous is raised when box holds no root, when
+    two disjoint factor boxes lie inside it (it holds two), or at the
+    precision cap.
     """
     if p.is_zero:
         raise ZeroPolynomial("an_from_poly_root of zero polynomial")
-    sq = squarefree_part(p)
-    if sq.degree < 1:
-        raise BoxAmbiguous("polynomial has no roots")
-    cands = []
-    for q, _ in factor_z(sq).factors:
-        for idx, qb in enumerate(isolate_roots(q)):
-            cands.append((q, idx, qb))
+    polys, boxes = _candidates(_irreducible_factors(p))
+    hits = range(len(boxes))
     try:
         while True:
-            cands = [(q, i, qb) for q, i, qb in cands if not _disjoint(box, qb)]
-            if len(cands) == 1:
-                q, idx, _ = cands[0]
-                return _canonical_at(q, idx)
-            if not cands:
+            hits = [i for i in hits if not _disjoint(box, boxes[i])]
+            if len(hits) == 1:
+                return _candidate_root(polys, hits[0])
+            if not hits:
                 raise BoxAmbiguous("box isolates no root of the polynomial")
-            inside = [qb for _, _, qb in cands if _contained(qb, box)]
+            inside = [boxes[i] for i in hits if _contained(boxes[i], box)]
             if any(_disjoint(a, b) for i, a in enumerate(inside) for b in inside[:i]):
                 raise BoxAmbiguous("box holds more than one root of the polynomial")
-            cands = [(q, i, refine(qb, q, qb.radius / 16)) for q, i, qb in cands]
+            for i in hits:
+                boxes[i] = refine(boxes[i], polys[i], boxes[i].radius / 16)
     except InternalPrecisionExceeded as e:
         raise BoxAmbiguous(f"certification failed at precision cap: {e}") from e
 
@@ -126,7 +123,7 @@ def root_index(a: AlgebraicNumber) -> int:
     boxes = isolate_roots(a.minpoly)
     if a.box in boxes:
         return boxes.index(a.box)
-    return _pin(_refinements(a.box, a.minpoly), a.minpoly, boxes)
+    return _pin(_refinements(a.box, a.minpoly), [a.minpoly] * a.degree, boxes)
 
 
 def an_conjugates(a: AlgebraicNumber) -> list[AlgebraicNumber]:
@@ -159,22 +156,36 @@ def an_rational_value(a: AlgebraicNumber) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# enclosure plumbing
+# root selection
 
 
-def _select_by_enclosure(p: IntPoly, enclosures: Iterable[IsolatingBox]) -> AlgebraicNumber:
-    """The root of p that a shrinking enclosure stream holds (see _pin)."""
-    sq = squarefree_part(p)
-    pboxes = isolate_roots(sq)
-    return an_from_poly_root(sq, pboxes[_pin(enclosures, sq, pboxes)])
+def _irreducible_factors(p: IntPoly) -> list[IntPoly]:
+    """The distinct canonical irreducible factors of p, which share no root."""
+    return [q for q, _ in factor_z(p).factors]
 
 
-def _image_root(q: IntPoly, probes: Iterable[IsolatingBox]) -> AlgebraicNumber:
-    """The root of q that a shrinking probe stream holds, for q irreducible
-    by construction: the image of a minpoly under x -> c*x or x -> 1/x.
-    Nothing is factored; _pin names the canonical box exactly."""
-    q = canonicalize(q)
-    return _canonical_at(q, _pin(probes, q, isolate_roots(q)))
+def _candidates(factors: Iterable[IntPoly]) -> tuple[list[IntPoly], list[IsolatingBox]]:
+    """The canonical boxes of every root of the factors, each with its factor."""
+    polys: list[IntPoly] = []
+    boxes: list[IsolatingBox] = []
+    for q in factors:
+        qboxes = isolate_roots(q)
+        polys += [q] * len(qboxes)
+        boxes += qboxes
+    return polys, boxes
+
+
+def _candidate_root(polys: list[IntPoly], i: int) -> AlgebraicNumber:
+    """The root of candidate i: a factor's boxes are consecutive, in order."""
+    q = polys[i]
+    return _canonical_at(q, i - polys.index(q))
+
+
+def _select_root(factors: Iterable[IntPoly], probes: Iterable[IsolatingBox]) -> AlgebraicNumber:
+    """The root that a shrinking probe stream holds, among the roots of the
+    distinct irreducible factors, one of which it is a root of (see _pin)."""
+    polys, boxes = _candidates(factors)
+    return _candidate_root(polys, _pin(probes, polys, boxes))
 
 
 # ---------------------------------------------------------------------------
@@ -188,18 +199,18 @@ def an_mul(a: AlgebraicNumber, b: AlgebraicNumber) -> AlgebraicNumber:
     if a.degree == 1:
         a, b = b, a
     if b.degree != 1:
-        res = product_resolvent(a.minpoly, b.minpoly)
+        factors = _irreducible_factors(product_resolvent(a.minpoly, b.minpoly))
         pairs = zip(_refinements(a.box, a.minpoly), _refinements(b.box, b.minpoly))
-        return _select_by_enclosure(res, (_box_mul(ab, bb) for ab, bb in pairs))
+        return _select_root(factors, (_box_mul(ab, bb) for ab, bb in pairs))
     c = an_rational_value(b)
     if c == 0:
         return an_from_rational(0)
     if a.degree == 1:
         return an_from_rational(an_rational_value(a) * c)
     u, v, d = c.numerator, c.denominator, a.degree
-    scaled = IntPoly(tuple(pi * u ** (d - i) * v ** i for i, pi in enumerate(a.minpoly.coeffs)))
+    scaled = canonicalize(IntPoly(tuple(pi * u ** (d - i) * v ** i for i, pi in enumerate(a.minpoly.coeffs))))
     cbox = IsolatingBox((c, Fraction(0)), Fraction(0))
-    return _image_root(scaled, (_box_mul(box, cbox) for box in _refinements(a.box, a.minpoly)))
+    return _select_root([scaled], (_box_mul(box, cbox) for box in _refinements(a.box, a.minpoly)))
 
 
 def an_inv(a: AlgebraicNumber) -> AlgebraicNumber:
@@ -210,7 +221,7 @@ def an_inv(a: AlgebraicNumber) -> AlgebraicNumber:
     if a.degree == 1:
         return an_from_rational(1 / an_rational_value(a))
     invs = (_box_inv(box) for box in _refinements(a.box, a.minpoly) if _abs_bounds(box)[0] > 0)
-    return _image_root(a.minpoly.reversal(), invs)
+    return _select_root([canonicalize(a.minpoly.reversal())], invs)
 
 
 def an_neg(a: AlgebraicNumber) -> AlgebraicNumber:
@@ -225,9 +236,9 @@ def an_pow(a: AlgebraicNumber, n: int) -> AlgebraicNumber:
         return a
     if a.degree == 1:
         return an_from_rational(an_rational_value(a) ** n)
-    pn = power_map(a.minpoly, n)
     zn = (0,) * n + (1,)
-    return _select_by_enclosure(pn, (_box_horner(zn, box) for box in _refinements(a.box, a.minpoly)))
+    probes = (_box_horner(zn, box) for box in _refinements(a.box, a.minpoly))
+    return _select_root(_irreducible_factors(power_map(a.minpoly, n)), probes)
 
 
 def an_equal(a: AlgebraicNumber, b: AlgebraicNumber) -> bool:
@@ -288,7 +299,7 @@ def _ratio_on_unit_circle(p: IntPoly, num: IsolatingBox, den: IsolatingBox) -> s
         status[i] = "in"
     pairs = zip(_refinements(num, p), _refinements(den, p))
     ratios = (_box_mul(nb, _box_inv(db)) for nb, db in pairs if _abs_bounds(db)[0] > 0)
-    return status[_pin(ratios, g, isolate_roots(g))]
+    return status[_pin(ratios, [g] * g.degree, isolate_roots(g))]
 
 
 def _strictly_dominates(p: IntPoly, abox: IsolatingBox, bbox: IsolatingBox) -> bool:

@@ -8,17 +8,19 @@ last two report Inconclusive; the engine never guesses).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .algnum import (
     AlgebraicNumber,
     NumberClass,
+    _irreducible_factors,
+    _select_root,
     an_conjugates,
     an_equal,
-    an_from_poly_root,
     an_from_rational,
     an_inv,
     an_mul,
@@ -28,7 +30,6 @@ from .algnum import (
     classify_number,
 )
 from .errors import (
-    BoxAmbiguous,
     ExactCheckFailed,
     InternalPrecisionExceeded,
     NotAFixedPoint,
@@ -163,6 +164,15 @@ def _product_enclosure(cur, idx, lc: int) -> IsolatingBox:
     return enc
 
 
+def _product_enclosures(p: IntPoly, boxes, idx, lc: int) -> Iterator[IsolatingBox]:
+    """Ever-smaller enclosures of prod_{i in idx} lc*root_i(p): the chosen
+    boxes are refined 16-fold between one enclosure and the next."""
+    cur = {i: boxes[i] for i in idx}
+    while True:
+        yield _product_enclosure(cur, idx, lc)
+        cur = {i: refine(b, p, b.radius / 16) for i, b in cur.items()}
+
+
 # Minpoly guessing. At each rung of the precision ladder the certified boxes
 # of the chosen roots are refined to radius 2^-(prec+64), and t is the centre
 # of their product enclosure; the enclosure also shows when t cannot be real.
@@ -233,22 +243,18 @@ def _leading_gcd(reduced, D: int) -> IntPoly:
 def _verified_candidate(q, res, p, boxes, idx, lc):
     """Exact proof that irreducible q is the minpoly of the subset product:
     q | res, and the cofactor has no root in a certified enclosure of the
-    product, which therefore must be the (unique) q-root it contains."""
+    product. The product is then a root of q, and the rest of the enclosure
+    stream pins which one."""
     q = canonicalize(q)
     if q.degree < 1:
         return None
     h = div_z(res, q)
     if h is None or not is_irreducible(q):
         return None
-    cur = {i: boxes[i] for i in idx}
-    for _ in range(40):
-        enc = _product_enclosure(cur, idx, lc)
+    encs = _product_enclosures(p, boxes, idx, lc)
+    for enc in itertools.islice(encs, 40):
         if h.degree < 1 or _abs_bounds(_box_horner(h.coeffs, enc))[0] > 0:
-            try:
-                return an_from_poly_root(q, enc)
-            except BoxAmbiguous:
-                pass
-        cur = {i: refine(b, p, b.radius / 16) for i, b in cur.items()}
+            return _select_root([q], encs)
     return None
 
 
@@ -259,8 +265,12 @@ def _select_product_root(res: IntPoly, p: IntPoly, boxes, idx, lc: int) -> Algeb
     """The root of res equal to prod_{i in idx} lc*root_i(p), identified by a
     shrinking certified enclosure.
 
-    Large res is never factored: a relation-guessed minpoly is proven exactly
-    instead (divisibility plus disk exclusion of the cofactor)."""
+    Up to degree _DIRECT_FACTOR_CAP, res is factored and the enclosures pin
+    the product among the roots of its irreducible factors. Past it, a
+    relation-guessed minpoly is proven exactly instead (divisibility plus
+    disk exclusion of the cofactor); when no guess is proven, res up to
+    degree 64 is factored after all, and a larger one raises
+    InternalPrecisionExceeded."""
     if res.degree > _DIRECT_FACTOR_CAP:
         for prec in (256, 512, 1024, 2048, 4096):
             for q in _candidate_minpolys(p, boxes, idx, lc, prec):
@@ -270,12 +280,7 @@ def _select_product_root(res: IntPoly, p: IntPoly, boxes, idx, lc: int) -> Algeb
         if res.degree > 64:
             raise InternalPrecisionExceeded(
                 f"no verified minpoly for a degree-{res.degree} subset product")
-    cur = {i: boxes[i] for i in idx}
-    while True:
-        try:
-            return an_from_poly_root(res, _product_enclosure(cur, idx, lc))
-        except BoxAmbiguous:
-            cur = {i: refine(b, p, b.radius / 16) for i, b in cur.items()}
+    return _select_root(_irreducible_factors(res), _product_enclosures(p, boxes, idx, lc))
 
 
 _measure_cache: dict = {}

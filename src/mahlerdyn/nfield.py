@@ -15,7 +15,8 @@ import mpmath as mp
 
 from .algnum import (
     AlgebraicNumber,
-    _select_by_enclosure,
+    _irreducible_factors,
+    _select_root,
     an_compare,
     an_from_rational,
     an_mul,
@@ -249,7 +250,7 @@ def nf_embedding_permutation(K: NumberField, g: FieldElement) -> tuple[int, ...]
     """
     boxes = list(K.embeddings)
     return tuple(
-        _pin((nf_embed(K, g, i, 64 << k) for k in itertools.count()), K.defining, boxes)
+        _pin((nf_embed(K, g, i, 64 << k) for k in itertools.count()), [K.defining] * K.degree, boxes)
         for i in range(K.degree)
     )
 
@@ -576,28 +577,6 @@ def _interval_rank(rows) -> bool:
     return True
 
 
-def _interval_det_excludes_zero(rows) -> bool:
-    """Certified nonzero determinant of a square interval matrix."""
-    n = len(rows)
-    work = [list(r) for r in rows]
-    det = (_ONE, _ONE)
-    for i in range(n):
-        pivot = None
-        for r in range(i, n):
-            if work[r][i][0] > 0 or work[r][i][1] < 0:
-                pivot = r
-                break
-        if pivot is None:
-            return False
-        work[i], work[pivot] = work[pivot], work[i]
-        det = _iv_mul(det, work[i][i])
-        for r in range(i + 1, n):
-            factor = _iv_div(work[r][i], work[i][i])
-            for c in range(i, n):
-                work[r][c] = _iv_sub(work[r][c], _iv_mul(factor, work[i][c]))
-    return det[0] > 0 or det[1] < 0
-
-
 # ---------------------------------------------------------------------------
 # unit sublattice
 
@@ -637,13 +616,7 @@ def nf_unit_sublattice(K: NumberField) -> UnitSublattice:
                 gens.append(u)
                 vectors.append(v)
                 if len(gens) == rank_target:
-                    square = [
-                        [v.entries[c] for c in range(rank_target)] for v in vectors
-                    ]
-                    if not (
-                        _interval_det_excludes_zero(square)
-                        or _rank_certified_hard(K, gens, rank_target)
-                    ):
+                    if not _square_minor_certified(K, places, gens, vectors):
                         raise RankDeficient(
                             "full-rank log matrix failed its determinant check"
                         )
@@ -652,15 +625,16 @@ def nf_unit_sublattice(K: NumberField) -> UnitSublattice:
     raise RankDeficient(f"unit search exhausted coordinate bound {_H_CAP}")
 
 
-def _rank_certified_hard(K, gens, rank_target) -> bool:
-    # retry the determinant at higher precision before declaring failure
-    places = _places(K)
-    for prec in (384, 1536):
-        vectors = [_log_vector(K, places, g, prec) for g in gens]
-        square = [[v.entries[c] for c in range(rank_target)] for v in vectors]
-        if _interval_det_excludes_zero(square):
-            return True
-    return False
+def _square_minor_certified(K, places, gens, vectors) -> bool:
+    """Whether the leading square minor of the log matrix of gens is
+    certified nonsingular: r certified pivots of _interval_rank on the r x r
+    minor prove its determinant nonzero. Tried on vectors, then at 384 and
+    1536 bits before it fails."""
+    r = len(gens)
+    ladder = itertools.chain(
+        [vectors], ([_log_vector(K, places, g, prec) for g in gens] for prec in (384, 1536))
+    )
+    return any(_interval_rank([v.entries[:r] for v in vs]) for vs in ladder)
 
 
 def _sup_band(n: int, prev: int, h: int):
@@ -721,7 +695,8 @@ def fe_to_algnum(K: NumberField, x: FieldElement, place: int = 0) -> AlgebraicNu
     """The algebraic number sigma_place(x), with exact minimal polynomial."""
     if fe_is_rational(x):
         return an_from_rational(x.coords[0])
-    return _select_by_enclosure(_char_poly(K, x), (nf_embed(K, x, place, 64 << k) for k in range(7)))
+    probes = (nf_embed(K, x, place, 64 << k) for k in range(7))
+    return _select_root(_irreducible_factors(_char_poly(K, x)), probes)
 
 
 def _abs_squared_algnum(K: NumberField, x: FieldElement, place: int) -> AlgebraicNumber:

@@ -33,12 +33,13 @@ imaginary part exactly 0, so a real box stays real. Newton doubles the
 correct bits per step; a box that has not settled within twice that many
 steps, or a radius below 2^-_PREC_CAP, raises InternalPrecisionExceeded.
 
-Which root of p a shrinking enclosure holds is decided in one place: _pin
-takes the enclosures (often _refinements of a box, or values computed from
-them) and refines only the boxes of p they still meet, until one is left.
-Every caller that names a conjugate (a factor's root among p's, a product
-among its resolvent's, an automorphism's image, a complex conjugate) goes
-through it.
+Which root a shrinking enclosure holds is decided in one place: _pin takes
+the enclosures (often _refinements of a box, or values computed from them)
+and certified boxes of distinct roots, of one p or of several irreducible
+factors, and refines only the boxes they still meet, each with its own
+polynomial, until one is left. Every caller that names a root (a factor's
+root among p's, a product, power or rational image, an automorphism's
+image, a complex conjugate) goes through it.
 
 The canonical boxes are also the certificate of every exact fact about roots
 that the package uses. A real root has a real-centred box, so signature
@@ -510,24 +511,26 @@ def _refinements(box: IsolatingBox, p: IntPoly) -> Iterator[IsolatingBox]:
         box = refine(box, p, box.radius / 16)
 
 
-def _pin(probes: Iterable[IsolatingBox], p: IntPoly, boxes: list[IsolatingBox]) -> int:
-    """Index of the box in boxes that holds the root of p the probes enclose.
+def _pin(probes: Iterable[IsolatingBox], polys: Sequence[IntPoly], boxes: list[IsolatingBox]) -> int:
+    """Index of the box in boxes that holds the root the probes enclose.
 
-    probes is a stream of ever-smaller disks around one root of p, and boxes
-    are p's certified boxes, one per root. Each probe is checked against the
-    boxes it has not yet been found disjoint from; those it still meets are
-    refined in place, and the first probe that meets exactly one box decides.
-    A probe that meets none raises ExactCheckFailed; a stream that ends first
-    raises InternalPrecisionExceeded."""
+    probes is a stream of ever-smaller disks around one root, and boxes[i]
+    is a certified box of one root of polys[i]; the roots are pairwise
+    distinct and the probed root is among them. Each probe is checked
+    against the boxes it has not yet been found disjoint from; those it
+    still meets are refined in place, each with its own polynomial, and the
+    first probe that meets exactly one box decides. A probe that meets none
+    raises ExactCheckFailed; a stream that ends first raises
+    InternalPrecisionExceeded."""
     hits = range(len(boxes))
     for probe in probes:
         hits = [i for i in hits if not _disjoint(probe, boxes[i])]
         if len(hits) == 1:
             return hits[0]
         if not hits:
-            raise ExactCheckFailed("an enclosure of a root meets no certified box of its polynomial")
+            raise ExactCheckFailed("an enclosure of a root meets no certified candidate box")
         for i in hits:
-            boxes[i] = refine(boxes[i], p, boxes[i].radius / 16)
+            boxes[i] = refine(boxes[i], polys[i], boxes[i].radius / 16)
     raise InternalPrecisionExceeded("enclosures ended before one certified box remained")
 
 
@@ -620,7 +623,7 @@ def circle_partition(p: IntPoly) -> CirclePartition:
             labels = list(statuses)
             break
         for qb, status in zip(isolate_roots(q), statuses):
-            idx = _pin(_refinements(qb, q), p, pboxes)
+            idx = _pin(_refinements(qb, q), [p] * p.degree, pboxes)
             if labels[idx] is not None:
                 raise ExactCheckFailed("two factor roots pinned to one root of p")
             labels[idx] = status

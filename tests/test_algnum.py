@@ -151,6 +151,23 @@ class TestMul:
         sq = an_mul(i_unit, i_unit)
         assert an_rational_value(sq) == -1
 
+    def test_selection_isolates_factors_only(self, monkeypatch):
+        # the resolvents here are (x^2-4)^2, (x-2)^2 and (x^2-16)^2: the value
+        # is pinned among the roots of their irreducible factors, and no
+        # reducible polynomial is isolated
+        sqrt8 = nth_root("-8,0,1")
+        isolated = []
+
+        def spy(p):
+            isolated.append(p)
+            return isolate_roots(p)
+
+        monkeypatch.setattr(algnum, "isolate_roots", spy)
+        assert an_rational_value(an_mul(SQRT2, SQRT2)) == 2
+        assert an_rational_value(an_pow(SQRT2, 2)) == 2
+        assert an_rational_value(an_mul(SQRT2, sqrt8)) == 4
+        assert isolated and all(is_irreducible(p) for p in isolated)
+
     def test_commutative_associative(self):
         rng = random.Random(20260814)
         for _ in range(4):

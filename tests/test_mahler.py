@@ -646,6 +646,13 @@ class TestExactChecksUnderOptimize:
             "mahler.mahler_measure(an_from_poly_root(from_text('1,-3,1'), "
             "isolate_roots(from_text('1,-3,1'))[0]))\n"
         ),
+        # product enclosures far from every root of the resolvent's factors
+        "product_enclosure_far": (
+            "mahler._product_enclosure = lambda *args: "
+            "roots.IsolatingBox((roots.Fraction(1000), roots._ZERO), roots._ONE)\n"
+            "mahler.mahler_measure(an_from_poly_root(from_text('7,13,-13,-14,-11,9'), "
+            "isolate_roots(from_text('7,13,-13,-14,-11,9'))[0]))\n"
+        ),
         # a scaled root's probe that meets no box of the scaled minpoly
         "scaled_probe_far": (
             "algnum._box_mul = lambda a, b: roots.IsolatingBox((roots.Fraction(1000), roots._ZERO), roots._ONE)\n"

@@ -439,8 +439,7 @@ class TestUnitSublattice:
             nf_unit_sublattice(K)
 
     def test_failed_determinant_check_raises(self, monkeypatch):
-        monkeypatch.setattr(nfield, "_interval_det_excludes_zero", lambda rows: False)
-        monkeypatch.setattr(nfield, "_rank_certified_hard", lambda K, gens, r: False)
+        monkeypatch.setattr(nfield, "_square_minor_certified", lambda K, places, gens, vectors: False)
         with pytest.raises(RankDeficient):
             nf_unit_sublattice(nf_new(SQRT2_POLY))
 
@@ -450,8 +449,7 @@ class TestUnitSublattice:
             "from mahlerdyn import nfield\n"
             "from mahlerdyn.errors import RankDeficient\n"
             "from mahlerdyn.intpoly import from_text\n"
-            "nfield._interval_det_excludes_zero = lambda rows: False\n"
-            "nfield._rank_certified_hard = lambda K, gens, r: False\n"
+            "nfield._square_minor_certified = lambda K, places, gens, vectors: False\n"
             "try:\n"
             "    nfield.nf_unit_sublattice(nfield.nf_new(from_text('-2,0,1')))\n"
             "except RankDeficient:\n"

@@ -1,5 +1,6 @@
 """Packaging: the source tree ships the package, no dangling entry point,
-no runtime dependency beyond mpmath and no assert statement."""
+no runtime dependency beyond mpmath, no assert statement and no except that
+hides a failure."""
 
 import ast
 import os
@@ -46,5 +47,26 @@ def test_no_assert_statements():
         for path in sorted((ROOT / "src" / "mahlerdyn").glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_no_except_hides_a_failure():
+    # a bare except, or one on Exception, BaseException or BoxAmbiguous,
+    # would turn a failed exact check or an ambiguous root into a silent retry
+    broad = {None, "Exception", "BaseException", "BoxAmbiguous"}  # None: a bare except
+
+    def caught(node) -> set:
+        if node is None:
+            return {None}
+        if isinstance(node, ast.Tuple):
+            return set().union(*map(caught, node.elts))
+        return {node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")}
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "mahlerdyn").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ExceptHandler) and broad & caught(node.type)
     ]
     assert found == []

@@ -308,18 +308,30 @@ class TestPin:
         assert [k for k, b in enumerate(boxes) if not _disjoint(probe, b)] == [i, i + 1]
         # six probes reach 2^-139: enough once the hit boxes are refined,
         # not enough while the neighbour keeps its 2^-200 edge
-        assert _pin(itertools.islice(_refinements(probe, SQRT2), 6), CLOSE_PAIR, boxes) == i
+        assert _pin(itertools.islice(_refinements(probe, SQRT2), 6), [CLOSE_PAIR] * len(boxes), boxes) == i
         assert _holds_sqrt2(boxes[i])
 
     def test_isolated_boxes_of_a_close_pair(self):
         boxes = isolate_roots(CLOSE_PAIR)
-        i = _pin(_refinements(self._probe(), SQRT2), CLOSE_PAIR, boxes)
+        i = _pin(_refinements(self._probe(), SQRT2), [CLOSE_PAIR] * len(boxes), boxes)
         assert _holds_sqrt2(isolate_roots(CLOSE_PAIR)[i])
+
+    def test_boxes_of_several_factors(self):
+        # boxes of radius 2^-20 around the roots of CLOSE_PAIR's two factors:
+        # each isolates a root of its own factor, and the two near sqrt(2)
+        # also hold each other's root, so each must be refined with its own
+        # polynomial until one is left
+        factors = [SQRT2, P("-2000000000001,0,1000000000000")]
+        polys = [q for q in factors for _ in range(q.degree)]
+        boxes = [IsolatingBox(b.center, Fraction(1, 1 << 20)) for q in factors for b in isolate_roots(q)]
+        assert not _disjoint(boxes[1], boxes[3])
+        i = _pin(_refinements(self._probe(), SQRT2), polys, boxes)
+        assert i == 1 and _holds_sqrt2(boxes[i])
 
     def test_probe_meeting_no_box_raises(self):
         probe = IsolatingBox((Fraction(3), Fraction(0)), Fraction(1, 4))
         with pytest.raises(ExactCheckFailed):
-            _pin([probe], SQRT2, isolate_roots(SQRT2))
+            _pin([probe], [SQRT2] * 2, isolate_roots(SQRT2))
 
     def test_probe_meeting_no_box_raises_under_optimize(self):
         code = (
@@ -329,7 +341,7 @@ class TestPin:
             "from mahlerdyn.roots import IsolatingBox, _pin, isolate_roots\n"
             "p = from_text('-2,0,1')\n"
             "try:\n"
-            "    _pin([IsolatingBox((Fraction(3), Fraction(0)), Fraction(1, 4))], p, isolate_roots(p))\n"
+            "    _pin([IsolatingBox((Fraction(3), Fraction(0)), Fraction(1, 4))], [p] * 2, isolate_roots(p))\n"
             "except ExactCheckFailed:\n"
             "    print('raised')\n"
         )
@@ -341,7 +353,7 @@ class TestPin:
         # a disk around 0 of radius 2 holds both roots of x^2 - 2
         probe = IsolatingBox((Fraction(0), Fraction(0)), Fraction(2))
         with pytest.raises(InternalPrecisionExceeded):
-            _pin([probe], SQRT2, isolate_roots(SQRT2))
+            _pin([probe], [SQRT2] * 2, isolate_roots(SQRT2))
 
 
 class TestCirclePartition:
