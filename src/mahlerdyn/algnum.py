@@ -28,8 +28,8 @@ from .errors import (
 from .factor import factor_z, is_irreducible
 from .intpoly import (
     IntPoly,
+    _is_cyclotomic_irreducible,
     canonicalize,
-    cyclotomic_part,
     from_rational,
     from_text,
     power_map,
@@ -336,7 +336,7 @@ def classify_number(a: AlgebraicNumber) -> NumberClass:
         v = an_rational_value(a)
         tag = "RationalInteger" if v.denominator == 1 else "Rational"
         return NumberClass(tag, {"value": str(v)})
-    if cyclotomic_part(p) == p:
+    if _is_cyclotomic_irreducible(p):
         return NumberClass("RootOfUnity", {"order": _rou_order(p)})
     if a.box.center[1] != 0:
         return NumberClass("Other", {"reason": "not real"})

@@ -1190,7 +1190,10 @@ def classify_galois_small(p: IntPoly) -> FieldVerdict:
 
 def classify_cm(p: IntPoly) -> Optional[FieldVerdict]:
     """CM test: complex conjugation is an exact automorphism whose fixed
-    field is totally real of half degree.  None when the field is not CM."""
+    field is totally real of half degree.  None when the field is not CM.
+
+    Once conjugation is found, a failed search for a generator of its fixed
+    field raises NotFound: it proves nothing about the field."""
     G = _monic_irreducible(p)
     n = G.degree
     if n % 2 == 1:
@@ -1209,10 +1212,7 @@ def classify_cm(p: IntPoly) -> Optional[FieldVerdict]:
             break
     if conj is None:
         return None
-    try:
-        poly, _ = _fixed_field_poly(K, [ident, conj], n // 2)
-    except NotFound:
-        return None
+    poly, _ = _fixed_field_poly(K, [ident, conj], n // 2)
     if signature(poly) != (n // 2, 0):
         return None
     if n == 6:

@@ -1,12 +1,12 @@
 """Exact arithmetic on integer polynomials.
 
 Dense representation, constant term first. All decision procedures here are
-exact: integer subresultant PRS for resultants (norms, discriminants) and
-gcds, and integer-only reciprocal/trace transforms for unit-circle work. Real
-roots are counted from the certified isolation in roots, not here. Every
-resolvent (power map, product, ratio, transform, and the subset and pair
-products behind the Mahler measure) is built one way: the power sums of the
-input roots are mapped to those of the resolvent roots, and Newton's
+exact: the integer primitive PRS for gcds, and integer-only reciprocal/trace
+transforms for unit-circle work. Real roots are counted from the certified
+isolation in roots, not here. Every resolvent (power map, product, ratio,
+transform, and the subset and pair products behind the Mahler measure) and
+every resultant (norms, discriminants) is built one way: the power sums of
+the input roots are mapped to those of the resolvent roots, and Newton's
 identities, with exact divisions, give the coefficients. No floating point
 anywhere in this module.
 It also holds the all-integer LLL that minpoly guessing (mahler) and
@@ -264,61 +264,6 @@ def _pp_signed(p: IntPoly) -> IntPoly:
     return div_exact_int(p, c) if c > 1 else p
 
 
-def _resultant_prs(p: IntPoly, q: IntPoly) -> int:
-    sign = 1
-    a, b = p, q
-    if a.degree < b.degree:
-        if (a.degree * b.degree) % 2:
-            sign = -sign
-        a, b = b, a
-    if b.degree == 0:
-        return sign * b.lc ** a.degree
-    ca, cb = abs(a.content()), abs(b.content())
-    t = ca ** b.degree * cb ** a.degree
-    a, b = _pp_signed(a), _pp_signed(b)
-    g = h = 1
-    while True:
-        da, db = a.degree, b.degree
-        delta = da - db
-        if (da % 2) and (db % 2):
-            sign = -sign
-        r = prem(a, b)
-        a = b
-        if r.is_zero:
-            return 0
-        b = div_exact_int(r, g * h ** delta)
-        g = a.lc
-        if delta > 0:
-            num = g ** delta
-            qh, rh = divmod(num, h ** (delta - 1))
-            if rh:
-                raise ExactCheckFailed("subresultant h is not an integer")
-            h = qh
-        if b.degree <= 0:
-            break
-    # b is a nonzero constant here
-    da = a.degree
-    num = b.lc ** da
-    qh, rh = divmod(num, h ** (da - 1)) if da >= 1 else (num, 0)
-    if rh:
-        raise ExactCheckFailed("resultant is not an integer")
-    return sign * t * qh
-
-
-def resultant(p: IntPoly, q: IntPoly) -> int:
-    """Res(p, q) by the subresultant PRS, as an exact integer.
-
-    The Sylvester determinant survives only as a test oracle for degree <= 8.
-    """
-    if p.is_zero or q.is_zero:
-        raise ZeroPolynomial("resultant of zero polynomial")
-    if p.degree == 0:
-        return p.lc ** q.degree
-    if q.degree == 0:
-        return q.lc ** p.degree
-    return _resultant_prs(p, q)
-
-
 def gcd_z(p: IntPoly, q: IntPoly) -> IntPoly:
     """Polynomial gcd over Z, canonical (content 1 unless both constant)."""
     if p.is_zero:
@@ -552,16 +497,22 @@ def transform_resolvent(f: IntPoly, g_num: IntPoly, g_den: int = 1) -> IntPoly:
         return ONE
     if f.lc != 1:
         raise NotMonic("transform_resolvent requires a monic f")
+    return _from_power_sums(_transform_power_sums(f, g_num), g_den)
+
+
+def _transform_power_sums(f: IntPoly, g: IntPoly) -> list:
+    """Power sums p_1..p_m of the values g(alpha) over the m roots alpha of
+    monic f (index 0 unused): p_k(g(alpha)) = sum_j [g^k mod f]_j p_j(f)."""
     m = f.degree
     pf = _power_sums(f, m - 1)
     pf[0] = m
     # f is monic, so prem is the exact remainder mod f
-    r = prem(g_num, f)
+    r = prem(g, f)
     h, ps = ONE, [0]
     for _ in range(m):
         h = prem(h * r, f)
         ps.append(sum(h[j] * pf[j] for j in range(m)))
-    return _from_power_sums(ps, g_den)
+    return ps
 
 
 # -- lattice reduction ---------------------------------------------------------
@@ -719,6 +670,33 @@ def monicize(p: IntPoly) -> tuple[IntPoly, int]:
         return p, 1
     out = [p[i] * c ** (d - 1 - i) for i in range(d)] + [1]
     return IntPoly(out), c
+
+
+def resultant(p: IntPoly, q: IntPoly) -> int:
+    """Res(p, q) = lc(p)^m * prod q(alpha) over the n roots alpha of p, for
+    m = deg q, as an exact integer.
+
+    Built on the power-sum route of the resolvents (Bostan-Flajolet-Salvy-
+    Schost, J. Symbolic Comput. 41 (2006)): with (G, c) = monicize(p), whose
+    roots are c*alpha, and Q(x) = sum_j q_j c^(m-j) x^j, Q(c*alpha) =
+    c^m q(alpha) are algebraic integers, and prod Q(c*alpha) is e_n of them,
+    read off their power sums. Res(p, q) is that product divided exactly by
+    c^(m(n-1)). The Sylvester determinant survives only as a test oracle.
+    """
+    if p.is_zero or q.is_zero:
+        raise ZeroPolynomial("resultant of zero polynomial")
+    n, m = p.degree, q.degree
+    if n == 0:
+        return p.lc**m
+    if m == 0:
+        return q.lc**n
+    G, c = monicize(p)
+    Q = IntPoly([qj * c ** (m - j) for j, qj in enumerate(q.coeffs)])
+    e_n = _elem_from_power_sums(_transform_power_sums(G, Q), n)[n]
+    r, rem = divmod(e_n, c ** (m * (n - 1)))
+    if rem:
+        raise ExactCheckFailed("resultant is not an integer")
+    return r
 
 
 def discriminant(p: IntPoly) -> Fraction:

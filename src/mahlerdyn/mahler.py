@@ -40,10 +40,10 @@ from .factor import is_irreducible
 from .intpoly import (
     IntPoly,
     _elem_from_power_sums,
+    _is_cyclotomic_irreducible,
     _pair_product_poly,
     _subset_product_poly,
     canonicalize,
-    cyclotomic_part,
     div_z,
     gcd_z,
     lll_reduce,
@@ -358,7 +358,7 @@ def _exponent_candidates(log_num: float, log_den: float) -> list[int]:
 def _is_root_of_unity(a: AlgebraicNumber) -> bool:
     if a.degree == 1:
         return an_rational_value(a) in (1, -1)
-    return cyclotomic_part(a.minpoly) == a.minpoly
+    return _is_cyclotomic_irreducible(a.minpoly)
 
 
 def _torsion_free(a: AlgebraicNumber) -> Optional[bool]:

@@ -35,7 +35,7 @@ from .errors import (
 from .factor import _gf_from, _gf_gcd, _gf_pow_mod, _gf_sub, _small_primes, is_irreducible
 from .intpoly import (
     IntPoly,
-    cyclotomic_part,
+    _is_cyclotomic_irreducible,
     discriminant,
     lll_reduce,
     resultant,
@@ -601,8 +601,7 @@ def nf_unit_sublattice(K: NumberField) -> UnitSublattice:
     prec = 96
     h, prev = 1, 0
     while h <= _H_CAP:
-        for coords in _coord_rung(K, prev, h):
-            u = nf_element(K, coords)
+        for u in _coord_rung(K, prev, h):
             if _is_torsion_unit(K, places, u):
                 continue
             v = _log_vector(K, places, u, prec)
@@ -658,7 +657,7 @@ def _sup_band(n: int, prev: int, h: int):
 
 
 def _coord_rung(K: NumberField, prev: int, h: int):
-    """Integer coordinate vectors with prev < sup-norm <= h, unit norm only."""
+    """Units with integer coordinate vectors of prev < sup-norm <= h."""
     refined = [refine(b, K.defining, Fraction(1, 1 << 64)) for b in K.embeddings]
     approx = [complex(float(b.center[0]), float(b.center[1])) for b in refined]
     for coords in _sup_band(K.degree, prev, h):
@@ -673,8 +672,9 @@ def _coord_rung(K: NumberField, prev: int, h: int):
             prod *= abs(val)
         if not (0.05 < prod < 20.0):
             continue
-        if abs(resultant(K.defining, IntPoly(list(coords)))) == 1:
-            yield coords
+        u = nf_element(K, coords)
+        if abs(nf_norm(K, u)) == 1:
+            yield u
 
 
 def _is_torsion_unit(K: NumberField, places, u: FieldElement) -> bool:
@@ -683,8 +683,7 @@ def _is_torsion_unit(K: NumberField, places, u: FieldElement) -> bool:
         lo, hi = _abs_bounds(nf_embed(K, u, idx, 64))
         if lo > 1 or (hi < 1 and lo > 0):
             return False
-    q = fe_to_algnum(K, u).minpoly
-    return cyclotomic_part(q) == q
+    return _is_cyclotomic_irreducible(fe_to_algnum(K, u).minpoly)
 
 
 # ---------------------------------------------------------------------------

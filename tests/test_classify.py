@@ -1,12 +1,13 @@
 """Field-level verdicts: regressions for the CM test, the abelian rule, the
-quartic (C4, S4) and quintic (S5, F5, C5, D5) witnesses, the quintic resolvent
-behind galois_group_small, the sextic and C2^3 octic verdicts, the undecided
+quartic table (its all-preperiodic rows and the C4, D4 and S4 witnesses), the
+quintic (S5, F5, C5, D5) witnesses, the quintic resolvent behind
+galois_group_small, the sextic and C2^3 octic verdicts, the undecided
 automorphism count, and the two paths around the orbit certificate: the cited
 growth-chain fallback and a precision failure that must surface."""
 
 import pytest
 
-from mahlerdyn import mahler, nfield
+from mahlerdyn import classify, mahler, nfield
 from mahlerdyn.algnum import an_compare, an_equal, an_from_rational, an_pow
 from mahlerdyn.classify import (
     AllPreperiodic,
@@ -22,7 +23,7 @@ from mahlerdyn.classify import (
     classify_quintic,
     galois_group_small,
 )
-from mahlerdyn.errors import AutomorphismsUndecided, InternalPrecisionExceeded, NotGalois
+from mahlerdyn.errors import AutomorphismsUndecided, InternalPrecisionExceeded, NotFound, NotGalois
 from mahlerdyn.intpoly import from_text
 from mahlerdyn.mahler import CitedGrowth, PowerIdentity, TorsionFreePower, mahler_measure
 from mahlerdyn.roots import signature
@@ -94,6 +95,16 @@ class TestClassifyCM:
         # an S4 quartic field has no quadratic subfield, so it cannot be CM
         assert classify_cm(S4_IMAG) is None
 
+    def test_failed_fixed_field_search_is_raised(self, monkeypatch):
+        # conjugation is found, so a failed generator search for its fixed
+        # field must not read as "not CM"
+        def fail(*args):
+            raise NotFound("injected")
+
+        monkeypatch.setattr(classify, "_fixed_field_poly", fail)
+        with pytest.raises(NotFound, match="injected"):
+            classify_cm(CM6)
+
     def test_not_galois_names_the_primes(self):
         # |Aut(CM6)| = 2: the Frobenius bound proves the field is not Galois
         with pytest.raises(NotGalois, match="linear factors mod"):
@@ -128,6 +139,33 @@ class TestClassifyAbelian:
 
 
 class TestClassifyQuartic:
+    @pytest.mark.parametrize(
+        "p, group, sig",
+        [
+            (P("1,-1,0,0,1"), "S4", (0, 2)),  # x^4 - x + 1
+            (P("1,0,-4,0,1"), "V4", (4, 0)),  # x^4 - 4x^2 + 1, Q(sqrt 2, sqrt 3)
+            (P("-2,0,0,0,1"), "D4", (2, 1)),  # x^4 - 2
+            # the fifth cyclotomic polynomial: its depressed quartic has
+            # a nonzero linear term, so the disc-field splitting test takes
+            # its cubic-root branch
+            (P("1,1,1,1,1"), "C4", (0, 2)),
+        ],
+        ids=["S4-imaginary", "V4-real", "D4-mixed", "C4-imaginary"],
+    )
+    def test_all_preperiodic_rows(self, p, group, sig):
+        assert galois_group_small(p) == group
+        assert signature(p) == sig
+        assert isinstance(classify_quartic(p), AllPreperiodic)
+
+    def test_totally_real_dihedral_quartic_has_certified_wanderer(self):
+        # x^4 - 5x^2 + 3: the D4 labelings of the real chain witness
+        p = P("3,0,-5,0,1")
+        assert galois_group_small(p) == "D4"
+        v = classify_quartic(p)
+        _assert_wandering_unit(v, 4)
+        assert v.certificate == TorsionFreePower(k=2, n=2)
+        _assert_exact_certificate(v)
+
     def test_cyclic_quartic_has_certified_wanderer(self):
         v = classify_quartic(C4_REAL)
         assert isinstance(v, HasWanderer)

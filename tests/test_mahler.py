@@ -11,7 +11,7 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
-from mahlerdyn import factor, intpoly, mahler
+from mahlerdyn import factor, intpoly, mahler, nfield
 from mahlerdyn.errors import InternalPrecisionExceeded, NotAFixedPoint, ZeroInput
 from mahlerdyn.factor import is_irreducible
 from mahlerdyn.intpoly import IntPoly, canonicalize, div_z, from_text, to_text, untrace_poly
@@ -180,6 +180,27 @@ class TestFixedPointClass:
             fixed_point_class(nth_root("-2,0,1"))
         with pytest.raises(NotAFixedPoint):
             fixed_point_class(any_root(P("1,-1,0,0,1")))
+
+    def test_cyclotomic_questions_do_not_factor(self, monkeypatch):
+        # an irreducible minpoly is asked directly whether it is cyclotomic,
+        # never factored again first
+        calls = []
+        real_factor_z = factor.factor_z
+
+        def spy(p):
+            calls.append(p)
+            return real_factor_z(p)
+
+        zeta5 = any_root(P("1,1,1,1,1"))
+        K = nfield.nf_new(P("1,0,1"))
+        minus_one = nfield.fe_rational(K, -1)
+        monkeypatch.setattr(factor, "factor_z", spy)
+        assert classify_number(zeta5).tag == "RootOfUnity"
+        assert classify_number(TAU).tag == "Salem"
+        assert mahler._is_root_of_unity(zeta5)
+        assert not mahler._is_root_of_unity(TAU)
+        assert nfield._is_torsion_unit(K, nfield._places(K), minus_one)
+        assert calls == []
 
 
 class TestOrbitExamples:
@@ -697,6 +718,13 @@ class TestExactChecksUnderOptimize:
         "log_of_zero_modulus": "nfield._log_interval(0, 1)\n",
         # interval division by an interval holding 0
         "interval_division_by_zero": "nfield._iv_div((1, 2), (-1, 1))\n",
+        # a resultant whose e_n from power sums is off by one: for p = 2x^2+1
+        # and q = x+1 the exact division by c^(m(n-1)) = 2 fails
+        "resultant_division_fails": (
+            "intpoly._elem_from_power_sums = lambda p, m, f=intpoly._elem_from_power_sums: "
+            "f(p, m)[:m] + [f(p, m)[m] + 1]\n"
+            "intpoly.resultant(from_text('1,0,2'), from_text('1,1'))\n"
+        ),
         # a depressed quartic that is not a monic quartic without cubic term
         "depressed_quartic_wrong": (
             "classify.transform_resolvent = lambda *args: from_text('1,1')\n"
@@ -725,5 +753,6 @@ class TestExactChecksUnderOptimize:
             capture_output=True,
             text=True,
             check=True,
+            timeout=300,
         )
         assert out.stdout.strip() == "raised"

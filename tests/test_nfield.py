@@ -463,6 +463,7 @@ class TestUnitSublattice:
             capture_output=True,
             text=True,
             check=True,
+            timeout=300,
         )
         assert out.stdout.strip() == "raised"
 

@@ -36,7 +36,7 @@ def test_runtime_imports_mpmath_only():
         "print(sorted(m for m in ('numpy', 'sympy') if m in sys.modules))"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=300)
     assert out.stdout.strip() == "[]"
 
 

@@ -346,7 +346,7 @@ class TestPin:
             "    print('raised')\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-        out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True)
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True, timeout=300)
         assert out.stdout.strip() == "raised"
 
     def test_stream_ending_first_raises(self):
