@@ -36,7 +36,6 @@ from .errors import (
     TrichotomyViolation,
     ZeroInput,
 )
-from .factor import is_irreducible
 from .intpoly import (
     IntPoly,
     _elem_from_power_sums,
@@ -49,11 +48,14 @@ from .intpoly import (
     lll_reduce,
     monicize,
     reciprocal_test,
+    untrace_poly,
 )
 from .roots import (
     IsolatingBox,
     _abs_bounds,
+    _box_add,
     _box_horner,
+    _box_inv,
     _box_mul,
     circle_partition,
     isolate_roots,
@@ -176,11 +178,21 @@ def _product_enclosures(p: IntPoly, boxes, idx, lc: int) -> Iterator[IsolatingBo
 # Minpoly guessing. At each rung of the precision ladder the certified boxes
 # of the chosen roots are refined to radius 2^-(prec+64), and t is the centre
 # of their product enclosure; the enclosure also shows when t cannot be real.
-# The powers t^i are fixed-point integers at the same unit 2^-(prec+64). Then,
-# for D = 4, 8, 16, ... up to top = min(64, max(4, prec // 24)), one
-# (D+1)x(D+2) integer lattice with rows e_i + floor(2^prec * t^i / max_{j<=D}
-# |t^j|) is LLL-reduced. Scaling by the largest power, not by 2^prec alone,
-# keeps the rounding noise of the big entries below the relation's own size.
+# When the resolvent is plus-reciprocal (every pair resolvent is: its roots
+# are closed under t -> 1/t), the relation is sought for T = t + 1/t, whose
+# enclosure is the product's plus its inverse. T lies in Q(t), so its minpoly
+# Q has degree at most deg q, and half of it when the minpoly q of t is
+# reciprocal: 6 instead of 12 for M(M(WANDER6)), found by the D = 8 lattice
+# at 256 bits where t needs D = 16 at 512 bits. The guess is untrace_poly(Q),
+# which is q when q is reciprocal and q*q^ (q^ the reversal of q, whose
+# roots are the 1/t) when it is not.
+# The powers of the value are fixed-point integers at the unit 2^-(prec+64).
+# Then, for D = 4, 8, 16, ... up to top = min(64, cap, max(4, prec // 24)),
+# one (D+1)x(D+2) integer lattice with rows e_i + floor(2^prec * t^i /
+# max_{j<=D} |t^j|) is LLL-reduced. Scaling by the largest power, not by
+# 2^prec alone, keeps the rounding noise of the big entries below the
+# relation's own size. The cap is the largest degree a guess can have: a
+# proven guess divides res, so cap = deg res, or deg res // 2 for Q.
 # The lattice has the shape [I | c] with c of about prec bits, so lll_reduce
 # feeds c in 64 bits at a time when (D+1)^2 <= prec: every lattice up to 512
 # bits, D <= 16 at 1024 bits, D <= 32 at 2048 and 4096 bits. The largest
@@ -189,26 +201,33 @@ def _product_enclosures(p: IntPoly, boxes, idx, lc: int) -> Iterator[IsolatingBo
 # with deg h <= D - deg q, so the leading reduced rows are such multiples, and
 # a single row can be q*(x+c): the candidate is the gcd of the leading rows,
 # taken until it drops to a constant, with any factor x stripped. These are
-# guesses only; _verified_candidate makes every accept decision exactly.
+# guesses only; _verified_candidate makes every accept decision exactly, and
+# accepts a reducible guess too.
 
 
-def _candidate_minpolys(p: IntPoly, boxes, idx, lc: int, prec: int):
-    """Minpoly guesses for prod_{i in idx} lc*root_i(p) via integer relations
-    on a high-precision value. Guesses only; callers must verify."""
+def _candidate_minpolys(p: IntPoly, boxes, idx, lc: int, prec: int, res: Optional[IntPoly] = None):
+    """Minpoly guesses for t = prod_{i in idx} lc*root_i(p) via integer
+    relations on a high-precision value. res, when given, is the resolvent
+    that the guesses must divide: it caps their degree, and a plus-reciprocal
+    res sends the search to t + 1/t. Guesses only; callers must verify."""
     w = prec + 64
     eps = Fraction(1, 1 << w)
     enc = _product_enclosure({i: refine(boxes[i], p, eps) for i in idx}, idx, lc)
-    tx, ty = enc.center
-    if abs(ty) > enc.radius:
+    if abs(enc.center[1]) > enc.radius:
         return
+    trace = res is not None and reciprocal_test(res) == "Plus"
+    if trace:
+        enc = _box_add(enc, _box_inv(enc))
+    tx = enc.center[0]
     t = (tx.numerator << w) // tx.denominator
     # relations in degree D need roughly D * (coeff bits) working bits;
     # skip degrees this precision level cannot support
-    top = min(64, max(4, prec // 24))
+    cap = 64 if res is None else res.degree // (2 if trace else 1)
+    top = min(64, cap, max(4, prec // 24))
     pows = [1 << w]
     for _ in range(top):
         pows.append((pows[-1] * t) >> w)
-    D = 4
+    D = min(4, top)
     while True:
         big = max(abs(v) for v in pows[:D + 1])
         rows = []
@@ -219,7 +238,7 @@ def _candidate_minpolys(p: IntPoly, boxes, idx, lc: int, prec: int):
             rows.append(row)
         q = _leading_gcd(lll_reduce(rows), D)
         if q.degree >= 1:
-            yield q
+            yield untrace_poly(q) if trace else q
         if D == top:
             return
         D = min(2 * D, top)
@@ -240,21 +259,21 @@ def _leading_gcd(reduced, D: int) -> IntPoly:
     return IntPoly(g.coeffs[k:])
 
 
-def _verified_candidate(q, res, p, boxes, idx, lc):
-    """Exact proof that irreducible q is the minpoly of the subset product:
-    q | res, and the cofactor has no root in a certified enclosure of the
-    product. The product is then a root of q, and the rest of the enclosure
-    stream pins which one."""
-    q = canonicalize(q)
-    if q.degree < 1:
+def _verified_candidate(c, res, p, boxes, idx, lc):
+    """Exact proof that the product is a root of c: c | res, and the
+    cofactor has no root in a certified enclosure of the product. The rest
+    of the enclosure stream then pins the product among the roots of the
+    irreducible factors of c, so c need not be irreducible."""
+    c = canonicalize(c)
+    if c.degree < 1:
         return None
-    h = div_z(res, q)
-    if h is None or not is_irreducible(q):
+    h = div_z(res, c)
+    if h is None:
         return None
     encs = _product_enclosures(p, boxes, idx, lc)
     for enc in itertools.islice(encs, 40):
         if h.degree < 1 or _abs_bounds(_box_horner(h.coeffs, enc))[0] > 0:
-            return _select_root([q], encs)
+            return _select_root(_irreducible_factors(c), encs)
     return None
 
 
@@ -262,24 +281,27 @@ _DIRECT_FACTOR_CAP = 24
 
 
 def _select_product_root(res: IntPoly, p: IntPoly, boxes, idx, lc: int) -> AlgebraicNumber:
-    """The root of res equal to prod_{i in idx} lc*root_i(p), identified by a
-    shrinking certified enclosure.
+    """The root of res equal to t = prod_{i in idx} lc*root_i(p), identified
+    by a shrinking certified enclosure.
 
     Up to degree _DIRECT_FACTOR_CAP, res is factored and the enclosures pin
-    the product among the roots of its irreducible factors. Past it, a
-    relation-guessed minpoly is proven exactly instead (divisibility plus
-    disk exclusion of the cofactor); when no guess is proven, res up to
-    degree 64 is factored after all, and a larger one raises
+    t among the roots of its irreducible factors. Past it, a relation-guessed
+    multiple c of the minpoly of t is proven exactly instead (c | res, and
+    the cofactor excludes t by a certified disk), and t is pinned among the
+    roots of the irreducible factors of c. The guesses come from t itself,
+    or from t + 1/t when res is plus-reciprocal, with lattices no larger than
+    a divisor of res can need. When no guess is proven, res up to degree 64
+    is factored after all, and a larger one raises
     InternalPrecisionExceeded."""
     if res.degree > _DIRECT_FACTOR_CAP:
         for prec in (256, 512, 1024, 2048, 4096):
-            for q in _candidate_minpolys(p, boxes, idx, lc, prec):
-                got = _verified_candidate(q, res, p, boxes, idx, lc)
+            for c in _candidate_minpolys(p, boxes, idx, lc, prec, res):
+                got = _verified_candidate(c, res, p, boxes, idx, lc)
                 if got is not None:
                     return got
         if res.degree > 64:
             raise InternalPrecisionExceeded(
-                f"no verified minpoly for a degree-{res.degree} subset product")
+                f"no verified minpoly for a degree-{res.degree} product resolvent")
     return _select_root(_irreducible_factors(res), _product_enclosures(p, boxes, idx, lc))
 
 

@@ -17,12 +17,15 @@ from mahlerdyn.factor import is_irreducible
 from mahlerdyn.intpoly import IntPoly, canonicalize, div_z, from_text, to_text, untrace_poly
 from mahlerdyn.roots import circle_partition, isolate_roots, refine
 from mahlerdyn.algnum import (
+    _irreducible_factors,
+    _select_root,
     an_compare,
     an_conjugates,
     an_equal,
     an_from_poly_root,
     an_from_rational,
     an_inv,
+    an_neg,
     an_pow,
     an_rational_value,
     an_sign,
@@ -495,6 +498,18 @@ class TestMinpolyGuess:
         assert res.degree > mahler._DIRECT_FACTOR_CAP
         return res, p, isolate_roots(p), idx, p.lc
 
+    @staticmethod
+    def _lattice_sizes(monkeypatch):
+        """The row counts of the lattices mahler reduces from now on."""
+        sizes = []
+
+        def lll_spy(rows):
+            sizes.append(len(rows))
+            return intpoly.lll_reduce(rows)
+
+        monkeypatch.setattr(mahler, "lll_reduce", lll_spy)
+        return sizes
+
     def test_orbit_without_pslq(self, monkeypatch):
         def no_pslq(*args, **kwargs):
             raise AssertionError("mpmath.pslq called")
@@ -517,6 +532,51 @@ class TestMinpolyGuess:
         assert mahler._verified_candidate(q, res, p, boxes, idx, lc) is not None
         qx1 = q * IntPoly((1, 1))
         assert mahler._verified_candidate(qx1, res, p, boxes, idx, lc) is None
+
+    def test_verified_candidate_accepts_reducible(self):
+        # the trace route guesses q*q^ when the minpoly q of the product is
+        # not reciprocal (q^ its reversal); here q = x^3 - x - 1 and the
+        # product is its real root, the plastic number
+        p = P("-1,-1,0,1")
+        boxes = isolate_roots(p)
+        idx = (next(i for i, b in enumerate(boxes) if b.center[1] == 0),)
+        c = p * P("-1,0,1,1")
+        assert to_text(c) == "1,1,-1,-3,-1,1,1"
+        got = mahler._verified_candidate(c, c, p, boxes, idx, 1)
+        assert got is not None
+        assert got.minpoly == p
+        assert an_equal(got, an_from_poly_root(p, boxes[idx[0]]))
+
+    def test_wandering_step_lattices(self, monkeypatch):
+        # M(M(WANDER6)) is guessed on t + 1/t, whose minpoly has degree 6:
+        # the D = 8 lattice at 256 bits gives it, where the product itself
+        # needs the D = 16 lattice at 512 bits (six lattices, up to 17 rows)
+        monkeypatch.setattr(mahler, "_measure_cache", {})
+        sizes = self._lattice_sizes(monkeypatch)
+        m2 = mahler_measure(mahler_measure(any_root(WANDER6)))
+        assert len(sizes) <= 2 and max(sizes) <= 9
+        assert to_text(m2.minpoly) == (
+            "1,-144,-3662,-57600,-618785,-4120560,4124188,"
+            "-4120560,-618785,-57600,-3662,-144,1")
+
+    @pytest.mark.parametrize("text, reciprocal", [
+        # x^4 - 10x^2 + 1, a divisor of itself: t + 1/t has degree 2
+        ("1,0,-10,0,1", True),
+        # x^3 - x - 1 times x - 2: not reciprocal, so t itself, degree 3
+        ("-1,-1,0,1", False),
+    ])
+    def test_ladder_capped_by_resolvent(self, monkeypatch, text, reciprocal):
+        # at 4096 bits the ladder would run D = 4, ..., 64; a guess divides
+        # res, so no lattice is larger than deg res (deg res // 2 on t + 1/t)
+        p = P(text)
+        res = p if reciprocal else p * P("-2,1")
+        cap = res.degree // 2 if reciprocal else res.degree
+        sizes = self._lattice_sizes(monkeypatch)
+        boxes = isolate_roots(p)
+        i = max(range(p.degree), key=lambda k: boxes[k].center[0])
+        guesses = [canonicalize(c) for c in mahler._candidate_minpolys(p, boxes, (i,), 1, 4096, res)]
+        assert sizes == [cap + 1]
+        assert guesses == [p]
 
     def test_gcd_recovers_minpoly_from_multiples(self):
         m1 = mahler_measure(any_root(WANDER6))
@@ -580,8 +640,10 @@ class TestPairResolvent:
     def test_routes_agree(self, monkeypatch):
         # up to degree 6 both routes factor their resolvent directly; along
         # WANDER6's trace both guess the minpoly (192 against 792 at M^1 and
-        # M^2). Past degree 6 the products' minpolys reach degree 32-80 and
-        # either route takes from 5 s to over 20 s per measure.
+        # M^2): the pair route on t + 1/t in about 0.5 s, the subset route,
+        # with reciprocal_test patched away, on t itself in about 10 s. Past
+        # degree 6 the pair route takes 0.2-0.6 s per degree-8 measure, the
+        # subset route 2-4 s.
         polys = [p for p, _ in self._inputs(3, 30)]
         polys += [t.minpoly for t in orbit(any_root(WANDER6)).trace]
         built = []
@@ -602,6 +664,39 @@ class TestPairResolvent:
         monkeypatch.setattr(mahler, "reciprocal_test", lambda p: "No")
         assert measures() == by_pairs
         assert built == []
+
+    @pytest.mark.parametrize("text", [
+        "1,3,3,14,3,14,3,3,1",
+        "1,-5,5,-9,11,-9,5,-5,1",
+        "1,1,-1,6,-8,6,-1,1,1",
+    ])
+    def test_guess_route_on_irreducible_resolvent(self, monkeypatch, text):
+        # s = 3 roots outside, so the pair resolvent has degree 32, past the
+        # direct-factor cap; it is irreducible and the product's minpoly, and
+        # the guess on t + 1/t (degree 16) must be proven, not the fallback
+        # that factors res after all
+        p = P(text)
+        idx = circle_partition(p).outside
+        res = intpoly._pair_product_poly(p, len(idx))
+        assert len(idx) == 3 and res.degree == 32 and is_irreducible(res)
+        proven = []
+        verify = mahler._verified_candidate
+
+        def verified_spy(*args):
+            got = verify(*args)
+            if got is not None:
+                proven.append(got)
+            return got
+
+        monkeypatch.setattr(mahler, "_measure_cache", {})
+        monkeypatch.setattr(mahler, "_verified_candidate", verified_spy)
+        m = mahler_measure(any_root(p))
+        assert len(proven) == 1
+        w = proven[0]
+        boxes = isolate_roots(p)
+        oracle = _select_root(_irreducible_factors(res), mahler._product_enclosures(p, boxes, idx, 1))
+        assert (w.minpoly, root_index(w)) == (oracle.minpoly, root_index(oracle))
+        assert an_equal(m, w if an_sign(w) > 0 else an_neg(w))
 
     def test_wandering_step_builds_degree_192(self, monkeypatch):
         # a silent fallback to the degree-792 subset resolvent fails here
