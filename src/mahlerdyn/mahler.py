@@ -187,7 +187,7 @@ def _product_enclosures(p: IntPoly, boxes, idx, lc: int) -> Iterator[IsolatingBo
 # which is q when q is reciprocal and q*q^ (q^ the reversal of q, whose
 # roots are the 1/t) when it is not.
 # The powers of the value are fixed-point integers at the unit 2^-(prec+64).
-# Then, for D = 4, 8, 16, ... up to top = min(64, cap, max(4, prec // 24)),
+# Then, for D = 4, 8, 16, 32, 64, each cut to top = min(64, cap, prec // 24),
 # one (D+1)x(D+2) integer lattice with rows e_i + floor(2^prec * t^i /
 # max_{j<=D} |t^j|) is LLL-reduced. Scaling by the largest power, not by
 # 2^prec alone, keeps the rounding noise of the big entries below the
@@ -205,30 +205,28 @@ def _product_enclosures(p: IntPoly, boxes, idx, lc: int) -> Iterator[IsolatingBo
 # accepts a reducible guess too.
 
 
-def _candidate_minpolys(p: IntPoly, boxes, idx, lc: int, prec: int, res: Optional[IntPoly] = None):
+def _candidate_minpolys(p: IntPoly, boxes, idx, lc: int, prec: int, res: IntPoly):
     """Minpoly guesses for t = prod_{i in idx} lc*root_i(p) via integer
-    relations on a high-precision value. res, when given, is the resolvent
-    that the guesses must divide: it caps their degree, and a plus-reciprocal
-    res sends the search to t + 1/t. Guesses only; callers must verify."""
+    relations on a high-precision value. res is the resolvent that the
+    guesses must divide: it caps their degree, and a plus-reciprocal res
+    sends the search to t + 1/t. Guesses only; callers must verify."""
     w = prec + 64
     eps = Fraction(1, 1 << w)
     enc = _product_enclosure({i: refine(boxes[i], p, eps) for i in idx}, idx, lc)
     if abs(enc.center[1]) > enc.radius:
         return
-    trace = res is not None and reciprocal_test(res) == "Plus"
+    trace = reciprocal_test(res) == "Plus"
     if trace:
         enc = _box_add(enc, _box_inv(enc))
     tx = enc.center[0]
     t = (tx.numerator << w) // tx.denominator
     # relations in degree D need roughly D * (coeff bits) working bits;
     # skip degrees this precision level cannot support
-    cap = 64 if res is None else res.degree // (2 if trace else 1)
-    top = min(64, cap, max(4, prec // 24))
+    top = min(64, res.degree // (2 if trace else 1), prec // 24)
     pows = [1 << w]
     for _ in range(top):
         pows.append((pows[-1] * t) >> w)
-    D = min(4, top)
-    while True:
+    for D in sorted({min(d, top) for d in (4, 8, 16, 32, 64)}):
         big = max(abs(v) for v in pows[:D + 1])
         rows = []
         for i in range(D + 1):
@@ -239,9 +237,6 @@ def _candidate_minpolys(p: IntPoly, boxes, idx, lc: int, prec: int, res: Optiona
         q = _leading_gcd(lll_reduce(rows), D)
         if q.degree >= 1:
             yield untrace_poly(q) if trace else q
-        if D == top:
-            return
-        D = min(2 * D, top)
 
 
 def _leading_gcd(reduced, D: int) -> IntPoly:

@@ -14,7 +14,7 @@ import pytest
 from mahlerdyn import factor, intpoly, mahler, nfield
 from mahlerdyn.errors import InternalPrecisionExceeded, NotAFixedPoint, ZeroInput
 from mahlerdyn.factor import is_irreducible
-from mahlerdyn.intpoly import IntPoly, canonicalize, div_z, from_text, to_text, untrace_poly
+from mahlerdyn.intpoly import IntPoly, canonicalize, div_z, from_text, reciprocal_test, to_text, untrace_poly
 from mahlerdyn.roots import circle_partition, isolate_roots, refine
 from mahlerdyn.algnum import (
     _irreducible_factors,
@@ -547,6 +547,31 @@ class TestMinpolyGuess:
         assert got.minpoly == p
         assert an_equal(got, an_from_poly_root(p, boxes[idx[0]]))
 
+    def test_non_reciprocal_minpoly_on_reciprocal_resolvent(self, monkeypatch):
+        # a plus-reciprocal resolvent past the direct-factor cap whose root t,
+        # the plastic number, has the non-reciprocal minpoly q = x^3 - x - 1:
+        # the guess on t + 1/t is q*q^, proven with the cofactor x^20 + 1,
+        # and t is pinned on q rather than found by factoring res
+        q = P("-1,-1,0,1")
+        res = q * q.reversal() * P(",".join(["1"] + ["0"] * 19 + ["1"]))
+        assert reciprocal_test(res) == "Plus" and res.degree > mahler._DIRECT_FACTOR_CAP
+        boxes = isolate_roots(q)
+        idx = (next(i for i, b in enumerate(boxes) if b.center[1] == 0),)
+        proven = []
+        verify = mahler._verified_candidate
+
+        def verified_spy(c, *args):
+            got = verify(c, *args)
+            if got is not None:
+                proven.append(canonicalize(c))
+            return got
+
+        monkeypatch.setattr(mahler, "_verified_candidate", verified_spy)
+        got = mahler._select_product_root(res, q, boxes, idx, 1)
+        assert proven == [canonicalize(q * q.reversal())]
+        assert got.minpoly == q
+        assert an_equal(got, an_from_poly_root(q, boxes[idx[0]]))
+
     def test_wandering_step_lattices(self, monkeypatch):
         # M(M(WANDER6)) is guessed on t + 1/t, whose minpoly has degree 6:
         # the D = 8 lattice at 256 bits gives it, where the product itself
@@ -600,12 +625,13 @@ class TestMinpolyGuess:
         assert mahler._leading_gcd(reduced, D) == q
 
     def test_first_guess_for_a_real_root(self):
-        # sqrt 2 + sqrt 3 has minpoly x^4 - 10x^2 + 1; the D = 4 lattice at
-        # 256 bits already gives it exactly
+        # sqrt 2 + sqrt 3 has minpoly x^4 - 10x^2 + 1; with a resolvent that
+        # is not reciprocal the search runs on t itself, and the D = 4
+        # lattice at 256 bits already gives it exactly
         p = P("1,0,-10,0,1")
         boxes = isolate_roots(p)
         i = max(range(4), key=lambda k: boxes[k].center[0])
-        first = next(mahler._candidate_minpolys(p, boxes, (i,), 1, 256))
+        first = next(mahler._candidate_minpolys(p, boxes, (i,), 1, 256, p * P("-2,1")))
         assert canonicalize(first) == p
 
 
