@@ -6,10 +6,11 @@ Every constructor ends on a canonical box of a canonical minpoly, so two
 equal values always carry identical (minpoly, box) pairs. A computed value
 is named by _select_root: roots._pin pins its shrinking enclosures among the
 roots of irreducible polynomials, which are the factors of the resolvent for
-products and powers, and the image minpoly alone, unfactored, for rational
-scalings, negation and inversion. So only irreducible polynomials are
-isolated. root_index names a number by the index of its canonical box, and
-equality compares minpolys and indices.
+products and powers (scaled by _scaled for the Mahler measure), and the
+image minpoly alone, unfactored, for rational scalings, negation and
+inversion. So only irreducible polynomials are isolated. root_index names a
+number by the index of its canonical box, and equality compares minpolys and
+indices.
 """
 
 from __future__ import annotations
@@ -188,14 +189,22 @@ def _select_root(factors: Iterable[IntPoly], probes: Iterable[IsolatingBox]) -> 
     return _candidate_root(polys, _pin(probes, polys, boxes))
 
 
+def _scaled(q: IntPoly, c: Fraction) -> IntPoly:
+    """The canonical polynomial whose roots are c times those of q, for a
+    nonzero rational c = u/v: sum q_i u^(d-i) v^i x^i. It is irreducible
+    when q is, so its roots can be pinned without factoring."""
+    u, v, d = c.numerator, c.denominator, q.degree
+    return canonicalize(IntPoly(tuple(qi * u ** (d - i) * v ** i for i, qi in enumerate(q.coeffs))))
+
+
 # ---------------------------------------------------------------------------
 # arithmetic
 
 
 def an_mul(a: AlgebraicNumber, b: AlgebraicNumber) -> AlgebraicNumber:
     """a * b. Two irrational operands go through the product resolvent and
-    factor selection; a rational operand c = u/v only scales: c*a has the
-    irreducible minpoly sum p_i u^(d-i) v^i x^i, so nothing is factored."""
+    factor selection; a rational operand c only scales: c*a has the
+    irreducible minpoly _scaled(p, c), so nothing is factored."""
     if a.degree == 1:
         a, b = b, a
     if b.degree != 1:
@@ -207,10 +216,8 @@ def an_mul(a: AlgebraicNumber, b: AlgebraicNumber) -> AlgebraicNumber:
         return an_from_rational(0)
     if a.degree == 1:
         return an_from_rational(an_rational_value(a) * c)
-    u, v, d = c.numerator, c.denominator, a.degree
-    scaled = canonicalize(IntPoly(tuple(pi * u ** (d - i) * v ** i for i, pi in enumerate(a.minpoly.coeffs))))
     cbox = IsolatingBox((c, Fraction(0)), Fraction(0))
-    return _select_root([scaled], (_box_mul(box, cbox) for box in _refinements(a.box, a.minpoly)))
+    return _select_root([_scaled(a.minpoly, c)], (_box_mul(box, cbox) for box in _refinements(a.box, a.minpoly)))
 
 
 def an_inv(a: AlgebraicNumber) -> AlgebraicNumber:
@@ -250,19 +257,22 @@ def an_equal(a: AlgebraicNumber, b: AlgebraicNumber) -> bool:
     return a.minpoly == b.minpoly and (a.box == b.box or root_index(a) == root_index(b))
 
 
+def _real_sign(encs: Iterable[IsolatingBox]) -> int:
+    """The sign of a real nonzero value, read from the first of its
+    shrinking enclosures whose real part excludes 0."""
+    for enc in encs:
+        if abs(enc.center[0]) > enc.radius:
+            return 1 if enc.center[0] > 0 else -1
+    raise InternalPrecisionExceeded("enclosures ended before the sign was decided")
+
+
 def an_sign(a: AlgebraicNumber) -> int:
     """Sign of a real algebraic number."""
     if a.box.center[1] != 0:
         raise ValueError("sign of a non-real value")
     if a.minpoly == _X:
         return 0
-    box = a.box
-    while True:
-        if box.center[0] - box.radius > 0:
-            return 1
-        if box.center[0] + box.radius < 0:
-            return -1
-        box = refine(box, a.minpoly, box.radius / 16)
+    return _real_sign(_refinements(a.box, a.minpoly))
 
 
 def an_compare(a: AlgebraicNumber, b: AlgebraicNumber) -> int:

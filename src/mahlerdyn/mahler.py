@@ -18,6 +18,8 @@ from .algnum import (
     AlgebraicNumber,
     NumberClass,
     _irreducible_factors,
+    _real_sign,
+    _scaled,
     _select_root,
     an_conjugates,
     an_equal,
@@ -26,7 +28,6 @@ from .algnum import (
     an_mul,
     an_pow,
     an_rational_value,
-    an_sign,
     classify_number,
 )
 from .errors import (
@@ -38,7 +39,6 @@ from .errors import (
 )
 from .intpoly import (
     IntPoly,
-    _elem_from_power_sums,
     _is_cyclotomic_irreducible,
     _pair_product_poly,
     _subset_product_poly,
@@ -57,6 +57,7 @@ from .roots import (
     _box_horner,
     _box_inv,
     _box_mul,
+    _refinements,
     circle_partition,
     isolate_roots,
     refine,
@@ -151,33 +152,49 @@ class OrbitResult:
 #   its exact checks below are the same on both routes, and certify the
 #   product wherever the subset route does.
 #
-# The product w is a product of lc*root_i, so with s outside roots
-# M = |w| / |lc|^(s-1), and in the complement case (n - s roots)
-# M = |p[0]| |lc|^(n-s) / |w|. w is checked real first; then M is one exact
-# rational map of w (a scaling by sign(w)/|lc|^(s-1), or an inversion and a
-# scaling by sign(w) |p[0]| |lc|^(n-s)). Both keep the minpoly irreducible,
-# so nothing past the product is factored.
+# M itself is the root selected, once. Take c = lc and v_i = root_i over the
+# s outside roots or, in the complement case, the reversal x^n p(1/x): c =
+# p[0] and v_i = 1/root_i over the other n - s roots. Then M = sigma c
+# prod v_i, with sigma = +-1 read exactly from the first enclosure of
+# c prod v_i whose real part excludes 0 (the product is real: its roots are
+# closed under conjugation). The product w = c^size prod v_i is a root of the
+# resolvent res of the monicized minpoly (or of the monicized reversal), so M
+# is a root of res(kx) with k = sigma c^(size-1). Scaling keeps each
+# irreducible factor f of res irreducible, so M is pinned among the roots of
+# the canonical f(kx): nothing past res is factored, and no image of M's
+# minpoly is isolated again. The pinned M is then checked real and positive.
 
 
-def _product_enclosure(cur, idx, lc: int) -> IsolatingBox:
-    enc = IsolatingBox((Fraction(lc ** len(idx)), Fraction(0)), Fraction(0))
-    for i in idx:
-        enc = _box_mul(enc, cur[i])
+def _product_enclosure(cur, inv: bool, scale: int) -> Optional[IsolatingBox]:
+    """scale * prod v over the chosen root disks cur, where v is the root or,
+    when inv, its inverse; None while an inverted disk still meets 0."""
+    if inv:
+        if any(_abs_bounds(b)[0] == 0 for b in cur):
+            return None
+        cur = [_box_inv(b) for b in cur]
+    enc = IsolatingBox((Fraction(scale), Fraction(0)), Fraction(0))
+    for b in cur:
+        enc = _box_mul(enc, b)
     return enc
 
 
-def _product_enclosures(p: IntPoly, boxes, idx, lc: int) -> Iterator[IsolatingBox]:
-    """Ever-smaller enclosures of prod_{i in idx} lc*root_i(p): the chosen
-    boxes are refined 16-fold between one enclosure and the next."""
-    cur = {i: boxes[i] for i in idx}
+def _product_enclosures(p: IntPoly, boxes, idx, inv: bool, scale: int) -> Iterator[IsolatingBox]:
+    """Ever-smaller enclosures of scale * prod_{i in idx} v_i, v_i = root_i(p)
+    or, when inv, 1/root_i(p): the chosen boxes are refined 16-fold between
+    one enclosure and the next."""
+    cur = [boxes[i] for i in idx]
     while True:
-        yield _product_enclosure(cur, idx, lc)
-        cur = {i: refine(b, p, b.radius / 16) for i, b in cur.items()}
+        enc = _product_enclosure(cur, inv, scale)
+        if enc is not None:
+            yield enc
+        cur = [refine(b, p, b.radius / 16) for b in cur]
 
 
 # Minpoly guessing. At each rung of the precision ladder the certified boxes
 # of the chosen roots are refined to radius 2^-(prec+64), and t is the centre
-# of their product enclosure; the enclosure also shows when t cannot be real.
+# of the enclosure of M they give; the enclosure also shows when t cannot be
+# real. M is an algebraic integer, so its minpoly is monic, with smaller
+# coefficients than that of the product w = kM the resolvent is built on.
 # When the resolvent is plus-reciprocal (every pair resolvent is: its roots
 # are closed under t -> 1/t), the relation is sought for T = t + 1/t, whose
 # enclosure is the product's plus its inverse. T lies in Q(t), so its minpoly
@@ -205,15 +222,16 @@ def _product_enclosures(p: IntPoly, boxes, idx, lc: int) -> Iterator[IsolatingBo
 # accepts a reducible guess too.
 
 
-def _candidate_minpolys(p: IntPoly, boxes, idx, lc: int, prec: int, res: IntPoly):
-    """Minpoly guesses for t = prod_{i in idx} lc*root_i(p) via integer
-    relations on a high-precision value. res is the resolvent that the
-    guesses must divide: it caps their degree, and a plus-reciprocal res
-    sends the search to t + 1/t. Guesses only; callers must verify."""
+def _candidate_minpolys(p: IntPoly, boxes, idx, inv: bool, scale: int, prec: int, res: IntPoly):
+    """Minpoly guesses for t = scale * prod_{i in idx} v_i (as in
+    _product_enclosures) via integer relations on a high-precision value.
+    res is the polynomial that the guesses must divide: it caps their degree,
+    and a plus-reciprocal res sends the search to t + 1/t. Guesses only;
+    callers must verify."""
     w = prec + 64
     eps = Fraction(1, 1 << w)
-    enc = _product_enclosure({i: refine(boxes[i], p, eps) for i in idx}, idx, lc)
-    if abs(enc.center[1]) > enc.radius:
+    enc = _product_enclosure([refine(boxes[i], p, eps) for i in idx], inv, scale)
+    if enc is None or abs(enc.center[1]) > enc.radius:
         return
     trace = reciprocal_test(res) == "Plus"
     if trace:
@@ -254,18 +272,19 @@ def _leading_gcd(reduced, D: int) -> IntPoly:
     return IntPoly(g.coeffs[k:])
 
 
-def _verified_candidate(c, res, p, boxes, idx, lc):
-    """Exact proof that the product is a root of c: c | res, and the
-    cofactor has no root in a certified enclosure of the product. The rest
-    of the enclosure stream then pins the product among the roots of the
-    irreducible factors of c, so c need not be irreducible."""
+def _verified_candidate(c, res, p, boxes, idx, inv, scale):
+    """Exact proof that t = scale * prod_{i in idx} v_i (as in
+    _product_enclosures) is a root of c: c | res, and the cofactor has no
+    root in a certified enclosure of t. The rest of the enclosure stream then
+    pins t among the roots of the irreducible factors of c, so c need not be
+    irreducible; the pinned root is t itself, M on the measure's path."""
     c = canonicalize(c)
     if c.degree < 1:
         return None
     h = div_z(res, c)
     if h is None:
         return None
-    encs = _product_enclosures(p, boxes, idx, lc)
+    encs = _product_enclosures(p, boxes, idx, inv, scale)
     for enc in itertools.islice(encs, 40):
         if h.degree < 1 or _abs_bounds(_box_horner(h.coeffs, enc))[0] > 0:
             return _select_root(_irreducible_factors(c), encs)
@@ -275,29 +294,35 @@ def _verified_candidate(c, res, p, boxes, idx, lc):
 _DIRECT_FACTOR_CAP = 24
 
 
-def _select_product_root(res: IntPoly, p: IntPoly, boxes, idx, lc: int) -> AlgebraicNumber:
-    """The root of res equal to t = prod_{i in idx} lc*root_i(p), identified
-    by a shrinking certified enclosure.
+def _select_product_root(res: IntPoly, p: IntPoly, boxes, idx, inv: bool, c: int, sigma: int) -> AlgebraicNumber:
+    """M = sigma c prod_{i in idx} v_i, v_i = root_i(p) or, when inv,
+    1/root_i(p), where res is the resolvent of the products
+    w = c^size prod v_i (size = len(idx)): the root of res(kx),
+    k = sigma c^(size-1), that shrinking certified enclosures of M hold.
 
-    Up to degree _DIRECT_FACTOR_CAP, res is factored and the enclosures pin
-    t among the roots of its irreducible factors. Past it, a relation-guessed
-    multiple c of the minpoly of t is proven exactly instead (c | res, and
-    the cofactor excludes t by a certified disk), and t is pinned among the
-    roots of the irreducible factors of c. The guesses come from t itself,
-    or from t + 1/t when res is plus-reciprocal, with lattices no larger than
-    a divisor of res can need. When no guess is proven, res up to degree 64
-    is factored after all, and a larger one raises
-    InternalPrecisionExceeded."""
+    Up to degree _DIRECT_FACTOR_CAP, res is factored, each irreducible factor
+    f is scaled to the canonical f(kx), irreducible too, and the enclosures
+    pin M among the roots of the scaled factors. Past it, a relation-guessed
+    multiple q of the minpoly of M is proven exactly instead (q divides the
+    canonical res(kx), and the cofactor excludes M by a certified disk), and
+    M is pinned among the roots of the irreducible factors of q. The guesses
+    come from M itself, or from M + 1/M when res(kx) is plus-reciprocal, with
+    lattices no larger than a divisor of res can need. When no guess is
+    proven, res up to degree 64 is factored after all, and a larger one
+    raises InternalPrecisionExceeded."""
+    scale, shrink = sigma * c, Fraction(1, sigma * c ** (len(idx) - 1))
     if res.degree > _DIRECT_FACTOR_CAP:
+        target = _scaled(res, shrink)
         for prec in (256, 512, 1024, 2048, 4096):
-            for c in _candidate_minpolys(p, boxes, idx, lc, prec, res):
-                got = _verified_candidate(c, res, p, boxes, idx, lc)
+            for q in _candidate_minpolys(p, boxes, idx, inv, scale, prec, target):
+                got = _verified_candidate(q, target, p, boxes, idx, inv, scale)
                 if got is not None:
                     return got
         if res.degree > 64:
             raise InternalPrecisionExceeded(
                 f"no verified minpoly for a degree-{res.degree} product resolvent")
-    return _select_root(_irreducible_factors(res), _product_enclosures(p, boxes, idx, lc))
+    factors = [_scaled(f, shrink) for f in _irreducible_factors(res)]
+    return _select_root(factors, _product_enclosures(p, boxes, idx, inv, scale))
 
 
 _measure_cache: dict = {}
@@ -336,13 +361,13 @@ def _measure_uncached(p: IntPoly) -> AlgebraicNumber:
         raise InternalPrecisionExceeded(f"product resolvent degree {deg} over cap")
     boxes = isolate_roots(p)
     idx = tuple(i for i in range(n) if i not in part.outside) if comp else part.outside
-    w = _select_product_root(build(monicize(p)[0], size), p, boxes, idx, lc)
-    if w.box.center[1] != 0:
-        raise ExactCheckFailed(f"measure of a degree-{n} number is not real")
-    if comp:
-        return an_mul(an_inv(w), an_from_rational(an_sign(w) * abs(p[0]) * abs(lc) ** (n - s)))
-    c = Fraction(an_sign(w), abs(lc) ** (s - 1))
-    return w if c == 1 else an_mul(w, an_from_rational(c))
+    c = p[0] if comp else lc
+    sigma = _real_sign(_product_enclosures(p, boxes, idx, comp, c))
+    res = build(monicize(p.reversal() if comp else p)[0], size)
+    m = _select_product_root(res, p, boxes, idx, comp, c, sigma)
+    if m.box.center[1] != 0 or _real_sign(_refinements(m.box, m.minpoly)) < 0:
+        raise ExactCheckFailed(f"measure of a degree-{n} number is not real and positive")
+    return m
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
-from mahlerdyn import factor, intpoly, mahler, nfield
+from mahlerdyn import algnum, factor, intpoly, mahler, nfield, roots
 from mahlerdyn.errors import InternalPrecisionExceeded, NotAFixedPoint, ZeroInput
 from mahlerdyn.factor import is_irreducible
 from mahlerdyn.intpoly import IntPoly, canonicalize, div_z, from_text, reciprocal_test, to_text, untrace_poly
@@ -25,6 +25,7 @@ from mahlerdyn.algnum import (
     an_from_poly_root,
     an_from_rational,
     an_inv,
+    an_mul,
     an_neg,
     an_pow,
     an_rational_value,
@@ -158,12 +159,35 @@ class TestMeasureExamples:
         assert an_equal(mahler_measure(a), a)
 
     def test_measure_factors_input_and_resolvent_only(self, monkeypatch):
-        # the final scaling (and inversion) of the subset product keeps its
-        # minpoly irreducible, so a measure factors the degree-5 input and
-        # its degree-10 subset resolvent, and nothing else
+        # M is pinned among the roots of the resolvent's factors scaled to
+        # f(kx), which stay irreducible, so a measure factors the degree-5
+        # input and its degree-10 subset resolvent, and nothing else
         monkeypatch.setattr(mahler, "_measure_cache", {})
         factor._factor_cached.cache_clear()
         m = mahler_measure(any_root(P("7,13,-13,-14,-11,9")))
+        assert factor._factor_cached.cache_info().misses == 2
+        assert m.degree == 10
+
+    def test_measure_is_selected_once(self, monkeypatch):
+        # M is pinned directly, so no rational map of a selected product
+        # follows it, and a cold measure isolates only the input and the one
+        # scaled resolvent factor
+        def forbidden(*args):
+            raise AssertionError("the measure called an_mul, an_inv or an_sign")
+
+        inputs = [any_root(p) for p in TestOracleEquivalence._shaped_inputs()]
+        a = any_root(P("7,13,-13,-14,-11,9"))
+        monkeypatch.setattr(mahler, "_measure_cache", {})
+        for name in ("an_mul", "an_inv", "an_sign"):
+            monkeypatch.setattr(algnum, name, forbidden)
+            if hasattr(mahler, name):
+                monkeypatch.setattr(mahler, name, forbidden)
+        for b in inputs:
+            mahler_measure(b)
+        roots._isolate_cached.cache_clear()
+        factor._factor_cached.cache_clear()
+        m = mahler_measure(a)
+        assert roots._isolate_cached.cache_info().misses == 2
         assert factor._factor_cached.cache_info().misses == 2
         assert m.degree == 10
 
@@ -435,6 +459,64 @@ class TestOracleEquivalence:
                 hi *= max(1, m + rad)
             return Fraction(str(lo)), Fraction(str(hi))
 
+    @staticmethod
+    def _shaped_inputs():
+        """One seeded minpoly for each shape of the measure, products of at
+        most two roots: "complement" (more roots outside than not, |p[0]| > 1),
+        "lc" (|lc| > 1 and s = 2 roots outside), "negative" (s = 1 and
+        lc * root < 0) and "pair" (monic plus-reciprocal: the pair route)."""
+        rng = random.Random(20261019)
+        shapes = {}
+        while len(shapes) < 4:
+            if rng.random() < 0.25:
+                p = untrace_poly(IntPoly([rng.randint(-6, 6), rng.randint(-6, 6), 1]))
+            else:
+                deg = rng.randint(2, 5)
+                p = canonicalize(IntPoly([rng.randint(-9, 9) for _ in range(deg)] + [rng.randint(1, 9)]))
+            if p.degree < 2 or p[0] == 0 or not is_irreducible(p):
+                continue
+            n, part = p.degree, circle_partition(p)
+            s = len(part.outside)
+            if not 0 < s < n or min(s, n - s) > 2:
+                continue
+            if p.lc == 1 and reciprocal_test(p) == "Plus":
+                shape = "pair"
+            elif s > n - s:
+                shape = "complement" if abs(p[0]) > 1 else None
+            elif s == 1:
+                root = isolate_roots(p)[part.outside[0]]
+                shape = "negative" if p.lc * root.center[0] < 0 else None
+            else:
+                shape = "lc" if p.lc > 1 and s == 2 else None
+            if shape is not None:
+                shapes.setdefault(shape, p)
+        return [shapes[k] for k in sorted(shapes)]
+
+    def test_selected_measure_matches_old_composition(self, monkeypatch):
+        # an independent route through public ops: the product
+        # w = lc^size prod root_i by an_mul, then M as an exact rational map
+        # of w (an inversion in the complement case, and a scaling)
+        monkeypatch.setattr(mahler, "_measure_cache", {})
+        for p in self._shaped_inputs():
+            n, lc = p.degree, p.lc
+            part = circle_partition(p)
+            s = len(part.outside)
+            comp = s > n - s
+            idx = [i for i in range(n) if i not in part.outside] if comp else part.outside
+            boxes = isolate_roots(p)
+            w = an_from_rational(lc ** len(idx))
+            for i in idx:
+                w = an_mul(w, an_from_poly_root(p, boxes[i]))
+            if comp:
+                old = an_mul(an_inv(w), an_from_rational(an_sign(w) * abs(p[0]) * lc ** (n - s)))
+            else:
+                old = an_mul(w, an_from_rational(Fraction(an_sign(w), lc ** (s - 1))))
+            m = mahler_measure(any_root(p))
+            assert (m.minpoly, root_index(m)) == (old.minpoly, root_index(old)), to_text(p)
+            box = refine(m.box, m.minpoly, Fraction(1, 1 << 50))
+            lo, hi = self._interval_measure(p)
+            assert box.center[0] - box.radius <= hi and lo <= box.center[0] + box.radius, to_text(p)
+
     def test_interval_containment(self):
         rng = random.Random(161803)
         done = 0
@@ -491,12 +573,15 @@ class TestMinpolyGuess:
         """The arguments _select_product_root gets for M(M(WANDER6)): the
         degree-12 monic plus-reciprocal p = M(WANDER6).minpoly, its pair
         resolvent (degree 192, past the direct-factor cap), the boxes, the
-        five outside roots and lc = 1."""
+        five outside roots and lc = 1. The product of those roots is
+        positive, so it is M itself (sigma = 1) and res(kx) = res."""
         p = mahler_measure(any_root(WANDER6)).minpoly
         idx = circle_partition(p).outside
         res = mahler._pair_product_poly(p, len(idx))
         assert res.degree > mahler._DIRECT_FACTOR_CAP
-        return res, p, isolate_roots(p), idx, p.lc
+        boxes = isolate_roots(p)
+        assert mahler._real_sign(mahler._product_enclosures(p, boxes, idx, False, 1)) == 1
+        return res, p, boxes, idx, p.lc
 
     @staticmethod
     def _lattice_sizes(monkeypatch):
@@ -526,12 +611,12 @@ class TestMinpolyGuess:
 
     def test_verified_candidate_rejects_multiple(self):
         res, p, boxes, idx, lc = self._m2_product()
-        w = mahler._select_product_root(res, p, boxes, idx, lc)
+        w = mahler._select_product_root(res, p, boxes, idx, False, lc, 1)
         q = w.minpoly
         assert q.degree == 12
-        assert mahler._verified_candidate(q, res, p, boxes, idx, lc) is not None
+        assert mahler._verified_candidate(q, res, p, boxes, idx, False, lc) is not None
         qx1 = q * IntPoly((1, 1))
-        assert mahler._verified_candidate(qx1, res, p, boxes, idx, lc) is None
+        assert mahler._verified_candidate(qx1, res, p, boxes, idx, False, lc) is None
 
     def test_verified_candidate_accepts_reducible(self):
         # the trace route guesses q*q^ when the minpoly q of the product is
@@ -542,7 +627,7 @@ class TestMinpolyGuess:
         idx = (next(i for i, b in enumerate(boxes) if b.center[1] == 0),)
         c = p * P("-1,0,1,1")
         assert to_text(c) == "1,1,-1,-3,-1,1,1"
-        got = mahler._verified_candidate(c, c, p, boxes, idx, 1)
+        got = mahler._verified_candidate(c, c, p, boxes, idx, False, 1)
         assert got is not None
         assert got.minpoly == p
         assert an_equal(got, an_from_poly_root(p, boxes[idx[0]]))
@@ -567,7 +652,7 @@ class TestMinpolyGuess:
             return got
 
         monkeypatch.setattr(mahler, "_verified_candidate", verified_spy)
-        got = mahler._select_product_root(res, q, boxes, idx, 1)
+        got = mahler._select_product_root(res, q, boxes, idx, False, 1, 1)
         assert proven == [canonicalize(q * q.reversal())]
         assert got.minpoly == q
         assert an_equal(got, an_from_poly_root(q, boxes[idx[0]]))
@@ -599,7 +684,7 @@ class TestMinpolyGuess:
         sizes = self._lattice_sizes(monkeypatch)
         boxes = isolate_roots(p)
         i = max(range(p.degree), key=lambda k: boxes[k].center[0])
-        guesses = [canonicalize(c) for c in mahler._candidate_minpolys(p, boxes, (i,), 1, 4096, res)]
+        guesses = [canonicalize(c) for c in mahler._candidate_minpolys(p, boxes, (i,), False, 1, 4096, res)]
         assert sizes == [cap + 1]
         assert guesses == [p]
 
@@ -631,7 +716,7 @@ class TestMinpolyGuess:
         p = P("1,0,-10,0,1")
         boxes = isolate_roots(p)
         i = max(range(4), key=lambda k: boxes[k].center[0])
-        first = next(mahler._candidate_minpolys(p, boxes, (i,), 1, 256, p * P("-2,1")))
+        first = next(mahler._candidate_minpolys(p, boxes, (i,), False, 1, 256, p * P("-2,1")))
         assert canonicalize(first) == p
 
 
@@ -699,8 +784,10 @@ class TestPairResolvent:
     def test_guess_route_on_irreducible_resolvent(self, monkeypatch, text):
         # s = 3 roots outside, so the pair resolvent has degree 32, past the
         # direct-factor cap; it is irreducible and the product's minpoly, and
-        # the guess on t + 1/t (degree 16) must be proven, not the fallback
-        # that factors res after all
+        # the guess on M + 1/M (degree 16) must be proven, not the fallback
+        # that factors res after all. The proven root is M itself, |w| for the
+        # product w that factoring res and pinning selects (w < 0 for the
+        # first and third inputs).
         p = P(text)
         idx = circle_partition(p).outside
         res = intpoly._pair_product_poly(p, len(idx))
@@ -718,11 +805,12 @@ class TestPairResolvent:
         monkeypatch.setattr(mahler, "_verified_candidate", verified_spy)
         m = mahler_measure(any_root(p))
         assert len(proven) == 1
-        w = proven[0]
+        got = proven[0]
         boxes = isolate_roots(p)
-        oracle = _select_root(_irreducible_factors(res), mahler._product_enclosures(p, boxes, idx, 1))
-        assert (w.minpoly, root_index(w)) == (oracle.minpoly, root_index(oracle))
-        assert an_equal(m, w if an_sign(w) > 0 else an_neg(w))
+        w = _select_root(_irreducible_factors(res), mahler._product_enclosures(p, boxes, idx, False, 1))
+        oracle = w if an_sign(w) > 0 else an_neg(w)
+        assert (got.minpoly, root_index(got)) == (oracle.minpoly, root_index(oracle))
+        assert an_equal(m, got)
 
     def test_wandering_step_builds_degree_192(self, monkeypatch):
         # a silent fallback to the degree-792 subset resolvent fails here
@@ -780,13 +868,20 @@ class TestExactChecksUnderOptimize:
     FAULTS = {
         # Newton's identities on power sums that no monic integer
         # polynomial has: e_2 = (p_1^2 - p_2) / 2 = 1/2
-        "inexact_power_sums": "mahler._elem_from_power_sums([0, 1, 0], 2)\n",
+        "inexact_power_sums": "intpoly._elem_from_power_sums([0, 1, 0], 2)\n",
         # a subset product that is not real, so neither is the measure
         "nonreal_measure": (
             "i = an_from_poly_root(from_text('1,0,1'), isolate_roots(from_text('1,0,1'))[0])\n"
             "mahler._select_product_root = lambda *args: i\n"
             "mahler.mahler_measure(an_from_poly_root(from_text('1,-3,1'), "
             "isolate_roots(from_text('1,-3,1'))[0]))\n"
+        ),
+        # a flipped sign sigma: the root pinned is -M, real but negative
+        "flipped_measure_sign": (
+            "mahler._select_product_root = lambda *args, f=mahler._select_product_root: "
+            "f(*args[:-1], -args[-1])\n"
+            "mahler.mahler_measure(an_from_poly_root(from_text('7,13,-13,-14,-11,9'), "
+            "isolate_roots(from_text('7,13,-13,-14,-11,9'))[0]))\n"
         ),
         # product enclosures far from every root of the resolvent's factors
         "product_enclosure_far": (

@@ -70,3 +70,22 @@ def test_no_except_hides_a_failure():
         if isinstance(node, ast.ExceptHandler) and broad & caught(node.type)
     ]
     assert found == []
+
+
+def test_no_unused_module_imports():
+    # a name imported at module level and never read again is dead weight
+    # (no linter is installed, so this is the check)
+    found = []
+    for path in sorted((ROOT / "src" / "mahlerdyn").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert found == []
