@@ -21,6 +21,7 @@ from typing import Iterable, Optional
 
 from .errors import (
     BoxAmbiguous,
+    ExactCheckFailed,
     InternalPrecisionExceeded,
     NotIrreducible,
     ZeroInput,
@@ -337,7 +338,7 @@ def _rou_order(p: IntPoly) -> int:
             rem = [c - lead * p[i] for i, c in enumerate(rem[:-1])]
         if rem[0] == 1 and all(c == 0 for c in rem[1:]):
             return k
-    raise AssertionError("unreachable: cyclotomic order out of bound")
+    raise ExactCheckFailed("a cyclotomic minpoly has no root-of-unity order within 8d^2 + 8")
 
 
 def classify_number(a: AlgebraicNumber) -> NumberClass:

@@ -1284,4 +1284,4 @@ def classify_abelian(invariants: Sequence[int]) -> FieldVerdict:
         return HasWandererByTheorem(quotient="C6")
     if sum(1 for d in ds if d % 3 == 0) >= 2:
         return HasWandererByTheorem(quotient="C3xC3")
-    raise AssertionError(f"unreachable invariant factors {ds}")
+    raise ExactCheckFailed(f"invariant factors {ds} match no verdict rule")

@@ -1,13 +1,19 @@
 """Complete factorization of integer polynomials over Q.
 
-Zassenhaus pipeline: Yun squarefree decomposition, factorization modulo a
-deterministically chosen good prime (distinct-degree then seeded
+Zassenhaus pipeline: Yun squarefree decomposition (skipped when the input is
+squarefree modulo a prime), a degree-set screen (Musser, J. ACM 25 (1978)),
+factorization modulo a good prime (distinct-degree then seeded
 Cantor-Zassenhaus equal-degree splitting), quadratic Hensel lifting past twice
 a Mignotte-style coefficient bound, and subset recombination in
-cardinality-then-lex order. Everything is deterministic: the prime is the
-smallest >= 11 not dividing the leading coefficient for which the squarefree
-part stays squarefree mod p, the splitting RNG is seeded from the input, and
-factors are reported sorted by (degree, coefficient tuple).
+cardinality-then-lex order. The screen takes the distinct-degree factorization
+of each squarefree part modulo up to _SCREEN_PRIMES good primes (primes >= 11
+not dividing the leading coefficient, modulo which the part stays squarefree)
+and intersects the subset sums of their modular factor degrees. Every factor
+over Z has a degree in that set, so a set of {0, n} proves the part
+irreducible with no lifting; otherwise lifting runs at the screened prime with
+the fewest modular factors. Everything is deterministic: the primes are tried
+in increasing order, the splitting RNG is seeded from the input, and factors
+are reported sorted by (degree, coefficient tuple).
 """
 
 from __future__ import annotations
@@ -19,20 +25,22 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import ExactCheckFailed, ZeroPolynomial
-from .intpoly import IntPoly, canonicalize, div_z, gcd_z, monicize
+from .intpoly import (
+    IntPoly,
+    _gf_divmod,
+    _gf_from,
+    _gf_gcd,
+    _gf_trim,
+    _proved_squarefree,
+    _squarefree_mod,
+    canonicalize,
+    div_z,
+    gcd_z,
+    monicize,
+)
 
 # ---------------------------------------------------------------------------
-# arithmetic in GF(p)[x]: dense lists, constant term first, coeffs in [0, p)
-
-
-def _gf_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _gf_from(p: IntPoly, m: int) -> list[int]:
-    return _gf_trim([c % m for c in p.coeffs])
+# arithmetic in GF(p)[x] beyond intpoly's kernels (same dense lists)
 
 
 def _gf_add(a, b, m):
@@ -61,34 +69,6 @@ def _gf_mul(a, b, m):
     return _gf_trim([c % m for c in out])
 
 
-def _gf_divmod(a, b, m):
-    """divmod in (Z/m)[x]; lc(b) must be invertible mod m (b monic, or m prime)."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv = pow(lb, -1, m)
-    if len(a) - 1 < db:
-        return [], _gf_trim(a)
-    q = [0] * (len(a) - db)
-    for i in range(len(a) - 1 - db, -1, -1):
-        c = a[i + db] % m
-        if c:
-            t = c * inv % m
-            q[i] = t
-            for j in range(db + 1):
-                a[i + j] = (a[i + j] - t * b[j]) % m
-    return _gf_trim(q), _gf_trim(a[:db])
-
-
-def _gf_gcd(a, b, m):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _gf_divmod(a, b, m)[1]
-    if a:
-        inv = pow(a[-1], -1, m)
-        a = [c * inv % m for c in a]
-    return a
-
-
 def _gf_monic(a, m):
     if not a or a[-1] == 1:
         return list(a)
@@ -106,10 +86,6 @@ def _gf_pow_mod(a, e, mod_poly, m):
         if e:
             base = _gf_divmod(_gf_mul(base, base, m), mod_poly, m)[1]
     return result
-
-
-def _gf_deriv(a, m):
-    return _gf_trim([i * c % m for i, c in enumerate(a)][1:])
 
 
 # ---------------------------------------------------------------------------
@@ -269,15 +245,37 @@ def _small_primes():
         n += 2
 
 
-def _good_prime(g: IntPoly) -> int:
-    """Smallest prime >= 11 keeping lc a unit and g squarefree mod p."""
+# good primes whose distinct-degree factorizations make up the degree set
+_SCREEN_PRIMES = 5
+
+
+def _degree_screen(g: IntPoly) -> tuple[int, int]:
+    """(degree set, prime) of a squarefree g of degree n >= 2.
+
+    The set is a bitmask: bit d is set when, modulo each screened prime, some
+    of g's modular factor degrees sum to d. The degree of every factor of g
+    over Z is such a d. The screen stops early at the set {0, n}, which proves
+    g irreducible. The prime is the screened one with the fewest modular
+    factors, the cheapest to lift from.
+    """
+    n = g.degree
+    mask, best, tried = (1 << n + 1) - 1, None, 0
     for p in _small_primes():
-        if g.lc % p == 0:
+        if tried == _SCREEN_PRIMES or mask == 1 | 1 << n:
+            break
+        fp = _squarefree_mod(g, p)
+        if fp is None:
             continue
-        fp = _gf_from(g, p)
-        if len(_gf_gcd(fp, _gf_deriv(fp, p), p)) == 1:
-            return p
-    raise AssertionError("unreachable: infinitely many good primes")
+        tried += 1
+        sums, count = 1, 0
+        for prod, d in _ddf(_gf_monic(fp, p), p):
+            for _ in range((len(prod) - 1) // d):
+                sums |= sums << d
+                count += 1
+        mask &= sums
+        if best is None or count < best[0]:
+            best = (count, p)
+    return mask, best[1]
 
 
 def _seed_from(g: IntPoly, p: int) -> int:
@@ -287,15 +285,13 @@ def _seed_from(g: IntPoly, p: int) -> int:
     return seed
 
 
-def _factor_squarefree_monic(F: IntPoly) -> list[IntPoly]:
-    """Irreducible monic integer factors of a monic squarefree F."""
-    n = F.degree
-    if n <= 1:
-        return [F] if n == 1 else []
-    p = _good_prime(F)
+def _factor_squarefree_monic(F: IntPoly, p: int, mask: int) -> list[IntPoly]:
+    """Irreducible monic integer factors of a monic squarefree F, degree >= 2.
+
+    p is a good prime for F. Bit d of mask is clear when no factor of F over Z
+    has degree d; recombination skips subsets of such a degree.
+    """
     modular = _factor_gf(_gf_from(F, p), p, _seed_from(F, p))
-    if len(modular) == 1:
-        return [F]
     K = _mignotte_modulus(F, p)
     # quadratic lifting wants a power-of-two exponent; overshooting is harmless
     pk = p ** (1 << (K - 1).bit_length())
@@ -309,6 +305,8 @@ def _factor_squarefree_monic(F: IntPoly) -> list[IntPoly]:
     while 2 * s <= len(idx):
         hit = None
         for combo in combinations(range(len(idx)), s):
+            if not mask >> sum(len(lifted[idx[ci]]) - 1 for ci in combo) & 1:
+                continue
             prod = [1]
             for ci in combo:
                 prod = _gf_mul(prod, lifted[idx[ci]], pk)
@@ -391,8 +389,12 @@ def _factor_primitive_squarefree(g: IntPoly) -> list[IntPoly]:
     if g.degree == 1:
         out.append(canonicalize(g))
         return out
+    mask, p = _degree_screen(g)
+    if mask == 1 | 1 << g.degree:
+        out.append(canonicalize(g))
+        return out
     F, c = monicize(g)
-    for H in _factor_squarefree_monic(F):
+    for H in _factor_squarefree_monic(F, p, mask):
         if c == 1:
             out.append(canonicalize(H))
         else:
@@ -409,7 +411,8 @@ def _factor_cached(coeffs: tuple[int, ...]) -> Factorization:
     prim = IntPoly([c // content for c in p.coeffs])
     factors: list[tuple[IntPoly, int]] = []
     if prim.degree >= 1:
-        for sqf, mult in _yun_squarefree(prim):
+        parts = [(prim, 1)] if _proved_squarefree(prim) else _yun_squarefree(prim)
+        for sqf, mult in parts:
             for irr in _factor_primitive_squarefree(sqf):
                 factors.append((irr, mult))
     factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
@@ -429,10 +432,10 @@ def factor_z(p: IntPoly) -> Factorization:
 
 
 def is_irreducible(p: IntPoly) -> bool:
-    """True iff p is irreducible with content 1 (up to nothing else).
+    """True iff p is irreducible over Q and primitive with positive lc.
 
-    Short-circuits on a prime witness: irreducible mod q at full degree for a
-    prime q not dividing the leading coefficient.
+    Read from the cached factor_z(p), whose degree-set screen proves most
+    irreducible inputs without Hensel lifting.
     """
     if p.is_zero or p.degree < 1:
         return False
@@ -440,21 +443,4 @@ def is_irreducible(p: IntPoly) -> bool:
         return False
     if p.degree == 1:
         return True
-    tried = 0
-    for q in _small_primes():
-        if tried >= 3:
-            break
-        if p.lc % q == 0:
-            continue
-        fp = _gf_from(p, q)
-        if len(_gf_gcd(fp, _gf_deriv(fp, q), q)) != 1:
-            tried += 1
-            continue
-        ddf = _ddf(_gf_monic(fp, q), q)
-        if len(ddf) == 1 and len(ddf[0][0]) == len(fp):
-            prod, d = ddf[0]
-            if d == p.degree:
-                return True
-        tried += 1
-    fz = factor_z(p)
-    return len(fz.factors) == 1 and fz.factors[0][1] == 1 and fz.content == 1
+    return factor_z(p).factors == ((p, 1),)

@@ -10,7 +10,9 @@ the input roots are mapped to those of the resolvent roots, and Newton's
 identities, with exact divisions, give the coefficients. No floating point
 anywhere in this module.
 It also holds the all-integer LLL that minpoly guessing (mahler) and
-automorphism discovery (nfield) share.
+automorphism discovery (nfield) share, and the GF(m)[x] kernels that factor
+and nfield build on, with the modular squarefree proof that is_squarefree
+and factor_z try before any gcd over Z.
 
 The polynomial text grammar used across the package (CLI included) is
 comma-separated decimal integers, constant term first: x^2 - 2 is "-2,0,1".
@@ -305,7 +307,79 @@ def squarefree_part(p: IntPoly) -> IntPoly:
 
 
 def is_squarefree(p: IntPoly) -> bool:
-    return not p.is_zero and (p.degree <= 0 or gcd_z(p, p.derivative()).degree == 0)
+    if p.is_zero:
+        return False
+    return p.degree <= 0 or _proved_squarefree(p) or gcd_z(p, p.derivative()).degree == 0
+
+
+# -- arithmetic in GF(m)[x]: dense lists, constant term first, coeffs in [0, m) --
+
+
+def _gf_trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _gf_from(p: IntPoly, m: int) -> list[int]:
+    return _gf_trim([c % m for c in p.coeffs])
+
+
+def _gf_deriv(a, m):
+    return _gf_trim([i * c % m for i, c in enumerate(a)][1:])
+
+
+def _gf_divmod(a, b, m):
+    """divmod in (Z/m)[x]; lc(b) must be invertible mod m (b monic, or m prime)."""
+    a = list(a)
+    db, lb = len(b) - 1, b[-1]
+    inv = pow(lb, -1, m)
+    if len(a) - 1 < db:
+        return [], _gf_trim(a)
+    q = [0] * (len(a) - db)
+    for i in range(len(a) - 1 - db, -1, -1):
+        c = a[i + db] % m
+        if c:
+            t = c * inv % m
+            q[i] = t
+            for j in range(db + 1):
+                a[i + j] = (a[i + j] - t * b[j]) % m
+    return _gf_trim(q), _gf_trim(a[:db])
+
+
+def _gf_gcd(a, b, m):
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, _gf_divmod(a, b, m)[1]
+    if a:
+        inv = pow(a[-1], -1, m)
+        a = [c * inv % m for c in a]
+    return a
+
+
+def _squarefree_mod(p: IntPoly, m: int) -> Optional[list[int]]:
+    """p mod the prime m if m does not divide lc(p) and p stays squarefree
+    mod m, else None.
+
+    A repeated factor of p over Z keeps its degree mod such an m and stays
+    repeated, so a result proves p squarefree over Z.
+    """
+    if p.lc % m == 0:
+        return None
+    fp = _gf_from(p, m)
+    return fp if len(_gf_gcd(fp, _gf_deriv(fp, m), m)) == 1 else None
+
+
+# a squarefree p fails mod m only where m divides its discriminant
+_SQUAREFREE_PRIMES = (11, 13, 17)
+
+
+def _proved_squarefree(p: IntPoly) -> bool:
+    """True if p (degree >= 1) is squarefree mod one of _SQUAREFREE_PRIMES.
+
+    False proves nothing: the caller decides over Z.
+    """
+    return any(_squarefree_mod(p, m) is not None for m in _SQUAREFREE_PRIMES)
 
 
 # -- reciprocal / trace machinery ----------------------------------------------

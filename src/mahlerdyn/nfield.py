@@ -32,9 +32,11 @@ from .errors import (
     NotMonic,
     RankDeficient,
 )
-from .factor import _gf_from, _gf_gcd, _gf_pow_mod, _gf_sub, _small_primes, is_irreducible
+from .factor import _gf_pow_mod, _gf_sub, _small_primes, is_irreducible
 from .intpoly import (
     IntPoly,
+    _gf_from,
+    _gf_gcd,
     _is_cyclotomic_irreducible,
     discriminant,
     lll_reduce,

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from mahlerdyn import factor
 from mahlerdyn.errors import ZeroPolynomial
 from mahlerdyn.factor import factor_z, is_irreducible
-from mahlerdyn.intpoly import IntPoly, canonicalize, from_text
+from mahlerdyn.intpoly import IntPoly, _squarefree_mod, canonicalize, from_text
+from mahlerdyn.roots import circle_partition
 
 P = from_text
 
@@ -126,16 +128,100 @@ class TestIsIrreducible:
             assert is_irreducible(p) == expect
 
 
+class TestDegreeSets:
+    """Musser's degree set proves most irreducible inputs before any lifting."""
+
+    def test_degree_set_proves_irreducible_without_lifting(self, monkeypatch):
+        g = P("14,7,19,-11,-12,1")  # from measure-d6 at its default seed
+        good = [q for q in (11, 13, 17, 19, 23) if _squarefree_mod(g, q) is not None][:3]
+        assert len(good) == 3
+        for q in good:  # irreducible mod none of the first three good primes
+            ddf = factor._ddf(factor._gf_monic(_squarefree_mod(g, q), q), q)
+            assert [d for _, d in ddf] != [5]
+        assert factor._degree_screen(g)[0] == 1 | 1 << 5
+
+        def no_lift(*args):
+            pytest.fail("an irreducible degree set reached Hensel lifting")
+
+        monkeypatch.setattr(factor, "_hensel_multifactor", no_lift)
+        factor._factor_cached.cache_clear()
+        assert factor_z(g).factors == ((g, 1),)
+
+    def test_swinnerton_dyer_octic_lifts_and_recombines(self, monkeypatch):
+        # minpoly of sqrt2 + sqrt3 + sqrt5: only quadratics mod each screened
+        # prime, so the degree set cannot rule out a factor of degree 2, 4 or 6
+        g = P("576,0,-960,0,352,0,-40,0,1")
+        assert factor._degree_screen(g)[0] == 0b101010101
+        lifts = []
+        real = factor._hensel_multifactor
+        monkeypatch.setattr(factor, "_hensel_multifactor", lambda *a: lifts.append(a) or real(*a))
+        factor._factor_cached.cache_clear()
+        assert factor_z(g).factors == ((g, 1),)
+        assert lifts
+        assert is_irreducible(g)
+
+    def test_product_of_two_quartics(self):
+        a, b = P("1,0,-10,0,1"), P("1,0,0,0,1")
+        factor._factor_cached.cache_clear()
+        assert factor_z(a * b).factors == ((a, 1), (b, 1))
+
+
+class TestIrreducibleFromCache:
+    def test_repeat_and_circle_partition_hit_the_cache(self, monkeypatch):
+        p = P("-1,-1,0,1")  # x^3 - x - 1
+        assert is_irreducible(p)
+        ddfs = []
+        real = factor._ddf
+        monkeypatch.setattr(factor, "_ddf", lambda *a: ddfs.append(a) or real(*a))
+        misses = factor._factor_cached.cache_info().misses
+        assert is_irreducible(p)
+        circle_partition(p)
+        assert ddfs == []
+        assert factor._factor_cached.cache_info().misses == misses
+
+
+def sympy_corpus(sympy, x) -> list[IntPoly]:
+    """160 seeded inputs of degree 2-16: random (monic or not), products of two
+    irreducibles of equal degree, and squares."""
+    rng = random.Random(31415)
+
+    def irreducible(deg: int) -> IntPoly:
+        while True:
+            q = rand_poly(rng, deg)
+            if sympy.Poly(sum(c * x**i for i, c in enumerate(q.coeffs)), x).is_irreducible:
+                return q
+
+    out = []
+    for i in range(160):
+        kind = i % 4
+        if kind == 0:
+            out.append(rand_poly(rng, rng.randint(2, 16)))
+        elif kind == 1:
+            q = rand_poly(rng, rng.randint(1, 15))
+            out.append(IntPoly(q.coeffs + (1,)))  # monic
+        elif kind == 2:
+            deg = rng.randint(1, 8)
+            out.append(irreducible(deg) * irreducible(deg))
+        else:
+            q = rand_poly(rng, rng.randint(1, 8))
+            out.append(q * q)
+    return out
+
+
 class TestSympyCross:
     def test_against_sympy(self):
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("x")
-        rng = random.Random(31415)
-        for _ in range(25):
-            p = rand_poly(rng, rng.randint(2, 8))
+        corpus = sympy_corpus(sympy, x)
+        assert len(corpus) >= 150
+        assert {p.degree for p in corpus} >= set(range(2, 17))
+        assert any(p.lc not in (1, -1) for p in corpus)
+        for p in corpus:
             expr = sum(c * x**i for i, c in enumerate(p.coeffs))
             content, sfactors = sympy.factor_list(sympy.Poly(expr, x))
             ours = factor_z(p)
+            irreducible = content == 1 and len(sfactors) == 1 and sfactors[0][1] == 1
+            assert is_irreducible(p) == irreducible, p
             theirs = {}
             for fac, mult in sfactors:
                 poly = sympy.Poly(fac, x)

@@ -1,6 +1,6 @@
 """Packaging: the source tree ships the package, no dangling entry point,
-no runtime dependency beyond mpmath, no assert statement and no except that
-hides a failure."""
+no runtime dependency beyond mpmath, no assert statement or raised
+AssertionError, and no except that hides a failure."""
 
 import ast
 import os
@@ -47,6 +47,22 @@ def test_no_assert_statements():
         for path in sorted((ROOT / "src" / "mahlerdyn").glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_no_raise_assertion_error():
+    # an AssertionError is no MahlerdynError: a caller that catches the
+    # package's errors would not see the failed check
+    def raised(node) -> str:
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return getattr(exc, "id", "")
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "mahlerdyn").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise) and raised(node) == "AssertionError"
     ]
     assert found == []
 
