@@ -307,9 +307,9 @@ def squarefree_part(p: IntPoly) -> IntPoly:
 
 
 def is_squarefree(p: IntPoly) -> bool:
-    if p.is_zero:
-        return False
-    return p.degree <= 0 or _proved_squarefree(p) or gcd_z(p, p.derivative()).degree == 0
+    return not p.is_zero and (
+        p.degree <= 0 or _proved_squarefree(p) or gcd_z(p, p.derivative()).degree == 0
+    )
 
 
 # -- arithmetic in GF(m)[x]: dense lists, constant term first, coeffs in [0, m) --
@@ -375,10 +375,8 @@ _SQUAREFREE_PRIMES = (11, 13, 17)
 
 
 def _proved_squarefree(p: IntPoly) -> bool:
-    """True if p (degree >= 1) is squarefree mod one of _SQUAREFREE_PRIMES.
-
-    False proves nothing: the caller decides over Z.
-    """
+    """True if p is squarefree mod one of _SQUAREFREE_PRIMES, which proves it
+    squarefree over Z. False proves nothing: the caller decides over Z."""
     return any(_squarefree_mod(p, m) is not None for m in _SQUAREFREE_PRIMES)
 
 
