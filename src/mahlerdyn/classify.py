@@ -6,10 +6,10 @@ Unsupported (no proven statement applies).  Witnesses are found by one
 search loop (``_first_witness``): over exponent bounds, then over (pattern,
 certify) pairs, it asks ``nf_pattern_search`` for the first unit of the unit
 sublattice with the pattern's conjugate-modulus layout and returns the first
-certificate.  Every layout is checked exactly by one check,
-``nfield._verify_pattern_exact``, and every candidate is then certified
-exactly, so a wrong layout guess can never produce a wrong verdict, only a
-skipped candidate.  There are two certifiers: the orbit engine
+certificate.  Every layout is decided on certified log|sigma_j| intervals
+over one bounded ladder (``nfield._verify_pattern_exact``; open at the top
+rung counts as refuted), and every candidate is then certified exactly.
+There are two certifiers: the orbit engine
 (``_orbit_witness``: an exact PowerIdentity or TorsionFreePower, with a cited
 theorem's growth chain 1 < M^1 < ... < M^k as the fallback), and the product
 recurrence (``_recurrence_witness``: M(x) is the product of the outside
@@ -33,7 +33,6 @@ from .algnum import (
     an_mul,
     an_neg,
     an_pow,
-    an_sign,
 )
 from .errors import (
     ExactCheckFailed,
@@ -60,10 +59,13 @@ from .nfield import (
     ConjugatePattern,
     FieldElement,
     NumberField,
-    _abs_squared_algnum,
     _aut_bound_reason,
     _conjugate_pairs,
+    _decide,
+    _iv_add,
     _log_abs,
+    _on_ladder,
+    _place_logs,
     _verify_pattern_exact,
     fe_add,
     fe_inv,
@@ -404,11 +406,12 @@ def _orbit_at(K, place, steps, tag=None, facts=()):
 def _recurrence_witness(K, alpha, states, tag) -> Optional[HasWanderer]:
     """alpha with three exact iterations of M(x) = (outside conjugates of x).
 
-    states are (pattern, automorphisms, fact) triples. x must match one of
-    the patterns exactly; the first state whose pattern it matches names the
-    automorphisms sending x to its conjugates outside the unit circle, and
-    the fact their product stands for. That product, made positive, must
-    equal M(x) exactly and grow strictly from 1; it is then the next x.
+    states are (pattern, automorphisms, fact) triples. _verify_pattern_exact
+    must find x on one of the patterns; the first state whose pattern it
+    matches names the automorphisms sending x to its conjugates outside the
+    unit circle, and the fact their product stands for. That product, made
+    positive, must equal M(x) exactly and grow strictly from 1; it is then
+    the next x.
     """
     patterns = [pattern for pattern, _, _ in states]
     x, prev, facts = alpha, _ONE, []
@@ -448,8 +451,22 @@ def _first_witness(K, lattice, candidates, bounds=(None,)):
     return None
 
 
+def _settled(decide) -> bool:
+    """_on_ladder(decide) for the sign of a nonzero number, which some rung
+    must settle: InternalPrecisionExceeded when none does, never a guess."""
+    if (found := _on_ladder(decide)) is None:
+        raise InternalPrecisionExceeded("sign of a nonzero element not decided")
+    return found
+
+
 def _positive_at(K, x: FieldElement, place: int) -> FieldElement:
-    return fe_neg(K, x) if an_sign(fe_to_algnum(K, x, place)) < 0 else x
+    """x or -x, whichever is positive at the real place; x is nonzero."""
+
+    def negative(prec):
+        box = nf_embed(K, x, place, prec)
+        return _decide((box.center[0] - box.radius, box.center[0] + box.radius), "<")
+
+    return fe_neg(K, x) if _settled(negative) else x
 
 
 # ---------------------------------------------------------------------------
@@ -732,11 +749,17 @@ def _d5_chain_witness(K, lab, x) -> Optional[HasWanderer]:
     Verified facts: with P = s(x) s4(x), the measure of x^j P^i is the next
     chain element of (1,0) -> (1,1) -> (2,1) -> (3,2) up to sign, with
     strictly growing measures.  The comparison |s2(x) s4(x)| < |x s3(x)| is
-    not expressible as a pattern constraint, so it is checked exactly here.
+    not expressible as a pattern constraint, so it is decided here on the
+    same ladder of log intervals, a tie refuting it.
     """
     a, s, s2, s3, s4, _ = lab
-    sq = {j: _abs_squared_algnum(K, x, j) for j in (a, s2, s3, s4)}
-    if an_compare(an_mul(sq[s2], sq[s4]), an_mul(sq[a], sq[s3])) != -1:
+    logs = _place_logs(K, x)
+
+    def smaller(prec):
+        log = logs[prec]
+        return _decide(_iv_add(log(s2), log(s4)), "<", _iv_add(log(a), log(s3)))
+
+    if not _on_ladder(smaller):
         return None
     wa = fe_to_algnum(K, x, a)
     pair_prod = an_mul(fe_to_algnum(K, x, s), fe_to_algnum(K, x, s4))
@@ -953,7 +976,7 @@ def _octic_c2cubed_witness(K, autos) -> HasWanderer:
         poly, w = _fixed_field_poly(K, H, 2)
         beta = nf_unit_sublattice(nf_new(poly)).generators[0]
         x = _positive_at(K, _lift_subfield_element(K, beta, w), 0)
-        if an_compare(fe_to_algnum(K, x), _ONE) != 1:
+        if not _settled(lambda prec: _decide(_log_abs(K, x, 0, prec), ">")):
             x = _positive_at(K, fe_inv(K, x), 0)
         units.append(x)
     for prec in (192, 768, 3072, 12288):

@@ -5,6 +5,7 @@ sublattices of Z[theta], and the conjugate-pattern search that produces units
 with a prescribed distribution of conjugate absolute values.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -13,16 +14,7 @@ from typing import Optional, Sequence
 
 import mpmath as mp
 
-from .algnum import (
-    AlgebraicNumber,
-    _irreducible_factors,
-    _select_root,
-    an_compare,
-    an_from_rational,
-    an_mul,
-    an_pow,
-    root_index,
-)
+from .algnum import AlgebraicNumber, _irreducible_factors, _select_root, an_from_rational
 from .errors import (
     AutomorphismsUndecided,
     ExactCheckFailed,
@@ -62,6 +54,9 @@ _H_CAP = 64  # coordinate-bound ladder limit for unit enumeration
 _E_CAP = 8  # exponent-bound ladder limit for pattern search
 _AUTO_PREC = (192, 384, 768, 1536)  # discovery ladder, bits
 _AUT_PRIMES = 40  # good primes the Frobenius bound tries at most
+# layout ladder, bits: log|sigma_j(x)| intervals at each rung; what is still
+# open at the 6144-bit cap counts as refuted (see _verify_pattern_exact)
+_LAYOUT_PREC = (96, 384, 1536, 6144)
 
 
 # ---------------------------------------------------------------------------
@@ -103,9 +98,10 @@ class ConjugatePattern:
 
     order: levels of embedding indices; every value in a level strictly
     exceeds every value in the next level. one_position: how many leading
-    levels lie above 1 (all remaining levels lie below 1). extras: product
-    constraints (indices, rel) meaning prod |sigma_i(x)| rel 1 with
-    rel in {"<", ">", "!="}.
+    levels lie above 1 (all remaining levels lie strictly below 1). extras:
+    product constraints (indices, rel) meaning prod |sigma_i(x)| rel 1 with
+    rel in {"<", ">", "!="}. Every constraint is strict, so a tie refutes
+    the pattern.
     """
 
     order: tuple[tuple[int, ...], ...]
@@ -478,14 +474,16 @@ def _verify_group_closure(K: NumberField, autos: list[FieldElement]) -> None:
 # log vectors and certified interval helpers
 
 
-def _log_interval(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Certified enclosure of [log lo, log hi] for 0 < lo <= hi."""
+def _log_interval(lo: Fraction, hi: Fraction, prec: int = 100) -> tuple[Fraction, Fraction]:
+    """Certified enclosure of [log lo, log hi] for 0 < lo <= hi: mpmath at
+    max(100, prec) + 20 bits, padded by (1 + max |log|) * 2^-max(100, prec)."""
     if lo <= 0:
         raise ExactCheckFailed("log of a modulus interval that reaches 0")
-    with mp.workprec(120):
+    bits = max(100, prec)
+    with mp.workprec(bits + 20):
         llo = _frac_from_mp(mp.log(mp.mpf(lo.numerator) / mp.mpf(lo.denominator)))
         lhi = _frac_from_mp(mp.log(mp.mpf(hi.numerator) / mp.mpf(hi.denominator)))
-    pad = Fraction(1 + int(max(abs(llo), abs(lhi))), 1 << 100)
+    pad = Fraction(1 + int(max(abs(llo), abs(lhi))), 1 << bits)
     return (llo - pad, lhi + pad)
 
 
@@ -494,7 +492,7 @@ def _log_abs(K: NumberField, x: FieldElement, place: int, prec: int) -> tuple[Fr
     while True:
         lo, hi = _abs_bounds(nf_embed(K, x, place, prec))
         if lo > 0:
-            return _log_interval(lo, hi)
+            return _log_interval(lo, hi, prec)
         prec *= 2  # nonzero element; eventually 0 is excluded
 
 
@@ -507,22 +505,6 @@ def _log_vector(K: NumberField, places, x: FieldElement, prec: int) -> LogVector
         entries.append((w * llo, w * lhi))
         weights.append(w)
     return LogVector(tuple(entries), tuple(weights))
-
-
-def _embedding_log_table(K: NumberField, xs, prec: int):
-    """Per-element, per-embedding certified log|sigma_j(x)| intervals."""
-    pairs = _conjugate_pairs(K)
-    table = []
-    for x in xs:
-        row: list = [None] * K.degree
-        for j in range(K.degree):
-            if row[j] is not None:
-                continue
-            row[j] = _log_abs(K, x, j, prec)
-            if pairs[j] != j:
-                row[pairs[j]] = row[j]
-        table.append(row)
-    return table
 
 
 # interval helpers over (lo, hi) Fraction pairs
@@ -700,17 +682,6 @@ def fe_to_algnum(K: NumberField, x: FieldElement, place: int = 0) -> AlgebraicNu
     return _select_root(_irreducible_factors(_char_poly(K, x)), probes)
 
 
-def _abs_squared_algnum(K: NumberField, x: FieldElement, place: int) -> AlgebraicNumber:
-    """|sigma_place(x)|^2 as an exact algebraic number."""
-    z = fe_to_algnum(K, x, place)
-    if z.box.center[1] == 0:
-        # real embedding: z^2 via the power map, degree n instead of n^2
-        return an_pow(z, 2)
-    boxes = isolate_roots(z.minpoly)
-    conj = _conjugates(boxes)[root_index(z)]
-    return an_mul(z, AlgebraicNumber(z.minpoly, boxes[conj]))
-
-
 # ---------------------------------------------------------------------------
 # pattern search
 
@@ -732,66 +703,67 @@ def _validate_pattern(K: NumberField, pattern: ConjugatePattern) -> None:
                 raise ValueError("extras reference an invalid embedding index")
 
 
-def _screen_candidate(logs, pattern: ConjugatePattern) -> bool:
-    """Interval pre-check; '!=' extras are allowed to stay undecided here."""
-    for t in range(len(pattern.order) - 1):
-        hi_level = pattern.order[t]
-        lo_level = pattern.order[t + 1]
-        if not all(
-            logs[a][0] > logs[b][1] for a in hi_level for b in lo_level
-        ):
+def _decide(x, rel: str, y=(_ZERO, _ZERO)) -> Optional[bool]:
+    """Whether the reals in the certified intervals x and y stand in the
+    strict relation x rel y, rel in {">", "<", "!="}: True or False once the
+    intervals settle it, None while they overlap. Overlapping intervals
+    refute only by a shared end point; they never settle a tie."""
+    if x[0] > y[1] or x[1] < y[0]:
+        return rel == "!=" or (x[0] > y[1]) == (rel == ">")
+    refuted = {">": x[1] == y[0], "<": x[0] == y[1], "!=": x[0] == x[1] == y[0] == y[1]}
+    return False if refuted[rel] else None
+
+
+def _layout_status(log, pattern: ConjugatePattern) -> Optional[bool]:
+    """The layout test on intervals log(j) of log|sigma_j(x)|: True when
+    every constraint is proved, False when one is refuted, else None."""
+    levels, top = pattern.order, pattern.one_position
+    checks = itertools.chain(
+        ((log(a), ">", log(b)) for up, down in zip(levels, levels[1:]) for a in up for b in down),
+        ((log(j), ">" if t < top else "<") for t, level in enumerate(levels) for j in level),
+        (
+            (functools.reduce(_iv_add, map(log, indices), (_ZERO, _ZERO)), rel)
+            for indices, rel in pattern.extras
+        ),
+    )
+    status = True
+    for check in checks:
+        verdict = _decide(*check)
+        if verdict is False:
             return False
-    for t, level in enumerate(pattern.order):
-        if t < pattern.one_position:
-            if not all(logs[j][0] > 0 for j in level):
-                return False
-        else:
-            if not all(logs[j][1] < 0 for j in level):
-                return False
-    for indices, rel in pattern.extras:
-        total = (_ZERO, _ZERO)
-        for j in indices:
-            total = _iv_add(total, logs[j])
-        if rel == "<" and not total[1] < 0:
-            return False
-        if rel == ">" and not total[0] > 0:
-            return False
-        # "!=" is settled by the exact verifier
-    return True
+        if verdict is None:
+            status = None
+    return status
+
+
+def _on_ladder(decide) -> Optional[bool]:
+    """The first settled decide(prec) over the rungs of _LAYOUT_PREC, or None
+    when the top rung leaves it open."""
+    return next((d for d in map(decide, _LAYOUT_PREC) if d is not None), None)
+
+
+def _place_logs(K: NumberField, x: FieldElement) -> dict:
+    """Per rung prec of _LAYOUT_PREC, j -> log|sigma_j(x)| at prec, each place
+    computed at most once, when first needed (conjugate embeddings share it)."""
+    pairs = _conjugate_pairs(K)
+    at = functools.cache(lambda place, prec: _log_abs(K, x, place, prec))
+    return {prec: (lambda j, prec=prec: at(min(j, pairs[j]), prec)) for prec in _LAYOUT_PREC}
 
 
 def _verify_pattern_exact(
     K: NumberField, u: FieldElement, patterns: Sequence[ConjugatePattern]
 ) -> Optional[int]:
-    """Index of the first pattern whose every constraint holds exactly on u,
-    or None. Each |sigma_j(u)|^2 is computed at most once, when first needed."""
-    one = an_from_rational(1)
-    sq: dict[int, AlgebraicNumber] = {}
+    """Index of the first pattern that u's own log intervals prove on some
+    rung of _LAYOUT_PREC, or None.
 
-    def at(j: int) -> AlgebraicNumber:
-        if j not in sq:
-            sq[j] = _abs_squared_algnum(K, u, j)
-        return sq[j]
-
-    def holds(pattern: ConjugatePattern) -> bool:
-        levels = pattern.order
-        for upper, lower in zip(levels, levels[1:]):
-            if any(an_compare(at(a), at(b)) <= 0 for a in upper for b in lower):
-                return False
-        for t, level in enumerate(levels):
-            want = 1 if t < pattern.one_position else -1
-            if any(an_compare(at(j), one) != want for j in level):
-                return False
-        for indices, rel in pattern.extras:
-            prod = one
-            for j in indices:
-                prod = an_mul(prod, at(j))
-            cmp = an_compare(prod, one)
-            if (rel == "<" and cmp != -1) or (rel == ">" and cmp != 1) or cmp == 0:
-                return False
-        return True
-
-    return next((i for i, pattern in enumerate(patterns) if holds(pattern)), None)
+    Each place of u is computed at most once per rung, when first needed.
+    A constraint still open at the top rung counts as refuted: exact for a
+    tie, and for a non-tie too close to separate a skipped candidate, never
+    a wrong layout.
+    """
+    logs = _place_logs(K, u)
+    holds = (_on_ladder(lambda prec: _layout_status(logs[prec], p)) for p in patterns)
+    return next((i for i, ok in enumerate(holds) if ok), None)
 
 
 def nf_pattern_search(
@@ -803,34 +775,30 @@ def nf_pattern_search(
     """First unit (in sup-norm-then-lex exponent order) matching the pattern.
 
     Exponent vectors come shell by shell from _sup_band, up to
-    exponent_bound (default _E_CAP). Candidates are screened with certified
-    interval log vectors; a screened hit is constructed exactly and must
-    pass _verify_pattern_exact, the one exact layout check, before it is
-    returned. NotFound when no vector within the bound passes.
+    exponent_bound (default _E_CAP). A vector is skipped when the sums of
+    the generators' log intervals at the bottom rung of _LAYOUT_PREC refute
+    the pattern; otherwise its unit is built and _verify_pattern_exact
+    decides the layout on the unit's own intervals. NotFound when no vector
+    within the bound passes.
     """
     _validate_pattern(K, pattern)
     cap = exponent_bound if exponent_bound is not None else _E_CAP
     gens = list(lattice.generators)
-    r = len(gens)
-    prec = 96
-    table = _embedding_log_table(K, gens, prec)
-    needed = {j for level in pattern.order for j in level}
-    needed.update(j for indices, _ in pattern.extras for j in indices)
+    rows = [_place_logs(K, g)[_LAYOUT_PREC[0]] for g in gens]
     for shell in range(cap + 1):
-        for evec in _sup_band(r, shell - 1, shell):
-            logs = {}
-            for j in needed:
-                acc = (_ZERO, _ZERO)
-                for i in range(r):
-                    if evec[i]:
-                        acc = _iv_add(acc, _iv_scale(table[i][j], evec[i]))
-                logs[j] = acc
-            if not _screen_candidate(logs, pattern):
+        for evec in _sup_band(len(gens), shell - 1, shell):
+            terms = [(row, e) for row, e in zip(rows, evec) if e]
+            log = functools.cache(
+                lambda j: functools.reduce(
+                    _iv_add, (_iv_scale(row(j), e) for row, e in terms), (_ZERO, _ZERO)
+                )
+            )
+            if _layout_status(log, pattern) is False:
                 continue
             u = fe_rational(K, 1)
-            for i in range(r):
-                if evec[i]:
-                    u = fe_mul(K, u, fe_pow(K, gens[i], evec[i]))
+            for g, e in zip(gens, evec):
+                if e:
+                    u = fe_mul(K, u, fe_pow(K, g, e))
             if _verify_pattern_exact(K, u, [pattern]) is not None:
                 return u
     raise NotFound(f"no unit matched the pattern within exponent bound {cap}")

@@ -5,9 +5,11 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 from mahlerdyn import nfield
@@ -67,6 +69,7 @@ X5M2 = P("-2,0,0,0,0,1")
 CM6 = P("1,0,8,0,6,0,1")  # x^6 + 6x^4 + 8x^2 + 1, a CM sextic
 S5_QUINTIC = P("-1,-1,0,0,0,1")  # x^5 - x - 1
 D5_QUINTIC = P("12,-5,0,0,0,1")  # x^5 - 5x + 12
+D5_REAL = P("-1,3,4,-5,-1,1")  # x^5 - x^4 - 5x^3 + 4x^2 + 3x - 1, totally real
 C2CUBED_OCTIC = P("576,0,-960,0,352,0,-40,0,1")  # Q(sqrt 2, sqrt 3, sqrt 5)
 
 ONE = an_from_rational(1)
@@ -496,28 +499,86 @@ class TestSupBand:
         assert len(walked) == len(set(walked)) == 9**3 - 1
 
 
+class TestLogIntervals:
+    @pytest.mark.parametrize("prec", [96, 192, 384, 768, 1536, 3072, 6144])
+    def test_width_follows_the_precision_asked_for(self, prec):
+        K = nf_new(SQRT2_POLY)
+        lo, hi = nfield._log_abs(K, nf_element(K, [1, 1]), 1, prec)
+        assert 0 < hi - lo <= Fraction(4, 1 << prec)
+
+
 class TestPatternSearch:
     def test_layout_check_picks_the_first_match_lazily(self, monkeypatch):
         K = nf_new(SQRT2_POLY)
         u = nf_element(K, [1, 1])  # 1 + sqrt 2: |u| > 1 at place 1 only
         calls = []
-        exact = nfield._abs_squared_algnum
+        log_abs = nfield._log_abs
 
-        def counted(K, x, j):
-            calls.append(j)
-            return exact(K, x, j)
+        def counted(K, x, j, prec):
+            calls.append((prec, j))
+            return log_abs(K, x, j, prec)
 
-        monkeypatch.setattr(nfield, "_abs_squared_algnum", counted)
+        monkeypatch.setattr(nfield, "_log_abs", counted)
         patterns = [
             ConjugatePattern(order=((0,), (1,)), one_position=1),
             ConjugatePattern(order=((0, 1),), one_position=1),
             ConjugatePattern(order=((1,), (0,)), one_position=1),
         ]
         assert nfield._verify_pattern_exact(K, u, patterns) == 2
-        assert sorted(calls) == [0, 1]
+        assert sorted(calls) == [(96, 0), (96, 1)]
         calls.clear()
         assert nfield._verify_pattern_exact(K, u, patterns[:2]) is None
-        assert sorted(calls) == [0, 1]
+        assert sorted(calls) == [(96, 0), (96, 1)]
+
+    def test_tie_between_conjugates_refutes(self, monkeypatch):
+        # |2+i| = |2-i|: no interval separates the two, so the order is
+        # refuted once the top rung leaves it open
+        K = nf_new(P("1,0,1"))
+        u = nf_element(K, [2, 1])
+        rungs = []
+        log_abs = nfield._log_abs
+
+        def counted(K, x, j, prec):
+            rungs.append(prec)
+            return log_abs(K, x, j, prec)
+
+        monkeypatch.setattr(nfield, "_log_abs", counted)
+        pattern = ConjugatePattern(order=((0,), (1,)), one_position=2)
+        start = time.perf_counter()
+        assert nfield._verify_pattern_exact(K, u, [pattern]) is None
+        assert time.perf_counter() - start < 1.0
+        assert rungs == list(nfield._LAYOUT_PREC)
+
+    def test_tie_in_a_product_refutes(self):
+        # N(1 + sqrt 2) = -1: the product of the two moduli is exactly 1
+        K = nf_new(SQRT2_POLY)
+        u = nf_element(K, [1, 1])
+        layout = ConjugatePattern(order=((1,), (0,)), one_position=1)
+        tied = ConjugatePattern(order=((1,), (0,)), one_position=1, extras=(((0, 1), "!="),))
+        assert nfield._verify_pattern_exact(K, u, [layout]) == 0
+        assert nfield._verify_pattern_exact(K, u, [tied]) is None
+
+    def test_large_unit_layout_is_proven_on_intervals(self):
+        # conjugate moduli from e^-1457 to e^1005: the order is read on log
+        # intervals, never on a characteristic polynomial of u
+        K = nf_new(D5_REAL)
+        g0, g1 = nf_unit_sublattice(K).generators[:2]
+        u = fe_mul(K, fe_pow(K, g0, 400), fe_pow(K, g1, -399))
+        # oracle: mpmath at 3000 digits, the roots matched to K's embeddings
+        with mp.workdps(3000):
+            roots = mp.polyroots(list(reversed(D5_REAL.coeffs)), maxsteps=200, extraprec=3000)
+            coeffs = [mp.mpf(c.numerator) / c.denominator for c in reversed(u.coords)]
+            logs = []
+            for box in K.embeddings:
+                z = min(roots, key=lambda r: abs(r - float(box.center[0])))
+                logs.append(mp.log(abs(mp.polyval(coeffs, z))))
+        ranked = sorted(range(5), key=lambda j: -logs[j])
+        pattern = ConjugatePattern(
+            order=tuple((j,) for j in ranked), one_position=sum(1 for v in logs if v > 0)
+        )
+        start = time.perf_counter()
+        assert nfield._verify_pattern_exact(K, u, [pattern]) == 0
+        assert time.perf_counter() - start < 1.0
 
     def test_real_quadratic_pisot_unit(self):
         K = nf_new(SQRT2_POLY)
