@@ -6,9 +6,11 @@ Unsupported (no proven statement applies).  Witnesses are found by one
 search loop (``_first_witness``): over exponent bounds, then over (pattern,
 certify) pairs, it asks ``nf_pattern_search`` for the first unit of the unit
 sublattice with the pattern's conjugate-modulus layout and returns the first
-certificate.  Every layout is decided on certified log|sigma_j| intervals
-over one bounded ladder (``nfield._verify_pattern_exact``; open at the top
-rung counts as refuted), and every candidate is then certified exactly.
+certificate.  Every numeric decision (layouts, signs, exponent choices) is
+made on certified balls or ``nfield._place_logs`` intervals over one bounded
+ladder, ``nfield._on_ladder``; open at the top rung refutes a strict relation,
+or raises where a rung must settle it (``_settled``).  Every candidate is then
+certified exactly.
 There are two certifiers: the orbit engine
 (``_orbit_witness``: an exact PowerIdentity or TorsionFreePower, with a cited
 theorem's growth chain 1 < M^1 < ... < M^k as the fallback), and the product
@@ -61,9 +63,10 @@ from .nfield import (
     NumberField,
     _aut_bound_reason,
     _conjugate_pairs,
+    _conjunction,
     _decide,
     _iv_add,
-    _log_abs,
+    _iv_scale,
     _on_ladder,
     _place_logs,
     _verify_pattern_exact,
@@ -87,7 +90,6 @@ from .nfield import (
 )
 from .roots import (
     IsolatingBox,
-    _abs_bounds,
     _box_add,
     _box_mul,
     _point_in,
@@ -451,11 +453,12 @@ def _first_witness(K, lattice, candidates, bounds=(None,)):
     return None
 
 
-def _settled(decide) -> bool:
-    """_on_ladder(decide) for the sign of a nonzero number, which some rung
-    must settle: InternalPrecisionExceeded when none does, never a guess."""
+def _settled(decide, what: str):
+    """_on_ladder(decide) for a question some rung must settle, such as the
+    sign of a nonzero number: InternalPrecisionExceeded naming ``what`` when
+    none does, never a guess."""
     if (found := _on_ladder(decide)) is None:
-        raise InternalPrecisionExceeded("sign of a nonzero element not decided")
+        raise InternalPrecisionExceeded(f"{what} not decided")
     return found
 
 
@@ -466,7 +469,7 @@ def _positive_at(K, x: FieldElement, place: int) -> FieldElement:
         box = nf_embed(K, x, place, prec)
         return _decide((box.center[0] - box.radius, box.center[0] + box.radius), "<")
 
-    return fe_neg(K, x) if _settled(negative) else x
+    return fe_neg(K, x) if _settled(negative, "sign of a nonzero element") else x
 
 
 # ---------------------------------------------------------------------------
@@ -971,22 +974,26 @@ def _octic_c2cubed_witness(K, autos) -> HasWanderer:
             break
     if triple is None:
         raise UnsupportedGroup("no three independent quadratic subfields")
-    units = []
+    units, unit_logs = [], []
     for H in triple:
         poly, w = _fixed_field_poly(K, H, 2)
         beta = nf_unit_sublattice(nf_new(poly)).generators[0]
         x = _positive_at(K, _lift_subfield_element(K, beta, w), 0)
-        if not _settled(lambda prec: _decide(_log_abs(K, x, 0, prec), ">")):
+        log = _place_logs(K, x)
+        if not _settled(lambda prec: _decide(log[prec](0), ">"), "|x| > 1 of a subfield unit"):
             x = _positive_at(K, fe_inv(K, x), 0)
+            log = _place_logs(K, x)
         units.append(x)
-    for prec in (192, 768, 3072, 12288):
-        logs = [_log_abs(K, x, 0, prec) for x in units]
+        unit_logs.append(log)
+
+    def exponents(prec):
+        logs = [log[prec](0) for log in unit_logs]
         # stable means: floor(b), floor(1/b) and the ceil(1/b)*b ordering are
         # all decided by the intervals (b and 1/b are never integers)
         if any(math.floor(lo) != math.floor(hi) for lo, hi in logs):
-            continue
+            return None
         if any(math.floor(1 / hi) != math.floor(1 / lo) for lo, hi in logs):
-            continue
+            return None
         ceils = [math.floor(hi) + 1 for _, hi in logs]
         inv_ceils = [math.floor(1 / lo) + 1 for lo, _ in logs]
         ranked = sorted(range(3), key=lambda i: inv_ceils[i] * logs[i][0])
@@ -994,21 +1001,22 @@ def _octic_c2cubed_witness(K, autos) -> HasWanderer:
             inv_ceils[i] * logs[i][1] >= inv_ceils[j] * logs[j][0]
             for i, j in zip(ranked, ranked[1:])
         ):
-            continue
+            return None
         b1, b2, b3 = ranked
-        n = {
+        return {
             b1: inv_ceils[b1] * (ceils[b2] + ceils[b3]),
             b2: inv_ceils[b2] * ceils[b3],
             b3: inv_ceils[b3] * ceils[b2],
         }
-        alpha = fe_rational(K, 1)
-        for i in range(3):
-            alpha = fe_mul(K, alpha, fe_pow(K, units[i], n[i]))
-        found = _orbit_witness(fe_to_algnum(K, alpha), 1)
-        if found is None:
-            raise WitnessSearchFailed("powered subfield unit failed M(x) = x^2")
-        return found
-    raise InternalPrecisionExceeded("subfield unit logs did not stabilize")
+
+    n = _settled(exponents, "stable logs of the subfield units")
+    alpha = fe_rational(K, 1)
+    for i in range(3):
+        alpha = fe_mul(K, alpha, fe_pow(K, units[i], n[i]))
+    found = _orbit_witness(fe_to_algnum(K, alpha), 1)
+    if found is None:
+        raise WitnessSearchFailed("powered subfield unit failed M(x) = x^2")
+    return found
 
 
 def _octic_q8_witness(K, autos) -> HasWanderer:
@@ -1093,10 +1101,13 @@ def _classify_octic_galois(K, autos) -> FieldVerdict:
     return _octic_q8_witness(K, autos)
 
 
-def _nonic_c3c3_witness(K, autos) -> HasWanderer:
-    """Pisot units from two cubic subfields, powered so the nine mixed
-    conjugates split five outside and four inside; the measure is then the
-    exact square of the dominant conjugate."""
+def _nonic_c3c3_gamma(K, autos) -> tuple[FieldElement, int]:
+    """(gamma, dominant place) for gamma = l1^a l2^b, l1 and l2 Pisot units
+    of two cubic subfields. (a, b) is the first pair by (a + b, a) that puts
+    the four conjugates pairing one unit's dominant conjugate with a smaller
+    one of the other outside the unit circle on some rung; then five
+    conjugates lie outside, and the measure is the square of the dominant
+    one."""
     ident = fe_theta(K)
     cubics, seen = [], set()
     for g in autos:
@@ -1123,54 +1134,40 @@ def _nonic_c3c3_witness(K, autos) -> HasWanderer:
         if found is None:
             raise WitnessSearchFailed("no Pisot unit in a cubic subfield")
         x, top = found
-        pisot.append((Ksub, x, top, _lift_subfield_element(K, x, w)))
-    (K1, x1, t1, l1), (K2, x2, t2, l2) = pisot
-    choice = None
-    for prec in (192, 768, 3072):
-        lg1 = [_log_abs(K1, x1, pl, prec) for pl in range(3)]
-        lg2 = [_log_abs(K2, x2, pl, prec) for pl in range(3)]
-        undecided = False
-        for total in range(2, 65):
-            for a in range(1, total):
-                b = total - a
-                conds = []
-                for j in range(3):
-                    if j != t1:
-                        conds.append(
-                            (
-                                a * lg1[j][0] + b * lg2[t2][0],
-                                a * lg1[j][1] + b * lg2[t2][1],
-                            )
-                        )
-                    if j != t2:
-                        conds.append(
-                            (
-                                a * lg1[t1][0] + b * lg2[j][0],
-                                a * lg1[t1][1] + b * lg2[j][1],
-                            )
-                        )
-                if all(lo > 0 for lo, _ in conds):
-                    choice = (a, b)
-                    break
-                if all(hi > 0 for _, hi in conds):
-                    undecided = True
-            if choice:
-                break
-        if choice or not undecided:
-            break
+        pisot.append((_place_logs(Ksub, x), top, _lift_subfield_element(K, x, w)))
+    (lg1, t1, l1), (lg2, t2, l2) = pisot
+    mixed = [(j, t2) for j in range(3) if j != t1] + [(t1, k) for k in range(3) if k != t2]
+
+    def outside(a, b, prec):
+        sums = (_iv_add(_iv_scale(lg1[prec](j), a), _iv_scale(lg2[prec](k), b)) for j, k in mixed)
+        return _conjunction(_decide(log, ">") for log in sums)
+
+    pairs = ((a, total - a) for total in range(2, 65) for a in range(1, total))
+    choice = next((ab for ab in pairs if _on_ladder(functools.partial(outside, *ab))), None)
     if choice is None:
         raise WitnessSearchFailed("no exponent pair balanced the Pisot units")
     a, b = choice
     gamma = fe_mul(K, fe_pow(K, l1, a), fe_pow(K, l2, b))
-    for prec in (192, 768, 3072):
-        ivs = [_abs_bounds(nf_embed(K, gamma, pl, prec)) for pl in range(9)]
-        best = max(range(9), key=lambda i: ivs[i][0])
-        if all(ivs[best][0] > ivs[i][1] for i in range(9) if i != best):
-            found = _orbit_witness(fe_to_algnum(K, gamma, best), 1)
-            if found is None:
-                raise WitnessSearchFailed("powered Pisot product failed M(x) = x^2")
-            return found
-    raise InternalPrecisionExceeded("dominant conjugate did not separate")
+    logs = _place_logs(K, gamma)
+
+    def dominant(prec):
+        log = logs[prec]
+        above = (
+            _conjunction(_decide(log(j), ">", log(i)) for i in range(9) if i != j)
+            for j in range(9)
+        )
+        return next((j for j, ok in enumerate(above) if ok), None)
+
+    return gamma, _settled(dominant, "dominant conjugate")
+
+
+def _nonic_c3c3_witness(K, autos) -> HasWanderer:
+    """The orbit witness of _nonic_c3c3_gamma at its dominant place."""
+    gamma, best = _nonic_c3c3_gamma(K, autos)
+    found = _orbit_witness(fe_to_algnum(K, gamma, best), 1)
+    if found is None:
+        raise WitnessSearchFailed("powered Pisot product failed M(x) = x^2")
+    return found
 
 
 def classify_galois_small(p: IntPoly) -> FieldVerdict:

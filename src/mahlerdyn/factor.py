@@ -6,12 +6,12 @@ factorization modulo a good prime (distinct-degree then seeded
 Cantor-Zassenhaus equal-degree splitting), quadratic Hensel lifting past twice
 a Mignotte-style coefficient bound, and subset recombination in
 cardinality-then-lex order. The screen takes the distinct-degree factorization
-of each squarefree part modulo up to _SCREEN_PRIMES good primes (primes >= 11
-not dividing the leading coefficient, modulo which the part stays squarefree)
-and intersects the subset sums of their modular factor degrees. Every factor
-over Z has a degree in that set, so a set of {0, n} proves the part
-irreducible with no lifting; otherwise lifting runs at the screened prime with
-the fewest modular factors. Everything is deterministic: the primes are tried
+of each monicized squarefree part modulo up to _SCREEN_PRIMES good primes
+(primes >= 11 modulo which it stays squarefree) and intersects the subset sums
+of their modular factor degrees. Every factor over Z has a degree in that set,
+so a set of {0, n} proves the part irreducible with no lifting; otherwise
+lifting runs from the screen's factorization at the screened prime with the
+fewest modular factors. Everything is deterministic: the primes are tried
 in increasing order, the splitting RNG is seeded from the input, and factors
 are reported sorted by (degree, coefficient tuple).
 """
@@ -136,11 +136,12 @@ def _edf(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
         return _edf(split, d, p, rng) + _edf(other, d, p, rng)
 
 
-def _factor_gf(f: list[int], p: int, seed: int) -> list[list[int]]:
-    """All monic irreducible factors of squarefree monic f over GF(p)."""
+def _factor_gf(ddf: list[tuple[list[int], int]], p: int, seed: int) -> list[list[int]]:
+    """All monic irreducible factors over GF(p) of a squarefree monic f, from
+    its distinct-degree factorization ddf = _ddf(f, p)."""
     rng = random.Random(seed)
     out = []
-    for prod, d in _ddf(f, p):
+    for prod, d in ddf:
         out.extend(_edf(prod, d, p, rng))
     out.sort(key=lambda g: (len(g), tuple(g)))
     return out
@@ -249,33 +250,34 @@ def _small_primes():
 _SCREEN_PRIMES = 5
 
 
-def _degree_screen(g: IntPoly) -> tuple[int, int]:
-    """(degree set, prime) of a squarefree g of degree n >= 2.
+def _degree_screen(F: IntPoly) -> tuple[int, int, list[tuple[list[int], int]]]:
+    """(degree set, prime, DDF) of a monic squarefree F of degree n >= 2.
 
     The set is a bitmask: bit d is set when, modulo each screened prime, some
-    of g's modular factor degrees sum to d. The degree of every factor of g
+    of F's modular factor degrees sum to d. The degree of every factor of F
     over Z is such a d. The screen stops early at the set {0, n}, which proves
-    g irreducible. The prime is the screened one with the fewest modular
-    factors, the cheapest to lift from.
+    F irreducible. The prime is the screened one with the fewest modular
+    factors, the cheapest to lift from; the DDF is F's modulo that prime.
     """
-    n = g.degree
+    n = F.degree
     mask, best, tried = (1 << n + 1) - 1, None, 0
     for p in _small_primes():
         if tried == _SCREEN_PRIMES or mask == 1 | 1 << n:
             break
-        fp = _squarefree_mod(g, p)
+        fp = _squarefree_mod(F, p)
         if fp is None:
             continue
         tried += 1
+        ddf = _ddf(fp, p)
         sums, count = 1, 0
-        for prod, d in _ddf(_gf_monic(fp, p), p):
+        for prod, d in ddf:
             for _ in range((len(prod) - 1) // d):
                 sums |= sums << d
                 count += 1
         mask &= sums
         if best is None or count < best[0]:
-            best = (count, p)
-    return mask, best[1]
+            best = (count, p, ddf)
+    return mask, best[1], best[2]
 
 
 def _seed_from(g: IntPoly, p: int) -> int:
@@ -285,13 +287,14 @@ def _seed_from(g: IntPoly, p: int) -> int:
     return seed
 
 
-def _factor_squarefree_monic(F: IntPoly, p: int, mask: int) -> list[IntPoly]:
+def _factor_squarefree_monic(F: IntPoly, p: int, mask: int, ddf) -> list[IntPoly]:
     """Irreducible monic integer factors of a monic squarefree F, degree >= 2.
 
-    p is a good prime for F. Bit d of mask is clear when no factor of F over Z
-    has degree d; recombination skips subsets of such a degree.
+    p is a good prime for F, and ddf = _ddf(F mod p, p). Bit d of mask is
+    clear when no factor of F over Z has degree d; recombination skips
+    subsets of such a degree.
     """
-    modular = _factor_gf(_gf_from(F, p), p, _seed_from(F, p))
+    modular = _factor_gf(ddf, p, _seed_from(F, p))
     K = _mignotte_modulus(F, p)
     # quadratic lifting wants a power-of-two exponent; overshooting is harmless
     pk = p ** (1 << (K - 1).bit_length())
@@ -389,12 +392,12 @@ def _factor_primitive_squarefree(g: IntPoly) -> list[IntPoly]:
     if g.degree == 1:
         out.append(canonicalize(g))
         return out
-    mask, p = _degree_screen(g)
+    F, c = monicize(g)
+    mask, p, ddf = _degree_screen(F)
     if mask == 1 | 1 << g.degree:
         out.append(canonicalize(g))
         return out
-    F, c = monicize(g)
-    for H in _factor_squarefree_monic(F, p, mask):
+    for H in _factor_squarefree_monic(F, p, mask, ddf):
         if c == 1:
             out.append(canonicalize(H))
         else:

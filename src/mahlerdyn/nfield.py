@@ -3,6 +3,8 @@
 Certified embeddings, automorphism discovery with exact verification, unit
 sublattices of Z[theta], and the conjugate-pattern search that produces units
 with a prescribed distribution of conjugate absolute values.
+Every decision on conjugate moduli reads log|sigma_j(x)| intervals from one
+source, `_place_logs`, and climbs one bounded ladder, `_LAYOUT_PREC`.
 """
 
 import functools
@@ -54,8 +56,10 @@ _H_CAP = 64  # coordinate-bound ladder limit for unit enumeration
 _E_CAP = 8  # exponent-bound ladder limit for pattern search
 _AUTO_PREC = (192, 384, 768, 1536)  # discovery ladder, bits
 _AUT_PRIMES = 40  # good primes the Frobenius bound tries at most
-# layout ladder, bits: log|sigma_j(x)| intervals at each rung; what is still
-# open at the 6144-bit cap counts as refuted (see _verify_pattern_exact)
+# log interval ladder, bits, for the unit rank test (rungs 0-1), the minor
+# check (0-2), torsion and pattern screens (0), layouts, and classify's signs,
+# D5 test, C2^3 and C3xC3 exponents and dominant place. Open at the 6144-bit
+# cap refutes a strict relation, or raises where a rung must settle it.
 _LAYOUT_PREC = (96, 384, 1536, 6144)
 
 
@@ -79,17 +83,13 @@ class NumberField:
 
 
 @dataclass(frozen=True)
-class LogVector:
-    """Certified intervals e_i*log|sigma_i(x)|, one per archimedean place."""
-
-    entries: tuple[tuple[Fraction, Fraction], ...]
-    weights: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class UnitSublattice:
+    """Units with log rows of certified rank r1 + r2 - 1. log_matrix[i][j]
+    is log|sigma_j(generators[i])| on rung 0 of _LAYOUT_PREC, for every
+    embedding j (conjugate embeddings share one interval)."""
+
     generators: tuple[FieldElement, ...]
-    log_matrix: tuple[LogVector, ...]
+    log_matrix: tuple[tuple[tuple[Fraction, Fraction], ...], ...]
 
 
 @dataclass(frozen=True)
@@ -291,19 +291,6 @@ def _conjugate_pairs(K: NumberField) -> list[int]:
     return _conjugates(K.embeddings)
 
 
-def _places(K: NumberField) -> tuple[tuple[int, int], ...]:
-    """(embedding index, weight) per archimedean place; complex pairs are
-    represented by their lower embedding index with weight 2."""
-    pairs = _conjugate_pairs(K)
-    out = []
-    for i in range(K.degree):
-        if pairs[i] == i:
-            out.append((i, 1))
-        elif pairs[i] > i:
-            out.append((i, 2))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # automorphisms
 
@@ -471,7 +458,7 @@ def _verify_group_closure(K: NumberField, autos: list[FieldElement]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# log vectors and certified interval helpers
+# certified log intervals
 
 
 def _log_interval(lo: Fraction, hi: Fraction, prec: int = 100) -> tuple[Fraction, Fraction]:
@@ -487,24 +474,33 @@ def _log_interval(lo: Fraction, hi: Fraction, prec: int = 100) -> tuple[Fraction
     return (llo - pad, lhi + pad)
 
 
-def _log_abs(K: NumberField, x: FieldElement, place: int, prec: int) -> tuple[Fraction, Fraction]:
-    """Certified interval for log|sigma_place(x)| of a nonzero x."""
-    while True:
-        lo, hi = _abs_bounds(nf_embed(K, x, place, prec))
-        if lo > 0:
-            return _log_interval(lo, hi, prec)
-        prec *= 2  # nonzero element; eventually 0 is excluded
+def _log_abs(
+    K: NumberField, x: FieldElement, place: int, prec: int
+) -> Optional[tuple[Fraction, Fraction]]:
+    """Certified interval for log|sigma_place(x)| from a ball of radius
+    2^-prec, or None while that ball still reaches 0."""
+    lo, hi = _abs_bounds(nf_embed(K, x, place, prec))
+    return _log_interval(lo, hi, prec) if lo > 0 else None
 
 
-def _log_vector(K: NumberField, places, x: FieldElement, prec: int) -> LogVector:
-    """Log vector of x over places, the output of _places(K)."""
-    entries = []
-    weights = []
-    for idx, w in places:
-        llo, lhi = _log_abs(K, x, idx, prec)
-        entries.append((w * llo, w * lhi))
-        weights.append(w)
-    return LogVector(tuple(entries), tuple(weights))
+def _place_logs(K: NumberField, x: FieldElement) -> dict:
+    """Per rung prec of _LAYOUT_PREC, j -> log|sigma_j(x)| at prec bits or
+    finer, for a nonzero x; a place is computed when first needed, and
+    conjugate embeddings share it. A ball's precision doubles until it
+    excludes 0, and later rungs reuse the interval that climb reached."""
+    pairs = _conjugate_pairs(K)
+    known: dict = {}  # place -> (bits, interval)
+
+    def log(prec, j):
+        place = min(j, pairs[j])
+        bits, iv = known.get(place, (0, None))
+        while bits < prec or iv is None:
+            bits = max(prec, 2 * bits)
+            iv = _log_abs(K, x, place, bits)
+        known[place] = bits, iv
+        return iv
+
+    return {prec: functools.partial(log, prec) for prec in _LAYOUT_PREC}
 
 
 # interval helpers over (lo, hi) Fraction pairs
@@ -566,58 +562,55 @@ def _interval_rank(rows) -> bool:
 
 
 def nf_unit_sublattice(K: NumberField) -> UnitSublattice:
-    """A full-rank sublattice of unit log vectors from Z[theta] coordinates.
+    """A full-rank sublattice of units from Z[theta] coordinates.
 
     Enumerates integer coordinate vectors by sup-norm rungs h = 1, 2, 4, ...
     up to _H_CAP, each rung only the band prev < sup-norm <= h (_sup_band,
     so no rung repeats an earlier one), keeps exact norm +-1 elements,
-    discards torsion, and greedily collects generators until the log matrix
-    has certified rank r1+r2-1.
+    discards torsion, and greedily collects generators until the rows of
+    log|sigma_j| over one column per place (j <= its conjugate) have
+    certified rank r1+r2-1 on rung 0 or 1 of _LAYOUT_PREC. One _place_logs
+    per candidate serves every test.
     """
     r1, r2 = K.signature
     rank_target = r1 + r2 - 1
     if rank_target < 1:
         raise RankDeficient("unit rank r1+r2-1 is zero for this field")
-    places = _places(K)
+    pairs = _conjugate_pairs(K)
+    cols = [j for j in range(K.degree) if j <= pairs[j]]
     gens: list[FieldElement] = []
-    vectors: list[LogVector] = []  # log vectors of gens at prec
-    rows_hi: list = []  # log vectors of gens at 4 * prec, filled on demand
-    prec = 96
+    logs: list[dict] = []  # _place_logs of gens
     h, prev = 1, 0
     while h <= _H_CAP:
         for u in _coord_rung(K, prev, h):
-            if _is_torsion_unit(K, places, u):
+            log = _place_logs(K, u)
+            if _is_torsion_unit(K, u, log):
                 continue
-            v = _log_vector(K, places, u, prec)
-            ok = _interval_rank([w.entries for w in vectors + [v]])
-            if not ok:
-                # dependent or precision-starved; one escalation then skip
-                for g in gens[len(rows_hi):]:
-                    rows_hi.append(_log_vector(K, places, g, prec * 4).entries)
-                ok = _interval_rank(rows_hi + [_log_vector(K, places, u, prec * 4).entries])
-            if ok:
+            rows = logs + [log]
+            if any(_interval_rank(_log_rows(rows, cols, prec)) for prec in _LAYOUT_PREC[:2]):
                 gens.append(u)
-                vectors.append(v)
+                logs.append(log)
                 if len(gens) == rank_target:
-                    if not _square_minor_certified(K, places, gens, vectors):
+                    if not _square_minor_certified(logs, cols[:rank_target]):
                         raise RankDeficient(
                             "full-rank log matrix failed its determinant check"
                         )
-                    return UnitSublattice(tuple(gens), tuple(vectors))
+                    matrix = _log_rows(logs, range(K.degree), _LAYOUT_PREC[0])
+                    return UnitSublattice(tuple(gens), tuple(map(tuple, matrix)))
         prev, h = h, h * 2
     raise RankDeficient(f"unit search exhausted coordinate bound {_H_CAP}")
 
 
-def _square_minor_certified(K, places, gens, vectors) -> bool:
-    """Whether the leading square minor of the log matrix of gens is
-    certified nonsingular: r certified pivots of _interval_rank on the r x r
-    minor prove its determinant nonzero. Tried on vectors, then at 384 and
-    1536 bits before it fails."""
-    r = len(gens)
-    ladder = itertools.chain(
-        [vectors], ([_log_vector(K, places, g, prec) for g in gens] for prec in (384, 1536))
-    )
-    return any(_interval_rank([v.entries[:r] for v in vs]) for vs in ladder)
+def _log_rows(logs, cols, prec) -> list:
+    """Per _place_logs in logs, its intervals at rung prec over cols."""
+    return [[log[prec](j) for j in cols] for log in logs]
+
+
+def _square_minor_certified(logs, cols) -> bool:
+    """Whether the square log matrix of logs over the places cols is certified
+    nonsingular: len(cols) certified pivots of _interval_rank prove its
+    determinant nonzero. Tried on rungs 0-2 of _LAYOUT_PREC before it fails."""
+    return any(_interval_rank(_log_rows(logs, cols, prec)) for prec in _LAYOUT_PREC[:3])
 
 
 def _sup_band(n: int, prev: int, h: int):
@@ -661,12 +654,12 @@ def _coord_rung(K: NumberField, prev: int, h: int):
             yield u
 
 
-def _is_torsion_unit(K: NumberField, places, u: FieldElement) -> bool:
-    # quick negative: some |sigma(u)| certified away from 1
-    for idx, _ in places:
-        lo, hi = _abs_bounds(nf_embed(K, u, idx, 64))
-        if lo > 1 or (hi < 1 and lo > 0):
-            return False
+def _is_torsion_unit(K: NumberField, u: FieldElement, log) -> bool:
+    """Whether the unit u, with _place_logs log, is a root of unity: not when
+    a rung-0 interval of log|sigma_j(u)| excludes 0, else by the exact
+    cyclotomic test on its minimal polynomial."""
+    if any(_decide(log[_LAYOUT_PREC[0]](j), "!=") for j in range(K.degree)):
+        return False
     return _is_cyclotomic_irreducible(fe_to_algnum(K, u).minpoly)
 
 
@@ -726,9 +719,14 @@ def _layout_status(log, pattern: ConjugatePattern) -> Optional[bool]:
             for indices, rel in pattern.extras
         ),
     )
+    return _conjunction(_decide(*check) for check in checks)
+
+
+def _conjunction(verdicts) -> Optional[bool]:
+    """Three-valued and of _decide verdicts: False at the first refuted one,
+    else None when one is open, else True."""
     status = True
-    for check in checks:
-        verdict = _decide(*check)
+    for verdict in verdicts:
         if verdict is False:
             return False
         if verdict is None:
@@ -736,18 +734,10 @@ def _layout_status(log, pattern: ConjugatePattern) -> Optional[bool]:
     return status
 
 
-def _on_ladder(decide) -> Optional[bool]:
-    """The first settled decide(prec) over the rungs of _LAYOUT_PREC, or None
-    when the top rung leaves it open."""
+def _on_ladder(decide):
+    """The first settled (not None) decide(prec) over the rungs of
+    _LAYOUT_PREC, or None when the top rung leaves it open."""
     return next((d for d in map(decide, _LAYOUT_PREC) if d is not None), None)
-
-
-def _place_logs(K: NumberField, x: FieldElement) -> dict:
-    """Per rung prec of _LAYOUT_PREC, j -> log|sigma_j(x)| at prec, each place
-    computed at most once, when first needed (conjugate embeddings share it)."""
-    pairs = _conjugate_pairs(K)
-    at = functools.cache(lambda place, prec: _log_abs(K, x, place, prec))
-    return {prec: (lambda j, prec=prec: at(min(j, pairs[j]), prec)) for prec in _LAYOUT_PREC}
 
 
 def _verify_pattern_exact(
@@ -756,7 +746,7 @@ def _verify_pattern_exact(
     """Index of the first pattern that u's own log intervals prove on some
     rung of _LAYOUT_PREC, or None.
 
-    Each place of u is computed at most once per rung, when first needed.
+    Each place of u is computed when first needed (see _place_logs).
     A constraint still open at the top rung counts as refuted: exact for a
     tie, and for a non-tie too close to separate a skipped candidate, never
     a wrong layout.
@@ -776,21 +766,20 @@ def nf_pattern_search(
 
     Exponent vectors come shell by shell from _sup_band, up to
     exponent_bound (default _E_CAP). A vector is skipped when the sums of
-    the generators' log intervals at the bottom rung of _LAYOUT_PREC refute
-    the pattern; otherwise its unit is built and _verify_pattern_exact
-    decides the layout on the unit's own intervals. NotFound when no vector
-    within the bound passes.
+    the rows of lattice.log_matrix (the generators' intervals at the bottom
+    rung of _LAYOUT_PREC) refute the pattern; otherwise its unit is built
+    and _verify_pattern_exact decides the layout on the unit's own
+    intervals. NotFound when no vector within the bound passes.
     """
     _validate_pattern(K, pattern)
     cap = exponent_bound if exponent_bound is not None else _E_CAP
     gens = list(lattice.generators)
-    rows = [_place_logs(K, g)[_LAYOUT_PREC[0]] for g in gens]
     for shell in range(cap + 1):
         for evec in _sup_band(len(gens), shell - 1, shell):
-            terms = [(row, e) for row, e in zip(rows, evec) if e]
+            terms = [(row, e) for row, e in zip(lattice.log_matrix, evec) if e]
             log = functools.cache(
                 lambda j: functools.reduce(
-                    _iv_add, (_iv_scale(row(j), e) for row, e in terms), (_ZERO, _ZERO)
+                    _iv_add, (_iv_scale(row[j], e) for row, e in terms), (_ZERO, _ZERO)
                 )
             )
             if _layout_status(log, pattern) is False:

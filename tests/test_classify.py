@@ -1,7 +1,8 @@
 """Field-level verdicts: regressions for the CM test, the abelian rule, the
 quartic table (its all-preperiodic rows and the C4, D4 and S4 witnesses), the
 quintic (S5, F5, C5, D5) witnesses, the quintic resolvent behind
-galois_group_small, the sextic and C2^3 octic verdicts, the undecided
+galois_group_small, the sextic and C2^3 octic verdicts, the C3xC3 nonic
+witness up to its measure identity in the field, the undecided
 automorphism count, and the two paths around the orbit certificate: the cited
 growth-chain fallback and a precision failure that must surface."""
 
@@ -14,6 +15,7 @@ from mahlerdyn.classify import (
     HasWanderer,
     HasWandererByTheorem,
     _invariant_factors,
+    _nonic_c3c3_gamma,
     _stable_cycles,
     _verified_automorphisms,
     classify_abelian,
@@ -46,6 +48,8 @@ D5_REAL = P("-1,3,4,-5,-1,1")  # x^5 - x^4 - 5x^3 + 4x^2 + 3x - 1, totally real
 C6_SEXTIC = P("-1,3,6,-4,-5,1,1")  # x^6 + x^5 - 5x^4 - 4x^3 + 6x^2 + 3x - 1
 X6P108 = P("108,0,0,0,0,0,1")  # x^6 + 108, Galois with group S3
 C2CUBED_OCTIC = P("576,0,-960,0,352,0,-40,0,1")  # Q(sqrt 2, sqrt 3, sqrt 5)
+# x^9 + 3x^8 - 12x^7 - 32x^6 + 33x^5 + 81x^4 - 15x^3 - 51x^2 - 15x - 1
+C3C3_NONIC = P("-1,-15,-51,-15,81,33,-32,-12,3,1")
 
 
 def _assert_wandering_unit(v, degree):
@@ -294,6 +298,32 @@ class TestGaloisSmall:
         v = classify_galois_small(C2CUBED_OCTIC)
         _assert_wandering_unit(v, 8)
         _assert_exact_certificate(v)
+
+    def test_c3c3_nonic_witness_is_its_measure_root_in_the_field(self):
+        # the witness up to gamma, checked inside K: fe_to_algnum(K, gamma)
+        # must isolate a degree-9 polynomial with 382-bit coefficients, and
+        # that isolation stalls (ROADMAP item 3)
+        K = nfield.nf_new(C3C3_NONIC)
+        autos = nfield.nf_automorphisms(K)
+        gamma, best = _nonic_c3c3_gamma(K, autos)
+        logs = nfield._place_logs(K, gamma)
+
+        def proved(j, rel, i=None):
+            other = (lambda prec: (0, 0)) if i is None else (lambda prec: logs[prec](i))
+            return nfield._on_ladder(lambda prec: nfield._decide(logs[prec](j), rel, other(prec)))
+
+        outside = [j for j in range(9) if proved(j, ">")]
+        assert len(outside) == 5 and best in outside
+        assert all(proved(j, "<") for j in range(9) if j not in outside)
+        assert all(proved(best, ">", i) for i in range(9) if i != best)
+        # M(gamma) = gamma^2: the outside conjugates multiply to -gamma^2 in
+        # K; at the dominant place an odd number of them is negative, and the
+        # absolute value of the product there is the measure
+        image = {nfield.nf_embedding_permutation(K, g)[best]: g for g in autos}
+        prod = nfield.fe_rational(K, 1)
+        for j in outside:
+            prod = nfield.fe_mul(K, prod, nfield.nf_apply(K, image[j], gamma))
+        assert prod == nfield.fe_neg(K, nfield.fe_mul(K, gamma, gamma))
 
 
 class TestUndecidedAutomorphisms:

@@ -165,6 +165,16 @@ class TestDegreeSets:
         factor._factor_cached.cache_clear()
         assert factor_z(a * b).factors == ((a, 1), (b, 1))
 
+    def test_reducible_part_runs_one_ddf_per_screened_prime(self, monkeypatch):
+        # the lifting prime's DDF comes from the screen, not from a second run
+        a, b = P("1,0,-10,0,1"), P("1,0,0,0,3")  # b is not monic
+        ddfs = []
+        real = factor._ddf
+        monkeypatch.setattr(factor, "_ddf", lambda f, p: ddfs.append(p) or real(f, p))
+        factor._factor_cached.cache_clear()
+        assert factor_z(a * b).factors == ((a, 1), (b, 1))
+        assert sorted(ddfs) == sorted(set(ddfs)) and len(ddfs) == factor._SCREEN_PRIMES
+
 
 class TestIrreducibleFromCache:
     def test_repeat_and_circle_partition_hit_the_cache(self, monkeypatch):

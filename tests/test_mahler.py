@@ -226,7 +226,7 @@ class TestFixedPointClass:
         assert classify_number(TAU).tag == "Salem"
         assert mahler._is_root_of_unity(zeta5)
         assert not mahler._is_root_of_unity(TAU)
-        assert nfield._is_torsion_unit(K, nfield._places(K), minus_one)
+        assert nfield._is_torsion_unit(K, minus_one, nfield._place_logs(K, minus_one))
         assert calls == []
 
 

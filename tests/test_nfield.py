@@ -402,9 +402,9 @@ class TestUnitSublattice:
         lat = nf_unit_sublattice(K)
         assert len(lat.generators) == 1
         v = lat.log_matrix[0]
-        assert v.weights == (1, 1)
-        total_lo = sum(e[0] for e in v.entries)
-        total_hi = sum(e[1] for e in v.entries)
+        assert len(v) == 2  # one interval per embedding
+        total_lo = sum(e[0] for e in v)
+        total_hi = sum(e[1] for e in v)
         assert total_lo <= 0 <= total_hi
 
     def test_biquadratic_rank_three(self):
@@ -418,7 +418,10 @@ class TestUnitSublattice:
         K = nf_new(P("1,1,1,1,1"))
         lat = nf_unit_sublattice(K)
         assert len(lat.generators) == 1
-        assert lat.log_matrix[0].weights == (2, 2)
+        v = lat.log_matrix[0]
+        pairs = nfield._conjugate_pairs(K)
+        assert all(v[j] == v[pairs[j]] for j in range(4))  # conjugates share one
+        assert sum(e[0] for e in v) <= 0 <= sum(e[1] for e in v)
 
     def test_x5m2_rank_two(self):
         K = nf_new(X5M2)
@@ -432,8 +435,8 @@ class TestUnitSublattice:
         lat = nf_unit_sublattice(K)
         for g, v in zip(lat.generators, lat.log_matrix):
             assert abs(nf_norm(K, g)) == 1
-            lo = sum(e[0] for e in v.entries)
-            hi = sum(e[1] for e in v.entries)
+            lo = sum(e[0] for e in v)
+            hi = sum(e[1] for e in v)
             assert lo <= 0 <= hi
 
     def test_degree_one_has_no_unit_rank(self):
@@ -442,7 +445,7 @@ class TestUnitSublattice:
             nf_unit_sublattice(K)
 
     def test_failed_determinant_check_raises(self, monkeypatch):
-        monkeypatch.setattr(nfield, "_square_minor_certified", lambda K, places, gens, vectors: False)
+        monkeypatch.setattr(nfield, "_square_minor_certified", lambda logs, cols: False)
         with pytest.raises(RankDeficient):
             nf_unit_sublattice(nf_new(SQRT2_POLY))
 
@@ -452,7 +455,7 @@ class TestUnitSublattice:
             "from mahlerdyn import nfield\n"
             "from mahlerdyn.errors import RankDeficient\n"
             "from mahlerdyn.intpoly import from_text\n"
-            "nfield._square_minor_certified = lambda K, places, gens, vectors: False\n"
+            "nfield._square_minor_certified = lambda logs, cols: False\n"
             "try:\n"
             "    nfield.nf_unit_sublattice(nfield.nf_new(from_text('-2,0,1')))\n"
             "except RankDeficient:\n"
@@ -505,6 +508,26 @@ class TestLogIntervals:
         K = nf_new(SQRT2_POLY)
         lo, hi = nfield._log_abs(K, nf_element(K, [1, 1]), 1, prec)
         assert 0 < hi - lo <= Fraction(4, 1 << prec)
+
+    def test_a_later_rung_reuses_the_climb(self, monkeypatch):
+        # one conjugate of (sqrt 2 - 1)^200 is below 2^-254: the 96-bit rung
+        # climbs to 384 bits, and the 384-bit rung reuses that interval
+        K = nf_new(SQRT2_POLY)
+        u = fe_pow(K, nf_element(K, [-1, 1]), 200)
+        calls = []
+        log_abs = nfield._log_abs
+
+        def counted(K, x, j, prec):
+            calls.append((j, prec))
+            return log_abs(K, x, j, prec)
+
+        monkeypatch.setattr(nfield, "_log_abs", counted)
+        logs = nfield._place_logs(K, u)
+        for prec in (96, 384, 1536):
+            for j in range(2):
+                logs[prec](j)
+        per_place = sorted([p for i, p in calls if i == j] for j in range(2))
+        assert per_place == [[96, 192, 384, 1536], [96, 384, 1536]]
 
 
 class TestPatternSearch:
