@@ -90,9 +90,12 @@ from .nfield import (
 )
 from .roots import (
     IsolatingBox,
-    _box_add,
-    _box_mul,
+    _ball,
+    _ball_add,
+    _ball_mul,
+    _from_ball,
     _point_in,
+    _unit_bits,
     isolate_roots,
     refine,
     signature,
@@ -228,11 +231,12 @@ def _galois_quartic(G: IntPoly) -> str:
 # quintic resolvent: certified disk arithmetic over the root boxes
 
 
-def _box_integer(b: IsolatingBox) -> Optional[int]:
-    """The integer in [re - r, re + r] of b, when there is exactly one."""
-    lo, hi = b.center[0] - b.radius, b.center[0] + b.radius
-    m = math.ceil(lo)
-    return m if m == math.floor(hi) else None
+def _ball_integer(z: tuple[int, int, int], k: int) -> Optional[int]:
+    """The integer in [x - r, x + r] 2^-k of the ball z = (x, y, r) at the
+    unit 2^-k, when there is exactly one."""
+    x, _, r = z
+    m = -((r - x) >> k)
+    return m if m == (x + r) >> k else None
 
 
 def _pentagon_pairs() -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -263,39 +267,42 @@ def _cayley_sextic(h: IntPoly) -> tuple[IntPoly, tuple[IsolatingBox, ...]]:
     quantity (u_P - u_{P'})^2 against the complement pentagon P' is stable
     under the full symmetric group as a set of six values, so the product of
     (y - delta) has integer coefficients; they are recovered by shrinking the
-    root boxes until every coefficient traps a unique integer.
+    root boxes until every coefficient traps a unique integer. Each rung
+    runs its 87 disk products in the fixed-point kernel of roots, at the
+    unit of the rung's root radius: the root disks enter once, and only the
+    six delta disks leave.
     """
     if h.degree != 5 or h[5] != 1:
         raise ExactCheckFailed("the Cayley sextic needs a monic quintic")
     boxes = isolate_roots(h)
-    zero = IsolatingBox((Fraction(0), Fraction(0)), Fraction(0))
-    one = IsolatingBox((Fraction(1), Fraction(0)), Fraction(0))
     for prec in (160, 320, 640, 1280, 2560, 5120):
         eps = Fraction(1, 1 << prec)
         boxes = [refine(b, h, eps) for b in boxes]
-        edge_sums: dict[tuple[int, ...], IsolatingBox] = {}
+        k = _unit_bits(eps)
+        z = [_ball(*b.center, b.radius, k) for b in boxes]
+        edge_sums: dict[tuple[int, ...], tuple[int, int, int]] = {}
         for pent, comp in _PENTAGON_PAIRS:
             for cyc in (pent, comp):
                 if cyc in edge_sums:
                     continue
-                acc = zero
+                acc = (0, 0, 0)
                 for i in range(5):
-                    acc = _box_add(acc, _box_mul(boxes[cyc[i]], boxes[cyc[(i + 1) % 5]]))
+                    acc = _ball_add(acc, _ball_mul(z[cyc[i]], z[cyc[(i + 1) % 5]], k))
                 edge_sums[cyc] = acc
         deltas = []
         for pent, comp in _PENTAGON_PAIRS:
-            d = _box_add(edge_sums[pent], edge_sums[comp], -1)
-            deltas.append(_box_mul(d, d))
-        coeffs = [one]
+            d = _ball_add(edge_sums[pent], edge_sums[comp], -1)
+            deltas.append(_ball_mul(d, d, k))
+        coeffs = [(1 << k, 0, 0)]
         for d in deltas:
-            nxt = [zero] * (len(coeffs) + 1)
-            for k, c in enumerate(coeffs):
-                nxt[k + 1] = _box_add(nxt[k + 1], c)
-                nxt[k] = _box_add(nxt[k], _box_mul(d, c), -1)
+            nxt = [(0, 0, 0)] * (len(coeffs) + 1)
+            for j, c in enumerate(coeffs):
+                nxt[j + 1] = _ball_add(nxt[j + 1], c)
+                nxt[j] = _ball_add(nxt[j], _ball_mul(d, c, k), -1)
             coeffs = nxt
-        ints = [_box_integer(c) for c in coeffs]
+        ints = [_ball_integer(c, k) for c in coeffs]
         if all(v is not None for v in ints):
-            return IntPoly(ints), tuple(deltas)
+            return IntPoly(ints), tuple(_from_ball(d, k) for d in deltas)
     raise InternalPrecisionExceeded("resolvent coefficients did not stabilize")
 
 
@@ -329,7 +336,7 @@ def _stable_cycles(G: IntPoly) -> list[tuple[int, ...]]:
     cycles = []
     for r in _rational_roots(res):
         for i, d in enumerate(deltas):
-            if _point_in(d, r, Fraction(0)):
+            if _point_in(d, r, 0):
                 cycles.extend(_PENTAGON_PAIRS[i])
     return cycles
 

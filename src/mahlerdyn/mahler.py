@@ -53,11 +53,15 @@ from .intpoly import (
 from .roots import (
     IsolatingBox,
     _abs_bounds,
+    _ball,
+    _ball_mul,
     _box_add,
     _box_horner,
     _box_inv,
-    _box_mul,
+    _from_ball,
     _refinements,
+    _unit_bits,
+    _unit_of,
     circle_partition,
     isolate_roots,
     refine,
@@ -167,15 +171,19 @@ class OrbitResult:
 
 def _product_enclosure(cur, inv: bool, scale: int) -> Optional[IsolatingBox]:
     """scale * prod v over the chosen root disks cur, where v is the root or,
-    when inv, its inverse; None while an inverted disk still meets 0."""
+    when inv, its inverse; None while an inverted disk still meets 0.
+
+    The product runs in the fixed-point kernel of roots at the unit of the
+    smallest disk: each disk enters once, and the result leaves once."""
     if inv:
         if any(_abs_bounds(b)[0] == 0 for b in cur):
             return None
         cur = [_box_inv(b) for b in cur]
-    enc = IsolatingBox((Fraction(scale), Fraction(0)), Fraction(0))
+    k = _unit_of(cur)
+    enc = (scale << k, 0, 0)
     for b in cur:
-        enc = _box_mul(enc, b)
-    return enc
+        enc = _ball_mul(enc, _ball(*b.center, b.radius, k), k)
+    return _from_ball(enc, k)
 
 
 def _product_enclosures(p: IntPoly, boxes, idx, inv: bool, scale: int) -> Iterator[IsolatingBox]:
@@ -377,16 +385,10 @@ def _measure_uncached(p: IntPoly) -> AlgebraicNumber:
 def _log2_abs(a: AlgebraicNumber) -> float:
     """Approximate log2 |a| from a box refined to 60 bits."""
     box = refine(a.box, a.minpoly, Fraction(1, 1 << 60))
-    sq = box.center[0] ** 2 + box.center[1] ** 2
-    if sq == 0:
-        return float("-inf")
-    num, den = sq.numerator, sq.denominator
-    shift = num.bit_length() - den.bit_length()
-    if shift >= 0:
-        den <<= shift
-    else:
-        num <<= -shift
-    return (shift + math.log2(num / den)) / 2.0
+    k = _unit_bits(box.radius)
+    x, y, _ = _ball(*box.center, box.radius, k)
+    sq = x * x + y * y
+    return math.log2(sq) / 2 - k if sq else float("-inf")
 
 
 def _exponent_candidates(log_num: float, log_den: float) -> list[int]:

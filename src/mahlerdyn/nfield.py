@@ -38,6 +38,7 @@ from .intpoly import (
     transform_resolvent,
 )
 from .roots import (
+    _GUARD,
     IsolatingBox,
     _abs_bounds,
     _box_horner,
@@ -756,6 +757,17 @@ def _verify_pattern_exact(
     return next((i for i, ok in enumerate(holds) if ok), None)
 
 
+def _screen_table(lattice: UnitSublattice) -> list:
+    """lattice.log_matrix as integer intervals at the unit
+    2^-(_LAYOUT_PREC[0] + _GUARD), rounded outward."""
+    bits = _LAYOUT_PREC[0] + _GUARD
+    return [
+        [((lo.numerator << bits) // lo.denominator, -(-(hi.numerator << bits) // hi.denominator))
+         for lo, hi in row]
+        for row in lattice.log_matrix
+    ]
+
+
 def nf_pattern_search(
     K: NumberField,
     lattice: UnitSublattice,
@@ -766,21 +778,24 @@ def nf_pattern_search(
 
     Exponent vectors come shell by shell from _sup_band, up to
     exponent_bound (default _E_CAP). A vector is skipped when the sums of
-    the rows of lattice.log_matrix (the generators' intervals at the bottom
-    rung of _LAYOUT_PREC) refute the pattern; otherwise its unit is built
-    and _verify_pattern_exact decides the layout on the unit's own
-    intervals. NotFound when no vector within the bound passes.
+    the rows of _screen_table refute the pattern; otherwise its unit is
+    built and _verify_pattern_exact decides the layout on the unit's own
+    intervals. The table is lattice.log_matrix (the generators' intervals at
+    the bottom rung of _LAYOUT_PREC) made once into integers at the unit
+    2^-(_LAYOUT_PREC[0] + _GUARD), rounded outward: each sum of its rows
+    encloses the exact sum, and the strict relations _layout_status tests
+    do not change under the scaling, so the screen skips only refuted
+    vectors. NotFound when no vector within the bound passes.
     """
     _validate_pattern(K, pattern)
     cap = exponent_bound if exponent_bound is not None else _E_CAP
     gens = list(lattice.generators)
+    table = _screen_table(lattice)
     for shell in range(cap + 1):
         for evec in _sup_band(len(gens), shell - 1, shell):
-            terms = [(row, e) for row, e in zip(lattice.log_matrix, evec) if e]
+            terms = [(row, e) for row, e in zip(table, evec) if e]
             log = functools.cache(
-                lambda j: functools.reduce(
-                    _iv_add, (_iv_scale(row[j], e) for row, e in terms), (_ZERO, _ZERO)
-                )
+                lambda j: functools.reduce(_iv_add, (_iv_scale(row[j], e) for row, e in terms), (0, 0))
             )
             if _layout_status(log, pattern) is False:
                 continue

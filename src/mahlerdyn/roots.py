@@ -108,15 +108,6 @@ class CirclePartition:
 # exact helpers
 
 
-def _sqrt_upper(s: Fraction, bits: int) -> Fraction:
-    """Dyadic upper bound for sqrt(s)."""
-    if s == 0:
-        return _ZERO
-    scale = 1 << bits
-    k = math.isqrt(s.numerator * scale * scale // s.denominator) + 1
-    return Fraction(k, scale)
-
-
 def _frac_from_mp(v) -> Fraction:
     sign, man, exp, _ = mpmath.mpf(v)._mpf_
     if man == 0:
@@ -154,13 +145,29 @@ def _newton_disk(p: IntPoly, dp: IntPoly, x: int, y: int, b: int) -> tuple[int, 
 # ---------------------------------------------------------------------------
 # disk arithmetic
 #
-# Midpoint-radius arithmetic on IsolatingBox: each result holds the exact
-# result for every choice of points in the operand disks. Centres are
-# truncated toward 0 to a multiple of 2^-b, so they stay dyadic and short
-# and conjugate disks give conjugate results; the truncation is added to
-# the radius. The unit 2^-b is at most 2^-_GUARD times the radius being
-# rounded (for the modulus bounds and Horner, the operand's radius), so the
-# truncation stays far below the width the operands already carry.
+# One fixed-point kernel of midpoint-radius arithmetic (van der Hoeven,
+# "Ball arithmetic", 2010; Johansson, Arb, IEEE Trans. Comput. 66, 2017).
+# A ball (x, y, r) is three integers: the closed disk of centre (x + iy) 2^-k
+# and radius r 2^-k, at one unit 2^-k that a whole computation shares. Each
+# result holds the exact result for every choice of points in the operand
+# balls. Sums are exact. A product's centre is truncated toward 0 back to
+# the unit, so conjugate balls give conjugate results, and each truncation
+# (under one unit per coordinate) is added to the radius, which is rounded
+# up. An exact point at the unit has radius 0 and keeps it while no
+# truncation loses anything, as in a product with (c 2^k, 0, 0).
+#
+# The unit comes from the smallest radius in play: 2^-k <= r 2^-_GUARD
+# (_unit_bits), so the padding stays far below the width the operands
+# already carry. A chain converts its disks into balls once (_ball) and its
+# results back once (_from_ball): Horner in _box_horner,
+# mahler._product_enclosure and classify._cayley_sextic; _box_add and
+# _box_mul are the same kernel on single disks. Fractions remain at the
+# boundary: IsolatingBox keeps Fraction fields, and _box_inv builds the exact
+# image disk under z -> 1/z in Fractions, since the unit must follow the
+# radius of its result, not of its operand. The exact predicates
+# (_disjoint, _contained, _point_in, _circle_status) compare integer
+# numerators over one exact common denominator, so they are exact for any
+# rational disk, dyadic or not.
 
 _GUARD = 32
 
@@ -170,115 +177,121 @@ def _unit_bits(t: Fraction) -> int:
     return max(0, _GUARD + 1 + t.denominator.bit_length() - t.numerator.bit_length())
 
 
+def _unit_of(disks: Iterable[IsolatingBox]) -> int:
+    """_unit_bits of the smallest nonzero radius: exact points set no unit."""
+    return _unit_bits(min(d.radius for d in disks if d.radius))
+
+
 def _trunc(n: int, d: int) -> int:
     """n / d truncated toward 0, for d > 0."""
     q = abs(n) // d
     return q if n >= 0 else -q
 
 
-def _rounded(x: Fraction, y: Fraction, r: Fraction) -> IsolatingBox:
-    """A dyadic disk holding the disk (x + iy, r); r = 0 stays exact."""
-    if r == 0:
-        return IsolatingBox((x, y), r)
-    b = _unit_bits(r)
-    scale = 1 << b
-    # each centre coordinate moves by < 1 unit, so the centre by < 2 units
-    return IsolatingBox(
-        (Fraction(_trunc(x.numerator << b, x.denominator), scale),
-         Fraction(_trunc(y.numerator << b, y.denominator), scale)),
-        Fraction(-(-(r.numerator << b) // r.denominator) + 2, scale),
-    )
+def _common(*vs) -> tuple[int, list[int]]:
+    """(d, numerators of the rationals vs over d), d their least common denominator."""
+    d = math.lcm(*(v.denominator for v in vs))
+    return d, [v.numerator * (d // v.denominator) for v in vs]
+
+
+def _over(x: int, y: int, r: int, d: int) -> tuple[int, int, int]:
+    """The ball holding the disk ((x + iy) / d, r / d), for d > 0."""
+    qx, qy = _trunc(x, d), _trunc(y, d)
+    return qx, qy, -(-r // d) + (qx * d != x) + (qy * d != y)
+
+
+def _ball(x, y, r, k: int) -> tuple[int, int, int]:
+    """The ball at the unit 2^-k holding the disk (x + iy, r) of rationals."""
+    d, nums = _common(x, y, r)
+    return _over(*(v << k for v in nums), d)
+
+
+def _from_ball(z: tuple[int, int, int], k: int) -> IsolatingBox:
+    """The ball z at the unit 2^-k as an IsolatingBox."""
+    one = 1 << k
+    return IsolatingBox((Fraction(z[0], one), Fraction(z[1], one)), Fraction(z[2], one))
+
+
+def _ball_add(u, v, sign: int = 1) -> tuple[int, int, int]:
+    """Ball holding p + sign*q for p in u, q in v (sign is 1 or -1)."""
+    return u[0] + sign * v[0], u[1] + sign * v[1], u[2] + v[2]
+
+
+def _ball_mul(u, v, k: int) -> tuple[int, int, int]:
+    """Ball holding p*q for p in u, q in v, both at the unit 2^-k."""
+    ux, uy, ur = u
+    vx, vy, vr = v
+    # |u_c| vr + |v_c| ur + ur vr at the unit 2^-2k, with |c| < isqrt(|c|^2) + 1
+    r = ur * vr
+    if vr:
+        r += (math.isqrt(ux * ux + uy * uy) + 1) * vr
+    if ur:
+        r += (math.isqrt(vx * vx + vy * vy) + 1) * ur
+    return _over(ux * vx - uy * vy, ux * vy + uy * vx, r, 1 << k)
 
 
 def _abs_bounds(a: IsolatingBox) -> tuple[Fraction, Fraction]:
     """(lower, upper) bounds on |z| over the disk a; lower >= 0."""
-    x, y = a.center
-    s = x * x + y * y
-    if s == 0:
+    m = max(abs(a.center[0]), abs(a.center[1]))
+    if m == 0:
         return (_ZERO, a.radius)
-    up = _sqrt_upper(s, _unit_bits(a.radius or min(s, _ONE)))
-    # s / up <= sqrt(s) <= up
-    return (max(_ZERO, s / up - a.radius), up + a.radius)
+    k = _unit_bits(a.radius or min(m, _ONE))
+    x, y, r = _ball(*a.center, a.radius, k)
+    s = math.isqrt(x * x + y * y)  # s <= |x + iy| < s + 1
+    return (Fraction(max(0, s - r), 1 << k), Fraction(s + 1 + r, 1 << k))
 
 
 def _box_add(a: IsolatingBox, b: IsolatingBox, sign: int = 1) -> IsolatingBox:
-    """Disk holding u + sign*v for u in a, v in b (sign is 1 or -1)."""
-    return _rounded(
-        a.center[0] + sign * b.center[0],
-        a.center[1] + sign * b.center[1],
-        a.radius + b.radius,
-    )
+    """Disk holding u + sign*v for u in a, v in b (sign 1 or -1); a or b has radius > 0."""
+    k = _unit_of((a, b))
+    return _from_ball(_ball_add(_ball(*a.center, a.radius, k), _ball(*b.center, b.radius, k), sign), k)
 
 
 def _box_mul(a: IsolatingBox, b: IsolatingBox) -> IsolatingBox:
-    """Disk holding u*v for u in a, v in b."""
-    ax, ay = a.center
-    bx, by = b.center
-    # |a_c| rb + |b_c| ra + ra rb, with |a_c| + ra the upper modulus bound of a
-    r = _abs_bounds(a)[1] * b.radius + _abs_bounds(b)[1] * a.radius - a.radius * b.radius
-    return _rounded(ax * bx - ay * by, ax * by + ay * bx, r)
+    """Disk holding u*v for u in a, v in b; a or b has radius > 0."""
+    k = _unit_of((a, b))
+    return _from_ball(_ball_mul(_ball(*a.center, a.radius, k), _ball(*b.center, b.radius, k), k), k)
 
 
 def _box_inv(a: IsolatingBox) -> IsolatingBox:
     """Disk holding 1/z for z in a; a must exclude 0.
 
     The image of the disk (c, r) under z -> 1/z is exactly the disk
-    (conj(c), r) / (|c|^2 - r^2), which is then rounded."""
+    (conj(c), r) / (|c|^2 - r^2), which is then rounded at a unit set by its
+    own radius."""
     x, y = a.center
     den = x * x + y * y - a.radius * a.radius
     if den <= 0:
         raise ZeroDivisionError("disk inverse of a disk meeting 0")
-    return _rounded(x / den, -y / den, a.radius / den)
+    r = a.radius / den
+    k = _unit_bits(r)
+    return _from_ball(_ball(x / den, -y / den, r, k), k)
 
 
 def _box_horner(coeffs, a: IsolatingBox) -> IsolatingBox:
-    """Disk holding sum_k coeffs[k] z^k for z in a, for a.radius > 0.
-
-    Horner in fixed-point integers with unit 2^-b, 2^-b <= a.radius *
-    2^-_GUARD; every truncation is absorbed into the radius. The
+    """Disk holding sum_k coeffs[k] z^k for z in a, for a.radius > 0; the
     coefficients are ints or Fractions, constant first."""
-    b = _unit_bits(a.radius)
-    scale = 1 << b
-
-    def fix(v) -> int:
-        return _trunc(v.numerator << b, v.denominator)
-
-    ax, ay = fix(a.center[0]), fix(a.center[1])
-    ar = fix(a.radius) + 3  # rounded up, plus the centre shift < sqrt(2)
-    amag = math.isqrt(ax * ax + ay * ay) + 1
-    vx, vy, vr = fix(coeffs[-1]), 0, 1
+    k = _unit_bits(a.radius)
+    z = _ball(*a.center, a.radius, k)
+    v = _ball(coeffs[-1], 0, 0, k)
     for c in reversed(coeffs[:-1]):
-        nx = vx * ax - vy * ay
-        ny = vx * ay + vy * ax
-        nr = (math.isqrt(vx * vx + vy * vy) + 1) * ar + amag * vr + vr * ar
-        # truncating nx, ny and c moves the centre by < 3 units; the radius
-        # shift truncates by < 1 unit
-        vx = _trunc(nx, scale) + fix(c)
-        vy = _trunc(ny, scale)
-        vr = (nr >> b) + 4
-    return IsolatingBox((Fraction(vx, scale), Fraction(vy, scale)), Fraction(vr, scale))
+        v = _ball_add(_ball_mul(v, z, k), _ball(c, 0, 0, k))
+    return _from_ball(v, k)
 
 
 def _disjoint(a: IsolatingBox, b: IsolatingBox) -> bool:
-    dx = a.center[0] - b.center[0]
-    dy = a.center[1] - b.center[1]
-    rr = a.radius + b.radius
-    return dx * dx + dy * dy > rr * rr
+    _, (ax, ay, ar, bx, by, br) = _common(*a.center, a.radius, *b.center, b.radius)
+    return (ax - bx) ** 2 + (ay - by) ** 2 > (ar + br) ** 2
 
 
 def _contained(inner: IsolatingBox, outer: IsolatingBox) -> bool:
-    if inner.radius > outer.radius:
-        return False
-    dx = inner.center[0] - outer.center[0]
-    dy = inner.center[1] - outer.center[1]
-    slack = outer.radius - inner.radius
-    return dx * dx + dy * dy <= slack * slack
+    _, (ix, iy, ir, ox, oy, orad) = _common(*inner.center, inner.radius, *outer.center, outer.radius)
+    return ir <= orad and (ix - ox) ** 2 + (iy - oy) ** 2 <= (orad - ir) ** 2
 
 
-def _point_in(box: IsolatingBox, x: Fraction, y: Fraction) -> bool:
-    dx = x - box.center[0]
-    dy = y - box.center[1]
-    return dx * dx + dy * dy <= box.radius * box.radius
+def _point_in(box: IsolatingBox, x, y) -> bool:
+    _, (bx, by, r, px, py) = _common(*box.center, box.radius, x, y)
+    return (px - bx) ** 2 + (py - by) ** 2 <= r * r
 
 
 # ---------------------------------------------------------------------------
@@ -562,11 +575,11 @@ def _conjugates(boxes: Sequence[IsolatingBox]) -> list[int]:
 
 def _circle_status(box: IsolatingBox) -> str | None:
     """'in'/'out' when the disk is strictly off the unit circle, else None."""
-    a2 = box.center[0] ** 2 + box.center[1] ** 2
-    r = box.radius
-    if a2 > (1 + r) ** 2:
+    _, (x, y, r, one) = _common(*box.center, box.radius, 1)
+    a2 = x * x + y * y
+    if a2 > (one + r) ** 2:
         return "out"
-    if r < 1 and a2 < (1 - r) ** 2:
+    if r < one and a2 < (one - r) ** 2:
         return "in"
     return None
 

@@ -6,6 +6,9 @@ witness up to its measure identity in the field, the undecided
 automorphism count, and the two paths around the orbit certificate: the cited
 growth-chain fallback and a precision failure that must surface."""
 
+import random
+
+import mpmath as mp
 import pytest
 
 from mahlerdyn import classify, mahler, nfield
@@ -26,9 +29,10 @@ from mahlerdyn.classify import (
     galois_group_small,
 )
 from mahlerdyn.errors import AutomorphismsUndecided, InternalPrecisionExceeded, NotFound, NotGalois
-from mahlerdyn.intpoly import from_text
+from mahlerdyn.factor import is_irreducible
+from mahlerdyn.intpoly import IntPoly, from_text
 from mahlerdyn.mahler import CitedGrowth, PowerIdentity, TorsionFreePower, mahler_measure
-from mahlerdyn.roots import signature
+from mahlerdyn.roots import isolate_roots, signature
 
 P = from_text
 
@@ -279,6 +283,39 @@ class TestQuinticResolvent:
         assert _stable_cycles(F5_QUINTIC) == [(0, 1, 3, 4, 2), (0, 3, 2, 1, 4)]
         assert _stable_cycles(D5_QUINTIC) == [(0, 1, 4, 3, 2), (0, 3, 1, 2, 4)]
         assert _stable_cycles(C5_QUINTIC) == [(0, 1, 4, 2, 3), (0, 2, 1, 3, 4)]
+
+
+    def test_cayley_sextic_matches_mpmath_roots(self):
+        # oracle: the deltas from mpmath roots at 120 digits, each matched to
+        # the nearest canonical root box, and their sextic rounded; no disk
+        # arithmetic of the package
+        rng = random.Random(20261019)
+        quintics = [S5_QUINTIC, F5_QUINTIC, D5_QUINTIC, C5_QUINTIC, A5_QUINTIC, D5_COMPLEX, D5_REAL]
+        while len(quintics) < 27:
+            h = IntPoly([rng.randint(-20, 20) for _ in range(5)] + [1])
+            if is_irreducible(h):
+                quintics.append(h)
+        for h in quintics:
+            res, deltas = classify._cayley_sextic(h)
+            with mp.workdps(120):
+                found = mp.polyroots([mp.mpf(c) for c in reversed(h.coeffs)], maxsteps=200, extraprec=400)
+                xs = [min(found, key=lambda z: abs(z - _mp_point(*b.center))) for b in isolate_roots(h)]
+
+                def edge_sum(cyc):
+                    return sum(xs[cyc[i]] * xs[cyc[(i + 1) % 5]] for i in range(5))
+
+                coeffs = [mp.mpc(1)]
+                for (pent, comp), box in zip(classify._PENTAGON_PAIRS, deltas):
+                    d = (edge_sum(pent) - edge_sum(comp)) ** 2
+                    assert abs(d - _mp_point(*box.center)) <= _mp_point(box.radius, 0).real
+                    coeffs = [a - d * b for a, b in zip([0] + coeffs, coeffs + [0])]
+                want = [int(mp.nint(c.real)) for c in coeffs]
+                assert all(abs(c - w) < mp.mpf(10) ** -60 for c, w in zip(coeffs, want))
+            assert res == IntPoly(want)
+
+
+def _mp_point(x, y):
+    return mp.mpc(mp.mpf(x.numerator) / x.denominator, mp.mpf(y.numerator) / y.denominator)
 
 
 class TestGaloisSmall:

@@ -1,5 +1,6 @@
 """Number field arithmetic, automorphisms, units, and pattern search."""
 
+import functools
 import itertools
 import os
 import random
@@ -12,7 +13,7 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
-from mahlerdyn import nfield
+from mahlerdyn import nfield, roots
 from mahlerdyn.classify import classify_cm, classify_cyclic, galois_group_small
 from mahlerdyn.errors import (
     AutomorphismsUndecided,
@@ -652,6 +653,61 @@ class TestPatternSearch:
         assert _above_one(sq[e[0]]) and _above_one(sq[e[1]])
         assert not _above_one(sq[e[2]]) and not _above_one(sq[e[3]])
         assert an_compare(an_mul(sq[e[0]], sq[e[3]]), ONE) != 0
+
+
+    @pytest.mark.parametrize(
+        "poly, bound, evecs",
+        [(S5_QUINTIC, 3, [(1, -2), (2, 1)]), (D5_REAL, 2, [(1, -1, 0, 2), (0, 2, -1, 1)])],
+        ids=["x5-x-1", "D5_REAL"],
+    )
+    def test_integer_screen_leaves_open_what_the_fraction_screen_does(self, poly, bound, evecs, monkeypatch):
+        K = nf_new(poly)
+        lat = nf_unit_sublattice(K)
+        unit = Fraction(1, 1 << (nfield._LAYOUT_PREC[0] + roots._GUARD))
+        for row, ints in zip(lat.log_matrix, nfield._screen_table(lat)):
+            for (lo, hi), (ilo, ihi) in zip(row, ints):
+                assert ilo * unit <= lo <= hi <= ihi * unit
+        seen = []
+        monkeypatch.setattr(nfield, "_verify_pattern_exact", lambda K, u, pats: seen.append(u.coords))
+        for pattern in (p for evec in evecs for p in _layouts_of(K, lat, evec)):
+            # the screen on sums of the Fraction intervals of log_matrix
+            want, total = [], 0
+            for shell in range(bound + 1):
+                for evec in nfield._sup_band(len(lat.generators), shell - 1, shell):
+                    total += 1
+                    terms = [(row, e) for row, e in zip(lat.log_matrix, evec) if e]
+
+                    def log(j, terms=terms):
+                        scaled = (nfield._iv_scale(row[j], e) for row, e in terms)
+                        return functools.reduce(nfield._iv_add, scaled, (Fraction(0), Fraction(0)))
+
+                    if nfield._layout_status(log, pattern) is not False:
+                        u = fe_rational(K, 1)
+                        for g, e in zip(lat.generators, evec):
+                            if e:
+                                u = fe_mul(K, u, fe_pow(K, g, e))
+                        want.append(u.coords)
+            assert 0 < len(want) < total
+            seen.clear()
+            with pytest.raises(NotFound):
+                nf_pattern_search(K, lat, pattern, exponent_bound=bound)
+            assert seen == want
+
+
+def _layouts_of(K, lat, evec):
+    """The layout of the unit with exponents evec, read off the lower ends of
+    the log_matrix intervals, without and with a product constraint on its
+    largest and smallest conjugates."""
+    pairs = nfield._conjugate_pairs(K)
+    logs = [sum(e * row[j][0] for row, e in zip(lat.log_matrix, evec)) for j in range(K.degree)]
+    places = sorted({min(j, pairs[j]) for j in range(K.degree)}, key=lambda j: -logs[j])
+    order = tuple(tuple(sorted({j, pairs[j]})) for j in places)
+    top = sum(1 for j in places if logs[j] > 0)
+    rel = ">" if logs[places[0]] + logs[places[-1]] > 0 else "<"
+    return [
+        ConjugatePattern(order=order, one_position=top),
+        ConjugatePattern(order=order, one_position=top, extras=(((places[0], places[-1]), rel),)),
+    ]
 
 
 class TestCyclicQuinticDistribution:

@@ -19,6 +19,7 @@ from mahlerdyn import roots
 from mahlerdyn.errors import ExactCheckFailed, InternalPrecisionExceeded, NotIrreducible, NotSquarefree
 from mahlerdyn.factor import is_irreducible
 from mahlerdyn.intpoly import IntPoly, from_text, is_squarefree, trace_poly
+from mahlerdyn.mahler import _product_enclosure
 from mahlerdyn.roots import (
     IsolatingBox,
     _abs_bounds,
@@ -27,6 +28,7 @@ from mahlerdyn.roots import (
     _box_inv,
     _box_mul,
     _certify,
+    _circle_status,
     _conjugates,
     _contained,
     _disjoint,
@@ -600,3 +602,62 @@ class TestDiskArithmetic:
     def test_inverse_of_disk_meeting_zero(self):
         with pytest.raises(ZeroDivisionError):
             _box_inv(IsolatingBox((Fraction(1), Fraction(0)), Fraction(1)))
+
+    @given(data=st.data(), n=st.integers(2, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_product_chain_holds_exact_product(self, data, n):
+        # one fixed-point chain over a mirrored pair, then disks of radius
+        # 2^-2 to 2^-200 and exact points (radius 0), times an exact scale
+        a, u = data.draw(disk_and_point(data.draw(st.integers(2, 200))))
+        disks, points = [a, _mirror(a)], [u, (u[0], -u[1])]
+        while len(disks) < n:
+            a, u = data.draw(disk_and_point(data.draw(st.integers(2, 200))))
+            if data.draw(st.booleans()):
+                a, u = IsolatingBox(a.center, Fraction(0)), a.center
+            disks.append(a)
+            points.append(u)
+        scale = data.draw(st.integers(1, 1000))
+        vx, vy = Fraction(scale), Fraction(0)
+        for ux, uy in points:
+            vx, vy = vx * ux - vy * uy, vx * uy + vy * ux
+        enc = _product_enclosure(disks, False, scale)
+        assert _is_dyadic(enc)
+        assert _holds(enc, (vx, vy))
+        assert _product_enclosure([_mirror(d) for d in disks], False, scale) == _mirror(enc)
+
+    def test_predicates_on_thirds_match_fraction_formulas(self):
+        # non-dyadic disks and points, such as the rational resolvent root
+        # that classify._stable_cycles hands _point_in; the grid holds
+        # touching disks and points on an edge, where only an exact common
+        # denominator gives the answer of the Fraction formula
+        vals = [Fraction(n, 6) for n in (-3, 0, 2, 4, 5)]
+        radii = [Fraction(n, 6) for n in (0, 1, 2, 3, 4)]
+        disks = [IsolatingBox((x, y), r) for x in vals for y in vals for r in radii]
+        ties = 0
+        for a in disks:
+            assert _circle_status(a) == _ref_circle_status(a)
+            for x in vals:
+                for y in vals:
+                    d2 = (x - a.center[0]) ** 2 + (y - a.center[1]) ** 2
+                    assert _point_in(a, x, y) == (d2 <= a.radius ** 2)
+                    ties += d2 == a.radius ** 2 != 0
+            for b in disks:
+                d2 = (a.center[0] - b.center[0]) ** 2 + (a.center[1] - b.center[1]) ** 2
+                assert _disjoint(a, b) == (d2 > (a.radius + b.radius) ** 2)
+                assert _contained(a, b) == (a.radius <= b.radius and d2 <= (b.radius - a.radius) ** 2)
+                ties += d2 == (a.radius + b.radius) ** 2 != 0
+        assert ties > 0
+
+
+def _mirror(box):
+    return IsolatingBox((box.center[0], -box.center[1]), box.radius)
+
+
+def _ref_circle_status(box):
+    a2 = box.center[0] ** 2 + box.center[1] ** 2
+    r = box.radius
+    if a2 > (1 + r) ** 2:
+        return "out"
+    if r < 1 and a2 < (1 - r) ** 2:
+        return "in"
+    return None
