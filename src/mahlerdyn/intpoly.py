@@ -690,31 +690,50 @@ def _lll_integral(b: list[list[int]]) -> list[list[int]]:
 
 
 def _is_cyclotomic_irreducible(f: IntPoly) -> bool:
-    """Whether an irreducible canonical f is a cyclotomic polynomial.
+    """Whether f, which must be irreducible and canonical, is a cyclotomic
+    polynomial.
 
-    Iterate the squarefree Graeffe map; the root set of a monic irreducible is
-    eventually fixed under squaring iff all roots are roots of unity
-    (Kronecker). phi(n) = d forces n <= 2d^2, so log2(2d^2)+2 iterations
-    suffice to reach the odd-order fixed point when f is cyclotomic. Every
-    iterate stays monic, and a monic polynomial whose roots all lie on the
-    unit circle has |h_k| <= C(deg h, k), so a larger coefficient ends the
-    loop early.
+    The Bradford-Davenport test ("Effective tests for cyclotomic
+    polynomials", ISSAC '88, LNCS 358): one Graeffe step g = power_map(f, 2)
+    squares the roots, and Phi_n goes to Phi_n itself for odd n, to
+    Phi_(n/2) = Phi_n(-x) for n = 2 mod 4, and to Phi_(n/2)^2 for 4 | n.
+    Conversely, when g is f or the canonical f(-x), squaring permutes the
+    roots of f or of g, so they are roots of unity (Kronecker). When g = h^2,
+    h is the minpoly of the square of a root, irreducible again, and f is
+    cyclotomic iff h is; the degree halves. Otherwise g is irreducible and
+    f is not cyclotomic. The answer may be wrong for a reducible f. A monic
+    polynomial whose roots all lie on the unit circle has |h_k| <=
+    C(deg h, k), so a larger coefficient answers before any Graeffe step.
     """
-    d = f.degree
-    if d < 1 or f.lc != 1:
+    if f.degree < 1 or f.lc != 1 or f[0] == 0:
         return False
-    if f[0] == 0:  # divisible by x
-        return False
-    h = f
-    bound = max(1, (2 * d * d + 4).bit_length() + 2)
-    for _ in range(bound):
-        if any(abs(c) > math.comb(h.degree, k) for k, c in enumerate(h.coeffs)):
+    while True:
+        d = f.degree
+        if any(abs(c) > math.comb(d, k) for k, c in enumerate(f.coeffs)):
             return False
-        h2 = squarefree_part(power_map(h, 2))
-        if h2 == h:
+        g = power_map(f, 2)
+        if g == f or g == IntPoly(c if (d - k) % 2 == 0 else -c for k, c in enumerate(f.coeffs)):
             return True
-        h = h2
-    return False
+        f = _monic_sqrt(g)
+        if f is None:
+            return False
+
+
+def _monic_sqrt(g: IntPoly) -> Optional[IntPoly]:
+    """The monic h with h^2 = g, or None when g is not such a square. h is
+    read from the top coefficients of g; a monic rational square root of
+    a monic integer polynomial is integral, so an odd remainder means none."""
+    if g.degree % 2 or g.lc != 1:
+        return None
+    top = g.coeffs[::-1]
+    hs = [1]  # highest first
+    for k in range(1, g.degree // 2 + 1):
+        r = top[k] - sum(hs[i] * hs[k - i] for i in range(1, k))
+        if r % 2:
+            return None
+        hs.append(r // 2)
+    h = IntPoly(hs[::-1])
+    return h if h * h == g else None
 
 
 def cyclotomic_part(p: IntPoly) -> IntPoly:

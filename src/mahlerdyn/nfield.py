@@ -130,7 +130,7 @@ def nf_new(defining: IntPoly) -> NumberField:
 def nf_element(K: NumberField, coords: Sequence) -> FieldElement:
     cs = [Fraction(c) for c in coords]
     if len(cs) > K.degree:
-        cs = _poly_mod(cs, K.defining)
+        return _from_numerators(K, *_numerators(cs))
     cs.extend([_ZERO] * (K.degree - len(cs)))
     return FieldElement(tuple(cs))
 
@@ -154,15 +154,24 @@ def fe_is_rational(x: FieldElement) -> bool:
     return all(c == 0 for c in x.coords[1:])
 
 
-def _poly_mod(cs: list[Fraction], f: IntPoly) -> list[Fraction]:
-    """Reduce a coefficient list mod the monic f, in place."""
-    n = f.degree
-    while len(cs) > n:
-        top = cs.pop()
+def _numerators(cs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(a, den) with cs[k] = a[k] / den over the least common denominator."""
+    den = math.lcm(*(c.denominator for c in cs))
+    return [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def _from_numerators(K: NumberField, a: list[int], den: int) -> FieldElement:
+    """The element (sum a[k] theta^k) / den: the integers a are reduced mod
+    the monic defining polynomial in place, then each coordinate is divided
+    once."""
+    f, n = K.defining, K.degree
+    while len(a) > n:
+        top = a.pop()
         if top:
             for k in range(n):
-                cs[len(cs) - n + k] -= top * f[k]
-    return cs
+                a[len(a) - n + k] -= top * f[k]
+    a.extend([0] * (n - len(a)))
+    return FieldElement(tuple(Fraction(c, den) for c in a))
 
 
 def fe_add(K: NumberField, x: FieldElement, y: FieldElement) -> FieldElement:
@@ -178,15 +187,14 @@ def fe_neg(K: NumberField, x: FieldElement) -> FieldElement:
 
 
 def fe_mul(K: NumberField, x: FieldElement, y: FieldElement) -> FieldElement:
-    n = K.degree
-    prod = [_ZERO] * (2 * n - 1)
-    for i, a in enumerate(x.coords):
-        if not a:
-            continue
-        for j, b in enumerate(y.coords):
-            if b:
-                prod[i + j] += a * b
-    return nf_element(K, _poly_mod(prod, K.defining))
+    a, da = _numerators(x.coords)
+    b, db = _numerators(y.coords)
+    prod = [0] * (2 * K.degree - 1)
+    for i, u in enumerate(a):
+        if u:
+            for j, v in enumerate(b):
+                prod[i + j] += u * v
+    return _from_numerators(K, prod, da * db)
 
 
 def fe_inv(K: NumberField, x: FieldElement) -> FieldElement:
@@ -203,9 +211,8 @@ def fe_inv(K: NumberField, x: FieldElement) -> FieldElement:
 
 def _char_poly(K: NumberField, x: FieldElement) -> IntPoly:
     """Integer polynomial proportional to the characteristic polynomial of x."""
-    den = math.lcm(*(c.denominator for c in x.coords))
-    G = IntPoly([int(c * den) for c in x.coords])
-    return transform_resolvent(K.defining, G, den)
+    a, den = _numerators(x.coords)
+    return transform_resolvent(K.defining, IntPoly(a), den)
 
 
 def _fe_horner(K: NumberField, coeffs: Sequence, g: FieldElement) -> FieldElement:
@@ -263,10 +270,9 @@ def nf_norm(K: NumberField, x: FieldElement) -> Fraction:
         return _ZERO
     if fe_is_rational(x):
         return x.coords[0] ** K.degree
-    den = math.lcm(*(c.denominator for c in x.coords))
-    G = IntPoly([int(c * den) for c in x.coords])
-    # N(x) = prod G(root_i)/den = Res(f, G)/den^n for monic f
-    return Fraction(resultant(K.defining, G), den**K.degree)
+    a, den = _numerators(x.coords)
+    # N(x) = prod G(root_i)/den = Res(f, G)/den^n for monic f, G = sum a_k x^k
+    return Fraction(resultant(K.defining, IntPoly(a)), den**K.degree)
 
 
 def nf_embed(K: NumberField, x: FieldElement, place: int, precision: int) -> IsolatingBox:

@@ -3,8 +3,9 @@
 Isolation is seed-and-certify. A ladder of seeders proposes all n roots at
 once. Rung 0 is an Aberth-Ehrlich iteration in builtin double-precision
 complex numbers; the later rungs are mpmath.polyroots at 64, 128, ... bits up
-to _PREC_CAP. The seeds are rounded to dyadic points, polished by exact
-Newton steps and then certified all together:
+to _PREC_CAP. The seeds are rounded exactly in integers, from the binary
+parts of each float or mpf, to dyadic points, polished by exact Newton steps
+and then certified all together:
 
 * a seed with negligible imaginary part is snapped onto the real axis, a
   seed in the upper half-plane is kept and mirrored into the lower one, and a
@@ -108,14 +109,23 @@ class CirclePartition:
 # exact helpers
 
 
-def _frac_from_mp(v) -> Fraction:
-    sign, man, exp, _ = mpmath.mpf(v)._mpf_
-    if man == 0:
-        if exp == 0:
-            return _ZERO
+def _dyadic(v) -> tuple[int, int]:
+    """(m, e) with v = m 2^e exactly, for a float or mpf v, read from its
+    binary parts; ArithmeticError when v is nan or infinite."""
+    if isinstance(v, float):
+        if not math.isfinite(v):
+            raise ArithmeticError("nonfinite value from numeric seed")
+        m, d = v.as_integer_ratio()  # d is a power of 2
+        return m, 1 - d.bit_length()
+    sign, man, exp, _ = v._mpf_
+    if not man and exp:
         raise ArithmeticError("nonfinite value from numeric seed")
-    f = Fraction(man) * Fraction(2) ** exp
-    return -f if sign else f
+    return -man if sign else man, exp
+
+
+def _frac_from_mp(v) -> Fraction:
+    m, e = _dyadic(v)
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
 
 def _horner(coeffs, x: int, y: int, d: int) -> tuple[int, int]:
@@ -299,8 +309,15 @@ def _point_in(box: IsolatingBox, x, y) -> bool:
 
 
 def _fixed(v, b: int) -> int:
-    """The integer nearest v * 2^b, for a finite float or mpf v."""
-    return round(_frac_from_mp(v) * (1 << b))
+    """The integer nearest v * 2^b, ties to even, for a finite float or mpf
+    v, in integer arithmetic."""
+    m, e = _dyadic(v)
+    s = e + b
+    if s >= 0:
+        return m << s
+    q, r = divmod(m, 1 << -s)
+    half = 1 << (-s - 1)
+    return q + 1 if r > half or (r == half and q & 1) else q
 
 
 def _mp_seeds(p: IntPoly, prec: int) -> list[tuple[int, int]] | None:
@@ -429,7 +446,7 @@ def _certify(p: IntPoly, seeds: list[tuple[int, int]], b: int, snap: int) -> tup
         if got is None:
             return None
         k = got[0]
-        if Fraction(k, one) > _ORDER_RADIUS or (y and k >= y):
+        if k * _ORDER_RADIUS.denominator > _ORDER_RADIUS.numerator * one or (y and k >= y):
             return None
         disks.append((x, y, k))
         if y:

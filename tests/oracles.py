@@ -2,15 +2,17 @@
 
 These deliberately avoid the package's own algorithms: the resultant oracle is
 a fraction-free Sylvester determinant, exact real-root counts come from Sturm
-chains over Q, and numeric root counts/positions come from mpmath at high
-working precision. They exist to cross-check, never to decide.
+chains over Q, numeric root counts/positions come from mpmath at high
+working precision, and cyclotomic factors are recognised by iterating the
+squarefree Graeffe map to its fixed point. They exist to cross-check, never to decide.
 """
 
+import math
 from fractions import Fraction
 
 import mpmath
 
-from mahlerdyn.intpoly import IntPoly
+from mahlerdyn.intpoly import IntPoly, power_map, squarefree_part
 
 
 def sylvester_resultant(p: IntPoly, q: IntPoly) -> int:
@@ -136,3 +138,26 @@ def eval_frac(p: IntPoly, x: Fraction) -> Fraction:
     for c in reversed(p.coeffs):
         acc = acc * x + c
     return acc
+
+
+def graeffe_is_cyclotomic(f: IntPoly) -> bool:
+    """Whether an irreducible canonical f is cyclotomic, by iterating the
+    squarefree Graeffe map h -> squarefree_part(power_map(h, 2)).
+
+    The root set of a monic irreducible is eventually fixed under squaring
+    iff all roots are roots of unity (Kronecker). phi(n) = d forces
+    n <= 2d^2, so log2(2d^2)+2 iterations reach the odd-order fixed point
+    when f is cyclotomic. A monic polynomial whose roots all lie on the unit
+    circle has |h_k| <= C(deg h, k), so a larger coefficient ends the loop."""
+    d = f.degree
+    if d < 1 or f.lc != 1 or f[0] == 0:
+        return False
+    h = f
+    for _ in range(max(1, (2 * d * d + 4).bit_length() + 2)):
+        if any(abs(c) > math.comb(h.degree, k) for k, c in enumerate(h.coeffs)):
+            return False
+        h2 = squarefree_part(power_map(h, 2))
+        if h2 == h:
+            return True
+        h = h2
+    return False

@@ -14,11 +14,13 @@ from mahlerdyn.errors import (
     OddDegree,
     ZeroPolynomial,
 )
+from mahlerdyn.factor import factor_z
 from mahlerdyn.intpoly import (
     IntPoly,
     canonicalize,
     cyclotomic_part,
     discriminant,
+    div_z,
     from_text,
     gcd_z,
     monicize,
@@ -34,7 +36,7 @@ from mahlerdyn.intpoly import (
     untrace_poly,
 )
 
-from oracles import sturm_real_roots, sylvester_resultant
+from oracles import graeffe_is_cyclotomic, sturm_real_roots, sylvester_resultant
 
 P = from_text
 
@@ -395,6 +397,79 @@ class TestCyclotomicPart:
 
         monkeypatch.setattr(intpoly, "power_map", no_graeffe)
         assert not intpoly._is_cyclotomic_irreducible(P("1,-3,1"))
+
+
+def cyclotomic_polys(n_max):
+    """Phi_1, ..., Phi_n_max by exact division: Phi_n = (x^n - 1) / prod
+    Phi_d over the proper divisors d of n."""
+    phis = {}
+    for n in range(1, n_max + 1):
+        q = IntPoly([-1] + [0] * (n - 1) + [1])
+        for d in range(1, n):
+            if n % d == 0:
+                q = div_z(q, phis[d])
+        phis[n] = q
+    return phis
+
+
+class TestCyclotomicTest:
+    def test_every_cyclotomic_up_to_500(self):
+        for n, phi in cyclotomic_polys(500).items():
+            assert intpoly._is_cyclotomic_irreducible(phi), f"Phi_{n}"
+            assert phi.degree == sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+    def test_agrees_with_iterated_graeffe(self):
+        # distinct irreducible factors of seeded monic polynomials of degree
+        # <= 12 with coefficients in [-3, 3]; about a third pass the
+        # coefficient bound and reach a Graeffe step
+        rng = random.Random(20261019)
+        seen = {}
+        while len(seen) < 3000:
+            d = rng.randint(1, 12)
+            p = IntPoly([rng.randint(-3, 3) for _ in range(d)] + [1])
+            for q, _ in factor_z(p).factors:
+                seen.setdefault(q, None)
+        graeffe = sum(
+            all(abs(c) <= math.comb(q.degree, k) for k, c in enumerate(q.coeffs)) for q in seen
+        )
+        assert graeffe >= 1000
+        for q in seen:
+            assert intpoly._is_cyclotomic_irreducible(q) == graeffe_is_cyclotomic(q), q
+
+    def test_lehmer_takes_one_graeffe_step(self, monkeypatch):
+        # tau's minpoly squares to an irreducible that is neither itself,
+        # nor its reflection, nor a square: one power_map call decides it
+        calls = []
+        real_power_map = intpoly.power_map
+
+        def spy(p, n):
+            calls.append(p.degree)
+            return real_power_map(p, n)
+
+        monkeypatch.setattr(intpoly, "power_map", spy)
+        assert not intpoly._is_cyclotomic_irreducible(LEHMER)
+        assert calls == [10]
+
+    def test_phi_of_multiples_of_four_halve_the_degree(self, monkeypatch):
+        # Phi_48 -> Phi_24^2 -> Phi_12^2 -> ... -> Phi_3, which squaring fixes
+        phis = cyclotomic_polys(48)
+        calls = []
+        real_power_map = intpoly.power_map
+
+        def spy(p, n):
+            calls.append(p)
+            return real_power_map(p, n)
+
+        monkeypatch.setattr(intpoly, "power_map", spy)
+        assert intpoly._is_cyclotomic_irreducible(phis[48])
+        assert calls == [phis[48], phis[24], phis[12], phis[6]]
+
+    def test_monic_sqrt(self):
+        h = P("5,-3,0,2,1")
+        assert intpoly._monic_sqrt(h * h) == h
+        assert intpoly._monic_sqrt(h * h + P("0,1")) is None
+        assert intpoly._monic_sqrt(P("1,0,1")) is None  # x^2 + 1
+        assert intpoly._monic_sqrt(P("1,1,1,1")) is None  # odd degree
 
 
 class TestDiscriminant:

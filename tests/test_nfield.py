@@ -135,6 +135,36 @@ class TestElementArithmetic:
         u = nf_element(K, [1, 1])
         assert fe_mul(K, fe_pow(K, u, 3), fe_pow(K, u, -3)) == fe_rational(K, 1)
 
+    def test_mul_matches_fraction_schoolbook(self):
+        # the integer-numerator product equals the product taken and reduced
+        # coordinate by coordinate in Fractions, including the types of the
+        # coordinates
+        def schoolbook(K, x, y):
+            n, f = K.degree, K.defining
+            prod = [Fraction(0)] * (2 * n - 1)
+            for i, a in enumerate(x.coords):
+                for j, b in enumerate(y.coords):
+                    prod[i + j] += a * b
+            for top in range(2 * n - 2, n - 1, -1):
+                for k in range(n):
+                    prod[top - n + k] -= prod[top] * f[k]
+            return tuple(prod[:n])
+
+        rng = random.Random(11)
+        for poly in (SQRT2_POLY, C4_POLY, C5_POLY, X5M2, CM6, C2CUBED_OCTIC):
+            K = nf_new(poly)
+            for _ in range(12):
+                cs = [Fraction(rng.randint(-30, 30), rng.choice((1, 1, 2, 3, 12))) for _ in range(2 * K.degree)]
+                x, y = nf_element(K, cs[: K.degree]), nf_element(K, cs[K.degree :])
+                got = fe_mul(K, x, y)
+                assert got.coords == schoolbook(K, x, y)
+                assert all(type(c) is Fraction for c in got.coords)
+            long = [Fraction(rng.randint(-30, 30), rng.randint(1, 6)) for _ in range(3 * K.degree)]
+            want = nf_element(K, [0])
+            for c in reversed(long):
+                want = fe_add(K, fe_mul(K, want, fe_theta(K)), fe_rational(K, c))
+            assert nf_element(K, long) == want
+
     def test_reduction_mod_defining(self):
         K = nf_new(SQRT2_POLY)
         # theta^2 reduces to the rational 2

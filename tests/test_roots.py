@@ -156,6 +156,66 @@ class TestSeedLadder:
         assert sum(1 for box in boxes if box.center[1] == 0) == sturm_real_roots(p) == 3
 
 
+def _mp_fraction(v):
+    return Fraction(*mpmath.libmp.to_rational(v._mpf_))
+
+
+class TestSeedRounding:
+    """_fixed(v, b) is the integer nearest v 2^b, ties to even, for floats
+    and mpfs, computed without mpmath; nonfinite seeds raise ArithmeticError."""
+
+    @pytest.mark.parametrize("b", [64, 128, 256])
+    def test_floats_match_fraction_rounding(self, b):
+        rng = random.Random(b)
+        values = [rng.uniform(-1, 1) * 2.0 ** rng.randint(-b - 60, 60) for _ in range(2000)]
+        # exact ties k + 1/2 at the unit 2^-b, both signs, odd and even k
+        values += [(k + 0.5) * 2.0**-b for k in range(-40, 40)]
+        values += [0.0, -0.0, 2.0**-b, -(2.0 ** (-b - 1)), 3 * 2.0 ** (-b - 1)]
+        for v in values:
+            assert roots._fixed(v, b) == round(Fraction(v) * 2**b), v
+
+    @pytest.mark.parametrize("b", [64, 128, 256])
+    def test_mpfs_match_fraction_rounding(self, b):
+        rng = random.Random(1000 + b)
+        with mpmath.workprec(400):
+            values = [
+                mpmath.mpf((rng.choice([-1, 1]) * rng.getrandbits(rng.randint(1, 300)), rng.randint(-b - 320, 80)))
+                for _ in range(2000)
+            ]
+            values += [mpmath.mpf((2 * k + 1, -b - 1)) for k in range(-40, 40)]
+            values += [mpmath.mpf(0), mpmath.mpf((5, 3)), mpmath.mpf((-7, -b - 1))]
+        assert any(v._mpf_[2] > 0 for v in values) and any(v._mpf_[2] < -b for v in values)
+        for v in values:
+            assert roots._fixed(v, b) == round(_mp_fraction(v) * 2**b), v
+            assert roots._frac_from_mp(v) == _mp_fraction(v)
+
+    @pytest.mark.parametrize(
+        "v", [math.nan, math.inf, -math.inf, mpmath.nan, mpmath.inf, -mpmath.inf], ids=repr
+    )
+    def test_nonfinite_raises(self, v):
+        with pytest.raises(ArithmeticError):
+            roots._fixed(v, 128)
+        with pytest.raises(ArithmeticError):
+            roots._frac_from_mp(v)
+
+    def test_nan_aberth_iterate_fails_the_rung(self, monkeypatch):
+        # every start is nan, so every iterate settles at nan at once and the
+        # rung gives no seeds instead of raising
+        monkeypatch.setattr(roots, "_initial_guesses", lambda a: [complex(math.nan, 0.0)] * (len(a) - 1))
+        assert roots._aberth_seeds(P("-1,-1,0,1")) is None
+
+    def test_rung_zero_isolation_calls_no_mpmath(self, monkeypatch):
+        p = P("-1,-1,0,0,0,0,0,0,0,0,0,0,0,0,0,1")  # x^15 - x - 1
+        want = roots._isolate_cached.__wrapped__(p.coeffs)
+
+        def no_mpf(*args, **kwargs):
+            raise RuntimeError("mpmath.mpf called")
+
+        monkeypatch.setattr(roots.mpmath, "mpf", no_mpf)
+        assert roots._isolate_cached.__wrapped__(p.coeffs) == want
+        assert len(want) == 15
+
+
 def _oracle_in_order(p):
     """mpmath's 60-digit roots sorted by (re, im); real parts equal to 40
     digits count as equal, so a conjugate pair sorts by its imaginary part."""
