@@ -9,8 +9,9 @@ sublattice with the pattern's conjugate-modulus layout and returns the first
 certificate.  Every numeric decision (layouts, signs, exponent choices) is
 made on certified balls or ``nfield._place_logs`` intervals over one bounded
 ladder, ``nfield._on_ladder``; open at the top rung refutes a strict relation,
-or raises where a rung must settle it (``_settled``).  Every candidate is then
-certified exactly.
+or raises where a rung must settle it (``_settled``).  Log intervals are ints at
+the unit 2^-(prec + _GUARD); a product of units is decided on the sum of its
+factors' logs (``_product_logs``).  Every candidate is then certified exactly.
 There are two certifiers: the orbit engine
 (``_orbit_witness``: an exact PowerIdentity or TorsionFreePower, with a cited
 theorem's growth chain 1 < M^1 < ... < M^k as the fallback), and the product
@@ -65,10 +66,12 @@ from .nfield import (
     _conjugate_pairs,
     _conjunction,
     _decide,
+    _fe_horner,
     _iv_add,
     _iv_scale,
     _on_ladder,
     _place_logs,
+    _product_logs,
     _verify_pattern_exact,
     fe_add,
     fe_inv,
@@ -89,6 +92,7 @@ from .nfield import (
     nf_unit_sublattice,
 )
 from .roots import (
+    _GUARD,
     IsolatingBox,
     _ball,
     _ball_add,
@@ -556,11 +560,7 @@ def _lift_subfield_element(
     K: NumberField, x: FieldElement, w: FieldElement
 ) -> FieldElement:
     """Image of x in K under theta_sub -> w, reading x in the power basis."""
-    out = fe_rational(K, 0)
-    for k, c in enumerate(x.coords):
-        if c:
-            out = fe_add(K, out, fe_mul(K, fe_rational(K, c), fe_pow(K, w, k)))
-    return out
+    return _fe_horner(K, x.coords, w)
 
 
 # ---------------------------------------------------------------------------
@@ -994,15 +994,16 @@ def _octic_c2cubed_witness(K, autos) -> HasWanderer:
         unit_logs.append(log)
 
     def exponents(prec):
+        unit = 1 << (prec + _GUARD)
         logs = [log[prec](0) for log in unit_logs]
-        # stable means: floor(b), floor(1/b) and the ceil(1/b)*b ordering are
-        # all decided by the intervals (b and 1/b are never integers)
-        if any(math.floor(lo) != math.floor(hi) for lo, hi in logs):
+        # b is in [lo, hi] / unit. Stable means: floor(b), floor(1/b) and the ceil(1/b)*b
+        # ordering (unit-free) are decided by the intervals (b, 1/b are never integers)
+        if any(lo // unit != hi // unit for lo, hi in logs):
             return None
-        if any(math.floor(1 / hi) != math.floor(1 / lo) for lo, hi in logs):
+        if any(unit // hi != unit // lo for lo, hi in logs):
             return None
-        ceils = [math.floor(hi) + 1 for _, hi in logs]
-        inv_ceils = [math.floor(1 / lo) + 1 for lo, _ in logs]
+        ceils = [hi // unit + 1 for _, hi in logs]
+        inv_ceils = [unit // lo + 1 for lo, _ in logs]
         ranked = sorted(range(3), key=lambda i: inv_ceils[i] * logs[i][0])
         if any(
             inv_ceils[i] * logs[i][1] >= inv_ceils[j] * logs[j][0]
@@ -1153,9 +1154,7 @@ def _nonic_c3c3_gamma(K, autos) -> tuple[FieldElement, int]:
     choice = next((ab for ab in pairs if _on_ladder(functools.partial(outside, *ab))), None)
     if choice is None:
         raise WitnessSearchFailed("no exponent pair balanced the Pisot units")
-    a, b = choice
-    gamma = fe_mul(K, fe_pow(K, l1, a), fe_pow(K, l2, b))
-    logs = _place_logs(K, gamma)
+    logs = _product_logs([_place_logs(K, l1), _place_logs(K, l2)], choice)
 
     def dominant(prec):
         log = logs[prec]
@@ -1165,6 +1164,7 @@ def _nonic_c3c3_gamma(K, autos) -> tuple[FieldElement, int]:
         )
         return next((j for j, ok in enumerate(above) if ok), None)
 
+    gamma = fe_mul(K, fe_pow(K, l1, choice[0]), fe_pow(K, l2, choice[1]))
     return gamma, _settled(dominant, "dominant conjugate")
 
 

@@ -4,13 +4,15 @@ Certified embeddings, automorphism discovery with exact verification, unit
 sublattices of Z[theta], and the conjugate-pattern search that produces units
 with a prescribed distribution of conjugate absolute values.
 Every decision on conjugate moduli reads log|sigma_j(x)| intervals from one
-source, `_place_logs`, and climbs one bounded ladder, `_LAYOUT_PREC`.
+source, `_place_logs`, as ints at the unit 2^-(prec + _GUARD) on rung prec of
+one bounded ladder, `_LAYOUT_PREC`. The log map is additive on units, so a
+lattice unit prod g_i^e_i is decided on sum e_i log|sigma_j(g_i)| (`_product_logs`).
 """
 
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -58,9 +60,10 @@ _E_CAP = 8  # exponent-bound ladder limit for pattern search
 _AUTO_PREC = (192, 384, 768, 1536)  # discovery ladder, bits
 _AUT_PRIMES = 40  # good primes the Frobenius bound tries at most
 # log interval ladder, bits, for the unit rank test (rungs 0-1), the minor
-# check (0-2), torsion and pattern screens (0), layouts, and classify's signs,
-# D5 test, C2^3 and C3xC3 exponents and dominant place. Open at the 6144-bit
-# cap refutes a strict relation, or raises where a rung must settle it.
+# check (0-2), the torsion test (0), layouts of units and of exponent vectors,
+# and classify's signs, D5 test, C2^3 and C3xC3 exponents and dominant place.
+# Open at the 6144-bit cap refutes a strict relation, or raises where a rung
+# must settle it.
 _LAYOUT_PREC = (96, 384, 1536, 6144)
 
 
@@ -85,12 +88,13 @@ class NumberField:
 
 @dataclass(frozen=True)
 class UnitSublattice:
-    """Units with log rows of certified rank r1 + r2 - 1. log_matrix[i][j]
-    is log|sigma_j(generators[i])| on rung 0 of _LAYOUT_PREC, for every
-    embedding j (conjugate embeddings share one interval)."""
+    """Units with log rows of certified rank r1 + r2 - 1. logs[i] is the
+    _place_logs of generators[i], a cache that equality and hashing ignore:
+    logs[i][prec](j) is log|sigma_j(generators[i])| on rung prec of
+    _LAYOUT_PREC (conjugate embeddings share one interval)."""
 
     generators: tuple[FieldElement, ...]
-    log_matrix: tuple[tuple[tuple[Fraction, Fraction], ...], ...]
+    logs: tuple = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -491,26 +495,44 @@ def _log_abs(
 
 
 def _place_logs(K: NumberField, x: FieldElement) -> dict:
-    """Per rung prec of _LAYOUT_PREC, j -> log|sigma_j(x)| at prec bits or
-    finer, for a nonzero x; a place is computed when first needed, and
-    conjugate embeddings share it. A ball's precision doubles until it
-    excludes 0, and later rungs reuse the interval that climb reached."""
+    """Per rung prec of _LAYOUT_PREC, j -> log|sigma_j(x)| for a nonzero x, as
+    ints at the unit 2^-(prec + _GUARD): the interval of a ball of radius
+    2^-prec or finer, rounded outward once per place and rung. A place is
+    computed when first needed, and conjugate embeddings share it. A ball's
+    precision doubles until it excludes 0; later rungs reuse that climb."""
     pairs = _conjugate_pairs(K)
-    known: dict = {}  # place -> (bits, interval)
+    known: dict = {}  # place -> (bits, Fraction interval)
 
+    @functools.cache
     def log(prec, j):
-        place = min(j, pairs[j])
-        bits, iv = known.get(place, (0, None))
+        if pairs[j] < j:
+            return log(prec, pairs[j])
+        bits, iv = known.get(j, (0, None))
         while bits < prec or iv is None:
             bits = max(prec, 2 * bits)
-            iv = _log_abs(K, x, place, bits)
-        known[place] = bits, iv
-        return iv
+            iv = _log_abs(K, x, j, bits)
+        known[j] = bits, iv
+        lo, hi = iv
+        unit = prec + _GUARD
+        return (lo.numerator << unit) // lo.denominator, -(-(hi.numerator << unit) // hi.denominator)
 
     return {prec: functools.partial(log, prec) for prec in _LAYOUT_PREC}
 
 
-# interval helpers over (lo, hi) Fraction pairs
+def _product_logs(logs: Sequence[dict], exps: Sequence[int]) -> dict:
+    """The _place_logs of prod g_i^exps[i] from the _place_logs logs of the
+    g_i: log|sigma_j| is additive on units, so the sum of exps[i] times their
+    intervals on a rung encloses it, at the same unit. Summed when first read."""
+    terms = [(log, e) for log, e in zip(logs, exps) if e]
+
+    @functools.cache
+    def log(prec, j):
+        return functools.reduce(_iv_add, (_iv_scale(lg[prec](j), e) for lg, e in terms), (0, 0))
+
+    return {prec: functools.partial(log, prec) for prec in _LAYOUT_PREC}
+
+
+# interval helpers over (lo, hi) pairs of ints or Fractions
 
 
 def _iv_add(a, b):
@@ -533,7 +555,7 @@ def _iv_sub(a, b):
 def _iv_div(a, b):
     if not (b[0] > 0 or b[1] < 0):
         raise ExactCheckFailed("interval division by an interval containing 0")
-    vals = (a[0] / b[0], a[0] / b[1], a[1] / b[0], a[1] / b[1])
+    vals = tuple(Fraction(p, q) for p in a for q in b)
     return (min(vals), max(vals))
 
 
@@ -602,8 +624,7 @@ def nf_unit_sublattice(K: NumberField) -> UnitSublattice:
                         raise RankDeficient(
                             "full-rank log matrix failed its determinant check"
                         )
-                    matrix = _log_rows(logs, range(K.degree), _LAYOUT_PREC[0])
-                    return UnitSublattice(tuple(gens), tuple(map(tuple, matrix)))
+                    return UnitSublattice(tuple(gens), tuple(logs))
         prev, h = h, h * 2
     raise RankDeficient(f"unit search exhausted coordinate bound {_H_CAP}")
 
@@ -703,7 +724,7 @@ def _validate_pattern(K: NumberField, pattern: ConjugatePattern) -> None:
                 raise ValueError("extras reference an invalid embedding index")
 
 
-def _decide(x, rel: str, y=(_ZERO, _ZERO)) -> Optional[bool]:
+def _decide(x, rel: str, y=(0, 0)) -> Optional[bool]:
     """Whether the reals in the certified intervals x and y stand in the
     strict relation x rel y, rel in {">", "<", "!="}: True or False once the
     intervals settle it, None while they overlap. Overlapping intervals
@@ -722,7 +743,7 @@ def _layout_status(log, pattern: ConjugatePattern) -> Optional[bool]:
         ((log(a), ">", log(b)) for up, down in zip(levels, levels[1:]) for a in up for b in down),
         ((log(j), ">" if t < top else "<") for t, level in enumerate(levels) for j in level),
         (
-            (functools.reduce(_iv_add, map(log, indices), (_ZERO, _ZERO)), rel)
+            (functools.reduce(_iv_add, map(log, indices), (0, 0)), rel)
             for indices, rel in pattern.extras
         ),
     )
@@ -763,17 +784,6 @@ def _verify_pattern_exact(
     return next((i for i, ok in enumerate(holds) if ok), None)
 
 
-def _screen_table(lattice: UnitSublattice) -> list:
-    """lattice.log_matrix as integer intervals at the unit
-    2^-(_LAYOUT_PREC[0] + _GUARD), rounded outward."""
-    bits = _LAYOUT_PREC[0] + _GUARD
-    return [
-        [((lo.numerator << bits) // lo.denominator, -(-(hi.numerator << bits) // hi.denominator))
-         for lo, hi in row]
-        for row in lattice.log_matrix
-    ]
-
-
 def nf_pattern_search(
     K: NumberField,
     lattice: UnitSublattice,
@@ -783,32 +793,19 @@ def nf_pattern_search(
     """First unit (in sup-norm-then-lex exponent order) matching the pattern.
 
     Exponent vectors come shell by shell from _sup_band, up to
-    exponent_bound (default _E_CAP). A vector is skipped when the sums of
-    the rows of _screen_table refute the pattern; otherwise its unit is
-    built and _verify_pattern_exact decides the layout on the unit's own
-    intervals. The table is lattice.log_matrix (the generators' intervals at
-    the bottom rung of _LAYOUT_PREC) made once into integers at the unit
-    2^-(_LAYOUT_PREC[0] + _GUARD), rounded outward: each sum of its rows
-    encloses the exact sum, and the strict relations _layout_status tests
-    do not change under the scaling, so the screen skips only refuted
-    vectors. NotFound when no vector within the bound passes.
+    exponent_bound (default _E_CAP). Each vector's layout is decided on the
+    ladder from the _product_logs of lattice.logs, which enclose the logs of
+    its unit: rung 0 refutes most vectors with a few integer additions, and
+    later rungs prove the layout. Only the unit returned is built. A
+    constraint still open at the top rung counts as refuted, as in
+    _verify_pattern_exact. NotFound when no vector within the bound passes.
     """
     _validate_pattern(K, pattern)
     cap = exponent_bound if exponent_bound is not None else _E_CAP
-    gens = list(lattice.generators)
-    table = _screen_table(lattice)
     for shell in range(cap + 1):
-        for evec in _sup_band(len(gens), shell - 1, shell):
-            terms = [(row, e) for row, e in zip(table, evec) if e]
-            log = functools.cache(
-                lambda j: functools.reduce(_iv_add, (_iv_scale(row[j], e) for row, e in terms), (0, 0))
-            )
-            if _layout_status(log, pattern) is False:
-                continue
-            u = fe_rational(K, 1)
-            for g, e in zip(gens, evec):
-                if e:
-                    u = fe_mul(K, u, fe_pow(K, g, e))
-            if _verify_pattern_exact(K, u, [pattern]) is not None:
-                return u
+        for evec in _sup_band(len(lattice.generators), shell - 1, shell):
+            sums = _product_logs(lattice.logs, evec)
+            if _on_ladder(lambda prec: _layout_status(sums[prec], pattern)):
+                powers = (fe_pow(K, g, e) for g, e in zip(lattice.generators, evec) if e)
+                return functools.reduce(functools.partial(fe_mul, K), powers, fe_rational(K, 1))
     raise NotFound(f"no unit matched the pattern within exponent bound {cap}")

@@ -3,8 +3,9 @@
 These deliberately avoid the package's own algorithms: the resultant oracle is
 a fraction-free Sylvester determinant, exact real-root counts come from Sturm
 chains over Q, numeric root counts/positions come from mpmath at high
-working precision, and cyclotomic factors are recognised by iterating the
-squarefree Graeffe map to its fixed point. They exist to cross-check, never to decide.
+working precision, cyclotomic factors are recognised by iterating the
+squarefree Graeffe map to its fixed point, and the logs of a product of units
+are summed exactly over Fractions. They exist to cross-check, never to decide.
 """
 
 import math
@@ -161,3 +162,19 @@ def graeffe_is_cyclotomic(f: IntPoly) -> bool:
             return True
         h = h2
     return False
+
+
+def fraction_log_sums(rows, exps):
+    """j -> the exact Fraction enclosure sum_i exps[i] * rows[i][j] of
+    log|sigma_j(prod g_i^exps[i])|, where rows[i][j] = (lo, hi) encloses
+    log|sigma_j(g_i)|; a negative exponent swaps the ends it scales."""
+
+    def log(j):
+        lo = hi = Fraction(0)
+        for row, e in zip(rows, exps):
+            a, b = row[j] if e >= 0 else row[j][::-1]
+            lo += e * a
+            hi += e * b
+        return lo, hi
+
+    return log

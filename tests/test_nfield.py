@@ -60,6 +60,7 @@ from mahlerdyn.nfield import (
     nf_pattern_search,
     nf_unit_sublattice,
 )
+from oracles import fraction_log_sums
 
 P = from_text
 
@@ -432,7 +433,7 @@ class TestUnitSublattice:
         K = nf_new(SQRT2_POLY)
         lat = nf_unit_sublattice(K)
         assert len(lat.generators) == 1
-        v = lat.log_matrix[0]
+        v = _log_row(K, lat.logs[0])
         assert len(v) == 2  # one interval per embedding
         total_lo = sum(e[0] for e in v)
         total_hi = sum(e[1] for e in v)
@@ -449,7 +450,7 @@ class TestUnitSublattice:
         K = nf_new(P("1,1,1,1,1"))
         lat = nf_unit_sublattice(K)
         assert len(lat.generators) == 1
-        v = lat.log_matrix[0]
+        v = _log_row(K, lat.logs[0])
         pairs = nfield._conjugate_pairs(K)
         assert all(v[j] == v[pairs[j]] for j in range(4))  # conjugates share one
         assert sum(e[0] for e in v) <= 0 <= sum(e[1] for e in v)
@@ -464,7 +465,7 @@ class TestUnitSublattice:
     def test_log_vectors_respect_product_formula(self):
         K = nf_new(C4_POLY)
         lat = nf_unit_sublattice(K)
-        for g, v in zip(lat.generators, lat.log_matrix):
+        for g, v in zip(lat.generators, (_log_row(K, log) for log in lat.logs)):
             assert abs(nf_norm(K, g)) == 1
             lo = sum(e[0] for e in v)
             hi = sum(e[1] for e in v)
@@ -503,6 +504,12 @@ class TestUnitSublattice:
             timeout=300,
         )
         assert out.stdout.strip() == "raised"
+
+
+def _log_row(K, log):
+    """The intervals of one _place_logs on rung 0 of _LAYOUT_PREC, one per
+    embedding."""
+    return [log[nfield._LAYOUT_PREC[0]](j) for j in range(K.degree)]
 
 
 class TestSupBand:
@@ -560,6 +567,59 @@ class TestLogIntervals:
         per_place = sorted([p for i, p in calls if i == j] for j in range(2))
         assert per_place == [[96, 192, 384, 1536], [96, 384, 1536]]
 
+    @pytest.mark.parametrize(
+        "poly, coords, power",
+        [(SQRT2_POLY, [-1, 1], 200), (S5_QUINTIC, [0, 1], 7), (P("1,1,1,1,1"), [1, 1], 3)],
+        ids=["sqrt2", "x5-x-1", "zeta5"],
+    )
+    def test_place_logs_are_integer_intervals(self, poly, coords, power):
+        # each rung's interval is a pair of ints at the unit 2^-(prec + _GUARD),
+        # the climb's Fraction interval rounded outward
+        K = nf_new(poly)
+        x = fe_pow(K, nf_element(K, coords), power)
+        pairs = nfield._conjugate_pairs(K)
+        logs = nfield._place_logs(K, x)
+        for prec in nfield._LAYOUT_PREC:
+            unit = Fraction(1, 1 << (prec + roots._GUARD))
+            for j in range(K.degree):
+                lo, hi = logs[prec](j)
+                assert type(lo) is int and type(hi) is int
+                assert logs[prec](pairs[j]) == (lo, hi)
+                exact = nfield._log_abs(K, x, min(j, pairs[j]), prec)
+                if exact is not None:  # else the climb went finer than prec
+                    assert lo * unit <= exact[0] <= exact[1] <= hi * unit
+                    assert (hi - lo) * unit < exact[1] - exact[0] + 2 * unit
+
+
+class TestIntervalRank:
+    def test_division_of_ints_is_exact(self):
+        q = nfield._iv_div((1, 2), (3, 4))
+        assert q == (Fraction(1, 4), Fraction(2, 3))
+        assert all(type(v) is Fraction for v in q)
+
+    # every field whose unit lattice the Tier-1 tests build, classify's
+    # subfields included, by its defining polynomial
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "-2,0,1", "-32,0,1", "-48,0,1", "-80,0,1", "-27,-18,3,1", "1,-24,3,1",
+            "-1,-1,0,0,1", "1,0,-10,0,1", "1,1,1,1,1", "2,0,-4,0,1", "3,0,-5,0,1",
+            "-1,-1,0,0,0,1", "-2,0,0,0,0,1", "-1,3,4,-5,-1,1", "1,3,-3,-4,1,1",
+            "1,0,-1,2,-2,1", "-1,3,6,-4,-5,1,1",
+        ],
+    )
+    def test_integer_rows_rank_as_fraction_rows(self, text):
+        K = nf_new(P(text))
+        lat = nf_unit_sublattice(K)
+        pairs = nfield._conjugate_pairs(K)
+        cols = [j for j in range(K.degree) if j <= pairs[j]]
+        for prec in nfield._LAYOUT_PREC[:3]:
+            for places in (cols, cols[: len(lat.generators)]):
+                rows = nfield._log_rows(lat.logs, places, prec)
+                exact = [[tuple(map(Fraction, iv)) for iv in row] for row in rows]
+                for k in range(1, len(rows) + 1):
+                    assert nfield._interval_rank(rows[:k]) == nfield._interval_rank(exact[:k])
+
 
 class TestPatternSearch:
     def test_layout_check_picks_the_first_match_lazily(self, monkeypatch):
@@ -615,24 +675,30 @@ class TestPatternSearch:
     def test_large_unit_layout_is_proven_on_intervals(self):
         # conjugate moduli from e^-1457 to e^1005: the order is read on log
         # intervals, never on a characteristic polynomial of u
-        K = nf_new(D5_REAL)
-        g0, g1 = nf_unit_sublattice(K).generators[:2]
-        u = fe_mul(K, fe_pow(K, g0, 400), fe_pow(K, g1, -399))
-        # oracle: mpmath at 3000 digits, the roots matched to K's embeddings
-        with mp.workdps(3000):
-            roots = mp.polyroots(list(reversed(D5_REAL.coeffs)), maxsteps=200, extraprec=3000)
-            coeffs = [mp.mpf(c.numerator) / c.denominator for c in reversed(u.coords)]
-            logs = []
-            for box in K.embeddings:
-                z = min(roots, key=lambda r: abs(r - float(box.center[0])))
-                logs.append(mp.log(abs(mp.polyval(coeffs, z))))
-        ranked = sorted(range(5), key=lambda j: -logs[j])
-        pattern = ConjugatePattern(
-            order=tuple((j,) for j in ranked), one_position=sum(1 for v in logs if v > 0)
-        )
+        K, lat, u, logs = _large_d5_unit()
+        pattern = _layout_of_logs(logs)
         start = time.perf_counter()
         assert nfield._verify_pattern_exact(K, u, [pattern]) == 0
         assert time.perf_counter() - start < 1.0
+
+    def test_large_unit_layout_is_proven_from_its_exponents(self, monkeypatch):
+        # the same layout from the generators' logs alone: u is never embedded
+        K, lat, u, logs = _large_d5_unit()
+        pattern = _layout_of_logs(logs)
+        embeds = []
+        embed = nfield.nf_embed
+        monkeypatch.setattr(nfield, "nf_embed", lambda *args: embeds.append(args) or embed(*args))
+        start = time.perf_counter()
+        sums = nfield._product_logs(lat.logs, (400, -399, 0, 0))
+        assert nfield._on_ladder(lambda prec: nfield._layout_status(sums[prec], pattern))
+        assert time.perf_counter() - start < 0.05
+        assert embeds == []
+        rung = nfield._LAYOUT_PREC[0]
+        with mp.workdps(3000):
+            unit = mp.mpf(2) ** -(rung + roots._GUARD)
+            for j, v in enumerate(logs):
+                lo, hi = sums[rung](j)
+                assert lo * unit <= v <= hi * unit
 
     def test_real_quadratic_pisot_unit(self):
         K = nf_new(SQRT2_POLY)
@@ -690,46 +756,98 @@ class TestPatternSearch:
         [(S5_QUINTIC, 3, [(1, -2), (2, 1)]), (D5_REAL, 2, [(1, -1, 0, 2), (0, 2, -1, 1)])],
         ids=["x5-x-1", "D5_REAL"],
     )
-    def test_integer_screen_leaves_open_what_the_fraction_screen_does(self, poly, bound, evecs, monkeypatch):
+    def test_product_logs_decide_as_the_fraction_sums_do(self, poly, bound, evecs):
+        # rung 0 of the search, on every exponent vector within the bound
         K = nf_new(poly)
         lat = nf_unit_sublattice(K)
-        unit = Fraction(1, 1 << (nfield._LAYOUT_PREC[0] + roots._GUARD))
-        for row, ints in zip(lat.log_matrix, nfield._screen_table(lat)):
-            for (lo, hi), (ilo, ihi) in zip(row, ints):
-                assert ilo * unit <= lo <= hi <= ihi * unit
-        seen = []
-        monkeypatch.setattr(nfield, "_verify_pattern_exact", lambda K, u, pats: seen.append(u.coords))
-        for pattern in (p for evec in evecs for p in _layouts_of(K, lat, evec)):
-            # the screen on sums of the Fraction intervals of log_matrix
-            want, total = [], 0
-            for shell in range(bound + 1):
-                for evec in nfield._sup_band(len(lat.generators), shell - 1, shell):
-                    total += 1
-                    terms = [(row, e) for row, e in zip(lat.log_matrix, evec) if e]
+        rung = nfield._LAYOUT_PREC[0]
+        pairs = nfield._conjugate_pairs(K)
+        # the generators' Fraction intervals, before the outward rounding
+        rows = [
+            [nfield._log_abs(K, g, min(j, pairs[j]), rung) for j in range(K.degree)]
+            for g in lat.generators
+        ]
+        patterns = [p for evec in evecs for p in _layouts_of(K, lat, evec)]
+        left_open, total = [0] * len(patterns), 0
+        for shell in range(bound + 1):
+            for evec in nfield._sup_band(len(lat.generators), shell - 1, shell):
+                total += 1
+                sums = nfield._product_logs(lat.logs, evec)[rung]
+                want = fraction_log_sums(rows, evec)
+                for k, pattern in enumerate(patterns):
+                    status = nfield._layout_status(sums, pattern)
+                    assert status == nfield._layout_status(want, pattern)
+                    left_open[k] += status is not False
+                if any(evec):
+                    own = nfield._place_logs(K, _lattice_unit(K, lat, evec))[rung]
+                    for j in range(K.degree):
+                        (lo, hi), (olo, ohi) = sums(j), own(j)
+                        assert lo <= ohi and olo <= hi
+        assert all(0 < n < total for n in left_open)
 
-                    def log(j, terms=terms):
-                        scaled = (nfield._iv_scale(row[j], e) for row, e in terms)
-                        return functools.reduce(nfield._iv_add, scaled, (Fraction(0), Fraction(0)))
-
-                    if nfield._layout_status(log, pattern) is not False:
-                        u = fe_rational(K, 1)
-                        for g, e in zip(lat.generators, evec):
-                            if e:
-                                u = fe_mul(K, u, fe_pow(K, g, e))
-                        want.append(u.coords)
-            assert 0 < len(want) < total
-            seen.clear()
+    @pytest.mark.parametrize(
+        "poly, evec", [(S5_QUINTIC, (1, -2)), (D5_REAL, (-2, 1, 0, 2))], ids=["x5-x-1", "D5_REAL"]
+    )
+    def test_a_search_that_finds_nothing_builds_no_unit(self, poly, evec, monkeypatch):
+        # the layout of a vector in shell 2 has no match in shells 0-1
+        K = nf_new(poly)
+        lat = nf_unit_sublattice(K)
+        patterns = _layouts_of(K, lat, evec)
+        calls = []
+        pow_ = nfield.fe_pow
+        monkeypatch.setattr(nfield, "fe_pow", lambda *args: calls.append(args) or pow_(*args))
+        for pattern in patterns:
             with pytest.raises(NotFound):
-                nf_pattern_search(K, lat, pattern, exponent_bound=bound)
-            assert seen == want
+                nf_pattern_search(K, lat, pattern, exponent_bound=1)
+        assert calls == []
+        for pattern in patterns:
+            nf_pattern_search(K, lat, pattern, exponent_bound=2)
+        assert calls
+
+
+@functools.cache
+def _large_d5_unit():
+    """(K, lattice, u, logs) for u = g0^400 g1^-399 in D5_REAL, with logs[j]
+    = log|sigma_j(u)| from mpmath at 3000 digits, the roots matched to K's
+    embeddings: the oracle of the large-unit tests."""
+    K = nf_new(D5_REAL)
+    lat = nf_unit_sublattice(K)
+    g0, g1 = lat.generators[:2]
+    u = fe_mul(K, fe_pow(K, g0, 400), fe_pow(K, g1, -399))
+    with mp.workdps(3000):
+        roots = mp.polyroots(list(reversed(D5_REAL.coeffs)), maxsteps=200, extraprec=3000)
+        coeffs = [mp.mpf(c.numerator) / c.denominator for c in reversed(u.coords)]
+        logs = []
+        for box in K.embeddings:
+            z = min(roots, key=lambda r: abs(r - float(box.center[0])))
+            logs.append(mp.log(abs(mp.polyval(coeffs, z))))
+    return K, lat, u, logs
+
+
+def _layout_of_logs(logs):
+    """The strict order of the real conjugates with these logs."""
+    ranked = sorted(range(len(logs)), key=lambda j: -logs[j])
+    return ConjugatePattern(
+        order=tuple((j,) for j in ranked), one_position=sum(1 for v in logs if v > 0)
+    )
+
+
+def _lattice_unit(K, lat, evec):
+    """prod g_i^evec[i] over the generators of lat."""
+    u = fe_rational(K, 1)
+    for g, e in zip(lat.generators, evec):
+        if e:
+            u = fe_mul(K, u, fe_pow(K, g, e))
+    return u
 
 
 def _layouts_of(K, lat, evec):
     """The layout of the unit with exponents evec, read off the lower ends of
-    the log_matrix intervals, without and with a product constraint on its
-    largest and smallest conjugates."""
+    the generators' rung-0 log intervals, without and with a product
+    constraint on its largest and smallest conjugates."""
     pairs = nfield._conjugate_pairs(K)
-    logs = [sum(e * row[j][0] for row, e in zip(lat.log_matrix, evec)) for j in range(K.degree)]
+    rows = [_log_row(K, log) for log in lat.logs]
+    logs = [sum(e * row[j][0] for row, e in zip(rows, evec)) for j in range(K.degree)]
     places = sorted({min(j, pairs[j]) for j in range(K.degree)}, key=lambda j: -logs[j])
     order = tuple(tuple(sorted({j, pairs[j]})) for j in places)
     top = sum(1 for j in places if logs[j] > 0)
