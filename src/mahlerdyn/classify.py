@@ -17,6 +17,14 @@ There are two certifiers: the orbit engine
 theorem's growth chain 1 < M^1 < ... < M^k as the fallback), and the product
 recurrence (``_recurrence_witness``: M(x) is the product of the outside
 conjugates of x, three times).
+
+Automorphism-group bookkeeping reads the keys of ``nf_automorphisms``, the
+certified embedding permutations: an automorphism's order is the cycle
+length of place 0, the orbit of 0 (``_orbit``) gives the embedding indices
+of its powers, commutativity and subgroups are checked by composing keys
+(``_compose_keys``), and complex conjugation is the key of the conjugate
+embeddings. A field element is looked up by its key only where it is
+applied.
 """
 
 from __future__ import annotations
@@ -63,6 +71,7 @@ from .nfield import (
     FieldElement,
     NumberField,
     _aut_bound_reason,
+    _compose_keys,
     _conjugate_pairs,
     _conjunction,
     _decide,
@@ -83,10 +92,7 @@ from .nfield import (
     fe_to_algnum,
     nf_apply,
     nf_automorphisms,
-    nf_compose,
-    nf_element,
     nf_embed,
-    nf_embedding_permutation,
     nf_new,
     nf_pattern_search,
     nf_unit_sublattice,
@@ -484,21 +490,10 @@ def _positive_at(K, x: FieldElement, place: int) -> FieldElement:
 
 
 # ---------------------------------------------------------------------------
-# automorphism-group bookkeeping
+# automorphism-group bookkeeping: on the keys of nf_automorphisms
 
 
-def _auto_order(K: NumberField, g: FieldElement) -> int:
-    ident = fe_theta(K)
-    cur, k = g, 1
-    while cur != ident:
-        cur = nf_compose(K, g, cur)
-        k += 1
-        if k > K.degree:
-            raise NotGalois("automorphism order exceeds the field degree")
-    return k
-
-
-def _verified_automorphisms(K: NumberField) -> list[FieldElement]:
+def _verified_automorphisms(K: NumberField) -> dict[tuple[int, ...], FieldElement]:
     autos = nf_automorphisms(K)
     if len(autos) != K.degree:
         raise NotGalois(
@@ -508,16 +503,14 @@ def _verified_automorphisms(K: NumberField) -> list[FieldElement]:
     return autos
 
 
-def _power_walk(K: NumberField, g: FieldElement, length: int) -> list[FieldElement]:
-    out = [fe_theta(K)]
-    for _ in range(length - 1):
-        out.append(nf_compose(K, g, out[-1]))
+def _orbit(p: tuple[int, ...]) -> list[int]:
+    """0, p(0), p(p(0)), ...: the embedding index of sigma_p^k at place 0
+    for k below the order of sigma_p, which is the list's length (the key
+    of sigma_p^k is p applied k times; Aut(K) acts freely)."""
+    out = [0]
+    while p[out[-1]] != 0:
+        out.append(p[out[-1]])
     return out
-
-
-def _embedding_index(K: NumberField, g: FieldElement) -> int:
-    # |sigma_g(x)| at the distinguished place equals |x| at this index
-    return nf_embedding_permutation(K, g)[0]
 
 
 def _fixed_field_poly(
@@ -616,14 +609,10 @@ def _quartic_real_chain_witness(K, lattice, tag) -> Optional[HasWanderer]:
     Assignments follow the order-4 walk for C4; for D4 the closure's 4-cycle
     is invisible from inside the field, so all labelings are tried.
     """
-    assignments = []
     if tag == "C4":
-        for g in nf_automorphisms(K):
-            if _auto_order(K, g) != 4:
-                continue
-            e = [_embedding_index(K, s) for s in _power_walk(K, g, 4)]
-            assignments.append(tuple(e))
+        assignments = [tuple(e) for e in map(_orbit, nf_automorphisms(K)) if len(e) == 4]
     else:
+        assignments = []
         for a, b, d in itertools.permutations(range(4), 3):
             (c,) = set(range(4)) - {a, b, d}
             assignments.append((a, b, c, d))
@@ -864,19 +853,16 @@ def classify_cyclic(p: IntPoly) -> FieldVerdict:
             f"{len(autos)} automorphisms on a degree-{n} field; "
             + _aut_bound_reason(K.defining)
         )
-    sigma = next((g for g in autos if _auto_order(K, g) == n), None)
-    if sigma is None:
+    # the powers of a generator sigma, by their embedding index at place 0
+    e = next((e for e in map(_orbit, autos) if len(e) == n), None)
+    if e is None:
         raise NotCyclic("no automorphism of full order")
+    at = {p[0]: g for p, g in autos.items()}
     lattice = nf_unit_sublattice(K)
-    pi = nf_embedding_permutation(K, sigma)
-    e = [0]
-    for _ in range(n - 1):
-        e.append(pi[e[-1]])
-    walk = _power_walk(K, sigma, n)
     states = [
         (
             ConjugatePattern(order=tuple((e[k],) for k in powers), one_position=count),
-            [walk[k] for k in powers[:count]],
+            [at[e[k]] for k in powers[:count]],
             f"is the product of the {count} outside conjugates "
             f"(chain shape {shape}), strictly larger than its predecessor",
         )
@@ -897,16 +883,17 @@ def classify_cyclic(p: IntPoly) -> FieldVerdict:
 # Galois sextic, octic, nonic
 
 
-def _group_shape(K, autos) -> str:
-    n = K.degree
-    orders = [_auto_order(K, g) for g in autos]
+def _group_shape(keys) -> str:
+    """The name of the group of order 6, 8 or 9 that the keys form, acting
+    regularly on the embeddings, from element orders and commutativity."""
+    n = len(keys)
+    orders = [len(_orbit(p)) for p in keys]
     if n == 6:
         return "C6" if 6 in orders else "D3_6"
     if n == 9:
         return "C9" if 9 in orders else "C3xC3"
     abelian = all(
-        nf_compose(K, g, h) == nf_compose(K, h, g)
-        for g, h in itertools.combinations(autos, 2)
+        _compose_keys(p, q) == _compose_keys(q, p) for p, q in itertools.combinations(keys, 2)
     )
     if abelian:
         return {8: "C8", 4: "C4xC2", 2: "C2cubed"}[max(orders)]
@@ -918,34 +905,30 @@ def _classify_sextic_galois(K, autos) -> FieldVerdict:
         return AllPreperiodic(
             reason="totally imaginary Galois sextic: every element is preperiodic"
         )
-    shape = _group_shape(K, autos)
+    shape = _group_shape(list(autos))
     lattice = nf_unit_sublattice(K)
-    # each setup lists automorphisms in modulus-chain order; the first three
-    # send x to its outside conjugates, and their product must be M(x)
-    setups = []
+    # each setup lists automorphisms, by their embedding index at place 0, in
+    # modulus-chain order; the first three send x to its outside conjugates,
+    # and their product must be M(x)
     if shape == "C6":
-        for g in autos:
-            if _auto_order(K, g) == 6:
-                walk = _power_walk(K, g, 6)
-                setups.append([walk[k] for k in (0, 5, 1, 4, 2, 3)])
+        setups = [[e[k] for k in (0, 5, 1, 4, 2, 3)] for e in map(_orbit, autos) if len(e) == 6]
     else:
-        ident = fe_theta(K)
-        threes = [g for g in autos if _auto_order(K, g) == 3]
-        twos = [g for g in autos if _auto_order(K, g) == 2]
+        threes = [p for p in autos if len(_orbit(p)) == 3]
+        twos = [p for p in autos if len(_orbit(p)) == 2]
+        setups = []
         for s, t in itertools.product(threes, twos):
-            s2 = nf_compose(K, s, s)
-            setups.append([ident, nf_compose(K, t, s), nf_compose(K, t, s2), s, s2, t])
+            s2 = _compose_keys(s, s)
+            seq = [_compose_keys(t, s), _compose_keys(t, s2), s, s2, t]
+            setups.append([0] + [p[0] for p in seq])
+    at = {p[0]: g for p, g in autos.items()}
     fact = (
         "equals the product of the three outside conjugates "
         "and satisfies the same modulus chain"
     )
     candidates = []
-    for seq in setups:
-        e = [_embedding_index(K, g) for g in seq]
-        if len(set(e)) != 6:
-            continue
+    for e in setups:
         pattern = ConjugatePattern(order=tuple((i,) for i in e), one_position=3)
-        states = [(pattern, seq[:3], fact)]
+        states = [(pattern, [at[i] for i in e[:3]], fact)]
         certify = functools.partial(
             _recurrence_witness, K, states=states, tag="pattern-recurrence"
         )
@@ -965,25 +948,20 @@ def _octic_c2cubed_witness(K, autos) -> HasWanderer:
     exponents balance the logs b_i so that exactly the all-plus conjugate
     and the three single-flip conjugates land outside the unit circle.
     """
-    ident = fe_theta(K)
-    subgroups, seen = [], set()
-    for a, b in itertools.combinations([g for g in autos if g != ident], 2):
-        ab = nf_compose(K, a, b)
-        key = frozenset((ident.coords, a.coords, b.coords, ab.coords))
-        if len(key) == 4 and key not in seen:
-            seen.add(key)
-            subgroups.append([ident, a, b, ab])
-    triple = None
-    for h1, h2, h3 in itertools.combinations(subgroups, 3):
-        common = {g.coords for g in h1} & {g.coords for g in h2} & {g.coords for g in h3}
-        if len(common) == 1:
-            triple = (h1, h2, h3)
-            break
+    ident = tuple(range(K.degree))
+    others = [p for p in autos if p != ident]
+    subgroups = dict.fromkeys(
+        frozenset((ident, a, b, _compose_keys(a, b))) for a, b in itertools.combinations(others, 2)
+    )
+    triple = next(
+        (hs for hs in itertools.combinations(subgroups, 3) if len(frozenset.intersection(*hs)) == 1),
+        None,
+    )
     if triple is None:
         raise UnsupportedGroup("no three independent quadratic subfields")
     units, unit_logs = [], []
     for H in triple:
-        poly, w = _fixed_field_poly(K, H, 2)
+        poly, w = _fixed_field_poly(K, [autos[p] for p in H], 2)
         beta = nf_unit_sublattice(nf_new(poly)).generators[0]
         x = _positive_at(K, _lift_subfield_element(K, beta, w), 0)
         log = _place_logs(K, x)
@@ -1029,28 +1007,27 @@ def _octic_c2cubed_witness(K, autos) -> HasWanderer:
 
 def _octic_q8_witness(K, autos) -> HasWanderer:
     lattice = nf_unit_sublattice(K)
-    ident = fe_theta(K)
     patterns, seen = [], set()
-    order4 = [g for g in autos if _auto_order(K, g) == 4]
+    order4 = [p for p in autos if len(_orbit(p)) == 4]
     for s, t in itertools.permutations(order4, 2):
-        s2 = nf_compose(K, s, s)
-        s3 = nf_compose(K, s, s2)
+        s2 = _compose_keys(s, s)
+        s3 = _compose_keys(s, s2)
         if t in (s, s2, s3):
             continue
-        if nf_compose(K, t, t) != s2 or nf_compose(K, t, s) != nf_compose(K, s3, t):
+        if _compose_keys(t, t) != s2 or _compose_keys(t, s) != _compose_keys(s3, t):
             continue
-        t3 = nf_compose(K, t, s2)
+        t3 = _compose_keys(t, s2)
         labeled = {
-            "id": ident,
+            "id": tuple(range(8)),
             "s": s,
             "s2": s2,
             "s3": s3,
             "t": t,
             "t3": t3,
-            "st": nf_compose(K, s, t),
-            "st3": nf_compose(K, s, t3),
+            "st": _compose_keys(s, t),
+            "st3": _compose_keys(s, t3),
         }
-        e = {name: _embedding_index(K, g) for name, g in labeled.items()}
+        e = {name: p[0] for name, p in labeled.items()}
         order = tuple(
             (e[name],) for name in ("id", "t", "st3", "s3", "st", "s", "t3", "s2")
         )
@@ -1067,28 +1044,28 @@ def _octic_q8_witness(K, autos) -> HasWanderer:
 
 
 def _octic_cyclic_quartic_subfield(K, autos, shape) -> IntPoly:
-    ident = fe_theta(K)
+    ident = tuple(range(8))
     if shape == "C8":
-        g = next(a for a in autos if _auto_order(K, a) == 8)
-        poly, _ = _fixed_field_poly(K, [ident, _power_walk(K, g, 8)[4]], 4)
+        g = next(p for p in autos if len(_orbit(p)) == 8)
+        g2 = _compose_keys(g, g)
+        poly, _ = _fixed_field_poly(K, [autos[ident], autos[_compose_keys(g2, g2)]], 4)
         return poly
     for h in autos:
-        if _auto_order(K, h) != 2:
+        if len(_orbit(h)) != 2:
             continue
-        pair = {ident.coords, h.coords}
-        if any(nf_compose(K, g, g).coords not in pair for g in autos):
-            poly, _ = _fixed_field_poly(K, [ident, h], 4)
+        if any(_compose_keys(p, p) not in (ident, h) for p in autos):
+            poly, _ = _fixed_field_poly(K, [autos[ident], autos[h]], 4)
             return poly
     raise UnsupportedGroup("no order-2 subgroup with cyclic quotient")
 
 
 def _octic_d4_quartic_subfield(K, autos) -> IntPoly:
-    ident = fe_theta(K)
+    ident = tuple(range(8))
     for h in autos:
-        if _auto_order(K, h) != 2:
+        if len(_orbit(h)) != 2:
             continue
-        if any(nf_compose(K, g, h) != nf_compose(K, h, g) for g in autos):
-            poly, _ = _fixed_field_poly(K, [ident, h], 4)
+        if any(_compose_keys(p, h) != _compose_keys(h, p) for p in autos):
+            poly, _ = _fixed_field_poly(K, [autos[ident], autos[h]], 4)
             return poly
     raise UnsupportedGroup("no non-central involution found")
 
@@ -1099,7 +1076,7 @@ def _classify_octic_galois(K, autos) -> FieldVerdict:
             reason="totally imaginary Galois octic: the verdict reduces to "
             "quartic subfields and is not decided here"
         )
-    shape = _group_shape(K, autos)
+    shape = _group_shape(list(autos))
     if shape in ("C8", "C4xC2"):
         return classify_quartic(_octic_cyclic_quartic_subfield(K, autos, shape))
     if shape == "D4_8":
@@ -1116,19 +1093,13 @@ def _nonic_c3c3_gamma(K, autos) -> tuple[FieldElement, int]:
     one of the other outside the unit circle on some rung; then five
     conjugates lie outside, and the measure is the square of the dominant
     one."""
-    ident = fe_theta(K)
-    cubics, seen = [], set()
-    for g in autos:
-        if _auto_order(K, g) != 3:
-            continue
-        key = frozenset((ident.coords, g.coords, nf_compose(K, g, g).coords))
-        if key not in seen:
-            seen.add(key)
-            cubics.append(key)
+    ident = tuple(range(9))
+    cubics = dict.fromkeys(
+        frozenset((ident, p, _compose_keys(p, p))) for p in autos if len(_orbit(p)) == 3
+    )
     pisot = []
-    for H in cubics[:2]:
-        members = [nf_element(K, c) for c in H]
-        poly, w = _fixed_field_poly(K, members, 3)
+    for H in list(cubics)[:2]:
+        poly, w = _fixed_field_poly(K, [autos[p] for p in H], 3)
         Ksub = nf_new(poly)
 
         def pisot_at(a):
@@ -1206,7 +1177,7 @@ def classify_galois_small(p: IntPoly) -> FieldVerdict:
         return _classify_sextic_galois(K, autos)
     if n == 8:
         return _classify_octic_galois(K, autos)
-    if _group_shape(K, autos) == "C9":
+    if _group_shape(list(autos)) == "C9":
         return classify_cyclic(G)
     return _nonic_c3c3_witness(K, autos)
 
@@ -1219,8 +1190,11 @@ def classify_cm(p: IntPoly) -> Optional[FieldVerdict]:
     """CM test: complex conjugation is an exact automorphism whose fixed
     field is totally real of half degree.  None when the field is not CM.
 
-    Once conjugation is found, a failed search for a generator of its fixed
-    field raises NotFound: it proves nothing about the field."""
+    Conjugation reads x at the conjugate embedding, so it is the automorphism
+    keyed by _conjugate_pairs(K), if any. A totally imaginary quadratic field
+    is CM by that key alone (the fixed field is Q). Once conjugation is
+    found, a failed search for a generator of its fixed field raises
+    NotFound: it proves nothing about the field."""
     G = _monic_irreducible(p)
     n = G.degree
     if n % 2 == 1:
@@ -1228,20 +1202,13 @@ def classify_cm(p: IntPoly) -> Optional[FieldVerdict]:
     K = nf_new(G)
     if K.signature[0] != 0:
         return None
-    mirror = tuple(_conjugate_pairs(K))
-    ident = fe_theta(K)
-    conj = None
-    for g in nf_automorphisms(K):
-        if g == ident or nf_compose(K, g, g) != ident:
-            continue
-        if nf_embedding_permutation(K, g) == mirror:
-            conj = g
-            break
+    conj = nf_automorphisms(K).get(tuple(_conjugate_pairs(K)))
     if conj is None:
         return None
-    poly, _ = _fixed_field_poly(K, [ident, conj], n // 2)
-    if signature(poly) != (n // 2, 0):
-        return None
+    if n > 2:
+        poly, _ = _fixed_field_poly(K, [fe_theta(K), conj], n // 2)
+        if signature(poly) != (n // 2, 0):
+            return None
     if n == 6:
         return AllPreperiodic(reason="CM sextic field: every element is preperiodic")
     extra = " (quartic fields are handled by classify_quartic)" if n == 4 else ""

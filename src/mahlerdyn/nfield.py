@@ -3,6 +3,9 @@
 Certified embeddings, automorphism discovery with exact verification, unit
 sublattices of Z[theta], and the conjugate-pattern search that produces units
 with a prescribed distribution of conjugate absolute values.
+Aut(K) is one table keyed by certified embedding permutations
+(`nf_automorphisms`): composition is an index lookup on the keys, and an
+element is read only to apply it.
 Every decision on conjugate moduli reads log|sigma_j(x)| intervals from one
 source, `_place_logs`, as ints at the unit 2^-(prec + _GUARD) on rung prec of
 one bounded ladder, `_LAYOUT_PREC`. The log map is additive on units, so a
@@ -247,11 +250,6 @@ def nf_apply(K: NumberField, g: FieldElement, x: FieldElement) -> FieldElement:
     return _fe_horner(K, x.coords, g)
 
 
-def nf_compose(K: NumberField, g: FieldElement, h: FieldElement) -> FieldElement:
-    """Image of theta under sigma_g o sigma_h."""
-    return nf_apply(K, g, h)
-
-
 def nf_embedding_permutation(K: NumberField, g: FieldElement) -> tuple[int, ...]:
     """Permutation pi with sigma_g(x) at embedding i = x at embedding pi(i).
 
@@ -306,13 +304,23 @@ def _conjugate_pairs(K: NumberField) -> list[int]:
 # automorphisms
 
 
-def nf_automorphisms(K: NumberField) -> list[FieldElement]:
-    """All automorphisms of K, as the roots of the defining polynomial in K.
+def nf_automorphisms(K: NumberField) -> dict[tuple[int, ...], FieldElement]:
+    """All automorphisms of K, as a dict from embedding permutations to
+    images of theta.
+
+    The key pi of the automorphism sigma reads sigma(x) at embedding i as x
+    at embedding pi(i). Aut(K) acts freely on the n embeddings, so pi
+    determines sigma, and the key of sigma_p o sigma_q is
+    tuple(q[i] for i in p) (`_compose_keys`). Keys are pinned, never
+    guessed: a key is nf_embedding_permutation of its element, and the
+    identity's is tuple(range(n)). A composed key is checked against its
+    pin: its element is one nf_apply, and ExactCheckFailed is raised when
+    that element's pin differs.
 
     The count is exact. The upper bound comes from Frobenius patterns
     (`_aut_upper_bound`): Aut(K) permutes the roots of f freely, and for a
     prime p not dividing disc(f) it maps the roots in F_p to roots in F_p,
-    so |Aut(K)| divides their number. The lower bound is the set found so
+    so |Aut(K)| divides their number. The lower bound is the table found so
     far: candidates come from integer-relation (LLL) reconstruction between
     the base embedding and each other embedding, and a candidate is accepted
     only when f(g) = 0 mod f holds in exact arithmetic.
@@ -320,18 +328,17 @@ def nf_automorphisms(K: NumberField) -> list[FieldElement]:
     The search is rung-major: every candidate embedding is tried at 192
     bits, then every one again at 384, and so on up to the top of
     `_AUTO_PREC`, so the automorphisms visible at 192 bits are all found
-    before any higher rung runs. After each accepted root the set is closed
-    under composition, and the search stops once its size equals the bound;
-    a bound of 1 needs no search. If the ladder ends below the bound, or a
-    refinement exceeds its precision cap, AutomorphismsUndecided names both
-    numbers: a partial list is never returned. The order of the list is not
-    part of the contract.
+    before any higher rung runs. After each accepted root the table is
+    closed under composition, and the search stops once its size equals the
+    bound; a bound of 1 needs no search. If the ladder ends below the bound,
+    or a refinement exceeds its precision cap, AutomorphismsUndecided names
+    both numbers: a partial table is never returned.
     """
     f, n = K.defining, K.degree
-    ident = fe_theta(K)
+    table = {tuple(range(n)): fe_theta(K)}
     bound, _ = _aut_upper_bound(f)
     if bound == 1:
-        return [ident]
+        return table
     base = next((i for i, b in enumerate(K.embeddings) if b.center[1] == 0), 0)
     base_real = K.embeddings[base].center[1] == 0
     # the image of a root under a real embedding is a real root
@@ -340,7 +347,6 @@ def nf_automorphisms(K: NumberField) -> list[FieldElement]:
         for j in range(n)
         if j != base and not (base_real and K.embeddings[j].center[1] != 0)
     ]
-    found = {ident.coords: ident}
     boxes = list(K.embeddings)
     try:
         for prec in _AUTO_PREC:
@@ -351,16 +357,15 @@ def nf_automorphisms(K: NumberField) -> list[FieldElement]:
                 g = _root_in_field(K, boxes[base], boxes[j], prec)
                 if g is None:
                     continue
-                found[g.coords] = g
-                _close_under_composition(K, found)
-                if len(found) == bound:
-                    autos = list(found.values())
+                table[nf_embedding_permutation(K, g)] = g
+                _close_under_composition(K, table)
+                if len(table) == bound:
                     if bound == n:
-                        _verify_group_closure(K, autos)
-                    return autos
+                        _verify_group_closure(table)
+                    return table
     except InternalPrecisionExceeded as exc:
-        raise AutomorphismsUndecided(len(found), bound) from exc
-    raise AutomorphismsUndecided(len(found), bound)
+        raise AutomorphismsUndecided(len(table), bound) from exc
+    raise AutomorphismsUndecided(len(table), bound)
 
 
 def _aut_upper_bound(f: IntPoly) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -442,30 +447,36 @@ def _is_root_of_defining(K: NumberField, g: FieldElement) -> bool:
     return fe_is_zero(_fe_horner(K, K.defining.coeffs, g))
 
 
-def _close_under_composition(K: NumberField, found: dict) -> None:
-    n = K.degree
-    while len(found) < n:
-        new = []
-        items = list(found.values())
-        for g in items:
-            for h in items:
-                c = nf_compose(K, g, h)
-                if c.coords not in found:
-                    new.append(c)
-        if not new:
-            return
-        for c in new:
-            found[c.coords] = c
+def _compose_keys(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """The key of sigma_p o sigma_q: it reads x at embedding q(p(i))."""
+    return tuple(q[i] for i in p)
 
 
-def _verify_group_closure(K: NumberField, autos: list[FieldElement]) -> None:
-    keys = {g.coords for g in autos}
-    if fe_theta(K).coords not in keys:
+def _close_under_composition(K: NumberField, table: dict) -> None:
+    """Adds every composition of the table's automorphisms, rounds of all
+    pairs on the keys until none is new. A new key's element is one nf_apply,
+    and its pinned key must be the composed one."""
+    grown = True
+    while grown:
+        grown = False
+        for p, q in itertools.product(list(table), repeat=2):
+            r = _compose_keys(p, q)
+            if r not in table:
+                g = nf_apply(K, table[p], table[q])
+                if nf_embedding_permutation(K, g) != r:
+                    raise ExactCheckFailed("a composed automorphism is pinned off its composed key")
+                table[r] = g
+                grown = True
+
+
+def _verify_group_closure(table: dict) -> None:
+    """The keys hold the identity and every composition of two keys."""
+    keys = set(table)
+    n = len(next(iter(keys)))
+    if tuple(range(n)) not in keys:
         raise ExactCheckFailed("identity automorphism missing")
-    for g in autos:
-        for h in autos:
-            if nf_compose(K, g, h).coords not in keys:
-                raise ExactCheckFailed("automorphisms not closed under composition")
+    if any(_compose_keys(p, q) not in keys for p in keys for q in keys):
+        raise ExactCheckFailed("automorphisms not closed under composition")
 
 
 # ---------------------------------------------------------------------------

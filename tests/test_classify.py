@@ -1,11 +1,13 @@
 """Field-level verdicts: regressions for the CM test, the abelian rule, the
 quartic table (its all-preperiodic rows and the C4, D4 and S4 witnesses), the
 quintic (S5, F5, C5, D5) witnesses, the quintic resolvent behind
-galois_group_small, the sextic and C2^3 octic verdicts, the C3xC3 nonic
+galois_group_small, the sextic and C2^3 octic verdicts, the group shapes of
+orders 6, 8 and 9 on their regular representations, the C3xC3 nonic
 witness up to its measure identity in the field, the undecided
 automorphism count, and the two paths around the orbit certificate: the cited
 growth-chain fallback and a precision failure that must surface."""
 
+import itertools
 import random
 
 import mpmath as mp
@@ -17,6 +19,8 @@ from mahlerdyn.classify import (
     AllPreperiodic,
     HasWanderer,
     HasWandererByTheorem,
+    Unsupported,
+    _group_shape,
     _invariant_factors,
     _nonic_c3c3_gamma,
     _stable_cycles,
@@ -112,6 +116,13 @@ class TestClassifyCM:
         monkeypatch.setattr(classify, "_fixed_field_poly", fail)
         with pytest.raises(NotFound, match="injected"):
             classify_cm(CM6)
+
+    @pytest.mark.parametrize("text", ["1,0,1", "2,0,1", "5,0,1"])
+    def test_imaginary_quadratic_is_cm_by_its_conjugation_key(self, text):
+        # the fixed field of conjugation is Q, which no generator search finds
+        assert classify_cm(P(text)) == Unsupported(
+            reason="CM field of degree 2: only degree 6 is proven all-preperiodic"
+        )
 
     def test_not_galois_names_the_primes(self):
         # |Aut(CM6)| = 2: the Frobenius bound proves the field is not Galois
@@ -356,11 +367,65 @@ class TestGaloisSmall:
         # M(gamma) = gamma^2: the outside conjugates multiply to -gamma^2 in
         # K; at the dominant place an odd number of them is negative, and the
         # absolute value of the product there is the measure
-        image = {nfield.nf_embedding_permutation(K, g)[best]: g for g in autos}
+        image = {p[best]: g for p, g in autos.items()}
         prod = nfield.fe_rational(K, 1)
         for j in outside:
             prod = nfield.fe_mul(K, prod, nfield.nf_apply(K, image[j], gamma))
         assert prod == nfield.fe_neg(K, nfield.fe_mul(K, gamma, gamma))
+
+
+def _cyclic_product(*orders):
+    """C_m1 x C_m2 x ... as (identity, generators, product) on tuples."""
+    gens = [tuple(int(i == k) for i in range(len(orders))) for k in range(len(orders))]
+    return (0,) * len(orders), gens, lambda a, b: tuple((x + y) % m for x, y, m in zip(a, b, orders))
+
+
+def _permutations(degree, *gens):
+    """The group the permutations gens of range(degree) generate."""
+    return tuple(range(degree)), gens, lambda a, b: tuple(a[i] for i in b)
+
+
+def _hamilton(a, b):
+    a1, b1, c1, d1 = a
+    a2, b2, c2, d2 = b
+    return (
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+    )
+
+
+class TestGroupShape:
+    """_group_shape on the right regular representation of every group of
+    order 6, 8 and 9, with no field: h -> h g on an indexing of the group is
+    the key of g, so the key of g h is _compose_keys of theirs."""
+
+    GROUPS = {
+        "C6": _cyclic_product(6),
+        "D3_6": _permutations(3, (1, 0, 2), (1, 2, 0)),
+        "C8": _cyclic_product(8),
+        "C4xC2": _cyclic_product(4, 2),
+        "C2cubed": _cyclic_product(2, 2, 2),
+        "Q8": ((1, 0, 0, 0), [(0, 1, 0, 0), (0, 0, 1, 0)], _hamilton),  # i, j
+        "D4_8": _permutations(4, (1, 2, 3, 0), (0, 3, 2, 1)),
+        "C9": _cyclic_product(9),
+        "C3xC3": _cyclic_product(3, 3),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(GROUPS))
+    def test_regular_representation(self, shape):
+        ident, gens, mul = self.GROUPS[shape]
+        elems = [ident]
+        for x in elems:  # closure under right multiplication by generators
+            for g in gens:
+                if mul(x, g) not in elems:
+                    elems.append(mul(x, g))
+        index = {x: i for i, x in enumerate(elems)}
+        keys = [tuple(index[mul(h, g)] for h in elems) for g in elems]
+        for (g, p), (h, q) in itertools.product(zip(elems, keys), repeat=2):
+            assert nfield._compose_keys(p, q) == keys[index[mul(g, h)]]
+        assert _group_shape(keys) == shape
 
 
 class TestUndecidedAutomorphisms:

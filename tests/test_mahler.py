@@ -914,7 +914,7 @@ class TestExactChecksUnderOptimize:
         # an automorphism set without the identity
         "group_without_identity": (
             "K = nfield.nf_new(from_text('-2,0,1'))\n"
-            "nfield._verify_group_closure(K, [nfield.fe_neg(K, nfield.fe_theta(K))])\n"
+            "nfield._verify_group_closure({(1, 0): nfield.fe_neg(K, nfield.fe_theta(K))})\n"
         ),
         # a gcd(p, p') that does not divide p
         "squarefree_gcd_not_dividing": (

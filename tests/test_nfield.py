@@ -17,6 +17,7 @@ from mahlerdyn import nfield, roots
 from mahlerdyn.classify import classify_cm, classify_cyclic, galois_group_small
 from mahlerdyn.errors import (
     AutomorphismsUndecided,
+    ExactCheckFailed,
     NotCyclic,
     NotFound,
     NotIrreducible,
@@ -51,7 +52,6 @@ from mahlerdyn.nfield import (
     fe_to_algnum,
     nf_apply,
     nf_automorphisms,
-    nf_compose,
     nf_element,
     nf_embed,
     nf_embedding_permutation,
@@ -219,7 +219,7 @@ class TestAutomorphisms:
     def test_quadratic(self):
         K = nf_new(SQRT2_POLY)
         autos = nf_automorphisms(K)
-        coords = {a.coords for a in autos}
+        coords = {a.coords for a in autos.values()}
         assert coords == {(Fraction(0), Fraction(1)), (Fraction(0), Fraction(-1))}
 
     def test_cyclic_quartic_orders(self):
@@ -228,10 +228,10 @@ class TestAutomorphisms:
         assert len(autos) == 4
         ident = fe_theta(K)
         orders = []
-        for a in autos:
+        for a in autos.values():
             cur, k = a, 1
             while cur != ident:
-                cur = nf_compose(K, a, cur)
+                cur = nf_apply(K, a, cur)
                 k += 1
             orders.append(k)
         assert sorted(orders) == [1, 2, 4, 4]
@@ -240,13 +240,13 @@ class TestAutomorphisms:
         K = nf_new(X5M2)
         autos = nf_automorphisms(K)
         assert len(autos) == 1
-        assert autos[0] == fe_theta(K)
+        assert list(autos.values())[0] == fe_theta(K)
 
     def test_images_are_roots(self):
         K = nf_new(C5_POLY)
         autos = nf_automorphisms(K)
         assert len(autos) == 5
-        for g in autos:
+        for g in autos.values():
             acc = fe_rational(K, 0)
             for c in reversed(K.defining.coeffs):
                 acc = fe_add(K, fe_mul(K, acc, g), fe_rational(K, c))
@@ -254,7 +254,7 @@ class TestAutomorphisms:
 
     def test_apply_is_ring_homomorphism(self):
         K = nf_new(C4_POLY)
-        g = next(a for a in nf_automorphisms(K) if a != fe_theta(K))
+        g = next(a for a in nf_automorphisms(K).values() if a != fe_theta(K))
         x = nf_element(K, [1, 2, 3, 4])
         y = nf_element(K, [0, 1, -1, 2])
         assert nf_apply(K, g, fe_mul(K, x, y)) == fe_mul(
@@ -266,7 +266,7 @@ class TestAutomorphisms:
 
     def test_embedding_permutation_single_orbit(self):
         K = nf_new(C5_POLY)
-        gen = next(a for a in nf_automorphisms(K) if a != fe_theta(K))
+        gen = next(a for a in nf_automorphisms(K).values() if a != fe_theta(K))
         pi = nf_embedding_permutation(K, gen)
         seen, cur = {0}, 0
         for _ in range(4):
@@ -277,10 +277,10 @@ class TestAutomorphisms:
     def test_composition_matches_permutation_product(self):
         K = nf_new(C4_POLY)
         autos = nf_automorphisms(K)
-        a, b = autos[1], autos[2]
+        a, b = list(autos.values())[1:3]
         pa = nf_embedding_permutation(K, a)
         pb = nf_embedding_permutation(K, b)
-        pc = nf_embedding_permutation(K, nf_compose(K, a, b))
+        pc = nf_embedding_permutation(K, nf_apply(K, a, b))
         # sigma_a(sigma_b(x)) at embedding i reads x at pb[pa[i]]
         assert pc == tuple(pb[pa[i]] for i in range(4))
 
@@ -316,11 +316,15 @@ class TestAutomorphismBound:
         def no_lll(rows):
             raise AssertionError("LLL called")
 
+        def no_pin(K, g):
+            raise AssertionError("an embedding permutation was pinned")
+
         monkeypatch.setattr(nfield, "lll_reduce", no_lll)
+        monkeypatch.setattr(nfield, "nf_embedding_permutation", no_pin)
         assert classify_cm(P("1,1,0,0,1")) is None
         assert galois_group_small(D5_QUINTIC) == "D5"
         K = nf_new(S5_QUINTIC)
-        assert nf_automorphisms(K) == [fe_theta(K)]
+        assert nf_automorphisms(K) == {tuple(range(5)): fe_theta(K)}
 
     def test_count_below_bound_is_undecided(self, monkeypatch):
         monkeypatch.setattr(nfield, "_short_relations", lambda rows, n: iter(()))
@@ -335,10 +339,98 @@ class TestAutomorphismBound:
     def test_octic_group_found_and_closed(self):
         K = nf_new(C2CUBED_OCTIC)
         autos = nf_automorphisms(K)
-        assert len({g.coords for g in autos}) == 8
+        assert len({g.coords for g in autos.values()}) == 8
         ident = fe_theta(K)
-        for g in autos:
-            assert nf_compose(K, g, g) == ident  # every element has order <= 2
+        for g in autos.values():
+            assert nf_apply(K, g, g) == ident  # every element has order <= 2
+
+
+class TestAutomorphismTable:
+    """nf_automorphisms keys each automorphism by its pinned embedding
+    permutation; a composed key must be the pin of its element."""
+
+    FIELDS = {
+        "C4": "2,0,-4,0,1",
+        "V4": "1,0,-4,0,1",
+        "C5": "1,3,-3,-4,1,1",
+        "C6": "-1,3,6,-4,-5,1,1",
+        "X6P108": "108,0,0,0,0,0,1",
+        "C2cubed": "576,0,-960,0,352,0,-40,0,1",
+        "C3xC3": "-1,-15,-51,-15,81,33,-32,-12,3,1",
+        "CM6": "1,0,8,0,6,0,1",  # not Galois: conjugation and the identity
+    }
+
+    @pytest.fixture(params=sorted(FIELDS), scope="class")
+    def table(self, request):
+        K = nf_new(P(self.FIELDS[request.param]))
+        return K, nf_automorphisms(K)
+
+    def test_keys_are_the_pins(self, table):
+        K, autos = table
+        assert autos[tuple(range(K.degree))] == fe_theta(K)
+        for key, g in autos.items():
+            assert nf_embedding_permutation(K, g) == key
+
+    def test_composed_keys_are_the_pins_of_compositions(self, table):
+        K, autos = table
+        for p, q in itertools.product(autos, repeat=2):
+            composed = tuple(q[i] for i in p)
+            assert composed in autos
+            assert nf_embedding_permutation(K, nf_apply(K, autos[p], autos[q])) == composed
+
+    def test_composed_key_off_its_pin_raises(self, monkeypatch):
+        # every derived element (made by composition, not by LLL) is pinned
+        # with two entries of its key swapped
+        guessed, pin, guess = [], nfield.nf_embedding_permutation, nfield._root_in_field
+
+        def root_in_field(*args):
+            guessed.append(guess(*args))
+            return guessed[-1]
+
+        def swapped(K, g):
+            key = list(pin(K, g))
+            if g not in guessed:
+                key[0], key[1] = key[1], key[0]
+            return tuple(key)
+
+        monkeypatch.setattr(nfield, "_root_in_field", root_in_field)
+        monkeypatch.setattr(nfield, "nf_embedding_permutation", swapped)
+        with pytest.raises(ExactCheckFailed, match="composed"):
+            nf_automorphisms(nf_new(C5_POLY))
+        assert len(guessed) == 1  # one generator by LLL, the first power derived
+
+    def test_composed_key_off_its_pin_raises_under_optimize(self):
+        code = (
+            "from mahlerdyn import nfield\n"
+            "from mahlerdyn.errors import ExactCheckFailed\n"
+            "from mahlerdyn.intpoly import from_text\n"
+            "guessed, pin, guess = [], nfield.nf_embedding_permutation, nfield._root_in_field\n"
+            "def root_in_field(*args):\n"
+            "    guessed.append(guess(*args))\n"
+            "    return guessed[-1]\n"
+            "def swapped(K, g):\n"
+            "    key = list(pin(K, g))\n"
+            "    if g not in guessed:\n"
+            "        key[0], key[1] = key[1], key[0]\n"
+            "    return tuple(key)\n"
+            "nfield._root_in_field = root_in_field\n"
+            "nfield.nf_embedding_permutation = swapped\n"
+            "try:\n"
+            "    nfield.nf_automorphisms(nfield.nf_new(from_text('1,3,-3,-4,1,1')))\n"
+            "except ExactCheckFailed:\n"
+            "    print('raised')\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=300,
+        )
+        assert out.stdout.strip() == "raised"
 
 
 def _gram(basis):
@@ -727,8 +819,8 @@ class TestPatternSearch:
         ident = fe_theta(K)
         gen = next(
             a
-            for a in nf_automorphisms(K)
-            if a != ident and nf_compose(K, a, a) != ident
+            for a in nf_automorphisms(K).values()
+            if a != ident and nf_apply(K, a, a) != ident
         )
         pi = nf_embedding_permutation(K, gen)
         e = [0]
@@ -877,7 +969,7 @@ class TestCyclicQuinticDistribution:
     @staticmethod
     def _setup():
         K = nf_new(C5_POLY)
-        gen = next(a for a in nf_automorphisms(K) if a != fe_theta(K))
+        gen = next(a for a in nf_automorphisms(K).values() if a != fe_theta(K))
         pi = nf_embedding_permutation(K, gen)
         e = [0]
         for _ in range(4):
