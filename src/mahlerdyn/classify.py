@@ -78,6 +78,7 @@ from .nfield import (
     _fe_horner,
     _iv_add,
     _iv_scale,
+    _minpoly,
     _on_ladder,
     _place_logs,
     _product_logs,
@@ -543,17 +544,10 @@ def _fixed_field_poly(
     for w in candidates:
         if all(v == 0 for v in w.coords[1:]):
             continue
-        z = fe_to_algnum(K, w)
-        if z.degree == target:
-            return z.minpoly, w
+        q = _minpoly(K, w)
+        if q.degree == target:
+            return q, w
     raise NotFound("no fixed-field generator among the standard candidates")
-
-
-def _lift_subfield_element(
-    K: NumberField, x: FieldElement, w: FieldElement
-) -> FieldElement:
-    """Image of x in K under theta_sub -> w, reading x in the power basis."""
-    return _fe_horner(K, x.coords, w)
 
 
 # ---------------------------------------------------------------------------
@@ -963,7 +957,7 @@ def _octic_c2cubed_witness(K, autos) -> HasWanderer:
     for H in triple:
         poly, w = _fixed_field_poly(K, [autos[p] for p in H], 2)
         beta = nf_unit_sublattice(nf_new(poly)).generators[0]
-        x = _positive_at(K, _lift_subfield_element(K, beta, w), 0)
+        x = _positive_at(K, _fe_horner(K, beta.coords, w), 0)  # beta in K, theta_sub -> w
         log = _place_logs(K, x)
         if not _settled(lambda prec: _decide(log[prec](0), ">"), "|x| > 1 of a subfield unit"):
             x = _positive_at(K, fe_inv(K, x), 0)
@@ -1113,7 +1107,7 @@ def _nonic_c3c3_gamma(K, autos) -> tuple[FieldElement, int]:
         if found is None:
             raise WitnessSearchFailed("no Pisot unit in a cubic subfield")
         x, top = found
-        pisot.append((_place_logs(Ksub, x), top, _lift_subfield_element(K, x, w)))
+        pisot.append((_place_logs(Ksub, x), top, _fe_horner(K, x.coords, w)))
     (lg1, t1, l1), (lg2, t2, l2) = pisot
     mixed = [(j, t2) for j in range(3) if j != t1] + [(t1, k) for k in range(3) if k != t2]
 

@@ -69,13 +69,6 @@ def _gf_mul(a, b, m):
     return _gf_trim([c % m for c in out])
 
 
-def _gf_monic(a, m):
-    if not a or a[-1] == 1:
-        return list(a)
-    inv = pow(a[-1], -1, m)
-    return [c * inv % m for c in a]
-
-
 def _gf_pow_mod(a, e, mod_poly, m):
     result = [1]
     base = _gf_divmod(a, mod_poly, m)[1]
@@ -112,11 +105,12 @@ def _ddf(f: list[int], p: int) -> list[tuple[list[int], int]]:
 
 
 def _edf(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
-    """Cantor-Zassenhaus equal-degree splitting; f = product of irreducibles of
-    degree d, p odd."""
+    """Cantor-Zassenhaus equal-degree splitting; f = monic product of
+    irreducibles of degree d, p odd. Every part is a _gf_gcd output or a
+    quotient of monic by monic, so the factors come out monic."""
     n = len(f) - 1
     if n == d:
-        return [_gf_monic(f, p)]
+        return [f]
     exponent = (p ** d - 1) // 2
     while True:
         a = [rng.randrange(p) for _ in range(n)]

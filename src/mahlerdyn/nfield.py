@@ -222,6 +222,12 @@ def _char_poly(K: NumberField, x: FieldElement) -> IntPoly:
     return transform_resolvent(K.defining, IntPoly(a), den)
 
 
+def _minpoly(K: NumberField, x: FieldElement) -> IntPoly:
+    """The canonical minimal polynomial of x: the characteristic polynomial
+    is a power of it, so it is that polynomial's one irreducible factor."""
+    return _irreducible_factors(_char_poly(K, x))[0]
+
+
 def _fe_horner(K: NumberField, coeffs: Sequence, g: FieldElement) -> FieldElement:
     """sum_k coeffs[k] g^k in K."""
     acc = fe_rational(K, 0)
@@ -699,7 +705,7 @@ def _is_torsion_unit(K: NumberField, u: FieldElement, log) -> bool:
     cyclotomic test on its minimal polynomial."""
     if any(_decide(log[_LAYOUT_PREC[0]](j), "!=") for j in range(K.degree)):
         return False
-    return _is_cyclotomic_irreducible(fe_to_algnum(K, u).minpoly)
+    return _is_cyclotomic_irreducible(_minpoly(K, u))
 
 
 # ---------------------------------------------------------------------------
@@ -711,7 +717,7 @@ def fe_to_algnum(K: NumberField, x: FieldElement, place: int = 0) -> AlgebraicNu
     if fe_is_rational(x):
         return an_from_rational(x.coords[0])
     probes = (nf_embed(K, x, place, 64 << k) for k in range(7))
-    return _select_root(_irreducible_factors(_char_poly(K, x)), probes)
+    return _select_root([_minpoly(K, x)], probes)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Certified complex root isolation and the exact unit-circle partition.
 
-Isolation is seed-and-certify. A ladder of seeders proposes all n roots at
-once. Rung 0 is an Aberth-Ehrlich iteration in builtin double-precision
-complex numbers; the later rungs are mpmath.polyroots at 64, 128, ... bits up
-to _PREC_CAP. The seeds are rounded exactly in integers, from the binary
-parts of each float or mpf, to dyadic points, polished by exact Newton steps
-and then certified all together:
+Isolation is seed-and-certify. One seeder, an Aberth-Ehrlich iteration from
+Newton-polygon starts, proposes all n roots at once on each rung of a ladder:
+rung 0 runs it in builtin double-precision complex numbers, and the later
+rungs run it in mpmath at 64, 128, ... bits up to _PREC_CAP. The seeds are
+rounded exactly in integers, from the binary parts of each float or mpf, to
+dyadic points, polished by exact Newton steps and then certified all
+together:
 
 * a seed with negligible imaginary part is snapped onto the real axis, a
   seed in the upper half-plane is kept and mirrored into the lower one, and a
@@ -22,8 +23,8 @@ bring its conjugate along, and the disk would hold two. Snapping can
 therefore make a rung fail, never make the answer wrong. p and p' are
 evaluated at the dyadic centres by an exact integer Horner, so the numerics
 only choose where to look and every accept/reject decision is exact. A rung
-fails, and the ladder moves on, when the coefficients overflow a double, the
-iteration does not settle, or the certificate fails.
+fails, and the ladder moves on, when the coefficients overflow a double (on
+rung 0), the iteration does not settle, or the certificate fails.
 
 Refinement uses the same disk on one box at a time, with no numeric seeder.
 refine takes exact Newton steps from the box centre at a unit 2^-b set by the
@@ -59,6 +60,7 @@ nonzero.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -320,23 +322,9 @@ def _fixed(v, b: int) -> int:
     return q + 1 if r > half or (r == half and q & 1) else q
 
 
-def _mp_seeds(p: IntPoly, prec: int) -> list[tuple[int, int]] | None:
-    """All roots from mpmath.polyroots at about prec bits, as integer pairs
-    at the unit 2^-prec; None when polyroots does not converge."""
-    try:
-        with mpmath.workprec(prec + 40):
-            roots = mpmath.polyroots(
-                [mpmath.mpf(c) for c in reversed(p.coeffs)],
-                maxsteps=120,
-                extraprec=prec,
-            )
-            return [(_fixed(mpmath.re(z), prec), _fixed(mpmath.im(z), prec)) for z in roots]
-    except (mpmath.mp.NoConvergence, ArithmeticError):
-        return None
-
-
-def _fhorner(cs, z: complex) -> tuple[complex, complex, float]:
-    """(q(z), q'(z), sum |c| |z|^k) for the coefficients cs of q, highest first."""
+def _fhorner(cs, z):
+    """(q(z), q'(z), sum |c| |z|^k) for the coefficients cs of q, highest
+    first, in complex doubles or mpmath mpc, as z is."""
     v, dv, e = cs[0], 0j, abs(cs[0])
     az = abs(z)
     for c in cs[1:]:
@@ -346,12 +334,14 @@ def _fhorner(cs, z: complex) -> tuple[complex, complex, float]:
     return v, dv, e
 
 
-def _initial_guesses(a: list[float]) -> list[complex]:
+def _initial_guesses(coeffs: Sequence[int], exp, rect) -> list:
     """Starting points from the Newton polygon (Bini, Numer. Algorithms 13,
     1996): each edge of the upper hull of (k, log|a_k|) of horizontal length
-    m puts m points on a circle of the radius that edge predicts."""
-    n = len(a) - 1
-    pts = [(k, math.log(abs(c))) for k, c in enumerate(a) if c]
+    m puts m points on a circle of the radius that edge predicts. The logs
+    are read from the integer coefficients, so they exist beyond double
+    range; exp and rect build the points in the seeder's numbers."""
+    n = len(coeffs) - 1
+    pts = [(k, math.log(abs(c))) for k, c in enumerate(coeffs) if c]
     hull: list[tuple[int, float]] = []
     for q in pts:
         while len(hull) >= 2 and (
@@ -363,53 +353,59 @@ def _initial_guesses(a: list[float]) -> list[complex]:
     zs = [0j] * pts[0][0]  # roots at 0
     for (k1, l1), (k2, l2) in zip(hull, hull[1:]):
         m = k2 - k1
-        radius = math.exp((l1 - l2) / m)
-        zs.extend(cmath.rect(radius, 2 * math.pi * (j / m + k1 / n) + 0.7) for j in range(m))
+        radius = exp((l1 - l2) / m)
+        zs.extend(rect(radius, 2 * math.pi * (j / m + k1 / n) + 0.7) for j in range(m))
     return zs
 
 
-def _aberth_seeds(p: IntPoly) -> list[tuple[int, int]] | None:
-    """All roots by an Aberth-Ehrlich iteration in double precision (Aberth,
-    Math. Comp. 27, 1973), as integer pairs at the unit 2^-_ABERTH_BITS; None
-    when the coefficients overflow a double or the iteration does not
-    settle within _ABERTH_ITERS sweeps.
+def _aberth_seeds(p: IntPoly, prec: int = 0) -> list[tuple[int, int]] | None:
+    """All roots by an Aberth-Ehrlich iteration (Aberth, Math. Comp. 27,
+    1973), as integer pairs at the unit 2^-b; None when the iteration does
+    not settle within _ABERTH_ITERS sweeps.
+
+    At prec = 0 the iteration runs in builtin complex doubles, b is
+    _ABERTH_BITS, and a coefficient that overflows a double gives None; at
+    prec > 0 it runs in mpmath mpc at prec + 20 bits and b is prec.
 
     A root is settled when |p(z)| <= 4nu sum_k |a_k| |z|^k, with u the unit
     roundoff, which is about what Horner's own rounding error can reach, or
     when its correction is below u|z|. For |z| > 1 the reversed polynomial
     is evaluated at 1/z instead, so Horner sees no power above 1."""
     n = p.degree
-    try:
-        a = [float(c) for c in p.coeffs]
-    except OverflowError:
-        return None
-    hi = a[::-1]
-    unit = 2.0 ** -53
+    if prec:
+        work, unit, b = mpmath.workprec(prec + 20), mpmath.ldexp(1, -prec - 20), prec
+        num, exp, rect = mpmath.mpf, mpmath.exp, mpmath.rect
+    else:
+        work, unit, b = contextlib.nullcontext(), 2.0 ** -53, _ABERTH_BITS
+        num, exp, rect = float, math.exp, cmath.rect
     tol = 4 * n * unit
-    zs = _initial_guesses(a)
     done = [False] * n
     try:
-        for _ in range(_ABERTH_ITERS):
-            for i, z in enumerate(zs):
-                if done[i]:
-                    continue
-                if abs(z) <= 1:
-                    v, dv, e = _fhorner(hi, z)
-                    inv = dv / v if abs(v) > tol * e else None
-                else:
-                    w = 1 / z
-                    v, dv, e = _fhorner(a, w)
-                    # p'/p = (n q - w q') / (z q) for the reversal q(w)
-                    inv = (n - w * dv / v) / z if abs(v) > tol * e else None
-                if inv is None:
-                    done[i] = True
-                    continue
-                step = 1 / (inv - sum(1 / (z - zj) for j, zj in enumerate(zs) if j != i))
-                zs[i] = z - step
-                done[i] = abs(step) <= unit * abs(z)
-            if all(done):
-                return [(_fixed(z.real, _ABERTH_BITS), _fixed(z.imag, _ABERTH_BITS)) for z in zs]
-    except ArithmeticError:  # a zero denominator or an overflow
+        with work:
+            a = [num(c) for c in p.coeffs]
+            hi = a[::-1]
+            zs = _initial_guesses(p.coeffs, exp, rect)
+            for _ in range(_ABERTH_ITERS):
+                for i, z in enumerate(zs):
+                    if done[i]:
+                        continue
+                    if abs(z) <= 1:
+                        v, dv, e = _fhorner(hi, z)
+                        inv = dv / v if abs(v) > tol * e else None
+                    else:
+                        w = 1 / z
+                        v, dv, e = _fhorner(a, w)
+                        # p'/p = (n q - w q') / (z q) for the reversal q(w)
+                        inv = (n - w * dv / v) / z if abs(v) > tol * e else None
+                    if inv is None:
+                        done[i] = True
+                        continue
+                    step = 1 / (inv - sum(1 / (z - zj) for j, zj in enumerate(zs) if j != i))
+                    zs[i] = z - step
+                    done[i] = abs(step) <= unit * abs(z)
+                if all(done):
+                    return [(_fixed(z.real, b), _fixed(z.imag, b)) for z in zs]
+    except ArithmeticError:  # an overflow or a zero denominator
         pass
     return None
 
@@ -427,7 +423,8 @@ def _certify(p: IntPoly, seeds: list[tuple[int, int]], b: int, snap: int) -> tup
     n|p(c)|/|p'(c)|; see the module docstring for why the accepted disks
     isolate. The canonical order is by (re, im), with real parts rounded to
     2^-_ORDER_GRID, so roots of equal real part sort by imaginary part
-    whatever the last bits of their centres."""
+    whatever the last bits of their centres; real roots closer than the grid
+    then sort by their disjoint disks, not by the seeder's order."""
     n = p.degree
     dp = p.derivative()
     one = 1 << b
@@ -460,7 +457,7 @@ def _certify(p: IntPoly, seeds: list[tuple[int, int]], b: int, snap: int) -> tup
             if (xi - xj) ** 2 + (yi - yj) ** 2 <= (ki + kj) ** 2:
                 return None
     half = 1 << (b - _ORDER_GRID - 1)
-    disks.sort(key=lambda t: ((t[0] + half) >> (b - _ORDER_GRID), t[1]))
+    disks.sort(key=lambda t: ((t[0] + half) >> (b - _ORDER_GRID), t[1], t[0]))
     return tuple(IsolatingBox((Fraction(x, one), Fraction(y, one)), Fraction(k, one)) for x, y, k in disks)
 
 
@@ -469,14 +466,14 @@ def _certify(p: IntPoly, seeds: list[tuple[int, int]], b: int, snap: int) -> tup
 
 
 def _ladder(p: IntPoly):
-    """(seeds or None, b, snap) per rung, for _certify: the double-precision
-    Aberth seeds, then mpmath.polyroots at 64, 128, ... bits up to
-    _PREC_CAP. A seed snaps onto the real axis within about half the bits
-    its seeder carries."""
+    """(seeds or None, b, snap) per rung, for _certify: the Aberth seeds in
+    doubles at b = _ABERTH_BITS, then the same iteration in mpmath at prec =
+    64, 128, ... bits up to _PREC_CAP, with b = prec. A seed snaps onto the
+    real axis within about half the bits its seeder carries."""
     yield _aberth_seeds(p), _ABERTH_BITS, 26
     prec = _PREC_START
     while prec <= _PREC_CAP:
-        yield _mp_seeds(p, prec), prec, prec // 2
+        yield _aberth_seeds(p, prec), prec, prec // 2
         prec *= 2
 
 

@@ -1,7 +1,7 @@
 """Field-level verdicts: regressions for the CM test, the abelian rule, the
 quartic table (its all-preperiodic rows and the C4, D4 and S4 witnesses), the
 quintic (S5, F5, C5, D5) witnesses, the quintic resolvent behind
-galois_group_small, the sextic and C2^3 octic verdicts, the group shapes of
+galois_group_small, the sextic, C2^3 and C8 octic verdicts, the group shapes of
 orders 6, 8 and 9 on their regular representations, the C3xC3 nonic
 witness up to its measure identity in the field, the undecided
 automorphism count, and the two paths around the orbit certificate: the cited
@@ -9,6 +9,7 @@ growth-chain fallback and a precision failure that must surface."""
 
 import itertools
 import random
+import time
 
 import mpmath as mp
 import pytest
@@ -58,6 +59,8 @@ X6P108 = P("108,0,0,0,0,0,1")  # x^6 + 108, Galois with group S3
 C2CUBED_OCTIC = P("576,0,-960,0,352,0,-40,0,1")  # Q(sqrt 2, sqrt 3, sqrt 5)
 # x^9 + 3x^8 - 12x^7 - 32x^6 + 33x^5 + 81x^4 - 15x^3 - 51x^2 - 15x - 1
 C3C3_NONIC = P("-1,-15,-51,-15,81,33,-32,-12,3,1")
+# x^8 + x^7 - 7x^6 - 6x^5 + 15x^4 + 10x^3 - 10x^2 - 4x + 1, Q(zeta_17)^+
+C8_OCTIC = P("1,-4,-10,10,15,-6,-7,1,1")
 
 
 def _assert_wandering_unit(v, degree):
@@ -205,6 +208,15 @@ class TestClassifyQuartic:
         assert isinstance(cert, TorsionFreePower) and cert.k >= 1 and cert.n >= 2
         _assert_exact_certificate(v)
 
+    def test_totally_real_s4_quartic_has_certified_wanderer(self):
+        # x^4 - 6x^2 - 3x + 1: the (4, 0) branch of the S4 square witness
+        p = P("1,-3,-6,0,1")
+        assert galois_group_small(p) == "S4" and signature(p) == (4, 0)
+        v = classify_quartic(p)
+        _assert_wandering_unit(v, 4)
+        assert v.certificate == TorsionFreePower(k=2, n=2)
+        _assert_exact_certificate(v)
+
     def test_growth_chain_is_the_fallback(self, monkeypatch):
         # with no orbit certificate, the C4 unit rests on the cited theorem
         # and the exact chain of its first three measures
@@ -347,13 +359,22 @@ class TestGaloisSmall:
         _assert_wandering_unit(v, 8)
         _assert_exact_certificate(v)
 
+    def test_c8_octic_has_certified_wanderer(self):
+        # Q(zeta_17)^+, through its cyclic quartic subfield
+        v = classify_galois_small(C8_OCTIC)
+        _assert_wandering_unit(v, 8)
+        assert v.certificate == PowerIdentity(k=3, l=1, n=2)
+        _assert_exact_certificate(v)
+
     def test_c3c3_nonic_witness_is_its_measure_root_in_the_field(self):
-        # the witness up to gamma, checked inside K: fe_to_algnum(K, gamma)
-        # must isolate a degree-9 polynomial with 382-bit coefficients, and
-        # that isolation stalls (ROADMAP item 3)
+        # the witness up to gamma, checked inside K; gamma's algebraic
+        # number isolates a degree-9 polynomial with 382-bit coefficients
         K = nfield.nf_new(C3C3_NONIC)
         autos = nfield.nf_automorphisms(K)
         gamma, best = _nonic_c3c3_gamma(K, autos)
+        start = time.perf_counter()
+        assert nfield.fe_to_algnum(K, gamma, best).degree == 9
+        assert time.perf_counter() - start < 1
         logs = nfield._place_logs(K, gamma)
 
         def proved(j, rel, i=None):

@@ -136,7 +136,7 @@ class TestDegreeSets:
         good = [q for q in (11, 13, 17, 19, 23) if _squarefree_mod(g, q) is not None][:3]
         assert len(good) == 3
         for q in good:  # irreducible mod none of the first three good primes
-            ddf = factor._ddf(factor._gf_monic(_squarefree_mod(g, q), q), q)
+            ddf = factor._ddf(_squarefree_mod(g, q), q)
             assert [d for _, d in ddf] != [5]
         assert factor._degree_screen(g)[0] == 1 | 1 << 5
 

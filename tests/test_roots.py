@@ -15,7 +15,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mahlerdyn import roots
+from mahlerdyn import nfield, roots
+from mahlerdyn.classify import _nonic_c3c3_gamma
 from mahlerdyn.errors import ExactCheckFailed, InternalPrecisionExceeded, NotIrreducible, NotSquarefree
 from mahlerdyn.factor import is_irreducible
 from mahlerdyn.intpoly import IntPoly, from_text, is_squarefree, trace_poly
@@ -43,12 +44,16 @@ from mahlerdyn.roots import (
     signature,
 )
 from oracles import numeric_roots, sturm_real_roots
+from test_classify import C3C3_NONIC
 from test_mahler import CM6, WANDER6, rand_algnum
 
 P = from_text
 
 LEHMER = P("1,1,0,-1,-1,-1,-1,-1,0,1,1")
 SALEM4 = P("1,-1,-1,-1,1")  # smallest quartic Salem polynomial
+SQRT2 = P("-2,0,1")
+# sqrt(2) and sqrt(2 + 10^-12), about 2^-41 apart, and their negatives
+CLOSE_PAIR = SQRT2 * P("-2000000000001,0,1000000000000")
 
 
 def rand_squarefree(rng, max_deg=8, bound=6, nonzero_const=False):
@@ -136,8 +141,28 @@ def mignotte(n, a):
 BEYOND_DOUBLE = IntPoly((-1, -10 ** 320, 0, 1))
 
 
+WIDE_MODULI = IntPoly((1,) + (0,) * 7 + (1 << 200, 0, 0, 1))  # x^11 + 2^200 x^8 + 1
+
+
+def c3c3_gamma_poly():
+    """The characteristic polynomial of the C3xC3 witness gamma: degree 9,
+    382-bit coefficients, real roots of moduli from 2^-180 to 2^191."""
+    K = nfield.nf_new(C3C3_NONIC)
+    gamma, _ = _nonic_c3c3_gamma(K, nfield.nf_automorphisms(K))
+    return nfield._char_poly(K, gamma)
+
+
 class TestSeedLadder:
-    """Inputs on which the double-precision rung fails and a later one settles."""
+    """Inputs on which the double-precision rung fails and a later one
+    settles, all seeded by the one Aberth iteration: mpmath.polyroots raises."""
+
+    @pytest.fixture(autouse=True)
+    def no_polyroots(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("mpmath.polyroots called")
+
+        monkeypatch.setattr(mpmath, "polyroots", fail)
+        roots._isolate_cached.cache_clear()
 
     @pytest.mark.parametrize("n, a, reals", [(9, 100, 3), (12, 1000, 4)])
     def test_mignotte_cluster(self, n, a, reals):
@@ -154,6 +179,19 @@ class TestSeedLadder:
         boxes = isolate_roots(p)
         assert len(boxes) == 3
         assert sum(1 for box in boxes if box.center[1] == 0) == sturm_real_roots(p) == 3
+
+    @pytest.mark.parametrize("poly", [lambda: WIDE_MODULI, c3c3_gamma_poly], ids=["x11+2^200x8+1", "c3c3-gamma"])
+    def test_root_moduli_far_apart(self, poly):
+        # the Newton polygon seeds each root at its own scale, which rung 0
+        # cannot hold at the unit 2^-128
+        p = poly()
+        seeds, b, snap = next(_ladder(p))
+        assert seeds is None or _certify(p, seeds, b, snap) is None
+        start = time.perf_counter()
+        boxes = isolate_roots(p)
+        assert time.perf_counter() - start < 1
+        assert len(boxes) == p.degree
+        assert sum(1 for box in boxes if box.center[1] == 0) == sturm_real_roots(p)
 
 
 def _mp_fraction(v):
@@ -201,7 +239,7 @@ class TestSeedRounding:
     def test_nan_aberth_iterate_fails_the_rung(self, monkeypatch):
         # every start is nan, so every iterate settles at nan at once and the
         # rung gives no seeds instead of raising
-        monkeypatch.setattr(roots, "_initial_guesses", lambda a: [complex(math.nan, 0.0)] * (len(a) - 1))
+        monkeypatch.setattr(roots, "_initial_guesses", lambda a, exp, rect: [complex(math.nan, 0.0)] * (len(a) - 1))
         assert roots._aberth_seeds(P("-1,-1,0,1")) is None
 
     def test_rung_zero_isolation_calls_no_mpmath(self, monkeypatch):
@@ -243,8 +281,9 @@ class TestCanonicalOrder:
 
     @pytest.mark.parametrize(
         "p",
-        [LEHMER, SALEM4, CM6, WANDER6, P("36,0,49,0,14,0,1")],
-        ids=["tau", "salem4", "cm6", "wander6", "equal-re"],  # (x^2+1)(x^2+4)(x^2+9)
+        [LEHMER, SALEM4, CM6, WANDER6, P("36,0,49,0,14,0,1"), CLOSE_PAIR],
+        # (x^2+1)(x^2+4)(x^2+9), and real roots closer than the order grid
+        ids=["tau", "salem4", "cm6", "wander6", "equal-re", "close-pair"],
     )
     def test_named_fixtures(self, p):
         self._check(p)
@@ -335,10 +374,6 @@ class TestRefine:
         with pytest.raises(InternalPrecisionExceeded):
             refine(box, p, Fraction(1, 1 << 64))
 
-
-SQRT2 = P("-2,0,1")
-# sqrt(2) and sqrt(2 + 10^-12), about 2^-41 apart, and their negatives
-CLOSE_PAIR = SQRT2 * P("-2000000000001,0,1000000000000")
 
 
 def _holds_sqrt2(box):
