@@ -4,14 +4,15 @@ Verdicts are either AllPreperiodic (every element's measure orbit terminates),
 HasWanderer (a concrete unit plus a machine-checked certificate), or
 Unsupported (no proven statement applies).  Witnesses are found by one
 search loop (``_first_witness``): over exponent bounds, then over (pattern,
-certify) pairs, it asks ``nf_pattern_search`` for the first unit of the unit
-sublattice with the pattern's conjugate-modulus layout and returns the first
-certificate.  Every numeric decision (layouts, signs, exponent choices) is
-made on certified balls or ``nfield._place_logs`` intervals over one bounded
-ladder, ``nfield._on_ladder``; open at the top rung refutes a strict relation,
-or raises where a rung must settle it (``_settled``).  Log intervals are ints at
-the unit 2^-(prec + _GUARD); a product of units is decided on the sum of its
-factors' logs (``_product_logs``).  Every candidate is then certified exactly.
+certify) pairs, it asks ``nf_pattern_search`` for the first unit of a unit
+lattice with the pattern's conjugate-modulus layout and returns the first
+certificate.  The lattice is ``nf_unit_sublattice`` of the field, or, for
+the C2^3 octic and the C3xC3 nonic, the subfield units that
+``_subfield_product`` embeds in K.  Every numeric decision (layouts, signs,
+the D5 comparison) is made on certified balls or ``nfield._place_logs``
+intervals over one bounded ladder, ``nfield._on_ladder``; open at the top
+rung refutes a strict relation, or raises where a rung must settle it
+(``_settled``).  Every candidate is then certified exactly.
 There are two certifiers: the orbit engine
 (``_orbit_witness``: an exact PowerIdentity or TorsionFreePower, with a cited
 theorem's growth chain 1 < M^1 < ... < M^k as the fallback), and the product
@@ -70,24 +71,20 @@ from .nfield import (
     ConjugatePattern,
     FieldElement,
     NumberField,
+    UnitSublattice,
     _aut_bound_reason,
     _compose_keys,
     _conjugate_pairs,
-    _conjunction,
     _decide,
     _fe_horner,
     _iv_add,
-    _iv_scale,
     _minpoly,
     _on_ladder,
     _place_logs,
-    _product_logs,
     _verify_pattern_exact,
     fe_add,
-    fe_inv,
     fe_mul,
     fe_neg,
-    fe_pow,
     fe_rational,
     fe_theta,
     fe_to_algnum,
@@ -99,7 +96,6 @@ from .nfield import (
     nf_unit_sublattice,
 )
 from .roots import (
-    _GUARD,
     IsolatingBox,
     _ball,
     _ball_add,
@@ -204,25 +200,6 @@ def _depressed_quartic(G: IntPoly) -> IntPoly:
     return dep
 
 
-def _quartic_splits_over_disc_field(P: int, Q: int, R: int, D: int) -> bool:
-    """Whether t^4 + P t^2 + Q t + R factors into quadratics over Q(sqrt(D)).
-
-    A factorization (t^2+ut+v)(t^2-ut+w) forces u^2 to be a rational root of
-    C(t) = t^3 + 2P t^2 + (P^2-4R) t - Q^2, with u rational or in sqrt(D)*Q,
-    because the conjugation of Q(sqrt(D)) either fixes or swaps the factors.
-    The u = 0 case degenerates to v, w solving z^2 - P z + R = 0.
-    """
-    if Q == 0:
-        disc2 = P * P - 4 * R
-        if _is_square(disc2) or _is_square(disc2 * D):
-            return True
-    C = IntPoly((-Q * Q, P * P - 4 * R, 2 * P, 1))
-    for t0 in _rational_roots(C):
-        if t0 != 0 and (_is_square(t0) or _is_square(t0 * D)):
-            return True
-    return False
-
-
 def _galois_quartic(G: IntPoly) -> str:
     dep = _depressed_quartic(G)
     P, Q, R = dep[2], dep[1], dep[0]
@@ -232,10 +209,15 @@ def _galois_quartic(G: IntPoly) -> str:
         return "V4"
     if not rational:
         return "A4" if _is_square(discriminant(G)) else "S4"
+    # Kappe-Warren (Amer. Math. Monthly 96 (1989)): with r the one rational
+    # resolvent root, C4 exactly when x^2 - r x + R and x^2 + P - r split over
+    # Q(sqrt(D)), i.e. r^2 - 4R and r - P are each a square or D times one
     D = discriminant(dep)
     if D.denominator != 1:
         raise ExactCheckFailed("discriminant of a monic quartic is not an integer")
-    return "C4" if _quartic_splits_over_disc_field(P, Q, R, int(D)) else "D4"
+    (r,) = rational
+    cyclic = all(_is_square(v) or _is_square(v * D) for v in (r * r - 4 * R, r - P))
+    return "C4" if cyclic else "D4"
 
 
 # ---------------------------------------------------------------------------
@@ -933,69 +915,78 @@ def _classify_sextic_galois(K, autos) -> FieldVerdict:
     raise WitnessSearchFailed(f"no verified chain unit in the {shape} sextic")
 
 
-def _octic_c2cubed_witness(K, autos) -> HasWanderer:
-    """Product of powered quadratic-subfield units with measure its square.
-
-    The three quadratic subfields come from order-4 subgroups intersecting
-    trivially, so the sign patterns of the unit logs across the eight
-    embeddings exhaust {+,-}^3 and the all-plus embedding is place 0.  The
-    exponents balance the logs b_i so that exactly the all-plus conjugate
-    and the three single-flip conjugates land outside the unit circle.
-    """
-    ident = tuple(range(K.degree))
-    others = [p for p in autos if p != ident]
-    subgroups = dict.fromkeys(
-        frozenset((ident, a, b, _compose_keys(a, b))) for a, b in itertools.combinations(others, 2)
-    )
-    triple = next(
-        (hs for hs in itertools.combinations(subgroups, 3) if len(frozenset.intersection(*hs)) == 1),
+def _independent_subgroups(autos, rank) -> tuple[frozenset, ...]:
+    """``rank`` subgroups of index p of Aut(K) = (C_p)^rank that meet in the
+    identity alone, so their fixed fields, of degree p, have K as their
+    compositum: the first such family, in the order of autos, of the
+    subgroups spanned by rank - 1 keys each."""
+    ident = tuple(range(len(next(iter(autos)))))
+    spans = {}
+    for gens in itertools.combinations([p for p in autos if p != ident], rank - 1):
+        group, new = set(), {ident}
+        while new:
+            group |= new
+            new = {_compose_keys(g, k) for g in new for k in gens} - group
+        spans[frozenset(group)] = None
+    found = next(
+        (hs for hs in itertools.combinations(spans, rank) if len(frozenset.intersection(*hs)) == 1),
         None,
     )
-    if triple is None:
-        raise UnsupportedGroup("no three independent quadratic subfields")
-    units, unit_logs = [], []
-    for H in triple:
-        poly, w = _fixed_field_poly(K, [autos[p] for p in H], 2)
-        beta = nf_unit_sublattice(nf_new(poly)).generators[0]
-        x = _positive_at(K, _fe_horner(K, beta.coords, w), 0)  # beta in K, theta_sub -> w
-        log = _place_logs(K, x)
-        if not _settled(lambda prec: _decide(log[prec](0), ">"), "|x| > 1 of a subfield unit"):
-            x = _positive_at(K, fe_inv(K, x), 0)
-            log = _place_logs(K, x)
-        units.append(x)
-        unit_logs.append(log)
-
-    def exponents(prec):
-        unit = 1 << (prec + _GUARD)
-        logs = [log[prec](0) for log in unit_logs]
-        # b is in [lo, hi] / unit. Stable means: floor(b), floor(1/b) and the ceil(1/b)*b
-        # ordering (unit-free) are decided by the intervals (b, 1/b are never integers)
-        if any(lo // unit != hi // unit for lo, hi in logs):
-            return None
-        if any(unit // hi != unit // lo for lo, hi in logs):
-            return None
-        ceils = [hi // unit + 1 for _, hi in logs]
-        inv_ceils = [unit // lo + 1 for lo, _ in logs]
-        ranked = sorted(range(3), key=lambda i: inv_ceils[i] * logs[i][0])
-        if any(
-            inv_ceils[i] * logs[i][1] >= inv_ceils[j] * logs[j][0]
-            for i, j in zip(ranked, ranked[1:])
-        ):
-            return None
-        b1, b2, b3 = ranked
-        return {
-            b1: inv_ceils[b1] * (ceils[b2] + ceils[b3]),
-            b2: inv_ceils[b2] * ceils[b3],
-            b3: inv_ceils[b3] * ceils[b2],
-        }
-
-    n = _settled(exponents, "stable logs of the subfield units")
-    alpha = fe_rational(K, 1)
-    for i in range(3):
-        alpha = fe_mul(K, alpha, fe_pow(K, units[i], n[i]))
-    found = _orbit_witness(fe_to_algnum(K, alpha), 1)
     if found is None:
-        raise WitnessSearchFailed("powered subfield unit failed M(x) = x^2")
+        raise UnsupportedGroup(f"no {rank} independent subgroups of prime index")
+    return found
+
+
+def _subfield_product(K, autos, subgroups) -> tuple[FieldElement, int]:
+    """(x, top): a product of powers of subfield units whose measure is the
+    square of its conjugate at the place top.
+
+    The fixed field of each subgroup, of degree d, gives a unit l with one
+    conjugate outside the unit circle, positive there: the first unit that
+    _first_witness finds on one of the d! one-outside layouts. Embedded in K,
+    l is large at the places over that conjugate and small elsewhere. A place
+    of K is outside when at most one l is small there, and top is the one
+    place where none is. x is the first product of the l's that
+    nf_pattern_search finds with the outside places above 1 and the others
+    below. For C2^3 (three quadratic l's) and C3xC3 (two cubic ones) the logs
+    of each l over the outside places sum to twice its log at top, so
+    log M(x) = 2 log|x| there.
+    """
+    units = []
+    for H in subgroups:
+        d = K.degree // len(H)
+        poly, w = _fixed_field_poly(K, [autos[p] for p in H], d)
+        Ksub = nf_new(poly)
+        candidates = [
+            (
+                ConjugatePattern(order=tuple((i,) for i in perm), one_position=1),
+                functools.partial(_positive_at, Ksub, place=perm[0]),
+            )
+            for perm in itertools.permutations(range(d))
+        ]
+        u = _first_witness(Ksub, nf_unit_sublattice(Ksub), candidates)
+        if u is None:
+            raise WitnessSearchFailed(f"no unit with one conjugate outside in a degree-{d} subfield")
+        units.append(_fe_horner(K, u.coords, w))  # u in K: theta_sub -> w
+    logs = [_place_logs(K, u) for u in units]
+    small = [
+        sum(_settled(lambda prec: _decide(log[prec](j), "<"), "sign of a unit log") for log in logs)
+        for j in range(K.degree)
+    ]
+    outside = tuple(j for j, count in enumerate(small) if count <= 1)
+    inside = tuple(j for j, count in enumerate(small) if count > 1)
+    pattern = ConjugatePattern(order=(outside, inside), one_position=1)
+    x = nf_pattern_search(K, UnitSublattice(tuple(units), tuple(logs)), pattern, 64)
+    return x, small.index(0)
+
+
+def _subfield_product_witness(K, autos, rank) -> HasWanderer:
+    """The orbit witness of _subfield_product over _independent_subgroups:
+    x made positive at top, where M(x) = x^2."""
+    x, top = _subfield_product(K, autos, _independent_subgroups(autos, rank))
+    found = _orbit_witness(fe_to_algnum(K, _positive_at(K, x, top), top), 1)
+    if found is None:
+        raise WitnessSearchFailed("subfield-unit product failed M(x) = x^2")
     return found
 
 
@@ -1037,13 +1028,8 @@ def _octic_q8_witness(K, autos) -> HasWanderer:
     return found
 
 
-def _octic_cyclic_quartic_subfield(K, autos, shape) -> IntPoly:
+def _octic_cyclic_quartic_subfield(K, autos) -> IntPoly:
     ident = tuple(range(8))
-    if shape == "C8":
-        g = next(p for p in autos if len(_orbit(p)) == 8)
-        g2 = _compose_keys(g, g)
-        poly, _ = _fixed_field_poly(K, [autos[ident], autos[_compose_keys(g2, g2)]], 4)
-        return poly
     for h in autos:
         if len(_orbit(h)) != 2:
             continue
@@ -1072,74 +1058,12 @@ def _classify_octic_galois(K, autos) -> FieldVerdict:
         )
     shape = _group_shape(list(autos))
     if shape in ("C8", "C4xC2"):
-        return classify_quartic(_octic_cyclic_quartic_subfield(K, autos, shape))
+        return classify_quartic(_octic_cyclic_quartic_subfield(K, autos))
     if shape == "D4_8":
         return classify_quartic(_octic_d4_quartic_subfield(K, autos))
     if shape == "C2cubed":
-        return _octic_c2cubed_witness(K, autos)
+        return _subfield_product_witness(K, autos, 3)
     return _octic_q8_witness(K, autos)
-
-
-def _nonic_c3c3_gamma(K, autos) -> tuple[FieldElement, int]:
-    """(gamma, dominant place) for gamma = l1^a l2^b, l1 and l2 Pisot units
-    of two cubic subfields. (a, b) is the first pair by (a + b, a) that puts
-    the four conjugates pairing one unit's dominant conjugate with a smaller
-    one of the other outside the unit circle on some rung; then five
-    conjugates lie outside, and the measure is the square of the dominant
-    one."""
-    ident = tuple(range(9))
-    cubics = dict.fromkeys(
-        frozenset((ident, p, _compose_keys(p, p))) for p in autos if len(_orbit(p)) == 3
-    )
-    pisot = []
-    for H in list(cubics)[:2]:
-        poly, w = _fixed_field_poly(K, [autos[p] for p in H], 3)
-        Ksub = nf_new(poly)
-
-        def pisot_at(a):
-            return lambda x: (_positive_at(Ksub, x, a), a)
-
-        candidates = [
-            (ConjugatePattern(order=((a,), (b,), (c,)), one_position=1), pisot_at(a))
-            for a, b, c in itertools.permutations(range(3))
-        ]
-        found = _first_witness(Ksub, nf_unit_sublattice(Ksub), candidates)
-        if found is None:
-            raise WitnessSearchFailed("no Pisot unit in a cubic subfield")
-        x, top = found
-        pisot.append((_place_logs(Ksub, x), top, _fe_horner(K, x.coords, w)))
-    (lg1, t1, l1), (lg2, t2, l2) = pisot
-    mixed = [(j, t2) for j in range(3) if j != t1] + [(t1, k) for k in range(3) if k != t2]
-
-    def outside(a, b, prec):
-        sums = (_iv_add(_iv_scale(lg1[prec](j), a), _iv_scale(lg2[prec](k), b)) for j, k in mixed)
-        return _conjunction(_decide(log, ">") for log in sums)
-
-    pairs = ((a, total - a) for total in range(2, 65) for a in range(1, total))
-    choice = next((ab for ab in pairs if _on_ladder(functools.partial(outside, *ab))), None)
-    if choice is None:
-        raise WitnessSearchFailed("no exponent pair balanced the Pisot units")
-    logs = _product_logs([_place_logs(K, l1), _place_logs(K, l2)], choice)
-
-    def dominant(prec):
-        log = logs[prec]
-        above = (
-            _conjunction(_decide(log(j), ">", log(i)) for i in range(9) if i != j)
-            for j in range(9)
-        )
-        return next((j for j, ok in enumerate(above) if ok), None)
-
-    gamma = fe_mul(K, fe_pow(K, l1, choice[0]), fe_pow(K, l2, choice[1]))
-    return gamma, _settled(dominant, "dominant conjugate")
-
-
-def _nonic_c3c3_witness(K, autos) -> HasWanderer:
-    """The orbit witness of _nonic_c3c3_gamma at its dominant place."""
-    gamma, best = _nonic_c3c3_gamma(K, autos)
-    found = _orbit_witness(fe_to_algnum(K, gamma, best), 1)
-    if found is None:
-        raise WitnessSearchFailed("powered Pisot product failed M(x) = x^2")
-    return found
 
 
 def classify_galois_small(p: IntPoly) -> FieldVerdict:
@@ -1173,7 +1097,7 @@ def classify_galois_small(p: IntPoly) -> FieldVerdict:
         return _classify_octic_galois(K, autos)
     if _group_shape(list(autos)) == "C9":
         return classify_cyclic(G)
-    return _nonic_c3c3_witness(K, autos)
+    return _subfield_product_witness(K, autos, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -1217,35 +1141,15 @@ def classify_cm(p: IntPoly) -> Optional[FieldVerdict]:
 
 
 def _invariant_factors(orders: Sequence[int]) -> list[int]:
-    primary: dict[int, list[int]] = {}
-    for d in orders:
-        d = int(d)
-        if d < 1:
-            raise ValueError("cyclic factor orders must be positive")
-        rest = d
-        q = 2
-        while q * q <= rest:
-            if rest % q == 0:
-                e = 0
-                while rest % q == 0:
-                    rest //= q
-                    e += 1
-                primary.setdefault(q, []).append(q**e)
-            q += 1
-        if rest > 1:
-            primary.setdefault(rest, []).append(rest)
-    for q in primary:
-        primary[q].sort(reverse=True)
-    width = max((len(v) for v in primary.values()), default=0)
-    out = []
-    for i in range(width):
-        f = 1
-        for q in primary:
-            if i < len(primary[q]):
-                f *= primary[q][i]
-        out.append(f)
-    out.reverse()
-    return out
+    """The invariant factors d1 | d2 | ... of the product of cyclic groups of
+    the given orders: C_a x C_b = C_gcd(a,b) x C_lcm(a,b) turns the list into
+    a divisibility chain, and the trivial factors are dropped."""
+    ds = [int(d) for d in orders]
+    if any(d < 1 for d in ds):
+        raise ValueError("cyclic factor orders must be positive")
+    for i, j in itertools.combinations(range(len(ds)), 2):
+        ds[i], ds[j] = math.gcd(ds[i], ds[j]), math.lcm(ds[i], ds[j])
+    return [d for d in ds if d != 1]
 
 
 def classify_abelian(invariants: Sequence[int]) -> FieldVerdict:

@@ -41,10 +41,20 @@ class BoxAmbiguous(MahlerdynError):
 class InternalPrecisionExceeded(MahlerdynError):
     """The working-precision ladder hit its hard cap before certifying.
 
-    Raised instead of ever returning an uncertified answer. The caps are
-    fixed: root isolation and refinement stop at ``roots._PREC_CAP`` =
-    2^16 bits, and the minpoly-guessing ladder in ``mahler`` stops at 4096
-    bits.
+    Raised instead of ever returning an uncertified answer. Every ladder
+    has a fixed cap:
+
+    - root isolation and refinement: ``roots._PREC_CAP`` = 2^16 bits;
+    - the minpoly-guessing ladder of ``mahler``: 4096 bits, after which a
+      product resolvent above degree 64 raises; one above degree
+      ``mahler._SUBSET_CAP`` = 1024 raises before it is built;
+    - automorphism discovery, ``nfield._AUTO_PREC``: 1536 bits, where this
+      error surfaces as AutomorphismsUndecided;
+    - the log-interval ladder of layouts and signs, ``nfield._LAYOUT_PREC``:
+      6144 bits, raised where a rung must settle the question;
+    - ``nfield.fe_to_algnum``: probes up to 4096 bits, and ``nf_embed``
+      refines 24 times before it gives up;
+    - the Cayley resolvent sextic, ``classify._cayley_sextic``: 5120 bits.
     """
 
 

@@ -64,7 +64,7 @@ _AUTO_PREC = (192, 384, 768, 1536)  # discovery ladder, bits
 _AUT_PRIMES = 40  # good primes the Frobenius bound tries at most
 # log interval ladder, bits, for the unit rank test (rungs 0-1), the minor
 # check (0-2), the torsion test (0), layouts of units and of exponent vectors,
-# and classify's signs, D5 test, C2^3 and C3xC3 exponents and dominant place.
+# and classify's signs and D5 test.
 # Open at the 6144-bit cap refutes a strict relation, or raises where a rung
 # must settle it.
 _LAYOUT_PREC = (96, 384, 1536, 6144)
@@ -91,7 +91,8 @@ class NumberField:
 
 @dataclass(frozen=True)
 class UnitSublattice:
-    """Units with log rows of certified rank r1 + r2 - 1. logs[i] is the
+    """Units that nf_pattern_search takes products of (nf_unit_sublattice
+    returns ones of certified rank r1 + r2 - 1). logs[i] is the
     _place_logs of generators[i], a cache that equality and hashing ignore:
     logs[i][prec](j) is log|sigma_j(generators[i])| on rung prec of
     _LAYOUT_PREC (conjugate embeddings share one interval)."""

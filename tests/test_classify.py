@@ -1,13 +1,16 @@
-"""Field-level verdicts: regressions for the CM test, the abelian rule, the
-quartic table (its all-preperiodic rows and the C4, D4 and S4 witnesses), the
-quintic (S5, F5, C5, D5) witnesses, the quintic resolvent behind
-galois_group_small, the sextic, C2^3 and C8 octic verdicts, the group shapes of
-orders 6, 8 and 9 on their regular representations, the C3xC3 nonic
-witness up to its measure identity in the field, the undecided
+"""Field-level verdicts: regressions for the CM test, the abelian rule and its
+invariant factors, the quartic table (its all-preperiodic rows, the C4, D4
+and S4 witnesses, and its groups against sympy), the quintic (S5, F5, C5, D5)
+witnesses, the quintic resolvent behind galois_group_small, the sextic, C2^3
+and C8 octic verdicts, the group shapes of orders 6, 8 and 9 on their regular
+representations, the C3xC3 nonic witness up to its measure identity in the
+field and its verdict up to the measure that still raises, the undecided
 automorphism count, and the two paths around the orbit certificate: the cited
 growth-chain fallback and a precision failure that must surface."""
 
+import collections
 import itertools
+import math
 import random
 import time
 
@@ -22,9 +25,10 @@ from mahlerdyn.classify import (
     HasWandererByTheorem,
     Unsupported,
     _group_shape,
+    _independent_subgroups,
     _invariant_factors,
-    _nonic_c3c3_gamma,
     _stable_cycles,
+    _subfield_product,
     _verified_automorphisms,
     classify_abelian,
     classify_cm,
@@ -61,6 +65,15 @@ C2CUBED_OCTIC = P("576,0,-960,0,352,0,-40,0,1")  # Q(sqrt 2, sqrt 3, sqrt 5)
 C3C3_NONIC = P("-1,-15,-51,-15,81,33,-32,-12,3,1")
 # x^8 + x^7 - 7x^6 - 6x^5 + 15x^4 + 10x^3 - 10x^2 - 4x + 1, Q(zeta_17)^+
 C8_OCTIC = P("1,-4,-10,10,15,-6,-7,1,1")
+
+
+def _element_order_counts(orders):
+    """How many elements of each order the product of the cyclic groups of
+    the given orders has."""
+    return collections.Counter(
+        math.lcm(*(m // math.gcd(x, m) for x, m in zip(xs, orders)))
+        for xs in itertools.product(*map(range, orders))
+    )
 
 
 def _assert_wandering_unit(v, degree):
@@ -158,6 +171,14 @@ class TestClassifyAbelian:
         assert _invariant_factors([3, 1, 9]) == [3, 9]
         with pytest.raises(ValueError):
             _invariant_factors([0])
+        # oracle: a finite abelian group is determined by how many elements
+        # it has of each order, and its invariant factors are > 1
+        for k in range(4):
+            for orders in itertools.product(range(1, 9), repeat=k):
+                ds = _invariant_factors(orders)
+                assert all(d > 1 for d in ds)
+                assert all(b % a == 0 for a, b in zip(ds, ds[1:]))
+                assert _element_order_counts(ds) == _element_order_counts(orders)
 
 
 class TestClassifyQuartic:
@@ -167,9 +188,8 @@ class TestClassifyQuartic:
             (P("1,-1,0,0,1"), "S4", (0, 2)),  # x^4 - x + 1
             (P("1,0,-4,0,1"), "V4", (4, 0)),  # x^4 - 4x^2 + 1, Q(sqrt 2, sqrt 3)
             (P("-2,0,0,0,1"), "D4", (2, 1)),  # x^4 - 2
-            # the fifth cyclotomic polynomial: its depressed quartic has
-            # a nonzero linear term, so the disc-field splitting test takes
-            # its cubic-root branch
+            # the fifth cyclotomic polynomial: cyclic, with a nonzero linear
+            # term in its depressed quartic
             (P("1,1,1,1,1"), "C4", (0, 2)),
         ],
         ids=["S4-imaginary", "V4-real", "D4-mixed", "C4-imaginary"],
@@ -178,6 +198,25 @@ class TestClassifyQuartic:
         assert galois_group_small(p) == group
         assert signature(p) == sig
         assert isinstance(classify_quartic(p), AllPreperiodic)
+
+    def test_galois_group_matches_sympy(self):
+        # oracle: sympy's galois_group on the irreducible x^4 + b x^2 + d,
+        # |b|, |d| <= 6 (V4, C4 or D4), and on their shifts x -> x + 1
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.numberfields.galoisgroups import galois_group
+
+        x = sympy.Symbol("x")
+        seen = set()
+        for b, d, shift in itertools.product(range(-6, 7), range(-6, 7), (0, 1)):
+            f = sympy.Poly((x + shift) ** 4 + b * (x + shift) ** 2 + d, x)
+            p = IntPoly(tuple(int(c) for c in reversed(f.all_coeffs())))
+            if not is_irreducible(p):
+                continue
+            group, _ = galois_group(f, by_name=True)
+            name = "V4" if group.value == "V" else group.value
+            assert galois_group_small(p) == name, p
+            seen.add(name)
+        assert seen == {"V4", "C4", "D4"}
 
     def test_totally_real_dihedral_quartic_has_certified_wanderer(self):
         # x^4 - 5x^2 + 3: the D4 labelings of the real chain witness
@@ -371,7 +410,7 @@ class TestGaloisSmall:
         # number isolates a degree-9 polynomial with 382-bit coefficients
         K = nfield.nf_new(C3C3_NONIC)
         autos = nfield.nf_automorphisms(K)
-        gamma, best = _nonic_c3c3_gamma(K, autos)
+        gamma, best = _subfield_product(K, autos, _independent_subgroups(autos, 2))
         start = time.perf_counter()
         assert nfield.fe_to_algnum(K, gamma, best).degree == 9
         assert time.perf_counter() - start < 1
@@ -393,6 +432,14 @@ class TestGaloisSmall:
         for j in outside:
             prod = nfield.fe_mul(K, prod, nfield.nf_apply(K, image[j], gamma))
         assert prod == nfield.fe_neg(K, nfield.fe_mul(K, gamma, gamma))
+
+    def test_c3c3_nonic_verdict_raises_at_its_measure(self):
+        # the whole nonic dispatch up to the witness's measure, whose
+        # degree-126 product resolvent the guess ladder cannot yet verify
+        start = time.perf_counter()
+        with pytest.raises(InternalPrecisionExceeded, match="degree-126"):
+            classify_galois_small(C3C3_NONIC)
+        assert time.perf_counter() - start < 15
 
 
 def _cyclic_product(*orders):

@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mahlerdyn import nfield, roots
-from mahlerdyn.classify import _nonic_c3c3_gamma
+from mahlerdyn.classify import _independent_subgroups, _subfield_product
 from mahlerdyn.errors import ExactCheckFailed, InternalPrecisionExceeded, NotIrreducible, NotSquarefree
 from mahlerdyn.factor import is_irreducible
 from mahlerdyn.intpoly import IntPoly, from_text, is_squarefree, trace_poly
@@ -148,7 +148,8 @@ def c3c3_gamma_poly():
     """The characteristic polynomial of the C3xC3 witness gamma: degree 9,
     382-bit coefficients, real roots of moduli from 2^-180 to 2^191."""
     K = nfield.nf_new(C3C3_NONIC)
-    gamma, _ = _nonic_c3c3_gamma(K, nfield.nf_automorphisms(K))
+    autos = nfield.nf_automorphisms(K)
+    gamma, _ = _subfield_product(K, autos, _independent_subgroups(autos, 2))
     return nfield._char_poly(K, gamma)
 
 
