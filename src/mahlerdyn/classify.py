@@ -16,8 +16,9 @@ rung refutes a strict relation, or raises where a rung must settle it
 There are two certifiers: the orbit engine
 (``_orbit_witness``: an exact PowerIdentity or TorsionFreePower, with a cited
 theorem's growth chain 1 < M^1 < ... < M^k as the fallback), and the product
-recurrence (``_recurrence_witness``: M(x) is the product of the outside
-conjugates of x, three times).
+recurrence (``_recurrence_witness``: three steps M(x) = the product of the
+outside conjugates of x, proved on the witness's log intervals summed through
+the automorphism keys, with no measure computed).
 
 Automorphism-group bookkeeping reads the keys of ``nf_automorphisms``, the
 certified embedding permutations: an automorphism's order is the cycle
@@ -78,10 +79,10 @@ from .nfield import (
     _decide,
     _fe_horner,
     _iv_add,
+    _layout_status,
     _minpoly,
     _on_ladder,
     _place_logs,
-    _verify_pattern_exact,
     fe_add,
     fe_mul,
     fe_neg,
@@ -405,34 +406,43 @@ def _orbit_at(K, place, steps, tag=None, facts=()):
     return lambda x: _orbit_witness(fe_to_algnum(K, x, place), steps, tag, facts)
 
 
-def _recurrence_witness(K, alpha, states, tag) -> Optional[HasWanderer]:
-    """alpha with three exact iterations of M(x) = (outside conjugates of x).
+def _recurrence_witness(K, keys, alpha, states, tag) -> Optional[HasWanderer]:
+    """alpha with three exact iterations of M(x) = (outside conjugates of x),
+    proved rung by rung on the _place_logs intervals of the unit alpha.
 
-    states are (pattern, automorphisms, fact) triples. _verify_pattern_exact
-    must find x on one of the patterns; the first state whose pattern it
-    matches names the automorphisms sending x to its conjugates outside the
-    unit circle, and the fact their product stands for. That product, made
-    positive, must equal M(x) exactly and grow strictly from 1; it is then
-    the next x.
+    states are (pattern, fact) pairs; a pattern must order the n places one
+    per level, with place 0 and another place outside, else ExactCheckFailed.
+    A step proves x's layout on one state's pattern (strict orders exclude
+    each other), so x's conjugates are distinct and M(x) = +-prod sigma_p(x)
+    at place 0, over the keys p with p[0] outside: its log at place j is the
+    sum of x's at the p[j], and it exceeds |x| > 1 at place 0 (the previous
+    measure after step 1). Refuted or open at the top rung: None.
     """
-    patterns = [pattern for pattern, _, _ in states]
-    x, prev, facts = alpha, _ONE, []
-    for k in range(1, 4):
-        i = _verify_pattern_exact(K, x, patterns)
-        if i is None:
-            return None
-        _, autos, fact = states[i]
-        prod = fe_rational(K, 1)
-        for g in autos:
-            prod = fe_mul(K, prod, nf_apply(K, g, x))
-        m = mahler_measure(fe_to_algnum(K, x))
-        nxt = _positive_at(K, prod, 0)
-        if not an_equal(fe_to_algnum(K, nxt), m) or an_compare(m, prev) != 1:
-            return None
-        facts.append(f"M^{k} {fact}")
-        x, prev = nxt, m
-    cert = CitedGrowth(tag=tag, facts=tuple(facts))
-    return HasWanderer(witness=fe_to_algnum(K, alpha), certificate=cert)
+    maps = []  # per state, the keys that send place 0 outside
+    for pattern, _ in states:
+        if sorted(pattern.order) != [(j,) for j in range(K.degree)]:
+            raise ExactCheckFailed("a chain state must order every place alone")
+        outside = [j for (j,) in pattern.order[: pattern.one_position]]
+        if 0 not in outside or len(outside) < 2:
+            raise ExactCheckFailed("a chain state must put place 0 and another place outside")
+        maps.append([p for p in keys if p[0] in outside])
+    logs = _place_logs(K, alpha)
+
+    def chain(prec):
+        ivs, facts = [logs[prec](j) for j in range(K.degree)], []
+        for k in range(1, 4):
+            status = [_layout_status(ivs.__getitem__, pattern) for pattern, _ in states]
+            if True not in status:
+                return None if None in status else False
+            i = status.index(True)
+            ivs = [functools.reduce(_iv_add, (ivs[p[j]] for p in maps[i])) for j in range(K.degree)]
+            facts.append(f"M^{k} {states[i][1]}")
+        return facts
+
+    facts = _on_ladder(chain)
+    if not facts:
+        return None
+    return HasWanderer(witness=fe_to_algnum(K, alpha), certificate=CitedGrowth(tag, tuple(facts)))
 
 
 def _first_witness(K, lattice, candidates, bounds=(None,)):
@@ -814,9 +824,9 @@ def classify_cyclic(p: IntPoly) -> FieldVerdict:
     """Wanderer in a cyclic field of odd degree n >= 5.
 
     Searches the alternating chain with (n+1)/2 conjugates outside, then
-    verifies for three exact iterations that the measure is the product of
-    the outside conjugates and lands in one of the four trapped chain states:
-    shape A or B, with (n+1)/2 or (n-1)/2 conjugates outside.
+    proves on log intervals (_recurrence_witness) that for three iterations
+    the measure lands in one of the four trapped chain states: shape A or B,
+    with (n+1)/2 or (n-1)/2 conjugates outside.
     """
     G = _monic_irreducible(p)
     n = G.degree
@@ -833,12 +843,10 @@ def classify_cyclic(p: IntPoly) -> FieldVerdict:
     e = next((e for e in map(_orbit, autos) if len(e) == n), None)
     if e is None:
         raise NotCyclic("no automorphism of full order")
-    at = {p[0]: g for p, g in autos.items()}
     lattice = nf_unit_sublattice(K)
     states = [
         (
             ConjugatePattern(order=tuple((e[k],) for k in powers), one_position=count),
-            [at[e[k]] for k in powers[:count]],
             f"is the product of the {count} outside conjugates "
             f"(chain shape {shape}), strictly larger than its predecessor",
         )
@@ -846,7 +854,7 @@ def classify_cyclic(p: IntPoly) -> FieldVerdict:
         for count in ((n + 1) // 2, (n - 1) // 2)
     ]
     certify = functools.partial(
-        _recurrence_witness, K, states=states, tag="distribution-invariant"
+        _recurrence_witness, K, list(autos), states=states, tag="distribution-invariant"
     )
     bounds = (1, 2) if n >= 9 else (1, 2, 3)
     found = _first_witness(K, lattice, [(states[0][0], certify)], bounds)
@@ -883,9 +891,8 @@ def _classify_sextic_galois(K, autos) -> FieldVerdict:
         )
     shape = _group_shape(list(autos))
     lattice = nf_unit_sublattice(K)
-    # each setup lists automorphisms, by their embedding index at place 0, in
-    # modulus-chain order; the first three send x to its outside conjugates,
-    # and their product must be M(x)
+    # each setup lists places, the embedding indices at place 0 of
+    # automorphisms, in modulus-chain order; the first three are outside
     if shape == "C6":
         setups = [[e[k] for k in (0, 5, 1, 4, 2, 3)] for e in map(_orbit, autos) if len(e) == 6]
     else:
@@ -896,7 +903,6 @@ def _classify_sextic_galois(K, autos) -> FieldVerdict:
             s2 = _compose_keys(s, s)
             seq = [_compose_keys(t, s), _compose_keys(t, s2), s, s2, t]
             setups.append([0] + [p[0] for p in seq])
-    at = {p[0]: g for p, g in autos.items()}
     fact = (
         "equals the product of the three outside conjugates "
         "and satisfies the same modulus chain"
@@ -904,9 +910,8 @@ def _classify_sextic_galois(K, autos) -> FieldVerdict:
     candidates = []
     for e in setups:
         pattern = ConjugatePattern(order=tuple((i,) for i in e), one_position=3)
-        states = [(pattern, [at[i] for i in e[:3]], fact)]
         certify = functools.partial(
-            _recurrence_witness, K, states=states, tag="pattern-recurrence"
+            _recurrence_witness, K, list(autos), states=[(pattern, fact)], tag="pattern-recurrence"
         )
         candidates.append((pattern, certify))
     found = _first_witness(K, lattice, candidates, (2, 3, None))

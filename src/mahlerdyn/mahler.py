@@ -427,24 +427,20 @@ def _torsion_free(a: AlgebraicNumber) -> Optional[bool]:
 
 
 def wandering_certificate(trace) -> Optional[WanderCert]:
-    """First power-identity certificate in scan order, if any."""
-    if len(trace) < 2:
+    """First power-identity certificate of the newest measure trace[-1], in
+    scan order, if any. orbit calls it on every step, so the earlier
+    measures have all been scanned."""
+    k = len(trace) - 1
+    if k < 1:
         return None
     logs = [_log2_abs(t) for t in trace]
-    for k in range(2, len(trace)):
-        for l in range(1, k):
-            for n in _exponent_candidates(logs[k], logs[l]):
-                if an_equal(trace[k], an_pow(trace[l], n)):
-                    return PowerIdentity(k, l, n)
-    alpha = trace[0]
-    tf: Optional[bool] = None
-    for k in range(1, len(trace)):
-        for n in _exponent_candidates(logs[k], abs(logs[0])):
-            if an_equal(trace[k], an_pow(alpha, n)):
-                if tf is None:
-                    tf = _torsion_free(alpha)
-                if tf:
-                    return TorsionFreePower(k, n)
+    for l in range(1, k):
+        for n in _exponent_candidates(logs[k], logs[l]):
+            if an_equal(trace[k], an_pow(trace[l], n)):
+                return PowerIdentity(k, l, n)
+    for n in _exponent_candidates(logs[k], abs(logs[0])):
+        if an_equal(trace[k], an_pow(trace[0], n)) and _torsion_free(trace[0]):
+            return TorsionFreePower(k, n)
     return None
 
 

@@ -63,8 +63,8 @@ _E_CAP = 8  # exponent-bound ladder limit for pattern search
 _AUTO_PREC = (192, 384, 768, 1536)  # discovery ladder, bits
 _AUT_PRIMES = 40  # good primes the Frobenius bound tries at most
 # log interval ladder, bits, for the unit rank test (rungs 0-1), the minor
-# check (0-2), the torsion test (0), layouts of units and of exponent vectors,
-# and classify's signs and D5 test.
+# check (0-2), the torsion test (0), layouts of exponent vectors, and
+# classify's signs, D5 test and product-recurrence chains.
 # Open at the 6144-bit cap refutes a strict relation, or raises where a rung
 # must settle it.
 _LAYOUT_PREC = (96, 384, 1536, 6144)
@@ -540,14 +540,13 @@ def _place_logs(K: NumberField, x: FieldElement) -> dict:
 def _product_logs(logs: Sequence[dict], exps: Sequence[int]) -> dict:
     """The _place_logs of prod g_i^exps[i] from the _place_logs logs of the
     g_i: log|sigma_j| is additive on units, so the sum of exps[i] times their
-    intervals on a rung encloses it, at the same unit. Summed when first read."""
+    intervals on a rung encloses it, at the same unit. Summed on every read."""
     terms = [(log, e) for log, e in zip(logs, exps) if e]
 
-    @functools.cache
-    def log(prec, j):
-        return functools.reduce(_iv_add, (_iv_scale(lg[prec](j), e) for lg, e in terms), (0, 0))
+    def at(prec):
+        return lambda j: functools.reduce(_iv_add, (_iv_scale(lg[prec](j), e) for lg, e in terms), (0, 0))
 
-    return {prec: functools.partial(log, prec) for prec in _LAYOUT_PREC}
+    return {prec: at(prec) for prec in _LAYOUT_PREC}
 
 
 # interval helpers over (lo, hi) pairs of ints or Fractions
@@ -786,22 +785,6 @@ def _on_ladder(decide):
     return next((d for d in map(decide, _LAYOUT_PREC) if d is not None), None)
 
 
-def _verify_pattern_exact(
-    K: NumberField, u: FieldElement, patterns: Sequence[ConjugatePattern]
-) -> Optional[int]:
-    """Index of the first pattern that u's own log intervals prove on some
-    rung of _LAYOUT_PREC, or None.
-
-    Each place of u is computed when first needed (see _place_logs).
-    A constraint still open at the top rung counts as refuted: exact for a
-    tie, and for a non-tie too close to separate a skipped candidate, never
-    a wrong layout.
-    """
-    logs = _place_logs(K, u)
-    holds = (_on_ladder(lambda prec: _layout_status(logs[prec], p)) for p in patterns)
-    return next((i for i, ok in enumerate(holds) if ok), None)
-
-
 def nf_pattern_search(
     K: NumberField,
     lattice: UnitSublattice,
@@ -814,9 +797,9 @@ def nf_pattern_search(
     exponent_bound (default _E_CAP). Each vector's layout is decided on the
     ladder from the _product_logs of lattice.logs, which enclose the logs of
     its unit: rung 0 refutes most vectors with a few integer additions, and
-    later rungs prove the layout. Only the unit returned is built. A
-    constraint still open at the top rung counts as refuted, as in
-    _verify_pattern_exact. NotFound when no vector within the bound passes.
+    later rungs prove the layout. Only the unit returned is built. Open at
+    the top rung refutes a constraint: a near tie only skips a vector.
+    NotFound when no vector within the bound passes.
     """
     _validate_pattern(K, pattern)
     cap = exponent_bound if exponent_bound is not None else _E_CAP

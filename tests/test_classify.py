@@ -1,8 +1,9 @@
 """Field-level verdicts: regressions for the CM test, the abelian rule and its
 invariant factors, the quartic table (its all-preperiodic rows, the C4, D4
 and S4 witnesses, and its groups against sympy), the quintic (S5, F5, C5, D5)
-witnesses, the quintic resolvent behind galois_group_small, the sextic, C2^3
-and C8 octic verdicts, the group shapes of orders 6, 8 and 9 on their regular
+witnesses (S5 in signatures (1, 2) and (3, 1)), the quintic resolvent behind
+galois_group_small, the C6, S3 and totally imaginary sextic, C2^3 and C8 octic
+verdicts, the group shapes of orders 6, 8 and 9 on their regular
 representations, the C3xC3 nonic witness up to its measure identity in the
 field and its verdict up to the measure that still raises, the undecided
 automorphism count, and the two paths around the orbit certificate: the cited
@@ -12,6 +13,7 @@ import collections
 import itertools
 import math
 import random
+import re
 import time
 
 import mpmath as mp
@@ -295,6 +297,14 @@ class TestClassifyQuintic:
         # one verified fact per exact iteration of the chain
         assert len(cert.facts) == 3
         _assert_measure_grows(v.witness)
+        # oracle: each step's count of outside conjugates is that of the
+        # roots of the previous iterate's minimal polynomial, from mpmath
+        x = v.witness
+        for fact in cert.facts:
+            count = int(re.search(r"product of the (\d+) outside", fact).group(1))
+            found = mp.polyroots([mp.mpf(c) for c in reversed(x.minpoly.coeffs)], maxsteps=200, extraprec=200)
+            assert count == sum(1 for r in found if abs(r) > 1)
+            x = mahler_measure(x)
 
     @pytest.mark.parametrize("p", [D5_COMPLEX, D5_REAL], ids=["complex", "real"])
     def test_d5_quintic_goes_through_the_exponent_recursion(self, p):
@@ -323,6 +333,15 @@ class TestClassifyQuintic:
         assert abs(w.minpoly.coeffs[0]) == 1 and w.minpoly.coeffs[-1] == 1
         _assert_exact_certificate(v)
         _assert_measure_grows(w)
+
+    def test_s5_quintic_with_one_complex_pair_has_certified_wanderer(self):
+        # signature (3, 1): the complex pair above three real conjugates
+        p = P("-1,-4,-2,-3,1,1")
+        assert galois_group_small(p) == "S5" and signature(p) == (3, 1)
+        v = classify_quintic(p)
+        _assert_wandering_unit(v, 5)
+        assert v.certificate == PowerIdentity(k=2, l=1, n=2)
+        _assert_exact_certificate(v)
 
 
 class TestQuinticResolvent:
@@ -388,6 +407,19 @@ class TestGaloisSmall:
         assert isinstance(cert, CitedGrowth) and cert.tag == "pattern-recurrence"
         # one verified fact per exact iteration of the product recurrence
         assert len(cert.facts) == 3
+        _assert_measure_grows(v.witness)
+
+    def test_s3_sextic_has_certified_wanderer(self):
+        # the Galois closure of x^3 - 4x + 2 (disc 148), totally real: the
+        # S3 setups of the product recurrence
+        p = P("4,4,-20,4,14,-8,1")
+        assert signature(p) == (6, 0)
+        v = classify_galois_small(p)
+        _assert_wandering_unit(v, 6)
+        cert = v.certificate
+        assert isinstance(cert, CitedGrowth) and cert.tag == "pattern-recurrence"
+        assert len(cert.facts) == 3
+        _assert_measure_grows(v.witness)
 
     def test_x6_plus_108_is_all_preperiodic(self):
         # totally imaginary Galois sextic

@@ -941,6 +941,19 @@ class TestExactChecksUnderOptimize:
             "f(p, m)[:m] + [f(p, m)[m] + 1]\n"
             "intpoly.resultant(from_text('1,0,2'), from_text('1,1'))\n"
         ),
+        # product-recurrence states in the cyclic cubic x^3 - 3x + 1 whose
+        # outside places leave out place 0, or hold it alone: M(x) > |x| at
+        # place 0 is not proved, so the chain never certifies
+        "chain_state_with_place_0_inside": (
+            "K = nfield.nf_new(from_text('1,-3,0,1'))\n"
+            "state = (nfield.ConjugatePattern(order=((1,), (2,), (0,)), one_position=2), 'fact')\n"
+            "classify._recurrence_witness(K, list(nfield.nf_automorphisms(K)), nfield.fe_theta(K), [state], 'tag')\n"
+        ),
+        "chain_state_with_one_place_outside": (
+            "K = nfield.nf_new(from_text('1,-3,0,1'))\n"
+            "state = (nfield.ConjugatePattern(order=((0,), (1,), (2,)), one_position=1), 'fact')\n"
+            "classify._recurrence_witness(K, list(nfield.nf_automorphisms(K)), nfield.fe_theta(K), [state], 'tag')\n"
+        ),
         # a depressed quartic that is not a monic quartic without cubic term
         "depressed_quartic_wrong": (
             "classify.transform_resolvent = lambda *args: from_text('1,1')\n"

@@ -29,11 +29,14 @@ def test_scripts_name_existing_modules():
 
 
 def test_runtime_imports_mpmath_only():
-    # sympy is a test extra
+    # sympy is a test extra: every top-level module that the package's
+    # imports load from outside the standard library is mahlerdyn or mpmath
+    # (site hooks load theirs before)
     code = (
-        "import sys, mahlerdyn.roots, mahlerdyn.algnum, mahlerdyn.mahler, "
-        "mahlerdyn.nfield, mahlerdyn.classify; "
-        "print(sorted(m for m in ('numpy', 'sympy') if m in sys.modules))"
+        "import sys; before = set(sys.modules); "
+        "import mahlerdyn.roots, mahlerdyn.algnum, mahlerdyn.mahler, mahlerdyn.nfield, mahlerdyn.classify; "
+        "top = {m.partition('.')[0] for m in set(sys.modules) - before}; "
+        "print(sorted(top - set(sys.stdlib_module_names) - {'mahlerdyn', 'mpmath'}))"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=300)
