@@ -10,9 +10,10 @@ certificate.  The lattice is ``nf_unit_sublattice`` of the field, or, for
 the C2^3 octic and the C3xC3 nonic, the subfield units that
 ``_subfield_product`` embeds in K.  Every numeric decision (layouts, signs,
 the D5 comparison) is made on certified balls or ``nfield._place_logs``
-intervals over one bounded ladder, ``nfield._on_ladder``; open at the top
+intervals over one bounded ladder, ``nfield._LAYOUT_PREC``; open at the top
 rung refutes a strict relation, or raises where a rung must settle it
-(``_settled``).  Every candidate is then certified exactly.
+(``_settled``, and ``algnum._real_sign`` for signs).  Every candidate is then
+certified exactly.
 There are two certifiers: the orbit engine
 (``_orbit_witness``: an exact PowerIdentity or TorsionFreePower, with a cited
 theorem's growth chain 1 < M^1 < ... < M^k as the fallback), and the product
@@ -40,6 +41,7 @@ from typing import Optional, Sequence, Union
 
 from .algnum import (
     AlgebraicNumber,
+    _real_sign,
     an_compare,
     an_equal,
     an_from_rational,
@@ -69,6 +71,7 @@ from .mahler import (
     orbit,
 )
 from .nfield import (
+    _LAYOUT_PREC,
     ConjugatePattern,
     FieldElement,
     NumberField,
@@ -474,12 +477,7 @@ def _settled(decide, what: str):
 
 def _positive_at(K, x: FieldElement, place: int) -> FieldElement:
     """x or -x, whichever is positive at the real place; x is nonzero."""
-
-    def negative(prec):
-        box = nf_embed(K, x, place, prec)
-        return _decide((box.center[0] - box.radius, box.center[0] + box.radius), "<")
-
-    return fe_neg(K, x) if _settled(negative, "sign of a nonzero element") else x
+    return fe_neg(K, x) if _real_sign(nf_embed(K, x, place, p) for p in _LAYOUT_PREC) < 0 else x
 
 
 # ---------------------------------------------------------------------------

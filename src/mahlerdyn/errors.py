@@ -54,6 +54,8 @@ class InternalPrecisionExceeded(MahlerdynError):
       6144 bits, raised where a rung must settle the question;
     - ``nfield.fe_to_algnum``: probes up to 4096 bits, and ``nf_embed``
       refines 24 times before it gives up;
+    - ``nfield.nf_embedding_permutation``: probes at 64 * 2^k bits, ended
+      by ``refine`` at ``roots._PREC_CAP``;
     - the Cayley resolvent sextic, ``classify._cayley_sextic``: 5120 bits.
     """
 

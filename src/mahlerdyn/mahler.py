@@ -27,7 +27,6 @@ from .algnum import (
     an_inv,
     an_mul,
     an_pow,
-    an_rational_value,
     classify_number,
 )
 from .errors import (
@@ -399,12 +398,6 @@ def _exponent_candidates(log_num: float, log_den: float) -> list[int]:
     return [n for n in (base - 1, base, base + 1) if 2 <= n <= _EXPONENT_CAP and abs(ratio - n) < 0.5]
 
 
-def _is_root_of_unity(a: AlgebraicNumber) -> bool:
-    if a.degree == 1:
-        return an_rational_value(a) in (1, -1)
-    return _is_cyclotomic_irreducible(a.minpoly)
-
-
 def _torsion_free(a: AlgebraicNumber) -> Optional[bool]:
     """True/False when decided; None when out of scope (degree > 6, not
     Perron). Torsion-free: no ratio a/conjugate is a root of unity."""
@@ -421,7 +414,7 @@ def _torsion_free(a: AlgebraicNumber) -> Optional[bool]:
     for conj in an_conjugates(a):
         if conj.box == a.box:
             continue
-        if _is_root_of_unity(an_mul(conj, inv_a)):
+        if _is_cyclotomic_irreducible(an_mul(conj, inv_a).minpoly):
             return False
     return True
 

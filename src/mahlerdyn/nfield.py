@@ -36,7 +36,6 @@ from .intpoly import (
     IntPoly,
     _gf_from,
     _gf_gcd,
-    _is_cyclotomic_irreducible,
     discriminant,
     lll_reduce,
     resultant,
@@ -48,7 +47,7 @@ from .roots import (
     _abs_bounds,
     _box_horner,
     _conjugates,
-    _frac_from_mp,
+    _dyadic,
     _pin,
     isolate_roots,
     refine,
@@ -63,8 +62,8 @@ _E_CAP = 8  # exponent-bound ladder limit for pattern search
 _AUTO_PREC = (192, 384, 768, 1536)  # discovery ladder, bits
 _AUT_PRIMES = 40  # good primes the Frobenius bound tries at most
 # log interval ladder, bits, for the unit rank test (rungs 0-1), the minor
-# check (0-2), the torsion test (0), layouts of exponent vectors, and
-# classify's signs, D5 test and product-recurrence chains.
+# check (0-2), layouts of exponent vectors, and classify's signs, D5 test
+# and product-recurrence chains.
 # Open at the 6144-bit cap refutes a strict relation, or raises where a rung
 # must settle it.
 _LAYOUT_PREC = (96, 384, 1536, 6144)
@@ -490,24 +489,33 @@ def _verify_group_closure(table: dict) -> None:
 # certified log intervals
 
 
-def _log_interval(lo: Fraction, hi: Fraction, prec: int = 100) -> tuple[Fraction, Fraction]:
-    """Certified enclosure of [log lo, log hi] for 0 < lo <= hi: mpmath at
-    max(100, prec) + 20 bits, padded by (1 + max |log|) * 2^-max(100, prec)."""
+def _log_interval(lo: Fraction, hi: Fraction, prec: int) -> tuple[int, int]:
+    """Certified enclosure of [log lo, log hi] for 0 < lo <= hi, as ints at
+    the unit 2^-(prec + _GUARD): mpmath at max(100, prec) + 20 bits, each end
+    read exactly and rounded outward to the unit, then padded by
+    (1 + max |log|) * 2^-max(100, prec), rounded up to whole units."""
     if lo <= 0:
         raise ExactCheckFailed("log of a modulus interval that reaches 0")
     bits = max(100, prec)
     with mp.workprec(bits + 20):
-        llo = _frac_from_mp(mp.log(mp.mpf(lo.numerator) / mp.mpf(lo.denominator)))
-        lhi = _frac_from_mp(mp.log(mp.mpf(hi.numerator) / mp.mpf(hi.denominator)))
-    pad = Fraction(1 + int(max(abs(llo), abs(lhi))), 1 << bits)
-    return (llo - pad, lhi + pad)
+        llo = mp.log(mp.mpf(lo.numerator) / mp.mpf(lo.denominator))
+        lhi = mp.log(mp.mpf(hi.numerator) / mp.mpf(hi.denominator))
+        top = int(max(abs(llo), abs(lhi)))
+    unit = prec + _GUARD
+    pad = -(-(1 + top) << unit >> bits)
+    (m, e), (n, f) = _dyadic(llo), _dyadic(lhi)
+    return _floor_at(m, e + unit) - pad, -_floor_at(-n, f + unit) + pad
 
 
-def _log_abs(
-    K: NumberField, x: FieldElement, place: int, prec: int
-) -> Optional[tuple[Fraction, Fraction]]:
+def _floor_at(m: int, s: int) -> int:
+    """floor(m 2^s)."""
+    return m << s if s >= 0 else m >> -s
+
+
+def _log_abs(K: NumberField, x: FieldElement, place: int, prec: int) -> Optional[tuple[int, int]]:
     """Certified interval for log|sigma_place(x)| from a ball of radius
-    2^-prec, or None while that ball still reaches 0."""
+    2^-prec, as ints at the unit 2^-(prec + _GUARD), or None while that ball
+    still reaches 0."""
     lo, hi = _abs_bounds(nf_embed(K, x, place, prec))
     return _log_interval(lo, hi, prec) if lo > 0 else None
 
@@ -517,9 +525,10 @@ def _place_logs(K: NumberField, x: FieldElement) -> dict:
     ints at the unit 2^-(prec + _GUARD): the interval of a ball of radius
     2^-prec or finer, rounded outward once per place and rung. A place is
     computed when first needed, and conjugate embeddings share it. A ball's
-    precision doubles until it excludes 0; later rungs reuse that climb."""
+    precision doubles until it excludes 0; later rungs reuse that climb,
+    shifting its ints to their coarser unit."""
     pairs = _conjugate_pairs(K)
-    known: dict = {}  # place -> (bits, Fraction interval)
+    known: dict = {}  # place -> (bits, interval at the unit 2^-(bits + _GUARD))
 
     @functools.cache
     def log(prec, j):
@@ -530,9 +539,7 @@ def _place_logs(K: NumberField, x: FieldElement) -> dict:
             bits = max(prec, 2 * bits)
             iv = _log_abs(K, x, j, bits)
         known[j] = bits, iv
-        lo, hi = iv
-        unit = prec + _GUARD
-        return (lo.numerator << unit) // lo.denominator, -(-(hi.numerator << unit) // hi.denominator)
+        return iv[0] >> (bits - prec), -(-iv[1] >> (bits - prec))
 
     return {prec: functools.partial(log, prec) for prec in _LAYOUT_PREC}
 
@@ -549,7 +556,7 @@ def _product_logs(logs: Sequence[dict], exps: Sequence[int]) -> dict:
     return {prec: at(prec) for prec in _LAYOUT_PREC}
 
 
-# interval helpers over (lo, hi) pairs of ints or Fractions
+# interval helpers over (lo, hi) pairs of ints
 
 
 def _iv_add(a, b):
@@ -569,37 +576,26 @@ def _iv_sub(a, b):
     return (a[0] - b[1], a[1] - b[0])
 
 
-def _iv_div(a, b):
-    if not (b[0] > 0 or b[1] < 0):
-        raise ExactCheckFailed("interval division by an interval containing 0")
-    vals = tuple(Fraction(p, q) for p in a for q in b)
-    return (min(vals), max(vals))
-
-
 def _interval_rank(rows) -> bool:
     """Whether the interval rows are certified linearly independent.
 
-    Gaussian elimination where every pivot interval must exclude 0; the true
-    matrix is one selection from the intervals, so k certified pivots prove
-    rank >= k for it.
+    Division-free Gaussian elimination where every pivot interval must
+    exclude 0: against each earlier pivot row q, row <- p*row - a*q, with p
+    the pivot interval and a the row's entry in its column. On every
+    selection from the intervals that step is an invertible row operation,
+    since p excludes 0, so the true matrix keeps its rank, and k certified
+    pivots prove rank >= k for it.
     """
-    work = [list(r) for r in rows]
-    cols = len(work[0])
-    pivots: list[tuple[int, int]] = []
-    for ri, row in enumerate(work):
-        for pr, pc in pivots:
-            factor = _iv_div(row[pc], work[pr][pc])
-            for c in range(cols):
-                row[c] = _iv_sub(row[c], _iv_mul(factor, work[pr][c]))
-        pivot = None
+    pivots: list[tuple[list, int]] = []
+    for row in rows:
+        for q, pc in pivots:
+            p, a = q[pc], row[pc]
+            row = [_iv_sub(_iv_mul(p, v), _iv_mul(a, w)) for v, w in zip(row, q)]
         taken = {pc for _, pc in pivots}
-        for c in range(cols):
-            if c not in taken and (row[c][0] > 0 or row[c][1] < 0):
-                pivot = c
-                break
+        pivot = next((c for c, v in enumerate(row) if c not in taken and (v[0] > 0 or v[1] < 0)), None)
         if pivot is None:
             return False
-        pivots.append((ri, pivot))
+        pivots.append((row, pivot))
     return True
 
 
@@ -612,11 +608,13 @@ def nf_unit_sublattice(K: NumberField) -> UnitSublattice:
 
     Enumerates integer coordinate vectors by sup-norm rungs h = 1, 2, 4, ...
     up to _H_CAP, each rung only the band prev < sup-norm <= h (_sup_band,
-    so no rung repeats an earlier one), keeps exact norm +-1 elements,
-    discards torsion, and greedily collects generators until the rows of
-    log|sigma_j| over one column per place (j <= its conjugate) have
-    certified rank r1+r2-1 on rung 0 or 1 of _LAYOUT_PREC. One _place_logs
-    per candidate serves every test.
+    so no rung repeats an earlier one), keeps exact norm +-1 elements, and
+    greedily collects generators until the rows of log|sigma_j| over one
+    column per place (j <= its conjugate) have certified rank r1+r2-1 on
+    rung 0 or 1 of _LAYOUT_PREC. A candidate is kept only when its row adds
+    a certified pivot; a root of unity's log row is exactly 0, so no
+    enclosure of it ever does. One _place_logs per candidate serves every
+    test.
     """
     r1, r2 = K.signature
     rank_target = r1 + r2 - 1
@@ -630,8 +628,6 @@ def nf_unit_sublattice(K: NumberField) -> UnitSublattice:
     while h <= _H_CAP:
         for u in _coord_rung(K, prev, h):
             log = _place_logs(K, u)
-            if _is_torsion_unit(K, u, log):
-                continue
             rows = logs + [log]
             if any(_interval_rank(_log_rows(rows, cols, prec)) for prec in _LAYOUT_PREC[:2]):
                 gens.append(u)
@@ -697,15 +693,6 @@ def _coord_rung(K: NumberField, prev: int, h: int):
         u = nf_element(K, coords)
         if abs(nf_norm(K, u)) == 1:
             yield u
-
-
-def _is_torsion_unit(K: NumberField, u: FieldElement, log) -> bool:
-    """Whether the unit u, with _place_logs log, is a root of unity: not when
-    a rung-0 interval of log|sigma_j(u)| excludes 0, else by the exact
-    cyclotomic test on its minimal polynomial."""
-    if any(_decide(log[_LAYOUT_PREC[0]](j), "!=") for j in range(K.degree)):
-        return False
-    return _is_cyclotomic_irreducible(_minpoly(K, u))
 
 
 # ---------------------------------------------------------------------------

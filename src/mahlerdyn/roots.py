@@ -125,11 +125,6 @@ def _dyadic(v) -> tuple[int, int]:
     return -man if sign else man, exp
 
 
-def _frac_from_mp(v) -> Fraction:
-    m, e = _dyadic(v)
-    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
-
-
 def _horner(coeffs, x: int, y: int, d: int) -> tuple[int, int]:
     """d^n * p((x + iy) / d) as an exact integer pair (re, im), for d > 0 and
     the coefficients of p constant first, n = len(coeffs) - 1."""
@@ -173,10 +168,10 @@ def _newton_disk(p: IntPoly, dp: IntPoly, x: int, y: int, b: int) -> tuple[int, 
 # already carry. A chain converts its disks into balls once (_ball) and its
 # results back once (_from_ball): Horner in _box_horner,
 # mahler._product_enclosure and classify._cayley_sextic; _box_add and
-# _box_mul are the same kernel on single disks. Fractions remain at the
-# boundary: IsolatingBox keeps Fraction fields, and _box_inv builds the exact
-# image disk under z -> 1/z in Fractions, since the unit must follow the
-# radius of its result, not of its operand. The exact predicates
+# _box_mul are the same kernel on single disks, and _box_inv rounds the exact
+# image disk under z -> 1/z, held as integers over one denominator, at a unit
+# set by the radius of its result, not of its operand. Fractions remain at
+# the boundary: IsolatingBox keeps Fraction fields. The exact predicates
 # (_disjoint, _contained, _point_in, _circle_status) compare integer
 # numerators over one exact common denominator, so they are exact for any
 # rational disk, dyadic or not.
@@ -270,14 +265,15 @@ def _box_inv(a: IsolatingBox) -> IsolatingBox:
 
     The image of the disk (c, r) under z -> 1/z is exactly the disk
     (conj(c), r) / (|c|^2 - r^2), which is then rounded at a unit set by its
-    own radius."""
-    x, y = a.center
-    den = x * x + y * y - a.radius * a.radius
+    own radius. With c = (x + iy) / d and r = s / d over their common
+    denominator d, that disk is (d (x - iy), d s) / (x^2 + y^2 - s^2), all
+    integers."""
+    d, (x, y, s) = _common(*a.center, a.radius)
+    den = x * x + y * y - s * s
     if den <= 0:
         raise ZeroDivisionError("disk inverse of a disk meeting 0")
-    r = a.radius / den
-    k = _unit_bits(r)
-    return _from_ball(_ball(x / den, -y / den, r, k), k)
+    k = _unit_bits(Fraction(d * s, den))
+    return _from_ball(_over(d * x << k, -d * y << k, d * s << k, den), k)
 
 
 def _box_horner(coeffs, a: IsolatingBox) -> IsolatingBox:

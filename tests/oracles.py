@@ -4,8 +4,10 @@ These deliberately avoid the package's own algorithms: the resultant oracle is
 a fraction-free Sylvester determinant, exact real-root counts come from Sturm
 chains over Q, numeric root counts/positions come from mpmath at high
 working precision, cyclotomic factors are recognised by iterating the
-squarefree Graeffe map to its fixed point, and the logs of a product of units
-are summed exactly over Fractions. They exist to cross-check, never to decide.
+squarefree Graeffe map to its fixed point, the logs of a product of units
+are summed exactly over Fractions, and the rank of interval rows comes from
+Gaussian elimination with Fraction quotients. They exist to cross-check,
+never to decide.
 """
 
 import math
@@ -178,3 +180,29 @@ def fraction_log_sums(rows, exps):
         return lo, hi
 
     return log
+
+
+def fraction_interval_rank(rows) -> bool:
+    """Whether the interval rows are certified linearly independent, by
+    Gaussian elimination with interval quotients over Fractions: against each
+    earlier pivot row q, row <- row - (a / p) * q for the pivot interval p and
+    the row's entry a in its column; every pivot interval must exclude 0."""
+
+    def mul(a, b):
+        vals = [x * y for x in a for y in b]
+        return min(vals), max(vals)
+
+    def sub(a, b):
+        return a[0] - b[1], a[1] - b[0]
+
+    pivots = []
+    for row in rows:
+        for q, pc in pivots:
+            f = mul(row[pc], (1 / Fraction(q[pc][1]), 1 / Fraction(q[pc][0])))
+            row = [sub(v, mul(f, w)) for v, w in zip(row, q)]
+        taken = {pc for _, pc in pivots}
+        pivot = next((c for c, v in enumerate(row) if c not in taken and (v[0] > 0 or v[1] < 0)), None)
+        if pivot is None:
+            return False
+        pivots.append((row, pivot))
+    return True

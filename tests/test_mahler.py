@@ -11,7 +11,7 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
-from mahlerdyn import algnum, factor, intpoly, mahler, nfield, roots
+from mahlerdyn import algnum, factor, intpoly, mahler, roots
 from mahlerdyn.errors import InternalPrecisionExceeded, NotAFixedPoint, ZeroInput
 from mahlerdyn.factor import is_irreducible
 from mahlerdyn.intpoly import IntPoly, canonicalize, div_z, from_text, reciprocal_test, to_text, untrace_poly
@@ -219,15 +219,20 @@ class TestFixedPointClass:
             return real_factor_z(p)
 
         zeta5 = any_root(P("1,1,1,1,1"))
-        K = nfield.nf_new(P("1,0,1"))
-        minus_one = nfield.fe_rational(K, -1)
         monkeypatch.setattr(factor, "factor_z", spy)
         assert classify_number(zeta5).tag == "RootOfUnity"
         assert classify_number(TAU).tag == "Salem"
-        assert mahler._is_root_of_unity(zeta5)
-        assert not mahler._is_root_of_unity(TAU)
-        assert nfield._is_torsion_unit(K, minus_one, nfield._place_logs(K, minus_one))
+        assert intpoly._is_cyclotomic_irreducible(zeta5.minpoly)
+        assert not intpoly._is_cyclotomic_irreducible(TAU.minpoly)
         assert calls == []
+
+    def test_rational_ratios_are_torsion_only_at_plus_minus_one(self):
+        # _torsion_free asks the cyclotomic test of every ratio's minpoly,
+        # degree 1 included: x - 1 and x + 1 are Phi_1 and Phi_2
+        for v, torsion in [(1, True), (-1, True), (2, False), (-2, False), (3, False)]:
+            assert intpoly._is_cyclotomic_irreducible(an_from_rational(v).minpoly) is torsion
+        for v in (Fraction(1, 2), Fraction(-1, 3), Fraction(3, 2)):
+            assert not intpoly._is_cyclotomic_irreducible(an_from_rational(v).minpoly)
 
 
 class TestOrbitExamples:
@@ -931,9 +936,7 @@ class TestExactChecksUnderOptimize:
         # a single lifted factor that is not monic
         "hensel_factor_not_monic": "factor._hensel_multifactor([1, 2], [[1, 2]], 3, 9)\n",
         # a modulus interval that reaches 0 has no logarithm
-        "log_of_zero_modulus": "nfield._log_interval(0, 1)\n",
-        # interval division by an interval holding 0
-        "interval_division_by_zero": "nfield._iv_div((1, 2), (-1, 1))\n",
+        "log_of_zero_modulus": "nfield._log_interval(0, 1, 96)\n",
         # a resultant whose e_n from power sums is off by one: for p = 2x^2+1
         # and q = x+1 the exact division by c^(m(n-1)) = 2 fails
         "resultant_division_fails": (

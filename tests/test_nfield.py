@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -60,7 +61,7 @@ from mahlerdyn.nfield import (
     nf_pattern_search,
     nf_unit_sublattice,
 )
-from oracles import fraction_log_sums
+from oracles import fraction_interval_rank, fraction_log_sums, graeffe_is_cyclotomic
 
 P = from_text
 
@@ -635,9 +636,22 @@ class TestSupBand:
 class TestLogIntervals:
     @pytest.mark.parametrize("prec", [96, 192, 384, 768, 1536, 3072, 6144])
     def test_width_follows_the_precision_asked_for(self, prec):
+        # 4 * 2^-prec at the unit 2^-(prec + _GUARD), plus one unit of
+        # outward rounding at each end
         K = nf_new(SQRT2_POLY)
         lo, hi = nfield._log_abs(K, nf_element(K, [1, 1]), 1, prec)
-        assert 0 < hi - lo <= Fraction(4, 1 << prec)
+        assert type(lo) is int and type(hi) is int
+        assert 0 < hi - lo <= (4 << roots._GUARD) + 2
+
+    def test_ends_enclose_the_logs_with_the_pad(self):
+        # at 96 bits the pad is (1 + floor|log|) 2^-100, 2^28 units here;
+        # mpmath's 120-bit error is under 2^10 units
+        unit = 96 + roots._GUARD
+        lo, hi = nfield._log_interval(Fraction(3, 7), Fraction(5, 2), 96)
+        with mp.workprec(400):
+            llo, lhi = mp.ldexp(mp.log(mp.mpf(3) / 7), unit), mp.ldexp(mp.log(mp.mpf(5) / 2), unit)
+            assert lo <= llo - (1 << 28) + (1 << 10) and lhi + (1 << 28) - (1 << 10) <= hi
+            assert (hi - lo) - (lhi - llo) < (2 << 28) + (1 << 10)
 
     def test_a_later_rung_reuses_the_climb(self, monkeypatch):
         # one conjugate of (sqrt 2 - 1)^200 is below 2^-254: the 96-bit rung
@@ -666,29 +680,44 @@ class TestLogIntervals:
     )
     def test_place_logs_are_integer_intervals(self, poly, coords, power):
         # each rung's interval is a pair of ints at the unit 2^-(prec + _GUARD),
-        # the climb's Fraction interval rounded outward
+        # the climb's interval shifted outward to that unit
         K = nf_new(poly)
         x = fe_pow(K, nf_element(K, coords), power)
         pairs = nfield._conjugate_pairs(K)
         logs = nfield._place_logs(K, x)
         for prec in nfield._LAYOUT_PREC:
-            unit = Fraction(1, 1 << (prec + roots._GUARD))
             for j in range(K.degree):
                 lo, hi = logs[prec](j)
                 assert type(lo) is int and type(hi) is int
                 assert logs[prec](pairs[j]) == (lo, hi)
                 exact = nfield._log_abs(K, x, min(j, pairs[j]), prec)
                 if exact is not None:  # else the climb went finer than prec
-                    assert lo * unit <= exact[0] <= exact[1] <= hi * unit
-                    assert (hi - lo) * unit < exact[1] - exact[0] + 2 * unit
+                    assert lo <= exact[0] <= exact[1] <= hi
+                    assert hi - lo <= exact[1] - exact[0]
+
+
+def _synthetic_rows(rank, prec, seed):
+    """rank rows of log intervals over rank + 1 places, at the unit
+    2^-(prec + _GUARD) and as wide as _place_logs makes them there. Each row
+    sums to 0, as a unit's logs do, and one more row, the sum of the first
+    two, is dependent: (rows, dependent row)."""
+    rng = random.Random(seed)
+    unit = prec + roots._GUARD
+    exact = []
+    for _ in range(rank):
+        row = [Fraction(rng.randint(-4 << (unit + 20), 4 << (unit + 20)), 1 << (unit + 20)) for _ in range(rank)]
+        exact.append(row + [-sum(row)])
+    exact.append([a + b for a, b in zip(exact[0], exact[1])])
+
+    def interval(v):
+        pad = (1 + int(abs(v))) << roots._GUARD
+        return math.floor(v * 2**unit) - pad, math.ceil(v * 2**unit) + pad
+
+    rows = [[interval(v) for v in row] for row in exact]
+    return rows[:-1], rows[-1]
 
 
 class TestIntervalRank:
-    def test_division_of_ints_is_exact(self):
-        q = nfield._iv_div((1, 2), (3, 4))
-        assert q == (Fraction(1, 4), Fraction(2, 3))
-        assert all(type(v) is Fraction for v in q)
-
     # every field whose unit lattice the Tier-1 tests build, classify's
     # subfields included, by its defining polynomial
     @pytest.mark.parametrize(
@@ -708,9 +737,40 @@ class TestIntervalRank:
         for prec in nfield._LAYOUT_PREC[:3]:
             for places in (cols, cols[: len(lat.generators)]):
                 rows = nfield._log_rows(lat.logs, places, prec)
-                exact = [[tuple(map(Fraction, iv)) for iv in row] for row in rows]
                 for k in range(1, len(rows) + 1):
-                    assert nfield._interval_rank(rows[:k]) == nfield._interval_rank(exact[:k])
+                    assert nfield._interval_rank(rows[:k]) == fraction_interval_rank(rows[:k])
+
+    @pytest.mark.parametrize("rank", [7, 8])
+    @pytest.mark.parametrize("rung", [0, 1])
+    def test_high_rank_rows_rank_as_fraction_rows(self, rank, rung):
+        # ranks no Tier-1 field reaches, on the rungs nf_unit_sublattice
+        # tries; the dependent row's reduction is exactly 0, so no enclosure
+        # of it gets a pivot
+        rows, dependent = _synthetic_rows(rank, nfield._LAYOUT_PREC[rung], 100 * rank + rung)
+        start = time.perf_counter()
+        assert nfield._interval_rank(rows)
+        if (rank, rung) == (8, 1):
+            assert time.perf_counter() - start < 0.5
+        assert fraction_interval_rank(rows)
+        assert not nfield._interval_rank(rows + [dependent])
+
+    def test_torsion_gets_no_pivot(self):
+        # theta of Q(zeta5) has |sigma_j| = 1 at every place: its log row is
+        # exactly 0, alone or after the lattice's rows
+        K = nf_new(P("1,1,1,1,1"))
+        lat = nf_unit_sublattice(K)
+        log = nfield._place_logs(K, fe_theta(K))
+        pairs = nfield._conjugate_pairs(K)
+        cols = [j for j in range(K.degree) if j <= pairs[j]]
+        for prec in nfield._LAYOUT_PREC[:2]:
+            assert not nfield._interval_rank(nfield._log_rows([log], cols, prec))
+            assert not nfield._interval_rank(nfield._log_rows([*lat.logs, log], cols, prec))
+
+    @pytest.mark.parametrize("text", ["1,1,1,1,1", "1,1,1,1,1,1,1"], ids=["zeta5", "zeta7"])
+    def test_cyclotomic_lattice_has_no_torsion_generator(self, text):
+        K = nf_new(P(text))
+        for g in nf_unit_sublattice(K).generators:
+            assert not graeffe_is_cyclotomic(nfield._minpoly(K, g))
 
 
 class TestPatternSearch:
@@ -854,7 +914,7 @@ class TestPatternSearch:
         lat = nf_unit_sublattice(K)
         rung = nfield._LAYOUT_PREC[0]
         pairs = nfield._conjugate_pairs(K)
-        # the generators' Fraction intervals, before the outward rounding
+        # the generators' intervals at the rung, not climbed or shifted
         rows = [
             [nfield._log_abs(K, g, min(j, pairs[j]), rung) for j in range(K.degree)]
             for g in lat.generators

@@ -139,3 +139,22 @@ def test_no_unread_private_module_names():
                 if d.startswith("_") and not d.startswith("__") and d not in read
             ]
     assert found == []
+
+
+def test_log_intervals_make_no_fraction():
+    # nfield's log intervals are ints at the unit 2^-(prec + _GUARD) from
+    # the mpmath log to the rank certificate; a Fraction in the body of one
+    # of these (a call, or the class passed on) would bring the rational
+    # format back
+    tree = ast.parse((ROOT / "src" / "mahlerdyn" / "nfield.py").read_text())
+    names = {"_log_interval", "_log_abs", "_place_logs", "_product_logs", "_interval_rank"}
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in names}
+    assert set(defs) == names
+    found = [
+        f"{name}:{node.lineno}"
+        for name, fn in defs.items()
+        for stmt in fn.body
+        for node in ast.walk(stmt)
+        if getattr(node, "id", getattr(node, "attr", None)) == "Fraction"
+    ]
+    assert found == []

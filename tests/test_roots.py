@@ -226,7 +226,6 @@ class TestSeedRounding:
         assert any(v._mpf_[2] > 0 for v in values) and any(v._mpf_[2] < -b for v in values)
         for v in values:
             assert roots._fixed(v, b) == round(_mp_fraction(v) * 2**b), v
-            assert roots._frac_from_mp(v) == _mp_fraction(v)
 
     @pytest.mark.parametrize(
         "v", [math.nan, math.inf, -math.inf, mpmath.nan, mpmath.inf, -mpmath.inf], ids=repr
@@ -234,8 +233,6 @@ class TestSeedRounding:
     def test_nonfinite_raises(self, v):
         with pytest.raises(ArithmeticError):
             roots._fixed(v, 128)
-        with pytest.raises(ArithmeticError):
-            roots._frac_from_mp(v)
 
     def test_nan_aberth_iterate_fails_the_rung(self, monkeypatch):
         # every start is nan, so every iterate settles at nan at once and the
