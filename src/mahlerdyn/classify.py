@@ -1031,26 +1031,22 @@ def _octic_q8_witness(K, autos) -> HasWanderer:
     return found
 
 
-def _octic_cyclic_quartic_subfield(K, autos) -> IntPoly:
+def _octic_quartic_subfield(K, autos) -> IntPoly:
+    """The fixed field of the first involution h that is not central, or
+    whose quotient has an element of order 4 (some key p with p p outside
+    {id, h}): a D4 quartic in the first case, a cyclic one in the second.
+    C8 and C4xC2 are abelian, and every square in D4_8 is id or central."""
     ident = tuple(range(8))
     for h in autos:
         if len(_orbit(h)) != 2:
             continue
-        if any(_compose_keys(p, p) not in (ident, h) for p in autos):
+        if any(
+            _compose_keys(p, h) != _compose_keys(h, p) or _compose_keys(p, p) not in (ident, h)
+            for p in autos
+        ):
             poly, _ = _fixed_field_poly(K, [autos[ident], autos[h]], 4)
             return poly
-    raise UnsupportedGroup("no order-2 subgroup with cyclic quotient")
-
-
-def _octic_d4_quartic_subfield(K, autos) -> IntPoly:
-    ident = tuple(range(8))
-    for h in autos:
-        if len(_orbit(h)) != 2:
-            continue
-        if any(_compose_keys(p, h) != _compose_keys(h, p) for p in autos):
-            poly, _ = _fixed_field_poly(K, [autos[ident], autos[h]], 4)
-            return poly
-    raise UnsupportedGroup("no non-central involution found")
+    raise UnsupportedGroup("no involution with a cyclic or D4 quartic fixed field")
 
 
 def _classify_octic_galois(K, autos) -> FieldVerdict:
@@ -1060,10 +1056,8 @@ def _classify_octic_galois(K, autos) -> FieldVerdict:
             "quartic subfields and is not decided here"
         )
     shape = _group_shape(list(autos))
-    if shape in ("C8", "C4xC2"):
-        return classify_quartic(_octic_cyclic_quartic_subfield(K, autos))
-    if shape == "D4_8":
-        return classify_quartic(_octic_d4_quartic_subfield(K, autos))
+    if shape in ("C8", "C4xC2", "D4_8"):
+        return classify_quartic(_octic_quartic_subfield(K, autos))
     if shape == "C2cubed":
         return _subfield_product_witness(K, autos, 3)
     return _octic_q8_witness(K, autos)

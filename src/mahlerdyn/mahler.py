@@ -21,11 +21,8 @@ from .algnum import (
     _real_sign,
     _scaled,
     _select_root,
-    an_conjugates,
     an_equal,
     an_from_rational,
-    an_inv,
-    an_mul,
     an_pow,
     classify_number,
 )
@@ -38,14 +35,15 @@ from .errors import (
 )
 from .intpoly import (
     IntPoly,
-    _is_cyclotomic_irreducible,
     _pair_product_poly,
     _subset_product_poly,
     canonicalize,
+    cyclotomic_part,
     div_z,
     gcd_z,
     lll_reduce,
     monicize,
+    ratio_resolvent,
     reciprocal_test,
     untrace_poly,
 )
@@ -400,23 +398,23 @@ def _exponent_candidates(log_num: float, log_den: float) -> list[int]:
 
 def _torsion_free(a: AlgebraicNumber) -> Optional[bool]:
     """True/False when decided; None when out of scope (degree > 6, not
-    Perron). Torsion-free: no ratio a/conjugate is a root of unity."""
-    nc = classify_number(a)
-    if nc.tag in ("Pisot", "Salem", "Perron"):
+    Perron). Torsion-free: no ratio a/conjugate is a root of unity.
+
+    The n^2 ratios a_i/a_j of the roots of the minpoly p are the roots of
+    ratio_resolvent(p, p). The n diagonal ones are 1, and no other is, since
+    p is squarefree: so x - 1 divides it exactly n times. A root of unity
+    among the others puts a cyclotomic factor besides x - 1 into its
+    cyclotomic part, so that part is (x - 1)^n exactly when no ratio of two
+    distinct roots is a root of unity. That answers for the ratios with a
+    itself: an automorphism sigma of the splitting field with sigma(a_i) = a
+    sends a_i/a_j to a/sigma(a_j), and a root of unity to a root of unity."""
+    if classify_number(a).tag in ("Pisot", "Salem", "Perron"):
         return True
-    if nc.tag == "RootOfUnity":
-        return False
-    if a.degree == 1:
-        return True
-    if a.degree > 6:
+    n = a.degree
+    if n > 6:
         return None
-    inv_a = an_inv(a)
-    for conj in an_conjugates(a):
-        if conj.box == a.box:
-            continue
-        if _is_cyclotomic_irreducible(an_mul(conj, inv_a).minpoly):
-            return False
-    return True
+    x_minus_1_to_n = IntPoly((-1) ** (n - k) * math.comb(n, k) for k in range(n + 1))
+    return cyclotomic_part(ratio_resolvent(a.minpoly, a.minpoly)) == x_minus_1_to_n
 
 
 def wandering_certificate(trace) -> Optional[WanderCert]:

@@ -4,10 +4,11 @@ These deliberately avoid the package's own algorithms: the resultant oracle is
 a fraction-free Sylvester determinant, exact real-root counts come from Sturm
 chains over Q, numeric root counts/positions come from mpmath at high
 working precision, cyclotomic factors are recognised by iterating the
-squarefree Graeffe map to its fixed point, the logs of a product of units
-are summed exactly over Fractions, and the rank of interval rows comes from
-Gaussian elimination with Fraction quotients. They exist to cross-check,
-never to decide.
+squarefree Graeffe map to its fixed point, torsion-freeness is asked of each
+conjugate ratio one at a time (not of the ratio resolvent), the logs of a
+product of units are summed exactly over Fractions, and the rank of interval
+rows comes from Gaussian elimination with Fraction quotients. They exist to
+cross-check, never to decide.
 """
 
 import math
@@ -15,6 +16,7 @@ from fractions import Fraction
 
 import mpmath
 
+from mahlerdyn.algnum import an_conjugates, an_inv, an_mul
 from mahlerdyn.intpoly import IntPoly, power_map, squarefree_part
 
 
@@ -164,6 +166,19 @@ def graeffe_is_cyclotomic(f: IntPoly) -> bool:
             return True
         h = h2
     return False
+
+
+def conjugate_ratio_torsion_free(a) -> bool:
+    """Whether no ratio conj/a over the other conjugates of the algebraic
+    number a is a root of unity: each ratio is built by an_mul with an_inv(a),
+    a degree-n^2 product resolvent and a pinned root per conjugate, and its
+    minpoly is given the Graeffe test."""
+    inv_a = an_inv(a)
+    return not any(
+        graeffe_is_cyclotomic(an_mul(conj, inv_a).minpoly)
+        for conj in an_conjugates(a)
+        if conj.box != a.box
+    )
 
 
 def fraction_log_sums(rows, exps):

@@ -3,11 +3,12 @@ invariant factors, the quartic table (its all-preperiodic rows, the C4, D4
 and S4 witnesses, and its groups against sympy), the quintic (S5, F5, C5, D5)
 witnesses (S5 in signatures (1, 2) and (3, 1)), the quintic resolvent behind
 galois_group_small, the C6, S3 and totally imaginary sextic, C2^3 and C8 octic
-verdicts, the group shapes of orders 6, 8 and 9 on their regular
-representations, the C3xC3 nonic witness up to its measure identity in the
-field and its verdict up to the measure that still raises, the undecided
-automorphism count, and the two paths around the orbit certificate: the cited
-growth-chain fallback and a precision failure that must surface."""
+verdicts, the quartic subfields of C8, C4xC2 and D4 octics, the group shapes
+of orders 6, 8 and 9 on their regular representations, the C3xC3 nonic
+witness up to its measure identity in the field and its verdict up to the
+measure that still raises, the undecided automorphism count, and the two
+paths around the orbit certificate: the cited growth-chain fallback and a
+precision failure that must surface."""
 
 import collections
 import itertools
@@ -436,6 +437,27 @@ class TestGaloisSmall:
         _assert_wandering_unit(v, 8)
         assert v.certificate == PowerIdentity(k=3, l=1, n=2)
         _assert_exact_certificate(v)
+
+    @pytest.mark.parametrize(
+        "octic, shape, quartic, group",
+        [
+            (C8_OCTIC, "C8", "1,-1,-6,1,1", "C4"),
+            # Q(zeta_40)^+, x^8 - 8x^6 + 19x^4 - 12x^2 + 1
+            (P("1,0,-12,0,19,0,-8,0,1"), "C4xC2", "16,-96,76,-16,1", "C4"),
+            # x^8 - 22x^6 + 115x^4 - 90x^2 + 9, the closure of x^4 - 5x^2 + 3
+            (P("9,0,-90,0,115,0,-22,0,1"), "D4_8", "37,48,-34,0,1", "D4"),
+        ],
+        ids=["C8", "C4xC2", "D4_8"],
+    )
+    def test_octic_quartic_subfield(self, octic, shape, quartic, group):
+        # one involution rule for the three octic groups that reduce to a
+        # quartic subfield: cyclic for C8 and C4xC2, a D4 quartic for D4_8
+        K = nfield.nf_new(octic)
+        autos = _verified_automorphisms(K)
+        assert _group_shape(list(autos)) == shape
+        q = classify._octic_quartic_subfield(K, autos)
+        assert q == P(quartic)
+        assert galois_group_small(q) == group
 
     def test_c3c3_nonic_witness_is_its_measure_root_in_the_field(self):
         # the witness up to gamma, checked inside K; gamma's algebraic

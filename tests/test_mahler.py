@@ -46,6 +46,7 @@ from mahlerdyn.mahler import (
     orbit,
     wandering_certificate,
 )
+from oracles import conjugate_ratio_torsion_free
 
 P = from_text
 
@@ -227,12 +228,40 @@ class TestFixedPointClass:
         assert calls == []
 
     def test_rational_ratios_are_torsion_only_at_plus_minus_one(self):
-        # _torsion_free asks the cyclotomic test of every ratio's minpoly,
-        # degree 1 included: x - 1 and x + 1 are Phi_1 and Phi_2
+        # cyclotomic_part, which _torsion_free asks of the ratio resolvent,
+        # gives the cyclotomic test to every irreducible factor, degree 1
+        # included: x - 1 and x + 1 are Phi_1 and Phi_2
         for v, torsion in [(1, True), (-1, True), (2, False), (-2, False), (3, False)]:
             assert intpoly._is_cyclotomic_irreducible(an_from_rational(v).minpoly) is torsion
         for v in (Fraction(1, 2), Fraction(-1, 3), Fraction(3, 2)):
             assert not intpoly._is_cyclotomic_irreducible(an_from_rational(v).minpoly)
+        # a rational's one ratio is 1, its ratio resolvent x - 1: torsion-free
+        for v in (1, -1, 2, Fraction(-1, 3)):
+            assert mahler._torsion_free(an_from_rational(v)) is True
+
+
+class TestTorsionFree:
+    def test_ratio_resolvent_agrees_with_conjugate_ratios(self):
+        # irreducible polynomials of degree 1-6 with leading coefficient up to
+        # 4, a third of them in x^2 or x^3, where -1 or a cube root of unity
+        # is the ratio of two roots; the oracle builds each ratio
+        rng = random.Random(20261020)
+        torsion = count = 0
+        while count < 400:
+            k = rng.choice((1, 1, 1, 1, 2, 3))
+            q = [rng.randint(-4, 4) for _ in range(rng.randint(1, 6 // k))] + [rng.randint(1, 4)]
+            coeffs = [0] * (k * len(q) - k + 1)
+            coeffs[::k] = q  # q(x^k)
+            p = canonicalize(IntPoly(coeffs))
+            if p[0] == 0 or not is_irreducible(p):
+                continue
+            boxes = isolate_roots(p)
+            a = an_from_poly_root(p, boxes[rng.randrange(len(boxes))])
+            expected = conjugate_ratio_torsion_free(a)
+            assert mahler._torsion_free(a) is expected, p
+            torsion += not expected
+            count += 1
+        assert torsion >= 40
 
 
 class TestOrbitExamples:

@@ -1,6 +1,7 @@
 """Packaging: the source tree ships the package, no dangling entry point,
 no runtime dependency beyond mpmath, no assert statement or raised
-AssertionError, and no except that hides a failure."""
+AssertionError, no except that hides a failure, and the cache reads that
+the benchmark makes."""
 
 import ast
 import os
@@ -139,6 +140,18 @@ def test_no_unread_private_module_names():
                 if d.startswith("_") and not d.startswith("__") and d not in read
             ]
     assert found == []
+
+
+def test_benchmark_cache_reads_work():
+    # bench/worker.py reads the three caches by name in every pass: the
+    # measure cache's size, and the hits and misses of the two lru caches;
+    # a cache policy that changes one of them must change those reads too
+    from mahlerdyn import factor, mahler, roots
+
+    assert isinstance(len(mahler._measure_cache), int)
+    for fn in (roots._isolate_cached, factor._factor_cached):
+        info = fn.cache_info()
+        assert isinstance(info.hits, int) and isinstance(info.misses, int)
 
 
 def test_log_intervals_make_no_fraction():
