@@ -14,12 +14,15 @@ intervals over one bounded ladder, ``nfield._LAYOUT_PREC``; open at the top
 rung refutes a strict relation, or raises where a rung must settle it
 (``_settled``, and ``algnum._real_sign`` for signs).  Every candidate is then
 certified exactly.
-There are two certifiers: the orbit engine
+There are three certifiers: the orbit engine
 (``_orbit_witness``: an exact PowerIdentity or TorsionFreePower, with a cited
-theorem's growth chain 1 < M^1 < ... < M^k as the fallback), and the product
-recurrence (``_recurrence_witness``: three steps M(x) = the product of the
-outside conjugates of x, proved on the witness's log intervals summed through
-the automorphism keys, with no measure computed).
+theorem's growth chain 1 < M^1 < ... < M^k as the fallback); exponent space
+(``_exponent_witness``: the same certificates for units of S4, A4, S5 and A5
+fields, whose M^k(x) = +-prod x_j^e_j over the embeddings x_j, stepped on
+their log intervals by ``_exponent_orbit``); and the product recurrence
+(``_recurrence_witness``: three steps M(x) = the product of the outside
+conjugates of x, proved on the witness's log intervals summed through the
+automorphism keys). The last two compute no measure.
 
 Automorphism-group bookkeeping reads the keys of ``nf_automorphisms``, the
 certified embedding permutations: an automorphism's order is the cycle
@@ -63,8 +66,11 @@ from .errors import (
 from .factor import factor_z, is_irreducible
 from .intpoly import IntPoly, discriminant, is_squarefree, monicize, transform_resolvent
 from .mahler import (
+    _EXPONENT_CAP,
     CitedGrowth,
     Inconclusive,
+    PowerIdentity,
+    TorsionFreePower,
     WanderCert,
     Wandering,
     mahler_measure,
@@ -82,6 +88,7 @@ from .nfield import (
     _decide,
     _fe_horner,
     _iv_add,
+    _iv_scale,
     _layout_status,
     _minpoly,
     _on_ladder,
@@ -409,6 +416,102 @@ def _orbit_at(K, place, steps, tag=None, facts=()):
     return lambda x: _orbit_witness(fe_to_algnum(K, x, place), steps, tag, facts)
 
 
+def _labels_group(n: int, tag: str) -> list[tuple[int, ...]]:
+    """S_n, or A_n when tag starts with A, on the labels 0..n-1."""
+    perms = itertools.permutations(range(n))
+    if tag.startswith("S"):
+        return list(perms)
+    return [p for p in perms if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 == 0]
+
+
+def _power(a, b) -> Optional[int]:
+    """The n in 2.._EXPONENT_CAP with a - n b in Z.1, if any; b is not
+    constant. Then prod x_j^a_j / (prod x_j^b_j)^n is a root of unity."""
+    j = next(j for j, v in enumerate(b) if v != b[0])
+    n, r = divmod(a[j] - a[0], b[j] - b[0])
+    if r or not 2 <= n <= _EXPONENT_CAP or any(u - a[0] != n * (v - b[0]) for u, v in zip(a, b)):
+        return None
+    return n
+
+
+def _on_circle(f, conj) -> bool:
+    """|prod x_j^f_j| = 1: then its product with its complex conjugate,
+    prod x_j^(f_j + f_conj(j)), is 1, so f + f o conj lies in Z.1."""
+    return len({a + f[c] for a, c in zip(f, conj)}) == 1
+
+
+def _exponent_orbit(K, x, place, group, steps):
+    """Yield (e^(k), log) for k = 1..steps, where M^k(x) = +-prod x_j^e_j
+    over the embeddings x_j of the unit x, x at place, and log(prec)
+    encloses log M^k on that rung of _LAYOUT_PREC.
+
+    group, the Galois group on the labels, is 2-transitive or
+    ExactCheckFailed. Then the f with prod x_j^f_j a root of unity are Z.1
+    (Smyth, J. Number Theory 23 (1986); Girstmair, Acta Arith. 89 (1999)),
+    so the conjugates of prod x_j^f_j are the distinct vectors f o sigma
+    (equal sums keep them apart mod Z.1), and e^(k+1) sums those outside the
+    unit circle: decided on the ladder, a tie exactly by _on_circle, open at
+    the top rung InternalPrecisionExceeded. A conjugation map outside the
+    group, not an involution, or joining places of distinct modulus raises
+    ExactCheckFailed.
+    """
+    n = K.degree
+    if {p[:2] for p in group} != set(itertools.permutations(range(n), 2)):
+        raise ExactCheckFailed("the group is not 2-transitive on the labels")
+    conj, logs = _conjugate_pairs(K), _place_logs(K, x)
+    rung0 = logs[_LAYOUT_PREC[0]]
+    if tuple(conj) not in group or any(
+        conj[c] != j or _decide(rung0(j), "!=", rung0(c)) for j, c in enumerate(conj)
+    ):
+        raise ExactCheckFailed("the conjugation map is not complex conjugation on the labels")
+
+    def log(f, prec):
+        return functools.reduce(_iv_add, (_iv_scale(logs[prec](j), c) for j, c in enumerate(f)))
+
+    e = tuple(int(j == place) for j in range(n))
+    for _ in range(steps):
+        outside = [
+            f
+            for f in {tuple(e[i] for i in p) for p in group}
+            if not _on_circle(f, conj)
+            and _settled(lambda prec: _decide(log(f, prec), ">"), "side of a conjugate")
+        ]
+        e = tuple(map(sum, zip((0,) * n, *outside)))
+        yield e, functools.partial(log, e)
+
+
+def _exponent_witness(K, x, place, group, steps, tag=None, facts=()) -> Optional[HasWanderer]:
+    """x at place with _orbit_witness's certificate, read off _exponent_orbit
+    in wandering_certificate's scan order: PowerIdentity(k, l, n) when
+    e^(k) - n e^(l) is in Z.1 (a root of unity between positive numbers is
+    1), else TorsionFreePower(k, n) when e^(k) - n e^(0) is and x^n > 0
+    (x's relations are Z.1, so it is torsion-free), else, when the cited
+    theorem ``tag`` applies, the chain 1 < M^1 < ... < M^steps decided on the
+    log intervals. M^k = M^(k-1) ends the orbit: None.
+    """
+    es, chain = [tuple(int(j == place) for j in range(K.degree))], [lambda prec: (0, 0)]
+    real = _conjugate_pairs(K)[place] == place
+    for k, (e, log) in enumerate(_exponent_orbit(K, x, place, group, steps), 1):
+        if len({u - v for u, v in zip(e, es[-1])}) == 1:
+            return None
+        cert = next((PowerIdentity(k, l, n) for l in range(1, k) if (n := _power(e, es[l]))), None)
+        m = _power(e, es[0])
+        if cert is None and m and real:
+            if m % 2 == 0 or _real_sign(nf_embed(K, x, place, p) for p in _LAYOUT_PREC) > 0:
+                cert = TorsionFreePower(k, m)
+        if cert is not None:
+            return HasWanderer(witness=fe_to_algnum(K, x, place), certificate=cert)
+        es.append(e)
+        chain.append(log)
+    if tag is None or not all(
+        _settled(lambda prec: _decide(hi(prec), ">", lo(prec)), "a growth step of the measure")
+        for lo, hi in zip(chain, chain[1:])
+    ):
+        return None
+    cert = CitedGrowth(tag=tag, facts=facts + (_fact_chain(es[1:]),))
+    return HasWanderer(witness=fe_to_algnum(K, x, place), certificate=cert)
+
+
 def _recurrence_witness(K, keys, alpha, states, tag) -> Optional[HasWanderer]:
     """alpha with three exact iterations of M(x) = (outside conjugates of x),
     proved rung by rung on the _place_logs intervals of the unit alpha.
@@ -560,8 +663,10 @@ def _place_layout(K: NumberField) -> tuple[list[int], list[tuple[int, int]]]:
 # quartic witnesses
 
 
-def _quartic_square_witness(K, lattice, sig) -> Optional[HasWanderer]:
-    """Unit with two conjugates outside whose second measure is its square."""
+def _quartic_square_witness(K, lattice, sig, tag) -> Optional[HasWanderer]:
+    """Unit with two conjugates outside whose second measure is its square,
+    made positive at its top place, certified in exponent space
+    (_exponent_witness over the group S4 or A4, two steps)."""
     if sig == (4, 0):
         patterns = [
             ConjugatePattern(
@@ -577,8 +682,10 @@ def _quartic_square_witness(K, lattice, sig) -> Optional[HasWanderer]:
             for a, b in (tuple(reals), tuple(reals[::-1]))
         ]
 
+    group = _labels_group(4, tag)
+
     def certify(top):
-        return lambda x: _orbit_witness(fe_to_algnum(K, _positive_at(K, x, top), top), 2)
+        return lambda x: _exponent_witness(K, _positive_at(K, x, top), top, group, 2)
 
     return _first_witness(K, lattice, [(p, certify(p.order[0][0])) for p in patterns])
 
@@ -641,7 +748,7 @@ def classify_quartic(p: IntPoly) -> FieldVerdict:
     K = nf_new(G)
     lattice = nf_unit_sublattice(K)
     if tag in ("S4", "A4"):
-        found = _quartic_square_witness(K, lattice, sig)
+        found = _quartic_square_witness(K, lattice, sig, tag)
     else:
         found = _quartic_real_chain_witness(K, lattice, tag)
     if found is None:
@@ -655,12 +762,14 @@ def classify_quartic(p: IntPoly) -> FieldVerdict:
 # quintic witnesses
 
 
-def _quintic_nonsolvable_witness(K, lattice) -> Optional[HasWanderer]:
+def _quintic_nonsolvable_witness(K, lattice, tag) -> Optional[HasWanderer]:
     """Any unit with two conjugates strictly outside and two strictly inside,
-    certified by the orbit engine from its first three measures.
+    certified in exponent space (_exponent_witness over S5 or A5) from its
+    first three measures: first on a strict order of every conjugate, then
+    on each choice of two or three outside places closed under conjugation.
 
     No associate +-x, +-1/x of such a unit is Pisot, which is the cited
-    theorem's hypothesis for the fallback; three strictly increasing exact
+    theorem's hypothesis for the fallback; three strictly increasing
     measures corroborate it.
     """
     reals, pairs = _place_layout(K)
@@ -674,14 +783,24 @@ def _quintic_nonsolvable_witness(K, lattice) -> Optional[HasWanderer]:
         pattern = ConjugatePattern(
             order=(pairs[0], (reals[0],), pairs[1]), one_position=1
         )
+    blocks = [(j,) for j in reals] + pairs
+    outsides = [sum(c, ()) for r in (1, 2, 3) for c in itertools.combinations(blocks, r)]
+    patterns = [pattern] + [
+        ConjugatePattern(order=(out, tuple(j for j in range(5) if j not in out)), one_position=1)
+        for out in outsides
+        if len(out) in (2, 3)
+    ]
     facts = (
         "unit of degree 5",
         "at least two conjugates strictly outside and two strictly inside "
         "the unit circle, so no associate is Pisot",
     )
-    tag = "FPZ2020-Thm3-non-pisot-quintic-unit"
-    certify = _orbit_at(K, pattern.order[0][0], 3, tag, facts)
-    return _first_witness(K, lattice, [(pattern, certify)])
+    group, cited = _labels_group(5, tag), "FPZ2020-Thm3-non-pisot-quintic-unit"
+
+    def certify(place):
+        return lambda x: _exponent_witness(K, x, place, group, 3, cited, facts)
+
+    return _first_witness(K, lattice, [(p, certify(p.order[0][0])) for p in patterns])
 
 
 def _quintic_chain_assignments(K, G) -> list[tuple]:
@@ -794,7 +913,7 @@ def classify_quintic(p: IntPoly) -> FieldVerdict:
     K = nf_new(G)
     lattice = nf_unit_sublattice(K)
     if tag in ("A5", "S5"):
-        found = _quintic_nonsolvable_witness(K, lattice)
+        found = _quintic_nonsolvable_witness(K, lattice, tag)
     elif tag == "F5":
         found = _quintic_f5_witness(K, lattice, G)
     else:

@@ -1,27 +1,32 @@
 """Field-level verdicts: regressions for the CM test, the abelian rule and its
 invariant factors, the quartic table (its all-preperiodic rows, the C4, D4
 and S4 witnesses, and its groups against sympy), the quintic (S5, F5, C5, D5)
-witnesses (S5 in signatures (1, 2) and (3, 1)), the quintic resolvent behind
+witnesses (S5 in signatures (1, 2) and (3, 1), and three census fields),
+the exponent-space orbits of S4 and S5 units against mahler_measure and
+their exact tie rule, the quintic resolvent behind
 galois_group_small, the C6, S3 and totally imaginary sextic, C2^3 and C8 octic
 verdicts, the quartic subfields of C8, C4xC2 and D4 octics, the group shapes
 of orders 6, 8 and 9 on their regular representations, the C3xC3 nonic
 witness up to its measure identity in the field and its verdict up to the
 measure that still raises, the undecided automorphism count, and the two
 paths around the orbit certificate: the cited growth-chain fallback and a
-precision failure that must surface."""
+precision failure (a measure, or an exponent-space ladder) that must
+surface."""
 
 import collections
+import functools
 import itertools
 import math
 import random
 import re
 import time
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
 from mahlerdyn import classify, mahler, nfield
-from mahlerdyn.algnum import an_compare, an_equal, an_from_rational, an_pow
+from mahlerdyn.algnum import an_compare, an_equal, an_from_rational, an_mul, an_pow
 from mahlerdyn.classify import (
     AllPreperiodic,
     HasWanderer,
@@ -44,7 +49,7 @@ from mahlerdyn.errors import AutomorphismsUndecided, InternalPrecisionExceeded, 
 from mahlerdyn.factor import is_irreducible
 from mahlerdyn.intpoly import IntPoly, from_text
 from mahlerdyn.mahler import CitedGrowth, PowerIdentity, TorsionFreePower, mahler_measure
-from mahlerdyn.roots import isolate_roots, signature
+from mahlerdyn.roots import _GUARD, isolate_roots, refine, signature
 
 P = from_text
 
@@ -103,6 +108,46 @@ def _assert_exact_certificate(v):
     else:
         assert isinstance(cert, TorsionFreePower)
         assert an_equal(_iterate(w, cert.k), an_pow(w, cert.n))
+
+
+def _value(a):
+    """The real algebraic number a as a 400-bit mpf, from its box refined to
+    2^-300."""
+    c = refine(a.box, a.minpoly, Fraction(1, 1 << 300)).center[0]
+    with mp.workprec(400):
+        return mp.mpf(c.numerator) / c.denominator
+
+
+def _assert_log_inside(value, log):
+    """log(value) lies in the rung-0 interval log(prec) of _exponent_orbit,
+    ints at the unit 2^-(prec + _GUARD)."""
+    prec = nfield._LAYOUT_PREC[0]
+    lo, hi = log(prec)
+    with mp.workprec(400):
+        scaled = mp.log(value) * mp.mpf(2) ** (prec + _GUARD)
+    assert lo < scaled < hi
+
+
+class _Call(list):
+    """The (e, log) pairs that one _exponent_orbit call yielded."""
+
+    def __init__(self, args):
+        super().__init__()
+        self.args = args
+
+
+def _record_exponent_orbits(monkeypatch) -> list:
+    """Every _exponent_orbit call from here on, in order, as a _Call."""
+    calls, real = [], classify._exponent_orbit
+
+    def spy(*args):
+        calls.append(_Call(args))
+        for step in real(*args):
+            calls[-1].append(step)
+            yield step
+
+    monkeypatch.setattr(classify, "_exponent_orbit", spy)
+    return calls
 
 
 def _assert_measure_grows(w, steps=3):
@@ -279,6 +324,13 @@ class TestClassifyQuartic:
         monkeypatch.setattr(mahler, "_measure_uncached", fail)
         monkeypatch.setattr(mahler, "_measure_cache", {})
         with pytest.raises(InternalPrecisionExceeded, match="injected"):
+            classify_quartic(C4_REAL)
+
+    def test_open_ladder_is_raised(self, monkeypatch):
+        # the S4 unit's orbit runs in exponent space: a side of the unit
+        # circle that no rung settles is an error, never a rejected candidate
+        monkeypatch.setattr(classify, "_decide", lambda *args: None)
+        with pytest.raises(InternalPrecisionExceeded, match="side of a conjugate"):
             classify_quartic(S4_MIXED)
 
 
@@ -321,10 +373,10 @@ class TestClassifyQuintic:
         _assert_measure_grows(v.witness)
 
     def test_s5_quintic_has_certified_wanderer(self):
-        # M(w) has degree 10, so M^2 and M^3 come from degree-120 subset
-        # resolvents, past the direct-factor cap, through minpoly guessing
-        # (fed LLL). The orbit certificate M^2 = (M^1)^2 stops the verdict at
-        # M^2; the costly M^3 runs only in this test's own growth check.
+        # the verdict reads M^2 = (M^1)^2 off exponent vectors, with no
+        # measure computed; M^2 and M^3 go through degree-120 subset
+        # resolvents and minpoly guessing only in this test's own
+        # _assert_measure_grows
         v = classify_quintic(S5_QUINTIC)
         assert isinstance(v, HasWanderer)
         assert v.certificate is not None
@@ -343,6 +395,76 @@ class TestClassifyQuintic:
         _assert_wandering_unit(v, 5)
         assert v.certificate == PowerIdentity(k=2, l=1, n=2)
         _assert_exact_certificate(v)
+
+
+    @pytest.mark.parametrize("text", ["1,-2,2,-3,-1,1", "2,4,-5,-7,3,1", "-1,-1,2,2,-1,1"])
+    def test_census_quintic_has_certified_wanderer(self, monkeypatch, text):
+        # S5 fields of signature (3, 1), (5, 0) and (1, 2) whose measure
+        # orbits no resolvent route finishes; the last needs an in/out layout
+        calls = _record_exponent_orbits(monkeypatch)
+        start = time.perf_counter()
+        v = classify_quintic(P(text))
+        assert time.perf_counter() - start < 10
+        _assert_wandering_unit(v, 5)
+        # oracle: M^1 from mahler_measure (its degree-10 resolvent factors
+        # directly) and M^2 as mpmath's measure of M^1's minpoly lie in the
+        # engine's log intervals of the witness's orbit
+        logs = [log for _, log in calls[-1]]
+        m1 = mahler_measure(v.witness)
+        _assert_log_inside(_value(m1), logs[0])
+        q = m1.minpoly.coeffs
+        with mp.workprec(400):
+            roots = mp.polyroots([mp.mpf(c) for c in reversed(q)], maxsteps=400, extraprec=400)
+            m2 = abs(q[-1]) * mp.fprod(max(1, abs(r)) for r in roots)
+        _assert_log_inside(m2, logs[1])
+
+
+class TestExponentOrbit:
+    @pytest.mark.parametrize(
+        "p, steps",
+        [
+            (S5_QUINTIC, 3),
+            (P("-1,-4,-2,-3,1,1"), 2),
+            (S4_MIXED, 3),
+            (P("1,-3,-6,0,1"), 3),
+            (P("1,-3,-7,0,1"), 3),  # x^4 - 7x^2 - 3x + 1, group A4
+        ],
+        ids=["S5-(1,2)", "S5-(3,1)", "S4-(2,1)", "S4-(4,0)", "A4-(4,0)"],
+    )
+    def test_log_intervals_contain_the_measures(self, monkeypatch, p, steps):
+        # oracle: the witness's first measures from mahler_measure
+        assert galois_group_small(p) in ("S4", "A4", "S5")
+        calls = _record_exponent_orbits(monkeypatch)
+        v = classify_quintic(p) if p.degree == 5 else classify_quartic(p)
+        K, x, place, group, _ = calls[-1].args
+        m = v.witness
+        for _, log in classify._exponent_orbit(K, x, place, group, steps):
+            m = mahler_measure(m)
+            _assert_log_inside(_value(m), log)
+
+    def test_tie_rule_is_the_exact_product_with_the_conjugate(self):
+        # on x^4 - x - 1 (one complex pair) |prod x_j^f_j| = 1 exactly when
+        # the product of beta = prod x_j^f_j and its complex conjugate
+        # prod x_conj(j)^f_j, computed on the exact conjugates, is 1
+        K = nfield.nf_new(S4_MIXED)
+        conj = nfield._conjugate_pairs(K)
+        xs = [nfield.fe_to_algnum(K, nfield.fe_theta(K), j) for j in range(4)]
+        one = an_from_rational(1)
+        ties = 0
+        for f in itertools.product((0, 1, 2), repeat=4):
+            g = [a + f[c] for a, c in zip(f, conj)]
+            product = functools.reduce(an_mul, (an_pow(x, e) for x, e in zip(xs, g) if e), one)
+            assert classify._on_circle(f, conj) == an_equal(product, one), f
+            ties += an_equal(product, one)
+        # conjugation swaps places 1 and 2: f = 0, (1, 1, 1, 1), (2, 2, 2, 2),
+        # (1, 0, 2, 1) and (1, 2, 0, 1)
+        assert conj == [0, 2, 1, 3] and ties == 5
+
+    def test_labels_groups_are_two_transitive(self):
+        for n, tag, order in ((4, "A4", 12), (4, "S4", 24), (5, "A5", 60), (5, "S5", 120)):
+            group = classify._labels_group(n, tag)
+            assert len(set(group)) == order
+            assert {p[:2] for p in group} == set(itertools.permutations(range(n), 2))
 
 
 class TestQuinticResolvent:

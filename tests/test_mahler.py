@@ -986,6 +986,19 @@ class TestExactChecksUnderOptimize:
             "state = (nfield.ConjugatePattern(order=((0,), (1,), (2,)), one_position=1), 'fact')\n"
             "classify._recurrence_witness(K, list(nfield.nf_automorphisms(K)), nfield.fe_theta(K), [state], 'tag')\n"
         ),
+        # exponent-space orbits of the unit x of x^5 - x - 1 (group S5): under
+        # the regular C5 labels, which are not 2-transitive, and with a
+        # conjugation map that pairs places of distinct modulus
+        "exponent_orbit_group_not_2_transitive": (
+            "K = nfield.nf_new(from_text('-1,-1,0,0,0,1'))\n"
+            "group = [tuple((i + s) % 5 for i in range(5)) for s in range(5)]\n"
+            "list(classify._exponent_orbit(K, nfield.fe_theta(K), 0, group, 3))\n"
+        ),
+        "exponent_orbit_wrong_conjugation": (
+            "K = nfield.nf_new(from_text('-1,-1,0,0,0,1'))\n"
+            "classify._conjugate_pairs = lambda K: [3, 2, 1, 0, 4]\n"
+            "list(classify._exponent_orbit(K, nfield.fe_theta(K), 0, classify._labels_group(5, 'S5'), 3))\n"
+        ),
         # a depressed quartic that is not a monic quartic without cubic term
         "depressed_quartic_wrong": (
             "classify.transform_resolvent = lambda *args: from_text('1,1')\n"

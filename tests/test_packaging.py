@@ -171,3 +171,25 @@ def test_log_intervals_make_no_fraction():
         if getattr(node, "id", getattr(node, "attr", None)) == "Fraction"
     ]
     assert found == []
+
+
+def test_exponent_orbits_compute_no_measure():
+    # classify's exponent-space orbits decide every step on log intervals:
+    # a measure, an orbit, LLL, root isolation or a product resolvent called
+    # in the body of one of these would be a silent fallback to the slow path
+    tree = ast.parse((ROOT / "src" / "mahlerdyn" / "classify.py").read_text())
+    names = {"_exponent_orbit", "_exponent_witness"}
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in names}
+    assert set(defs) == names
+    banned = {"mahler_measure", "orbit", "lll_reduce", "isolate_roots"}
+
+    def callee(node) -> str:
+        return getattr(node.func, "id", getattr(node.func, "attr", ""))
+
+    found = [
+        f"{name}:{node.lineno} {callee(node)}"
+        for name, fn in defs.items()
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and (callee(node) in banned or callee(node).endswith("_product_poly"))
+    ]
+    assert found == []
