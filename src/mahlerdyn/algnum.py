@@ -6,11 +6,11 @@ Every constructor ends on a canonical box of a canonical minpoly, so two
 equal values always carry identical (minpoly, box) pairs. A computed value
 is named by _select_root: roots._pin pins its shrinking enclosures among the
 roots of irreducible polynomials, which are the factors of the resolvent for
-products and powers (scaled by _scaled for the Mahler measure), and the
-image minpoly alone, unfactored, for rational scalings, negation and
-inversion. So only irreducible polynomials are isolated. root_index names a
-number by the index of its canonical box, and equality compares minpolys and
-indices.
+products and non-squarefree powers (scaled by _scaled for the Mahler
+measure), and the image minpoly alone, unfactored, for squarefree powers,
+rational scalings, negation and inversion. So only irreducible polynomials
+are isolated. root_index names a number by the index of its canonical box,
+and equality compares minpolys and indices.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .factor import factor_z, is_irreducible
 from .intpoly import (
     IntPoly,
     _is_cyclotomic_irreducible,
+    _proved_squarefree,
     canonicalize,
     from_rational,
     from_text,
@@ -246,7 +247,10 @@ def an_pow(a: AlgebraicNumber, n: int) -> AlgebraicNumber:
         return an_from_rational(an_rational_value(a) ** n)
     zn = (0,) * n + (1,)
     probes = (_box_horner(zn, box) for box in _refinements(a.box, a.minpoly))
-    return _select_root(_irreducible_factors(power_map(a.minpoly, n)), probes)
+    # Galois permutes the n-th powers of the conjugates transitively, so
+    # q = h^k for the minpoly h of a^n: a squarefree q is h itself
+    q = power_map(a.minpoly, n)
+    return _select_root([q] if _proved_squarefree(q) else _irreducible_factors(q), probes)
 
 
 def an_equal(a: AlgebraicNumber, b: AlgebraicNumber) -> bool:

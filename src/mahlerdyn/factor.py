@@ -11,9 +11,11 @@ of each monicized squarefree part modulo up to _SCREEN_PRIMES good primes
 of their modular factor degrees. Every factor over Z has a degree in that set,
 so a set of {0, n} proves the part irreducible with no lifting; otherwise
 lifting runs from the screen's factorization at the screened prime with the
-fewest modular factors. Everything is deterministic: the primes are tried
-in increasing order, the splitting RNG is seeded from the input, and factors
-are reported sorted by (degree, coefficient tuple).
+fewest modular factors. _subset_degree_set reads such a set for a
+subset-product resolvent off the Frobenius cycle types of the polynomial it
+is built from, with no DDF of the resolvent. Everything is deterministic: the
+primes are tried in increasing order, the splitting RNG is seeded from the
+input, and factors are reported sorted by (degree, coefficient tuple).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 
 from .errors import ExactCheckFailed, ZeroPolynomial
 from .intpoly import (
@@ -272,6 +274,55 @@ def _degree_screen(F: IntPoly) -> tuple[int, int, list[tuple[list[int], int]]]:
         if best is None or count < best[0]:
             best = (count, p, ddf)
     return mask, best[1], best[2]
+
+
+def _subset_orbit_lengths(ddf, s: int):
+    """The orbit lengths, on the s-subsets of range(n), of a permutation of
+    range(n) whose cycle type is the degree list of ddf = _ddf(f, p)."""
+    perm = []
+    for prod, d in ddf:
+        for _ in range((len(prod) - 1) // d):
+            k = len(perm)
+            perm += [*range(k + 1, k + d), k]
+    seen = set()
+    for sub in combinations(range(len(perm)), s):
+        d = 0
+        while sub not in seen:
+            seen.add(sub)
+            sub = tuple(sorted(perm[i] for i in sub))
+            d += 1
+        if d:
+            yield d
+
+
+_ORBIT_PRIMES = 12  # primes visited by _subset_degree_set, good or not
+
+
+def _subset_degree_set(P: IntPoly, s: int, res: IntPoly) -> int:
+    """The degree set, as in _degree_screen, of res if it is the resolvent
+    of the s-subset products of the roots of a monic P of degree n > s > 0.
+
+    Modulo a prime l where P and res are squarefree, the factor degrees of
+    res are the orbit lengths, on s-subsets, of the Frobenius permutation of
+    P's roots (Dedekind), whose cycle type is the DDF of P mod l (Soicher
+    and McKay, J. Number Theory 20 (1985)): a DDF of degree n, not C(n, s).
+    The first _ORBIT_PRIMES primes are visited. A res of another degree, or
+    not proved squarefree, gets the full set."""
+    n, N = P.degree, res.degree
+    mask, done = (1 << N + 1) - 1, 1 | 1 << N
+    if not 0 < s < n or N != math.comb(n, s) or not _proved_squarefree(res):
+        return mask
+    for p in islice(_small_primes(), _ORBIT_PRIMES):
+        fp = _squarefree_mod(P, p)
+        if fp is None or _squarefree_mod(res, p) is None:
+            continue
+        sums = 1
+        for d in _subset_orbit_lengths(_ddf(fp, p), s):
+            sums |= sums << d
+        mask &= sums
+        if mask == done:
+            break
+    return mask
 
 
 def _seed_from(g: IntPoly, p: int) -> int:

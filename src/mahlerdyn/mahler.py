@@ -33,6 +33,7 @@ from .errors import (
     TrichotomyViolation,
     ZeroInput,
 )
+from .factor import _subset_degree_set
 from .intpoly import (
     IntPoly,
     _pair_product_poly,
@@ -162,8 +163,9 @@ class OrbitResult:
 # resolvent res of the monicized minpoly (or of the monicized reversal), so M
 # is a root of res(kx) with k = sigma c^(size-1). Scaling keeps each
 # irreducible factor f of res irreducible, so M is pinned among the roots of
-# the canonical f(kx): nothing past res is factored, and no image of M's
-# minpoly is isolated again. The pinned M is then checked real and positive.
+# the canonical f(kx): nothing past res is factored, res itself only when the
+# minpoly's cycle types leave it open, and no image of M's minpoly is isolated
+# again. The pinned M is then checked real and positive.
 
 
 def _product_enclosure(cur, inv: bool, scale: int) -> Optional[IsolatingBox]:
@@ -302,12 +304,17 @@ _DIRECT_FACTOR_CAP = 24
 def _select_product_root(res: IntPoly, p: IntPoly, boxes, idx, inv: bool, c: int, sigma: int) -> AlgebraicNumber:
     """M = sigma c prod_{i in idx} v_i, v_i = root_i(p) or, when inv,
     1/root_i(p), where res is the resolvent of the products
-    w = c^size prod v_i (size = len(idx)): the root of res(kx),
+    w = c^size prod v_i (size = len(idx)), p irreducible: the root of res(kx),
     k = sigma c^(size-1), that shrinking certified enclosures of M hold.
 
-    Up to degree _DIRECT_FACTOR_CAP, res is factored, each irreducible factor
-    f is scaled to the canonical f(kx), irreducible too, and the enclosures
-    pin M among the roots of the scaled factors. Past it, a relation-guessed
+    At any degree, res is proved irreducible when it is the monicized p
+    (size 1) or when that polynomial's cycle types give a subset resolvent
+    the degree set {0, deg res} (factor._subset_degree_set; a pair resolvent
+    past size 1 gets the full set), and M is pinned on the canonical res(kx).
+    Otherwise, up to degree _DIRECT_FACTOR_CAP, res is factored, each
+    irreducible factor f is scaled to the canonical f(kx), irreducible too,
+    and the enclosures pin M among the roots of the scaled factors. Past it,
+    a relation-guessed
     multiple q of the minpoly of M is proven exactly instead (q divides the
     canonical res(kx), and the cofactor excludes M by a certified disk), and
     M is pinned among the roots of the irreducible factors of q. The guesses
@@ -316,6 +323,9 @@ def _select_product_root(res: IntPoly, p: IntPoly, boxes, idx, inv: bool, c: int
     proven, res up to degree 64 is factored after all, and a larger one
     raises InternalPrecisionExceeded."""
     scale, shrink = sigma * c, Fraction(1, sigma * c ** (len(idx) - 1))
+    g = monicize(p.reversal() if inv else p)[0]
+    if res == g or _subset_degree_set(g, len(idx), res) == 1 | 1 << res.degree:
+        return _select_root([_scaled(res, shrink)], _product_enclosures(p, boxes, idx, inv, scale))
     if res.degree > _DIRECT_FACTOR_CAP:
         target = _scaled(res, shrink)
         for prec in (256, 512, 1024, 2048, 4096):

@@ -9,8 +9,8 @@ import pytest
 from mahlerdyn import algnum, factor
 from mahlerdyn.errors import BoxAmbiguous, NotIrreducible, ZeroInput
 from mahlerdyn.factor import is_irreducible
-from mahlerdyn.intpoly import IntPoly, from_text, product_resolvent
-from mahlerdyn.roots import IsolatingBox, _abs_bounds, _box_inv, _box_mul, _refinements, isolate_roots
+from mahlerdyn.intpoly import IntPoly, _proved_squarefree, from_text, power_map, product_resolvent
+from mahlerdyn.roots import IsolatingBox, _abs_bounds, _box_horner, _box_inv, _box_mul, _refinements, isolate_roots
 from mahlerdyn.algnum import (
     AlgebraicNumber,
     an_conjugates,
@@ -219,6 +219,35 @@ class TestInvNegPow:
             a = rand_an(rng, max_deg=3)
             assert an_pow(a, 6) == an_pow(an_pow(a, 2), 3)
             assert an_pow(a, 4) == an_pow(an_pow(a, 2), 2)
+
+    def test_squarefree_power_map_is_pinned_unfactored(self, monkeypatch):
+        # the power map of an irreducible minpoly is h^k for the minpoly h
+        # of a^n, so a squarefree one is h, and a^n is pinned on it unfactored;
+        # the oracle factors it and pins on the factors
+        rng = random.Random(20261022)
+        cases = []
+        while len(cases) < 40:
+            a = rand_an(rng, max_deg=5, bound=6)
+            n = rng.randint(2, 4)
+            q = power_map(a.minpoly, n)
+            probes = (_box_horner((0,) * n + (1,), b) for b in _refinements(a.box, a.minpoly))
+            cases.append((a, n, _proved_squarefree(q), algnum._select_root(algnum._irreducible_factors(q), probes)))
+        assert sum(sq for _, _, sq, _ in cases) >= 30
+        factored = []
+        real = algnum.factor_z
+        monkeypatch.setattr(algnum, "factor_z", lambda p: factored.append(p) or real(p))
+        for a, n, squarefree, want in cases:
+            del factored[:]
+            assert an_pow(a, n) == want
+            assert (factored == []) == squarefree
+
+    def test_non_squarefree_power_map_is_factored(self, monkeypatch):
+        # sqrt2 squared: the power map is (x - 2)^2, factored to x - 2
+        factored = []
+        real = algnum.factor_z
+        monkeypatch.setattr(algnum, "factor_z", lambda p: factored.append(p) or real(p))
+        assert an_rational_value(an_pow(SQRT2, 2)) == 2
+        assert factored == [P("4,-4,1")]
 
     def test_pow_rejects_zero_exponent(self):
         with pytest.raises(ValueError):

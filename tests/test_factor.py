@@ -7,7 +7,14 @@ import pytest
 from mahlerdyn import factor
 from mahlerdyn.errors import ZeroPolynomial
 from mahlerdyn.factor import factor_z, is_irreducible
-from mahlerdyn.intpoly import IntPoly, _squarefree_mod, canonicalize, from_text
+from mahlerdyn.intpoly import (
+    IntPoly,
+    _proved_squarefree,
+    _squarefree_mod,
+    _subset_product_poly,
+    canonicalize,
+    from_text,
+)
 from mahlerdyn.roots import circle_partition
 
 P = from_text
@@ -174,6 +181,88 @@ class TestDegreeSets:
         factor._factor_cached.cache_clear()
         assert factor_z(a * b).factors == ((a, 1), (b, 1))
         assert sorted(ddfs) == sorted(set(ddfs)) and len(ddfs) == factor._SCREEN_PRIMES
+
+
+class TestSubsetDegreeSets:
+    """Degree sets of subset-product resolvents from the Frobenius cycle
+    types of the polynomial they are built from."""
+
+    @staticmethod
+    def _modular_degrees(ddf):
+        return sorted(d for prod, d in ddf for _ in range((len(prod) - 1) // d))
+
+    def test_orbit_lengths_are_the_resolvent_factor_degrees(self):
+        # Dedekind: modulo a prime where res is squarefree, res's factor
+        # degrees are the orbit lengths on s-subsets of P's cycle type
+        rng = random.Random(20261020)
+        cases = 0
+        while cases < 300:
+            n = rng.randint(3, 7)
+            g = IntPoly([rng.randint(-9, 9) for _ in range(n)] + [1])
+            s = rng.randint(1, n - 1)
+            if g[0] == 0:
+                continue
+            res = _subset_product_poly(g, s)
+            for q in (11, 13, 17, 19, 23):
+                gq, rq = _squarefree_mod(g, q), _squarefree_mod(res, q)
+                if gq is None or rq is None:
+                    continue
+                lengths = factor._subset_orbit_lengths(factor._ddf(gq, q), s)
+                assert sorted(lengths) == self._modular_degrees(factor._ddf(rq, q)), (g, s, q)
+                cases += 1
+
+    def test_degree_set_holds_every_factor_degree(self):
+        # the set is never {0, N} on a reducible resolvent: half the inputs
+        # are in x^2, where the products r * (-r) make a proper factor
+        rng = random.Random(20261021)
+        reducible = squarefree_reducible = 0
+        for i in range(60):
+            n = rng.choice((4, 6)) if i % 2 else rng.randint(3, 6)
+            coeffs = [rng.randint(-6, 6) for _ in range(n)] + [1]
+            if i % 2:
+                coeffs[1::2] = [0] * (n // 2)
+            g = IntPoly(coeffs)
+            if g[0] == 0:
+                continue
+            for s in range(1, min(3, n - 1) + 1):
+                res = _subset_product_poly(g, s)
+                mask = factor._subset_degree_set(g, s, res)
+                found = factor_z(res).factors
+                for f, _ in found:
+                    assert mask >> f.degree & 1, (g, s)
+                if found != ((res, 1),):
+                    reducible += 1
+                    squarefree_reducible += all(m == 1 for _, m in found)
+                    assert mask != 1 | 1 << res.degree, (g, s)
+        assert squarefree_reducible >= 10 and reducible > squarefree_reducible
+        g = P("1,0,-10,0,1")  # sqrt2 + sqrt3: its pair products repeat +-1
+        assert factor._subset_degree_set(g, 2, _subset_product_poly(g, 2)) != 1 | 1 << 6
+
+    @pytest.mark.parametrize("text, s", [
+        ("-2,0,0,0,1", 2),  # x^4 - 2: the pair products repeat +-i sqrt2
+        ("1,0,6,0,8,0,1", 2),  # the complement resolvent of CM6's measure
+    ])
+    def test_resolvent_not_squarefree_gets_the_full_set(self, monkeypatch, text, s):
+        # squarefree modulo no prime, so no cycle type is read: the measure
+        # falls back to factor_z
+        g = P(text)
+        res = _subset_product_poly(g, s)
+        assert any(m > 1 for _, m in factor_z(res).factors)
+        assert not _proved_squarefree(res)
+        monkeypatch.setattr(factor, "_ddf", lambda *a: pytest.fail("a cycle type was read"))
+        assert factor._subset_degree_set(g, s, res) == (1 << res.degree + 1) - 1
+
+    def test_primes_visited_are_bounded(self, monkeypatch):
+        # x^4 - x - 1 with s = 2: S4 is transitive on pairs, so the degree-6
+        # resolvent is irreducible; with every prime made bad, no cycle type
+        # is read, and the loop ends after _ORBIT_PRIMES primes
+        g = P("-1,-1,0,0,1")
+        res = _subset_product_poly(g, 2)
+        assert factor._subset_degree_set(g, 2, res) == 1 | 1 << 6
+        visited = []
+        monkeypatch.setattr(factor, "_squarefree_mod", lambda f, q: visited.append(q))
+        assert factor._subset_degree_set(g, 2, res) == (1 << 7) - 1
+        assert len(visited) == factor._ORBIT_PRIMES
 
 
 class TestIrreducibleFromCache:

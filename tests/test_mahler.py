@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -159,20 +160,22 @@ class TestMeasureExamples:
         a = nth_root("1,-1,-1,-1,1")
         assert an_equal(mahler_measure(a), a)
 
-    def test_measure_factors_input_and_resolvent_only(self, monkeypatch):
-        # M is pinned among the roots of the resolvent's factors scaled to
-        # f(kx), which stay irreducible, so a measure factors the degree-5
-        # input and its degree-10 subset resolvent, and nothing else
+    def test_measure_factors_input_only(self, monkeypatch):
+        # the Frobenius cycle types of the degree-5 input prove its degree-10
+        # subset resolvent irreducible, and M is pinned among the roots of
+        # the resolvent scaled to res(kx), irreducible too: a measure factors
+        # the input, and nothing else
         monkeypatch.setattr(mahler, "_measure_cache", {})
         factor._factor_cached.cache_clear()
         m = mahler_measure(any_root(P("7,13,-13,-14,-11,9")))
-        assert factor._factor_cached.cache_info().misses == 2
+        assert factor._factor_cached.cache_info().misses == 1
         assert m.degree == 10
 
-    def test_measure_is_selected_once(self, monkeypatch):
+    def test_measure_is_selected_once_unfactored(self, monkeypatch):
         # M is pinned directly, so no rational map of a selected product
-        # follows it, and a cold measure isolates only the input and the one
-        # scaled resolvent factor
+        # follows it, and a cold measure isolates only the input and the
+        # scaled resolvent, which the input's cycle types prove irreducible:
+        # it factors only the input
         def forbidden(*args):
             raise AssertionError("the measure called an_mul, an_inv or an_sign")
 
@@ -189,7 +192,7 @@ class TestMeasureExamples:
         factor._factor_cached.cache_clear()
         m = mahler_measure(a)
         assert roots._isolate_cached.cache_info().misses == 2
-        assert factor._factor_cached.cache_info().misses == 2
+        assert factor._factor_cached.cache_info().misses == 1
         assert m.degree == 10
 
 
@@ -568,6 +571,63 @@ class TestOracleEquivalence:
             lo, hi = self._interval_measure(p)
             assert mlo <= hi and lo <= mhi, to_text(p)
             done += 1
+
+
+class TestCycleTypeRoute:
+    """M pinned on the unfactored subset resolvent once the input's
+    Frobenius cycle types prove that resolvent irreducible."""
+
+    @pytest.mark.parametrize("text, degree", [
+        ("3,1,0,1,4,-5,2,2", 35),
+        ("-3,2,2,-3,-5,-1,-5,0,5", 70),
+    ])
+    def test_large_resolvent_without_guessing(self, monkeypatch, text, degree):
+        # resolvents past _DIRECT_FACTOR_CAP that the guess ladder took 25 s
+        # and over 300 s on: no lattice is reduced
+        def no_lll(rows):
+            raise AssertionError("the measure reduced a lattice")
+
+        monkeypatch.setattr(mahler, "_measure_cache", {})
+        monkeypatch.setattr(mahler, "lll_reduce", no_lll)
+        p = P(text)
+        a = any_root(p)
+        t0 = time.perf_counter()
+        m = mahler_measure(a)
+        assert time.perf_counter() - t0 < 2
+        assert m.degree == degree
+        with mp.workdps(60):
+            rts = mp.polyroots(list(reversed(p.coeffs)), maxsteps=200, extraprec=200)
+            want = abs(p.lc) * mp.fprod(max(1, abs(r)) for r in rts)
+            box = refine(m.box, m.minpoly, Fraction(1, 1 << 130))
+            got = mp.mpf(box.center[0].numerator) / box.center[0].denominator
+            assert abs(got / want - 1) < mp.mpf(10) ** -30
+
+    def test_cold_measures_read_only_input_degree_ddfs(self, monkeypatch):
+        # a screen that silently fell back to factor_z would run the DDF of
+        # a resolvent, of degree C(n, s) > n
+        inputs = [any_root(p) for p in TestOracleEquivalence._shaped_inputs()]
+        inputs.append(any_root(P("7,13,-13,-14,-11,9")))
+        degrees = []
+        real = factor._ddf
+        monkeypatch.setattr(factor, "_ddf", lambda f, q: degrees.append(len(f) - 1) or real(f, q))
+        for a in inputs:
+            monkeypatch.setattr(mahler, "_measure_cache", {})
+            factor._factor_cached.cache_clear()
+            roots._isolate_cached.cache_clear()
+            del degrees[:]
+            mahler_measure(a)
+            assert degrees and max(degrees) <= a.degree, to_text(a.minpoly)
+
+    def test_non_squarefree_resolvent_is_factored(self, monkeypatch):
+        # CM6's complement resolvent (degree 15) repeats a root, so it is
+        # squarefree modulo no prime: factor_z pins M among its factors
+        factored = []
+        real = mahler._irreducible_factors
+        monkeypatch.setattr(mahler, "_measure_cache", {})
+        monkeypatch.setattr(mahler, "_irreducible_factors", lambda f: factored.append(f.degree) or real(f))
+        m = mahler_measure(any_root(CM6))
+        assert factored == [15]
+        assert m.degree == 3
 
 
 class TestVerdictTypes:
