@@ -442,15 +442,20 @@ def untrace_poly(h: IntPoly) -> IntPoly:
 # one that is not raises ExactCheckFailed.
 #
 # The two product resolvents behind the Mahler measure share one loop
-# (_esym_resolvent): the k-th power sum of the resolvent is e_s of numbers
-# u_j(k), read off their first s power sums by Newton's identities.
+# (_esym_sums): the k-th power sum of the resolvent is e_s of numbers u_j(k),
+# read off their first s power sums by Newton's identities.
 # - Subset products of the n roots alpha_j of monic g: u_j = alpha_j^k, so
 #   sum_j u_j^i = p_(ik); degree C(n, s).
 # - Pair products of a monic plus-reciprocal g of degree 2m, whose roots
-#   pair up as {r_j, 1/r_j}: the roots are prod_{j in J} r_j^(+-1) over the
-#   s-subsets J of pairs, degree C(m, s) 2^s. Here u_j = r_j^k + r_j^-k and
-#     sum_j u_j^i = sum_{l < i/2} C(i, l) p_(k(i-2l)) + [i even] C(i, i/2) m,
-#   from the power sums of g alone, with no division.
+#   pair up as {r_j, 1/r_j}: prod_{j in J} r_j^(+-1) over the s-subsets J of
+#   pairs, N = C(m, s) 2^s of them. Here u_j = r_j^k + r_j^-k, and the sums
+#   sum_j u_j^i come from the power sums p_(kt) of g by _trace_sums, with no
+#   division. The products are closed under t -> 1/t (flip every sign), so
+#   they too pair up, and only the trace resolvent R of their N/2 values
+#   t + 1/t is built: x^(N/2) R(x + 1/x) is the pair resolvent. Its power
+#   sums come from P_1..P_(N/2) of the products by _trace_sums again, so g's
+#   power sums are needed only up to s N/2, and Newton's identities run on
+#   N/2 sums instead of N.
 # The pair products are the subset products that take at most one root from
 # each pair, so the pair resolvent divides the subset resolvent exactly over
 # Z, and its cofactor's roots are among the subset resolvent's cofactor's.
@@ -493,10 +498,19 @@ def _from_power_sums(p: list, c: int = 1) -> IntPoly:
     return canonicalize(IntPoly([(-1) ** (d - j) * e[d - j] * c**j for j in range(d + 1)]))
 
 
-def _esym_resolvent(cnt: int, s: int, sums) -> IntPoly:
-    """Degree-cnt polynomial whose k-th power sum is e_s of the numbers whose
-    first s power sums are sums(k)[1..s]."""
-    return _from_power_sums([0] + [_elem_from_power_sums(sums(k), s)[s] for k in range(1, cnt + 1)])
+def _esym_sums(cnt: int, s: int, sums) -> list:
+    """[0, P_1, ..., P_cnt], where P_k is e_s of the numbers whose first s
+    power sums are sums(k)[1..s]."""
+    return [0] + [_elem_from_power_sums(sums(k), s)[s] for k in range(1, cnt + 1)]
+
+
+def _trace_sums(p: list, half: int) -> list:
+    """Power sums 0..len(p)-1 of the values t + 1/t over `half` pairs
+    {t, 1/t}, from the power sums p[1..] of all 2 half numbers t: the
+    binomial expansion summed over both members of each pair and halved,
+      sum (t + 1/t)^i = sum_{l < i/2} C(i, l) p_(i-2l) + [i even] C(i, i/2) half."""
+    return [sum(math.comb(i, l) * p[i - 2 * l] for l in range((i + 1) // 2))
+            + (math.comb(i, i // 2) * half if i % 2 == 0 else 0) for i in range(len(p))]
 
 
 def _subset_product_poly(g: IntPoly, s: int) -> IntPoly:
@@ -504,23 +518,19 @@ def _subset_product_poly(g: IntPoly, s: int) -> IntPoly:
     subset of the roots of monic g, with multiplicity."""
     cnt = math.comb(g.degree, s)
     ps = _power_sums(g, s * cnt)
-    return _esym_resolvent(cnt, s, lambda k: [ps[i * k] for i in range(s + 1)])
+    return _from_power_sums(_esym_sums(cnt, s, lambda k: [ps[i * k] for i in range(s + 1)]))
 
 
-def _pair_product_poly(g: IntPoly, s: int) -> IntPoly:
-    """Monic polynomial whose roots are the products prod_{j in J} r_j^(+-1)
-    over every s-subset J of the root pairs {r_j, 1/r_j} of monic
-    plus-reciprocal g, with multiplicity: degree C(m, s) 2^s for deg g = 2m."""
+def _trace_product_poly(g: IntPoly, s: int) -> IntPoly:
+    """Monic R of degree C(m, s) 2^(s-1), for monic plus-reciprocal g of
+    degree 2m, whose roots are the values t + 1/t of the products
+    t = prod_{j in J} r_j^(+-1) over every s-subset J of the root pairs
+    {r_j, 1/r_j} of g, one per pair {t, 1/t}, with multiplicity."""
     m = g.degree // 2
-    cnt = math.comb(m, s) << s
-    ps = _power_sums(g, s * cnt)
-    terms = [[(math.comb(i, l), i - 2 * l) for l in range((i + 1) // 2)] for i in range(s + 1)]
-    mid = [math.comb(i, i // 2) * m if i % 2 == 0 else 0 for i in range(s + 1)]
-
-    def sums(k):
-        return [sum(b * ps[k * t] for b, t in terms[i]) + mid[i] for i in range(s + 1)]
-
-    return _esym_resolvent(cnt, s, sums)
+    half = math.comb(m, s) << (s - 1)
+    ps = _power_sums(g, s * half)
+    pair = _esym_sums(half, s, lambda k: _trace_sums([ps[k * t] for t in range(s + 1)], m))
+    return _from_power_sums(_trace_sums(pair, half))
 
 
 def power_map(p: IntPoly, n: int) -> IntPoly:

@@ -36,8 +36,8 @@ from .errors import (
 from .factor import _subset_degree_set
 from .intpoly import (
     IntPoly,
-    _pair_product_poly,
     _subset_product_poly,
+    _trace_product_poly,
     canonicalize,
     cyclotomic_part,
     div_z,
@@ -72,7 +72,7 @@ DEFAULT_BUDGET = {"max_iters": 12, "max_degree": 512, "max_coeff_bits": 20000}
 _EXPONENT_CAP = 64
 
 # the largest product resolvent (subset or pair, see "the measure") the engine
-# builds; past this degree it reports failure instead of grinding
+# measures on; past this degree it reports failure instead of grinding
 _SUBSET_CAP = 1024
 
 
@@ -143,16 +143,16 @@ class OrbitResult:
 #   pairs {r_j, 1/r_j}, so its s outside roots are one root from each of s
 #   pairs (every measure is an algebraic integer, so every orbit step past
 #   the input is monic; the steps of WANDER6's orbit are also palindromic).
-#   Their product is a root of the pair resolvent
-#   (intpoly._pair_product_poly), of degree C(m, s) 2^s: 192 instead of
-#   C(12, 5) = 792 for M(WANDER6). Its k-th power sum is e_s(v_1, ..., v_m)
-#   with v_j = r_j^k + r_j^-k, and
-#     sum_j v_j^i = sum_{l < i/2} C(i, l) p_(k(i-2l)) + [i even] C(i, i/2) m
-#   in the power sums p_t of the minpoly. Its roots are a sub-multiset of the
-#   subset resolvent's, so it divides that resolvent over Z and its
-#   cofactor's roots are among the subset cofactor's: the root selection and
-#   its exact checks below are the same on both routes, and certify the
-#   product wherever the subset route does.
+#   Their product t is a root of the pair resolvent, of degree
+#   N = C(m, s) 2^s: 192 instead of C(12, 5) = 792 for M(WANDER6). Its roots
+#   are a sub-multiset of the subset resolvent's and are closed under
+#   t -> 1/t, so only its trace resolvent R (intpoly._trace_product_poly) is
+#   built, of degree N/2 = 96 there: x^(N/2) R(x + 1/x) is the pair
+#   resolvent, and t + 1/t a root of R. M is pinned on the monicized minpoly
+#   when s = 1, and among the irreducible factors of the pair resolvent
+#   untrace_poly(R) while that is small; past it, a guess Q for the minpoly
+#   of M + 1/M is proven on R, and M pinned among the roots of the
+#   irreducible factors of untrace_poly(Q) (see "Minpoly guessing").
 #
 # M itself is the root selected, once. Take c = lc and v_i = root_i over the
 # s outside roots or, in the complement case, the reversal x^n p(1/x): c =
@@ -202,21 +202,20 @@ def _product_enclosures(p: IntPoly, boxes, idx, inv: bool, scale: int) -> Iterat
 # of the enclosure of M they give; the enclosure also shows when t cannot be
 # real. M is an algebraic integer, so its minpoly is monic, with smaller
 # coefficients than that of the product w = kM the resolvent is built on.
-# When the resolvent is plus-reciprocal (every pair resolvent is: its roots
-# are closed under t -> 1/t), the relation is sought for T = t + 1/t, whose
-# enclosure is the product's plus its inverse. T lies in Q(t), so its minpoly
-# Q has degree at most deg q, and half of it when the minpoly q of t is
-# reciprocal: 6 instead of 12 for M(M(WANDER6)), found by the D = 8 lattice
-# at 256 bits where t needs D = 16 at 512 bits. The guess is untrace_poly(Q),
-# which is q when q is reciprocal and q*q^ (q^ the reversal of q, whose
-# roots are the 1/t) when it is not.
+# On the trace route the relation is sought for T = t + 1/t, a root of R,
+# whose enclosure is the product's plus its inverse. T lies in Q(t), so its
+# minpoly Q has degree at most deg q, and half of it when the minpoly q of t
+# is reciprocal: 6 instead of 12 for M(M(WANDER6)), found by the D = 8
+# lattice at 256 bits where t needs D = 16 at 512 bits. untrace_poly(Q) is q
+# when q is reciprocal and q*q^ (q^ the reversal of q, whose roots are the
+# 1/t) when it is not; t is pinned among its irreducible factors.
 # The powers of the value are fixed-point integers at the unit 2^-(prec+64).
 # Then, for D = 4, 8, 16, 32, 64, each cut to top = min(64, cap, prec // 24),
 # one (D+1)x(D+2) integer lattice with rows e_i + floor(2^prec * t^i /
 # max_{j<=D} |t^j|) is LLL-reduced. Scaling by the largest power, not by
 # 2^prec alone, keeps the rounding noise of the big entries below the
 # relation's own size. The cap is the largest degree a guess can have: a
-# proven guess divides res, so cap = deg res, or deg res // 2 for Q.
+# proven guess divides res (R on the trace route), so cap = deg res.
 # The lattice has the shape [I | c] with c of about prec bits, so lll_reduce
 # feeds c in 64 bits at a time when (D+1)^2 <= prec: every lattice up to 512
 # bits, D <= 16 at 1024 bits, D <= 32 at 2048 and 4096 bits. The largest
@@ -229,25 +228,23 @@ def _product_enclosures(p: IntPoly, boxes, idx, inv: bool, scale: int) -> Iterat
 # accepts a reducible guess too.
 
 
-def _candidate_minpolys(p: IntPoly, boxes, idx, inv: bool, scale: int, prec: int, res: IntPoly):
+def _candidate_minpolys(p: IntPoly, boxes, idx, inv: bool, scale: int, prec: int, res: IntPoly, trace: bool):
     """Minpoly guesses for t = scale * prod_{i in idx} v_i (as in
-    _product_enclosures) via integer relations on a high-precision value.
-    res is the polynomial that the guesses must divide: it caps their degree,
-    and a plus-reciprocal res sends the search to t + 1/t. Guesses only;
-    callers must verify."""
+    _product_enclosures), or for t + 1/t when trace, via integer relations on
+    a high-precision value. res is the polynomial that the guesses must
+    divide: it caps their degree. Guesses only; callers must verify."""
     w = prec + 64
     eps = Fraction(1, 1 << w)
     enc = _product_enclosure([refine(boxes[i], p, eps) for i in idx], inv, scale)
     if enc is None or abs(enc.center[1]) > enc.radius:
         return
-    trace = reciprocal_test(res) == "Plus"
     if trace:
         enc = _box_add(enc, _box_inv(enc))
     tx = enc.center[0]
     t = (tx.numerator << w) // tx.denominator
     # relations in degree D need roughly D * (coeff bits) working bits;
     # skip degrees this precision level cannot support
-    top = min(64, res.degree // (2 if trace else 1), prec // 24)
+    top = min(64, res.degree, prec // 24)
     pows = [1 << w]
     for _ in range(top):
         pows.append((pows[-1] * t) >> w)
@@ -261,7 +258,7 @@ def _candidate_minpolys(p: IntPoly, boxes, idx, inv: bool, scale: int, prec: int
             rows.append(row)
         q = _leading_gcd(lll_reduce(rows), D)
         if q.degree >= 1:
-            yield untrace_poly(q) if trace else q
+            yield q
 
 
 def _leading_gcd(reduced, D: int) -> IntPoly:
@@ -279,11 +276,18 @@ def _leading_gcd(reduced, D: int) -> IntPoly:
     return IntPoly(g.coeffs[k:])
 
 
-def _verified_candidate(c, res, p, boxes, idx, inv, scale):
-    """Exact proof that t = scale * prod_{i in idx} v_i (as in
-    _product_enclosures) is a root of c: c | res, and the cofactor has no
-    root in a certified enclosure of t. The rest of the enclosure stream then
-    pins t among the roots of the irreducible factors of c, so c need not be
+def _plus_inverse(encs) -> Iterator[IsolatingBox]:
+    """Enclosures of v + 1/v from those of v, skipping any that meet 0."""
+    return (_box_add(e, _box_inv(e)) for e in encs if _abs_bounds(e)[0] > 0)
+
+
+def _verified_candidate(c, res, encs, trace: bool):
+    """Exact proof that the probed value v is a root of c, where encs is a
+    stream of shrinking enclosures of t and v is t, or t + 1/t when trace:
+    c | res, and the cofactor has no root in a certified enclosure of v (an
+    enclosure that excludes the roots of c too contradicts res(v) = 0 and
+    raises). The rest of encs then pins t among the roots of the irreducible
+    factors of c, or of untrace_poly(c) when trace, so c need not be
     irreducible; the pinned root is t itself, M on the measure's path."""
     c = canonicalize(c)
     if c.degree < 1:
@@ -291,53 +295,58 @@ def _verified_candidate(c, res, p, boxes, idx, inv, scale):
     h = div_z(res, c)
     if h is None:
         return None
-    encs = _product_enclosures(p, boxes, idx, inv, scale)
-    for enc in itertools.islice(encs, 40):
+    for enc in itertools.islice(_plus_inverse(encs) if trace else encs, 40):
         if h.degree < 1 or _abs_bounds(_box_horner(h.coeffs, enc))[0] > 0:
-            return _select_root(_irreducible_factors(c), encs)
+            if _abs_bounds(_box_horner(c.coeffs, enc))[0] > 0:
+                raise ExactCheckFailed("an enclosure of a resolvent root excludes every root of the resolvent")
+            return _select_root(_irreducible_factors(untrace_poly(c) if trace else c), encs)
     return None
 
 
 _DIRECT_FACTOR_CAP = 24
 
 
-def _select_product_root(res: IntPoly, p: IntPoly, boxes, idx, inv: bool, c: int, sigma: int) -> AlgebraicNumber:
+def _select_product_root(res: IntPoly, p: IntPoly, boxes, idx, inv: bool, c: int, trace: bool,
+                         sigma: int) -> AlgebraicNumber:
     """M = sigma c prod_{i in idx} v_i, v_i = root_i(p) or, when inv,
     1/root_i(p), where res is the resolvent of the products
     w = c^size prod v_i (size = len(idx)), p irreducible: the root of res(kx),
-    k = sigma c^(size-1), that shrinking certified enclosures of M hold.
+    k = sigma c^(size-1), that shrinking certified enclosures of M hold. When
+    trace, c = 1, p is plus-reciprocal and res is the trace resolvent R of
+    the products: x^(deg R) R(x + 1/x) is their pair resolvent.
 
-    At any degree, res is proved irreducible when it is the monicized p
-    (size 1) or when that polynomial's cycle types give a subset resolvent
-    the degree set {0, deg res} (factor._subset_degree_set; a pair resolvent
-    past size 1 gets the full set), and M is pinned on the canonical res(kx).
-    Otherwise, up to degree _DIRECT_FACTOR_CAP, res is factored, each
-    irreducible factor f is scaled to the canonical f(kx), irreducible too,
-    and the enclosures pin M among the roots of the scaled factors. Past it,
-    a relation-guessed
-    multiple q of the minpoly of M is proven exactly instead (q divides the
-    canonical res(kx), and the cofactor excludes M by a certified disk), and
-    M is pinned among the roots of the irreducible factors of q. The guesses
-    come from M itself, or from M + 1/M when res(kx) is plus-reciprocal, with
-    lattices no larger than a divisor of res can need. When no guess is
-    proven, res up to degree 64 is factored after all, and a larger one
-    raises InternalPrecisionExceeded."""
+    At any degree, M is pinned on the scaled monicized p when size is 1, and
+    on the canonical res(kx) when p's cycle types give a subset resolvent the
+    degree set {0, deg res} (factor._subset_degree_set). Otherwise, while the
+    product resolvent (of degree 2 deg R on the trace route) is at most
+    _DIRECT_FACTOR_CAP, it is factored, each irreducible factor f is scaled
+    to the canonical f(kx), irreducible too, and the enclosures pin M among
+    the roots of the scaled factors. Past it, a relation-guessed multiple q
+    of the minpoly of M, or of M + 1/M on the trace route, is proven exactly
+    instead (q divides the canonical res(kx), and the cofactor excludes a
+    certified disk), and M is pinned among the roots of the irreducible
+    factors of q, or of untrace_poly(q). The lattices are no larger than a
+    divisor of res can need. When no guess is proven, a product resolvent up
+    to degree 64 is factored after all, and a larger one raises
+    InternalPrecisionExceeded."""
     scale, shrink = sigma * c, Fraction(1, sigma * c ** (len(idx) - 1))
+    encs = _product_enclosures(p, boxes, idx, inv, scale)
     g = monicize(p.reversal() if inv else p)[0]
-    if res == g or _subset_degree_set(g, len(idx), res) == 1 | 1 << res.degree:
-        return _select_root([_scaled(res, shrink)], _product_enclosures(p, boxes, idx, inv, scale))
-    if res.degree > _DIRECT_FACTOR_CAP:
+    if len(idx) == 1 or not trace and _subset_degree_set(g, len(idx), res) == 1 | 1 << res.degree:
+        return _select_root([_scaled(g if len(idx) == 1 else res, shrink)], encs)
+    full = res.degree << trace
+    if full > _DIRECT_FACTOR_CAP:
         target = _scaled(res, shrink)
         for prec in (256, 512, 1024, 2048, 4096):
-            for q in _candidate_minpolys(p, boxes, idx, inv, scale, prec, target):
-                got = _verified_candidate(q, target, p, boxes, idx, inv, scale)
+            for q in _candidate_minpolys(p, boxes, idx, inv, scale, prec, target, trace):
+                got = _verified_candidate(q, target, encs, trace)
                 if got is not None:
                     return got
-        if res.degree > 64:
+        if full > 64:
             raise InternalPrecisionExceeded(
-                f"no verified minpoly for a degree-{res.degree} product resolvent")
-    factors = [_scaled(f, shrink) for f in _irreducible_factors(res)]
-    return _select_root(factors, _product_enclosures(p, boxes, idx, inv, scale))
+                f"no verified minpoly for a degree-{full} product resolvent")
+    factors = [_scaled(f, shrink) for f in _irreducible_factors(untrace_poly(res) if trace else res)]
+    return _select_root(factors, encs)
 
 
 _measure_cache: dict = {}
@@ -368,8 +377,9 @@ def _measure_uncached(p: IntPoly) -> AlgebraicNumber:
         return an_from_rational(abs(p[0]))
     size = min(s, n - s)
     comp = s > n - s
-    if lc == 1 and not comp and reciprocal_test(p) == "Plus":
-        build, deg = _pair_product_poly, math.comb(n // 2, s) << s
+    trace = lc == 1 and not comp and reciprocal_test(p) == "Plus"
+    if trace:
+        build, deg = _trace_product_poly, math.comb(n // 2, s) << s
     else:
         build, deg = _subset_product_poly, math.comb(n, size)
     if deg > _SUBSET_CAP:
@@ -379,7 +389,7 @@ def _measure_uncached(p: IntPoly) -> AlgebraicNumber:
     c = p[0] if comp else lc
     sigma = _real_sign(_product_enclosures(p, boxes, idx, comp, c))
     res = build(monicize(p.reversal() if comp else p)[0], size)
-    m = _select_product_root(res, p, boxes, idx, comp, c, sigma)
+    m = _select_product_root(res, p, boxes, idx, comp, c, trace, sigma)
     if m.box.center[1] != 0 or _real_sign(_refinements(m.box, m.minpoly)) < 0:
         raise ExactCheckFailed(f"measure of a degree-{n} number is not real and positive")
     return m
@@ -417,12 +427,13 @@ def _torsion_free(a: AlgebraicNumber) -> Optional[bool]:
     cyclotomic part, so that part is (x - 1)^n exactly when no ratio of two
     distinct roots is a root of unity. That answers for the ratios with a
     itself: an automorphism sigma of the splitting field with sigma(a_i) = a
-    sends a_i/a_j to a/sigma(a_j), and a root of unity to a root of unity."""
-    if classify_number(a).tag in ("Pisot", "Salem", "Perron"):
-        return True
+    sends a_i/a_j to a/sigma(a_j), and a root of unity to a root of unity.
+    Past degree 6 only a Pisot, Salem or Perron a is decided, as torsion-free:
+    by the same automorphism, a root of unity a_i/a_j would give one
+    a/sigma(a_j) with |sigma(a_j)| < a, which is impossible."""
     n = a.degree
     if n > 6:
-        return None
+        return True if classify_number(a).tag in ("Pisot", "Salem", "Perron") else None
     x_minus_1_to_n = IntPoly((-1) ** (n - k) * math.comb(n, k) for k in range(n + 1))
     return cyclotomic_part(ratio_resolvent(a.minpoly, a.minpoly)) == x_minus_1_to_n
 

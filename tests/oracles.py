@@ -5,7 +5,9 @@ a fraction-free Sylvester determinant, exact real-root counts come from Sturm
 chains over Q, numeric root counts/positions come from mpmath at high
 working precision, cyclotomic factors are recognised by iterating the
 squarefree Graeffe map to its fixed point, torsion-freeness is asked of each
-conjugate ratio one at a time (not of the ratio resolvent), the logs of a
+conjugate ratio one at a time (not of the ratio resolvent), the pair product
+resolvent is built at full degree from the power sums of the pair products
+(not through their half-degree trace resolvent), the logs of a
 product of units are summed exactly over Fractions, and the rank of interval
 rows comes from Gaussian elimination with Fraction quotients. They exist to
 cross-check, never to decide.
@@ -17,7 +19,14 @@ from fractions import Fraction
 import mpmath
 
 from mahlerdyn.algnum import an_conjugates, an_inv, an_mul
-from mahlerdyn.intpoly import IntPoly, power_map, squarefree_part
+from mahlerdyn.intpoly import (
+    IntPoly,
+    _elem_from_power_sums,
+    _from_power_sums,
+    _power_sums,
+    power_map,
+    squarefree_part,
+)
 
 
 def sylvester_resultant(p: IntPoly, q: IntPoly) -> int:
@@ -166,6 +175,25 @@ def graeffe_is_cyclotomic(f: IntPoly) -> bool:
             return True
         h = h2
     return False
+
+
+def pair_product_poly(g: IntPoly, s: int) -> IntPoly:
+    """Monic polynomial whose roots are the products prod_{j in J} r_j^(+-1)
+    over every s-subset J of the root pairs {r_j, 1/r_j} of monic
+    plus-reciprocal g, with multiplicity: degree C(m, s) 2^s for deg g = 2m.
+    Its k-th power sum is e_s(v_1..v_m), v_j = r_j^k + r_j^-k, where
+      sum_j v_j^i = sum_{l < i/2} C(i, l) p_(k(i-2l)) + [i even] C(i, i/2) m
+    in the power sums p_t of g."""
+    m = g.degree // 2
+    cnt = math.comb(m, s) << s
+    ps = _power_sums(g, s * cnt)
+    terms = [[(math.comb(i, l), i - 2 * l) for l in range((i + 1) // 2)] for i in range(s + 1)]
+    mid = [math.comb(i, i // 2) * m if i % 2 == 0 else 0 for i in range(s + 1)]
+
+    def sums(k):
+        return [sum(b * ps[k * t] for b, t in terms[i]) + mid[i] for i in range(s + 1)]
+
+    return _from_power_sums([0] + [_elem_from_power_sums(sums(k), s)[s] for k in range(1, cnt + 1)])
 
 
 def conjugate_ratio_torsion_free(a) -> bool:

@@ -15,7 +15,9 @@ import pytest
 from mahlerdyn import algnum, factor, intpoly, mahler, roots
 from mahlerdyn.errors import InternalPrecisionExceeded, NotAFixedPoint, ZeroInput
 from mahlerdyn.factor import is_irreducible
-from mahlerdyn.intpoly import IntPoly, canonicalize, div_z, from_text, reciprocal_test, to_text, untrace_poly
+from mahlerdyn.intpoly import (
+    IntPoly, canonicalize, div_z, from_text, reciprocal_test, to_text, trace_poly, untrace_poly,
+)
 from mahlerdyn.roots import circle_partition, isolate_roots, refine
 from mahlerdyn.algnum import (
     _irreducible_factors,
@@ -47,7 +49,7 @@ from mahlerdyn.mahler import (
     orbit,
     wandering_certificate,
 )
-from oracles import conjugate_ratio_torsion_free
+from oracles import conjugate_ratio_torsion_free, pair_product_poly
 
 P = from_text
 
@@ -265,6 +267,19 @@ class TestTorsionFree:
             torsion += not expected
             count += 1
         assert torsion >= 40
+
+    def test_exact_test_without_classifying(self, monkeypatch):
+        # up to degree 6 the ratio resolvent decides, with no Perron shortcut:
+        # sqrt 2 and cbrt 2 sent classify_number into its equal-modulus
+        # fallback, x^3 - x - 1 is Pisot, WANDER6 and CM6 are neither
+        def no_classify(a):
+            raise AssertionError("classify_number called")
+
+        monkeypatch.setattr(mahler, "classify_number", no_classify)
+        for p, free in [(P("-2,0,1"), False), (P("-2,0,0,1"), False), (P("-1,-1,0,1"), True),
+                        (WANDER6, True), (CM6, False)]:
+            for a in an_conjugates(any_root(p)):
+                assert mahler._torsion_free(a) is free, to_text(p)
 
 
 class TestOrbitExamples:
@@ -665,14 +680,15 @@ class TestMinpolyGuess:
     @staticmethod
     def _m2_product():
         """The arguments _select_product_root gets for M(M(WANDER6)): the
-        degree-12 monic plus-reciprocal p = M(WANDER6).minpoly, its pair
-        resolvent (degree 192, past the direct-factor cap), the boxes, the
-        five outside roots and lc = 1. The product of those roots is
-        positive, so it is M itself (sigma = 1) and res(kx) = res."""
+        degree-12 monic plus-reciprocal p = M(WANDER6).minpoly, its trace
+        resolvent R (degree 96; the pair resolvent, of degree 192, is past the
+        direct-factor cap), the boxes, the five outside roots and lc = 1. The
+        product of those roots is positive, so it is M itself (sigma = 1) and
+        R(kx) = R."""
         p = mahler_measure(any_root(WANDER6)).minpoly
         idx = circle_partition(p).outside
-        res = mahler._pair_product_poly(p, len(idx))
-        assert res.degree > mahler._DIRECT_FACTOR_CAP
+        res = intpoly._trace_product_poly(p, len(idx))
+        assert res.degree == 96 and 2 * res.degree > mahler._DIRECT_FACTOR_CAP
         boxes = isolate_roots(p)
         assert mahler._real_sign(mahler._product_enclosures(p, boxes, idx, False, 1)) == 1
         return res, p, boxes, idx, p.lc
@@ -704,50 +720,68 @@ class TestMinpolyGuess:
         assert [t.degree for t in r.trace] == [6, 12, 12]
 
     def test_verified_candidate_rejects_multiple(self):
+        # the proof on M itself, on the degree-192 pair resolvent
         res, p, boxes, idx, lc = self._m2_product()
-        w = mahler._select_product_root(res, p, boxes, idx, False, lc, 1)
+        w = mahler._select_product_root(res, p, boxes, idx, False, lc, True, 1)
         q = w.minpoly
         assert q.degree == 12
-        assert mahler._verified_candidate(q, res, p, boxes, idx, False, lc) is not None
-        qx1 = q * IntPoly((1, 1))
-        assert mahler._verified_candidate(qx1, res, p, boxes, idx, False, lc) is None
+        pair = pair_product_poly(p, len(idx))
+
+        def verified(c):
+            return mahler._verified_candidate(c, pair, mahler._product_enclosures(p, boxes, idx, False, lc), False)
+
+        assert verified(q) is not None
+        assert verified(q * IntPoly((1, 1))) is None
+
+    def test_trace_proof_rejects_multiple(self):
+        # the same on R, for the minpoly Q of M + 1/M, and for R / Q, which
+        # divides R but whose cofactor Q vanishes at M + 1/M: only Q is proven
+        res, p, boxes, idx, lc = self._m2_product()
+        w = mahler._select_product_root(res, p, boxes, idx, False, lc, True, 1)
+        Q = trace_poly(w.minpoly)
+        assert Q.degree == 6
+
+        def verified(c):
+            return mahler._verified_candidate(c, res, mahler._product_enclosures(p, boxes, idx, False, lc), True)
+
+        got = verified(Q)
+        assert (got.minpoly, root_index(got)) == (w.minpoly, root_index(w))
+        assert verified(Q * IntPoly((1, 1))) is None
+        assert verified(div_z(res, Q)) is None
 
     def test_verified_candidate_accepts_reducible(self):
-        # the trace route guesses q*q^ when the minpoly q of the product is
-        # not reciprocal (q^ its reversal); here q = x^3 - x - 1 and the
-        # product is its real root, the plastic number
+        # a reducible candidate is proven and its factors pinned: here
+        # q*q^ (q^ the reversal of q) for q = x^3 - x - 1, whose real root,
+        # the plastic number, is the product
         p = P("-1,-1,0,1")
         boxes = isolate_roots(p)
         idx = (next(i for i, b in enumerate(boxes) if b.center[1] == 0),)
         c = p * P("-1,0,1,1")
         assert to_text(c) == "1,1,-1,-3,-1,1,1"
-        got = mahler._verified_candidate(c, c, p, boxes, idx, False, 1)
+        got = mahler._verified_candidate(c, c, mahler._product_enclosures(p, boxes, idx, False, 1), False)
         assert got is not None
         assert got.minpoly == p
         assert an_equal(got, an_from_poly_root(p, boxes[idx[0]]))
 
     def test_non_reciprocal_minpoly_on_reciprocal_resolvent(self, monkeypatch):
-        # a plus-reciprocal resolvent past the direct-factor cap whose root t,
-        # the plastic number, has the non-reciprocal minpoly q = x^3 - x - 1:
-        # the guess on t + 1/t is q*q^, proven with the cofactor x^20 + 1,
-        # and t is pinned on q rather than found by factoring res
+        # a trace resolvent R, past the direct-factor cap, with the root
+        # T = t + 1/t for t the plastic number, whose minpoly q = x^3 - x - 1
+        # is not reciprocal: the guess Q for T has degree 3 and lifts to
+        # untrace_poly(Q) = q*q^, it is proven with the cofactor
+        # trace_poly(x^20 + 1), and t is pinned on q rather than found by
+        # factoring R
         q = P("-1,-1,0,1")
-        res = q * q.reversal() * P(",".join(["1"] + ["0"] * 19 + ["1"]))
-        assert reciprocal_test(res) == "Plus" and res.degree > mahler._DIRECT_FACTOR_CAP
+        res = trace_poly(q * q.reversal() * P(",".join(["1"] + ["0"] * 19 + ["1"])))
+        assert 2 * res.degree > mahler._DIRECT_FACTOR_CAP
         boxes = isolate_roots(q)
         idx = (next(i for i, b in enumerate(boxes) if b.center[1] == 0),)
-        proven = []
-        verify = mahler._verified_candidate
-
-        def verified_spy(c, *args):
-            got = verify(c, *args)
-            if got is not None:
-                proven.append(canonicalize(c))
-            return got
-
-        monkeypatch.setattr(mahler, "_verified_candidate", verified_spy)
-        got = mahler._select_product_root(res, q, boxes, idx, False, 1, 1)
-        assert proven == [canonicalize(q * q.reversal())]
+        factored = []
+        real = mahler._irreducible_factors
+        monkeypatch.setattr(mahler, "_irreducible_factors", lambda f: factored.append(f) or real(f))
+        guess = canonicalize(next(mahler._candidate_minpolys(q, boxes, idx, False, 1, 256, res, True)))
+        assert guess.degree == 3 and untrace_poly(guess) == canonicalize(q * q.reversal())
+        got = mahler._verified_candidate(guess, res, mahler._product_enclosures(q, boxes, idx, False, 1), True)
+        assert factored == [canonicalize(q * q.reversal())]
         assert got.minpoly == q
         assert an_equal(got, an_from_poly_root(q, boxes[idx[0]]))
 
@@ -771,16 +805,16 @@ class TestMinpolyGuess:
     ])
     def test_ladder_capped_by_resolvent(self, monkeypatch, text, reciprocal):
         # at 4096 bits the ladder would run D = 4, ..., 64; a guess divides
-        # res, so no lattice is larger than deg res (deg res // 2 on t + 1/t)
+        # res, so no lattice is larger than deg res. On t + 1/t res is the
+        # trace resolvent x^2 - 12 of p, and the guess is itself
         p = P(text)
-        res = p if reciprocal else p * P("-2,1")
-        cap = res.degree // 2 if reciprocal else res.degree
+        res = trace_poly(p) if reciprocal else p * P("-2,1")
         sizes = self._lattice_sizes(monkeypatch)
         boxes = isolate_roots(p)
         i = max(range(p.degree), key=lambda k: boxes[k].center[0])
-        guesses = [canonicalize(c) for c in mahler._candidate_minpolys(p, boxes, (i,), False, 1, 4096, res)]
-        assert sizes == [cap + 1]
-        assert guesses == [p]
+        guesses = [canonicalize(c) for c in mahler._candidate_minpolys(p, boxes, (i,), False, 1, 4096, res, reciprocal)]
+        assert sizes == [res.degree + 1]
+        assert guesses == [res if reciprocal else p]
 
     def test_gcd_recovers_minpoly_from_multiples(self):
         m1 = mahler_measure(any_root(WANDER6))
@@ -810,14 +844,15 @@ class TestMinpolyGuess:
         p = P("1,0,-10,0,1")
         boxes = isolate_roots(p)
         i = max(range(4), key=lambda k: boxes[k].center[0])
-        first = next(mahler._candidate_minpolys(p, boxes, (i,), False, 1, 256, p * P("-2,1")))
+        first = next(mahler._candidate_minpolys(p, boxes, (i,), False, 1, 256, p * P("-2,1"), False))
         assert canonicalize(first) == p
 
 
 class TestPairResolvent:
     """A monic plus-reciprocal minpoly of degree 2m with s roots outside the
-    circle is measured on the pair resolvent (degree C(m, s) 2^s), a divisor
-    of the subset resolvent (degree C(2m, s))."""
+    circle is measured on the trace resolvent R (degree C(m, s) 2^(s-1)):
+    x^(deg R) R(x + 1/x) is the pair resolvent (degree C(m, s) 2^s), a
+    divisor of the subset resolvent (degree C(2m, s))."""
 
     @staticmethod
     def _inputs(max_m, count):
@@ -838,14 +873,18 @@ class TestPairResolvent:
         inputs = self._inputs(5, 40)
         assert max(p.degree for p, _ in inputs) == 10
         for p, s in inputs:
-            q = intpoly._pair_product_poly(p, s)
+            q = pair_product_poly(p, s)
             assert q.degree == math.comb(p.degree // 2, s) << s
             assert div_z(intpoly._subset_product_poly(p, s), q) is not None, to_text(p)
+            r = intpoly._trace_product_poly(p, s)
+            assert r.degree == math.comb(p.degree // 2, s) << (s - 1)
+            assert untrace_poly(r) == q, to_text(p)
 
     def test_routes_agree(self, monkeypatch):
         # up to degree 6 both routes factor their resolvent directly; along
-        # WANDER6's trace both guess the minpoly (192 against 792 at M^1 and
-        # M^2): the pair route on t + 1/t in about 0.5 s, the subset route,
+        # WANDER6's trace both guess the minpoly (the trace resolvent of
+        # degree 96, against 792, at M^1 and M^2): the trace route on t + 1/t
+        # in about 0.5 s, the subset route,
         # with reciprocal_test patched away, on t itself in about 10 s. Past
         # degree 6 the pair route takes 0.2-0.6 s per degree-8 measure, the
         # subset route 2-4 s.
@@ -853,16 +892,16 @@ class TestPairResolvent:
         polys += [t.minpoly for t in orbit(any_root(WANDER6)).trace]
         built = []
 
-        def pair_spy(g, s):
+        def trace_spy(g, s):
             built.append(g)
-            return intpoly._pair_product_poly(g, s)
+            return intpoly._trace_product_poly(g, s)
 
         def measures():
             monkeypatch.setattr(mahler, "_measure_cache", {})
             got = [mahler_measure(a) for p in polys for a in an_conjugates(any_root(p))]
             return [(m.minpoly, root_index(m)) for m in got]
 
-        monkeypatch.setattr(mahler, "_pair_product_poly", pair_spy)
+        monkeypatch.setattr(mahler, "_trace_product_poly", trace_spy)
         by_pairs = measures()
         assert sorted(built, key=to_text) == sorted(set(polys), key=to_text)
         built.clear()
@@ -878,16 +917,22 @@ class TestPairResolvent:
     def test_guess_route_on_irreducible_resolvent(self, monkeypatch, text):
         # s = 3 roots outside, so the pair resolvent has degree 32, past the
         # direct-factor cap; it is irreducible and the product's minpoly, and
-        # the guess on M + 1/M (degree 16) must be proven, not the fallback
-        # that factors res after all. The proven root is M itself, |w| for the
-        # product w that factoring res and pinning selects (w < 0 for the
-        # first and third inputs).
+        # the guess on M + 1/M (degree 16) must be proven on the trace
+        # resolvent R of degree 16, not the fallback that factors res after
+        # all. The proven root is M itself, |w| for the product w that
+        # factoring res and pinning selects (w < 0 for the first and third
+        # inputs).
         p = P(text)
         idx = circle_partition(p).outside
-        res = intpoly._pair_product_poly(p, len(idx))
+        res = pair_product_poly(p, len(idx))
         assert len(idx) == 3 and res.degree == 32 and is_irreducible(res)
+        built = []
         proven = []
         verify = mahler._verified_candidate
+
+        def trace_spy(g, s):
+            built.append(intpoly._trace_product_poly(g, s))
+            return built[-1]
 
         def verified_spy(*args):
             got = verify(*args)
@@ -897,7 +942,9 @@ class TestPairResolvent:
 
         monkeypatch.setattr(mahler, "_measure_cache", {})
         monkeypatch.setattr(mahler, "_verified_candidate", verified_spy)
+        monkeypatch.setattr(mahler, "_trace_product_poly", trace_spy)
         m = mahler_measure(any_root(p))
+        assert [r.degree for r in built] == [16] and untrace_poly(built[0]) == res
         assert len(proven) == 1
         got = proven[0]
         boxes = isolate_roots(p)
@@ -906,25 +953,37 @@ class TestPairResolvent:
         assert (got.minpoly, root_index(got)) == (oracle.minpoly, root_index(oracle))
         assert an_equal(m, got)
 
-    def test_wandering_step_builds_degree_192(self, monkeypatch):
-        # a silent fallback to the degree-792 subset resolvent fails here
-        m1 = mahler_measure(any_root(WANDER6))
+    def test_wandering_step_builds_degree_96(self, monkeypatch):
+        # a cold orbit builds the trace resolvents of degree 6 (WANDER6) and
+        # 96 (M(WANDER6)); a silent fallback to the degree-192 pair or the
+        # degree-792 subset resolvent fails here
         built = []
 
-        def pair_spy(g, s):
-            res = intpoly._pair_product_poly(g, s)
+        def trace_spy(g, s):
+            res = intpoly._trace_product_poly(g, s)
             built.append(res.degree)
             return res
 
         def no_subset(g, s):
             raise AssertionError("subset resolvent built")
 
+        def capped(degree_of, f):
+            def spy(*args):
+                got = f(*args)
+                if degree_of(got, *args) in (192, 792):
+                    raise AssertionError(f"degree-{degree_of(got, *args)} polynomial built")
+                return got
+            return spy
+
         monkeypatch.setattr(mahler, "_measure_cache", {})
-        monkeypatch.setattr(mahler, "_pair_product_poly", pair_spy)
+        monkeypatch.setattr(mahler, "_trace_product_poly", trace_spy)
         monkeypatch.setattr(mahler, "_subset_product_poly", no_subset)
-        m2 = mahler_measure(m1)
-        assert built == [192]
-        assert an_equal(m2, an_pow(m1, 3))
+        monkeypatch.setattr(intpoly, "_elem_from_power_sums",
+                            capped(lambda e, p, m: m, intpoly._elem_from_power_sums))
+        monkeypatch.setattr(mahler, "untrace_poly", capped(lambda h, *_: h.degree, untrace_poly))
+        r = orbit(any_root(WANDER6))
+        assert r.verdict == Wandering(PowerIdentity(k=2, l=1, n=3))
+        assert built == [6, 96]
 
 
 class TestRelationPathFailure:
@@ -983,6 +1042,15 @@ class TestExactChecksUnderOptimize:
             "roots.IsolatingBox((roots.Fraction(1000), roots._ZERO), roots._ONE)\n"
             "mahler.mahler_measure(an_from_poly_root(from_text('7,13,-13,-14,-11,9'), "
             "isolate_roots(from_text('7,13,-13,-14,-11,9'))[0]))\n"
+        ),
+        # enclosures of M + 1/M far from every root of the trace resolvent, on
+        # the guess route of M(WANDER6): the proven guess's cofactor excludes
+        # them, and so does the guess
+        "trace_enclosure_far": (
+            "mahler._plus_inverse = lambda encs: mahler.itertools.repeat("
+            "roots.IsolatingBox((roots.Fraction(1000), roots._ZERO), roots._ONE))\n"
+            "w = from_text('1,2,3,-4,3,2,1')\n"
+            "mahler.mahler_measure(mahler.mahler_measure(an_from_poly_root(w, isolate_roots(w)[0])))\n"
         ),
         # a scaled root's probe that meets no box of the scaled minpoly
         "scaled_probe_far": (
