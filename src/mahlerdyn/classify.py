@@ -14,15 +14,16 @@ intervals over one bounded ladder, ``nfield._LAYOUT_PREC``; open at the top
 rung refutes a strict relation, or raises where a rung must settle it
 (``_settled``, and ``algnum._real_sign`` for signs).  Every candidate is then
 certified exactly.
-There are three certifiers: the orbit engine
-(``_orbit_witness``: an exact PowerIdentity or TorsionFreePower, with a cited
-theorem's growth chain 1 < M^1 < ... < M^k as the fallback); exponent space
-(``_exponent_witness``: the same certificates for units of S4, A4, S5 and A5
-fields, whose M^k(x) = +-prod x_j^e_j over the embeddings x_j, stepped on
-their log intervals by ``_exponent_orbit``); and the product recurrence
-(``_recurrence_witness``: three steps M(x) = the product of the outside
-conjugates of x, proved on the witness's log intervals summed through the
-automorphism keys). The last two compute no measure.
+There are three certifiers: the orbit engine (``_orbit_witness``: an exact
+PowerIdentity or TorsionFreePower, with a cited theorem's growth chain
+1 < M^1 < ... < M^k as the fallback) for C4 and D4 quartics, C2^3, C3xC3
+and Q8; exponent space (``_exponent_witness``: the same certificates, read
+off M^k(x) = +-prod x_j^e_j over the embeddings x_j, which ``_exponent_orbit``
+steps on log intervals over ``_labels_group``) for S4, A4, S5, A5, F20 and
+D5; and the product recurrence (``_recurrence_witness``: three steps M(x) =
+the product of the outside conjugates of x, proved on log intervals summed
+through the automorphism keys) for cyclic fields, C6 and S3. The last two
+compute no measure, so neither does ``classify_quintic``.
 
 Automorphism-group bookkeeping reads the keys of ``nf_automorphisms``, the
 certified embedding permutations: an automorphism's order is the cycle
@@ -42,16 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .algnum import (
-    AlgebraicNumber,
-    _real_sign,
-    an_compare,
-    an_equal,
-    an_from_rational,
-    an_mul,
-    an_neg,
-    an_pow,
-)
+from .algnum import AlgebraicNumber, _real_sign, an_compare, an_from_rational
 from .errors import (
     ExactCheckFailed,
     InternalPrecisionExceeded,
@@ -73,7 +65,6 @@ from .mahler import (
     TorsionFreePower,
     WanderCert,
     Wandering,
-    mahler_measure,
     orbit,
 )
 from .nfield import (
@@ -335,14 +326,14 @@ def _stable_cycles(G: IntPoly) -> list[tuple[int, ...]]:
     the cyclic adjacency of the order-5 subgroup, read here directly off G's
     own roots (both pair members generate the same 5-cycle up to inversion).
     Indices refer to the isolate_roots(G) order, which is the embedding order.
+    Unless exactly one pair's delta disk holds a rational root, the pair is
+    not pinned: ExactCheckFailed.
     """
     res, deltas = _cayley_sextic(G)
-    cycles = []
-    for r in _rational_roots(res):
-        for i, d in enumerate(deltas):
-            if _point_in(d, r, 0):
-                cycles.extend(_PENTAGON_PAIRS[i])
-    return cycles
+    pinned = [i for r in _rational_roots(res) for i, d in enumerate(deltas) if _point_in(d, r, 0)]
+    if len(pinned) != 1:
+        raise ExactCheckFailed(f"{len(pinned)} pentagon pairs hold a rational root of the sextic")
+    return list(_PENTAGON_PAIRS[pinned[0]])
 
 
 def _galois_quintic(G: IntPoly) -> str:
@@ -381,12 +372,6 @@ def galois_group_small(p: IntPoly) -> str:
 # witness verification helpers
 
 
-def _strictly_increasing_above_one(ms: Sequence[AlgebraicNumber]) -> bool:
-    if an_compare(ms[0], _ONE) != 1:
-        return False
-    return all(an_compare(b, a) == 1 for a, b in zip(ms, ms[1:]))
-
-
 def _fact_chain(ms: Sequence[AlgebraicNumber]) -> str:
     links = " < ".join(f"M^{k + 1}" for k in range(len(ms)))
     return f"1 < {links} verified exactly"
@@ -405,7 +390,7 @@ def _orbit_witness(w, steps, tag=None, facts=()) -> Optional[HasWanderer]:
     if isinstance(v, Inconclusive) and v.reason != "budget: max_iters exhausted":
         raise InternalPrecisionExceeded(v.reason)
     ms = res.trace[1:]
-    if tag is None or len(ms) < steps or not _strictly_increasing_above_one(ms):
+    if tag is None or len(ms) < steps or any(an_compare(b, a) < 1 for a, b in zip([_ONE, *ms], ms)):
         return None
     cert = CitedGrowth(tag=tag, facts=facts + (_fact_chain(ms),))
     return HasWanderer(witness=w, certificate=cert)
@@ -416,9 +401,17 @@ def _orbit_at(K, place, steps, tag=None, facts=()):
     return lambda x: _orbit_witness(fe_to_algnum(K, x, place), steps, tag, facts)
 
 
-def _labels_group(n: int, tag: str) -> list[tuple[int, ...]]:
-    """S_n, or A_n when tag starts with A, on the labels 0..n-1."""
-    perms = itertools.permutations(range(n))
+def _labels_group(G: IntPoly, tag: str) -> list[tuple[int, ...]]:
+    """The Galois group tag of G on its embedding indices: for F5 and D5 the
+    maps k -> u k + b on the positions of the 5-cycle that _stable_cycles(G)
+    pins, u in (Z/5)^x or +-1 (its pentagram gives the same group); else
+    S_n, or A_n when tag starts with A."""
+    if tag in ("F5", "D5"):
+        cyc = _stable_cycles(G)[0]
+        pos = [cyc.index(j) for j in range(5)]
+        units = (1, 2, 3, 4) if tag == "F5" else (1, 4)
+        return [tuple(cyc[(u * k + b) % 5] for k in pos) for u in units for b in range(5)]
+    perms = itertools.permutations(range(G.degree))
     if tag.startswith("S"):
         return list(perms)
     return [p for p in perms if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 == 0]
@@ -445,19 +438,25 @@ def _exponent_orbit(K, x, place, group, steps):
     over the embeddings x_j of the unit x, x at place, and log(prec)
     encloses log M^k on that rung of _LAYOUT_PREC.
 
-    group, the Galois group on the labels, is 2-transitive or
-    ExactCheckFailed. Then the f with prod x_j^f_j a root of unity are Z.1
-    (Smyth, J. Number Theory 23 (1986); Girstmair, Acta Arith. 89 (1999)),
-    so the conjugates of prod x_j^f_j are the distinct vectors f o sigma
-    (equal sums keep them apart mod Z.1), and e^(k+1) sums those outside the
-    unit circle: decided on the ladder, a tie exactly by _on_circle, open at
-    the top rung InternalPrecisionExceeded. A conjugation map outside the
-    group, not an involution, or joining places of distinct modulus raises
+    group, the Galois group on the labels, is 2-transitive or transitive of
+    prime degree p, else ExactCheckFailed. Then the lattice L of the f with
+    prod x_j^f_j a root of unity is Z.1 (Smyth, J. Number Theory 23 (1986);
+    Girstmair, Acta Arith. 89 (1999)): Q^n = Q.1 + W with W irreducible over
+    Q[group] (in degree p already over a p-cycle, where W is Q(zeta_p)), and
+    L (x) Q is group-stable, holds 1 (x is a unit) and is not Q^n (x is no
+    root of unity), so it is Q.1; L is saturated. So the conjugates of
+    prod x_j^f_j are the distinct vectors f o sigma (equal sums keep them
+    apart mod Z.1), and e^(k+1) sums those outside the unit circle: decided
+    on the ladder, a tie exactly by _on_circle, open at the top rung
+    InternalPrecisionExceeded. A conjugation map outside the group, not an
+    involution, or joining places of distinct modulus raises
     ExactCheckFailed.
     """
     n = K.degree
-    if {p[:2] for p in group} != set(itertools.permutations(range(n), 2)):
-        raise ExactCheckFailed("the group is not 2-transitive on the labels")
+    transitive = {p[0] for p in group} == set(range(n))
+    doubly = {p[:2] for p in group} == set(itertools.permutations(range(n), 2))
+    if not doubly and not (transitive and all(n % d for d in range(2, n))):
+        raise ExactCheckFailed("the group is neither 2-transitive nor transitive of prime degree")
     conj, logs = _conjugate_pairs(K), _place_logs(K, x)
     rung0 = logs[_LAYOUT_PREC[0]]
     if tuple(conj) not in group or any(
@@ -682,7 +681,7 @@ def _quartic_square_witness(K, lattice, sig, tag) -> Optional[HasWanderer]:
             for a, b in (tuple(reals), tuple(reals[::-1]))
         ]
 
-    group = _labels_group(4, tag)
+    group = _labels_group(K.defining, tag)
 
     def certify(top):
         return lambda x: _exponent_witness(K, _positive_at(K, x, top), top, group, 2)
@@ -795,7 +794,7 @@ def _quintic_nonsolvable_witness(K, lattice, tag) -> Optional[HasWanderer]:
         "at least two conjugates strictly outside and two strictly inside "
         "the unit circle, so no associate is Pisot",
     )
-    group, cited = _labels_group(5, tag), "FPZ2020-Thm3-non-pisot-quintic-unit"
+    group, cited = _labels_group(K.defining, tag), "FPZ2020-Thm3-non-pisot-quintic-unit"
 
     def certify(place):
         return lambda x: _exponent_witness(K, x, place, group, 3, cited, facts)
@@ -805,12 +804,14 @@ def _quintic_nonsolvable_witness(K, lattice, tag) -> Optional[HasWanderer]:
 
 def _quintic_chain_assignments(K, G) -> list[tuple]:
     """Labelings (a, s(a), s2(a), s3(a), s4(a), paired) -> embedding indices
-    along the 5-cycle.
+    along the 5-cycle. They only name patterns; the certifiers step over the
+    pinned group of _labels_group.
 
     For signature (1,2) complex conjugation inverts the cycle, pinning
-    {s, s4} and {s2, s3} to the two conjugate pairs.  For the totally real
-    case the cyclic adjacency is read off the resolvent's stable pentagon,
-    then rotated and reflected.
+    {s, s4} and {s2, s3} to the two conjugate pairs: a labeling differs from
+    a Galois one at most by swapping conjugate places, which no modulus
+    statement can see. For the totally real case the cyclic adjacency is
+    read off the resolvent's stable pentagon, then rotated and reflected.
     """
     reals, pairs = _place_layout(K)
     if len(reals) == 1:
@@ -838,21 +839,29 @@ def _chain_pattern(lab, extras) -> ConjugatePattern:
 
 
 def _quintic_f5_witness(K, lattice, G) -> Optional[HasWanderer]:
+    """F20 witness: a unit on the 5-cycle layout with an exact certificate
+    from its first two measures, in exponent space over the pinned F20."""
+    group = _labels_group(G, "F5")
     candidates = [
-        (_chain_pattern(lab, (((lab[0], lab[2]), "<"),)), _orbit_at(K, lab[0], 2))
+        (
+            _chain_pattern(lab, (((lab[0], lab[2]), "<"),)),
+            functools.partial(_exponent_witness, K, place=lab[0], group=group, steps=2),
+        )
         for lab in _quintic_chain_assignments(K, G)
     ]
     return _first_witness(K, lattice, candidates)
 
 
-def _d5_chain_witness(K, lab, x) -> Optional[HasWanderer]:
+def _d5_chain_witness(K, lab, group, x) -> Optional[HasWanderer]:
     """x with the dihedral exponent recursion (j, i) -> (j + i, j).
 
-    Verified facts: with P = s(x) s4(x), the measure of x^j P^i is the next
-    chain element of (1,0) -> (1,1) -> (2,1) -> (3,2) up to sign, with
-    strictly growing measures.  The comparison |s2(x) s4(x)| < |x s3(x)| is
-    not expressible as a pattern constraint, so it is decided here on the
-    same ladder of log intervals, a tie refuting it.
+    With P = s(x) s4(x), the first three exponent vectors of x at place a
+    over the pinned D5 group must be x P, x^2 P and x^3 P^2 mod Z.1, which
+    is M(x^j P^i) = +-x^(j+i) P^j for (j, i) = (1,0), (1,1), (2,1); the
+    growth chain 1 < M^1 < M^2 < M^3 is _exponent_witness's. The comparison
+    |s2(x) s4(x)| < |x s3(x)| is not expressible as a pattern constraint, so
+    it is decided here on the same ladder of log intervals, a tie refuting
+    it.
     """
     a, s, s2, s3, s4, _ = lab
     logs = _place_logs(K, x)
@@ -863,41 +872,29 @@ def _d5_chain_witness(K, lab, x) -> Optional[HasWanderer]:
 
     if not _on_ladder(smaller):
         return None
-    wa = fe_to_algnum(K, x, a)
-    pair_prod = an_mul(fe_to_algnum(K, x, s), fe_to_algnum(K, x, s4))
-    chain = [
-        an_pow(wa, j) if i == 0 else an_mul(an_pow(wa, j), an_pow(pair_prod, i))
-        for j, i in ((1, 0), (1, 1), (2, 1), (3, 2))
-    ]
-    ms = []
-    for cur, nxt in zip(chain, chain[1:]):
-        m = mahler_measure(cur)
-        if not (an_equal(m, nxt) or an_equal(m, an_neg(nxt))):
+    for (e, _), (j, i) in zip(_exponent_orbit(K, x, a, group, 3), ((1, 1), (2, 1), (3, 2))):
+        want = [j * (k == a) + i * (k in (s, s4)) for k in range(5)]  # x^j P^i
+        if len({u - v for u, v in zip(e, want)}) != 1:
             return None
-        ms.append(m)
-    if not _strictly_increasing_above_one(ms):
-        return None
     facts = (
         "unit chain |x| > |s(x)|, |s4(x)| > 1 > |s2(x)|, |s3(x)|",
         "|s2(x) s4(x)| < |x s3(x)| < 1 verified exactly",
         "M(x^j P^i) = +-x^(j+i) P^j for P = s(x) s4(x) and "
         "(j, i) = (1,0), (1,1), (2,1)",
-        _fact_chain(ms),
     )
-    cert = CitedGrowth(tag="dihedral-quintic-exponent-recursion", facts=facts)
-    return HasWanderer(witness=wa, certificate=cert)
+    return _exponent_witness(K, x, a, group, 3, "dihedral-quintic-exponent-recursion", facts)
 
 
 def _quintic_d5_witness(K, lattice, G) -> Optional[HasWanderer]:
     """Dihedral witness: a unit on the 5-cycle layout, by _d5_chain_witness."""
-    candidates = []
+    group, candidates = _labels_group(G, "D5"), []
     for lab in _quintic_chain_assignments(K, G):
         a, s, s2, s3, s4, paired = lab
         if paired:
             extras = (((s2, s), "<"), ((a, s2), "<"))
         else:
             extras = (((s2, s4), "<"), ((a, s3), "<"))
-        certify = functools.partial(_d5_chain_witness, K, lab)
+        certify = functools.partial(_d5_chain_witness, K, lab, group)
         candidates.append((_chain_pattern(lab, extras), certify))
     return _first_witness(K, lattice, candidates)
 

@@ -1,9 +1,12 @@
 """Field-level verdicts: regressions for the CM test, the abelian rule and its
 invariant factors, the quartic table (its all-preperiodic rows, the C4, D4
 and S4 witnesses, and its groups against sympy), the quintic (S5, F5, C5, D5)
-witnesses (S5 in signatures (1, 2) and (3, 1), and three census fields),
-the exponent-space orbits of S4 and S5 units against mahler_measure and
-their exact tie rule, the quintic resolvent behind
+witnesses (S5 in signatures (1, 2) and (3, 1), and three census fields) and
+a spy that no quintic verdict computes a measure or an orbit, the
+exponent-space orbits of S4, A4, S5, F20 and D5 units against
+mahler_measure, their exact tie rule and their groups on the labels (the
+F20 and D5 ones from the pinned 5-cycle, checked against integral orbit
+sums of the roots), the quintic resolvent behind
 galois_group_small, the C6, S3 and totally imaginary sextic, C2^3 and C8 octic
 verdicts, the quartic subfields of C8, C4xC2 and D4 octics, the group shapes
 of orders 6, 8 and 9 on their regular representations, the C3xC3 nonic
@@ -60,6 +63,7 @@ C4_REAL = P("2,0,-4,0,1")  # x^4 - 4x^2 + 2, totally real cyclic quartic
 
 S5_QUINTIC = P("-1,-1,0,0,0,1")  # x^5 - x - 1
 F5_QUINTIC = P("-2,0,0,0,0,1")  # x^5 - 2
+X5M3 = P("-3,0,0,0,0,1")  # x^5 - 3, group F5
 D5_QUINTIC = P("12,-5,0,0,0,1")  # x^5 - 5x + 12
 C5_QUINTIC = P("1,3,-3,-4,1,1")  # x^5 + x^4 - 4x^3 - 3x^2 + 3x + 1
 A5_QUINTIC = P("16,20,0,0,0,1")  # x^5 + 20x + 16
@@ -336,11 +340,13 @@ class TestClassifyQuartic:
 
 class TestClassifyQuintic:
     def test_f5_quintic_has_power_identity(self):
-        v = classify_quintic(F5_QUINTIC)
-        _assert_wandering_unit(v, 5)
-        cert = v.certificate
-        assert isinstance(cert, PowerIdentity) and cert.k > cert.l >= 1 and cert.n >= 2
-        _assert_exact_certificate(v)
+        # x^5 - 2 and x^5 - 3, both of signature (1, 2)
+        for p in (F5_QUINTIC, X5M3):
+            v = classify_quintic(p)
+            _assert_wandering_unit(v, 5)
+            cert = v.certificate
+            assert isinstance(cert, PowerIdentity) and cert.k > cert.l >= 1 and cert.n >= 2
+            _assert_exact_certificate(v)
 
     def test_c5_quintic_goes_through_the_cyclic_chain(self):
         v = classify_quintic(C5_QUINTIC)
@@ -371,6 +377,13 @@ class TestClassifyQuintic:
         assert cert.tag == "dihedral-quintic-exponent-recursion"
         assert cert.facts[-1] == "1 < M^1 < M^2 < M^3 verified exactly"
         _assert_measure_grows(v.witness)
+        # oracle for the recursion fact, with no labeling: M^1 = |x P|,
+        # M^2 = |x^2 P| and M^3 = |x^3 P^2| give M^2 = |x| M^1, M^3 = M^1 M^2
+        x = _value(v.witness)
+        m1, m2, m3 = (_value(_iterate(v.witness, k)) for k in (1, 2, 3))
+        with mp.workprec(400):
+            assert abs(m2 - abs(x) * m1) < m2 * mp.mpf(2) ** -200
+            assert abs(m3 - m1 * m2) < m3 * mp.mpf(2) ** -200
 
     def test_s5_quintic_has_certified_wanderer(self):
         # the verdict reads M^2 = (M^1)^2 off exponent vectors, with no
@@ -396,6 +409,23 @@ class TestClassifyQuintic:
         assert v.certificate == PowerIdentity(k=2, l=1, n=2)
         _assert_exact_certificate(v)
 
+    def test_quintic_verdicts_compute_no_measure(self, monkeypatch):
+        # with every measure and orbit raising, F5, both D5 fields, C5 and S5
+        # still get the verdicts that they get without the spy
+        fields = [F5_QUINTIC, D5_COMPLEX, D5_REAL, C5_QUINTIC, S5_QUINTIC]
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("a measure or an orbit was computed")
+
+        monkeypatch.setattr(mahler, "_measure_cache", {})
+        monkeypatch.setattr(mahler, "_measure_uncached", boom)
+        for module in (mahler, classify):
+            monkeypatch.setattr(module, "orbit", boom)
+        spied = [classify_quintic(p) for p in fields]
+        monkeypatch.undo()
+        assert spied == [classify_quintic(p) for p in fields]
+        kinds = [PowerIdentity, CitedGrowth, CitedGrowth, CitedGrowth, PowerIdentity]
+        assert [type(v.certificate) for v in spied] == kinds
 
     @pytest.mark.parametrize("text", ["1,-2,2,-3,-1,1", "2,4,-5,-7,3,1", "-1,-1,2,2,-1,1"])
     def test_census_quintic_has_certified_wanderer(self, monkeypatch, text):
@@ -419,6 +449,17 @@ class TestClassifyQuintic:
         _assert_log_inside(m2, logs[1])
 
 
+def _orbit_sum_is_integer(G, group) -> bool:
+    """Oracle for a Galois group on the labels, from mpmath roots in the
+    isolate_roots order: the sum over the group of x_g(1) x_g(2) x_g(3)^2
+    is fixed by Galois, so it is a rational algebraic integer."""
+    with mp.workdps(60):
+        found = mp.polyroots([mp.mpf(c) for c in reversed(G.coeffs)], maxsteps=200, extraprec=200)
+        xs = [min(found, key=lambda z: abs(z - _mp_point(*b.center))) for b in isolate_roots(G)]
+        total = sum(xs[g[1]] * xs[g[2]] * xs[g[3]] ** 2 for g in group)
+        return abs(total - mp.nint(total.real)) < mp.mpf(10) ** -40
+
+
 class TestExponentOrbit:
     @pytest.mark.parametrize(
         "p, steps",
@@ -428,12 +469,15 @@ class TestExponentOrbit:
             (S4_MIXED, 3),
             (P("1,-3,-6,0,1"), 3),
             (P("1,-3,-7,0,1"), 3),  # x^4 - 7x^2 - 3x + 1, group A4
+            (F5_QUINTIC, 2),
+            (D5_COMPLEX, 3),
+            (D5_REAL, 3),
         ],
-        ids=["S5-(1,2)", "S5-(3,1)", "S4-(2,1)", "S4-(4,0)", "A4-(4,0)"],
+        ids=["S5-(1,2)", "S5-(3,1)", "S4-(2,1)", "S4-(4,0)", "A4-(4,0)", "F5-(1,2)", "D5-(1,2)", "D5-(5,0)"],
     )
     def test_log_intervals_contain_the_measures(self, monkeypatch, p, steps):
         # oracle: the witness's first measures from mahler_measure
-        assert galois_group_small(p) in ("S4", "A4", "S5")
+        assert galois_group_small(p) in ("S4", "A4", "S5", "F5", "D5")
         calls = _record_exponent_orbits(monkeypatch)
         v = classify_quintic(p) if p.degree == 5 else classify_quartic(p)
         K, x, place, group, _ = calls[-1].args
@@ -460,11 +504,31 @@ class TestExponentOrbit:
         # (1, 0, 2, 1) and (1, 2, 0, 1)
         assert conj == [0, 2, 1, 3] and ties == 5
 
-    def test_labels_groups_are_two_transitive(self):
-        for n, tag, order in ((4, "A4", 12), (4, "S4", 24), (5, "A5", 60), (5, "S5", 120)):
-            group = classify._labels_group(n, tag)
+    def test_labels_groups_are_two_transitive(self, monkeypatch):
+        cases = [(S4_MIXED, "A4", 12), (S4_MIXED, "S4", 24), (S5_QUINTIC, "A5", 60), (S5_QUINTIC, "S5", 120)]
+        for G, tag, order in cases:
+            group = classify._labels_group(G, tag)
             assert len(set(group)) == order
-            assert {p[:2] for p in group} == set(itertools.permutations(range(n), 2))
+            assert {p[:2] for p in group} == set(itertools.permutations(range(G.degree), 2))
+        # F20 and D5 from the pinned 5-cycle: transitive groups that hold
+        # complex conjugation, the same from either pentagon of the pair
+        cases = [(F5_QUINTIC, "F5", 20), (X5M3, "F5", 20), (D5_COMPLEX, "D5", 10), (D5_REAL, "D5", 10)]
+        for G, tag, order in cases:
+            group = set(classify._labels_group(G, tag))
+            assert len(group) == order
+            assert {nfield._compose_keys(p, q) for p in group for q in group} == group
+            assert {p[0] for p in group} == set(range(5))
+            assert tuple(nfield._conjugate_pairs(nfield.nf_new(G))) in group
+            with monkeypatch.context() as m:
+                m.setattr(classify, "_stable_cycles", lambda G, f=classify._stable_cycles: f(G)[::-1])
+                assert set(classify._labels_group(G, tag)) == group
+            # the oracle sees the pinned group, and no conjugate of it by a
+            # transposition outside it
+            assert _orbit_sum_is_integer(G, group)
+            for i, j in itertools.combinations(range(5), 2):
+                t = [j if k == i else i if k == j else k for k in range(5)]
+                other = {tuple(t[p[t[k]]] for k in range(5)) for p in group}
+                assert other == group or not _orbit_sum_is_integer(G, other)
 
 
 class TestQuinticResolvent:

@@ -1115,17 +1115,43 @@ class TestExactChecksUnderOptimize:
             "classify._recurrence_witness(K, list(nfield.nf_automorphisms(K)), nfield.fe_theta(K), [state], 'tag')\n"
         ),
         # exponent-space orbits of the unit x of x^5 - x - 1 (group S5): under
-        # the regular C5 labels, which are not 2-transitive, and with a
-        # conjugation map that pairs places of distinct modulus
+        # the regular C5 labels, transitive of prime degree but without the
+        # field's complex conjugation; under S4 on the labels 1..4, which is
+        # not transitive; and with a conjugation map that pairs places of
+        # distinct modulus
         "exponent_orbit_group_not_2_transitive": (
             "K = nfield.nf_new(from_text('-1,-1,0,0,0,1'))\n"
             "group = [tuple((i + s) % 5 for i in range(5)) for s in range(5)]\n"
             "list(classify._exponent_orbit(K, nfield.fe_theta(K), 0, group, 3))\n"
         ),
+        "exponent_orbit_group_intransitive": (
+            "K = nfield.nf_new(from_text('-1,-1,0,0,0,1'))\n"
+            "group = [(0,) + p for p in classify.itertools.permutations(range(1, 5))]\n"
+            "list(classify._exponent_orbit(K, nfield.fe_theta(K), 0, group, 3))\n"
+        ),
         "exponent_orbit_wrong_conjugation": (
             "K = nfield.nf_new(from_text('-1,-1,0,0,0,1'))\n"
             "classify._conjugate_pairs = lambda K: [3, 2, 1, 0, 4]\n"
-            "list(classify._exponent_orbit(K, nfield.fe_theta(K), 0, classify._labels_group(5, 'S5'), 3))\n"
+            "list(classify._exponent_orbit(K, nfield.fe_theta(K), 0, classify._labels_group(K.defining, 'S5'), 3))\n"
+        ),
+        # the cyclic labels C4 of x^4 - x - 1: transitive, but neither
+        # 2-transitive nor of prime degree
+        "exponent_orbit_c4_on_a_quartic": (
+            "K = nfield.nf_new(from_text('-1,-1,0,0,1'))\n"
+            "group = [tuple((i + s) % 4 for i in range(4)) for s in range(4)]\n"
+            "list(classify._exponent_orbit(K, nfield.fe_theta(K), 0, group, 3))\n"
+        ),
+        # two pentagon pairs of x^5 - 2 hold the rational root of its Cayley
+        # sextic: the 5-cycle is not pinned
+        "stable_cycles_two_pairs_pinned": (
+            "real = classify._cayley_sextic\n"
+            "def two_pinned(h):\n"
+            "    res, deltas = real(h)\n"
+            "    (r,) = classify._rational_roots(res)\n"
+            "    i = next(i for i, d in enumerate(deltas) if classify._point_in(d, r, 0))\n"
+            "    return res, tuple(deltas[i] if k in (i, (i + 1) % 6) else d for k, d in enumerate(deltas))\n"
+            "classify._cayley_sextic = two_pinned\n"
+            "classify._stable_cycles(from_text('-2,0,0,0,0,1'))\n"
         ),
         # a depressed quartic that is not a monic quartic without cubic term
         "depressed_quartic_wrong": (

@@ -174,14 +174,23 @@ def test_log_intervals_make_no_fraction():
 
 
 def test_exponent_orbits_compute_no_measure():
-    # classify's exponent-space orbits decide every step on log intervals:
-    # a measure, an orbit, LLL, root isolation or a product resolvent called
-    # in the body of one of these would be a silent fallback to the slow path
+    # classify's exponent-space orbits, and the F20 and D5 witnesses and
+    # groups on them, decide every step on log intervals: a measure, an
+    # orbit, an exact product or power, LLL, root isolation or a product
+    # resolvent called in the body of one of these would be a silent
+    # fallback to the slow path
     tree = ast.parse((ROOT / "src" / "mahlerdyn" / "classify.py").read_text())
-    names = {"_exponent_orbit", "_exponent_witness"}
+    names = {
+        "_exponent_orbit",
+        "_exponent_witness",
+        "_quintic_f5_witness",
+        "_quintic_d5_witness",
+        "_d5_chain_witness",
+        "_labels_group",
+    }
     defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in names}
     assert set(defs) == names
-    banned = {"mahler_measure", "orbit", "lll_reduce", "isolate_roots"}
+    banned = {"mahler_measure", "orbit", "an_mul", "an_pow", "lll_reduce", "isolate_roots"}
 
     def callee(node) -> str:
         return getattr(node.func, "id", getattr(node.func, "attr", ""))
