@@ -14,16 +14,15 @@ intervals over one bounded ladder, ``nfield._LAYOUT_PREC``; open at the top
 rung refutes a strict relation, or raises where a rung must settle it
 (``_settled``, and ``algnum._real_sign`` for signs).  Every candidate is then
 certified exactly.
-There are three certifiers: the orbit engine (``_orbit_witness``: an exact
-PowerIdentity or TorsionFreePower, with a cited theorem's growth chain
-1 < M^1 < ... < M^k as the fallback) for C4 and D4 quartics, C2^3, C3xC3
-and Q8; exponent space (``_exponent_witness``: the same certificates, read
-off M^k(x) = +-prod x_j^e_j over the embeddings x_j, which ``_exponent_orbit``
-steps on log intervals over ``_labels_group``) for S4, A4, S5, A5, F20 and
-D5; and the product recurrence (``_recurrence_witness``: three steps M(x) =
-the product of the outside conjugates of x, proved on log intervals summed
-through the automorphism keys) for cyclic fields, C6 and S3. The last two
-compute no measure, so neither does ``classify_quintic``.
+One certifier, exponent space, computes no measure: ``_exponent_orbit``
+steps M^k(x) = +-prod x_j^e_j over the embeddings x_j of the unit x, sides
+on log intervals and equalities by one exact test in K (``_relation_test``)
+over the automorphisms passed: the identity for S4, A4, S5, A5, F20 and D5
+(``_labels_group``), all keys for C4, cyclic fields, C6, S3, C2^3, C3xC3
+and Q8, and both keys for D4 (``_key_group``). ``_exponent_witness`` reads
+off a PowerIdentity or TorsionFreePower, else a cited theorem's growth chain
+1 < M^1 < ... < M^k; ``_chain_witness`` proves the product-recurrence states
+of cyclic fields, C6 and S3.
 
 Automorphism-group bookkeeping reads the keys of ``nf_automorphisms``, the
 certified embedding permutations: an automorphism's order is the cycle
@@ -43,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .algnum import AlgebraicNumber, _real_sign, an_compare, an_from_rational
+from .algnum import AlgebraicNumber, _real_sign
 from .errors import (
     ExactCheckFailed,
     InternalPrecisionExceeded,
@@ -60,12 +59,9 @@ from .intpoly import IntPoly, discriminant, is_squarefree, monicize, transform_r
 from .mahler import (
     _EXPONENT_CAP,
     CitedGrowth,
-    Inconclusive,
     PowerIdentity,
     TorsionFreePower,
     WanderCert,
-    Wandering,
-    orbit,
 )
 from .nfield import (
     _LAYOUT_PREC,
@@ -87,6 +83,7 @@ from .nfield import (
     fe_add,
     fe_mul,
     fe_neg,
+    fe_pow,
     fe_rational,
     fe_theta,
     fe_to_algnum,
@@ -94,6 +91,7 @@ from .nfield import (
     nf_automorphisms,
     nf_embed,
     nf_new,
+    nf_norm,
     nf_pattern_search,
     nf_unit_sublattice,
 )
@@ -156,9 +154,6 @@ class Unsupported:
 
 
 FieldVerdict = Union[AllPreperiodic, HasWanderer, HasWandererByTheorem, Unsupported]
-
-
-_ONE = an_from_rational(1)
 
 
 # ---------------------------------------------------------------------------
@@ -372,35 +367,6 @@ def galois_group_small(p: IntPoly) -> str:
 # witness verification helpers
 
 
-def _fact_chain(ms: Sequence[AlgebraicNumber]) -> str:
-    links = " < ".join(f"M^{k + 1}" for k in range(len(ms)))
-    return f"1 < {links} verified exactly"
-
-
-def _orbit_witness(w, steps, tag=None, facts=()) -> Optional[HasWanderer]:
-    """w with the orbit engine's exact certificate from its first ``steps``
-    measures; failing that, when the cited theorem ``tag`` applies, w with
-    the exact growth chain 1 < M^1 < ... < M^steps appended to ``facts``.
-    A precision failure is raised, never read as a rejected candidate.
-    """
-    res = orbit(w, {"max_iters": steps})
-    v = res.verdict
-    if isinstance(v, Wandering):
-        return HasWanderer(witness=w, certificate=v.certificate)
-    if isinstance(v, Inconclusive) and v.reason != "budget: max_iters exhausted":
-        raise InternalPrecisionExceeded(v.reason)
-    ms = res.trace[1:]
-    if tag is None or len(ms) < steps or any(an_compare(b, a) < 1 for a, b in zip([_ONE, *ms], ms)):
-        return None
-    cert = CitedGrowth(tag=tag, facts=facts + (_fact_chain(ms),))
-    return HasWanderer(witness=w, certificate=cert)
-
-
-def _orbit_at(K, place, steps, tag=None, facts=()):
-    """certify for _first_witness: the orbit witness of x at ``place``."""
-    return lambda x: _orbit_witness(fe_to_algnum(K, x, place), steps, tag, facts)
-
-
 def _labels_group(G: IntPoly, tag: str) -> list[tuple[int, ...]]:
     """The Galois group tag of G on its embedding indices: for F5 and D5 the
     maps k -> u k + b on the positions of the 5-cycle that _stable_cycles(G)
@@ -417,137 +383,181 @@ def _labels_group(G: IntPoly, tag: str) -> list[tuple[int, ...]]:
     return [p for p in perms if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 == 0]
 
 
-def _power(a, b) -> Optional[int]:
-    """The n in 2.._EXPONENT_CAP with a - n b in Z.1, if any; b is not
-    constant. Then prod x_j^a_j / (prod x_j^b_j)^n is a root of unity."""
-    j = next(j for j, v in enumerate(b) if v != b[0])
-    n, r = divmod(a[j] - a[0], b[j] - b[0])
-    if r or not 2 <= n <= _EXPONENT_CAP or any(u - a[0] != n * (v - b[0]) for u, v in zip(a, b)):
-        return None
-    return n
+def _key_group(keys) -> list[tuple[int, ...]]:
+    """The Galois group on the labels that all keys of Aut(K) pin. Galois K:
+    tau o iota_0 = iota_0 o sigma_t sends iota_i = iota_0 o sigma_k (k(0) =
+    i) to iota_k(t(0)), so the keys when Aut(K) is abelian. D4 quartic (two
+    keys): the stabilizer of the non-trivial key's orbits."""
+    n = len(keys[0])
+    if len(keys) == n:
+        by0 = {k[0]: k for k in keys}
+        return [tuple(by0[i][t[0]] for i in range(n)) for t in keys]
+    if (n, len(keys)) == (4, 2):
+        blocks = {frozenset((j, max(keys)[j])) for j in range(4)}  # the identity is the least key
+        perms = itertools.permutations(range(4))
+        return [p for p in perms if {frozenset(p[j] for j in b) for b in blocks} == blocks]
+    raise ExactCheckFailed(f"{len(keys)} automorphisms of a degree-{n} field pin no Galois group")
 
 
-def _on_circle(f, conj) -> bool:
-    """|prod x_j^f_j| = 1: then its product with its complex conjugate,
-    prod x_j^(f_j + f_conj(j)), is 1, so f + f o conj lies in Z.1."""
-    return len({a + f[c] for a, c in zip(f, conj)}) == 1
+def _relation_test(K, x, place, autos):
+    """rel(f) = +-1 when prod x_j^f_j = +-1 exactly, else None (x_j: the unit
+    x at embedding j, x at place). f must be constant, c, off the labels O
+    = {p[place]} of the keys p of autos, else None; the product is then
+    N(x)^c prod_{j in O} sigma_j(x)^(f_j - c), sigma_j(x) at place being
+    x_j, compared in K as positive against negative powers (c is f's most
+    common entry when O is every label)."""
+    images, norm = {p[place]: g for p, g in autos.items()}, nf_norm(K, x)
+    if norm not in (1, -1):
+        raise ExactCheckFailed("an exponent-space orbit needs a unit")
+    sigma = functools.cache(lambda j: nf_apply(K, images[j], x))
+
+    def product(d):
+        powers = (fe_pow(K, sigma(j), e) for j, e in d.items() if e > 0)
+        return functools.reduce(functools.partial(fe_mul, K), powers, fe_rational(K, 1))
+
+    def rel(f):
+        off = {v for j, v in enumerate(f) if j not in images}
+        if len(off) > 1:
+            return None
+        c = off.pop() if off else max(f, key=f.count)
+        up, down = product({j: f[j] - c for j in images}), product({j: c - f[j] for j in images})
+        return int(norm**c) if up == down else -int(norm**c) if up == fe_neg(K, down) else None
+
+    return rel
 
 
-def _exponent_orbit(K, x, place, group, steps):
-    """Yield (e^(k), log) for k = 1..steps, where M^k(x) = +-prod x_j^e_j
-    over the embeddings x_j of the unit x, x at place, and log(prec)
-    encloses log M^k on that rung of _LAYOUT_PREC.
+def _exponent_orbit(K, x, place, group, steps, autos=None):
+    """Yield (e^(k), log, rel) for k = 0..steps: M^k(x) = +-prod x_j^e_j over
+    the embeddings x_j of the unit x, x at place; log(f, prec) encloses
+    log|prod x_j^f_j| on a rung of _LAYOUT_PREC; rel is _relation_test.
 
-    group, the Galois group on the labels, is 2-transitive or transitive of
-    prime degree p, else ExactCheckFailed. Then the lattice L of the f with
-    prod x_j^f_j a root of unity is Z.1 (Smyth, J. Number Theory 23 (1986);
-    Girstmair, Acta Arith. 89 (1999)): Q^n = Q.1 + W with W irreducible over
-    Q[group] (in degree p already over a p-cycle, where W is Q(zeta_p)), and
-    L (x) Q is group-stable, holds 1 (x is a unit) and is not Q^n (x is no
-    root of unity), so it is Q.1; L is saturated. So the conjugates of
-    prod x_j^f_j are the distinct vectors f o sigma (equal sums keep them
-    apart mod Z.1), and e^(k+1) sums those outside the unit circle: decided
-    on the ladder, a tie exactly by _on_circle, open at the top rung
-    InternalPrecisionExceeded. A conjugation map outside the group, not an
-    involution, or joining places of distinct modulus raises
-    ExactCheckFailed.
+    group is the Galois group on the labels; autos the identity (default) or
+    all of Aut(K). The f with prod x_j^f_j a root of unity form a saturated,
+    group-stable lattice L, not Z^n, holding 1. Each kind accepted puts L in
+    Z.1 + span(O), O the labels of rel, so rel's None is a proof:
+    - the identity, group 2-transitive or transitive of prime degree p: L =
+      Z.1, as Q^n = Q.1 + W, W irreducible over Q[group] (over a p-cycle in
+      degree p; Smyth, J. Number Theory 23 (1986); Girstmair, Acta Arith. 89
+      (1999));
+    - all n keys of a Galois K: O is every label;
+    - both keys of a totally real D4 quartic that x generates: Q^4 = Q.1 +
+      Q.eps + W2 over Q[D4], eps = +-1 on the key orbits, and W2 in L (x) Q
+      would put every conjugate +-x^(+-1) in K, making K Galois.
+    The last two take group = _key_group(keys). Anything else, or a
+    conjugation map outside the group, not an involution or joining places
+    of distinct modulus, raises ExactCheckFailed.
+
+    e^(k+1) sums the distinct conjugates f o sigma (sigma in group) outside
+    the unit circle: f is on it when rel(f + f o conj) is not None, f and h
+    are one when rel(f - h) is 1, and a side open at the top rung raises
+    InternalPrecisionExceeded.
     """
-    n = K.degree
-    transitive = {p[0] for p in group} == set(range(n))
+    n, ident = K.degree, tuple(range(K.degree))
+    autos = autos or {ident: fe_theta(K)}
     doubly = {p[:2] for p in group} == set(itertools.permutations(range(n), 2))
-    if not doubly and not (transitive and all(n % d for d in range(2, n))):
-        raise ExactCheckFailed("the group is neither 2-transitive nor transitive of prime degree")
+    prime = {p[0] for p in group} == set(range(n)) and all(n % d for d in range(2, n))
+    keyed = len(autos) > 1 and set(group) == set(_key_group(list(autos)))
+    d4 = K.signature == (4, 0) and len(autos) == 2 and nf_apply(K, autos[max(autos)], x) != x
+    if ident not in autos or not (len(autos) == 1 and (doubly or prime) or keyed and (len(autos) == n or d4)):
+        raise ExactCheckFailed("the group is neither 2-transitive, of prime degree, Galois nor D4 on its keys")
     conj, logs = _conjugate_pairs(K), _place_logs(K, x)
     rung0 = logs[_LAYOUT_PREC[0]]
     if tuple(conj) not in group or any(
         conj[c] != j or _decide(rung0(j), "!=", rung0(c)) for j, c in enumerate(conj)
     ):
         raise ExactCheckFailed("the conjugation map is not complex conjugation on the labels")
+    rel = _relation_test(K, x, place, autos)
 
     def log(f, prec):
         return functools.reduce(_iv_add, (_iv_scale(logs[prec](j), c) for j, c in enumerate(f)))
 
     e = tuple(int(j == place) for j in range(n))
+    yield e, log, rel
     for _ in range(steps):
-        outside = [
-            f
-            for f in {tuple(e[i] for i in p) for p in group}
-            if not _on_circle(f, conj)
-            and _settled(lambda prec: _decide(log(f, prec), ">"), "side of a conjugate")
-        ]
-        e = tuple(map(sum, zip((0,) * n, *outside)))
-        yield e, functools.partial(log, e)
+        found = []
+        for f in dict.fromkeys(tuple(e[i] for i in p) for p in group):
+            if (
+                rel(tuple(a + f[c] for a, c in zip(f, conj))) is None
+                and _settled(lambda prec: _decide(log(f, prec), ">"), "side of a conjugate")
+                and all(rel(tuple(a - b for a, b in zip(f, h))) != 1 for h in found)
+            ):
+                found.append(f)
+        e = tuple(map(sum, zip((0,) * n, *found)))
+        yield e, log, rel
 
 
-def _exponent_witness(K, x, place, group, steps, tag=None, facts=()) -> Optional[HasWanderer]:
-    """x at place with _orbit_witness's certificate, read off _exponent_orbit
-    in wandering_certificate's scan order: PowerIdentity(k, l, n) when
-    e^(k) - n e^(l) is in Z.1 (a root of unity between positive numbers is
-    1), else TorsionFreePower(k, n) when e^(k) - n e^(0) is and x^n > 0
-    (x's relations are Z.1, so it is torsion-free), else, when the cited
-    theorem ``tag`` applies, the chain 1 < M^1 < ... < M^steps decided on the
-    log intervals. M^k = M^(k-1) ends the orbit: None.
-    """
-    es, chain = [tuple(int(j == place) for j in range(K.degree))], [lambda prec: (0, 0)]
-    real = _conjugate_pairs(K)[place] == place
-    for k, (e, log) in enumerate(_exponent_orbit(K, x, place, group, steps), 1):
-        if len({u - v for u, v in zip(e, es[-1])}) == 1:
+def _exponent_witness(K, x, place, group, steps, tag=None, facts=(), autos=None) -> Optional[HasWanderer]:
+    """x at place with a certificate read off _exponent_orbit in
+    wandering_certificate's scan order: PowerIdentity(k, l, n), else
+    TorsionFreePower(k, n) when x is real there, x^n > 0 and no x_j / x is
+    -1 (K's one root of unity besides 1), else, for a cited theorem ``tag``,
+    the chain 1 < M^1 < ... < M^steps on the log intervals. n in
+    2.._EXPONENT_CAP is the one integer a rung leaves in a log ratio, proved
+    by rel (a root of unity between positive numbers is 1). M^k = M^(k-1)
+    ends the orbit: None."""
+    es, logs, n = [], [], K.degree
+
+    def power(k, l):
+        def fits(prec):
+            (a, b), (c, d) = logs[k](prec), logs[l](prec)
+            ns = range(max(2, -(-a // d)), min(_EXPONENT_CAP, b // c) + 1) if c > 0 else range(0)
+            return None if c <= 0 < d or len(ns) > 1 else ns
+
+        ns = _settled(fits, "the ratio of two measures")
+        return next((m for m in ns if rel(tuple(u - m * v for u, v in zip(es[k], es[l]))) is not None), None)
+
+    for k, (e, log, rel) in enumerate(_exponent_orbit(K, x, place, group, steps, autos)):
+        if k and rel(tuple(u - v for u, v in zip(e, es[-1]))) is not None:
             return None
-        cert = next((PowerIdentity(k, l, n) for l in range(1, k) if (n := _power(e, es[l]))), None)
-        m = _power(e, es[0])
-        if cert is None and m and real:
-            if m % 2 == 0 or _real_sign(nf_embed(K, x, place, p) for p in _LAYOUT_PREC) > 0:
+        es.append(e)
+        logs.append(functools.partial(log, e))
+        cert = next((PowerIdentity(k, l, m) for l in range(1, k) if (m := power(k, l))), None)
+        if cert is None and k and _conjugate_pairs(K)[place] == place and (m := power(k, 0)):
+            torsion = (rel(tuple(int(i == j) - int(i == place) for i in range(n))) for j in range(n))
+            if (m % 2 == 0 or _real_sign(nf_embed(K, x, place, p) for p in _LAYOUT_PREC) > 0) and -1 not in torsion:
                 cert = TorsionFreePower(k, m)
         if cert is not None:
             return HasWanderer(witness=fe_to_algnum(K, x, place), certificate=cert)
-        es.append(e)
-        chain.append(log)
+    chain = [lambda prec: (0, 0), *logs[1:]]
     if tag is None or not all(
         _settled(lambda prec: _decide(hi(prec), ">", lo(prec)), "a growth step of the measure")
         for lo, hi in zip(chain, chain[1:])
     ):
         return None
-    cert = CitedGrowth(tag=tag, facts=facts + (_fact_chain(es[1:]),))
+    links = " < ".join(f"M^{k}" for k in range(1, len(es)))
+    cert = CitedGrowth(tag=tag, facts=facts + (f"1 < {links} verified exactly",))
     return HasWanderer(witness=fe_to_algnum(K, x, place), certificate=cert)
 
 
-def _recurrence_witness(K, keys, alpha, states, tag) -> Optional[HasWanderer]:
-    """alpha with three exact iterations of M(x) = (outside conjugates of x),
-    proved rung by rung on the _place_logs intervals of the unit alpha.
-
-    states are (pattern, fact) pairs; a pattern must order the n places one
-    per level, with place 0 and another place outside, else ExactCheckFailed.
-    A step proves x's layout on one state's pattern (strict orders exclude
-    each other), so x's conjugates are distinct and M(x) = +-prod sigma_p(x)
-    at place 0, over the keys p with p[0] outside: its log at place j is the
-    sum of x's at the p[j], and it exceeds |x| > 1 at place 0 (the previous
-    measure after step 1). Refuted or open at the top rung: None.
-    """
-    maps = []  # per state, the keys that send place 0 outside
+def _chain_witness(K, autos, alpha, states, tag) -> Optional[HasWanderer]:
+    """alpha at place 0 with three exact iterations of M(x) = +-(the product
+    of the outside conjugates of x) over all keys of the Galois K. states
+    are (pattern, fact) pairs; a pattern orders the n places one per level,
+    with place 0 and another place outside, else ExactCheckFailed. Step k
+    proves one state's layout on the conjugate logs of _exponent_orbit's
+    e^(k-1): M^k is the product of the outside ones, distinct, so it exceeds
+    M^(k-1), the one at place 0. Refuted, or open at the top rung: None."""
     for pattern, _ in states:
         if sorted(pattern.order) != [(j,) for j in range(K.degree)]:
             raise ExactCheckFailed("a chain state must order every place alone")
         outside = [j for (j,) in pattern.order[: pattern.one_position]]
         if 0 not in outside or len(outside) < 2:
             raise ExactCheckFailed("a chain state must put place 0 and another place outside")
-        maps.append([p for p in keys if p[0] in outside])
-    logs = _place_logs(K, alpha)
+    group = _key_group(list(autos))
+    orbit = list(_exponent_orbit(K, alpha, 0, group, 2, autos))
 
     def chain(prec):
-        ivs, facts = [logs[prec](j) for j in range(K.degree)], []
-        for k in range(1, 4):
-            status = [_layout_status(ivs.__getitem__, pattern) for pattern, _ in states]
+        facts = []
+        for k, (e, log, _) in enumerate(orbit, 1):
+            at = {p.index(0): tuple(e[i] for i in p) for p in group}  # the conjugate at each place
+            status = [_layout_status(lambda j: log(at[j], prec), pattern) for pattern, _ in states]
             if True not in status:
                 return None if None in status else False
-            i = status.index(True)
-            ivs = [functools.reduce(_iv_add, (ivs[p[j]] for p in maps[i])) for j in range(K.degree)]
-            facts.append(f"M^{k} {states[i][1]}")
+            facts.append(f"M^{k} {states[status.index(True)][1]}")
         return facts
 
     facts = _on_ladder(chain)
-    if not facts:
-        return None
-    return HasWanderer(witness=fe_to_algnum(K, alpha), certificate=CitedGrowth(tag, tuple(facts)))
+    return HasWanderer(fe_to_algnum(K, alpha), CitedGrowth(tag, tuple(facts))) if facts else None
 
 
 def _first_witness(K, lattice, candidates, bounds=(None,)):
@@ -690,8 +700,9 @@ def _quartic_square_witness(K, lattice, sig, tag) -> Optional[HasWanderer]:
 
 
 def _quartic_real_chain_witness(K, lattice, tag) -> Optional[HasWanderer]:
-    """Totally real C4/D4 unit with an exact orbit certificate from its first
-    three measures, or else a measure orbit that strictly grows three times.
+    """Totally real C4/D4 unit with an exact certificate from its first
+    three measures over its keys, or else a measure orbit that strictly
+    grows three times.
 
     The chain puts two conjugates outside with the top strictly dominant; the
     != guard keeps the product of the extreme conjugates off the unit circle,
@@ -699,25 +710,24 @@ def _quartic_real_chain_witness(K, lattice, tag) -> Optional[HasWanderer]:
     Assignments follow the order-4 walk for C4; for D4 the closure's 4-cycle
     is invisible from inside the field, so all labelings are tried.
     """
+    autos = nf_automorphisms(K)
     if tag == "C4":
-        assignments = [tuple(e) for e in map(_orbit, nf_automorphisms(K)) if len(e) == 4]
-    else:
-        assignments = []
-        for a, b, d in itertools.permutations(range(4), 3):
-            (c,) = set(range(4)) - {a, b, d}
-            assignments.append((a, b, c, d))
+        assignments = [tuple(e) for e in map(_orbit, autos) if len(e) == 4]
+    else:  # every (a, b, c, d), in the order of (a, b, d)
+        assignments = sorted(itertools.permutations(range(4)), key=lambda t: t[:2] + t[3:])
     cited = "FPZ2020-Thm2-totally-real-quartic-unit-3-orbit"
     facts = (
         "unit of a totally real quartic field",
         "exactly two conjugates strictly outside the unit circle, "
         "with |top * bottom| != 1",
     )
+    certify = functools.partial(
+        _exponent_witness, K, group=_key_group(list(autos)), steps=3, tag=cited, facts=facts, autos=autos
+    )
     candidates = [
         (
-            ConjugatePattern(
-                order=((a,), (b,), (c, d)), one_position=2, extras=(((a, d), "!="),)
-            ),
-            _orbit_at(K, a, 3, cited, facts),
+            ConjugatePattern(order=((a,), (b,), (c, d)), one_position=2, extras=(((a, d), "!="),)),
+            functools.partial(certify, place=a),
         )
         for a, b, c, d in assignments
     ]
@@ -853,29 +863,22 @@ def _quintic_f5_witness(K, lattice, G) -> Optional[HasWanderer]:
 
 
 def _d5_chain_witness(K, lab, group, x) -> Optional[HasWanderer]:
-    """x with the dihedral exponent recursion (j, i) -> (j + i, j).
-
-    With P = s(x) s4(x), the first three exponent vectors of x at place a
-    over the pinned D5 group must be x P, x^2 P and x^3 P^2 mod Z.1, which
-    is M(x^j P^i) = +-x^(j+i) P^j for (j, i) = (1,0), (1,1), (2,1); the
-    growth chain 1 < M^1 < M^2 < M^3 is _exponent_witness's. The comparison
-    |s2(x) s4(x)| < |x s3(x)| is not expressible as a pattern constraint, so
-    it is decided here on the same ladder of log intervals, a tie refuting
-    it.
-    """
+    """x with the dihedral exponent recursion (j, i) -> (j + i, j): with P =
+    s(x) s4(x), e^(1..3) of x at place a over the pinned D5 group must be
+    x P, x^2 P and x^3 P^2 by rel, which is M(x^j P^i) = +-x^(j+i) P^j for
+    (j, i) = (1,0), (1,1), (2,1); the growth chain 1 < M^1 < M^2 < M^3 is
+    _exponent_witness's. The comparison |s2(x) s4(x)| < |x s3(x)| is not
+    expressible as a pattern constraint, so it is decided here on the
+    orbit's log intervals, a tie refuting it."""
     a, s, s2, s3, s4, _ = lab
-    logs = _place_logs(K, x)
-
-    def smaller(prec):
-        log = logs[prec]
-        return _decide(_iv_add(log(s2), log(s4)), "<", _iv_add(log(a), log(s3)))
-
-    if not _on_ladder(smaller):
+    orbit = _exponent_orbit(K, x, a, group, 3)
+    _, log, rel = next(orbit)
+    f = [(k in (s2, s4)) - (k in (a, s3)) for k in range(5)]  # s2(x) s4(x) / (x s3(x))
+    if not _on_ladder(lambda prec: _decide(log(f, prec), "<")):
         return None
-    for (e, _), (j, i) in zip(_exponent_orbit(K, x, a, group, 3), ((1, 1), (2, 1), (3, 2))):
-        want = [j * (k == a) + i * (k in (s, s4)) for k in range(5)]  # x^j P^i
-        if len({u - v for u, v in zip(e, want)}) != 1:
-            return None
+    wants = ([j * (k == a) + i * (k in (s, s4)) for k in range(5)] for j, i in ((1, 1), (2, 1), (3, 2)))
+    if any(rel(tuple(u - v for u, v in zip(e, want))) is None for (e, _, _), want in zip(orbit, wants)):
+        return None
     facts = (
         "unit chain |x| > |s(x)|, |s4(x)| > 1 > |s2(x)|, |s3(x)|",
         "|s2(x) s4(x)| < |x s3(x)| < 1 verified exactly",
@@ -938,7 +941,7 @@ def classify_cyclic(p: IntPoly) -> FieldVerdict:
     """Wanderer in a cyclic field of odd degree n >= 5.
 
     Searches the alternating chain with (n+1)/2 conjugates outside, then
-    proves on log intervals (_recurrence_witness) that for three iterations
+    proves in exponent space (_chain_witness) that for three iterations
     the measure lands in one of the four trapped chain states: shape A or B,
     with (n+1)/2 or (n-1)/2 conjugates outside.
     """
@@ -967,9 +970,7 @@ def classify_cyclic(p: IntPoly) -> FieldVerdict:
         for shape, powers in _shape_powers(n).items()
         for count in ((n + 1) // 2, (n - 1) // 2)
     ]
-    certify = functools.partial(
-        _recurrence_witness, K, list(autos), states=states, tag="distribution-invariant"
-    )
+    certify = functools.partial(_chain_witness, K, autos, states=states, tag="distribution-invariant")
     bounds = (1, 2) if n >= 9 else (1, 2, 3)
     found = _first_witness(K, lattice, [(states[0][0], certify)], bounds)
     if found is not None:
@@ -1021,13 +1022,11 @@ def _classify_sextic_galois(K, autos) -> FieldVerdict:
         "equals the product of the three outside conjugates "
         "and satisfies the same modulus chain"
     )
-    candidates = []
-    for e in setups:
-        pattern = ConjugatePattern(order=tuple((i,) for i in e), one_position=3)
-        certify = functools.partial(
-            _recurrence_witness, K, list(autos), states=[(pattern, fact)], tag="pattern-recurrence"
-        )
-        candidates.append((pattern, certify))
+    patterns = [ConjugatePattern(order=tuple((i,) for i in e), one_position=3) for e in setups]
+    candidates = [
+        (p, functools.partial(_chain_witness, K, autos, states=[(p, fact)], tag="pattern-recurrence"))
+        for p in patterns
+    ]
     found = _first_witness(K, lattice, candidates, (2, 3, None))
     if found is not None:
         return found
@@ -1100,10 +1099,9 @@ def _subfield_product(K, autos, subgroups) -> tuple[FieldElement, int]:
 
 
 def _subfield_product_witness(K, autos, rank) -> HasWanderer:
-    """The orbit witness of _subfield_product over _independent_subgroups:
-    x made positive at top, where M(x) = x^2."""
+    """The _subfield_product x, positive at top, where M(x) = x^2 over all keys."""
     x, top = _subfield_product(K, autos, _independent_subgroups(autos, rank))
-    found = _orbit_witness(fe_to_algnum(K, _positive_at(K, x, top), top), 1)
+    found = _exponent_witness(K, _positive_at(K, x, top), top, _key_group(list(autos)), 1, autos=autos)
     if found is None:
         raise WitnessSearchFailed("subfield-unit product failed M(x) = x^2")
     return found
@@ -1140,7 +1138,8 @@ def _octic_q8_witness(K, autos) -> HasWanderer:
             continue
         seen.add((order, extras))
         patterns.append(ConjugatePattern(order=order, one_position=4, extras=extras))
-    candidates = [(p, _orbit_at(K, p.order[0][0], 3)) for p in patterns]
+    certify = functools.partial(_exponent_witness, K, group=_key_group(list(autos)), steps=3, autos=autos)
+    candidates = [(p, functools.partial(certify, place=p.order[0][0])) for p in patterns]
     found = _first_witness(K, lattice, candidates, (2, 3, None))
     if found is None:
         raise WitnessSearchFailed("no quaternion chain unit verified M^3 = (M^1)^4")

@@ -2,19 +2,19 @@
 invariant factors, the quartic table (its all-preperiodic rows, the C4, D4
 and S4 witnesses, and its groups against sympy), the quintic (S5, F5, C5, D5)
 witnesses (S5 in signatures (1, 2) and (3, 1), and three census fields) and
-a spy that no quintic verdict computes a measure or an orbit, the
-exponent-space orbits of S4, A4, S5, F20 and D5 units against
-mahler_measure, their exact tie rule and their groups on the labels (the
-F20 and D5 ones from the pinned 5-cycle, checked against integral orbit
-sums of the roots), the quintic resolvent behind
-galois_group_small, the C6, S3 and totally imaginary sextic, C2^3 and C8 octic
-verdicts, the quartic subfields of C8, C4xC2 and D4 octics, the group shapes
-of orders 6, 8 and 9 on their regular representations, the C3xC3 nonic
-witness up to its measure identity in the field and its verdict up to the
-measure that still raises, the undecided automorphism count, and the two
-paths around the orbit certificate: the cited growth-chain fallback and a
-precision failure (a measure, or an exponent-space ladder) that must
-surface."""
+a spy that no field verdict computes a measure or an orbit, the
+exponent-space orbits of S4, A4, S5, F20, D5, C4, D4, C5, C6, S3, C2^3 and
+C8 units against mahler_measure, their exact relation test (against
+products of exact conjugates, and on units whose labels repeat a value or
+carry -x) and their groups on the labels (the F20 and D5 ones from the
+pinned 5-cycle, checked against integral orbit sums of the roots),
+the quintic resolvent behind galois_group_small, the C6, S3 and totally
+imaginary sextic, C2^3 and C8 octic verdicts, the quartic subfields of C8,
+C4xC2 and D4 octics, the group shapes of orders 6, 8 and 9 on their regular
+representations, the C3xC3 nonic witness up to its measure identity in the
+field and its verdict, the undecided automorphism count, and the two paths
+around an exact certificate: the cited growth-chain fallback and an
+exponent-space ladder left open, which must surface."""
 
 import collections
 import functools
@@ -29,7 +29,7 @@ import mpmath as mp
 import pytest
 
 from mahlerdyn import classify, mahler, nfield
-from mahlerdyn.algnum import an_compare, an_equal, an_from_rational, an_mul, an_pow
+from mahlerdyn.algnum import an_compare, an_equal, an_from_rational, an_mul, an_neg, an_pow
 from mahlerdyn.classify import (
     AllPreperiodic,
     HasWanderer,
@@ -60,6 +60,7 @@ CM6 = P("1,0,8,0,6,0,1")  # x^6 + 6x^4 + 8x^2 + 1, a CM sextic
 S4_IMAG = P("1,1,0,0,1")  # x^4 + x + 1, totally imaginary with group S4
 S4_MIXED = P("-1,-1,0,0,1")  # x^4 - x - 1, signature (2, 1) with group S4
 C4_REAL = P("2,0,-4,0,1")  # x^4 - 4x^2 + 2, totally real cyclic quartic
+D4_REAL = P("3,0,-5,0,1")  # x^4 - 5x^2 + 3, totally real with group D4
 
 S5_QUINTIC = P("-1,-1,0,0,0,1")  # x^5 - x - 1
 F5_QUINTIC = P("-2,0,0,0,0,1")  # x^5 - 2
@@ -72,6 +73,8 @@ D5_REAL = P("-1,3,4,-5,-1,1")  # x^5 - x^4 - 5x^3 + 4x^2 + 3x - 1, totally real
 
 C6_SEXTIC = P("-1,3,6,-4,-5,1,1")  # x^6 + x^5 - 5x^4 - 4x^3 + 6x^2 + 3x - 1
 X6P108 = P("108,0,0,0,0,0,1")  # x^6 + 108, Galois with group S3
+# the Galois closure of x^3 - 4x + 2 (disc 148), totally real with group S3
+S3_SEXTIC = P("4,4,-20,4,14,-8,1")
 C2CUBED_OCTIC = P("576,0,-960,0,352,0,-40,0,1")  # Q(sqrt 2, sqrt 3, sqrt 5)
 # x^9 + 3x^8 - 12x^7 - 32x^6 + 33x^5 + 81x^4 - 15x^3 - 51x^2 - 15x - 1
 C3C3_NONIC = P("-1,-15,-51,-15,81,33,-32,-12,3,1")
@@ -115,25 +118,24 @@ def _assert_exact_certificate(v):
 
 
 def _value(a):
-    """The real algebraic number a as a 400-bit mpf, from its box refined to
-    2^-300."""
-    c = refine(a.box, a.minpoly, Fraction(1, 1 << 300)).center[0]
+    """|a| as a 400-bit mpf, from the box of a refined to 2^-300."""
+    c = refine(a.box, a.minpoly, Fraction(1, 1 << 300)).center
     with mp.workprec(400):
-        return mp.mpf(c.numerator) / c.denominator
+        return abs(_mp_point(*c))
 
 
-def _assert_log_inside(value, log):
-    """log(value) lies in the rung-0 interval log(prec) of _exponent_orbit,
-    ints at the unit 2^-(prec + _GUARD)."""
+def _assert_log_inside(value, log, e):
+    """log(value) lies in the rung-0 interval log(e, prec) of
+    _exponent_orbit, ints at the unit 2^-(prec + _GUARD)."""
     prec = nfield._LAYOUT_PREC[0]
-    lo, hi = log(prec)
+    lo, hi = log(e, prec)
     with mp.workprec(400):
         scaled = mp.log(value) * mp.mpf(2) ** (prec + _GUARD)
     assert lo < scaled < hi
 
 
 class _Call(list):
-    """The (e, log) pairs that one _exponent_orbit call yielded."""
+    """The (e, log, rel) triples that one _exponent_orbit call yielded."""
 
     def __init__(self, args):
         super().__init__()
@@ -271,10 +273,9 @@ class TestClassifyQuartic:
         assert seen == {"V4", "C4", "D4"}
 
     def test_totally_real_dihedral_quartic_has_certified_wanderer(self):
-        # x^4 - 5x^2 + 3: the D4 labelings of the real chain witness
-        p = P("3,0,-5,0,1")
-        assert galois_group_small(p) == "D4"
-        v = classify_quartic(p)
+        # the D4 labelings of the real chain witness
+        assert galois_group_small(D4_REAL) == "D4"
+        v = classify_quartic(D4_REAL)
         _assert_wandering_unit(v, 4)
         assert v.certificate == TorsionFreePower(k=2, n=2)
         _assert_exact_certificate(v)
@@ -309,9 +310,9 @@ class TestClassifyQuartic:
         _assert_exact_certificate(v)
 
     def test_growth_chain_is_the_fallback(self, monkeypatch):
-        # with no orbit certificate, the C4 unit rests on the cited theorem
-        # and the exact chain of its first three measures
-        monkeypatch.setattr(mahler, "wandering_certificate", lambda trace: None)
+        # with no exact relation found, so no identity, the C4 unit rests on
+        # the cited theorem and the chain of its first three measures
+        monkeypatch.setattr(classify, "_relation_test", lambda *args: lambda f: None)
         v = classify_quartic(C4_REAL)
         assert isinstance(v, HasWanderer)
         cert = v.certificate
@@ -319,23 +320,14 @@ class TestClassifyQuartic:
         assert cert.tag == "FPZ2020-Thm2-totally-real-quartic-unit-3-orbit"
         assert cert.facts[-1] == "1 < M^1 < M^2 < M^3 verified exactly"
 
-    def test_precision_failure_is_raised(self, monkeypatch):
-        # a measure that cannot be certified is an error, never a rejected
-        # candidate that ends in WitnessSearchFailed
-        def fail(p):
-            raise InternalPrecisionExceeded("injected")
-
-        monkeypatch.setattr(mahler, "_measure_uncached", fail)
-        monkeypatch.setattr(mahler, "_measure_cache", {})
-        with pytest.raises(InternalPrecisionExceeded, match="injected"):
-            classify_quartic(C4_REAL)
-
-    def test_open_ladder_is_raised(self, monkeypatch):
-        # the S4 unit's orbit runs in exponent space: a side of the unit
-        # circle that no rung settles is an error, never a rejected candidate
+    @pytest.mark.parametrize("p", [S4_MIXED, C4_REAL], ids=["S4_MIXED", "C4_REAL"])
+    def test_open_ladder_is_raised(self, monkeypatch, p):
+        # the S4 unit's orbit runs in exponent space over the identity, the
+        # C4 unit's over its keys: a side of the unit circle that no rung
+        # settles is an error, never a rejected candidate
         monkeypatch.setattr(classify, "_decide", lambda *args: None)
         with pytest.raises(InternalPrecisionExceeded, match="side of a conjugate"):
-            classify_quartic(S4_MIXED)
+            classify_quartic(p)
 
 
 class TestClassifyQuintic:
@@ -410,21 +402,36 @@ class TestClassifyQuintic:
         _assert_exact_certificate(v)
 
     def test_quintic_verdicts_compute_no_measure(self, monkeypatch):
-        # with every measure and orbit raising, F5, both D5 fields, C5 and S5
-        # still get the verdicts that they get without the spy
-        fields = [F5_QUINTIC, D5_COMPLEX, D5_REAL, C5_QUINTIC, S5_QUINTIC]
+        # with every measure and orbit raising, every Tier-1 field with a
+        # wanderer still gets the verdict that it gets without the spy: the
+        # quintics F5, both D5 fields, C5 and S5, the C4 and D4 quartics, and
+        # the C6, S3, C2^3, C8 and C3xC3 Galois fields
+        fields = [
+            (classify_quintic, F5_QUINTIC),
+            (classify_quintic, D5_COMPLEX),
+            (classify_quintic, D5_REAL),
+            (classify_quintic, C5_QUINTIC),
+            (classify_quintic, S5_QUINTIC),
+            (classify_quartic, C4_REAL),
+            (classify_quartic, D4_REAL),
+            (classify_galois_small, C6_SEXTIC),
+            (classify_galois_small, S3_SEXTIC),
+            (classify_galois_small, C2CUBED_OCTIC),
+            (classify_galois_small, C8_OCTIC),
+            (classify_galois_small, C3C3_NONIC),
+        ]
 
         def boom(*args, **kwargs):
             raise RuntimeError("a measure or an orbit was computed")
 
         monkeypatch.setattr(mahler, "_measure_cache", {})
         monkeypatch.setattr(mahler, "_measure_uncached", boom)
-        for module in (mahler, classify):
-            monkeypatch.setattr(module, "orbit", boom)
-        spied = [classify_quintic(p) for p in fields]
+        monkeypatch.setattr(mahler, "orbit", boom)
+        spied = [verdict(p) for verdict, p in fields]
         monkeypatch.undo()
-        assert spied == [classify_quintic(p) for p in fields]
-        kinds = [PowerIdentity, CitedGrowth, CitedGrowth, CitedGrowth, PowerIdentity]
+        assert spied == [verdict(p) for verdict, p in fields]
+        kinds = [PowerIdentity, CitedGrowth, CitedGrowth, CitedGrowth, PowerIdentity, TorsionFreePower]
+        kinds += [TorsionFreePower, CitedGrowth, CitedGrowth, TorsionFreePower, PowerIdentity, TorsionFreePower]
         assert [type(v.certificate) for v in spied] == kinds
 
     @pytest.mark.parametrize("text", ["1,-2,2,-3,-1,1", "2,4,-5,-7,3,1", "-1,-1,2,2,-1,1"])
@@ -439,14 +446,14 @@ class TestClassifyQuintic:
         # oracle: M^1 from mahler_measure (its degree-10 resolvent factors
         # directly) and M^2 as mpmath's measure of M^1's minpoly lie in the
         # engine's log intervals of the witness's orbit
-        logs = [log for _, log in calls[-1]]
+        (_, log, _), (e1, _, _), (e2, _, _), *_ = calls[-1]
         m1 = mahler_measure(v.witness)
-        _assert_log_inside(_value(m1), logs[0])
+        _assert_log_inside(_value(m1), log, e1)
         q = m1.minpoly.coeffs
         with mp.workprec(400):
             roots = mp.polyroots([mp.mpf(c) for c in reversed(q)], maxsteps=400, extraprec=400)
             m2 = abs(q[-1]) * mp.fprod(max(1, abs(r)) for r in roots)
-        _assert_log_inside(m2, logs[1])
+        _assert_log_inside(m2, log, e2)
 
 
 def _orbit_sum_is_integer(G, group) -> bool:
@@ -462,47 +469,102 @@ def _orbit_sum_is_integer(G, group) -> bool:
 
 class TestExponentOrbit:
     @pytest.mark.parametrize(
-        "p, steps",
+        "verdict, p, steps",
         [
-            (S5_QUINTIC, 3),
-            (P("-1,-4,-2,-3,1,1"), 2),
-            (S4_MIXED, 3),
-            (P("1,-3,-6,0,1"), 3),
-            (P("1,-3,-7,0,1"), 3),  # x^4 - 7x^2 - 3x + 1, group A4
-            (F5_QUINTIC, 2),
-            (D5_COMPLEX, 3),
-            (D5_REAL, 3),
+            (classify_quintic, S5_QUINTIC, 3),
+            (classify_quintic, P("-1,-4,-2,-3,1,1"), 2),
+            (classify_quartic, S4_MIXED, 3),
+            (classify_quartic, P("1,-3,-6,0,1"), 3),
+            (classify_quartic, P("1,-3,-7,0,1"), 3),  # x^4 - 7x^2 - 3x + 1, group A4
+            (classify_quintic, F5_QUINTIC, 2),
+            (classify_quintic, D5_COMPLEX, 3),
+            (classify_quintic, D5_REAL, 3),
+            (classify_quartic, C4_REAL, 3),
+            (classify_quartic, D4_REAL, 3),
+            (classify_quintic, C5_QUINTIC, 3),
+            (classify_galois_small, C6_SEXTIC, 3),
+            (classify_galois_small, S3_SEXTIC, 3),
+            (classify_galois_small, C2CUBED_OCTIC, 2),
+            (classify_galois_small, C8_OCTIC, 3),
         ],
-        ids=["S5-(1,2)", "S5-(3,1)", "S4-(2,1)", "S4-(4,0)", "A4-(4,0)", "F5-(1,2)", "D5-(1,2)", "D5-(5,0)"],
+        ids=[
+            "S5-(1,2)", "S5-(3,1)", "S4-(2,1)", "S4-(4,0)", "A4-(4,0)", "F5-(1,2)", "D5-(1,2)", "D5-(5,0)",
+            "C4", "D4", "C5", "C6", "S3", "C2cubed", "C8",
+        ],
     )
-    def test_log_intervals_contain_the_measures(self, monkeypatch, p, steps):
-        # oracle: the witness's first measures from mahler_measure
-        assert galois_group_small(p) in ("S4", "A4", "S5", "F5", "D5")
+    def test_log_intervals_contain_the_measures(self, monkeypatch, verdict, p, steps):
+        # oracle: the witness and its first measures from mahler_measure
+        if p.degree <= 5:
+            assert galois_group_small(p) in ("S4", "A4", "S5", "F5", "D5", "C4", "D4", "C5")
         calls = _record_exponent_orbits(monkeypatch)
-        v = classify_quintic(p) if p.degree == 5 else classify_quartic(p)
-        K, x, place, group, _ = calls[-1].args
+        v = verdict(p)
+        K, x, place, group, _, *autos = calls[-1].args
         m = v.witness
-        for _, log in classify._exponent_orbit(K, x, place, group, steps):
-            m = mahler_measure(m)
-            _assert_log_inside(_value(m), log)
+        for k, (e, log, _) in enumerate(classify._exponent_orbit(K, x, place, group, steps, *autos)):
+            m = mahler_measure(m) if k else m
+            _assert_log_inside(_value(m), log, e)
 
     def test_tie_rule_is_the_exact_product_with_the_conjugate(self):
-        # on x^4 - x - 1 (one complex pair) |prod x_j^f_j| = 1 exactly when
-        # the product of beta = prod x_j^f_j and its complex conjugate
-        # prod x_conj(j)^f_j, computed on the exact conjugates, is 1
+        # on x^4 - x - 1 (one complex pair, the identity alone) |prod
+        # x_j^f_j| = 1 exactly when rel finds a relation in the product of
+        # beta = prod x_j^f_j and its complex conjugate prod x_conj(j)^f_j,
+        # which is 1 on the exact conjugates
         K = nfield.nf_new(S4_MIXED)
         conj = nfield._conjugate_pairs(K)
-        xs = [nfield.fe_to_algnum(K, nfield.fe_theta(K), j) for j in range(4)]
+        theta = nfield.fe_theta(K)
+        rel = classify._relation_test(K, theta, 0, {(0, 1, 2, 3): theta})
+        xs = [nfield.fe_to_algnum(K, theta, j) for j in range(4)]
         one = an_from_rational(1)
         ties = 0
         for f in itertools.product((0, 1, 2), repeat=4):
-            g = [a + f[c] for a, c in zip(f, conj)]
+            g = tuple(a + f[c] for a, c in zip(f, conj))
             product = functools.reduce(an_mul, (an_pow(x, e) for x, e in zip(xs, g) if e), one)
-            assert classify._on_circle(f, conj) == an_equal(product, one), f
+            assert (rel(g) is not None) == an_equal(product, one), f
             ties += an_equal(product, one)
         # conjugation swaps places 1 and 2: f = 0, (1, 1, 1, 1), (2, 2, 2, 2),
         # (1, 0, 2, 1) and (1, 2, 0, 1)
         assert conj == [0, 2, 1, 3] and ties == 5
+
+    def test_relation_test_over_the_keys_is_the_exact_product(self):
+        # on x^4 - 4x^2 + 2 (C4, all keys), for x = theta^2 - 1 = 1 +- sqrt 2
+        # in the quadratic subfield: rel(f) is +1 or -1 exactly when the
+        # product of the exact conjugates x_j^f_j is that number
+        K = nfield.nf_new(C4_REAL)
+        autos = nfield.nf_automorphisms(K)
+        theta = nfield.fe_theta(K)
+        x = nfield.fe_sub(K, nfield.fe_mul(K, theta, theta), nfield.fe_rational(K, 1))
+        rel = classify._relation_test(K, x, 0, autos)
+        xs = [nfield.fe_to_algnum(K, x, j) for j in range(4)]
+        one = an_from_rational(1)
+        found = collections.Counter()
+        for f in itertools.product((-1, 0, 1), repeat=4):
+            up, down = (
+                functools.reduce(an_mul, (x for x, e in zip(xs, f) if e == s), one) for s in (1, -1)
+            )
+            want = 1 if an_equal(up, down) else -1 if an_equal(up, an_neg(down)) else None
+            assert rel(f) == want, f
+            found[want] += 1
+        # x_j x_k = -1 on the two pairs of places with distinct values, and
+        # x_j = x_k on the two pairs over one value
+        assert found[1] > 1 and found[-1] > 0
+
+    @pytest.mark.parametrize("text", ["2,0,-4,0,1", "1,0,-10,0,1"], ids=["fixed-in-subfield", "minus-x-conjugate"])
+    def test_preperiodic_unit_over_the_keys_has_no_certificate(self, text):
+        # over all keys, two labels can carry one value: theta^2 - 1 = 1 +-
+        # sqrt 2 in the C4 field x^4 - 4x^2 + 2, with M(x) = x, must be
+        # counted once; or -x: theta = +-sqrt 2 +- sqrt 3, with M(x) = x^2 =
+        # M^2(x), is not torsion-free. Either error would certify
+        # TorsionFreePower(1, 2)
+        K = nfield.nf_new(P(text))
+        autos = nfield.nf_automorphisms(K)
+        x = theta = nfield.fe_theta(K)
+        if text == "2,0,-4,0,1":
+            x = nfield.fe_sub(K, nfield.fe_mul(K, theta, theta), nfield.fe_rational(K, 1))
+        group = classify._key_group(list(autos))
+        places = [j for j in range(4) if abs(nfield.nf_embed(K, x, j, 32).center[0]) > 1]
+        assert len(places) == 2
+        for place in places:
+            assert classify._exponent_witness(K, x, place, group, 3, autos=autos) is None
 
     def test_labels_groups_are_two_transitive(self, monkeypatch):
         cases = [(S4_MIXED, "A4", 12), (S4_MIXED, "S4", 24), (S5_QUINTIC, "A5", 60), (S5_QUINTIC, "S5", 120)]
@@ -597,11 +659,9 @@ class TestGaloisSmall:
         _assert_measure_grows(v.witness)
 
     def test_s3_sextic_has_certified_wanderer(self):
-        # the Galois closure of x^3 - 4x + 2 (disc 148), totally real: the
-        # S3 setups of the product recurrence
-        p = P("4,4,-20,4,14,-8,1")
-        assert signature(p) == (6, 0)
-        v = classify_galois_small(p)
+        # the S3 setups of the product recurrence
+        assert signature(S3_SEXTIC) == (6, 0)
+        v = classify_galois_small(S3_SEXTIC)
         _assert_wandering_unit(v, 6)
         cert = v.certificate
         assert isinstance(cert, CitedGrowth) and cert.tag == "pattern-recurrence"
@@ -673,13 +733,16 @@ class TestGaloisSmall:
             prod = nfield.fe_mul(K, prod, nfield.nf_apply(K, image[j], gamma))
         assert prod == nfield.fe_neg(K, nfield.fe_mul(K, gamma, gamma))
 
-    def test_c3c3_nonic_verdict_raises_at_its_measure(self):
-        # the whole nonic dispatch up to the witness's measure, whose
-        # degree-126 product resolvent the guess ladder cannot yet verify
+    def test_c3c3_nonic_has_certified_wanderer(self):
+        # the witness's measure would need a degree-126 product resolvent;
+        # in exponent space over the nine keys M(gamma) = gamma^2 is one
+        # exact relation in K
         start = time.perf_counter()
-        with pytest.raises(InternalPrecisionExceeded, match="degree-126"):
-            classify_galois_small(C3C3_NONIC)
-        assert time.perf_counter() - start < 15
+        v = classify_galois_small(C3C3_NONIC)
+        assert time.perf_counter() - start < 30
+        assert isinstance(v, HasWanderer)
+        assert v.certificate == TorsionFreePower(k=1, n=2)
+        assert v.witness.degree == 9
 
 
 def _cyclic_product(*orders):

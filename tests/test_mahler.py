@@ -1107,12 +1107,49 @@ class TestExactChecksUnderOptimize:
         "chain_state_with_place_0_inside": (
             "K = nfield.nf_new(from_text('1,-3,0,1'))\n"
             "state = (nfield.ConjugatePattern(order=((1,), (2,), (0,)), one_position=2), 'fact')\n"
-            "classify._recurrence_witness(K, list(nfield.nf_automorphisms(K)), nfield.fe_theta(K), [state], 'tag')\n"
+            "classify._chain_witness(K, nfield.nf_automorphisms(K), nfield.fe_theta(K), [state], 'tag')\n"
         ),
         "chain_state_with_one_place_outside": (
             "K = nfield.nf_new(from_text('1,-3,0,1'))\n"
             "state = (nfield.ConjugatePattern(order=((0,), (1,), (2,)), one_position=1), 'fact')\n"
-            "classify._recurrence_witness(K, list(nfield.nf_automorphisms(K)), nfield.fe_theta(K), [state], 'tag')\n"
+            "classify._chain_witness(K, nfield.nf_automorphisms(K), nfield.fe_theta(K), [state], 'tag')\n"
+        ),
+        # exponent-space orbits of the unit theta + 1 over automorphism keys:
+        # three of the four keys of the cyclic quartic x^4 - 4x^2 + 2, whose
+        # relations they no longer pin; and the two keys of the D4 quartic
+        # x^4 - 5x^2 + 3 with a D4 on the labels whose blocks pair place 0
+        # with a place other than its key orbit's
+        "exponent_orbit_c4_key_dropped": (
+            "K = nfield.nf_new(from_text('2,0,-4,0,1'))\n"
+            "autos = nfield.nf_automorphisms(K)\n"
+            "group = classify._key_group(list(autos))\n"
+            "del autos[max(autos)]\n"
+            "x = nfield.fe_add(K, nfield.fe_theta(K), nfield.fe_rational(K, 1))\n"
+            "list(classify._exponent_orbit(K, x, 0, group, 3, autos))\n"
+        ),
+        "exponent_orbit_d4_blocks_off_the_key": (
+            "K = nfield.nf_new(from_text('3,0,-5,0,1'))\n"
+            "autos = nfield.nf_automorphisms(K)\n"
+            "j = min({1, 2, 3} - {max(autos)[0]})\n"
+            "blocks = {frozenset((0, j)), frozenset({1, 2, 3} - {j})}\n"
+            "perms = classify.itertools.permutations(range(4))\n"
+            "group = [p for p in perms if {frozenset(p[i] for i in b) for b in blocks} == blocks]\n"
+            "x = nfield.fe_add(K, nfield.fe_theta(K), nfield.fe_rational(K, 1))\n"
+            "list(classify._exponent_orbit(K, x, 0, group, 3, autos))\n"
+        ),
+        # the D4 keys and group of x^4 - 5x^2 + 3 for the unit theta^2 - 1 =
+        # (3 +- sqrt 13)/2 of its quadratic subfield, which has relations off
+        # its key orbit; and the pinned F20 of x^5 - 2 for theta, no unit
+        "exponent_orbit_d4_subfield_unit": (
+            "K = nfield.nf_new(from_text('3,0,-5,0,1'))\n"
+            "autos, theta = nfield.nf_automorphisms(K), nfield.fe_theta(K)\n"
+            "x = nfield.fe_sub(K, nfield.fe_mul(K, theta, theta), nfield.fe_rational(K, 1))\n"
+            "list(classify._exponent_orbit(K, x, 0, classify._key_group(list(autos)), 3, autos))\n"
+        ),
+        "exponent_orbit_not_a_unit": (
+            "K = nfield.nf_new(from_text('-2,0,0,0,0,1'))\n"
+            "group = classify._labels_group(K.defining, 'F5')\n"
+            "list(classify._exponent_orbit(K, nfield.fe_theta(K), 0, group, 3))\n"
         ),
         # exponent-space orbits of the unit x of x^5 - x - 1 (group S5): under
         # the regular C5 labels, transitive of prime degree but without the
