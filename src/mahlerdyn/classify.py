@@ -6,23 +6,25 @@ Unsupported (no proven statement applies).  Witnesses are found by one
 search loop (``_first_witness``): over exponent bounds, then over (pattern,
 certify) pairs, it asks ``nf_pattern_search`` for the first unit of a unit
 lattice with the pattern's conjugate-modulus layout and returns the first
-certificate.  The lattice is ``nf_unit_sublattice`` of the field, or, for
-the C2^3 octic and the C3xC3 nonic, the subfield units that
-``_subfield_product`` embeds in K.  Every numeric decision (layouts, signs,
-the D5 comparison) is made on certified balls or ``nfield._place_logs``
-intervals over one bounded ladder, ``nfield._LAYOUT_PREC``; open at the top
-rung refutes a strict relation, or raises where a rung must settle it
-(``_settled``, and ``algnum._real_sign`` for signs).  Every candidate is then
-certified exactly.
+certificate, certify(x, top) at the pattern's top place.  The lattice is
+``nf_unit_sublattice`` of the field, or, for the C2^3 octic and the C3xC3
+nonic, the subfield units that ``_subfield_product`` embeds in K.  Every
+numeric decision (layouts, signs, the D5 comparison) is made on certified
+balls or ``nfield._place_logs`` intervals over one bounded ladder,
+``nfield._LAYOUT_PREC``; open at the top rung refutes a strict relation, or
+raises where a rung must settle it (``_settled``, and ``algnum._real_sign``
+for signs).  Every candidate is then certified exactly.
 One certifier, exponent space, computes no measure: ``_exponent_orbit``
 steps M^k(x) = +-prod x_j^e_j over the embeddings x_j of the unit x, sides
 on log intervals and equalities by one exact test in K (``_relation_test``)
-over the automorphisms passed: the identity for S4, A4, S5, A5, F20 and D5
-(``_labels_group``), all keys for C4, cyclic fields, C6, S3, C2^3, C3xC3
-and Q8, and both keys for D4 (``_key_group``). ``_exponent_witness`` reads
-off a PowerIdentity or TorsionFreePower, else a cited theorem's growth chain
-1 < M^1 < ... < M^k; ``_chain_witness`` proves the product-recurrence states
-of cyclic fields, C6 and S3.
+over the automorphisms passed: the identity for S4, A4, S5, A5
+(``_labels_group``), F20 and D5 (``_cycle_group``), all keys for C4, cyclic
+fields, C6, S3, C2^3, C3xC3 and Q8, and both keys for D4 (``_key_group``).
+``_exponent_witness``, its one caller, steps one orbit per candidate and
+reads off a PowerIdentity or TorsionFreePower, else a cited theorem's facts
+from a reader of the same orbit: the growth chain 1 < M^1 < ... < M^k
+(``_growth_chain``), the product-recurrence states of cyclic fields, C6 and
+S3 (``_chain_states``), or the D5 recursion (``_d5_recursion``).
 
 Automorphism-group bookkeeping reads the keys of ``nf_automorphisms``, the
 certified embedding permutations: an automorphism's order is the cycle
@@ -368,19 +370,21 @@ def galois_group_small(p: IntPoly) -> str:
 
 
 def _labels_group(G: IntPoly, tag: str) -> list[tuple[int, ...]]:
-    """The Galois group tag of G on its embedding indices: for F5 and D5 the
-    maps k -> u k + b on the positions of the 5-cycle that _stable_cycles(G)
-    pins, u in (Z/5)^x or +-1 (its pentagram gives the same group); else
-    S_n, or A_n when tag starts with A."""
-    if tag in ("F5", "D5"):
-        cyc = _stable_cycles(G)[0]
-        pos = [cyc.index(j) for j in range(5)]
-        units = (1, 2, 3, 4) if tag == "F5" else (1, 4)
-        return [tuple(cyc[(u * k + b) % 5] for k in pos) for u in units for b in range(5)]
+    """S_n on the embedding indices of G, or A_n when tag starts with A."""
     perms = itertools.permutations(range(G.degree))
     if tag.startswith("S"):
         return list(perms)
     return [p for p in perms if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 == 0]
+
+
+def _cycle_group(cycles, tag: str) -> list[tuple[int, ...]]:
+    """F5 or D5 (tag) on the embedding indices: the maps k -> u k + b on the
+    positions of the 5-cycle cycles[0] that _stable_cycles pins, u in
+    (Z/5)^x or +-1 (its pentagram cycles[1] gives the same group)."""
+    cyc = cycles[0]
+    pos = [cyc.index(j) for j in range(5)]
+    units = (1, 2, 3, 4) if tag == "F5" else (1, 4)
+    return [tuple(cyc[(u * k + b) % 5] for k in pos) for u in units for b in range(5)]
 
 
 def _key_group(keys) -> list[tuple[int, ...]]:
@@ -486,20 +490,35 @@ def _exponent_orbit(K, x, place, group, steps, autos=None):
         yield e, log, rel
 
 
-def _exponent_witness(K, x, place, group, steps, tag=None, facts=(), autos=None) -> Optional[HasWanderer]:
-    """x at place with a certificate read off _exponent_orbit in
+def _growth_chain(hypotheses, es, log, rel):
+    """Reader of a cited theorem's facts on an orbit, given the hypotheses
+    by functools.partial: the hypotheses, then the chain 1 < M^1 < ... < M^k
+    on the log intervals of e^(1..k)."""
+    chain = [tuple(0 for _ in es[0]), *es[1:]]  # the zero vector's log is (0, 0)
+    if not all(
+        _settled(lambda prec: _decide(log(hi, prec), ">", log(lo, prec)), "a growth step of the measure")
+        for lo, hi in zip(chain, chain[1:])
+    ):
+        return None
+    links = " < ".join(f"M^{k}" for k in range(1, len(es)))
+    return hypotheses + (f"1 < {links} verified exactly",)
+
+
+def _exponent_witness(K, x, place, group, steps, tag=None, facts=None, autos=None) -> Optional[HasWanderer]:
+    """x at place with a certificate read off one _exponent_orbit in
     wandering_certificate's scan order: PowerIdentity(k, l, n), else
     TorsionFreePower(k, n) when x is real there, x^n > 0 and no x_j / x is
     -1 (K's one root of unity besides 1), else, for a cited theorem ``tag``,
-    the chain 1 < M^1 < ... < M^steps on the log intervals. n in
-    2.._EXPONENT_CAP is the one integer a rung leaves in a log ratio, proved
-    by rel (a root of unity between positive numbers is 1). M^k = M^(k-1)
-    ends the orbit: None."""
-    es, logs, n = [], [], K.degree
+    the facts that its reader facts(es, log, rel) proves on the same orbit
+    e^(0..steps): _growth_chain, _chain_states or _d5_recursion; None when
+    the reader refutes them. n in 2.._EXPONENT_CAP is the one integer a rung
+    leaves in a log ratio, proved by rel (a root of unity between positive
+    numbers is 1). M^k = M^(k-1) ends the orbit: None."""
+    es, n = [], K.degree
 
     def power(k, l):
         def fits(prec):
-            (a, b), (c, d) = logs[k](prec), logs[l](prec)
+            (a, b), (c, d) = log(es[k], prec), log(es[l], prec)
             ns = range(max(2, -(-a // d)), min(_EXPONENT_CAP, b // c) + 1) if c > 0 else range(0)
             return None if c <= 0 < d or len(ns) > 1 else ns
 
@@ -510,7 +529,6 @@ def _exponent_witness(K, x, place, group, steps, tag=None, facts=(), autos=None)
         if k and rel(tuple(u - v for u, v in zip(e, es[-1]))) is not None:
             return None
         es.append(e)
-        logs.append(functools.partial(log, e))
         cert = next((PowerIdentity(k, l, m) for l in range(1, k) if (m := power(k, l))), None)
         if cert is None and k and _conjugate_pairs(K)[place] == place and (m := power(k, 0)):
             torsion = (rel(tuple(int(i == j) - int(i == place) for i in range(n))) for j in range(n))
@@ -518,53 +536,50 @@ def _exponent_witness(K, x, place, group, steps, tag=None, facts=(), autos=None)
                 cert = TorsionFreePower(k, m)
         if cert is not None:
             return HasWanderer(witness=fe_to_algnum(K, x, place), certificate=cert)
-    chain = [lambda prec: (0, 0), *logs[1:]]
-    if tag is None or not all(
-        _settled(lambda prec: _decide(hi(prec), ">", lo(prec)), "a growth step of the measure")
-        for lo, hi in zip(chain, chain[1:])
-    ):
+    if tag is None or (read := facts(es, log, rel)) is None:
         return None
-    links = " < ".join(f"M^{k}" for k in range(1, len(es)))
-    cert = CitedGrowth(tag=tag, facts=facts + (f"1 < {links} verified exactly",))
-    return HasWanderer(witness=fe_to_algnum(K, x, place), certificate=cert)
+    return HasWanderer(witness=fe_to_algnum(K, x, place), certificate=CitedGrowth(tag=tag, facts=read))
 
 
-def _chain_witness(K, autos, alpha, states, tag) -> Optional[HasWanderer]:
-    """alpha at place 0 with three exact iterations of M(x) = +-(the product
-    of the outside conjugates of x) over all keys of the Galois K. states
-    are (pattern, fact) pairs; a pattern orders the n places one per level,
-    with place 0 and another place outside, else ExactCheckFailed. Step k
-    proves one state's layout on the conjugate logs of _exponent_orbit's
-    e^(k-1): M^k is the product of the outside ones, distinct, so it exceeds
-    M^(k-1), the one at place 0. Refuted, or open at the top rung: None."""
-    for pattern, _ in states:
-        if sorted(pattern.order) != [(j,) for j in range(K.degree)]:
-            raise ExactCheckFailed("a chain state must order every place alone")
-        outside = [j for (j,) in pattern.order[: pattern.one_position]]
-        if 0 not in outside or len(outside) < 2:
-            raise ExactCheckFailed("a chain state must put place 0 and another place outside")
-    group = _key_group(list(autos))
-    orbit = list(_exponent_orbit(K, alpha, 0, group, 2, autos))
+def _chain_state(places, outside, fact):
+    """A product-recurrence state: the pattern that orders the places one
+    per level, the first ``outside`` of them outside the unit circle, and
+    its fact. It must order every place once, with place 0 and another place
+    outside, else ExactCheckFailed."""
+    if sorted(places) != list(range(len(places))):
+        raise ExactCheckFailed("a chain state must order every place alone")
+    if 0 not in places[:outside] or outside < 2:
+        raise ExactCheckFailed("a chain state must put place 0 and another place outside")
+    return ConjugatePattern(order=tuple((j,) for j in places), one_position=outside), fact
+
+
+def _chain_states(group, states, es, log, rel):
+    """Reader of _chain_state states over all keys of a Galois K (group =
+    _key_group) on the orbit of x at place 0, given group and states by
+    functools.partial. Step k proves one state's layout on the conjugate
+    logs of e^(k-1): M^k is the product of the outside ones, distinct, so it
+    exceeds M^(k-1), the one at place 0. Refuted, or open at the top rung:
+    None."""
 
     def chain(prec):
         facts = []
-        for k, (e, log, _) in enumerate(orbit, 1):
+        for k, e in enumerate(es, 1):
             at = {p.index(0): tuple(e[i] for i in p) for p in group}  # the conjugate at each place
             status = [_layout_status(lambda j: log(at[j], prec), pattern) for pattern, _ in states]
             if True not in status:
                 return None if None in status else False
             facts.append(f"M^{k} {states[status.index(True)][1]}")
-        return facts
+        return tuple(facts)
 
-    facts = _on_ladder(chain)
-    return HasWanderer(fe_to_algnum(K, alpha), CitedGrowth(tag, tuple(facts))) if facts else None
+    return _on_ladder(chain) or None
 
 
 def _first_witness(K, lattice, candidates, bounds=(None,)):
-    """First non-None certify(x) over the exponent bounds, then over the
+    """First non-None certify(x, top) over the exponent bounds, then over the
     (pattern, certify) pairs, where x is the first unit of the lattice that
-    nf_pattern_search finds with the pattern's layout. A pattern with no
-    match within the bound is skipped.
+    nf_pattern_search finds with the pattern's layout and top is the
+    pattern's first place, pattern.order[0][0]. A pattern with no match
+    within the bound is skipped.
     """
     for bound in bounds:
         for pattern, certify in candidates:
@@ -572,7 +587,7 @@ def _first_witness(K, lattice, candidates, bounds=(None,)):
                 x = nf_pattern_search(K, lattice, pattern, bound)
             except NotFound:
                 continue
-            found = certify(x)
+            found = certify(x, pattern.order[0][0])
             if found is not None:
                 return found
     return None
@@ -631,19 +646,11 @@ def _fixed_field_poly(
         fe_add(K, theta2, theta3),
         fe_add(K, theta, theta3),
     ]
-    candidates = []
-    for c in traces:
-        w = fe_rational(K, 0)
-        for h in subgroup:
-            w = fe_add(K, w, nf_apply(K, h, c))
-        candidates.append(w)
-    for k in range(4):
-        shifted = fe_add(K, theta, fe_rational(K, k))
-        w = fe_rational(K, 1)
-        for h in subgroup:
-            w = fe_mul(K, w, nf_apply(K, h, shifted))
-        candidates.append(w)
-    for w in candidates:
+    add, mul = functools.partial(fe_add, K), functools.partial(fe_mul, K)
+    sums = [functools.reduce(add, (nf_apply(K, h, c) for h in subgroup)) for c in traces]
+    shifts = [fe_add(K, theta, fe_rational(K, k)) for k in range(4)]
+    norms = [functools.reduce(mul, (nf_apply(K, h, c) for h in subgroup)) for c in shifts]
+    for w in sums + norms:
         if all(v == 0 for v in w.coords[1:]):
             continue
         q = _minpoly(K, w)
@@ -658,14 +665,8 @@ def _fixed_field_poly(
 
 def _place_layout(K: NumberField) -> tuple[list[int], list[tuple[int, int]]]:
     """Real embedding indices, and the complex indices grouped in pairs."""
-    pairs_map = _conjugate_pairs(K)
-    reals = [i for i in range(K.degree) if pairs_map[i] == i]
-    pairs = [
-        (i, pairs_map[i])
-        for i in range(K.degree)
-        if pairs_map[i] != i and i < pairs_map[i]
-    ]
-    return reals, pairs
+    conj = _conjugate_pairs(K)
+    return [i for i, c in enumerate(conj) if c == i], [(i, c) for i, c in enumerate(conj) if i < c]
 
 
 # ---------------------------------------------------------------------------
@@ -693,10 +694,10 @@ def _quartic_square_witness(K, lattice, sig, tag) -> Optional[HasWanderer]:
 
     group = _labels_group(K.defining, tag)
 
-    def certify(top):
-        return lambda x: _exponent_witness(K, _positive_at(K, x, top), top, group, 2)
+    def certify(x, top):
+        return _exponent_witness(K, _positive_at(K, x, top), top, group, 2)
 
-    return _first_witness(K, lattice, [(p, certify(p.order[0][0])) for p in patterns])
+    return _first_witness(K, lattice, [(p, certify) for p in patterns])
 
 
 def _quartic_real_chain_witness(K, lattice, tag) -> Optional[HasWanderer]:
@@ -716,22 +717,20 @@ def _quartic_real_chain_witness(K, lattice, tag) -> Optional[HasWanderer]:
     else:  # every (a, b, c, d), in the order of (a, b, d)
         assignments = sorted(itertools.permutations(range(4)), key=lambda t: t[:2] + t[3:])
     cited = "FPZ2020-Thm2-totally-real-quartic-unit-3-orbit"
-    facts = (
+    hypotheses = (
         "unit of a totally real quartic field",
         "exactly two conjugates strictly outside the unit circle, "
         "with |top * bottom| != 1",
     )
+    facts = functools.partial(_growth_chain, hypotheses)
     certify = functools.partial(
         _exponent_witness, K, group=_key_group(list(autos)), steps=3, tag=cited, facts=facts, autos=autos
     )
-    candidates = [
-        (
-            ConjugatePattern(order=((a,), (b,), (c, d)), one_position=2, extras=(((a, d), "!="),)),
-            functools.partial(certify, place=a),
-        )
+    patterns = [
+        ConjugatePattern(order=((a,), (b,), (c, d)), one_position=2, extras=(((a, d), "!="),))
         for a, b, c, d in assignments
     ]
-    return _first_witness(K, lattice, candidates)
+    return _first_witness(K, lattice, [(p, certify) for p in patterns])
 
 
 def classify_quartic(p: IntPoly) -> FieldVerdict:
@@ -799,29 +798,28 @@ def _quintic_nonsolvable_witness(K, lattice, tag) -> Optional[HasWanderer]:
         for out in outsides
         if len(out) in (2, 3)
     ]
-    facts = (
+    hypotheses = (
         "unit of degree 5",
         "at least two conjugates strictly outside and two strictly inside "
         "the unit circle, so no associate is Pisot",
     )
+    facts = functools.partial(_growth_chain, hypotheses)
     group, cited = _labels_group(K.defining, tag), "FPZ2020-Thm3-non-pisot-quintic-unit"
-
-    def certify(place):
-        return lambda x: _exponent_witness(K, x, place, group, 3, cited, facts)
-
-    return _first_witness(K, lattice, [(p, certify(p.order[0][0])) for p in patterns])
+    certify = functools.partial(_exponent_witness, K, group=group, steps=3, tag=cited, facts=facts)
+    return _first_witness(K, lattice, [(p, certify) for p in patterns])
 
 
-def _quintic_chain_assignments(K, G) -> list[tuple]:
+def _quintic_chain_assignments(K, cycles) -> list[tuple]:
     """Labelings (a, s(a), s2(a), s3(a), s4(a), paired) -> embedding indices
     along the 5-cycle. They only name patterns; the certifiers step over the
-    pinned group of _labels_group.
+    group that _cycle_group pins on the same cycles.
 
     For signature (1,2) complex conjugation inverts the cycle, pinning
     {s, s4} and {s2, s3} to the two conjugate pairs: a labeling differs from
     a Galois one at most by swapping conjugate places, which no modulus
     statement can see. For the totally real case the cyclic adjacency is
-    read off the resolvent's stable pentagon, then rotated and reflected.
+    read off the resolvent's stable pentagons, cycles, then rotated and
+    reflected.
     """
     reals, pairs = _place_layout(K)
     if len(reals) == 1:
@@ -830,7 +828,7 @@ def _quintic_chain_assignments(K, G) -> list[tuple]:
             for outp, inp in (tuple(pairs), tuple(pairs[::-1]))
         ]
     out = []
-    for cyc in _stable_cycles(G):
+    for cyc in cycles:
         for seq in (cyc, cyc[::-1]):
             for i in range(5):
                 a, s, s2, s3, s4 = (seq[(i + k) % 5] for k in range(5))
@@ -848,57 +846,53 @@ def _chain_pattern(lab, extras) -> ConjugatePattern:
     )
 
 
-def _quintic_f5_witness(K, lattice, G) -> Optional[HasWanderer]:
+def _quintic_f5_witness(K, lattice, cycles) -> Optional[HasWanderer]:
     """F20 witness: a unit on the 5-cycle layout with an exact certificate
     from its first two measures, in exponent space over the pinned F20."""
-    group = _labels_group(G, "F5")
-    candidates = [
-        (
-            _chain_pattern(lab, (((lab[0], lab[2]), "<"),)),
-            functools.partial(_exponent_witness, K, place=lab[0], group=group, steps=2),
-        )
-        for lab in _quintic_chain_assignments(K, G)
-    ]
-    return _first_witness(K, lattice, candidates)
+    certify = functools.partial(_exponent_witness, K, group=_cycle_group(cycles, "F5"), steps=2)
+    patterns = [_chain_pattern(lab, (((lab[0], lab[2]), "<"),)) for lab in _quintic_chain_assignments(K, cycles)]
+    return _first_witness(K, lattice, [(p, certify) for p in patterns])
 
 
-def _d5_chain_witness(K, lab, group, x) -> Optional[HasWanderer]:
-    """x with the dihedral exponent recursion (j, i) -> (j + i, j): with P =
-    s(x) s4(x), e^(1..3) of x at place a over the pinned D5 group must be
-    x P, x^2 P and x^3 P^2 by rel, which is M(x^j P^i) = +-x^(j+i) P^j for
-    (j, i) = (1,0), (1,1), (2,1); the growth chain 1 < M^1 < M^2 < M^3 is
-    _exponent_witness's. The comparison |s2(x) s4(x)| < |x s3(x)| is not
-    expressible as a pattern constraint, so it is decided here on the
-    orbit's log intervals, a tie refuting it."""
+def _d5_recursion(lab, es, log, rel):
+    """Reader of the dihedral exponent recursion (j, i) -> (j + i, j) on the
+    orbit of x at place a over the pinned D5 group, given the labeling lab
+    by functools.partial: with P = s(x) s4(x), e^(1..3) must be x P, x^2 P
+    and x^3 P^2 by rel, which is M(x^j P^i) = +-x^(j+i) P^j for (j, i) =
+    (1,0), (1,1), (2,1); then _growth_chain. The comparison |s2(x) s4(x)| <
+    |x s3(x)| is not expressible as a pattern constraint, so it is decided
+    first, on e^(0)'s log intervals, a tie refuting it."""
     a, s, s2, s3, s4, _ = lab
-    orbit = _exponent_orbit(K, x, a, group, 3)
-    _, log, rel = next(orbit)
     f = [(k in (s2, s4)) - (k in (a, s3)) for k in range(5)]  # s2(x) s4(x) / (x s3(x))
     if not _on_ladder(lambda prec: _decide(log(f, prec), "<")):
         return None
     wants = ([j * (k == a) + i * (k in (s, s4)) for k in range(5)] for j, i in ((1, 1), (2, 1), (3, 2)))
-    if any(rel(tuple(u - v for u, v in zip(e, want))) is None for (e, _, _), want in zip(orbit, wants)):
+    if any(rel(tuple(u - v for u, v in zip(e, want))) is None for e, want in zip(es[1:], wants)):
         return None
-    facts = (
+    hypotheses = (
         "unit chain |x| > |s(x)|, |s4(x)| > 1 > |s2(x)|, |s3(x)|",
         "|s2(x) s4(x)| < |x s3(x)| < 1 verified exactly",
         "M(x^j P^i) = +-x^(j+i) P^j for P = s(x) s4(x) and "
         "(j, i) = (1,0), (1,1), (2,1)",
     )
-    return _exponent_witness(K, x, a, group, 3, "dihedral-quintic-exponent-recursion", facts)
+    return _growth_chain(hypotheses, es, log, rel)
 
 
-def _quintic_d5_witness(K, lattice, G) -> Optional[HasWanderer]:
-    """Dihedral witness: a unit on the 5-cycle layout, by _d5_chain_witness."""
-    group, candidates = _labels_group(G, "D5"), []
-    for lab in _quintic_chain_assignments(K, G):
+def _quintic_d5_witness(K, lattice, cycles) -> Optional[HasWanderer]:
+    """Dihedral witness: a unit on the 5-cycle layout with the facts of
+    _d5_recursion for its labeling."""
+    certify = functools.partial(
+        _exponent_witness, K, group=_cycle_group(cycles, "D5"), steps=3, tag="dihedral-quintic-exponent-recursion"
+    )
+    candidates = []
+    for lab in _quintic_chain_assignments(K, cycles):
         a, s, s2, s3, s4, paired = lab
         if paired:
             extras = (((s2, s), "<"), ((a, s2), "<"))
         else:
             extras = (((s2, s4), "<"), ((a, s3), "<"))
-        certify = functools.partial(_d5_chain_witness, K, lab, group)
-        candidates.append((_chain_pattern(lab, extras), certify))
+        facts = functools.partial(_d5_recursion, lab)
+        candidates.append((_chain_pattern(lab, extras), functools.partial(certify, facts=facts)))
     return _first_witness(K, lattice, candidates)
 
 
@@ -915,9 +909,9 @@ def classify_quintic(p: IntPoly) -> FieldVerdict:
     if tag in ("A5", "S5"):
         found = _quintic_nonsolvable_witness(K, lattice, tag)
     elif tag == "F5":
-        found = _quintic_f5_witness(K, lattice, G)
+        found = _quintic_f5_witness(K, lattice, _stable_cycles(G))
     else:
-        found = _quintic_d5_witness(K, lattice, G)
+        found = _quintic_d5_witness(K, lattice, _stable_cycles(G))
     if found is None:
         raise WitnessSearchFailed(
             f"no certified wandering unit found for the {tag} quintic"
@@ -941,7 +935,7 @@ def classify_cyclic(p: IntPoly) -> FieldVerdict:
     """Wanderer in a cyclic field of odd degree n >= 5.
 
     Searches the alternating chain with (n+1)/2 conjugates outside, then
-    proves in exponent space (_chain_witness) that for three iterations
+    proves in exponent space (_chain_states) that for three iterations
     the measure lands in one of the four trapped chain states: shape A or B,
     with (n+1)/2 or (n-1)/2 conjugates outside.
     """
@@ -962,15 +956,20 @@ def classify_cyclic(p: IntPoly) -> FieldVerdict:
         raise NotCyclic("no automorphism of full order")
     lattice = nf_unit_sublattice(K)
     states = [
-        (
-            ConjugatePattern(order=tuple((e[k],) for k in powers), one_position=count),
+        _chain_state(
+            [e[k] for k in powers],
+            count,
             f"is the product of the {count} outside conjugates "
             f"(chain shape {shape}), strictly larger than its predecessor",
         )
         for shape, powers in _shape_powers(n).items()
         for count in ((n + 1) // 2, (n - 1) // 2)
     ]
-    certify = functools.partial(_chain_witness, K, autos, states=states, tag="distribution-invariant")
+    group = _key_group(list(autos))
+    facts = functools.partial(_chain_states, group, states)
+    certify = functools.partial(
+        _exponent_witness, K, group=group, steps=2, tag="distribution-invariant", facts=facts, autos=autos
+    )
     bounds = (1, 2) if n >= 9 else (1, 2, 3)
     found = _first_witness(K, lattice, [(states[0][0], certify)], bounds)
     if found is not None:
@@ -1022,11 +1021,13 @@ def _classify_sextic_galois(K, autos) -> FieldVerdict:
         "equals the product of the three outside conjugates "
         "and satisfies the same modulus chain"
     )
-    patterns = [ConjugatePattern(order=tuple((i,) for i in e), one_position=3) for e in setups]
-    candidates = [
-        (p, functools.partial(_chain_witness, K, autos, states=[(p, fact)], tag="pattern-recurrence"))
-        for p in patterns
-    ]
+    group = _key_group(list(autos))
+    certify = functools.partial(_exponent_witness, K, group=group, steps=2, tag="pattern-recurrence", autos=autos)
+    candidates = []
+    for e in setups:
+        state = _chain_state(e, 3, fact)
+        facts = functools.partial(_chain_states, group, [state])
+        candidates.append((state[0], functools.partial(certify, facts=facts)))
     found = _first_witness(K, lattice, candidates, (2, 3, None))
     if found is not None:
         return found
@@ -1075,13 +1076,8 @@ def _subfield_product(K, autos, subgroups) -> tuple[FieldElement, int]:
         d = K.degree // len(H)
         poly, w = _fixed_field_poly(K, [autos[p] for p in H], d)
         Ksub = nf_new(poly)
-        candidates = [
-            (
-                ConjugatePattern(order=tuple((i,) for i in perm), one_position=1),
-                functools.partial(_positive_at, Ksub, place=perm[0]),
-            )
-            for perm in itertools.permutations(range(d))
-        ]
+        positive, perms = functools.partial(_positive_at, Ksub), itertools.permutations(range(d))
+        candidates = [(ConjugatePattern(order=tuple((i,) for i in p), one_position=1), positive) for p in perms]
         u = _first_witness(Ksub, nf_unit_sublattice(Ksub), candidates)
         if u is None:
             raise WitnessSearchFailed(f"no unit with one conjugate outside in a degree-{d} subfield")
@@ -1139,8 +1135,7 @@ def _octic_q8_witness(K, autos) -> HasWanderer:
         seen.add((order, extras))
         patterns.append(ConjugatePattern(order=order, one_position=4, extras=extras))
     certify = functools.partial(_exponent_witness, K, group=_key_group(list(autos)), steps=3, autos=autos)
-    candidates = [(p, functools.partial(certify, place=p.order[0][0])) for p in patterns]
-    found = _first_witness(K, lattice, candidates, (2, 3, None))
+    found = _first_witness(K, lattice, [(p, certify) for p in patterns], (2, 3, None))
     if found is None:
         raise WitnessSearchFailed("no quaternion chain unit verified M^3 = (M^1)^4")
     return found

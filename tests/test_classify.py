@@ -1,15 +1,18 @@
 """Field-level verdicts: regressions for the CM test, the abelian rule and its
 invariant factors, the quartic table (its all-preperiodic rows, the C4, D4
 and S4 witnesses, and its groups against sympy), the quintic (S5, F5, C5, D5)
-witnesses (S5 in signatures (1, 2) and (3, 1), and three census fields) and
-a spy that no field verdict computes a measure or an orbit, the
+witnesses (S5 in signatures (1, 2) and (3, 1), and three census fields),
+a spy that no field verdict computes a measure or an orbit and that each
+candidate steps one exponent-space orbit, the
 exponent-space orbits of S4, A4, S5, F20, D5, C4, D4, C5, C6, S3, C2^3 and
 C8 units against mahler_measure, their exact relation test (against
 products of exact conjugates, and on units whose labels repeat a value or
 carry -x) and their groups on the labels (the F20 and D5 ones from the
 pinned 5-cycle, checked against integral orbit sums of the roots),
-the quintic resolvent behind galois_group_small, the C6, S3 and totally
-imaginary sextic, C2^3 and C8 octic verdicts, the quartic subfields of C8,
+the quintic resolvent behind galois_group_small and its one pinned 5-cycle
+per quintic verdict, the C6, S3 and totally imaginary sextic, C2^3 and C8
+octic verdicts, the sextic that is neither CM nor Galois, the octic that is
+not Galois, every entry point on a wrong degree, the quartic subfields of C8,
 C4xC2 and D4 octics, the group shapes of orders 6, 8 and 9 on their regular
 representations, the C3xC3 nonic witness up to its measure identity in the
 field and its verdict, the undecided automorphism count, and the two paths
@@ -48,7 +51,7 @@ from mahlerdyn.classify import (
     classify_quintic,
     galois_group_small,
 )
-from mahlerdyn.errors import AutomorphismsUndecided, InternalPrecisionExceeded, NotFound, NotGalois
+from mahlerdyn.errors import AutomorphismsUndecided, InternalPrecisionExceeded, NotFound, NotGalois, UnsupportedDegree
 from mahlerdyn.factor import is_irreducible
 from mahlerdyn.intpoly import IntPoly, from_text
 from mahlerdyn.mahler import CitedGrowth, PowerIdentity, TorsionFreePower, mahler_measure
@@ -405,7 +408,11 @@ class TestClassifyQuintic:
         # with every measure and orbit raising, every Tier-1 field with a
         # wanderer still gets the verdict that it gets without the spy: the
         # quintics F5, both D5 fields, C5 and S5, the C4 and D4 quartics, and
-        # the C6, S3, C2^3, C8 and C3xC3 Galois fields
+        # the C6, S3, C2^3, C8 and C3xC3 Galois fields. Each candidate steps
+        # one exponent-space orbit, which its readers read too: one
+        # _exponent_orbit call per _exponent_witness call. The D5 field of
+        # signature (1, 2) certifies its first candidate; the totally real
+        # one rejects two before its third
         fields = [
             (classify_quintic, F5_QUINTIC),
             (classify_quintic, D5_COMPLEX),
@@ -427,9 +434,23 @@ class TestClassifyQuintic:
         monkeypatch.setattr(mahler, "_measure_cache", {})
         monkeypatch.setattr(mahler, "_measure_uncached", boom)
         monkeypatch.setattr(mahler, "orbit", boom)
-        spied = [verdict(p) for verdict, p in fields]
+        orbits = _record_exponent_orbits(monkeypatch)
+        witnesses, real = [], classify._exponent_witness
+
+        def witness_spy(*args, **kwargs):
+            witnesses.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(classify, "_exponent_witness", witness_spy)
+        spied, counts = [], []
+        for verdict, p in fields:
+            before = len(orbits), len(witnesses)
+            spied.append(verdict(p))
+            counts.append((len(orbits) - before[0], len(witnesses) - before[1]))
         monkeypatch.undo()
         assert spied == [verdict(p) for verdict, p in fields]
+        assert all(n_orbits == n_witnesses > 0 for n_orbits, n_witnesses in counts), counts
+        assert counts[1:3] == [(1, 1), (3, 3)]
         kinds = [PowerIdentity, CitedGrowth, CitedGrowth, CitedGrowth, PowerIdentity, TorsionFreePower]
         kinds += [TorsionFreePower, CitedGrowth, CitedGrowth, TorsionFreePower, PowerIdentity, TorsionFreePower]
         assert [type(v.certificate) for v in spied] == kinds
@@ -566,7 +587,7 @@ class TestExponentOrbit:
         for place in places:
             assert classify._exponent_witness(K, x, place, group, 3, autos=autos) is None
 
-    def test_labels_groups_are_two_transitive(self, monkeypatch):
+    def test_labels_groups_are_two_transitive(self):
         cases = [(S4_MIXED, "A4", 12), (S4_MIXED, "S4", 24), (S5_QUINTIC, "A5", 60), (S5_QUINTIC, "S5", 120)]
         for G, tag, order in cases:
             group = classify._labels_group(G, tag)
@@ -576,14 +597,12 @@ class TestExponentOrbit:
         # complex conjugation, the same from either pentagon of the pair
         cases = [(F5_QUINTIC, "F5", 20), (X5M3, "F5", 20), (D5_COMPLEX, "D5", 10), (D5_REAL, "D5", 10)]
         for G, tag, order in cases:
-            group = set(classify._labels_group(G, tag))
+            group = set(classify._cycle_group(_stable_cycles(G), tag))
             assert len(group) == order
             assert {nfield._compose_keys(p, q) for p in group for q in group} == group
             assert {p[0] for p in group} == set(range(5))
             assert tuple(nfield._conjugate_pairs(nfield.nf_new(G))) in group
-            with monkeypatch.context() as m:
-                m.setattr(classify, "_stable_cycles", lambda G, f=classify._stable_cycles: f(G)[::-1])
-                assert set(classify._labels_group(G, tag)) == group
+            assert set(classify._cycle_group(_stable_cycles(G)[::-1], tag)) == group
             # the oracle sees the pinned group, and no conjugate of it by a
             # transposition outside it
             assert _orbit_sum_is_integer(G, group)
@@ -614,6 +633,21 @@ class TestQuinticResolvent:
         assert _stable_cycles(D5_QUINTIC) == [(0, 1, 4, 3, 2), (0, 3, 1, 2, 4)]
         assert _stable_cycles(C5_QUINTIC) == [(0, 1, 4, 2, 3), (0, 2, 1, 3, 4)]
 
+    def test_one_pinned_cycle_per_quintic_verdict(self, monkeypatch):
+        # the totally real D5 field names its patterns and pins its group on
+        # one pair of stable pentagons: one _stable_cycles call, and two
+        # Cayley sextic ladders with the one of galois_group_small
+        calls = collections.Counter()
+        for name in ("_stable_cycles", "_cayley_sextic"):
+            real = getattr(classify, name)
+
+            def spy(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(classify, name, spy)
+        assert isinstance(classify_quintic(D5_REAL), HasWanderer)
+        assert calls == {"_stable_cycles": 1, "_cayley_sextic": 2}
 
     def test_cayley_sextic_matches_mpmath_roots(self):
         # oracle: the deltas from mpmath roots at 120 digits, each matched to
@@ -732,6 +766,31 @@ class TestGaloisSmall:
         for j in outside:
             prod = nfield.fe_mul(K, prod, nfield.nf_apply(K, image[j], gamma))
         assert prod == nfield.fe_neg(K, nfield.fe_mul(K, gamma, gamma))
+
+    def test_sextic_neither_cm_nor_galois_is_unsupported(self):
+        # x^6 - x - 1 has a real place, so it is not CM, and it is not Galois
+        assert classify_galois_small(P("-1,-1,0,0,0,0,1")) == Unsupported(
+            reason="degree-6 field is neither CM nor Galois; no proven verdict applies"
+        )
+
+    def test_octic_not_galois_names_the_primes(self):
+        # x^8 - x - 1: outside degree 6 a field that is not Galois raises
+        with pytest.raises(NotGalois, match="linear factors mod"):
+            classify_galois_small(P("-1,-1,0,0,0,0,0,0,1"))
+
+    @pytest.mark.parametrize(
+        "verdict, p",
+        [
+            (classify.classify_cyclic, C4_REAL),
+            (classify_galois_small, S5_QUINTIC),
+            (classify_quartic, S5_QUINTIC),
+            (classify_quintic, C4_REAL),
+        ],
+        ids=["cyclic-quartic", "galois-small-quintic", "quartic-quintic", "quintic-quartic"],
+    )
+    def test_wrong_degree_is_unsupported(self, verdict, p):
+        with pytest.raises(UnsupportedDegree):
+            verdict(p)
 
     def test_c3c3_nonic_has_certified_wanderer(self):
         # the witness's measure would need a degree-126 product resolvent;

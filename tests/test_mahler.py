@@ -1101,19 +1101,11 @@ class TestExactChecksUnderOptimize:
             "f(p, m)[:m] + [f(p, m)[m] + 1]\n"
             "intpoly.resultant(from_text('1,0,2'), from_text('1,1'))\n"
         ),
-        # product-recurrence states in the cyclic cubic x^3 - 3x + 1 whose
-        # outside places leave out place 0, or hold it alone: M(x) > |x| at
-        # place 0 is not proved, so the chain never certifies
-        "chain_state_with_place_0_inside": (
-            "K = nfield.nf_new(from_text('1,-3,0,1'))\n"
-            "state = (nfield.ConjugatePattern(order=((1,), (2,), (0,)), one_position=2), 'fact')\n"
-            "classify._chain_witness(K, nfield.nf_automorphisms(K), nfield.fe_theta(K), [state], 'tag')\n"
-        ),
-        "chain_state_with_one_place_outside": (
-            "K = nfield.nf_new(from_text('1,-3,0,1'))\n"
-            "state = (nfield.ConjugatePattern(order=((0,), (1,), (2,)), one_position=1), 'fact')\n"
-            "classify._chain_witness(K, nfield.nf_automorphisms(K), nfield.fe_theta(K), [state], 'tag')\n"
-        ),
+        # product-recurrence states on three places whose outside places
+        # leave out place 0, or hold it alone: M(x) > |x| at place 0 is not
+        # proved, so no such state may be built
+        "chain_state_with_place_0_inside": "classify._chain_state((1, 2, 0), 2, 'fact')\n",
+        "chain_state_with_one_place_outside": "classify._chain_state((0, 1, 2), 1, 'fact')\n",
         # exponent-space orbits of the unit theta + 1 over automorphism keys:
         # three of the four keys of the cyclic quartic x^4 - 4x^2 + 2, whose
         # relations they no longer pin; and the two keys of the D4 quartic
@@ -1148,7 +1140,7 @@ class TestExactChecksUnderOptimize:
         ),
         "exponent_orbit_not_a_unit": (
             "K = nfield.nf_new(from_text('-2,0,0,0,0,1'))\n"
-            "group = classify._labels_group(K.defining, 'F5')\n"
+            "group = classify._cycle_group(classify._stable_cycles(K.defining), 'F5')\n"
             "list(classify._exponent_orbit(K, nfield.fe_theta(K), 0, group, 3))\n"
         ),
         # exponent-space orbits of the unit x of x^5 - x - 1 (group S5): under

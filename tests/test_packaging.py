@@ -205,3 +205,20 @@ def test_exponent_orbits_compute_no_measure():
         if alias.name in banned or alias.name.endswith("_product_poly")
     ]
     assert found == []
+
+
+def test_exponent_orbit_is_stepped_by_the_witness_only():
+    # every field verdict is read off one orbit per candidate: only
+    # _exponent_witness steps _exponent_orbit, and the readers of a cited
+    # theorem's facts read the orbit that it hands them. A reference from
+    # any other function of classify (a call, or the function passed on)
+    # would step a second orbit
+    tree = ast.parse((ROOT / "src" / "mahlerdyn" / "classify.py").read_text())
+    found = [
+        f"{fn.name}:{node.lineno}"
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if getattr(node, "id", getattr(node, "attr", None)) == "_exponent_orbit"
+    ]
+    assert [where.partition(":")[0] for where in found] == ["_exponent_witness"], found
