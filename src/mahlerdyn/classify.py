@@ -298,51 +298,49 @@ def _cayley_sextic(h: IntPoly) -> tuple[IntPoly, tuple[IsolatingBox, ...]]:
     raise InternalPrecisionExceeded("resolvent coefficients did not stabilize")
 
 
-def _squarefree_quintic_model(G: IntPoly) -> tuple[IntPoly, IntPoly]:
-    """A defining quintic of the same field whose resolvent is squarefree.
-
-    Resolvent roots are translation invariant, so the fallback transform must
-    be genuinely quadratic: theta -> theta^2 + c*theta.  A squarefree image
-    of degree 5 is automatically irreducible (the characteristic polynomial
-    of an element of a prime-degree field is a power of its minimal one).
-    """
-    for c in range(13):
-        h = G if c == 0 else transform_resolvent(G, IntPoly((0, c, 1)))
-        if h.degree != 5 or h[5] != 1 or not is_squarefree(h):
-            continue
-        res, _ = _cayley_sextic(h)
-        if is_squarefree(res):
-            return h, res
-    raise NotFound("no squarefree quintic resolvent within the transform budget")
-
-
-def _stable_cycles(G: IntPoly) -> list[tuple[int, ...]]:
+def _stable_cycles(G: IntPoly, sextic=None) -> list[tuple[int, ...]]:
     """Root pentagons fixed setwise by the Galois group of a solvable quintic.
 
     The rational root of the resolvent belongs to the pentagon pair carrying
     the cyclic adjacency of the order-5 subgroup, read here directly off G's
     own roots (both pair members generate the same 5-cycle up to inversion).
     Indices refer to the isolate_roots(G) order, which is the embedding order.
-    Unless exactly one pair's delta disk holds a rational root, the pair is
-    not pinned: ExactCheckFailed.
+    sextic is _cayley_sextic(G) when the caller has it already. Unless
+    exactly one pair's delta disk holds a rational root, the pair is not
+    pinned: ExactCheckFailed.
     """
-    res, deltas = _cayley_sextic(G)
+    res, deltas = sextic or _cayley_sextic(G)
     pinned = [i for r in _rational_roots(res) for i, d in enumerate(deltas) if _point_in(d, r, 0)]
     if len(pinned) != 1:
         raise ExactCheckFailed(f"{len(pinned)} pentagon pairs hold a rational root of the sextic")
     return list(_PENTAGON_PAIRS[pinned[0]])
 
 
-def _galois_quintic(G: IntPoly) -> str:
-    _, res = _squarefree_quintic_model(G)
-    solvable = bool(_rational_roots(res))
+def _galois_quintic(G: IntPoly):
+    """(tag, G's own Cayley sextic, or None when a transform of G decided).
+
+    The group is read off a squarefree Cayley resolvent, G's or else that of
+    another defining quintic. Resolvent roots are translation invariant, so
+    the transform must be genuinely quadratic: theta -> theta^2 + c*theta. A
+    squarefree image of degree 5 is irreducible (the characteristic
+    polynomial of an element of a prime-degree field is a power of its
+    minimal one)."""
+    for c in range(13):
+        h = G if c == 0 else transform_resolvent(G, IntPoly((0, c, 1)))
+        if h.degree == 5 and h[5] == 1 and is_squarefree(h):
+            sextic = _cayley_sextic(h)
+            if is_squarefree(sextic[0]):
+                break
+    else:
+        raise NotFound("no squarefree quintic resolvent within the transform budget")
+    own = sextic if c == 0 else None
     square = _is_square(discriminant(G))
-    if not solvable:
-        return "A5" if square else "S5"
+    if not _rational_roots(sextic[0]):
+        return ("A5" if square else "S5"), own
     if not square:
-        return "F5"
+        return "F5", own
     K = nf_new(G)
-    return "C5" if len(nf_automorphisms(K)) == 5 else "D5"
+    return ("C5" if len(nf_automorphisms(K)) == 5 else "D5"), own
 
 
 def galois_group_small(p: IntPoly) -> str:
@@ -361,7 +359,7 @@ def galois_group_small(p: IntPoly) -> str:
     if n == 4:
         return _galois_quartic(G)
     if n == 5:
-        return _galois_quintic(G)
+        return _galois_quintic(G)[0]
     raise UnsupportedDegree(f"no resolvent method for degree {n}")
 
 
@@ -901,7 +899,7 @@ def classify_quintic(p: IntPoly) -> FieldVerdict:
     G = _monic_irreducible(p)
     if G.degree != 5:
         raise UnsupportedDegree("classify_quintic needs degree 5")
-    tag = _galois_quintic(G)
+    tag, sextic = _galois_quintic(G)
     if tag == "C5":
         return classify_cyclic(G)
     K = nf_new(G)
@@ -909,9 +907,9 @@ def classify_quintic(p: IntPoly) -> FieldVerdict:
     if tag in ("A5", "S5"):
         found = _quintic_nonsolvable_witness(K, lattice, tag)
     elif tag == "F5":
-        found = _quintic_f5_witness(K, lattice, _stable_cycles(G))
+        found = _quintic_f5_witness(K, lattice, _stable_cycles(G, sextic))
     else:
-        found = _quintic_d5_witness(K, lattice, _stable_cycles(G))
+        found = _quintic_d5_witness(K, lattice, _stable_cycles(G, sextic))
     if found is None:
         raise WitnessSearchFailed(
             f"no certified wandering unit found for the {tag} quintic"

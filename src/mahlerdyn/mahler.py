@@ -58,7 +58,6 @@ from .roots import (
     _box_inv,
     _from_ball,
     _refinements,
-    _unit_bits,
     _unit_of,
     circle_partition,
     isolate_roots,
@@ -400,12 +399,11 @@ def _measure_uncached(p: IntPoly) -> AlgebraicNumber:
 
 
 def _log2_abs(a: AlgebraicNumber) -> float:
-    """Approximate log2 |a| from a box refined to 60 bits."""
-    box = refine(a.box, a.minpoly, Fraction(1, 1 << 60))
-    k = _unit_bits(box.radius)
-    x, y, _ = _ball(*box.center, box.radius, k)
+    """Approximate log2 |a| from the centre of its canonical box, for ranking
+    exponent candidates only: an_equal decides each of them exactly."""
+    x, y = a.box.center
     sq = x * x + y * y
-    return math.log2(sq) / 2 - k if sq else float("-inf")
+    return (math.log2(sq.numerator) - math.log2(sq.denominator)) / 2 if sq else float("-inf")
 
 
 def _exponent_candidates(log_num: float, log_den: float) -> list[int]:

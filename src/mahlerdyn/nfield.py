@@ -130,7 +130,8 @@ def nf_new(defining: IntPoly) -> NumberField:
         defining=defining,
         degree=defining.degree,
         signature=signature(defining),
-        embeddings=tuple(isolate_roots(defining)),
+        # refined once to 2^-120, so that nf_embed starts near the radii asked of it
+        embeddings=tuple(refine(b, defining, Fraction(1, 1 << 120)) for b in isolate_roots(defining)),
     )
 
 
@@ -676,8 +677,7 @@ def _sup_band(n: int, prev: int, h: int):
 
 def _coord_rung(K: NumberField, prev: int, h: int):
     """Units with integer coordinate vectors of prev < sup-norm <= h."""
-    refined = [refine(b, K.defining, Fraction(1, 1 << 64)) for b in K.embeddings]
-    approx = [complex(float(b.center[0]), float(b.center[1])) for b in refined]
+    approx = [complex(float(b.center[0]), float(b.center[1])) for b in K.embeddings]
     for coords in _sup_band(K.degree, prev, h):
         if all(c == 0 for c in coords[1:]):
             continue  # rational: unit only when torsion

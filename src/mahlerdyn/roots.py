@@ -5,8 +5,11 @@ Newton-polygon starts, proposes all n roots at once on each rung of a ladder:
 rung 0 runs it in builtin double-precision complex numbers, and the later
 rungs run it in mpmath at 64, 128, ... bits up to _PREC_CAP. The seeds are
 rounded exactly in integers, from the binary parts of each float or mpf, to
-dyadic points, polished by exact Newton steps and then certified all
-together:
+dyadic points at the unit 2^-64 on rung 0 and 2^-prec after it. The mpmath
+seeds are polished by two exact Newton steps; the double seeds are certified
+as they are, as MPSolve certifies its iterates (Bini and Fiorentino, Numer.
+Algorithms 23, 2000), and give radii of about 2^-45. Then all the seeds are
+certified together:
 
 * a seed with negligible imaginary part is snapped onto the real axis, a
   seed in the upper half-plane is kept and mirrored into the lower one, and a
@@ -20,18 +23,20 @@ together:
 Then each disk holds exactly one root. A disk centred on the real axis holds
 a real root: the disk is its own mirror image, so a nonreal root in it would
 bring its conjugate along, and the disk would hold two. Snapping can
-therefore make a rung fail, never make the answer wrong. p and p' are
-evaluated at the dyadic centres by an exact integer Horner, so the numerics
-only choose where to look and every accept/reject decision is exact. A rung
-fails, and the ladder moves on, when the coefficients overflow a double (on
-rung 0), the iteration does not settle, or the certificate fails.
+therefore make a rung fail, never make the answer wrong. n disjoint disks
+that each hold a root also prove p squarefree, so the exact squarefree test
+runs only when rung 0 fails. p and p' are evaluated at the dyadic centres by
+an exact integer Horner, so the numerics only choose where to look and every
+accept/reject decision is exact. A rung fails, and the ladder moves on, when
+the coefficients overflow a double (on rung 0), the iteration does not
+settle, or the certificate fails.
 
 Refinement uses the same disk on one box at a time, with no numeric seeder.
 refine takes exact Newton steps from the box centre at a unit 2^-b set by the
 radius asked for, and returns the first Newton disk that is small enough and
 contained in the box. That disk holds a root of p and lies in a disk that
-holds only one, so it holds that one. From a real centre every step has
-imaginary part exactly 0, so a real box stays real. Newton doubles the
+holds only one, so it holds that one. Steps are rounded toward 0, so mirror
+images refine to mirror images and a real box stays real. Newton doubles the
 correct bits per step; a box that has not settled within twice that many
 steps, or a radius below 2^-_PREC_CAP, raises InternalPrecisionExceeded.
 
@@ -77,9 +82,7 @@ _PREC_START = 64
 _PREC_CAP = 1 << 16
 _ORDER_RADIUS = Fraction(1, 1 << 20)  # boxes are sorted once refined this far
 _ORDER_GRID = 40  # real parts are compared rounded to a multiple of 2^-40
-_ABERTH_BITS = 128  # rung 0 polishes its seeds at the unit 2^-128
 _ABERTH_ITERS = 100
-_POLISH = 2  # exact Newton steps per seed
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -137,7 +140,8 @@ def _horner(coeffs, x: int, y: int, d: int) -> tuple[int, int]:
 
 def _newton_disk(p: IntPoly, dp: IntPoly, x: int, y: int, b: int) -> tuple[int, int, int] | None:
     """At c = (x + iy) / 2^b: (k, sx, sy) with n|p(c)|/|p'(c)| < k / 2^b and
-    (sx + i sy) / 2^b about the Newton step -p(c)/p'(c); None if p'(c) = 0."""
+    (sx + i sy) / 2^b the Newton step -p(c)/p'(c), each part rounded toward 0
+    so that mirrored centres take mirrored steps; None if p'(c) = 0."""
     d = 1 << b
     u, v = _horner(p.coeffs, x, y, d)  # 2^(bn) p(c)
     du, dv = _horner(dp.coeffs, x, y, d)  # 2^(b(n-1)) p'(c)
@@ -146,7 +150,7 @@ def _newton_disk(p: IntPoly, dp: IntPoly, x: int, y: int, b: int) -> tuple[int, 
         return None
     n = p.degree
     k = math.isqrt(n * n * (u * u + v * v) // den) + 1
-    return k, -((u * du + v * dv) // den), -((v * du - u * dv) // den)
+    return k, -_trunc(u * du + v * dv, den), -_trunc(v * du - u * dv, den)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +364,7 @@ def _aberth_seeds(p: IntPoly, prec: int = 0) -> list[tuple[int, int]] | None:
     not settle within _ABERTH_ITERS sweeps.
 
     At prec = 0 the iteration runs in builtin complex doubles, b is
-    _ABERTH_BITS, and a coefficient that overflows a double gives None; at
+    _PREC_START, and a coefficient that overflows a double gives None; at
     prec > 0 it runs in mpmath mpc at prec + 20 bits and b is prec.
 
     A root is settled when |p(z)| <= 4nu sum_k |a_k| |z|^k, with u the unit
@@ -372,7 +376,7 @@ def _aberth_seeds(p: IntPoly, prec: int = 0) -> list[tuple[int, int]] | None:
         work, unit, b = mpmath.workprec(prec + 20), mpmath.ldexp(1, -prec - 20), prec
         num, exp, rect = mpmath.mpf, mpmath.exp, mpmath.rect
     else:
-        work, unit, b = contextlib.nullcontext(), 2.0 ** -53, _ABERTH_BITS
+        work, unit, b = contextlib.nullcontext(), 2.0 ** -53, _PREC_START
         num, exp, rect = float, math.exp, cmath.rect
     tol = 4 * n * unit
     done = [False] * n
@@ -410,17 +414,18 @@ def _aberth_seeds(p: IntPoly, prec: int = 0) -> list[tuple[int, int]] | None:
 # the all-roots certificate
 
 
-def _certify(p: IntPoly, seeds: list[tuple[int, int]], b: int, snap: int) -> tuple[IsolatingBox, ...] | None:
+def _certify(p: IntPoly, seeds: list, b: int, snap: int, steps: int) -> tuple[IsolatingBox, ...] | None:
     """Isolating disks, one per root in canonical order, from seeds given at
-    the unit 2^-b, or None when the certificate fails.
+    the unit 2^-b as (x, y) integer pairs, or None when the certificate fails.
 
     A seed (x, y) is snapped onto the real axis when |y| <= 2^-snap (1 + |x|),
-    polished by _POLISH exact Newton steps, and then given the disk of radius
+    polished by `steps` exact Newton steps, and then given the disk of radius
     n|p(c)|/|p'(c)|; see the module docstring for why the accepted disks
-    isolate. The canonical order is by (re, im), with real parts rounded to
-    2^-_ORDER_GRID, so roots of equal real part sort by imaginary part
-    whatever the last bits of their centres; real roots closer than the grid
-    then sort by their disjoint disks, not by the seeder's order."""
+    isolate and prove p squarefree. The canonical order is by (re, im), with
+    real parts rounded to 2^-_ORDER_GRID, so roots of equal real part sort by
+    imaginary part whatever the last bits of their centres; real roots closer
+    than the grid then sort by their disjoint disks, not by the seeder's
+    order."""
     n = p.degree
     dp = p.derivative()
     one = 1 << b
@@ -430,14 +435,12 @@ def _certify(p: IntPoly, seeds: list[tuple[int, int]], b: int, snap: int) -> tup
             y = 0
         elif y < 0:
             continue
-        got = _newton_disk(p, dp, x, y, b)
-        for _ in range(_POLISH):
+        for step in range(steps + 1):
+            got = _newton_disk(p, dp, x, y, b)
             if got is None:
                 return None
-            x, y = x + got[1], y + got[2]
-            got = _newton_disk(p, dp, x, y, b)
-        if got is None:
-            return None
+            if step < steps:
+                x, y = x + got[1], y + got[2]
         k = got[0]
         if k * _ORDER_RADIUS.denominator > _ORDER_RADIUS.numerator * one or (y and k >= y):
             return None
@@ -462,26 +465,29 @@ def _certify(p: IntPoly, seeds: list[tuple[int, int]], b: int, snap: int) -> tup
 
 
 def _ladder(p: IntPoly):
-    """(seeds or None, b, snap) per rung, for _certify: the Aberth seeds in
-    doubles at b = _ABERTH_BITS, then the same iteration in mpmath at prec =
-    64, 128, ... bits up to _PREC_CAP, with b = prec. A seed snaps onto the
-    real axis within about half the bits its seeder carries."""
-    yield _aberth_seeds(p), _ABERTH_BITS, 26
+    """(seeds or None, b, snap, steps) per rung, for _certify: the Aberth
+    seeds in doubles at b = _PREC_START, certified as they are, then the
+    same iteration in mpmath at prec = 64, 128, ... bits up to _PREC_CAP,
+    with b = prec and two polishing steps. A seed snaps onto the real axis
+    within about half the bits its seeder carries."""
+    yield _aberth_seeds(p), _PREC_START, 26, 0
     prec = _PREC_START
     while prec <= _PREC_CAP:
-        yield _aberth_seeds(p, prec), prec, prec // 2
+        yield _aberth_seeds(p, prec), prec, prec // 2, 2
         prec *= 2
 
 
 @lru_cache(maxsize=256)
 def _isolate_cached(coeffs: tuple[int, ...]) -> tuple[IsolatingBox, ...]:
     p = IntPoly(coeffs)
-    if p.degree < 1 or not is_squarefree(p):
-        raise NotSquarefree("isolate_roots expects a squarefree nonconstant polynomial")
-    for seeds, b, snap in _ladder(p):
-        boxes = None if seeds is None else _certify(p, seeds, b, snap)
+    if p.degree < 1:
+        raise NotSquarefree("isolate_roots expects a nonconstant polynomial")
+    for rung, (seeds, *how) in enumerate(_ladder(p)):
+        boxes = None if seeds is None else _certify(p, seeds, *how)
         if boxes is not None:
             return boxes
+        if rung == 0 and not is_squarefree(p):
+            raise NotSquarefree("isolate_roots expects a squarefree polynomial")
     raise InternalPrecisionExceeded(f"root isolation for degree {p.degree} exceeded {_PREC_CAP} bits")
 
 
@@ -516,9 +522,10 @@ def refine(box: IsolatingBox, p: IntPoly, eps: Fraction) -> IsolatingBox:
         if got is None:
             break
         k, sx, sy = got
-        cand = IsolatingBox((Fraction(x, one), Fraction(y, one)), Fraction(k, one))
-        if cand.radius <= eps and _contained(cand, box):
-            return cand
+        if k * eps.denominator <= eps.numerator * one:  # radius k / 2^b <= eps
+            cand = IsolatingBox((Fraction(x, one), Fraction(y, one)), Fraction(k, one))
+            if _contained(cand, box):
+                return cand
         x, y = x + sx, y + sy
     raise InternalPrecisionExceeded(f"Newton refinement to radius 2^-{bits} did not settle at {b} bits")
 
@@ -559,11 +566,7 @@ def _pin(probes: Iterable[IsolatingBox], polys: Sequence[IntPoly], boxes: list[I
 
 def _settle(box: IsolatingBox, p: IntPoly, status: Callable[[IsolatingBox], _T | None]) -> _T:
     """status(box), refining box for p by 16-fold steps while it is None."""
-    s = status(box)
-    while s is None:
-        box = refine(box, p, box.radius / 16)
-        s = status(box)
-    return s
+    return next(s for s in map(status, _refinements(box, p)) if s is not None)
 
 
 def _conjugates(boxes: Sequence[IsolatingBox]) -> list[int]:
@@ -634,9 +637,8 @@ def _factor_statuses(q: IntPoly) -> list[str]:
 
 
 def circle_partition(p: IntPoly) -> CirclePartition:
-    """Exact indices of roots with |a| > 1, = 1, < 1 under the canonical order."""
-    if p.is_zero or p.degree < 1 or not is_squarefree(p):
-        raise NotSquarefree("circle_partition expects a squarefree nonconstant polynomial")
+    """Exact indices of roots with |a| > 1, = 1, < 1 under the canonical order;
+    isolate_roots raises NotSquarefree unless p is squarefree and nonconstant."""
     pboxes = isolate_roots(p)
     labels: list[str | None] = [None] * p.degree
     factors = factor_z(p).factors

@@ -635,8 +635,8 @@ class TestQuinticResolvent:
 
     def test_one_pinned_cycle_per_quintic_verdict(self, monkeypatch):
         # the totally real D5 field names its patterns and pins its group on
-        # one pair of stable pentagons: one _stable_cycles call, and two
-        # Cayley sextic ladders with the one of galois_group_small
+        # one pair of stable pentagons: one _stable_cycles call, on the one
+        # Cayley sextic ladder that already decided the group
         calls = collections.Counter()
         for name in ("_stable_cycles", "_cayley_sextic"):
             real = getattr(classify, name)
@@ -647,7 +647,7 @@ class TestQuinticResolvent:
 
             monkeypatch.setattr(classify, name, spy)
         assert isinstance(classify_quintic(D5_REAL), HasWanderer)
-        assert calls == {"_stable_cycles": 1, "_cayley_sextic": 2}
+        assert calls == {"_stable_cycles": 1, "_cayley_sextic": 1}
 
     def test_cayley_sextic_matches_mpmath_roots(self):
         # oracle: the deltas from mpmath roots at 120 digits, each matched to

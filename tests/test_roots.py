@@ -1,5 +1,6 @@
 """Root isolation, refinement, circle partition, and signature tests."""
 
+import collections
 import itertools
 import math
 import os
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mahlerdyn import nfield, roots
+from mahlerdyn import intpoly, nfield, roots
 from mahlerdyn.classify import _independent_subgroups, _subfield_product
 from mahlerdyn.errors import ExactCheckFailed, InternalPrecisionExceeded, NotIrreducible, NotSquarefree
 from mahlerdyn.factor import is_irreducible
@@ -125,7 +126,7 @@ class TestIsolate:
             isolate_roots(P("1,2,1"))
         with pytest.raises(NotSquarefree):
             isolate_roots(P("5"))
-        # raised before any seed is drawn, and on every call
+        # raised as soon as rung 0 fails, and on every call
         start = time.perf_counter()
         for _ in range(2):
             with pytest.raises(NotSquarefree):
@@ -168,8 +169,8 @@ class TestSeedLadder:
     @pytest.mark.parametrize("n, a, reals", [(9, 100, 3), (12, 1000, 4)])
     def test_mignotte_cluster(self, n, a, reals):
         p = mignotte(n, a)
-        seeds, b, snap = next(_ladder(p))
-        assert seeds is None or _certify(p, seeds, b, snap) is None
+        seeds, *how = next(_ladder(p))
+        assert seeds is None or _certify(p, seeds, *how) is None
         boxes = isolate_roots(p)
         assert len(boxes) == n
         assert sum(1 for box in boxes if box.center[1] == 0) == sturm_real_roots(p) == reals
@@ -184,15 +185,69 @@ class TestSeedLadder:
     @pytest.mark.parametrize("poly", [lambda: WIDE_MODULI, c3c3_gamma_poly], ids=["x11+2^200x8+1", "c3c3-gamma"])
     def test_root_moduli_far_apart(self, poly):
         # the Newton polygon seeds each root at its own scale, which rung 0
-        # cannot hold at the unit 2^-128
+        # cannot hold at the unit 2^-64
         p = poly()
-        seeds, b, snap = next(_ladder(p))
-        assert seeds is None or _certify(p, seeds, b, snap) is None
+        seeds, *how = next(_ladder(p))
+        assert seeds is None or _certify(p, seeds, *how) is None
         start = time.perf_counter()
         boxes = isolate_roots(p)
         assert time.perf_counter() - start < 1
         assert len(boxes) == p.degree
         assert sum(1 for box in boxes if box.center[1] == 0) == sturm_real_roots(p)
+
+    @pytest.mark.parametrize(
+        "poly, rung",
+        [
+            (lambda: mignotte(12, 10), 0),
+            (lambda: mignotte(9, 100), 1),
+            (lambda: mignotte(12, 10**4), 3),
+            (lambda: BEYOND_DOUBLE, 2),
+            (lambda: WIDE_MODULI, 1),
+            (c3c3_gamma_poly, 2),
+        ],
+        ids=["mignotte12-10", "mignotte9-100", "mignotte12-10^4", "beyond-double", "x11+2^200x8+1", "c3c3-gamma"],
+    )
+    def test_certifying_rung(self, poly, rung):
+        # the index of the first rung whose seeds certify: 0 is the double
+        # rung, 1, 2, 3 the mpmath rungs at 64, 128, 256 bits
+        p = poly()
+        ladder = enumerate(_ladder(p))
+        assert next(i for i, (seeds, *how) in ladder if seeds and _certify(p, seeds, *how)) == rung
+
+
+class TestRungZeroCertificate:
+    """Rung 0 certifies its double seeds as they are: one exact Newton disk
+    per kept seed (real, or above the axis), and no squarefree test, since n
+    disjoint disks that each hold a root prove p squarefree."""
+
+    # a degree-15 subset-product resolvent that measure-d6 isolates: its
+    # roots are 19 x_i x_j over the root pairs of 19x^6 + 12x^5 + 3x^4 -
+    # 18x^3 + 13x^2 + 18x + 1
+    RESOLVENT15 = P(
+        "-6131066257801,4194940071127,5553625114407,912643045519,-2573456736581,3954362292287,"
+        "231614170139,-5576881425,-590748703,104890697,-1997743,-237727,-2803,-463,-3,1"
+    )
+
+    @pytest.mark.parametrize("p", [WANDER6, RESOLVENT15], ids=["wander6", "resolvent15"])
+    def test_one_newton_disk_per_kept_seed(self, monkeypatch, p):
+        calls = collections.Counter()
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for module, name in ((roots, "_aberth_seeds"), (roots, "_newton_disk"),
+                             (intpoly, "_proved_squarefree"), (intpoly, "gcd_z")):
+            spy(module, name)
+        boxes = roots._isolate_cached.__wrapped__(p.coeffs)
+        kept = sum(1 for b in boxes if b.center[1] >= 0)
+        assert calls == {"_aberth_seeds": 1, "_newton_disk": kept}
+        assert len(boxes) == p.degree
 
 
 def _mp_fraction(v):
@@ -538,6 +593,21 @@ class TestConjugates:
                 assert conj[conj[i]] == i
                 assert c.center == (b.center[0], -b.center[1]) and c.radius == b.radius
                 assert (conj[i] == i) == (b.center[1] == 0)
+
+    @pytest.mark.parametrize(
+        "p",
+        [CM6, WANDER6, LEHMER, SALEM4, P("1,-1,0,0,1"), P("-2,0,0,0,0,1"), P("3,1,-2,0,1,1")],
+        ids=["cm6", "wander6", "tau", "salem4", "x4-x+1", "x5-2", "x5+x4-2x2+x+3"],
+    )
+    def test_refinement_keeps_mirrors(self, p):
+        # a Newton step rounded toward 0 in both coordinates is the mirror of
+        # the step from the mirrored centre
+        boxes = isolate_roots(p)
+        for i, j in enumerate(_conjugates(boxes)):
+            if i < j:
+                for bits in (200, 1000):
+                    a, b = (refine(boxes[k], p, Fraction(1, 1 << bits)) for k in (i, j))
+                    assert b == IsolatingBox((a.center[0], -a.center[1]), a.radius)
 
     def test_unmatched_nonreal_box_raises(self):
         boxes = isolate_roots(P("1,0,1"))  # i and -i
