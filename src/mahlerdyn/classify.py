@@ -298,49 +298,48 @@ def _cayley_sextic(h: IntPoly) -> tuple[IntPoly, tuple[IsolatingBox, ...]]:
     raise InternalPrecisionExceeded("resolvent coefficients did not stabilize")
 
 
-def _stable_cycles(G: IntPoly, sextic=None) -> list[tuple[int, ...]]:
-    """Root pentagons fixed setwise by the Galois group of a solvable quintic.
+def _stable_cycles(sextic: tuple[IntPoly, tuple[IsolatingBox, ...]]) -> list[tuple[int, ...]]:
+    """Root pentagons fixed setwise by the Galois group of a solvable quintic G,
+    from G's Cayley sextic (res, deltas) = _cayley_sextic(G).
 
     The rational root of the resolvent belongs to the pentagon pair carrying
     the cyclic adjacency of the order-5 subgroup, read here directly off G's
     own roots (both pair members generate the same 5-cycle up to inversion).
     Indices refer to the isolate_roots(G) order, which is the embedding order.
-    sextic is _cayley_sextic(G) when the caller has it already. Unless
-    exactly one pair's delta disk holds a rational root, the pair is not
-    pinned: ExactCheckFailed.
+    Unless exactly one pair's delta disk holds a rational root, the pair is
+    not pinned: ExactCheckFailed.
     """
-    res, deltas = sextic or _cayley_sextic(G)
+    res, deltas = sextic
     pinned = [i for r in _rational_roots(res) for i, d in enumerate(deltas) if _point_in(d, r, 0)]
     if len(pinned) != 1:
         raise ExactCheckFailed(f"{len(pinned)} pentagon pairs hold a rational root of the sextic")
     return list(_PENTAGON_PAIRS[pinned[0]])
 
 
-def _galois_quintic(G: IntPoly):
-    """(tag, G's own Cayley sextic, or None when a transform of G decided).
-
-    The group is read off a squarefree Cayley resolvent, G's or else that of
-    another defining quintic. Resolvent roots are translation invariant, so
-    the transform must be genuinely quadratic: theta -> theta^2 + c*theta. A
-    squarefree image of degree 5 is irreducible (the characteristic
+def _galois_quintic(G: IntPoly) -> tuple[str, tuple[IntPoly, tuple[IsolatingBox, ...]]]:
+    """(tag, _cayley_sextic(G)), the group read off a squarefree Cayley
+    resolvent: G's (c = 0, the first sextic) or that of G's image under
+    theta -> theta^2 + c*theta (resolvent roots are translation invariant).
+    A squarefree image of degree 5 is irreducible: the characteristic
     polynomial of an element of a prime-degree field is a power of its
-    minimal one)."""
+    minimal one."""
+    first = None
     for c in range(13):
         h = G if c == 0 else transform_resolvent(G, IntPoly((0, c, 1)))
         if h.degree == 5 and h[5] == 1 and is_squarefree(h):
             sextic = _cayley_sextic(h)
+            first = first or sextic
             if is_squarefree(sextic[0]):
                 break
     else:
         raise NotFound("no squarefree quintic resolvent within the transform budget")
-    own = sextic if c == 0 else None
     square = _is_square(discriminant(G))
     if not _rational_roots(sextic[0]):
-        return ("A5" if square else "S5"), own
+        return ("A5" if square else "S5"), first
     if not square:
-        return "F5", own
+        return "F5", first
     K = nf_new(G)
-    return ("C5" if len(nf_automorphisms(K)) == 5 else "D5"), own
+    return ("C5" if len(nf_automorphisms(K)) == 5 else "D5"), first
 
 
 def galois_group_small(p: IntPoly) -> str:
@@ -907,9 +906,9 @@ def classify_quintic(p: IntPoly) -> FieldVerdict:
     if tag in ("A5", "S5"):
         found = _quintic_nonsolvable_witness(K, lattice, tag)
     elif tag == "F5":
-        found = _quintic_f5_witness(K, lattice, _stable_cycles(G, sextic))
+        found = _quintic_f5_witness(K, lattice, _stable_cycles(sextic))
     else:
-        found = _quintic_d5_witness(K, lattice, _stable_cycles(G, sextic))
+        found = _quintic_d5_witness(K, lattice, _stable_cycles(sextic))
     if found is None:
         raise WitnessSearchFailed(
             f"no certified wandering unit found for the {tag} quintic"

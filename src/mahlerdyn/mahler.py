@@ -399,11 +399,13 @@ def _measure_uncached(p: IntPoly) -> AlgebraicNumber:
 
 
 def _log2_abs(a: AlgebraicNumber) -> float:
-    """Approximate log2 |a| from the centre of its canonical box, for ranking
-    exponent candidates only: an_equal decides each of them exactly."""
-    x, y = a.box.center
-    sq = x * x + y * y
-    return (math.log2(sq.numerator) - math.log2(sq.denominator)) / 2 if sq else float("-inf")
+    """log2 |a| off a box of radius below 2^-40 |centre|, the canonical box
+    unless |a| is small. _exponent_candidates keeps only exponents within 1/2
+    of a ratio of these logs, so this accuracy decides what an_equal tests."""
+    for box in _refinements(a.box, a.minpoly):
+        sq = box.center[0] ** 2 + box.center[1] ** 2
+        if box.radius ** 2 * (1 << 80) < sq or a.minpoly[0] == 0:  # 0 has minpoly x
+            return (math.log2(sq.numerator) - math.log2(sq.denominator)) / 2 if sq else float("-inf")
 
 
 def _exponent_candidates(log_num: float, log_den: float) -> list[int]:

@@ -5,31 +5,30 @@ Newton-polygon starts, proposes all n roots at once on each rung of a ladder:
 rung 0 runs it in builtin double-precision complex numbers, and the later
 rungs run it in mpmath at 64, 128, ... bits up to _PREC_CAP. The seeds are
 rounded exactly in integers, from the binary parts of each float or mpf, to
-dyadic points at the unit 2^-64 on rung 0 and 2^-prec after it. The mpmath
-seeds are polished by two exact Newton steps; the double seeds are certified
-as they are, as MPSolve certifies its iterates (Bini and Fiorentino, Numer.
-Algorithms 23, 2000), and give radii of about 2^-45. Then all the seeds are
-certified together:
+dyadic points at the unit 2^-64 on rung 0 and 2^-prec after it, and
+certified all together (as MPSolve certifies its iterates: Bini and
+Fiorentino, Numer. Algorithms 23, 2000):
 
 * a seed with negligible imaginary part is snapped onto the real axis, a
   seed in the upper half-plane is kept and mirrored into the lower one, and a
   seed in the lower half-plane is dropped;
 * each kept centre c gets the disk of radius n*|p(c)|/|p'(c)|, which always
-  holds at least one root of p;
+  holds at least one root of p, after two exact Newton steps on the mpmath
+  rungs and none on rung 0 (radii of about 2^-45), and up to two more while
+  the radius is not below half the grid step 2^-_ORDER_GRID;
 * the rung is accepted only when there are exactly n disks, they are
-  pairwise disjoint, every radius is at most _ORDER_RADIUS, and every upper
-  disk stays above the real axis (r < Im c).
+  pairwise disjoint, every radius is below half the grid step, and every
+  upper disk stays above the real axis (r < Im c).
 
 Then each disk holds exactly one root. A disk centred on the real axis holds
 a real root: the disk is its own mirror image, so a nonreal root in it would
 bring its conjugate along, and the disk would hold two. Snapping can
-therefore make a rung fail, never make the answer wrong. n disjoint disks
-that each hold a root also prove p squarefree, so the exact squarefree test
-runs only when rung 0 fails. p and p' are evaluated at the dyadic centres by
-an exact integer Horner, so the numerics only choose where to look and every
-accept/reject decision is exact. A rung fails, and the ladder moves on, when
-the coefficients overflow a double (on rung 0), the iteration does not
-settle, or the certificate fails.
+therefore make a rung fail, never make the answer wrong. The n disks prove
+p squarefree, so the squarefree test runs only if rung 0 fails. p and p' are
+evaluated at the dyadic centres by an exact integer Horner, so the numerics
+only choose where to look and every accept/reject decision is exact. A rung
+fails, and the ladder moves on, when the coefficients overflow a double (on
+rung 0), the iteration does not settle, or the certificate fails.
 
 Refinement uses the same disk on one box at a time, with no numeric seeder.
 refine takes exact Newton steps from the box centre at a unit 2^-b set by the
@@ -80,7 +79,6 @@ from .intpoly import IntPoly, is_squarefree, reciprocal_test, trace_poly
 
 _PREC_START = 64
 _PREC_CAP = 1 << 16
-_ORDER_RADIUS = Fraction(1, 1 << 20)  # boxes are sorted once refined this far
 _ORDER_GRID = 40  # real parts are compared rounded to a multiple of 2^-40
 _ABERTH_ITERS = 100
 
@@ -140,8 +138,7 @@ def _horner(coeffs, x: int, y: int, d: int) -> tuple[int, int]:
 
 def _newton_disk(p: IntPoly, dp: IntPoly, x: int, y: int, b: int) -> tuple[int, int, int] | None:
     """At c = (x + iy) / 2^b: (k, sx, sy) with n|p(c)|/|p'(c)| < k / 2^b and
-    (sx + i sy) / 2^b the Newton step -p(c)/p'(c), each part rounded toward 0
-    so that mirrored centres take mirrored steps; None if p'(c) = 0."""
+    (sx + i sy) / 2^b the Newton step -p(c)/p'(c) cut toward 0; None if p'(c) = 0."""
     d = 1 << b
     u, v = _horner(p.coeffs, x, y, d)  # 2^(bn) p(c)
     du, dv = _horner(dp.coeffs, x, y, d)  # 2^(b(n-1)) p'(c)
@@ -415,34 +412,36 @@ def _aberth_seeds(p: IntPoly, prec: int = 0) -> list[tuple[int, int]] | None:
 
 
 def _certify(p: IntPoly, seeds: list, b: int, snap: int, steps: int) -> tuple[IsolatingBox, ...] | None:
-    """Isolating disks, one per root in canonical order, from seeds given at
-    the unit 2^-b as (x, y) integer pairs, or None when the certificate fails.
+    """Isolating disks, one per root in canonical order, from (x, y) seeds at
+    the unit 2^-b, or None when the certificate fails.
 
-    A seed (x, y) is snapped onto the real axis when |y| <= 2^-snap (1 + |x|),
-    polished by `steps` exact Newton steps, and then given the disk of radius
-    n|p(c)|/|p'(c)|; see the module docstring for why the accepted disks
-    isolate and prove p squarefree. The canonical order is by (re, im), with
-    real parts rounded to 2^-_ORDER_GRID, so roots of equal real part sort by
-    imaginary part whatever the last bits of their centres; real roots closer
-    than the grid then sort by their disjoint disks, not by the seeder's
-    order."""
+    A seed is snapped onto the real axis when |y| <= 2^-snap (1 + |x|) and
+    takes `steps` exact Newton steps, and up to two more while its disk is
+    not below half the grid step 2^-_ORDER_GRID; see the module docstring.
+    The order is by (re, im), real parts rounded to the grid. Each centre is
+    within half a step of its root, so roots whose common real part lies on
+    the grid sort by imaginary part whatever the last bits of their centres;
+    real roots closer than the grid sort by their disjoint disks."""
     n = p.degree
     dp = p.derivative()
     one = 1 << b
+    half = 1 << (b - _ORDER_GRID - 1)  # half a grid step, at the unit 2^-b
     disks = []
     for x, y in seeds:
         if abs(y) << snap <= one + abs(x):
             y = 0
         elif y < 0:
             continue
-        for step in range(steps + 1):
+        got = _newton_disk(p, dp, x, y, b)
+        for step in range(steps + 2):
+            if got is None or (step >= steps and got[0] < half):
+                break
+            x, y = x + got[1], y + got[2]
             got = _newton_disk(p, dp, x, y, b)
-            if got is None:
-                return None
-            if step < steps:
-                x, y = x + got[1], y + got[2]
+        if got is None:
+            return None
         k = got[0]
-        if k * _ORDER_RADIUS.denominator > _ORDER_RADIUS.numerator * one or (y and k >= y):
+        if k >= half or (y and k >= y):
             return None
         disks.append((x, y, k))
         if y:
@@ -455,7 +454,6 @@ def _certify(p: IntPoly, seeds: list, b: int, snap: int, steps: int) -> tuple[Is
         for xj, yj, kj in disks[:i]:
             if (xi - xj) ** 2 + (yi - yj) ** 2 <= (ki + kj) ** 2:
                 return None
-    half = 1 << (b - _ORDER_GRID - 1)
     disks.sort(key=lambda t: ((t[0] + half) >> (b - _ORDER_GRID), t[1], t[0]))
     return tuple(IsolatingBox((Fraction(x, one), Fraction(y, one)), Fraction(k, one)) for x, y, k in disks)
 
@@ -466,10 +464,9 @@ def _certify(p: IntPoly, seeds: list, b: int, snap: int, steps: int) -> tuple[Is
 
 def _ladder(p: IntPoly):
     """(seeds or None, b, snap, steps) per rung, for _certify: the Aberth
-    seeds in doubles at b = _PREC_START, certified as they are, then the
-    same iteration in mpmath at prec = 64, 128, ... bits up to _PREC_CAP,
-    with b = prec and two polishing steps. A seed snaps onto the real axis
-    within about half the bits its seeder carries."""
+    seeds in doubles at b = _PREC_START with no Newton step, then in mpmath
+    at prec = 64, 128, ... bits up to _PREC_CAP, b = prec, with two. A seed
+    snaps onto the real axis within about half the bits its seeder carries."""
     yield _aberth_seeds(p), _PREC_START, 26, 0
     prec = _PREC_START
     while prec <= _PREC_CAP:
@@ -566,7 +563,11 @@ def _pin(probes: Iterable[IsolatingBox], polys: Sequence[IntPoly], boxes: list[I
 
 def _settle(box: IsolatingBox, p: IntPoly, status: Callable[[IsolatingBox], _T | None]) -> _T:
     """status(box), refining box for p by 16-fold steps while it is None."""
-    return next(s for s in map(status, _refinements(box, p)) if s is not None)
+    s = status(box)
+    while s is None:
+        box = refine(box, p, box.radius / 16)
+        s = status(box)
+    return s
 
 
 def _conjugates(boxes: Sequence[IsolatingBox]) -> list[int]:

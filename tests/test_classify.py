@@ -38,6 +38,7 @@ from mahlerdyn.classify import (
     HasWanderer,
     HasWandererByTheorem,
     Unsupported,
+    _cayley_sextic,
     _group_shape,
     _independent_subgroups,
     _invariant_factors,
@@ -597,12 +598,12 @@ class TestExponentOrbit:
         # complex conjugation, the same from either pentagon of the pair
         cases = [(F5_QUINTIC, "F5", 20), (X5M3, "F5", 20), (D5_COMPLEX, "D5", 10), (D5_REAL, "D5", 10)]
         for G, tag, order in cases:
-            group = set(classify._cycle_group(_stable_cycles(G), tag))
+            group = set(classify._cycle_group(_stable_cycles(_cayley_sextic(G)), tag))
             assert len(group) == order
             assert {nfield._compose_keys(p, q) for p in group for q in group} == group
             assert {p[0] for p in group} == set(range(5))
             assert tuple(nfield._conjugate_pairs(nfield.nf_new(G))) in group
-            assert set(classify._cycle_group(_stable_cycles(G)[::-1], tag)) == group
+            assert set(classify._cycle_group(_stable_cycles(_cayley_sextic(G))[::-1], tag)) == group
             # the oracle sees the pinned group, and no conjugate of it by a
             # transposition outside it
             assert _orbit_sum_is_integer(G, group)
@@ -629,9 +630,9 @@ class TestQuinticResolvent:
 
     def test_stable_cycles(self):
         # indices follow the isolate_roots order of each quintic's roots
-        assert _stable_cycles(F5_QUINTIC) == [(0, 1, 3, 4, 2), (0, 3, 2, 1, 4)]
-        assert _stable_cycles(D5_QUINTIC) == [(0, 1, 4, 3, 2), (0, 3, 1, 2, 4)]
-        assert _stable_cycles(C5_QUINTIC) == [(0, 1, 4, 2, 3), (0, 2, 1, 3, 4)]
+        assert _stable_cycles(_cayley_sextic(F5_QUINTIC)) == [(0, 1, 3, 4, 2), (0, 3, 2, 1, 4)]
+        assert _stable_cycles(_cayley_sextic(D5_QUINTIC)) == [(0, 1, 4, 3, 2), (0, 3, 1, 2, 4)]
+        assert _stable_cycles(_cayley_sextic(C5_QUINTIC)) == [(0, 1, 4, 2, 3), (0, 2, 1, 3, 4)]
 
     def test_one_pinned_cycle_per_quintic_verdict(self, monkeypatch):
         # the totally real D5 field names its patterns and pins its group on

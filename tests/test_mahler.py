@@ -1140,7 +1140,7 @@ class TestExactChecksUnderOptimize:
         ),
         "exponent_orbit_not_a_unit": (
             "K = nfield.nf_new(from_text('-2,0,0,0,0,1'))\n"
-            "group = classify._cycle_group(classify._stable_cycles(K.defining), 'F5')\n"
+            "group = classify._cycle_group(classify._stable_cycles(classify._cayley_sextic(K.defining)), 'F5')\n"
             "list(classify._exponent_orbit(K, nfield.fe_theta(K), 0, group, 3))\n"
         ),
         # exponent-space orbits of the unit x of x^5 - x - 1 (group S5): under
@@ -1180,7 +1180,7 @@ class TestExactChecksUnderOptimize:
             "    i = next(i for i, d in enumerate(deltas) if classify._point_in(d, r, 0))\n"
             "    return res, tuple(deltas[i] if k in (i, (i + 1) % 6) else d for k, d in enumerate(deltas))\n"
             "classify._cayley_sextic = two_pinned\n"
-            "classify._stable_cycles(from_text('-2,0,0,0,0,1'))\n"
+            "classify._stable_cycles(classify._cayley_sextic(from_text('-2,0,0,0,0,1')))\n"
         ),
         # a depressed quartic that is not a monic quartic without cubic term
         "depressed_quartic_wrong": (

@@ -201,18 +201,44 @@ class TestSeedLadder:
             (lambda: mignotte(12, 10), 0),
             (lambda: mignotte(9, 100), 1),
             (lambda: mignotte(12, 10**4), 3),
-            (lambda: BEYOND_DOUBLE, 2),
+            (lambda: BEYOND_DOUBLE, 1),
             (lambda: WIDE_MODULI, 1),
             (c3c3_gamma_poly, 2),
+            (lambda: P(f"{-3**40},1"), 0),
+            (lambda: P(f"1,{-10**12},1"), 0),
         ],
-        ids=["mignotte12-10", "mignotte9-100", "mignotte12-10^4", "beyond-double", "x11+2^200x8+1", "c3c3-gamma"],
+        ids=[
+            "mignotte12-10",
+            "mignotte9-100",
+            "mignotte12-10^4",
+            "beyond-double",
+            "x11+2^200x8+1",
+            "c3c3-gamma",
+            "x-3^40",
+            "x2-10^12x+1",
+        ],
     )
     def test_certifying_rung(self, poly, rung):
         # the index of the first rung whose seeds certify: 0 is the double
-        # rung, 1, 2, 3 the mpmath rungs at 64, 128, 256 bits
+        # rung, 1, 2, 3 the mpmath rungs at 64, 128, 256 bits. A double seed
+        # of a root of modulus R is off by about R 2^-53, so the last two
+        # rows certify on rung 0 only through their extra Newton step
         p = poly()
         ladder = enumerate(_ladder(p))
         assert next(i for i, (seeds, *how) in ladder if seeds and _certify(p, seeds, *how)) == rung
+
+    @pytest.mark.parametrize(
+        "a, s, t",
+        [(1203, 50, 100), (1203, 3, 700), (1189, 1, 2), (10**4, 1, 2), (10**4, 50, 100), (3**10, 3, 700)],
+    )
+    def test_equal_real_parts_sort_by_imaginary_part(self, a, s, t):
+        # the roots a +- si, a +- ti share the integer real part a: every
+        # canonical radius is below half the 2^-40 grid, so the four centres
+        # round to one grid point and sort by imaginary part
+        p = P(f"{a * a + s * s},{-2 * a},1") * P(f"{a * a + t * t},{-2 * a},1")
+        boxes = isolate_roots(p)
+        assert all(b.radius < Fraction(1, 1 << 41) for b in boxes)
+        assert [b.center[1] for b in boxes] == sorted(b.center[1] for b in boxes)
 
 
 class TestRungZeroCertificate:
