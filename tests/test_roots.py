@@ -95,7 +95,7 @@ class TestIsolate:
         assert len(boxes) == 12
         keys = [(b.center[0], b.center[1]) for b in boxes]
         assert keys == sorted(keys)
-        assert all(b.radius <= Fraction(1, 1 << 20) for b in boxes)
+        assert all(b.radius < Fraction(1, 1 << 41) for b in boxes)  # half the order grid
 
     def test_conjugation_symmetry(self):
         eps = Fraction(1, 1 << 40)
@@ -227,19 +227,6 @@ class TestSeedLadder:
         ladder = enumerate(_ladder(p))
         assert next(i for i, (seeds, *how) in ladder if seeds and _certify(p, seeds, *how)) == rung
 
-    @pytest.mark.parametrize(
-        "a, s, t",
-        [(1203, 50, 100), (1203, 3, 700), (1189, 1, 2), (10**4, 1, 2), (10**4, 50, 100), (3**10, 3, 700)],
-    )
-    def test_equal_real_parts_sort_by_imaginary_part(self, a, s, t):
-        # the roots a +- si, a +- ti share the integer real part a: every
-        # canonical radius is below half the 2^-40 grid, so the four centres
-        # round to one grid point and sort by imaginary part
-        p = P(f"{a * a + s * s},{-2 * a},1") * P(f"{a * a + t * t},{-2 * a},1")
-        boxes = isolate_roots(p)
-        assert all(b.radius < Fraction(1, 1 << 41) for b in boxes)
-        assert [b.center[1] for b in boxes] == sorted(b.center[1] for b in boxes)
-
 
 class TestRungZeroCertificate:
     """Rung 0 certifies its double seeds as they are: one exact Newton disk
@@ -347,6 +334,15 @@ def _holds_root(box, z):
         return abs(mpmath.mpc(mp(box.center[0]), mp(box.center[1])) - z) <= mp(box.radius)
 
 
+# a +- si and a +- ti: with every radius below half the 2^-40 grid, the four
+# centres round to one grid point, whatever the noise of the seeds
+_EQUAL_RE = [(1203, 50, 100), (1203, 3, 700), (1189, 1, 2), (10**4, 1, 2), (10**4, 50, 100), (3**10, 3, 700)]
+
+
+def _equal_re(a, s, t):
+    return P(f"{a * a + s * s},{-2 * a},1") * P(f"{a * a + t * t},{-2 * a},1")
+
+
 class TestCanonicalOrder:
     """Box i holds the i-th root in (re, im) order, checked against mpmath,
     and the real-centred boxes are as many as Sturm counts real roots."""
@@ -360,9 +356,12 @@ class TestCanonicalOrder:
 
     @pytest.mark.parametrize(
         "p",
-        [LEHMER, SALEM4, CM6, WANDER6, P("36,0,49,0,14,0,1"), CLOSE_PAIR],
-        # (x^2+1)(x^2+4)(x^2+9), and real roots closer than the order grid
-        ids=["tau", "salem4", "cm6", "wander6", "equal-re", "close-pair"],
+        [LEHMER, SALEM4, CM6, WANDER6, P("36,0,49,0,14,0,1"), CLOSE_PAIR]
+        + [_equal_re(a, s, t) for a, s, t in _EQUAL_RE],
+        # (x^2+1)(x^2+4)(x^2+9), real roots closer than the order grid, and
+        # roots a +- si, a +- ti whose integer real part a is on the grid
+        ids=["tau", "salem4", "cm6", "wander6", "equal-re", "close-pair"]
+        + ["equal-re-%d-%d-%d" % row for row in _EQUAL_RE],
     )
     def test_named_fixtures(self, p):
         self._check(p)
