@@ -38,7 +38,6 @@ from .intpoly import (
     power_map,
     product_resolvent,
     ratio_resolvent,
-    squarefree_part,
     to_text,
 )
 from .roots import (
@@ -49,6 +48,7 @@ from .roots import (
     _box_mul,
     _contained,
     _disjoint,
+    _factor_statuses,
     _pin,
     _refinements,
     circle_partition,
@@ -69,7 +69,7 @@ class AlgebraicNumber:
         return self.minpoly.degree
 
     def __repr__(self) -> str:
-        cx, cy = self.box.center
+        cx, cy = _fine_box(self).center
         return f"AlgebraicNumber({to_text(self.minpoly)!r} ~ {float(cx):.6g}{float(cy):+.6g}j)"
 
 
@@ -119,6 +119,14 @@ def an_from_poly_root(p: IntPoly, box: IsolatingBox) -> AlgebraicNumber:
                 boxes[i] = refine(boxes[i], polys[i], boxes[i].radius / 16)
     except InternalPrecisionExceeded as e:
         raise BoxAmbiguous(f"certification failed at precision cap: {e}") from e
+
+
+def _fine_box(a: AlgebraicNumber) -> IsolatingBox:
+    """a's box refined to a radius below 2^-40 |centre|: the canonical box
+    unless |a| is small, where that box may be centred at 0 (0's own box)."""
+    for box in _refinements(a.box, a.minpoly):
+        if box.radius ** 2 * (1 << 80) < box.center[0] ** 2 + box.center[1] ** 2 or a.minpoly == _X:
+            return box
 
 
 def root_index(a: AlgebraicNumber) -> int:
@@ -302,19 +310,12 @@ def an_compare(a: AlgebraicNumber, b: AlgebraicNumber) -> int:
 
 def _ratio_on_unit_circle(p: IntPoly, num: IsolatingBox, den: IsolatingBox) -> str:
     """Exact status of (root in num)/(root in den) against the unit circle,
-    both roots of the irreducible p: 'in', 'on', or 'out'."""
-    g = squarefree_part(ratio_resolvent(p, p))
-    part = circle_partition(g)
-    status = {}
-    for i in part.outside:
-        status[i] = "out"
-    for i in part.on:
-        status[i] = "on"
-    for i in part.inside:
-        status[i] = "in"
+    both roots of the irreducible p: 'in', 'on', or 'out', read off the
+    ratio's own minpoly, a factor of the ratio resolvent."""
     pairs = zip(_refinements(num, p), _refinements(den, p))
     ratios = (_box_mul(nb, _box_inv(db)) for nb, db in pairs if _abs_bounds(db)[0] > 0)
-    return status[_pin(ratios, [g] * g.degree, isolate_roots(g))]
+    r = _select_root(_irreducible_factors(ratio_resolvent(p, p)), ratios)
+    return _factor_statuses(r.minpoly)[root_index(r)]
 
 
 def _strictly_dominates(p: IntPoly, abox: IsolatingBox, bbox: IsolatingBox) -> bool:

@@ -2,11 +2,21 @@
 
 Verdicts are either AllPreperiodic (every element's measure orbit terminates),
 HasWanderer (a concrete unit plus a machine-checked certificate), or
-Unsupported (no proven statement applies).  Witnesses are found by one
-search loop (``_first_witness``): over exponent bounds, then over (pattern,
-certify) pairs, it asks ``nf_pattern_search`` for the first unit of a unit
-lattice with the pattern's conjugate-modulus layout and returns the first
-certificate, certify(x, top) at the pattern's top place.  The lattice is
+Unsupported (no proven statement applies).
+
+A verdict runs parse -> K -> Aut(K) -> body -> ``_first_witness``. An entry
+point parses: G monic and irreducible, its degree, one K = nf_new(G) and at
+most one table nf_automorphisms(K), whose count check names its error
+(``_verified_automorphisms``: NotCyclic or NotGalois). Its body runs on the
+built (K, autos), so an entry point that reaches another verdict calls that
+verdict's body, never its parser: ``_classify_cyclic`` (C5 quintics, C9
+nonics), ``_classify_cm`` (sextics), and ``_galois_quintic``, which reads a
+quintic's group on K and hands on the table it read. Witnesses are found
+by one search loop (``_first_witness``): over exponent bounds, then over
+(pattern, certify) pairs, it asks ``nf_pattern_search`` for the first unit
+of a unit lattice with the pattern's conjugate-modulus layout and returns
+the first certificate, certify(x, top) at the pattern's top place, or
+raises WitnessSearchFailed with its caller's message.  The lattice is
 ``nf_unit_sublattice`` of the field, or, for the C2^3 octic and the C3xC3
 nonic, the subfield units that ``_subfield_product`` embeds in K.  Every
 numeric decision (layouts, signs, the D5 comparison) is made on certified
@@ -316,14 +326,17 @@ def _stable_cycles(sextic: tuple[IntPoly, tuple[IsolatingBox, ...]]) -> list[tup
     return list(_PENTAGON_PAIRS[pinned[0]])
 
 
-def _galois_quintic(G: IntPoly) -> tuple[str, tuple[IntPoly, tuple[IsolatingBox, ...]]]:
-    """(tag, _cayley_sextic(G)), the group read off a squarefree Cayley
-    resolvent: G's (c = 0, the first sextic) or that of G's image under
-    theta -> theta^2 + c*theta (resolvent roots are translation invariant).
-    A squarefree image of degree 5 is irreducible: the characteristic
-    polynomial of an element of a prime-degree field is a power of its
-    minimal one."""
-    first = None
+def _galois_quintic(K: NumberField) -> tuple[str, tuple[IntPoly, tuple[IsolatingBox, ...]], Optional[dict]]:
+    """(tag, _cayley_sextic(G), autos) for the quintic field K of G, the
+    group read off a squarefree Cayley resolvent: G's (c = 0, the first
+    sextic) or that of G's image under theta -> theta^2 + c*theta (resolvent
+    roots are translation invariant). A squarefree image of degree 5 is
+    irreducible: the characteristic polynomial of an element of a
+    prime-degree field is a power of its minimal one. A square discriminant
+    leaves C5 or D5, told apart by |Aut(K)|; autos is that table, handed on
+    so that a caller runs automorphism discovery at most once, and None for
+    the other groups, which read no table."""
+    G, first = K.defining, None
     for c in range(13):
         h = G if c == 0 else transform_resolvent(G, IntPoly((0, c, 1)))
         if h.degree == 5 and h[5] == 1 and is_squarefree(h):
@@ -335,11 +348,11 @@ def _galois_quintic(G: IntPoly) -> tuple[str, tuple[IntPoly, tuple[IsolatingBox,
         raise NotFound("no squarefree quintic resolvent within the transform budget")
     square = _is_square(discriminant(G))
     if not _rational_roots(sextic[0]):
-        return ("A5" if square else "S5"), first
+        return ("A5" if square else "S5"), first, None
     if not square:
-        return "F5", first
-    K = nf_new(G)
-    return ("C5" if len(nf_automorphisms(K)) == 5 else "D5"), first
+        return "F5", first, None
+    autos = nf_automorphisms(K)
+    return ("C5" if len(autos) == 5 else "D5"), first, autos
 
 
 def galois_group_small(p: IntPoly) -> str:
@@ -358,7 +371,7 @@ def galois_group_small(p: IntPoly) -> str:
     if n == 4:
         return _galois_quartic(G)
     if n == 5:
-        return _galois_quintic(G)[0]
+        return _galois_quintic(nf_new(G))[0]
     raise UnsupportedDegree(f"no resolvent method for degree {n}")
 
 
@@ -571,12 +584,13 @@ def _chain_states(group, states, es, log, rel):
     return _on_ladder(chain) or None
 
 
-def _first_witness(K, lattice, candidates, bounds=(None,)):
+def _first_witness(K, lattice, candidates, failure: str, bounds=(None,)):
     """First non-None certify(x, top) over the exponent bounds, then over the
     (pattern, certify) pairs, where x is the first unit of the lattice that
     nf_pattern_search finds with the pattern's layout and top is the
     pattern's first place, pattern.order[0][0]. A pattern with no match
-    within the bound is skipped.
+    within the bound is skipped; when no candidate certifies,
+    WitnessSearchFailed(failure).
     """
     for bound in bounds:
         for pattern, certify in candidates:
@@ -587,7 +601,7 @@ def _first_witness(K, lattice, candidates, bounds=(None,)):
             found = certify(x, pattern.order[0][0])
             if found is not None:
                 return found
-    return None
+    raise WitnessSearchFailed(failure)
 
 
 def _settled(decide, what: str):
@@ -608,13 +622,11 @@ def _positive_at(K, x: FieldElement, place: int) -> FieldElement:
 # automorphism-group bookkeeping: on the keys of nf_automorphisms
 
 
-def _verified_automorphisms(K: NumberField) -> dict[tuple[int, ...], FieldElement]:
-    autos = nf_automorphisms(K)
+def _verified_automorphisms(K: NumberField, autos: dict, error: type) -> dict:
+    """autos, the table of nf_automorphisms(K), when it has K.degree keys;
+    else error (NotGalois or NotCyclic) naming the Frobenius bound."""
     if len(autos) != K.degree:
-        raise NotGalois(
-            f"{len(autos)} automorphisms on a degree-{K.degree} field; "
-            + _aut_bound_reason(K.defining)
-        )
+        raise error(f"{len(autos)} automorphisms on a degree-{K.degree} field; " + _aut_bound_reason(K.defining))
     return autos
 
 
@@ -670,7 +682,7 @@ def _place_layout(K: NumberField) -> tuple[list[int], list[tuple[int, int]]]:
 # quartic witnesses
 
 
-def _quartic_square_witness(K, lattice, sig, tag) -> Optional[HasWanderer]:
+def _quartic_square_witness(K, lattice, sig, tag) -> HasWanderer:
     """Unit with two conjugates outside whose second measure is its square,
     made positive at its top place, certified in exponent space
     (_exponent_witness over the group S4 or A4, two steps)."""
@@ -694,10 +706,11 @@ def _quartic_square_witness(K, lattice, sig, tag) -> Optional[HasWanderer]:
     def certify(x, top):
         return _exponent_witness(K, _positive_at(K, x, top), top, group, 2)
 
-    return _first_witness(K, lattice, [(p, certify) for p in patterns])
+    failure = f"no certified wandering unit found for the {tag} quartic"
+    return _first_witness(K, lattice, [(p, certify) for p in patterns], failure)
 
 
-def _quartic_real_chain_witness(K, lattice, tag) -> Optional[HasWanderer]:
+def _quartic_real_chain_witness(K, lattice, tag) -> HasWanderer:
     """Totally real C4/D4 unit with an exact certificate from its first
     three measures over its keys, or else a measure orbit that strictly
     grows three times.
@@ -727,7 +740,8 @@ def _quartic_real_chain_witness(K, lattice, tag) -> Optional[HasWanderer]:
         ConjugatePattern(order=((a,), (b,), (c, d)), one_position=2, extras=(((a, d), "!="),))
         for a, b, c, d in assignments
     ]
-    return _first_witness(K, lattice, [(p, certify) for p in patterns])
+    failure = f"no certified wandering unit found for the {tag} quartic"
+    return _first_witness(K, lattice, [(p, certify) for p in patterns], failure)
 
 
 def classify_quartic(p: IntPoly) -> FieldVerdict:
@@ -753,21 +767,15 @@ def classify_quartic(p: IntPoly) -> FieldVerdict:
     K = nf_new(G)
     lattice = nf_unit_sublattice(K)
     if tag in ("S4", "A4"):
-        found = _quartic_square_witness(K, lattice, sig, tag)
-    else:
-        found = _quartic_real_chain_witness(K, lattice, tag)
-    if found is None:
-        raise WitnessSearchFailed(
-            f"no certified wandering unit found for the {tag} quartic"
-        )
-    return found
+        return _quartic_square_witness(K, lattice, sig, tag)
+    return _quartic_real_chain_witness(K, lattice, tag)
 
 
 # ---------------------------------------------------------------------------
 # quintic witnesses
 
 
-def _quintic_nonsolvable_witness(K, lattice, tag) -> Optional[HasWanderer]:
+def _quintic_nonsolvable_witness(K, lattice, tag) -> HasWanderer:
     """Any unit with two conjugates strictly outside and two strictly inside,
     certified in exponent space (_exponent_witness over S5 or A5) from its
     first three measures: first on a strict order of every conjugate, then
@@ -803,7 +811,8 @@ def _quintic_nonsolvable_witness(K, lattice, tag) -> Optional[HasWanderer]:
     facts = functools.partial(_growth_chain, hypotheses)
     group, cited = _labels_group(K.defining, tag), "FPZ2020-Thm3-non-pisot-quintic-unit"
     certify = functools.partial(_exponent_witness, K, group=group, steps=3, tag=cited, facts=facts)
-    return _first_witness(K, lattice, [(p, certify) for p in patterns])
+    failure = f"no certified wandering unit found for the {tag} quintic"
+    return _first_witness(K, lattice, [(p, certify) for p in patterns], failure)
 
 
 def _quintic_chain_assignments(K, cycles) -> list[tuple]:
@@ -843,12 +852,13 @@ def _chain_pattern(lab, extras) -> ConjugatePattern:
     )
 
 
-def _quintic_f5_witness(K, lattice, cycles) -> Optional[HasWanderer]:
+def _quintic_f5_witness(K, lattice, cycles) -> HasWanderer:
     """F20 witness: a unit on the 5-cycle layout with an exact certificate
     from its first two measures, in exponent space over the pinned F20."""
     certify = functools.partial(_exponent_witness, K, group=_cycle_group(cycles, "F5"), steps=2)
     patterns = [_chain_pattern(lab, (((lab[0], lab[2]), "<"),)) for lab in _quintic_chain_assignments(K, cycles)]
-    return _first_witness(K, lattice, [(p, certify) for p in patterns])
+    failure = "no certified wandering unit found for the F5 quintic"
+    return _first_witness(K, lattice, [(p, certify) for p in patterns], failure)
 
 
 def _d5_recursion(lab, es, log, rel):
@@ -875,7 +885,7 @@ def _d5_recursion(lab, es, log, rel):
     return _growth_chain(hypotheses, es, log, rel)
 
 
-def _quintic_d5_witness(K, lattice, cycles) -> Optional[HasWanderer]:
+def _quintic_d5_witness(K, lattice, cycles) -> HasWanderer:
     """Dihedral witness: a unit on the 5-cycle layout with the facts of
     _d5_recursion for its labeling."""
     certify = functools.partial(
@@ -890,7 +900,7 @@ def _quintic_d5_witness(K, lattice, cycles) -> Optional[HasWanderer]:
             extras = (((s2, s4), "<"), ((a, s3), "<"))
         facts = functools.partial(_d5_recursion, lab)
         candidates.append((_chain_pattern(lab, extras), functools.partial(certify, facts=facts)))
-    return _first_witness(K, lattice, candidates)
+    return _first_witness(K, lattice, candidates, "no certified wandering unit found for the D5 quintic")
 
 
 def classify_quintic(p: IntPoly) -> FieldVerdict:
@@ -898,22 +908,15 @@ def classify_quintic(p: IntPoly) -> FieldVerdict:
     G = _monic_irreducible(p)
     if G.degree != 5:
         raise UnsupportedDegree("classify_quintic needs degree 5")
-    tag, sextic = _galois_quintic(G)
-    if tag == "C5":
-        return classify_cyclic(G)
     K = nf_new(G)
+    tag, sextic, autos = _galois_quintic(K)
+    if tag == "C5":
+        return _classify_cyclic(K, autos)
     lattice = nf_unit_sublattice(K)
     if tag in ("A5", "S5"):
-        found = _quintic_nonsolvable_witness(K, lattice, tag)
-    elif tag == "F5":
-        found = _quintic_f5_witness(K, lattice, _stable_cycles(sextic))
-    else:
-        found = _quintic_d5_witness(K, lattice, _stable_cycles(sextic))
-    if found is None:
-        raise WitnessSearchFailed(
-            f"no certified wandering unit found for the {tag} quintic"
-        )
-    return found
+        return _quintic_nonsolvable_witness(K, lattice, tag)
+    builder = _quintic_f5_witness if tag == "F5" else _quintic_d5_witness
+    return builder(K, lattice, _stable_cycles(sextic))
 
 
 # ---------------------------------------------------------------------------
@@ -929,24 +932,23 @@ def _shape_powers(n: int) -> dict[str, tuple[int, ...]]:
 
 
 def classify_cyclic(p: IntPoly) -> FieldVerdict:
-    """Wanderer in a cyclic field of odd degree n >= 5.
+    """Wanderer in a cyclic field of odd degree n >= 5 (_classify_cyclic)."""
+    G = _monic_irreducible(p)
+    if G.degree < 5 or G.degree % 2 == 0:
+        raise UnsupportedDegree("classify_cyclic covers odd degrees n >= 5")
+    K = nf_new(G)
+    return _classify_cyclic(K, _verified_automorphisms(K, nf_automorphisms(K), NotCyclic))
+
+
+def _classify_cyclic(K, autos) -> HasWanderer:
+    """Wanderer in the cyclic field K of odd degree n >= 5, autos all n keys.
 
     Searches the alternating chain with (n+1)/2 conjugates outside, then
     proves in exponent space (_chain_states) that for three iterations
     the measure lands in one of the four trapped chain states: shape A or B,
     with (n+1)/2 or (n-1)/2 conjugates outside.
     """
-    G = _monic_irreducible(p)
-    n = G.degree
-    if n < 5 or n % 2 == 0:
-        raise UnsupportedDegree("classify_cyclic covers odd degrees n >= 5")
-    K = nf_new(G)
-    autos = nf_automorphisms(K)
-    if len(autos) != n:
-        raise NotCyclic(
-            f"{len(autos)} automorphisms on a degree-{n} field; "
-            + _aut_bound_reason(K.defining)
-        )
+    n = K.degree
     # the powers of a generator sigma, by their embedding index at place 0
     e = next((e for e in map(_orbit, autos) if len(e) == n), None)
     if e is None:
@@ -968,10 +970,8 @@ def classify_cyclic(p: IntPoly) -> FieldVerdict:
         _exponent_witness, K, group=group, steps=2, tag="distribution-invariant", facts=facts, autos=autos
     )
     bounds = (1, 2) if n >= 9 else (1, 2, 3)
-    found = _first_witness(K, lattice, [(states[0][0], certify)], bounds)
-    if found is not None:
-        return found
-    raise WitnessSearchFailed("no unit with the alternating cyclic chain verified")
+    failure = "no unit with the alternating cyclic chain verified"
+    return _first_witness(K, lattice, [(states[0][0], certify)], failure, bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -1025,10 +1025,7 @@ def _classify_sextic_galois(K, autos) -> FieldVerdict:
         state = _chain_state(e, 3, fact)
         facts = functools.partial(_chain_states, group, [state])
         candidates.append((state[0], functools.partial(certify, facts=facts)))
-    found = _first_witness(K, lattice, candidates, (2, 3, None))
-    if found is not None:
-        return found
-    raise WitnessSearchFailed(f"no verified chain unit in the {shape} sextic")
+    return _first_witness(K, lattice, candidates, f"no verified chain unit in the {shape} sextic", (2, 3, None))
 
 
 def _independent_subgroups(autos, rank) -> tuple[frozenset, ...]:
@@ -1075,9 +1072,8 @@ def _subfield_product(K, autos, subgroups) -> tuple[FieldElement, int]:
         Ksub = nf_new(poly)
         positive, perms = functools.partial(_positive_at, Ksub), itertools.permutations(range(d))
         candidates = [(ConjugatePattern(order=tuple((i,) for i in p), one_position=1), positive) for p in perms]
-        u = _first_witness(Ksub, nf_unit_sublattice(Ksub), candidates)
-        if u is None:
-            raise WitnessSearchFailed(f"no unit with one conjugate outside in a degree-{d} subfield")
+        failure = f"no unit with one conjugate outside in a degree-{d} subfield"
+        u = _first_witness(Ksub, nf_unit_sublattice(Ksub), candidates, failure)
         units.append(_fe_horner(K, u.coords, w))  # u in K: theta_sub -> w
     logs = [_place_logs(K, u) for u in units]
     small = [
@@ -1132,10 +1128,8 @@ def _octic_q8_witness(K, autos) -> HasWanderer:
         seen.add((order, extras))
         patterns.append(ConjugatePattern(order=order, one_position=4, extras=extras))
     certify = functools.partial(_exponent_witness, K, group=_key_group(list(autos)), steps=3, autos=autos)
-    found = _first_witness(K, lattice, [(p, certify) for p in patterns], (2, 3, None))
-    if found is None:
-        raise WitnessSearchFailed("no quaternion chain unit verified M^3 = (M^1)^4")
-    return found
+    failure = "no quaternion chain unit verified M^3 = (M^1)^4"
+    return _first_witness(K, lattice, [(p, certify) for p in patterns], failure, (2, 3, None))
 
 
 def _octic_quartic_subfield(K, autos) -> IntPoly:
@@ -1173,34 +1167,27 @@ def _classify_octic_galois(K, autos) -> FieldVerdict:
 def classify_galois_small(p: IntPoly) -> FieldVerdict:
     """Verdicts for Galois fields of degree 6, 8, or 9.
 
-    Degree 6 first tries the CM criterion, which also covers the non-Galois
-    CM sextics; after that the field must be Galois, with its exact
-    automorphism group from nf_automorphisms.
+    Degree 6 first tries the CM criterion (_classify_cm), which also covers
+    the non-Galois CM sextics; after that the field must be Galois, with its
+    exact automorphism group from the same nf_automorphisms table.
     """
     G = _monic_irreducible(p)
     n = G.degree
     if n not in (6, 8, 9):
         raise UnsupportedDegree("classify_galois_small covers degrees 6, 8, 9")
-    if n == 6:
-        cm = classify_cm(G)
-        if isinstance(cm, AllPreperiodic):
-            return cm
     K = nf_new(G)
-    try:
-        autos = _verified_automorphisms(K)
-    except NotGalois:
-        if n == 6:
-            return Unsupported(
-                reason="degree-6 field is neither CM nor Galois; "
-                "no proven verdict applies"
-            )
-        raise
+    autos = nf_automorphisms(K)
     if n == 6:
+        if isinstance(cm := _classify_cm(K, autos), AllPreperiodic):
+            return cm
+        if len(autos) != n:
+            return Unsupported(reason="degree-6 field is neither CM nor Galois; no proven verdict applies")
         return _classify_sextic_galois(K, autos)
+    _verified_automorphisms(K, autos, NotGalois)
     if n == 8:
         return _classify_octic_galois(K, autos)
     if _group_shape(list(autos)) == "C9":
-        return classify_cyclic(G)
+        return _classify_cyclic(K, autos)
     return _subfield_product_witness(K, autos, 2)
 
 
@@ -1209,28 +1196,32 @@ def classify_galois_small(p: IntPoly) -> FieldVerdict:
 
 
 def classify_cm(p: IntPoly) -> Optional[FieldVerdict]:
-    """CM test: complex conjugation is an exact automorphism whose fixed
-    field is totally real of half degree.  None when the field is not CM.
+    """CM test: K is CM exactly when it is totally imaginary and the key of
+    complex conjugation, _conjugate_pairs(K), is in nf_automorphisms(K).
+    None when the field is not CM; a field with a real place needs no
+    automorphisms.
 
-    Conjugation reads x at the conjugate embedding, so it is the automorphism
-    keyed by _conjugate_pairs(K), if any. A totally imaginary quadratic field
-    is CM by that key alone (the fixed field is Q). Once conjugation is
-    found, a failed search for a generator of its fixed field raises
-    NotFound: it proves nothing about the field."""
+    A CM field is a totally imaginary quadratic extension of a totally real
+    field, and complex conjugation acts on it as the nontrivial automorphism
+    over that field, keyed by _conjugate_pairs(K). Conversely, the
+    automorphism rho with that key reads rho(x) at each embedding iota as x
+    at the conjugate embedding, so iota o rho = conj o iota for every iota.
+    An x fixed by rho is then real at every place: the fixed field F of rho
+    is totally real. rho is not the identity, as K has no real place, and
+    rho o rho = id, as conj o conj = id, so [K : F] = 2 and K is CM. No
+    generator of F, and no signature of its polynomial, is needed."""
     G = _monic_irreducible(p)
-    n = G.degree
-    if n % 2 == 1:
+    if G.degree % 2 == 1:
         return None
     K = nf_new(G)
-    if K.signature[0] != 0:
+    return _classify_cm(K, nf_automorphisms(K)) if K.signature[0] == 0 else None
+
+
+def _classify_cm(K, autos) -> Optional[FieldVerdict]:
+    """The CM verdict of classify_cm on K, with autos = nf_automorphisms(K)."""
+    n = K.degree
+    if K.signature[0] != 0 or tuple(_conjugate_pairs(K)) not in autos:
         return None
-    conj = nf_automorphisms(K).get(tuple(_conjugate_pairs(K)))
-    if conj is None:
-        return None
-    if n > 2:
-        poly, _ = _fixed_field_poly(K, [fe_theta(K), conj], n // 2)
-        if signature(poly) != (n // 2, 0):
-            return None
     if n == 6:
         return AllPreperiodic(reason="CM sextic field: every element is preperiodic")
     extra = " (quartic fields are handled by classify_quartic)" if n == 4 else ""

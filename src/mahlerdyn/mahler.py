@@ -17,6 +17,7 @@ from typing import Iterator, Optional, Union
 from .algnum import (
     AlgebraicNumber,
     NumberClass,
+    _fine_box,
     _irreducible_factors,
     _real_sign,
     _scaled,
@@ -399,13 +400,12 @@ def _measure_uncached(p: IntPoly) -> AlgebraicNumber:
 
 
 def _log2_abs(a: AlgebraicNumber) -> float:
-    """log2 |a| off a box of radius below 2^-40 |centre|, the canonical box
-    unless |a| is small. _exponent_candidates keeps only exponents within 1/2
-    of a ratio of these logs, so this accuracy decides what an_equal tests."""
-    for box in _refinements(a.box, a.minpoly):
-        sq = box.center[0] ** 2 + box.center[1] ** 2
-        if box.radius ** 2 * (1 << 80) < sq or a.minpoly[0] == 0:  # 0 has minpoly x
-            return (math.log2(sq.numerator) - math.log2(sq.denominator)) / 2 if sq else float("-inf")
+    """log2 |a| off algnum._fine_box, of radius below 2^-40 |centre|.
+    _exponent_candidates keeps only exponents within 1/2 of a ratio of these
+    logs, so this accuracy decides what an_equal tests."""
+    x, y = _fine_box(a).center
+    sq = x * x + y * y
+    return (math.log2(sq.numerator) - math.log2(sq.denominator)) / 2 if sq else float("-inf")
 
 
 def _exponent_candidates(log_num: float, log_den: float) -> list[int]:

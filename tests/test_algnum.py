@@ -4,9 +4,10 @@ import random
 import time
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
-from mahlerdyn import algnum, factor
+from mahlerdyn import algnum, factor, mahler
 from mahlerdyn.errors import BoxAmbiguous, NotIrreducible, ZeroInput
 from mahlerdyn.factor import is_irreducible
 from mahlerdyn.intpoly import IntPoly, _proved_squarefree, from_text, power_map, product_resolvent
@@ -385,3 +386,35 @@ class TestClassify:
     def test_salem_quartic(self):
         a = nth_root("1,-1,-1,-1,1")
         assert classify_number(a).tag == "Salem"
+
+
+class TestRatioOnUnitCircle:
+    """_ratio_on_unit_circle against |r_j / r_i| from mpmath roots, each
+    matched to the nearest canonical box of its polynomial."""
+
+    ROWS = (
+        [("-2,0,0,0,1", j, i) for j in range(4) for i in range(j + 1, 4)]
+        + [("-3,0,0,0,0,0,1", j, i) for j in range(6) for i in range(j + 1, 6)]
+        + [("1,1,0,-1,-1,-1,-1,-1,0,1,1", j, i) for j, i in ((0, 1), (4, 5), (0, 8), (7, 9), (9, 8))]
+    )
+
+    @pytest.mark.parametrize("text, j, i", ROWS)
+    def test_status_matches_mpmath(self, text, j, i):
+        p = P(text)
+        boxes = isolate_roots(p)
+        with mp.workdps(60):
+            found = mp.polyroots([mp.mpf(c) for c in reversed(p.coeffs)], maxsteps=200, extraprec=200)
+            r = [min(found, key=lambda z: abs(z - mp.mpc(float(b.center[0]), float(b.center[1])))) for b in boxes]
+            modulus = abs(r[j] / r[i])
+            want = "on" if abs(modulus - 1) < mp.mpf(10) ** -40 else "out" if modulus > 1 else "in"
+        assert algnum._ratio_on_unit_circle(p, boxes[j], boxes[i]) == want
+
+
+class TestRepr:
+    def test_tiny_root_prints_its_value(self):
+        # the small root of x^2 - 2^70 x + 1 has a canonical box centred at
+        # 0; repr and _log2_abs read one box refined below 2^-40 |centre|
+        p = IntPoly((1, -(1 << 70), 1))
+        small = AlgebraicNumber(p, min(isolate_roots(p), key=lambda b: b.center[0]))
+        assert "8.47033e-22" in repr(small)
+        assert mahler._log2_abs(small) == -70.0

@@ -1,4 +1,5 @@
-"""Field-level verdicts: regressions for the CM test, the abelian rule and its
+"""Field-level verdicts: regressions for the CM test (read off the
+conjugation key, with no fixed-field search), the abelian rule and its
 invariant factors, the quartic table (its all-preperiodic rows, the C4, D4
 and S4 witnesses, and its groups against sympy), the quintic (S5, F5, C5, D5)
 witnesses (S5 in signatures (1, 2) and (3, 1), and three census fields),
@@ -10,9 +11,11 @@ products of exact conjugates, and on units whose labels repeat a value or
 carry -x) and their groups on the labels (the F20 and D5 ones from the
 pinned 5-cycle, checked against integral orbit sums of the roots),
 the quintic resolvent behind galois_group_small and its one pinned 5-cycle
-per quintic verdict, the C6, S3 and totally imaginary sextic, C2^3 and C8
-octic verdicts, the sextic that is neither CM nor Galois, the octic that is
-not Galois, every entry point on a wrong degree, the quartic subfields of C8,
+per quintic verdict, one field build and at most one automorphism
+discovery per verdict, the C6, S3 and totally imaginary sextic, C2^3 and C8
+octic verdicts, the quaternion chain patterns of the Q8 octic, the sextic
+that is neither CM nor Galois, the octic that is not Galois, every entry
+point on a wrong degree, the quartic subfields of C8,
 C4xC2 and D4 octics, the group shapes of orders 6, 8 and 9 on their regular
 representations, the C3xC3 nonic witness up to its measure identity in the
 field and its verdict, the undecided automorphism count, and the two paths
@@ -84,6 +87,8 @@ C2CUBED_OCTIC = P("576,0,-960,0,352,0,-40,0,1")  # Q(sqrt 2, sqrt 3, sqrt 5)
 C3C3_NONIC = P("-1,-15,-51,-15,81,33,-32,-12,3,1")
 # x^8 + x^7 - 7x^6 - 6x^5 + 15x^4 + 10x^3 - 10x^2 - 4x + 1, Q(zeta_17)^+
 C8_OCTIC = P("1,-4,-10,10,15,-6,-7,1,1")
+# x^8 - 24x^6 + 144x^4 - 288x^2 + 144, totally real with group Q8
+Q8_OCTIC = P("144,0,-288,0,144,0,-24,0,1")
 
 
 def _element_order_counts(orders):
@@ -182,14 +187,37 @@ class TestClassifyCM:
         assert classify_cm(S4_IMAG) is None
 
     def test_failed_fixed_field_search_is_raised(self, monkeypatch):
-        # conjugation is found, so a failed generator search for its fixed
-        # field must not read as "not CM"
+        # the CM test reads no fixed field, so the failed generator search is
+        # injected where one is read: the quartic subfield of a C8 octic,
+        # which must raise rather than read as a verdict
         def fail(*args):
             raise NotFound("injected")
 
         monkeypatch.setattr(classify, "_fixed_field_poly", fail)
         with pytest.raises(NotFound, match="injected"):
-            classify_cm(CM6)
+            classify_galois_small(C8_OCTIC)
+
+    def test_cm_reads_no_fixed_field(self, monkeypatch):
+        # the conjugation key proves CM6 CM: no fixed-field generator search
+        # and no signature of its polynomial
+        calls = []
+
+        def spy(name):
+            real = getattr(classify, name)
+            return lambda *args: calls.append(name) or real(*args)
+
+        for name in ("_fixed_field_poly", "signature"):
+            monkeypatch.setattr(classify, name, spy(name))
+        assert isinstance(classify_cm(CM6), AllPreperiodic)
+        assert calls == []
+
+    def test_fixed_field_of_conjugation_is_totally_real(self):
+        # oracle for the conjugation-key argument: the automorphism keyed by
+        # the conjugate pairs fixes a totally real cubic
+        K = nfield.nf_new(CM6)
+        conj = nfield.nf_automorphisms(K)[tuple(nfield._conjugate_pairs(K))]
+        poly, _ = classify._fixed_field_poly(K, [nfield.fe_theta(K), conj], 3)
+        assert signature(poly) == (3, 0)
 
     @pytest.mark.parametrize("text", ["1,0,1", "2,0,1", "5,0,1"])
     def test_imaginary_quadratic_is_cm_by_its_conjugation_key(self, text):
@@ -200,8 +228,9 @@ class TestClassifyCM:
 
     def test_not_galois_names_the_primes(self):
         # |Aut(CM6)| = 2: the Frobenius bound proves the field is not Galois
+        K = nfield.nf_new(CM6)
         with pytest.raises(NotGalois, match="linear factors mod"):
-            _verified_automorphisms(nfield.nf_new(CM6))
+            _verified_automorphisms(K, nfield.nf_automorphisms(K), NotGalois)
 
 
 class TestClassifyAbelian:
@@ -684,6 +713,61 @@ def _mp_point(x, y):
 
 
 class TestGaloisSmall:
+    @pytest.mark.parametrize(
+        "verdict, p",
+        [
+            (classify_quintic, C5_QUINTIC),
+            (classify_quintic, D5_REAL),
+            (classify_quintic, D5_COMPLEX),
+            (classify_galois_small, CM6),
+            (classify_galois_small, C6_SEXTIC),
+            (classify_galois_small, S3_SEXTIC),
+            (classify_galois_small, X6P108),
+            (classify_galois_small, C8_OCTIC),
+            (classify_galois_small, C3C3_NONIC),
+        ],
+        ids=["C5", "D5-real", "D5-complex", "CM6", "C6", "S3", "x6+108", "C8", "C3xC3"],
+    )
+    def test_one_field_per_verdict(self, monkeypatch, verdict, p):
+        # one nf_new per defining polynomial and at most one automorphism
+        # discovery per field; C8 and C3xC3 also build their subfields
+        builds, discoveries = collections.Counter(), collections.Counter()
+        real_new, real_autos = classify.nf_new, classify.nf_automorphisms
+
+        def nf_new(G):
+            builds[G] += 1
+            return real_new(G)
+
+        def nf_automorphisms(K):
+            discoveries[K.defining] += 1
+            return real_autos(K)
+
+        monkeypatch.setattr(classify, "nf_new", nf_new)
+        monkeypatch.setattr(classify, "nf_automorphisms", nf_automorphisms)
+        verdict(p)
+        assert set(builds.values()) == {1} and classify._monic_irreducible(p) in builds
+        assert set(discoveries) <= set(builds) and set(discoveries.values()) <= {1}
+
+    def test_q8_octic_searches_the_quaternion_chains(self, monkeypatch):
+        # the unit lattice of Q8 is not reached here (stubbed): the verdict
+        # hands _first_witness one chain pattern per quaternion labeling
+        K = nfield.nf_new(Q8_OCTIC)
+        assert K.signature == (8, 0)
+        assert _group_shape(list(nfield.nf_automorphisms(K))) == "Q8"
+        searches = []
+        monkeypatch.setattr(classify, "nf_unit_sublattice", lambda K: "lattice")
+        monkeypatch.setattr(classify, "_first_witness", lambda *args: searches.append(args) or "found")
+        assert classify_galois_small(Q8_OCTIC) == "found"
+        ((_, lattice, candidates, _, bounds),) = searches
+        assert lattice == "lattice" and bounds == (2, 3, None)
+        patterns = [pattern for pattern, _ in candidates]
+        assert len(set(patterns)) == len(patterns) == 24
+        for pattern in patterns:
+            assert sorted(pattern.order) == [(j,) for j in range(8)]
+            assert pattern.one_position == 4
+            ((places, rel),) = pattern.extras
+            assert len(set(places)) == 4 and rel == ">"
+
     def test_cyclic_sextic_has_certified_wanderer(self):
         v = classify_galois_small(C6_SEXTIC)
         _assert_wandering_unit(v, 6)
@@ -734,7 +818,7 @@ class TestGaloisSmall:
         # one involution rule for the three octic groups that reduce to a
         # quartic subfield: cyclic for C8 and C4xC2, a D4 quartic for D4_8
         K = nfield.nf_new(octic)
-        autos = _verified_automorphisms(K)
+        autos = _verified_automorphisms(K, nfield.nf_automorphisms(K), NotGalois)
         assert _group_shape(list(autos)) == shape
         q = classify._octic_quartic_subfield(K, autos)
         assert q == P(quartic)

@@ -1,7 +1,8 @@
 """Packaging: the source tree ships the package, no dangling entry point,
 no runtime dependency beyond mpmath, no assert statement or raised
-AssertionError, no except that hides a failure, and the cache reads that
-the benchmark makes."""
+AssertionError, no except that hides a failure, the cache reads that the
+benchmark makes, and in classify: verdict bodies called on a built field
+rather than their parsers, and one raise of a failed witness search."""
 
 import ast
 import os
@@ -222,3 +223,42 @@ def test_exponent_orbit_is_stepped_by_the_witness_only():
         if getattr(node, "id", getattr(node, "attr", None)) == "_exponent_orbit"
     ]
     assert [where.partition(":")[0] for where in found] == ["_exponent_witness"], found
+
+
+def _classify_calls(name_of) -> list[tuple[str, str]]:
+    """(function, name) for each node of classify's top-level functions
+    that name_of names, in source order."""
+    tree = ast.parse((ROOT / "src" / "mahlerdyn" / "classify.py").read_text())
+    return [
+        (fn.name, name)
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if (name := name_of(node))
+    ]
+
+
+def test_verdicts_reach_bodies_not_parsers():
+    # an entry point that reaches another verdict on its own field calls that
+    # verdict's body on the K and Aut(K) it built (_classify_cyclic,
+    # _classify_cm), never the public parser, which would build the field
+    # again. The one public call is classify_quartic on the quartic subfield
+    # of an octic, which is another field
+    def public_call(node):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", ""))
+            return name if name.startswith("classify_") else None
+
+    assert _classify_calls(public_call) == [("_classify_octic_galois", "classify_quartic")]
+
+
+def test_witness_search_fails_in_one_place():
+    # every pattern search ends in _first_witness, which raises
+    # WitnessSearchFailed with its caller's message; only the subfield
+    # product, which runs no pattern search, raises its own
+    def raised(node):
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+            name = getattr(node.exc.func, "id", "")
+            return name if name == "WitnessSearchFailed" else None
+
+    assert [fn for fn, _ in _classify_calls(raised)] == ["_first_witness", "_subfield_product_witness"]
