@@ -43,6 +43,7 @@ from .intpoly import (
 from .roots import (
     IsolatingBox,
     _abs_bounds,
+    _box_add,
     _box_horner,
     _box_inv,
     _box_mul,
@@ -294,14 +295,8 @@ def an_compare(a: AlgebraicNumber, b: AlgebraicNumber) -> int:
         raise ValueError("comparison of non-real values")
     if an_equal(a, b):
         return 0
-    ba, bb = a.box, b.box
-    while True:
-        if ba.center[0] + ba.radius < bb.center[0] - bb.radius:
-            return -1
-        if bb.center[0] + bb.radius < ba.center[0] - ba.radius:
-            return 1
-        ba = refine(ba, a.minpoly, ba.radius / 16)
-        bb = refine(bb, b.minpoly, bb.radius / 16)
+    pairs = zip(_refinements(a.box, a.minpoly), _refinements(b.box, b.minpoly))
+    return _real_sign(_box_add(x, y, -1) for x, y in pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -710,7 +710,7 @@ def _quartic_square_witness(K, lattice, sig, tag) -> HasWanderer:
     return _first_witness(K, lattice, [(p, certify) for p in patterns], failure)
 
 
-def _quartic_real_chain_witness(K, lattice, tag) -> HasWanderer:
+def _quartic_real_chain_witness(K, lattice, tag, autos) -> HasWanderer:
     """Totally real C4/D4 unit with an exact certificate from its first
     three measures over its keys, or else a measure orbit that strictly
     grows three times.
@@ -719,9 +719,9 @@ def _quartic_real_chain_witness(K, lattice, tag) -> HasWanderer:
     != guard keeps the product of the extreme conjugates off the unit circle,
     which is the cited theorem's hypothesis for the growth-chain fallback.
     Assignments follow the order-4 walk for C4; for D4 the closure's 4-cycle
-    is invisible from inside the field, so all labelings are tried.
+    is invisible from inside the field, so all labelings are tried. autos
+    is Aut(K), the table of nf_automorphisms(K).
     """
-    autos = nf_automorphisms(K)
     if tag == "C4":
         assignments = [tuple(e) for e in map(_orbit, autos) if len(e) == 4]
     else:  # every (a, b, c, d), in the order of (a, b, d)
@@ -765,10 +765,10 @@ def classify_quartic(p: IntPoly) -> FieldVerdict:
             reason="totally real biquadratic field: every element is preperiodic"
         )
     K = nf_new(G)
-    lattice = nf_unit_sublattice(K)
     if tag in ("S4", "A4"):
-        return _quartic_square_witness(K, lattice, sig, tag)
-    return _quartic_real_chain_witness(K, lattice, tag)
+        return _quartic_square_witness(K, nf_unit_sublattice(K), sig, tag)
+    autos = nf_automorphisms(K)
+    return _quartic_real_chain_witness(K, nf_unit_sublattice(K), tag, autos)
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,25 @@
-"""Complete factorization of integer polynomials over Q.
+"""Complete factorization of integer polynomials over Q, and the readers of
+their reductions modulo primes.
 
 Zassenhaus pipeline: Yun squarefree decomposition (skipped when the input is
 squarefree modulo a prime), a degree-set screen (Musser, J. ACM 25 (1978)),
 factorization modulo a good prime (distinct-degree then seeded
 Cantor-Zassenhaus equal-degree splitting), quadratic Hensel lifting past twice
 a Mignotte-style coefficient bound, and subset recombination in
-cardinality-then-lex order. The screen takes the distinct-degree factorization
-of each monicized squarefree part modulo up to _SCREEN_PRIMES good primes
-(primes >= 11 modulo which it stays squarefree) and intersects the subset sums
-of their modular factor degrees. Every factor over Z has a degree in that set,
-so a set of {0, n} proves the part irreducible with no lifting; otherwise
-lifting runs from the screen's factorization at the screened prime with the
-fewest modular factors. _subset_degree_set reads such a set for a
-subset-product resolvent off the Frobenius cycle types of the polynomial it
-is built from, with no DDF of the resolvent. Everything is deterministic: the
-primes are tried in increasing order, the splitting RNG is seeded from the
-input, and factors are reported sorted by (degree, coefficient tuple).
+cardinality-then-lex order. Everything is deterministic: the primes are tried
+in increasing order, the splitting RNG is seeded from the input, and factors
+are reported sorted by (degree, coefficient tuple).
+
+The readers run on intpoly's GF(p)[x] kernels and its one walk over the good
+primes, and read Frobenius by Dedekind: its cycle type on the roots is the
+list of modular factor degrees. Every factor over Z has a degree that is a
+sum of some of them, so the screen intersects these sums (_degree_set) over
+up to _SCREEN_PRIMES good primes. A set of {0, n} proves the part
+irreducible with no lifting; otherwise lifting runs from the screened prime
+with the fewest modular factors. _subset_degree_set reads such a set for a
+subset-product resolvent off the orbits of that cycle type on s-subsets, with
+no DDF of the resolvent, and _root_counts counts the fixed roots, which bound
+|Aut(K)| in nfield.
 """
 
 from __future__ import annotations
@@ -25,63 +29,28 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice
+from typing import Iterator
 
 from .errors import ExactCheckFailed, ZeroPolynomial
 from .intpoly import (
     IntPoly,
+    _gf_add,
     _gf_divmod,
     _gf_from,
     _gf_gcd,
+    _gf_mul,
+    _gf_pow_mod,
+    _gf_prod,
     _gf_trim,
+    _gf_xgcd,
+    _good_primes,
+    _is_cyclotomic_irreducible,
     _proved_squarefree,
-    _squarefree_mod,
     canonicalize,
     div_z,
     gcd_z,
     monicize,
 )
-
-# ---------------------------------------------------------------------------
-# arithmetic in GF(p)[x] beyond intpoly's kernels (same dense lists)
-
-
-def _gf_add(a, b, m):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % m
-    return _gf_trim(out)
-
-def _gf_sub(a, b, m):
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % m
-    return _gf_trim(out)
-
-
-def _gf_mul(a, b, m):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _gf_trim([c % m for c in out])
-
-
-def _gf_pow_mod(a, e, mod_poly, m):
-    result = [1]
-    base = _gf_divmod(a, mod_poly, m)[1]
-    while e:
-        if e & 1:
-            result = _gf_divmod(_gf_mul(result, base, m), mod_poly, m)[1]
-        e >>= 1
-        if e:
-            base = _gf_divmod(_gf_mul(base, base, m), mod_poly, m)[1]
-    return result
-
 
 # ---------------------------------------------------------------------------
 # factorization in GF(p)[x]
@@ -96,7 +65,7 @@ def _ddf(f: list[int], p: int) -> list[tuple[list[int], int]]:
     while len(f) - 1 > 2 * d:
         d += 1
         v = _gf_pow_mod(v, p, f, p)
-        g = _gf_gcd(_gf_sub(v, [0, 1], p), f, p)
+        g = _gf_gcd(_gf_add(v, [0, 1], p, -1), f, p)
         if len(g) > 1:
             out.append((g, d))
             f = _gf_divmod(f, g, p)[0]
@@ -124,7 +93,7 @@ def _edf(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
             split = g
         else:
             t = _gf_pow_mod(a, exponent, f, p)
-            t = _gf_sub(t, [1], p)
+            t = _gf_add(t, [1], p, -1)
             split = _gf_gcd(t, f, p)
             if len(split) <= 1 or len(split) - 1 == n:
                 continue
@@ -144,106 +113,25 @@ def _factor_gf(ddf: list[tuple[list[int], int]], p: int, seed: int) -> list[list
 
 
 # ---------------------------------------------------------------------------
-# Hensel lifting (quadratic, two-factor step + multifactor recursion)
-
-
-def _gf_xgcd(a, b, m):
-    """(g, s, t) with s*a + t*b = g (monic) in GF(m)[x]."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = _gf_divmod(r0, r1, m)
-        r0, r1 = r1, r
-        s0, s1 = s1, _gf_sub(s0, _gf_mul(q, s1, m), m)
-        t0, t1 = t1, _gf_sub(t0, _gf_mul(q, t1, m), m)
-    inv = pow(r0[-1], -1, m)
-    return ([c * inv % m for c in r0],
-            [c * inv % m for c in s0],
-            [c * inv % m for c in t0])
-
-
-def _hensel_step(m, F, G, H, S, T):
-    """One quadratic lift: inputs valid mod m, outputs valid mod m^2.
-
-    F = G*H mod m, S*G + T*H = 1 mod m, H monic; returns (G*, H*, S*, T*).
-    """
-    m2 = m * m
-    e = _gf_sub(F, _gf_mul(G, H, m2), m2)
-    q, r = _gf_divmod(_gf_mul(S, e, m2), H, m2)
-    G1 = _gf_add(_gf_add(G, _gf_mul(T, e, m2), m2), _gf_mul(q, G, m2), m2)
-    H1 = _gf_add(H, r, m2)
-    b = _gf_sub(_gf_add(_gf_mul(S, G1, m2), _gf_mul(T, H1, m2), m2), [1], m2)
-    c, d = _gf_divmod(_gf_mul(S, b, m2), H1, m2)
-    S1 = _gf_sub(S, d, m2)
-    T1 = _gf_sub(_gf_sub(T, _gf_mul(T, b, m2), m2), _gf_mul(c, G1, m2), m2)
-    return G1, H1, S1, T1
-
-
-def _hensel_lift_pair(F, G0, H0, p, P):
-    """Lift F = G0*H0 (mod p) to exactly modulus P = p^(2^t); F given mod P."""
-    _, S, T = _gf_xgcd(G0, H0, p)
-    m = p
-    G, H = list(G0), list(H0)
-    while m < P:
-        G, H, S, T = _hensel_step(m, _gf_trim([c % (m * m) for c in F]), G, H, S, T)
-        m *= m
-    if m != P:
-        raise ExactCheckFailed("Hensel lifting overshot its modulus")
-    return G, H
-
-
-def _hensel_multifactor(F, factors, p, P):
-    """Lift monic squarefree F = prod(factors) (mod p) to mod P; F given mod P."""
-    if len(factors) == 1:
-        if not F or F[-1] != 1:
-            raise ExactCheckFailed("a lifted factor is not monic")
-        return [F]
-    half = len(factors) // 2
-    L, R = factors[:half], factors[half:]
-    G0 = [1]
-    for g in L:
-        G0 = _gf_mul(G0, g, p)
-    H0 = [1]
-    for g in R:
-        H0 = _gf_mul(H0, g, p)
-    G, H = _hensel_lift_pair(F, G0, H0, p, P)
-    return _hensel_multifactor(G, L, p, P) + _hensel_multifactor(H, R, p, P)
-
-
-# ---------------------------------------------------------------------------
-# recombination and the driver
-
-
-def _symmetric(c: int, m: int) -> int:
-    c %= m
-    return c - m if c > m // 2 else c
-
-
-def _mignotte_modulus(F: IntPoly, p: int) -> int:
-    """Smallest K with p^K exceeding twice the factor coefficient bound."""
-    n = F.degree
-    norm2 = math.isqrt(sum(c * c for c in F.coeffs)) + 1
-    bound = 2 ** n * norm2  # |coeff of any monic factor| <= 2^n * ||F||_2
-    K = 1
-    pk = p
-    while pk <= 2 * bound:
-        pk *= p
-        K += 1
-    return K
-
-
-def _small_primes():
-    yield from (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
-    n = 101
-    while True:
-        if all(n % q for q in range(2, math.isqrt(n) + 1)):
-            yield n
-        n += 2
-
+# readers of the Frobenius cycle types (Dedekind), on the good-prime walk
 
 # good primes whose distinct-degree factorizations make up the degree set
 _SCREEN_PRIMES = 5
+
+
+def _cycle_type(ddf) -> list[int]:
+    """The cycle lengths of Frobenius on the roots of f mod p, for
+    ddf = _ddf(f mod p, p): the degrees of f's monic irreducible factors."""
+    return [d for prod, d in ddf for _ in range((len(prod) - 1) // d)]
+
+
+def _degree_set(lengths) -> int:
+    """The bitmask of every sum of a sub-multiset of the orbit lengths: bit d
+    is set when some orbits of Frobenius together hold d roots."""
+    sums = 1
+    for d in lengths:
+        sums |= sums << d
+    return sums
 
 
 def _degree_screen(F: IntPoly) -> tuple[int, int, list[tuple[list[int], int]]]:
@@ -256,34 +144,25 @@ def _degree_screen(F: IntPoly) -> tuple[int, int, list[tuple[list[int], int]]]:
     factors, the cheapest to lift from; the DDF is F's modulo that prime.
     """
     n = F.degree
-    mask, best, tried = (1 << n + 1) - 1, None, 0
-    for p in _small_primes():
-        if tried == _SCREEN_PRIMES or mask == 1 | 1 << n:
-            break
-        fp = _squarefree_mod(F, p)
-        if fp is None:
-            continue
-        tried += 1
+    mask, best = (1 << n + 1) - 1, None
+    for p, fp in islice(_good_primes(F), _SCREEN_PRIMES):
         ddf = _ddf(fp, p)
-        sums, count = 1, 0
-        for prod, d in ddf:
-            for _ in range((len(prod) - 1) // d):
-                sums |= sums << d
-                count += 1
-        mask &= sums
-        if best is None or count < best[0]:
-            best = (count, p, ddf)
+        lengths = _cycle_type(ddf)
+        mask &= _degree_set(lengths)
+        if best is None or len(lengths) < best[0]:
+            best = (len(lengths), p, ddf)
+        if mask == 1 | 1 << n:
+            break
     return mask, best[1], best[2]
 
 
 def _subset_orbit_lengths(ddf, s: int):
     """The orbit lengths, on the s-subsets of range(n), of a permutation of
-    range(n) whose cycle type is the degree list of ddf = _ddf(f, p)."""
+    range(n) whose cycle type is _cycle_type(ddf); for s = 1, that type."""
     perm = []
-    for prod, d in ddf:
-        for _ in range((len(prod) - 1) // d):
-            k = len(perm)
-            perm += [*range(k + 1, k + d), k]
+    for d in _cycle_type(ddf):
+        k = len(perm)
+        perm += [*range(k + 1, k + d), k]
     seen = set()
     for sub in combinations(range(len(perm)), s):
         d = 0
@@ -312,17 +191,87 @@ def _subset_degree_set(P: IntPoly, s: int, res: IntPoly) -> int:
     mask, done = (1 << N + 1) - 1, 1 | 1 << N
     if not 0 < s < n or N != math.comb(n, s) or not _proved_squarefree(res):
         return mask
-    for p in islice(_small_primes(), _ORBIT_PRIMES):
-        fp = _squarefree_mod(P, p)
-        if fp is None or _squarefree_mod(res, p) is None:
-            continue
-        sums = 1
-        for d in _subset_orbit_lengths(_ddf(fp, p), s):
-            sums |= sums << d
-        mask &= sums
+    for p, fp in _good_primes(P, res, _ORBIT_PRIMES):
+        mask &= _degree_set(_subset_orbit_lengths(_ddf(fp, p), s))
         if mask == done:
             break
     return mask
+
+
+def _root_counts(f: IntPoly) -> Iterator[tuple[int, int]]:
+    """(p, number of roots of f in F_p) for each good prime p of f, in
+    increasing order: the Frobenius-fixed roots, deg gcd(x^p - x, f mod p)."""
+    for p, fp in _good_primes(f):
+        xp = _gf_pow_mod([0, 1], p, fp, p)
+        yield p, len(_gf_gcd(_gf_add(xp, [0, 1], p, -1), fp, p)) - 1
+
+
+# ---------------------------------------------------------------------------
+# Hensel lifting (quadratic, two-factor step + multifactor recursion)
+
+
+def _hensel_step(m, F, G, H, S, T):
+    """One quadratic lift: inputs valid mod m, outputs valid mod m^2.
+
+    F = G*H mod m, S*G + T*H = 1 mod m, H monic; returns (G*, H*, S*, T*).
+    """
+    m2 = m * m
+    e = _gf_add(F, _gf_mul(G, H, m2), m2, -1)
+    q, r = _gf_divmod(_gf_mul(S, e, m2), H, m2)
+    G1 = _gf_add(_gf_add(G, _gf_mul(T, e, m2), m2), _gf_mul(q, G, m2), m2)
+    H1 = _gf_add(H, r, m2)
+    b = _gf_add(_gf_add(_gf_mul(S, G1, m2), _gf_mul(T, H1, m2), m2), [1], m2, -1)
+    c, d = _gf_divmod(_gf_mul(S, b, m2), H1, m2)
+    S1 = _gf_add(S, d, m2, -1)
+    T1 = _gf_add(_gf_add(T, _gf_mul(T, b, m2), m2, -1), _gf_mul(c, G1, m2), m2, -1)
+    return G1, H1, S1, T1
+
+
+def _hensel_lift_pair(F, G0, H0, p, P):
+    """Lift F = G0*H0 (mod p) to exactly modulus P = p^(2^t); F given mod P."""
+    _, S, T = _gf_xgcd(G0, H0, p)
+    m = p
+    G, H = list(G0), list(H0)
+    while m < P:
+        G, H, S, T = _hensel_step(m, _gf_trim([c % (m * m) for c in F]), G, H, S, T)
+        m *= m
+    if m != P:
+        raise ExactCheckFailed("Hensel lifting overshot its modulus")
+    return G, H
+
+
+def _hensel_multifactor(F, factors, p, P):
+    """Lift monic squarefree F = prod(factors) (mod p) to mod P; F given mod P."""
+    if len(factors) == 1:
+        if not F or F[-1] != 1:
+            raise ExactCheckFailed("a lifted factor is not monic")
+        return [F]
+    half = len(factors) // 2
+    L, R = factors[:half], factors[half:]
+    G, H = _hensel_lift_pair(F, _gf_prod(L, p), _gf_prod(R, p), p, P)
+    return _hensel_multifactor(G, L, p, P) + _hensel_multifactor(H, R, p, P)
+
+
+# ---------------------------------------------------------------------------
+# recombination and the driver
+
+
+def _symmetric(c: int, m: int) -> int:
+    c %= m
+    return c - m if c > m // 2 else c
+
+
+def _mignotte_modulus(F: IntPoly, p: int) -> int:
+    """Smallest K with p^K exceeding twice the factor coefficient bound."""
+    n = F.degree
+    norm2 = math.isqrt(sum(c * c for c in F.coeffs)) + 1
+    bound = 2 ** n * norm2  # |coeff of any monic factor| <= 2^n * ||F||_2
+    K = 1
+    pk = p
+    while pk <= 2 * bound:
+        pk *= p
+        K += 1
+    return K
 
 
 def _seed_from(g: IntPoly, p: int) -> int:
@@ -355,9 +304,7 @@ def _factor_squarefree_monic(F: IntPoly, p: int, mask: int, ddf) -> list[IntPoly
         for combo in combinations(range(len(idx)), s):
             if not mask >> sum(len(lifted[idx[ci]]) - 1 for ci in combo) & 1:
                 continue
-            prod = [1]
-            for ci in combo:
-                prod = _gf_mul(prod, lifted[idx[ci]], pk)
+            prod = _gf_prod((lifted[idx[ci]] for ci in combo), pk)
             cand = IntPoly([_symmetric(c, pk) for c in prod])
             if cand.degree >= remaining.degree:
                 continue
@@ -477,6 +424,14 @@ def factor_z(p: IntPoly) -> Factorization:
     if p.is_zero:
         raise ZeroPolynomial("factor_z of zero polynomial")
     return _factor_cached(p.coeffs)
+
+
+def cyclotomic_part(p: IntPoly) -> IntPoly:
+    """Product (with multiplicity) of the cyclotomic factors of p, canonical."""
+    if p.is_zero:
+        raise ZeroPolynomial("cyclotomic_part of zero polynomial")
+    kept = tuple((q, mult) for q, mult in factor_z(p).factors if _is_cyclotomic_irreducible(q))
+    return canonicalize(Factorization(1, kept).expand())
 
 
 def is_irreducible(p: IntPoly) -> bool:

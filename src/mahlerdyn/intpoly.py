@@ -10,9 +10,11 @@ the input roots are mapped to those of the resolvent roots, and Newton's
 identities, with exact divisions, give the coefficients. No floating point
 anywhere in this module.
 It also holds the all-integer LLL that minpoly guessing (mahler) and
-automorphism discovery (nfield) share, and the GF(m)[x] kernels that factor
-and nfield build on, with the modular squarefree proof that is_squarefree
-and factor_z try before any gcd over Z.
+automorphism discovery (nfield) share, and the kernels of the one modular
+layer: GF(m)[x] arithmetic and the walk over the good primes of f (from 11
+up, modulo which f stays squarefree). factor holds its readers; the
+squarefree proof that is_squarefree and factor_z try before any gcd over Z
+is the walk's first three primes.
 
 The polynomial text grammar used across the package (CLI included) is
 comma-separated decimal integers, constant term first: x^2 - 2 is "-2,0,1".
@@ -20,10 +22,12 @@ comma-separated decimal integers, constant term first: x^2 - 2 is "-2,0,1".
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     ExactCheckFailed,
@@ -325,6 +329,25 @@ def _gf_from(p: IntPoly, m: int) -> list[int]:
     return _gf_trim([c % m for c in p.coeffs])
 
 
+def _gf_add(a, b, m, sign: int = 1):
+    """a + sign*b in (Z/m)[x] (sign is 1 or -1)."""
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] = (out[i] + sign * c) % m
+    return _gf_trim(out)
+
+
+def _gf_mul(a, b, m):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return _gf_trim([c % m for c in out])
+
+
 def _gf_deriv(a, m):
     return _gf_trim([i * c % m for i, c in enumerate(a)][1:])
 
@@ -347,6 +370,24 @@ def _gf_divmod(a, b, m):
     return _gf_trim(q), _gf_trim(a[:db])
 
 
+def _gf_pow_mod(a, e, mod_poly, m):
+    """a^e mod mod_poly in (Z/m)[x], by repeated squaring."""
+    result = [1]
+    base = _gf_divmod(a, mod_poly, m)[1]
+    while e:
+        if e & 1:
+            result = _gf_divmod(_gf_mul(result, base, m), mod_poly, m)[1]
+        e >>= 1
+        if e:
+            base = _gf_divmod(_gf_mul(base, base, m), mod_poly, m)[1]
+    return result
+
+
+def _gf_prod(polys, m):
+    """The product of polys in (Z/m)[x]."""
+    return functools.reduce(lambda a, b: _gf_mul(a, b, m), polys, [1])
+
+
 def _gf_gcd(a, b, m):
     a, b = list(a), list(b)
     while b:
@@ -357,12 +398,38 @@ def _gf_gcd(a, b, m):
     return a
 
 
+def _gf_xgcd(a, b, m):
+    """(g, s, t) with s*a + t*b = g (monic) in GF(m)[x]."""
+    r0, r1 = list(a), list(b)
+    s0, s1 = [1], []
+    t0, t1 = [], [1]
+    while r1:
+        q, r = _gf_divmod(r0, r1, m)
+        r0, r1 = r1, r
+        s0, s1 = s1, _gf_add(s0, _gf_mul(q, s1, m), m, -1)
+        t0, t1 = t1, _gf_add(t0, _gf_mul(q, t1, m), m, -1)
+    inv = pow(r0[-1], -1, m)
+    return ([c * inv % m for c in r0],
+            [c * inv % m for c in s0],
+            [c * inv % m for c in t0])
+
+
+def _small_primes() -> Iterator[int]:
+    """The primes from 11 up, in increasing order, without end."""
+    n = 11
+    while True:
+        if all(n % q for q in range(3, math.isqrt(n) + 1, 2)):
+            yield n
+        n += 2
+
+
 def _squarefree_mod(p: IntPoly, m: int) -> Optional[list[int]]:
     """p mod the prime m if m does not divide lc(p) and p stays squarefree
     mod m, else None.
 
     A repeated factor of p over Z keeps its degree mod such an m and stays
-    repeated, so a result proves p squarefree over Z.
+    repeated, so a result proves p squarefree over Z. A squarefree p fails
+    only where m divides lc(p) disc(p).
     """
     if p.lc % m == 0:
         return None
@@ -370,14 +437,20 @@ def _squarefree_mod(p: IntPoly, m: int) -> Optional[list[int]]:
     return fp if len(_gf_gcd(fp, _gf_deriv(fp, m), m)) == 1 else None
 
 
-# a squarefree p fails mod m only where m divides its discriminant
-_SQUAREFREE_PRIMES = (11, 13, 17)
+def _good_primes(f: IntPoly, extra: Optional[IntPoly] = None, visit: Optional[int] = None):
+    """(p, f mod p) for each of the first `visit` primes from 11 up (all when
+    None) modulo which f, and then extra if given, stays squarefree: the one
+    prime walk of the squarefree proof, the degree sets and the root counts."""
+    for p in islice(_small_primes(), visit):
+        fp = _squarefree_mod(f, p)
+        if fp is not None and (extra is None or _squarefree_mod(extra, p) is not None):
+            yield p, fp
 
 
 def _proved_squarefree(p: IntPoly) -> bool:
-    """True if p is squarefree mod one of _SQUAREFREE_PRIMES, which proves it
-    squarefree over Z. False proves nothing: the caller decides over Z."""
-    return any(_squarefree_mod(p, m) is not None for m in _SQUAREFREE_PRIMES)
+    """True if p is squarefree mod one of the first three primes from 11, which
+    proves it squarefree over Z. False proves nothing: the caller decides."""
+    return next(_good_primes(p, visit=3), None) is not None
 
 
 # -- reciprocal / trace machinery ----------------------------------------------
@@ -744,20 +817,6 @@ def _monic_sqrt(g: IntPoly) -> Optional[IntPoly]:
         hs.append(r // 2)
     h = IntPoly(hs[::-1])
     return h if h * h == g else None
-
-
-def cyclotomic_part(p: IntPoly) -> IntPoly:
-    """Product (with multiplicity) of the cyclotomic factors of p, canonical."""
-    if p.is_zero:
-        raise ZeroPolynomial("cyclotomic_part of zero polynomial")
-    from .factor import factor_z  # deferred: factor builds on this module
-
-    out = ONE
-    for q, mult in factor_z(p).factors:
-        if _is_cyclotomic_irreducible(q):
-            for _ in range(mult):
-                out = out * q
-    return canonicalize(out)
 
 
 def monicize(p: IntPoly) -> tuple[IntPoly, int]:

@@ -34,13 +34,12 @@ from .errors import (
     TrichotomyViolation,
     ZeroInput,
 )
-from .factor import _subset_degree_set
+from .factor import _subset_degree_set, cyclotomic_part
 from .intpoly import (
     IntPoly,
     _subset_product_poly,
     _trace_product_poly,
     canonicalize,
-    cyclotomic_part,
     div_z,
     gcd_z,
     lll_reduce,
@@ -187,14 +186,12 @@ def _product_enclosure(cur, inv: bool, scale: int) -> Optional[IsolatingBox]:
 
 def _product_enclosures(p: IntPoly, boxes, idx, inv: bool, scale: int) -> Iterator[IsolatingBox]:
     """Ever-smaller enclosures of scale * prod_{i in idx} v_i, v_i = root_i(p)
-    or, when inv, 1/root_i(p): the chosen boxes are refined 16-fold between
-    one enclosure and the next."""
-    cur = [boxes[i] for i in idx]
-    while True:
+    or, when inv, 1/root_i(p), over the chosen boxes' _refinements streams
+    in step."""
+    for cur in zip(*(_refinements(boxes[i], p) for i in idx)):
         enc = _product_enclosure(cur, inv, scale)
         if enc is not None:
             yield enc
-        cur = [refine(b, p, b.radius / 16) for b in cur]
 
 
 # Minpoly guessing. At each rung of the precision ladder the certified boxes

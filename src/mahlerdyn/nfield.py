@@ -31,12 +31,9 @@ from .errors import (
     NotMonic,
     RankDeficient,
 )
-from .factor import _gf_pow_mod, _gf_sub, _small_primes, is_irreducible
+from .factor import _root_counts, is_irreducible
 from .intpoly import (
     IntPoly,
-    _gf_from,
-    _gf_gcd,
-    discriminant,
     lll_reduce,
     resultant,
     transform_resolvent,
@@ -326,10 +323,10 @@ def nf_automorphisms(K: NumberField) -> dict[tuple[int, ...], FieldElement]:
 
     The count is exact. The upper bound comes from Frobenius patterns
     (`_aut_upper_bound`): Aut(K) permutes the roots of f freely, and for a
-    prime p not dividing disc(f) it maps the roots in F_p to roots in F_p,
-    so |Aut(K)| divides their number. The lower bound is the table found so
-    far: candidates come from integer-relation (LLL) reconstruction between
-    the base embedding and each other embedding, and a candidate is accepted
+    good prime p it maps the roots in F_p to roots in F_p, so |Aut(K)|
+    divides their number. The lower bound is the table found so far:
+    candidates come from integer-relation (LLL) reconstruction between the
+    base embedding and each other embedding, and a candidate is accepted
     only when f(g) = 0 mod f holds in exact arithmetic.
 
     The search is rung-major: every candidate embedding is tried at 192
@@ -378,26 +375,20 @@ def nf_automorphisms(K: NumberField) -> dict[tuple[int, ...], FieldElement]:
 def _aut_upper_bound(f: IntPoly) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Upper bound on |Aut(K)| for K = Q[x]/(f), f monic irreducible.
 
-    For p not dividing disc(f), the roots of f in F_p are the Frobenius-fixed
+    For a good prime p, one modulo which f stays squarefree (for monic f, p
+    does not divide disc(f)), the roots of f in F_p are the Frobenius-fixed
     roots, and by Dedekind their number is that of the linear factors of f
-    mod p, deg gcd(x^p - x, f). Aut(K) permutes them freely, so |Aut(K)|
+    mod p (factor._root_counts). Aut(K) permutes them freely, so |Aut(K)|
     divides it. Returns the gcd of the degree and these counts over at most
     _AUT_PRIMES good primes, with the (p, count) pairs that lowered it.
     """
-    disc = discriminant(f).numerator
-    bound, witnesses, tried = f.degree, [], 0
-    for p in _small_primes():
-        if bound == 1 or tried == _AUT_PRIMES:
-            break
-        if disc % p == 0:
-            continue
-        tried += 1
-        fp = _gf_from(f, p)
-        xp = _gf_pow_mod([0, 1], p, fp, p)
-        count = len(_gf_gcd(_gf_sub(xp, [0, 1], p), fp, p)) - 1
+    bound, witnesses = f.degree, []
+    for p, count in itertools.islice(_root_counts(f), _AUT_PRIMES if bound > 1 else 0):
         if math.gcd(bound, count) < bound:
             bound = math.gcd(bound, count)
             witnesses.append((p, count))
+            if bound == 1:
+                break
     return bound, tuple(witnesses)
 
 

@@ -725,8 +725,11 @@ class TestGaloisSmall:
             (classify_galois_small, X6P108),
             (classify_galois_small, C8_OCTIC),
             (classify_galois_small, C3C3_NONIC),
+            (classify_quartic, C4_REAL),
+            (classify_quartic, D4_REAL),
         ],
-        ids=["C5", "D5-real", "D5-complex", "CM6", "C6", "S3", "x6+108", "C8", "C3xC3"],
+        ids=["C5", "D5-real", "D5-complex", "CM6", "C6", "S3", "x6+108", "C8", "C3xC3", "C4-real",
+             "D4-real"],
     )
     def test_one_field_per_verdict(self, monkeypatch, verdict, p):
         # one nf_new per defining polynomial and at most one automorphism

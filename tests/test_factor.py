@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from mahlerdyn import factor
+from mahlerdyn import factor, intpoly
 from mahlerdyn.errors import ZeroPolynomial
 from mahlerdyn.factor import factor_z, is_irreducible
 from mahlerdyn.intpoly import (
@@ -254,13 +254,20 @@ class TestSubsetDegreeSets:
 
     def test_primes_visited_are_bounded(self, monkeypatch):
         # x^4 - x - 1 with s = 2: S4 is transitive on pairs, so the degree-6
-        # resolvent is irreducible; with every prime made bad, no cycle type
-        # is read, and the loop ends after _ORBIT_PRIMES primes
+        # resolvent is irreducible; with every prime made bad for g, no cycle
+        # type is read, and the loop ends after _ORBIT_PRIMES primes
         g = P("-1,-1,0,0,1")
         res = _subset_product_poly(g, 2)
         assert factor._subset_degree_set(g, 2, res) == 1 | 1 << 6
         visited = []
-        monkeypatch.setattr(factor, "_squarefree_mod", lambda f, q: visited.append(q))
+        real = intpoly._squarefree_mod
+
+        def bad_for_g(f, q):
+            if f != g:
+                return real(f, q)
+            visited.append(q)
+
+        monkeypatch.setattr(intpoly, "_squarefree_mod", bad_for_g)
         assert factor._subset_degree_set(g, 2, res) == (1 << 7) - 1
         assert len(visited) == factor._ORBIT_PRIMES
 

@@ -14,11 +14,10 @@ from mahlerdyn.errors import (
     OddDegree,
     ZeroPolynomial,
 )
-from mahlerdyn.factor import factor_z
+from mahlerdyn.factor import cyclotomic_part, factor_z
 from mahlerdyn.intpoly import (
     IntPoly,
     canonicalize,
-    cyclotomic_part,
     discriminant,
     div_z,
     from_text,

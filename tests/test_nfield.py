@@ -14,7 +14,7 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
-from mahlerdyn import nfield, roots
+from mahlerdyn import factor, nfield, roots
 from mahlerdyn.classify import classify_cm, classify_cyclic, galois_group_small
 from mahlerdyn.errors import (
     AutomorphismsUndecided,
@@ -308,10 +308,17 @@ class TestAutomorphismBound:
         f = P(text)
         got, witnesses = _aut_upper_bound(f)
         assert got == bound
+        # the walk skips exactly the primes dividing disc(f), and each count
+        # is the number of roots of f mod p, counted by brute force
+        disc = discriminant(f).numerator
+        counts = dict(itertools.islice(factor._root_counts(f), nfield._AUT_PRIMES))
+        primes = [q for q in range(11, max(counts) + 1) if all(q % r for r in range(2, q))]
+        assert list(counts) == [q for q in primes if disc % q]
+        for q, count in counts.items():
+            assert count == sum(1 for x in range(q) if f(x) % q == 0), q
         # each witness is a good prime with its count of linear factors
         for p, count in witnesses:
-            assert count % got == 0
-            assert discriminant(f).numerator % p != 0
+            assert count % got == 0 and counts[p] == count
 
     def test_bound_of_one_needs_no_lll(self, monkeypatch):
         def no_lll(rows):

@@ -1,8 +1,10 @@
 """Packaging: the source tree ships the package, no dangling entry point,
 no runtime dependency beyond mpmath, no assert statement or raised
-AssertionError, no except that hides a failure, the cache reads that the
-benchmark makes, and in classify: verdict bodies called on a built field
-rather than their parsers, and one raise of a failed witness search."""
+AssertionError, no except that hides a failure, one modular layer (the
+GF(p)[x] kernels in intpoly only) and no import in a function body, the
+cache reads that the benchmark makes, and in classify: verdict bodies called
+on a built field rather than their parsers, and one raise of a failed
+witness search."""
 
 import ast
 import os
@@ -140,6 +142,50 @@ def test_no_unread_private_module_names():
                 for d in defined
                 if d.startswith("_") and not d.startswith("__") and d not in read
             ]
+    assert found == []
+
+
+def _src_trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text()) for path in sorted((ROOT / "src" / "mahlerdyn").glob("*.py"))}
+
+
+def test_only_intpoly_defines_gf_kernels():
+    # every GF(p)[x] kernel is in intpoly; factor holds the readers built on
+    # them, so a second copy of one would be a second modular layer
+    found = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in _src_trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_gf_") and name != "intpoly"
+    ]
+    assert found == []
+
+
+def test_field_modules_import_no_gf_kernel():
+    # the modules above factor ask it for modular facts (the Frobenius root
+    # count, degree sets) and never compose the kernels by hand
+    trees = _src_trees()
+    found = [
+        f"{name}:{node.lineno} {alias.name}"
+        for name in ("nfield", "classify", "algnum", "mahler", "roots")
+        for node in ast.walk(trees[name])
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if alias.name.startswith("_gf_")
+    ]
+    assert found == []
+
+
+def test_no_import_in_a_function_body():
+    # a deferred import hides an import cycle between modules
+    found = [
+        f"{name}:{node.lineno} in {fn.name}"
+        for name, tree in _src_trees().items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
     assert found == []
 
 
