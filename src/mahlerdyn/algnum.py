@@ -32,6 +32,7 @@ from .intpoly import (
     IntPoly,
     _is_cyclotomic_irreducible,
     _proved_squarefree,
+    _scaled,
     canonicalize,
     from_rational,
     from_text,
@@ -198,14 +199,6 @@ def _select_root(factors: Iterable[IntPoly], probes: Iterable[IsolatingBox]) -> 
     distinct irreducible factors, one of which it is a root of (see _pin)."""
     polys, boxes = _candidates(factors)
     return _candidate_root(polys, _pin(probes, polys, boxes))
-
-
-def _scaled(q: IntPoly, c: Fraction) -> IntPoly:
-    """The canonical polynomial whose roots are c times those of q, for a
-    nonzero rational c = u/v: sum q_i u^(d-i) v^i x^i. It is irreducible
-    when q is, so its roots can be pinned without factoring."""
-    u, v, d = c.numerator, c.denominator, q.degree
-    return canonicalize(IntPoly(tuple(qi * u ** (d - i) * v ** i for i, qi in enumerate(q.coeffs))))
 
 
 # ---------------------------------------------------------------------------

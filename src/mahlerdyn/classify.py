@@ -16,9 +16,9 @@ by one search loop (``_first_witness``): over exponent bounds, then over
 (pattern, certify) pairs, it asks ``nf_pattern_search`` for the first unit
 of a unit lattice with the pattern's conjugate-modulus layout and returns
 the first certificate, certify(x, top) at the pattern's top place, or
-raises WitnessSearchFailed with its caller's message.  The lattice is
-``nf_unit_sublattice`` of the field, or, for the C2^3 octic and the C3xC3
-nonic, the subfield units that ``_subfield_product`` embeds in K.  Every
+raises WitnessSearchFailed with its caller's message.  It alone builds the
+lattice, ``nf_unit_sublattice`` of the field; the C2^3 octic and the C3xC3
+nonic also search the subfield units ``_subfield_product`` embeds.  Every
 numeric decision (layouts, signs, the D5 comparison) is made on certified
 balls or ``nfield._place_logs`` intervals over one bounded ladder,
 ``nfield._LAYOUT_PREC``; open at the top rung refutes a strict relation, or
@@ -584,14 +584,15 @@ def _chain_states(group, states, es, log, rel):
     return _on_ladder(chain) or None
 
 
-def _first_witness(K, lattice, candidates, failure: str, bounds=(None,)):
+def _first_witness(K, candidates, failure: str, bounds=(None,)):
     """First non-None certify(x, top) over the exponent bounds, then over the
-    (pattern, certify) pairs, where x is the first unit of the lattice that
-    nf_pattern_search finds with the pattern's layout and top is the
-    pattern's first place, pattern.order[0][0]. A pattern with no match
-    within the bound is skipped; when no candidate certifies,
+    (pattern, certify) pairs, where x is the first unit of K's unit lattice,
+    built here once, that nf_pattern_search finds with the pattern's layout
+    and top is the pattern's first place, pattern.order[0][0]. A pattern
+    with no match within the bound is skipped; when no candidate certifies,
     WitnessSearchFailed(failure).
     """
+    lattice = nf_unit_sublattice(K)
     for bound in bounds:
         for pattern, certify in candidates:
             try:
@@ -682,11 +683,11 @@ def _place_layout(K: NumberField) -> tuple[list[int], list[tuple[int, int]]]:
 # quartic witnesses
 
 
-def _quartic_square_witness(K, lattice, sig, tag) -> HasWanderer:
+def _quartic_square_witness(K, tag) -> HasWanderer:
     """Unit with two conjugates outside whose second measure is its square,
     made positive at its top place, certified in exponent space
     (_exponent_witness over the group S4 or A4, two steps)."""
-    if sig == (4, 0):
+    if K.signature == (4, 0):
         patterns = [
             ConjugatePattern(
                 order=((0,), (1,), (2,), (3,)),
@@ -707,10 +708,10 @@ def _quartic_square_witness(K, lattice, sig, tag) -> HasWanderer:
         return _exponent_witness(K, _positive_at(K, x, top), top, group, 2)
 
     failure = f"no certified wandering unit found for the {tag} quartic"
-    return _first_witness(K, lattice, [(p, certify) for p in patterns], failure)
+    return _first_witness(K, [(p, certify) for p in patterns], failure)
 
 
-def _quartic_real_chain_witness(K, lattice, tag, autos) -> HasWanderer:
+def _quartic_real_chain_witness(K, tag, autos) -> HasWanderer:
     """Totally real C4/D4 unit with an exact certificate from its first
     three measures over its keys, or else a measure orbit that strictly
     grows three times.
@@ -741,7 +742,7 @@ def _quartic_real_chain_witness(K, lattice, tag, autos) -> HasWanderer:
         for a, b, c, d in assignments
     ]
     failure = f"no certified wandering unit found for the {tag} quartic"
-    return _first_witness(K, lattice, [(p, certify) for p in patterns], failure)
+    return _first_witness(K, [(p, certify) for p in patterns], failure)
 
 
 def classify_quartic(p: IntPoly) -> FieldVerdict:
@@ -766,16 +767,15 @@ def classify_quartic(p: IntPoly) -> FieldVerdict:
         )
     K = nf_new(G)
     if tag in ("S4", "A4"):
-        return _quartic_square_witness(K, nf_unit_sublattice(K), sig, tag)
-    autos = nf_automorphisms(K)
-    return _quartic_real_chain_witness(K, nf_unit_sublattice(K), tag, autos)
+        return _quartic_square_witness(K, tag)
+    return _quartic_real_chain_witness(K, tag, nf_automorphisms(K))
 
 
 # ---------------------------------------------------------------------------
 # quintic witnesses
 
 
-def _quintic_nonsolvable_witness(K, lattice, tag) -> HasWanderer:
+def _quintic_nonsolvable_witness(K, tag) -> HasWanderer:
     """Any unit with two conjugates strictly outside and two strictly inside,
     certified in exponent space (_exponent_witness over S5 or A5) from its
     first three measures: first on a strict order of every conjugate, then
@@ -812,7 +812,7 @@ def _quintic_nonsolvable_witness(K, lattice, tag) -> HasWanderer:
     group, cited = _labels_group(K.defining, tag), "FPZ2020-Thm3-non-pisot-quintic-unit"
     certify = functools.partial(_exponent_witness, K, group=group, steps=3, tag=cited, facts=facts)
     failure = f"no certified wandering unit found for the {tag} quintic"
-    return _first_witness(K, lattice, [(p, certify) for p in patterns], failure)
+    return _first_witness(K, [(p, certify) for p in patterns], failure)
 
 
 def _quintic_chain_assignments(K, cycles) -> list[tuple]:
@@ -852,13 +852,13 @@ def _chain_pattern(lab, extras) -> ConjugatePattern:
     )
 
 
-def _quintic_f5_witness(K, lattice, cycles) -> HasWanderer:
+def _quintic_f5_witness(K, cycles) -> HasWanderer:
     """F20 witness: a unit on the 5-cycle layout with an exact certificate
     from its first two measures, in exponent space over the pinned F20."""
     certify = functools.partial(_exponent_witness, K, group=_cycle_group(cycles, "F5"), steps=2)
     patterns = [_chain_pattern(lab, (((lab[0], lab[2]), "<"),)) for lab in _quintic_chain_assignments(K, cycles)]
     failure = "no certified wandering unit found for the F5 quintic"
-    return _first_witness(K, lattice, [(p, certify) for p in patterns], failure)
+    return _first_witness(K, [(p, certify) for p in patterns], failure)
 
 
 def _d5_recursion(lab, es, log, rel):
@@ -885,7 +885,7 @@ def _d5_recursion(lab, es, log, rel):
     return _growth_chain(hypotheses, es, log, rel)
 
 
-def _quintic_d5_witness(K, lattice, cycles) -> HasWanderer:
+def _quintic_d5_witness(K, cycles) -> HasWanderer:
     """Dihedral witness: a unit on the 5-cycle layout with the facts of
     _d5_recursion for its labeling."""
     certify = functools.partial(
@@ -900,7 +900,7 @@ def _quintic_d5_witness(K, lattice, cycles) -> HasWanderer:
             extras = (((s2, s4), "<"), ((a, s3), "<"))
         facts = functools.partial(_d5_recursion, lab)
         candidates.append((_chain_pattern(lab, extras), functools.partial(certify, facts=facts)))
-    return _first_witness(K, lattice, candidates, "no certified wandering unit found for the D5 quintic")
+    return _first_witness(K, candidates, "no certified wandering unit found for the D5 quintic")
 
 
 def classify_quintic(p: IntPoly) -> FieldVerdict:
@@ -912,11 +912,10 @@ def classify_quintic(p: IntPoly) -> FieldVerdict:
     tag, sextic, autos = _galois_quintic(K)
     if tag == "C5":
         return _classify_cyclic(K, autos)
-    lattice = nf_unit_sublattice(K)
     if tag in ("A5", "S5"):
-        return _quintic_nonsolvable_witness(K, lattice, tag)
+        return _quintic_nonsolvable_witness(K, tag)
     builder = _quintic_f5_witness if tag == "F5" else _quintic_d5_witness
-    return builder(K, lattice, _stable_cycles(sextic))
+    return builder(K, _stable_cycles(sextic))
 
 
 # ---------------------------------------------------------------------------
@@ -953,7 +952,6 @@ def _classify_cyclic(K, autos) -> HasWanderer:
     e = next((e for e in map(_orbit, autos) if len(e) == n), None)
     if e is None:
         raise NotCyclic("no automorphism of full order")
-    lattice = nf_unit_sublattice(K)
     states = [
         _chain_state(
             [e[k] for k in powers],
@@ -971,7 +969,7 @@ def _classify_cyclic(K, autos) -> HasWanderer:
     )
     bounds = (1, 2) if n >= 9 else (1, 2, 3)
     failure = "no unit with the alternating cyclic chain verified"
-    return _first_witness(K, lattice, [(states[0][0], certify)], failure, bounds)
+    return _first_witness(K, [(states[0][0], certify)], failure, bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -1001,7 +999,6 @@ def _classify_sextic_galois(K, autos) -> FieldVerdict:
             reason="totally imaginary Galois sextic: every element is preperiodic"
         )
     shape = _group_shape(list(autos))
-    lattice = nf_unit_sublattice(K)
     # each setup lists places, the embedding indices at place 0 of
     # automorphisms, in modulus-chain order; the first three are outside
     if shape == "C6":
@@ -1025,7 +1022,7 @@ def _classify_sextic_galois(K, autos) -> FieldVerdict:
         state = _chain_state(e, 3, fact)
         facts = functools.partial(_chain_states, group, [state])
         candidates.append((state[0], functools.partial(certify, facts=facts)))
-    return _first_witness(K, lattice, candidates, f"no verified chain unit in the {shape} sextic", (2, 3, None))
+    return _first_witness(K, candidates, f"no verified chain unit in the {shape} sextic", (2, 3, None))
 
 
 def _independent_subgroups(autos, rank) -> tuple[frozenset, ...]:
@@ -1073,7 +1070,7 @@ def _subfield_product(K, autos, subgroups) -> tuple[FieldElement, int]:
         positive, perms = functools.partial(_positive_at, Ksub), itertools.permutations(range(d))
         candidates = [(ConjugatePattern(order=tuple((i,) for i in p), one_position=1), positive) for p in perms]
         failure = f"no unit with one conjugate outside in a degree-{d} subfield"
-        u = _first_witness(Ksub, nf_unit_sublattice(Ksub), candidates, failure)
+        u = _first_witness(Ksub, candidates, failure)
         units.append(_fe_horner(K, u.coords, w))  # u in K: theta_sub -> w
     logs = [_place_logs(K, u) for u in units]
     small = [
@@ -1097,7 +1094,6 @@ def _subfield_product_witness(K, autos, rank) -> HasWanderer:
 
 
 def _octic_q8_witness(K, autos) -> HasWanderer:
-    lattice = nf_unit_sublattice(K)
     patterns, seen = [], set()
     order4 = [p for p in autos if len(_orbit(p)) == 4]
     for s, t in itertools.permutations(order4, 2):
@@ -1129,7 +1125,7 @@ def _octic_q8_witness(K, autos) -> HasWanderer:
         patterns.append(ConjugatePattern(order=order, one_position=4, extras=extras))
     certify = functools.partial(_exponent_witness, K, group=_key_group(list(autos)), steps=3, autos=autos)
     failure = "no quaternion chain unit verified M^3 = (M^1)^4"
-    return _first_witness(K, lattice, [(p, certify) for p in patterns], failure, (2, 3, None))
+    return _first_witness(K, [(p, certify) for p in patterns], failure, (2, 3, None))
 
 
 def _octic_quartic_subfield(K, autos) -> IntPoly:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice
 from typing import Iterator
@@ -46,6 +47,7 @@ from .intpoly import (
     _good_primes,
     _is_cyclotomic_irreducible,
     _proved_squarefree,
+    _scaled,
     canonicalize,
     div_z,
     gcd_z,
@@ -181,17 +183,20 @@ def _subset_degree_set(P: IntPoly, s: int, res: IntPoly) -> int:
     """The degree set, as in _degree_screen, of res if it is the resolvent
     of the s-subset products of the roots of a monic P of degree n > s > 0.
 
-    Modulo a prime l where P and res are squarefree, the factor degrees of
-    res are the orbit lengths, on s-subsets, of the Frobenius permutation of
-    P's roots (Dedekind), whose cycle type is the DDF of P mod l (Soicher
-    and McKay, J. Number Theory 20 (1985)): a DDF of degree n, not C(n, s).
-    The first _ORBIT_PRIMES primes are visited. A res of another degree, or
-    not proved squarefree, gets the full set."""
+    res is proved squarefree over Z once. Frobenius is then read at each of
+    the first _ORBIT_PRIMES primes l modulo which P stays squarefree: l is
+    unramified in P's splitting field, so Frobenius is in the Galois group,
+    with the DDF of P mod l as cycle type (Dedekind). Each irreducible factor
+    of a squarefree res has a Galois orbit of s-subsets as its roots, a union
+    of Frobenius orbits, so its degree is a sum of their lengths (Soicher and
+    McKay, J. Number Theory 20 (1985)): a DDF of degree n, not C(n, s), and
+    res need not be squarefree mod l. A res of another degree, or not proved
+    squarefree, gets the full set."""
     n, N = P.degree, res.degree
     mask, done = (1 << N + 1) - 1, 1 | 1 << N
     if not 0 < s < n or N != math.comb(n, s) or not _proved_squarefree(res):
         return mask
-    for p, fp in _good_primes(P, res, _ORBIT_PRIMES):
+    for p, fp in _good_primes(P, _ORBIT_PRIMES):
         mask &= _degree_set(_subset_orbit_lengths(_ddf(fp, p), s))
         if mask == done:
             break
@@ -389,21 +394,15 @@ def _factor_primitive_squarefree(g: IntPoly) -> list[IntPoly]:
     if mask == 1 | 1 << g.degree:
         out.append(canonicalize(g))
         return out
-    for H in _factor_squarefree_monic(F, p, mask, ddf):
-        if c == 1:
-            out.append(canonicalize(H))
-        else:
-            # roots of H are c * (roots of g); undo the scaling
-            h = IntPoly([H[i] * c ** i for i in range(H.degree + 1)])
-            out.append(canonicalize(h))
+    # roots of H are c * (roots of g); undo the scaling
+    out.extend(_scaled(H, Fraction(1, c)) for H in _factor_squarefree_monic(F, p, mask, ddf))
     return out
 
 
 @lru_cache(maxsize=256)
 def _factor_cached(coeffs: tuple[int, ...]) -> Factorization:
     p = IntPoly(coeffs)
-    content = p.content()
-    prim = IntPoly([c // content for c in p.coeffs])
+    prim = canonicalize(p)
     factors: list[tuple[IntPoly, int]] = []
     if prim.degree >= 1:
         parts = [(prim, 1)] if _proved_squarefree(prim) else _yun_squarefree(prim)
@@ -413,7 +412,7 @@ def _factor_cached(coeffs: tuple[int, ...]) -> Factorization:
     factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     # the canonical factors are primitive with positive lc, so the sign and
     # any residual unit live in the content
-    result = Factorization(content, tuple(factors))
+    result = Factorization(p.content(), tuple(factors))
     if result.expand() != p:
         raise ExactCheckFailed("factorization does not reproduce its input")
     return result

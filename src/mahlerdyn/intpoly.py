@@ -1,14 +1,14 @@
 """Exact arithmetic on integer polynomials.
 
-Dense representation, constant term first. All decision procedures here are
-exact: the integer primitive PRS for gcds, and integer-only reciprocal/trace
-transforms for unit-circle work. Real roots are counted from the certified
-isolation in roots, not here. Every resolvent (power map, product, ratio,
-transform, and the subset and pair products behind the Mahler measure) and
-every resultant (norms, discriminants) is built one way: the power sums of
-the input roots are mapped to those of the resolvent roots, and Newton's
-identities, with exact divisions, give the coefficients. No floating point
-anywhere in this module.
+Dense representation, constant term first; canonicalize (no content, lc > 0)
+is the one normal form. All decision procedures here are exact: the integer
+primitive PRS for gcds, and integer-only reciprocal/trace transforms for
+unit-circle work. Real roots are counted from the certified isolation in
+roots, not here. Every resolvent (power map, product, ratio, transform, and
+the subset and pair products behind the Mahler measure) and every resultant
+(norms, discriminants) is built one way: the power sums of the input roots
+are mapped to those of the resolvent roots, and Newton's identities, with
+exact divisions, give the coefficients. Nothing here is floating point.
 It also holds the all-integer LLL that minpoly guessing (mahler) and
 automorphism discovery (nfield) share, and the kernels of the one modular
 layer: GF(m)[x] arithmetic and the walk over the good primes of f (from 11
@@ -151,12 +151,6 @@ class IntPoly:
             g = math.gcd(g, c)
         return g if self.lc >= 0 else -g
 
-    def primitive(self) -> "IntPoly":
-        c = self.content()
-        if c in (0, 1):
-            return self
-        return IntPoly([a // c for a in self.coeffs])
-
     def max_coeff_bits(self) -> int:
         return max((abs(c).bit_length() for c in self.coeffs), default=0)
 
@@ -194,17 +188,6 @@ def to_text(p: IntPoly) -> str:
 
 
 # -- division -----------------------------------------------------------------
-
-
-def div_exact_int(p: IntPoly, d: int) -> IntPoly:
-    """Divide every coefficient by d; d must divide exactly."""
-    out = []
-    for c in p.coeffs:
-        q, r = divmod(c, d)
-        if r:
-            raise ArithmeticError("inexact integer division of polynomial")
-        out.append(q)
-    return IntPoly(out)
 
 
 def div_z(p: IntPoly, q: IntPoly) -> Optional[IntPoly]:
@@ -260,38 +243,25 @@ def prem(a: IntPoly, b: IntPoly) -> IntPoly:
 
 def canonicalize(p: IntPoly) -> IntPoly:
     """Divide out the content and make the leading coefficient positive."""
-    if p.is_zero:
+    c = p.content()
+    if c in (0, 1):
         return p
-    return p.primitive()
-
-
-def _pp_signed(p: IntPoly) -> IntPoly:
-    c = abs(p.content())
-    return div_exact_int(p, c) if c > 1 else p
+    return IntPoly([a // c for a in p.coeffs])
 
 
 def gcd_z(p: IntPoly, q: IntPoly) -> IntPoly:
-    """Polynomial gcd over Z, canonical (content 1 unless both constant)."""
+    """Polynomial gcd over Z, canonical; for nonzero p and q, a constant gcd
+    is the gcd of their contents. Primitive PRS (Cohen, GTM 138, Alg. 3.3.1)."""
     if p.is_zero:
         return canonicalize(q)
     if q.is_zero:
         return canonicalize(p)
-    cont = math.gcd(abs(p.content()), abs(q.content()))
-    a, b = _pp_signed(p), _pp_signed(q)
+    a, b = canonicalize(p), canonicalize(q)
     if a.degree < b.degree:
         a, b = b, a
-    while not b.is_zero and b.degree > 0:
-        r = _pp_signed(prem(a, b))
-        a, b = b, r
-    if not b.is_zero:
-        g = ONE
-    else:
-        g = _pp_signed(a)
-    if g.lc < 0:
-        g = -g
-    if cont > 1 and g.degree == 0:
-        return IntPoly((cont,))
-    return g
+    while b.degree > 0:
+        a, b = b, canonicalize(prem(a, b))
+    return a if b.is_zero else IntPoly((math.gcd(p.content(), q.content()),))
 
 
 def squarefree_part(p: IntPoly) -> IntPoly:
@@ -437,13 +407,13 @@ def _squarefree_mod(p: IntPoly, m: int) -> Optional[list[int]]:
     return fp if len(_gf_gcd(fp, _gf_deriv(fp, m), m)) == 1 else None
 
 
-def _good_primes(f: IntPoly, extra: Optional[IntPoly] = None, visit: Optional[int] = None):
+def _good_primes(f: IntPoly, visit: Optional[int] = None):
     """(p, f mod p) for each of the first `visit` primes from 11 up (all when
-    None) modulo which f, and then extra if given, stays squarefree: the one
-    prime walk of the squarefree proof, the degree sets and the root counts."""
+    None) modulo which f stays squarefree: the one prime walk of the
+    squarefree proof, the degree sets and the root counts."""
     for p in islice(_small_primes(), visit):
         fp = _squarefree_mod(f, p)
-        if fp is not None and (extra is None or _squarefree_mod(extra, p) is not None):
+        if fp is not None:
             yield p, fp
 
 
@@ -653,6 +623,14 @@ def transform_resolvent(f: IntPoly, g_num: IntPoly, g_den: int = 1) -> IntPoly:
     if f.lc != 1:
         raise NotMonic("transform_resolvent requires a monic f")
     return _from_power_sums(_transform_power_sums(f, g_num), g_den)
+
+
+def _scaled(q: IntPoly, c: Fraction) -> IntPoly:
+    """The canonical polynomial whose roots are c times those of q, for a
+    nonzero rational c = u/v: sum q_i u^(d-i) v^i x^i. It is irreducible
+    when q is, so its roots can be pinned without factoring."""
+    u, v, d = c.numerator, c.denominator, q.degree
+    return canonicalize(IntPoly(tuple(qi * u ** (d - i) * v ** i for i, qi in enumerate(q.coeffs))))
 
 
 def _transform_power_sums(f: IntPoly, g: IntPoly) -> list:

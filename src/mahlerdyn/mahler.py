@@ -20,7 +20,6 @@ from .algnum import (
     _fine_box,
     _irreducible_factors,
     _real_sign,
-    _scaled,
     _select_root,
     an_equal,
     an_from_rational,
@@ -37,6 +36,7 @@ from .errors import (
 from .factor import _subset_degree_set, cyclotomic_part
 from .intpoly import (
     IntPoly,
+    _scaled,
     _subset_product_poly,
     _trace_product_poly,
     canonicalize,

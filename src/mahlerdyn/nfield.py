@@ -43,6 +43,7 @@ from .roots import (
     IsolatingBox,
     _abs_bounds,
     _box_horner,
+    _common,
     _conjugates,
     _dyadic,
     _pin,
@@ -135,7 +136,7 @@ def nf_new(defining: IntPoly) -> NumberField:
 def nf_element(K: NumberField, coords: Sequence) -> FieldElement:
     cs = [Fraction(c) for c in coords]
     if len(cs) > K.degree:
-        return _from_numerators(K, *_numerators(cs))
+        return _from_numerators(K, *_common(*cs))
     cs.extend([_ZERO] * (K.degree - len(cs)))
     return FieldElement(tuple(cs))
 
@@ -159,13 +160,7 @@ def fe_is_rational(x: FieldElement) -> bool:
     return all(c == 0 for c in x.coords[1:])
 
 
-def _numerators(cs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(a, den) with cs[k] = a[k] / den over the least common denominator."""
-    den = math.lcm(*(c.denominator for c in cs))
-    return [c.numerator * (den // c.denominator) for c in cs], den
-
-
-def _from_numerators(K: NumberField, a: list[int], den: int) -> FieldElement:
+def _from_numerators(K: NumberField, den: int, a: list[int]) -> FieldElement:
     """The element (sum a[k] theta^k) / den: the integers a are reduced mod
     the monic defining polynomial in place, then each coordinate is divided
     once."""
@@ -192,14 +187,14 @@ def fe_neg(K: NumberField, x: FieldElement) -> FieldElement:
 
 
 def fe_mul(K: NumberField, x: FieldElement, y: FieldElement) -> FieldElement:
-    a, da = _numerators(x.coords)
-    b, db = _numerators(y.coords)
+    da, a = _common(*x.coords)
+    db, b = _common(*y.coords)
     prod = [0] * (2 * K.degree - 1)
     for i, u in enumerate(a):
         if u:
             for j, v in enumerate(b):
                 prod[i + j] += u * v
-    return _from_numerators(K, prod, da * db)
+    return _from_numerators(K, da * db, prod)
 
 
 def fe_inv(K: NumberField, x: FieldElement) -> FieldElement:
@@ -216,7 +211,7 @@ def fe_inv(K: NumberField, x: FieldElement) -> FieldElement:
 
 def _char_poly(K: NumberField, x: FieldElement) -> IntPoly:
     """Integer polynomial proportional to the characteristic polynomial of x."""
-    a, den = _numerators(x.coords)
+    den, a = _common(*x.coords)
     return transform_resolvent(K.defining, IntPoly(a), den)
 
 
@@ -276,7 +271,7 @@ def nf_norm(K: NumberField, x: FieldElement) -> Fraction:
         return _ZERO
     if fe_is_rational(x):
         return x.coords[0] ** K.degree
-    a, den = _numerators(x.coords)
+    den, a = _common(*x.coords)
     # N(x) = prod G(root_i)/den = Res(f, G)/den^n for monic f, G = sum a_k x^k
     return Fraction(resultant(K.defining, IntPoly(a)), den**K.degree)
 

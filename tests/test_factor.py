@@ -238,6 +238,21 @@ class TestSubsetDegreeSets:
         g = P("1,0,-10,0,1")  # sqrt2 + sqrt3: its pair products repeat +-1
         assert factor._subset_degree_set(g, 2, _subset_product_poly(g, 2)) != 1 | 1 << 6
 
+    def test_cycle_type_read_where_only_g_stays_squarefree(self, monkeypatch):
+        # res is squarefree over Z but not modulo 13, a good prime of g:
+        # Frobenius at 13 is still in the Galois group, so its orbits on
+        # pairs are read there, and the set holds both cubic factors of res
+        g = P("-3,-1,-3,2,1")
+        res = _subset_product_poly(g, 2)
+        assert _proved_squarefree(res) and _squarefree_mod(res, 13) is None
+        assert _squarefree_mod(g, 13) is not None
+        read, real = [], factor._ddf
+        monkeypatch.setattr(factor, "_ddf", lambda f, p: read.append(p) or real(f, p))
+        mask = factor._subset_degree_set(g, 2, res)
+        assert 13 in read
+        assert [f.degree for f, _ in factor_z(res).factors] == [3, 3]
+        assert mask >> 3 & 1 and mask >> 6 & 1
+
     @pytest.mark.parametrize("text, s", [
         ("-2,0,0,0,1", 2),  # x^4 - 2: the pair products repeat +-i sqrt2
         ("1,0,6,0,8,0,1", 2),  # the complement resolvent of CM6's measure

@@ -155,6 +155,29 @@ class TestGcd:
         assert intpoly.div_z(q * r, g) is not None
         assert g.degree >= r.degree  # r divides the gcd
 
+    @given(st.lists(st.integers(-30, 30), min_size=1, max_size=4),
+           st.lists(st.integers(-30, 30), min_size=1, max_size=4),
+           st.lists(st.integers(-9, 9), min_size=1, max_size=3),
+           st.integers(-6, 6), st.integers(-6, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_sympy_in_normal_form(self, a, b, c, u, v):
+        # negative leading coefficients and nontrivial contents u, v on both
+        # sides: a nonconstant gcd is sympy's made primitive with a positive
+        # leading coefficient; a constant one is the gcd of the contents
+        sympy = pytest.importorskip("sympy")
+        p, q = IntPoly(a) * IntPoly(c) * u, IntPoly(b) * IntPoly(c) * v
+        if p.is_zero or q.is_zero:
+            return
+        x = sympy.Symbol("x")
+        g = sympy.Poly(sympy.gcd(sympy.Poly(p.coeffs[::-1], x), sympy.Poly(q.coeffs[::-1], x)), x)
+        want = IntPoly(int(k) for k in g.all_coeffs()[::-1])
+        assert gcd_z(p, q) == (canonicalize(want) if want.degree > 0 else IntPoly((abs(want[0]),)))
+
+    def test_constant_gcd_keeps_the_gcd_of_the_contents(self):
+        assert gcd_z(IntPoly((2,)), IntPoly((4,))) == IntPoly((2,))
+        assert gcd_z(P("2,2"), P("4,4")) == P("1,1")
+        assert gcd_z(P("-6,0,-6"), P("4,-4")) == IntPoly((2,))
+
 
 class TestSquarefree:
     def test_repeated_factor(self):

@@ -3,8 +3,8 @@ no runtime dependency beyond mpmath, no assert statement or raised
 AssertionError, no except that hides a failure, one modular layer (the
 GF(p)[x] kernels in intpoly only) and no import in a function body, the
 cache reads that the benchmark makes, and in classify: verdict bodies called
-on a built field rather than their parsers, and one raise of a failed
-witness search."""
+on a built field rather than their parsers, one raise of a failed witness
+search, and one builder of the unit lattice."""
 
 import ast
 import os
@@ -308,3 +308,14 @@ def test_witness_search_fails_in_one_place():
             return name if name == "WitnessSearchFailed" else None
 
     assert [fn for fn, _ in _classify_calls(raised)] == ["_first_witness", "_subfield_product_witness"]
+
+
+def test_unit_lattice_is_built_by_the_witness_search_only():
+    # _first_witness builds the unit lattice of the field it searches, once,
+    # so the lattice can be swapped in one place
+    def built(node):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", ""))
+            return name if name == "nf_unit_sublattice" else None
+
+    assert _classify_calls(built) == [("_first_witness", "nf_unit_sublattice")]

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mahlerdyn import intpoly, nfield, roots
+from mahlerdyn import algnum, intpoly, nfield, roots
+from mahlerdyn.algnum import an_from_poly_root
 from mahlerdyn.classify import _independent_subgroups, _subfield_product
 from mahlerdyn.errors import ExactCheckFailed, InternalPrecisionExceeded, NotIrreducible, NotSquarefree
 from mahlerdyn.factor import is_irreducible
@@ -606,6 +607,56 @@ class TestCirclePartition:
             on = circle_partition(q).on
             assert len(on) == 2 * sturm_real_roots(trace_poly(q), Fraction(-2), Fraction(2)), q
             with_on += bool(on)
+
+
+def _distance_below(a: IsolatingBox, b: IsolatingBox) -> Fraction:
+    """A lower bound, at the unit 2^-32, of the distance between the centres."""
+    d2 = (a.center[0] - b.center[0]) ** 2 + (a.center[1] - b.center[1]) ** 2
+    return Fraction(math.isqrt(math.floor(d2 * (1 << 64))), 1 << 32)
+
+
+def _coarse(boxes: list[IsolatingBox]) -> list[IsolatingBox]:
+    """The disks with their centres kept, each grown, in order, to two thirds
+    of the room that the others leave it: still pairwise disjoint, each
+    holding its root."""
+    out = []
+    for i, b in enumerate(boxes):
+        room = [_distance_below(b, c) - (out[j].radius if j < i else 0) for j, c in enumerate(boxes) if j != i]
+        out.append(IsolatingBox(b.center, max(b.radius, min(room, default=b.radius) * 2 / 3)))
+    return out
+
+
+def test_coarse_disks_refine_to_the_canonical_answers(monkeypatch):
+    # canonical disks decide at once, so the refine steps of _settle, the
+    # loop of _factor_statuses and an_from_poly_root run only on coarser
+    # disks. Equal radii would not reach that loop: a disk around a Salem
+    # root s meets the circle only with a radius above s - 1, more than half
+    # its distance s - 1/s to the root 1/s
+    queries = {}
+    for p in (LEHMER, SALEM4, P("-1,-1,0,1")):
+        boxes = isolate_roots(p)
+        # each query holds one root and reaches towards its nearest neighbour
+        queries[p] = [IsolatingBox(b.center, min(_distance_below(b, c) for c in boxes if c is not b) * 3 / 4)
+                      for b in boxes]
+    want = {p: (circle_partition(p), [an_from_poly_root(p, q) for q in qs]) for p, qs in queries.items()}
+    callers = set()
+    real_refine, real_isolate, real_candidates = roots.refine, roots.isolate_roots, algnum._candidates
+
+    def refine(*args):
+        callers.add(sys._getframe(1).f_code.co_qualname.partition(".")[0])
+        return real_refine(*args)
+
+    def candidates(factors):
+        polys, boxes = real_candidates(factors)
+        return polys, _coarse(boxes)
+
+    monkeypatch.setattr(roots, "refine", refine)
+    monkeypatch.setattr(algnum, "refine", refine)
+    monkeypatch.setattr(roots, "isolate_roots", lambda q: _coarse(real_isolate(q)))
+    monkeypatch.setattr(algnum, "_candidates", candidates)
+    for p, qs in queries.items():
+        assert (circle_partition(p), [an_from_poly_root(p, q) for q in qs]) == want[p], p
+    assert callers == {"_settle", "_factor_statuses", "an_from_poly_root"}
 
 
 class TestConjugates:
