@@ -15,7 +15,6 @@ and equality compares minpolys and indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -24,6 +23,7 @@ from .errors import (
     ExactCheckFailed,
     InternalPrecisionExceeded,
     NotIrreducible,
+    Record,
     ZeroInput,
     ZeroPolynomial,
 )
@@ -61,8 +61,7 @@ from .roots import (
 _X = IntPoly((0, 1))
 
 
-@dataclass(frozen=True)
-class AlgebraicNumber:
+class AlgebraicNumber(Record):
     minpoly: IntPoly  # canonical irreducible
     box: IsolatingBox  # certified for minpoly
 
@@ -75,8 +74,7 @@ class AlgebraicNumber:
         return f"AlgebraicNumber({to_text(self.minpoly)!r} ~ {float(cx):.6g}{float(cy):+.6g}j)"
 
 
-@dataclass(frozen=True)
-class NumberClass:
+class NumberClass(Record):
     tag: str  # Rational | RationalInteger | RootOfUnity | Perron | Pisot | Salem | Other
     extra: Optional[dict] = None
 

@@ -50,7 +50,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -62,6 +61,7 @@ from .errors import (
     NotFound,
     NotGalois,
     NotIrreducible,
+    Record,
     UnsupportedDegree,
     UnsupportedGroup,
     WitnessSearchFailed,
@@ -140,28 +140,24 @@ __all__ = [
 # verdict types
 
 
-@dataclass(frozen=True)
-class AllPreperiodic:
+class AllPreperiodic(Record):
     """Every element of the field is preperiodic; reason names the result."""
 
     reason: str
 
 
-@dataclass(frozen=True)
-class HasWanderer:
+class HasWanderer(Record):
     witness: AlgebraicNumber
     certificate: WanderCert
 
 
-@dataclass(frozen=True)
-class HasWandererByTheorem:
+class HasWandererByTheorem(Record):
     """Wanderer guaranteed through a quotient group, no witness constructed."""
 
     quotient: str
 
 
-@dataclass(frozen=True)
-class Unsupported:
+class Unsupported(Record):
     reason: str
 
 

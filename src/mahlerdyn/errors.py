@@ -1,9 +1,61 @@
-"""Domain errors raised by the exact-arithmetic layers.
+"""Domain errors raised by the exact-arithmetic layers, and Record, the
+frozen base of the package's value types.
 
 Every error here means "the requested computation is not defined or could not
 be completed soundly"; no operation in this package returns a wrong answer in
 place of raising.
 """
+
+from operator import attrgetter
+
+
+class Record:
+    """Frozen value type: its fields are the class's own annotations, in
+    order, and a value assigned in the class body is a field's default.
+
+    Built positionally or by keyword, it prints as ``Name(field=value, ...)``,
+    equals only an instance of its own class with equal fields, and hashes as
+    the tuple of them; fields named in ``_hidden`` are left out of all three.
+    Assignment and deletion raise AttributeError. The fields are read once,
+    when a subclass is defined, and no code is generated for it.
+    """
+
+    _hidden = ()
+
+    def __init_subclass__(cls):
+        cls._fields = names = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+        cls._shown = shown = tuple(n for n in names if n not in cls._hidden)
+        key = attrgetter(*shown)  # of one name, the value rather than a 1-tuple
+        cls._key = key if len(shown) > 1 else staticmethod(lambda self: (key(self),))
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            given = dict(zip(names, args))
+            values = {**self._defaults, **given, **kwargs}
+            if len(args) > len(names) or given.keys() & kwargs.keys() or values.keys() != set(names):
+                raise TypeError(f"{type(self).__name__} takes the fields {names}")
+            args = [values[n] for n in names]
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._shown)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign or delete the field {name!r}")
+
+    __delattr__ = __setattr__
 
 
 class MahlerdynError(Exception):

@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice
 from typing import Iterator
 
-from .errors import ExactCheckFailed, ZeroPolynomial
+from .errors import ExactCheckFailed, Record, ZeroPolynomial
 from .intpoly import (
     IntPoly,
     _gf_add,
@@ -362,8 +361,7 @@ def _yun_squarefree(f: IntPoly) -> list[tuple[IntPoly, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """content * prod(factor^multiplicity) reproduces the input exactly."""
 
     content: int

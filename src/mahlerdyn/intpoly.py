@@ -250,18 +250,17 @@ def canonicalize(p: IntPoly) -> IntPoly:
 
 
 def gcd_z(p: IntPoly, q: IntPoly) -> IntPoly:
-    """Polynomial gcd over Z, canonical; for nonzero p and q, a constant gcd
-    is the gcd of their contents. Primitive PRS (Cohen, GTM 138, Alg. 3.3.1)."""
-    if p.is_zero:
-        return canonicalize(q)
-    if q.is_zero:
-        return canonicalize(p)
+    """Polynomial gcd over Z, canonical. A nonconstant gcd is primitive with a
+    positive leading coefficient; a constant one is the gcd of the contents.
+    So with one operand zero, the gcd of the other, r, is canonicalize(r) for
+    a nonconstant r and |r| for a constant one; gcd_z(0, 0) is 0. Primitive
+    PRS (Cohen, GTM 138, Alg. 3.3.1)."""
     a, b = canonicalize(p), canonicalize(q)
     if a.degree < b.degree:
         a, b = b, a
     while b.degree > 0:
         a, b = b, canonicalize(prem(a, b))
-    return a if b.is_zero else IntPoly((math.gcd(p.content(), q.content()),))
+    return a if b.is_zero and a.degree > 0 else IntPoly((math.gcd(p.content(), q.content()),))
 
 
 def squarefree_part(p: IntPoly) -> IntPoly:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
@@ -30,6 +29,7 @@ from .errors import (
     ExactCheckFailed,
     InternalPrecisionExceeded,
     NotAFixedPoint,
+    Record,
     TrichotomyViolation,
     ZeroInput,
 )
@@ -75,8 +75,7 @@ _EXPONENT_CAP = 64
 _SUBSET_CAP = 1024
 
 
-@dataclass(frozen=True)
-class PowerIdentity:
+class PowerIdentity(Record):
     """M^k(a) = (M^l(a))^n with k > l >= 1, n >= 2."""
 
     k: int
@@ -84,16 +83,14 @@ class PowerIdentity:
     n: int
 
 
-@dataclass(frozen=True)
-class TorsionFreePower:
+class TorsionFreePower(Record):
     """M^k(a) = a^n with n >= 2 and a torsion-free."""
 
     k: int
     n: int
 
 
-@dataclass(frozen=True)
-class CitedGrowth:
+class CitedGrowth(Record):
     """Wandering by a cited growth theorem; facts list the equalities and
     inequalities that were verified exactly."""
 
@@ -104,24 +101,20 @@ class CitedGrowth:
 WanderCert = Union[PowerIdentity, TorsionFreePower, CitedGrowth]
 
 
-@dataclass(frozen=True)
-class Preperiodic:
+class Preperiodic(Record):
     fixed_point: AlgebraicNumber
     number_class: NumberClass
 
 
-@dataclass(frozen=True)
-class Wandering:
+class Wandering(Record):
     certificate: WanderCert
 
 
-@dataclass(frozen=True)
-class Inconclusive:
+class Inconclusive(Record):
     reason: str
 
 
-@dataclass(frozen=True)
-class OrbitResult:
+class OrbitResult(Record):
     trace: tuple[AlgebraicNumber, ...]
     verdict: Union[Preperiodic, Wandering, Inconclusive]
 

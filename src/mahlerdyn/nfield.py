@@ -15,7 +15,6 @@ lattice unit prod g_i^e_i is decided on sum e_i log|sigma_j(g_i)| (`_product_log
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -30,6 +29,7 @@ from .errors import (
     NotIrreducible,
     NotMonic,
     RankDeficient,
+    Record,
 )
 from .factor import _root_counts, is_irreducible
 from .intpoly import (
@@ -71,23 +71,20 @@ _LAYOUT_PREC = (96, 384, 1536, 6144)
 # types
 
 
-@dataclass(frozen=True)
-class FieldElement:
+class FieldElement(Record):
     """Power-basis coordinates (c0 + c1*theta + ... + c_{n-1}*theta^{n-1})."""
 
     coords: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class NumberField:
+class NumberField(Record):
     defining: IntPoly
     degree: int
     signature: tuple[int, int]
     embeddings: tuple[IsolatingBox, ...]
 
 
-@dataclass(frozen=True)
-class UnitSublattice:
+class UnitSublattice(Record):
     """Units that nf_pattern_search takes products of (nf_unit_sublattice
     returns ones of certified rank r1 + r2 - 1). logs[i] is the
     _place_logs of generators[i], a cache that equality and hashing ignore:
@@ -95,11 +92,12 @@ class UnitSublattice:
     _LAYOUT_PREC (conjugate embeddings share one interval)."""
 
     generators: tuple[FieldElement, ...]
-    logs: tuple = field(compare=False, repr=False)
+    logs: tuple
+
+    _hidden = ("logs",)
 
 
-@dataclass(frozen=True)
-class ConjugatePattern:
+class ConjugatePattern(Record):
     """Required layout of |sigma_i(x)| over the embedding indices.
 
     order: levels of embedding indices; every value in a level strictly

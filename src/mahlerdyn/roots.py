@@ -66,14 +66,13 @@ from __future__ import annotations
 import cmath
 import contextlib
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import mpmath
 
-from .errors import ExactCheckFailed, InternalPrecisionExceeded, NotIrreducible, NotSquarefree
+from .errors import ExactCheckFailed, InternalPrecisionExceeded, NotIrreducible, NotSquarefree, Record
 from .factor import factor_z, is_irreducible
 from .intpoly import IntPoly, is_squarefree, reciprocal_test, trace_poly
 
@@ -88,8 +87,7 @@ _X = IntPoly((0, 1))
 _T = TypeVar("_T")
 
 
-@dataclass(frozen=True)
-class IsolatingBox:
+class IsolatingBox(Record):
     """Closed dyadic disk {z : |z - center| <= radius}.
 
     It holds exactly one root of a polynomial only when it comes from
@@ -101,8 +99,7 @@ class IsolatingBox:
     radius: Fraction  # dyadic, >= 0
 
 
-@dataclass(frozen=True)
-class CirclePartition:
+class CirclePartition(Record):
     outside: tuple[int, ...]
     on: tuple[int, ...]
     inside: tuple[int, ...]

@@ -178,6 +178,17 @@ class TestGcd:
         assert gcd_z(P("2,2"), P("4,4")) == P("1,1")
         assert gcd_z(P("-6,0,-6"), P("4,-4")) == IntPoly((2,))
 
+    @pytest.mark.parametrize("r, want", [("4", "4"), ("-4", "4"), ("4,8", "1,2"), ("-6,0,-6", "1,0,1")])
+    def test_zero_operand_in_either_order(self, r, want):
+        # a constant keeps its absolute value, as gcd_z(8, 4) keeps 4; a
+        # nonconstant operand gives its primitive part
+        zero = IntPoly(())
+        assert gcd_z(zero, P(r)) == P(want)
+        assert gcd_z(P(r), zero) == P(want)
+
+    def test_gcd_of_two_zeros_is_zero(self):
+        assert gcd_z(IntPoly(()), IntPoly(())).is_zero
+
 
 class TestSquarefree:
     def test_repeated_factor(self):

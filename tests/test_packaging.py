@@ -1,10 +1,10 @@
 """Packaging: the source tree ships the package, no dangling entry point,
-no runtime dependency beyond mpmath, no assert statement or raised
-AssertionError, no except that hides a failure, one modular layer (the
-GF(p)[x] kernels in intpoly only) and no import in a function body, the
-cache reads that the benchmark makes, and in classify: verdict bodies called
-on a built field rather than their parsers, one raise of a failed witness
-search, and one builder of the unit lattice."""
+no runtime dependency beyond mpmath, no dataclasses at import, no assert
+statement or raised AssertionError, no except that hides a failure, one
+modular layer (the GF(p)[x] kernels in intpoly only) and no import in a
+function body, the cache reads that the benchmark makes, and in classify:
+verdict bodies called on a built field rather than their parsers, one raise
+of a failed witness search, and one builder of the unit lattice."""
 
 import ast
 import os
@@ -45,6 +45,28 @@ def test_runtime_imports_mpmath_only():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=300)
     assert out.stdout.strip() == "[]"
+
+
+def test_runtime_imports_no_dataclasses():
+    # dataclasses loads inspect, ast and dis, about 7 ms and 1 MB of every
+    # cold start; the value types derive from errors.Record instead
+    paths = sorted((ROOT / "src" / "mahlerdyn").glob("*.py"))
+    modules = ", ".join(f"mahlerdyn.{path.stem}" for path in paths if path.stem != "__init__")
+    code = f"import sys, {modules}; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=300)
+    assert out.stdout.strip() == "[]"
+
+
+def test_no_module_imports_dataclasses():
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _src_trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+        or isinstance(node, ast.Import) and any(alias.name == "dataclasses" for alias in node.names)
+    ]
+    assert found == []
 
 
 def test_no_assert_statements():
