@@ -12,14 +12,17 @@ are reported sorted by (degree, coefficient tuple).
 
 The readers run on intpoly's GF(p)[x] kernels and its one walk over the good
 primes, and read Frobenius by Dedekind: its cycle type on the roots is the
-list of modular factor degrees. Every factor over Z has a degree that is a
-sum of some of them, so the screen intersects these sums (_degree_set) over
-up to _SCREEN_PRIMES good primes. A set of {0, n} proves the part
-irreducible with no lifting; otherwise lifting runs from the screened prime
-with the fewest modular factors. _subset_degree_set reads such a set for a
-subset-product resolvent off the orbits of that cycle type on s-subsets, with
-no DDF of the resolvent, and _root_counts counts the fixed roots, which bound
-|Aut(K)| in nfield.
+list of modular factor degrees. The kernels reduce late: products and
+remainders accumulate unreduced, and each kept coefficient is taken mod p
+once. The DDF takes x^p once and steps x^(p^d) to x^(p^(d+1)) by the
+Frobenius map, which is linear on GF(p)[x]/(f). Every factor over Z has a
+degree that is a sum of some of the modular factor degrees, so the screen
+intersects these sums (_degree_set) over up to _SCREEN_PRIMES good primes.
+A set of {0, n} proves the part irreducible with no lifting; otherwise
+lifting runs from the screened prime with the fewest modular factors.
+_subset_degree_set reads such a set for a subset-product resolvent off the
+orbits of that cycle type on s-subsets, with no DDF of the resolvent, and
+_root_counts counts the fixed roots, which bound |Aut(K)| in nfield.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .intpoly import (
     _gf_from,
     _gf_gcd,
     _gf_mul,
+    _gf_mulmod,
     _gf_pow_mod,
     _gf_prod,
     _gf_trim,
@@ -58,19 +62,38 @@ from .intpoly import (
 
 
 def _ddf(f: list[int], p: int) -> list[tuple[list[int], int]]:
-    """Distinct-degree factorization of squarefree monic f: [(product, degree)]."""
+    """Distinct-degree factorization of squarefree monic f: [(product, degree)].
+
+    x^p mod f is taken once, by _gf_pow_mod. Frobenius is linear on
+    GF(p)[x]/(f): v(x)^p = v(x^p), so each later x^(p^d) is one combination
+    of the rows (x^p)^i mod f, i < deg f, with the products left unreduced
+    until the sum (von zur Gathen and Shoup, Comput. Complexity 2 (1992)).
+    The rows are built the first time they are needed, by deg f - 2
+    _gf_mulmod's. Rows modulo an earlier f stay good for a later f, which
+    divides it: each combination is reduced modulo the current f."""
     out = []
-    v = [0, 1]  # x
-    d = 0
     f = list(f)
-    while len(f) - 1 > 2 * d:
-        d += 1
-        v = _gf_pow_mod(v, p, f, p)
+    xp = v = _gf_pow_mod([0, 1], p, f, p)
+    rows = []
+    d = 1
+    while 2 * d < len(f):  # past deg f / 2, what is left of f is 1 or irreducible
+        if d > 1:  # v = x^(p^(d-1)) mod f goes to v(x^p) = x^(p^d)
+            if not rows:
+                rows = [[1], _gf_divmod(xp, f, p)[1]]
+                while len(rows) < len(f) - 1:
+                    rows.append(_gf_mulmod(rows[-1], rows[1], f, p))
+            acc = [0] * len(rows)
+            for c, row in zip(v, rows):
+                if c:
+                    for j, r in enumerate(row):
+                        acc[j] += c * r
+            v = _gf_divmod(acc, f, p)[1]
         g = _gf_gcd(_gf_add(v, [0, 1], p, -1), f, p)
         if len(g) > 1:
             out.append((g, d))
             f = _gf_divmod(f, g, p)[0]
             v = _gf_divmod(v, f, p)[1]
+        d += 1
     if len(f) > 1:
         out.append((f, len(f) - 1))
     return out

@@ -322,34 +322,55 @@ def _gf_deriv(a, m):
 
 
 def _gf_divmod(a, b, m):
-    """divmod in (Z/m)[x]; lc(b) must be invertible mod m (b monic, or m prime)."""
+    """divmod in (Z/m)[x]; lc(b) must be invertible mod m (b monic, or m prime).
+
+    Both parts come back in [0, m). The inner loop leaves the coefficients
+    of a unreduced: each leading one is taken % m when it is read, and each
+    kept one once at the end."""
     a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv = pow(lb, -1, m)
-    if len(a) - 1 < db:
-        return [], _gf_trim(a)
-    q = [0] * (len(a) - db)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, m)
+    q = [0] * (len(a) - db)  # empty when deg a < deg b
     for i in range(len(a) - 1 - db, -1, -1):
-        c = a[i + db] % m
-        if c:
-            t = c * inv % m
+        t = a[i + db] * inv % m
+        if t:
             q[i] = t
-            for j in range(db + 1):
-                a[i + j] = (a[i + j] - t * b[j]) % m
-    return _gf_trim(q), _gf_trim(a[:db])
+            for j in range(db):
+                a[i + j] -= t * b[j]
+    return _gf_trim(q), _gf_trim([c % m for c in a[:db]])
+
+
+def _gf_mulmod(a, b, f, m):
+    """a*b mod f in (Z/m)[x]; lc(f) must be invertible mod m.
+
+    A square (a is b) accumulates unreduced, adding each cross term once,
+    doubled, and _gf_divmod reduces it, late."""
+    if a is not b:
+        return _gf_divmod(_gf_mul(a, b, m), f, m)[1]
+    out = [0] * (2 * len(a) - 1)  # empty when a is zero
+    for i, c in enumerate(a):
+        if c:
+            out[2 * i] += c * c
+            c += c
+            for j in range(i + 1, len(a)):
+                out[i + j] += c * a[j]
+    return _gf_divmod(out, f, m)[1]
 
 
 def _gf_pow_mod(a, e, mod_poly, m):
-    """a^e mod mod_poly in (Z/m)[x], by repeated squaring."""
-    result = [1]
-    base = _gf_divmod(a, mod_poly, m)[1]
-    while e:
-        if e & 1:
-            result = _gf_divmod(_gf_mul(result, base, m), mod_poly, m)[1]
-        e >>= 1
-        if e:
-            base = _gf_divmod(_gf_mul(base, base, m), mod_poly, m)[1]
-    return result
+    """a^e mod mod_poly in (Z/m)[x]; lc(mod_poly) must be invertible mod m.
+
+    Left-to-right square-and-multiply on _gf_mulmod, so every step reduces
+    late. When a is x, a multiply step is a shift by one and one reduction."""
+    if not e:
+        return [1]
+    r = base = _gf_divmod(a, mod_poly, m)[1]
+    for bit in bin(e)[3:]:
+        r = _gf_mulmod(r, r, mod_poly, m)
+        if bit == "1":
+            r = (_gf_divmod([0, *r], mod_poly, m)[1] if base == [0, 1]
+                 else _gf_mulmod(r, base, mod_poly, m))
+    return r
 
 
 def _gf_prod(polys, m):

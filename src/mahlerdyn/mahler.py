@@ -44,6 +44,7 @@ from .intpoly import (
     gcd_z,
     lll_reduce,
     monicize,
+    power_map,
     ratio_resolvent,
     reciprocal_test,
     untrace_poly,
@@ -436,12 +437,20 @@ def wandering_certificate(trace) -> Optional[WanderCert]:
     if k < 1:
         return None
     logs = [_log2_abs(t) for t in trace]
+
+    def is_power(l: int, n: int) -> bool:
+        # trace[k] = a^n for a = trace[l] makes minpoly(trace[k]) divide
+        # power_map(minpoly(a), n) over Q, so over Z (Gauss's lemma): a
+        # failed division proves inequality without building a^n
+        return (div_z(power_map(trace[l].minpoly, n), trace[k].minpoly) is not None
+                and an_equal(trace[k], an_pow(trace[l], n)))
+
     for l in range(1, k):
         for n in _exponent_candidates(logs[k], logs[l]):
-            if an_equal(trace[k], an_pow(trace[l], n)):
+            if is_power(l, n):
                 return PowerIdentity(k, l, n)
     for n in _exponent_candidates(logs[k], abs(logs[0])):
-        if an_equal(trace[k], an_pow(trace[0], n)) and _torsion_free(trace[0]):
+        if is_power(0, n) and _torsion_free(trace[0]):
             return TorsionFreePower(k, n)
     return None
 

@@ -31,9 +31,10 @@ fails, and the ladder moves on, when the coefficients overflow a double (on
 rung 0), the iteration does not settle, or the certificate fails.
 
 Refinement uses the same disk on one box at a time, with no numeric seeder.
-refine takes exact Newton steps from the box centre at a unit 2^-b set by the
-radius asked for, and returns the first Newton disk that is small enough and
-contained in the box. That disk holds a root of p and lies in a disk that
+refine takes exact Newton steps from the box centre, at a unit that doubles
+from about twice the bits the box carries up to 2^-b, set by the radius asked
+for, and returns the first Newton disk at the unit 2^-b that is small enough
+and contained in the box. That disk holds a root of p and lies in a disk that
 holds only one, so it holds that one. Steps are rounded toward 0, so mirror
 images refine to mirror images and a real box stays real. Newton doubles the
 correct bits per step; a box that has not settled within twice that many
@@ -497,8 +498,10 @@ def isolate_roots(p: IntPoly) -> list[IsolatingBox]:
 def refine(box: IsolatingBox, p: IntPoly, eps: Fraction) -> IsolatingBox:
     """Shrink a certified box to radius <= eps; the result nests inside box.
 
-    Newton runs at the unit 2^-b, b = 20 + log2(1/eps) and at least
-    _PREC_START, for at most 2 log2(b) steps; see the module docstring."""
+    Every disk is tested at the unit 2^-b, b = 20 + log2(1/eps) and at least
+    _PREC_START, for at most 2 log2(b) steps; see the module docstring. The
+    steps before those run at a unit that doubles from about twice the bits
+    the box carries, since each Newton step doubles the correct bits."""
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -510,7 +513,15 @@ def refine(box: IsolatingBox, p: IntPoly, eps: Fraction) -> IsolatingBox:
         raise InternalPrecisionExceeded(f"refinement to radius 2^-{bits} exceeds {_PREC_CAP} bits")
     dp = p.derivative()
     one = 1 << b
-    x, y = (_trunc(v.numerator << b, v.denominator) for v in box.center)
+    u = min(b, max(_PREC_START, 2 * (box.radius.denominator // box.radius.numerator).bit_length()))
+    x, y = (_trunc(v.numerator << u, v.denominator) for v in box.center)
+    while u < b:
+        got = _newton_disk(p, dp, x, y, u)
+        if got is None:
+            break
+        w = min(2 * u, b)
+        x, y, u = (x + got[1]) << (w - u), (y + got[2]) << (w - u), w
+    x, y = x << (b - u), y << (b - u)
     for _ in range(2 * b.bit_length()):
         got = _newton_disk(p, dp, x, y, b)
         if got is None:

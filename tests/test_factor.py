@@ -287,6 +287,44 @@ class TestSubsetDegreeSets:
         assert len(visited) == factor._ORBIT_PRIMES
 
 
+class TestDDF:
+    """The distinct-degree factorization on one x^p and the Frobenius map."""
+
+    @staticmethod
+    def _squarefree_inputs(rng, count):
+        out = []
+        while len(out) < count:
+            q = rng.choice((11, 13, 17, 31))
+            n = rng.randint(2, 14)
+            f = IntPoly([rng.randrange(q) for _ in range(n)] + [1])
+            fp = _squarefree_mod(f, q)
+            if fp is not None:
+                out.append((fp, q))
+        return out
+
+    def test_degrees_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        for f, q in self._squarefree_inputs(random.Random(4704), 60):
+            ddf = factor._ddf(f, q)
+            assert intpoly._gf_prod((g for g, _ in ddf), q) == f
+            assert all((len(g) - 1) % d == 0 and g[-1] == 1 for g, d in ddf)
+            expr = sum(c * x**i for i, c in enumerate(f))
+            _, theirs = sympy.Poly(expr, x, modulus=q).factor_list()
+            assert all(mult == 1 for _, mult in theirs)
+            want = sorted(g.degree() for g, _ in theirs)
+            assert sorted(factor._cycle_type(ddf)) == want, (f, q)
+
+    def test_one_ddf_takes_x_to_the_p_once(self, monkeypatch):
+        calls = []
+        real = factor._gf_pow_mod
+        monkeypatch.setattr(factor, "_gf_pow_mod", lambda *a: calls.append(a[1]) or real(*a))
+        for f, q in self._squarefree_inputs(random.Random(4705), 20):
+            calls.clear()
+            factor._ddf(f, q)
+            assert calls == [q], (f, q)
+
+
 class TestIrreducibleFromCache:
     def test_repeat_and_circle_partition_hit_the_cache(self, monkeypatch):
         p = P("-1,-1,0,1")  # x^3 - x - 1

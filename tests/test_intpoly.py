@@ -520,3 +520,75 @@ class TestMonicize:
         assert c == 2 and g.lc == 1
         # roots of g are 2*(+-1/sqrt2) = +-sqrt2
         assert g == P("-2,0,1")
+
+
+def _rand_gf(rng, n, m, monic=False):
+    out = [rng.randrange(m) for _ in range(n)]
+    return out + [1] if monic else intpoly._gf_trim(out)
+
+
+class TestGFKernels:
+    """The GF(m)[x] kernels with delayed reduction against plain arithmetic."""
+
+    PRIMES = (2, 3, 11, 13, 31)
+
+    @staticmethod
+    def _check_divmod(a, b, m):
+        q, r = intpoly._gf_divmod(a, b, m)
+        assert all(0 <= c < m for c in q + r)
+        assert len(r) < len(b) and (not r or r[-1]) and (not q or q[-1])
+        back = intpoly._gf_add(intpoly._gf_mul(q, b, m), r, m)
+        assert back == intpoly._gf_trim([c % m for c in a]), (a, b, m)
+
+    def test_divmod_reconstructs_its_input(self):
+        rng = random.Random(4701)
+        for _ in range(300):
+            m = rng.choice(self.PRIMES + (121, 11**4, 13**8))  # Hensel moduli p^(2^k)
+            b = _rand_gf(rng, rng.randint(0, 6), m, monic=True)
+            if m in self.PRIMES and rng.random() < 0.5:
+                b[-1] = rng.randrange(1, m)  # lc invertible modulo a prime
+            # unreduced and negative coefficients, and inputs shorter than b
+            a = [rng.randint(-5 * m, 5 * m) for _ in range(rng.randint(0, 12))]
+            self._check_divmod(a, b, m)
+
+    def test_divmod_reduces_a_short_input(self):
+        # deg a < deg b (also with a zero on top): the remainder is a, reduced into [0, m)
+        assert intpoly._gf_divmod([25, -3], [1, 2, 1], 7) == ([], [4, 4])
+        assert intpoly._gf_divmod([14, 7, 0], [1, 2, 1], 7) == ([], [])
+
+    def test_mulmod_is_mul_then_reduce(self):
+        rng = random.Random(4702)
+        for _ in range(300):
+            m = rng.choice(self.PRIMES + (13**4,))
+            n = rng.randint(1, 12)
+            f = _rand_gf(rng, n, m, monic=True)
+            a = _rand_gf(rng, rng.randint(0, n), m)
+            b = _rand_gf(rng, rng.randint(0, n), m)
+            want = intpoly._gf_divmod(intpoly._gf_mul(a, b, m), f, m)[1]
+            assert intpoly._gf_mulmod(a, b, f, m) == want
+            # a is b takes the squaring path
+            assert intpoly._gf_mulmod(a, a, f, m) == intpoly._gf_divmod(intpoly._gf_mul(a, a, m), f, m)[1]
+
+    @staticmethod
+    def _pow_by_products(a, e, f, m):
+        r = intpoly._gf_divmod([1], f, m)[1]
+        for _ in range(e):
+            r = intpoly._gf_divmod(intpoly._gf_mul(r, a, m), f, m)[1]
+        return r
+
+    def test_pow_mod_against_repeated_multiplication(self):
+        rng = random.Random(4703)
+        for p in (3, 11, 13):
+            for d in (1, 2, 3):
+                for trial in range(4):
+                    f = _rand_gf(rng, rng.randint(2, 6), p, monic=True)
+                    if trial % 2:
+                        f = [c * rng.randrange(1, p) % p for c in f]  # not monic
+                    for a in ([0, 1], _rand_gf(rng, len(f) - 1, p), [0, 0, 1]):
+                        for e in {0, 1, 2, p, (p**d - 1) // 2}:
+                            want = [1] if e == 0 else self._pow_by_products(a, e, f, p)
+                            assert intpoly._gf_pow_mod(a, e, f, p) == want, (a, e, f, p)
+
+    def test_pow_mod_of_x_modulo_a_linear_polynomial(self):
+        # x mod (x - 3) is the constant 3, so the shift path does not apply
+        assert intpoly._gf_pow_mod([0, 1], 4, [8, 1], 11) == [pow(3, 4, 11)]

@@ -366,6 +366,19 @@ class TestWanderingCertificate:
         cert = wandering_certificate([sqrt2, m])
         assert cert is None
 
+    def test_power_screen_builds_no_power_that_cannot_match(self, monkeypatch):
+        # the logs propose 3 = sqrt(2)^3 on both branches, but x - 3 does not
+        # divide power_map(x^2 - 2, 3) = x^2 - 8, so no cube is built;
+        # 2 = sqrt(2)^2 passes the screen (and sqrt(2) is not torsion-free)
+        sqrt2, three = nth_root("-2,0,1"), an_from_rational(3)
+        built, real = [], mahler.an_pow
+        monkeypatch.setattr(mahler, "an_pow", lambda a, n: built.append(n) or real(a, n))
+        assert wandering_certificate([an_from_rational(5), sqrt2, three]) is None
+        assert wandering_certificate([sqrt2, three]) is None
+        assert built == []
+        assert wandering_certificate([sqrt2, an_from_rational(2)]) is None
+        assert built == [2]
+
     def test_torsion_free_power_positive(self):
         # a Pisot cube: M(a) = a for Pisot a, so build M(a^2) = ... instead use
         # x^2 - 3x + 1: root phi^2, M = a itself; no power gap. Use 3 + sqrt 8:

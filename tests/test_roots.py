@@ -405,6 +405,21 @@ class TestRefine:
             slack = box.radius - r.radius
             assert slack >= 0 and dx * dx + dy * dy <= slack * slack
 
+    def test_long_jump_ramps_its_unit(self, monkeypatch):
+        # from a rung-0 box (about 2^-45) to 2^-1000: the steps before the
+        # last run at a doubling unit, and two disks at the final unit
+        # 2^-1021 settle it
+        units, real = [], roots._newton_disk
+        monkeypatch.setattr(roots, "_newton_disk", lambda *a: units.append(a[-1]) or real(*a))
+        eps = Fraction(1, 1 << 1000)
+        for p in (P("-1,-1,0,0,0,1"), WANDER6):
+            for box in isolate_roots(p):
+                units.clear()
+                r = refine(box, p, eps)
+                assert r.radius <= eps and roots._contained(r, box)
+                assert units[-2:] == [1021, 1021] and 1021 not in units[:-2]
+                assert all(2 * u == w for u, w in zip(units[:-3], units[1:-2])), units
+
     def test_lehmer_tau_value(self):
         box = max(isolate_roots(LEHMER), key=lambda b: b.center[0])
         r = refine(box, LEHMER, Fraction(1, 10 ** 9))
