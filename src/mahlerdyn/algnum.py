@@ -16,6 +16,7 @@ and equality compares minpolys and indices.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Optional
 
 from .errors import (
@@ -29,6 +30,7 @@ from .errors import (
 )
 from .factor import factor_z, is_irreducible
 from .intpoly import (
+    ONE,
     IntPoly,
     _is_cyclotomic_irreducible,
     _proved_squarefree,
@@ -37,6 +39,7 @@ from .intpoly import (
     from_rational,
     from_text,
     power_map,
+    prem,
     product_resolvent,
     ratio_resolvent,
     to_text,
@@ -306,28 +309,22 @@ def _ratio_on_unit_circle(p: IntPoly, num: IsolatingBox, den: IsolatingBox) -> s
 
 def _strictly_dominates(p: IntPoly, abox: IsolatingBox, bbox: IsolatingBox) -> bool:
     """Whether the positive real root in abox strictly exceeds |root in bbox|."""
-    for _ in range(6):
-        lo, hi = _abs_bounds(bbox)
-        if abox.center[0] - abox.radius > hi:
+    for a, b in islice(zip(_refinements(abox, p), _refinements(bbox, p)), 6):
+        lo, hi = _abs_bounds(b)
+        if a.center[0] - a.radius > hi:
             return True
-        if lo > abox.center[0] + abox.radius:
+        if lo > a.center[0] + a.radius:
             return False
-        abox = refine(abox, p, abox.radius / 16)
-        bbox = refine(bbox, p, bbox.radius / 16)
     # moduli may be exactly equal; settle it algebraically
     return _ratio_on_unit_circle(p, bbox, abox) == "in"
 
 
 def _rou_order(p: IntPoly) -> int:
     """Multiplicative order for a cyclotomic minpoly: least k with x^k = 1."""
-    rem = [0, 1]  # x^1 mod p, constant first
-    d = p.degree
-    for k in range(2, 8 * d * d + 8):
-        rem = [0] + rem
-        while len(rem) > d:
-            lead = rem[-1]
-            rem = [c - lead * p[i] for i, c in enumerate(rem[:-1])]
-        if rem[0] == 1 and all(c == 0 for c in rem[1:]):
+    rem = _X  # x^k mod p, by pseudo-remainders, which are exact as p is monic
+    for k in range(2, 8 * p.degree ** 2 + 8):
+        rem = prem(rem.shift_up(1), p)
+        if rem == ONE:
             return k
     raise ExactCheckFailed("a cyclotomic minpoly has no root-of-unity order within 8d^2 + 8")
 

@@ -20,10 +20,10 @@ raises WitnessSearchFailed with its caller's message.  It alone builds the
 lattice, ``nf_unit_sublattice`` of the field; the C2^3 octic and the C3xC3
 nonic also search the subfield units ``_subfield_product`` embeds.  Every
 numeric decision (layouts, signs, the D5 comparison) is made on certified
-balls or ``nfield._place_logs`` intervals over one bounded ladder,
-``nfield._LAYOUT_PREC``; open at the top rung refutes a strict relation, or
-raises where a rung must settle it (``_settled``, and ``algnum._real_sign``
-for signs).  Every candidate is then certified exactly.
+balls (``nfield._embeds`` for elements) or ``nfield._place_logs`` intervals
+over one bounded ladder, ``nfield._LAYOUT_PREC``; open at the top rung refutes
+a strict relation, or raises where a rung must settle it (``_settled``, and
+``algnum._real_sign`` for signs).  Every candidate is then certified exactly.
 One certifier, exponent space, computes no measure: ``_exponent_orbit``
 steps M^k(x) = +-prod x_j^e_j over the embeddings x_j of the unit x, sides
 on log intervals and equalities by one exact test in K (``_relation_test``)
@@ -85,6 +85,7 @@ from .nfield import (
     _compose_keys,
     _conjugate_pairs,
     _decide,
+    _embeds,
     _fe_horner,
     _iv_add,
     _iv_scale,
@@ -101,7 +102,6 @@ from .nfield import (
     fe_to_algnum,
     nf_apply,
     nf_automorphisms,
-    nf_embed,
     nf_new,
     nf_norm,
     nf_pattern_search,
@@ -538,7 +538,7 @@ def _exponent_witness(K, x, place, group, steps, tag=None, facts=None, autos=Non
         cert = next((PowerIdentity(k, l, m) for l in range(1, k) if (m := power(k, l))), None)
         if cert is None and k and _conjugate_pairs(K)[place] == place and (m := power(k, 0)):
             torsion = (rel(tuple(int(i == j) - int(i == place) for i in range(n))) for j in range(n))
-            if (m % 2 == 0 or _real_sign(nf_embed(K, x, place, p) for p in _LAYOUT_PREC) > 0) and -1 not in torsion:
+            if (m % 2 == 0 or _real_sign(_embeds(K, x, place)) > 0) and -1 not in torsion:
                 cert = TorsionFreePower(k, m)
         if cert is not None:
             return HasWanderer(witness=fe_to_algnum(K, x, place), certificate=cert)
@@ -612,7 +612,7 @@ def _settled(decide, what: str):
 
 def _positive_at(K, x: FieldElement, place: int) -> FieldElement:
     """x or -x, whichever is positive at the real place; x is nonzero."""
-    return fe_neg(K, x) if _real_sign(nf_embed(K, x, place, p) for p in _LAYOUT_PREC) < 0 else x
+    return fe_neg(K, x) if _real_sign(_embeds(K, x, place)) < 0 else x
 
 
 # ---------------------------------------------------------------------------

@@ -102,12 +102,11 @@ class InternalPrecisionExceeded(MahlerdynError):
       ``mahler._SUBSET_CAP`` = 1024 raises before it is built;
     - automorphism discovery, ``nfield._AUTO_PREC``: 1536 bits, where this
       error surfaces as AutomorphismsUndecided;
-    - the log-interval ladder of layouts and signs, ``nfield._LAYOUT_PREC``:
-      6144 bits, raised where a rung must settle the question;
-    - ``nfield.fe_to_algnum``: probes up to 4096 bits, and ``nf_embed``
-      refines 24 times before it gives up;
-    - ``nfield.nf_embedding_permutation``: probes at 64 * 2^k bits, ended
-      by ``refine`` at ``roots._PREC_CAP``;
+    - ``nfield._LAYOUT_PREC``: 6144 bits, for the log intervals of layouts
+      and the field-element probes of ``nfield._embeds`` (signs,
+      ``fe_to_algnum``, ``nf_embedding_permutation``), raised where a rung
+      must settle the question; each ``nf_embed`` refines 24 times before
+      it gives up;
     - the Cayley resolvent sextic, ``classify._cayley_sextic``: 5120 bits.
     """
 

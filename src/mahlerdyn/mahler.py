@@ -22,7 +22,6 @@ from .algnum import (
     _select_root,
     an_equal,
     an_from_rational,
-    an_pow,
     classify_number,
 )
 from .errors import (
@@ -439,11 +438,15 @@ def wandering_certificate(trace) -> Optional[WanderCert]:
     logs = [_log2_abs(t) for t in trace]
 
     def is_power(l: int, n: int) -> bool:
-        # trace[k] = a^n for a = trace[l] makes minpoly(trace[k]) divide
-        # power_map(minpoly(a), n) over Q, so over Z (Gauss's lemma): a
-        # failed division proves inequality without building a^n
-        return (div_z(power_map(trace[l].minpoly, n), trace[k].minpoly) is not None
-                and an_equal(trace[k], an_pow(trace[l], n)))
+        # trace[k] = a^n for a = trace[l] makes h = minpoly(trace[k]) divide
+        # power_map(minpoly(a), n) over Z (Gauss's lemma). That map is a power
+        # of minpoly(a^n) (see algnum.an_pow), so an h that divides it is
+        # minpoly(a^n), and a^n is pinned among h's roots
+        a, h = trace[l], trace[k].minpoly
+        if div_z(power_map(a.minpoly, n), h) is None:
+            return False
+        powers = (_box_horner((0,) * n + (1,), box) for box in _refinements(a.box, a.minpoly))
+        return an_equal(trace[k], _select_root([h], powers))
 
     for l in range(1, k):
         for n in _exponent_candidates(logs[k], logs[l]):

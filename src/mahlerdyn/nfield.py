@@ -16,7 +16,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import mpmath as mp
 
@@ -251,13 +251,11 @@ def nf_embedding_permutation(K: NumberField, g: FieldElement) -> tuple[int, ...]
     """Permutation pi with sigma_g(x) at embedding i = x at embedding pi(i).
 
     pi(i) is the index of the root box that g evaluated on embedding i lands
-    in, pinned by evaluation balls of radius 2^-64, 2^-128, ...
+    in, pinned by the evaluation balls of _embeds; InternalPrecisionExceeded
+    when the 2^-6144 ball still meets two boxes.
     """
     boxes = list(K.embeddings)
-    return tuple(
-        _pin((nf_embed(K, g, i, 64 << k) for k in itertools.count()), [K.defining] * K.degree, boxes)
-        for i in range(K.degree)
-    )
+    return tuple(_pin(_embeds(K, g, i), [K.defining] * K.degree, boxes) for i in range(K.degree))
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +284,12 @@ def nf_embed(K: NumberField, x: FieldElement, place: int, precision: int) -> Iso
             return val
         eps /= Fraction(1 << 64)
     raise InternalPrecisionExceeded(f"embedding of width 2^-{precision} not reached")
+
+
+def _embeds(K: NumberField, x: FieldElement, place: int) -> Iterator[IsolatingBox]:
+    """nf_embed(K, x, place, prec) on each rung prec of _LAYOUT_PREC: the one
+    stream of shrinking enclosures of sigma_place(x) that a probe reads."""
+    return (nf_embed(K, x, place, prec) for prec in _LAYOUT_PREC)
 
 
 # ---------------------------------------------------------------------------
@@ -684,11 +688,11 @@ def _coord_rung(K: NumberField, prev: int, h: int):
 
 
 def fe_to_algnum(K: NumberField, x: FieldElement, place: int = 0) -> AlgebraicNumber:
-    """The algebraic number sigma_place(x), with exact minimal polynomial."""
+    """The algebraic number sigma_place(x), with exact minimal polynomial,
+    pinned among its roots by the balls of _embeds."""
     if fe_is_rational(x):
         return an_from_rational(x.coords[0])
-    probes = (nf_embed(K, x, place, 64 << k) for k in range(7))
-    return _select_root([_minpoly(K, x)], probes)
+    return _select_root([_minpoly(K, x)], _embeds(K, x, place))
 
 
 # ---------------------------------------------------------------------------

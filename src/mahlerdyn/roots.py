@@ -69,7 +69,7 @@ import contextlib
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Iterator, Sequence
 
 import mpmath
 
@@ -84,8 +84,6 @@ _ABERTH_ITERS = 100
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_X = IntPoly((0, 1))
-_T = TypeVar("_T")
 
 
 class IsolatingBox(Record):
@@ -569,15 +567,6 @@ def _pin(probes: Iterable[IsolatingBox], polys: Sequence[IntPoly], boxes: list[I
     raise InternalPrecisionExceeded("enclosures ended before one certified box remained")
 
 
-def _settle(box: IsolatingBox, p: IntPoly, status: Callable[[IsolatingBox], _T | None]) -> _T:
-    """status(box), refining box for p by 16-fold steps while it is None."""
-    s = status(box)
-    while s is None:
-        box = refine(box, p, box.radius / 16)
-        s = status(box)
-    return s
-
-
 def _conjugates(boxes: Sequence[IsolatingBox]) -> list[int]:
     """Index of each canonical box's complex conjugate among boxes.
 
@@ -618,25 +607,22 @@ def _in_window(box: IsolatingBox) -> bool | None:
 
 
 def _factor_statuses(q: IntPoly) -> list[str]:
-    """Status per canonical root box of an irreducible q: 'in'/'on'/'out'."""
-    if q == _X:
-        return ["in"]
-    if q == IntPoly((-1, 1)) or q == IntPoly((1, 1)):
-        return ["on"]
+    """Status per canonical root box of a canonical irreducible q: 'in'/'on'/'out'."""
     if q.degree == 1:
-        return ["out" if abs(q[0]) > abs(q[1]) else "in"]
+        return ["out" if abs(q[0]) > q[1] else "on" if abs(q[0]) == q[1] else "in"]
     kind = reciprocal_test(q)
     boxes = isolate_roots(q)
     if kind == "No":
         # an irreducible non-reciprocal polynomial has no root on the circle
-        return [_settle(b, q, _circle_status) for b in boxes]
+        return [next(s for s in map(_circle_status, _refinements(b, q)) if s) for b in boxes]
     if kind != "Plus":
         raise ExactCheckFailed("an irreducible Minus-reciprocal polynomial is x-1")
     # q(x) = x^k t(x + 1/x): each real root of t in (-2, 2) gives a conjugate
     # pair on the circle. t(2) = q(1) and t(-2) = +-q(-1) are nonzero, so
-    # _settle ends.
+    # each real box of t settles.
     t = trace_poly(q)
-    on_count = 2 * sum(_settle(b, t, _in_window) for b in isolate_roots(t) if b.center[1] == 0)
+    reals = (b for b in isolate_roots(t) if b.center[1] == 0)
+    on_count = 2 * sum(next(w for w in map(_in_window, _refinements(b, t)) if w is not None) for b in reals)
     expect_off = (q.degree - on_count) // 2
     while True:
         statuses = [_circle_status(b) for b in boxes]

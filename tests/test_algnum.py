@@ -213,6 +213,7 @@ class TestInvNegPow:
         assert sq.minpoly == P("1,-3,1")
         assert sq.box.center[0] > 2
         assert an_pow(SQRT2, 1) == SQRT2
+        assert an_rational_value(an_pow(an_from_rational(3), 2)) == 9
 
     def test_pow_composition(self):
         rng = random.Random(8)

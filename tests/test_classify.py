@@ -642,6 +642,14 @@ class TestExponentOrbit:
                 assert other == group or not _orbit_sum_is_integer(G, other)
 
 
+@pytest.mark.parametrize(
+    "p, group", [(P("-2,0,1"), "C2"), (P("1,-3,0,1"), "C3"), (P("2,0,0,1"), "D3_6")], ids=["C2", "C3", "D3_6"]
+)
+def test_galois_group_below_degree_four(p, group):
+    # degree 2 is C2; a cubic is C3 exactly when its discriminant is a square
+    assert galois_group_small(p) == group
+
+
 class TestQuinticResolvent:
     """The Cayley sextic decides solvability and, for a solvable quintic,
     names the pentagons fixed by the Galois group."""
@@ -859,6 +867,14 @@ class TestGaloisSmall:
         # x^6 - x - 1 has a real place, so it is not CM, and it is not Galois
         assert classify_galois_small(P("-1,-1,0,0,0,0,1")) == Unsupported(
             reason="degree-6 field is neither CM nor Galois; no proven verdict applies"
+        )
+
+    @pytest.mark.parametrize("p", [P("1,0,0,0,0,0,0,0,1"), P("1,-1,0,1,-1,1,0,-1,1")], ids=["zeta16", "zeta15"])
+    def test_totally_imaginary_galois_octic_is_unsupported(self, p):
+        # x^8 + 1 and the 15th cyclotomic polynomial: Galois octics with no
+        # real place, which reduce to quartic subfields this table leaves open
+        assert classify_galois_small(p) == Unsupported(
+            reason="totally imaginary Galois octic: the verdict reduces to quartic subfields and is not decided here"
         )
 
     def test_octic_not_galois_names_the_primes(self):

@@ -368,16 +368,25 @@ class TestWanderingCertificate:
 
     def test_power_screen_builds_no_power_that_cannot_match(self, monkeypatch):
         # the logs propose 3 = sqrt(2)^3 on both branches, but x - 3 does not
-        # divide power_map(x^2 - 2, 3) = x^2 - 8, so no cube is built;
-        # 2 = sqrt(2)^2 passes the screen (and sqrt(2) is not torsion-free)
+        # divide power_map(x^2 - 2, 3) = x^2 - 8, so no cube is pinned;
+        # 2 = sqrt(2)^2 passes the screen, and the square is pinned among the
+        # roots of x - 2 (sqrt(2) is not torsion-free)
         sqrt2, three = nth_root("-2,0,1"), an_from_rational(3)
-        built, real = [], mahler.an_pow
-        monkeypatch.setattr(mahler, "an_pow", lambda a, n: built.append(n) or real(a, n))
+        built, real = [], mahler._select_root
+        monkeypatch.setattr(mahler, "_select_root", lambda qs, probes: built.append(qs) or real(qs, probes))
         assert wandering_certificate([an_from_rational(5), sqrt2, three]) is None
         assert wandering_certificate([sqrt2, three]) is None
         assert built == []
         assert wandering_certificate([sqrt2, an_from_rational(2)]) is None
-        assert built == [2]
+        assert built == [[P("-2,1")]]
+
+    def test_power_screen_takes_no_conjugate_of_the_power(self):
+        # power_map(x^4 - 2, 2) = (x^2 - 2)^2, so x^2 - 2 passes the screen
+        # for both square roots of 2, but only sqrt(2) is (2^(1/4))^2
+        a, sqrt2 = nth_root("-2,0,0,0,1"), nth_root("-2,0,1")
+        five = an_from_rational(5)
+        assert wandering_certificate([five, a, an_neg(sqrt2)]) is None
+        assert wandering_certificate([five, a, sqrt2]) == PowerIdentity(2, 1, 2)
 
     def test_torsion_free_power_positive(self):
         # a Pisot cube: M(a) = a for Pisot a, so build M(a^2) = ... instead use

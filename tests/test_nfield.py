@@ -19,6 +19,7 @@ from mahlerdyn.classify import classify_cm, classify_cyclic, galois_group_small
 from mahlerdyn.errors import (
     AutomorphismsUndecided,
     ExactCheckFailed,
+    InternalPrecisionExceeded,
     NotCyclic,
     NotFound,
     NotIrreducible,
@@ -284,6 +285,25 @@ class TestAutomorphisms:
         pc = nf_embedding_permutation(K, nf_apply(K, a, b))
         # sigma_a(sigma_b(x)) at embedding i reads x at pb[pa[i]]
         assert pc == tuple(pb[pa[i]] for i in range(4))
+
+    @pytest.mark.parametrize("probe", [nf_embedding_permutation, fe_to_algnum])
+    def test_probes_stop_at_the_layout_cap(self, monkeypatch, probe):
+        # every ball of _embeds is one disk around 0 that meets both
+        # embeddings of Q(sqrt 2): the pin gives up after the last rung of
+        # _LAYOUT_PREC, with no ladder of its own beside it
+        K = nf_new(SQRT2_POLY)
+        calls = []
+
+        def nf_embed(K, x, place, prec):
+            calls.append(prec)
+            if len(calls) > 2 * len(nfield._LAYOUT_PREC):
+                raise RuntimeError("a probe ladder without an end")
+            return roots.IsolatingBox((Fraction(0), Fraction(0)), Fraction(2))
+
+        monkeypatch.setattr(nfield, "nf_embed", nf_embed)
+        with pytest.raises(InternalPrecisionExceeded):
+            probe(K, fe_theta(K))
+        assert calls == list(nfield._LAYOUT_PREC)
 
 
 class TestAutomorphismBound:

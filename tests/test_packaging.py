@@ -211,6 +211,25 @@ def test_no_import_in_a_function_body():
     assert found == []
 
 
+def test_one_enclosure_stream_per_value():
+    # a field element's balls come from nfield._embeds, on the rungs of
+    # _LAYOUT_PREC, and from _log_abs's climb for log intervals; a power of
+    # a measure is pinned on the minpoly that wandering_certificate's screen
+    # has in hand, so mahler builds no power through an_pow
+    trees = _src_trees()
+    callers = [
+        f"{name}.{fn.name}"
+        for name, tree in trees.items()
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", "")) == "nf_embed"
+    ]
+    assert sorted(callers) == ["nfield._embeds", "nfield._log_abs"]
+    named = {getattr(n, "id", getattr(n, "attr", getattr(n, "name", None))) for n in ast.walk(trees["mahler"])}
+    assert "an_pow" not in named
+
+
 def test_benchmark_cache_reads_work():
     # bench/worker.py reads the three caches by name in every pass: the
     # measure cache's size, and the hits and misses of the two lru caches;

@@ -642,11 +642,12 @@ def _coarse(boxes: list[IsolatingBox]) -> list[IsolatingBox]:
 
 
 def test_coarse_disks_refine_to_the_canonical_answers(monkeypatch):
-    # canonical disks decide at once, so the refine steps of _settle, the
-    # loop of _factor_statuses and an_from_poly_root run only on coarser
-    # disks. Equal radii would not reach that loop: a disk around a Salem
-    # root s meets the circle only with a radius above s - 1, more than half
-    # its distance s - 1/s to the root 1/s
+    # canonical disks decide at once, so the refine steps of the
+    # _refinements streams that _factor_statuses reads, its loop and
+    # an_from_poly_root run only on coarser disks. Equal radii would not
+    # reach that loop: a disk around a Salem root s meets the circle only
+    # with a radius above s - 1, more than half its distance s - 1/s to the
+    # root 1/s
     queries = {}
     for p in (LEHMER, SALEM4, P("-1,-1,0,1")):
         boxes = isolate_roots(p)
@@ -671,7 +672,7 @@ def test_coarse_disks_refine_to_the_canonical_answers(monkeypatch):
     monkeypatch.setattr(algnum, "_candidates", candidates)
     for p, qs in queries.items():
         assert (circle_partition(p), [an_from_poly_root(p, q) for q in qs]) == want[p], p
-    assert callers == {"_settle", "_factor_statuses", "an_from_poly_root"}
+    assert callers == {"_refinements", "_factor_statuses", "an_from_poly_root"}
 
 
 class TestConjugates:
