@@ -265,15 +265,15 @@ def _cayley_sextic(h: IntPoly) -> tuple[IntPoly, tuple[IsolatingBox, ...]]:
     quantity (u_P - u_{P'})^2 against the complement pentagon P' is stable
     under the full symmetric group as a set of six values, so the product of
     (y - delta) has integer coefficients; they are recovered by shrinking the
-    root boxes until every coefficient traps a unique integer. Each rung
-    runs its 87 disk products in the fixed-point kernel of roots, at the
-    unit of the rung's root radius: the root disks enter once, and only the
-    six delta disks leave.
+    root boxes, rung by rung of `_LAYOUT_PREC`, until every coefficient
+    traps a unique integer. Each rung runs its 87 disk products in the
+    fixed-point kernel of roots, at the unit of the rung's root radius: the
+    root disks enter once, and only the six delta disks leave.
     """
     if h.degree != 5 or h[5] != 1:
         raise ExactCheckFailed("the Cayley sextic needs a monic quintic")
     boxes = isolate_roots(h)
-    for prec in (160, 320, 640, 1280, 2560, 5120):
+    for prec in _LAYOUT_PREC:
         eps = Fraction(1, 1 << prec)
         boxes = [refine(b, h, eps) for b in boxes]
         k = _unit_bits(eps)

@@ -93,21 +93,21 @@ class BoxAmbiguous(MahlerdynError):
 class InternalPrecisionExceeded(MahlerdynError):
     """The working-precision ladder hit its hard cap before certifying.
 
-    Raised instead of ever returning an uncertified answer. Every ladder
-    has a fixed cap:
+    Raised instead of ever returning an uncertified answer. There are
+    three ladders, each with a fixed cap:
 
     - root isolation and refinement: ``roots._PREC_CAP`` = 2^16 bits;
     - the minpoly-guessing ladder of ``mahler``: 4096 bits, after which a
       product resolvent above degree 64 raises; one above degree
       ``mahler._SUBSET_CAP`` = 1024 raises before it is built;
-    - automorphism discovery, ``nfield._AUTO_PREC``: 1536 bits, where this
-      error surfaces as AutomorphismsUndecided;
-    - ``nfield._LAYOUT_PREC``: 6144 bits, for the log intervals of layouts
-      and the field-element probes of ``nfield._embeds`` (signs,
-      ``fe_to_algnum``, ``nf_embedding_permutation``), raised where a rung
-      must settle the question; each ``nf_embed`` refines 24 times before
-      it gives up;
-    - the Cayley resolvent sextic, ``classify._cayley_sextic``: 5120 bits.
+    - every field-level probe, ``nfield._LAYOUT_PREC``: 6144 bits. It
+      covers automorphism discovery (where this error surfaces as
+      AutomorphismsUndecided), the Cayley resolvent sextic
+      (``classify._cayley_sextic``), the log intervals of
+      ``nfield._place_logs``, and the field-element probes of
+      ``nfield._embeds`` (signs, ``fe_to_algnum``,
+      ``nf_embedding_permutation``), raised where a rung must settle the
+      question; each ``nf_embed`` refines 24 times before it gives up.
     """
 
 

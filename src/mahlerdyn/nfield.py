@@ -42,6 +42,8 @@ from .roots import (
     _GUARD,
     IsolatingBox,
     _abs_bounds,
+    _ball,
+    _ball_mul,
     _box_horner,
     _common,
     _conjugates,
@@ -53,15 +55,14 @@ from .roots import (
 )
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 _H_CAP = 64  # coordinate-bound ladder limit for unit enumeration
 _E_CAP = 8  # exponent-bound ladder limit for pattern search
-_AUTO_PREC = (192, 384, 768, 1536)  # discovery ladder, bits
 _AUT_PRIMES = 40  # good primes the Frobenius bound tries at most
-# log interval ladder, bits, for the unit rank test (rungs 0-1), the minor
-# check (0-2), layouts of exponent vectors, and classify's signs, D5 test
-# and product-recurrence chains.
+# The one field-level precision ladder, bits: automorphism discovery, the
+# log intervals of _place_logs (the unit rank test on rungs 0-1, the minor
+# check on 0-2, layouts of exponent vectors), the field-element probes of
+# _embeds, and classify's Cayley sextic, signs, D5 test and chains.
 # Open at the 6144-bit cap refutes a strict relation, or raises where a rung
 # must settle it.
 _LAYOUT_PREC = (96, 384, 1536, 6144)
@@ -326,12 +327,12 @@ def nf_automorphisms(K: NumberField) -> dict[tuple[int, ...], FieldElement]:
     base embedding and each other embedding, and a candidate is accepted
     only when f(g) = 0 mod f holds in exact arithmetic.
 
-    The search is rung-major: every candidate embedding is tried at 192
-    bits, then every one again at 384, and so on up to the top of
-    `_AUTO_PREC`, so the automorphisms visible at 192 bits are all found
-    before any higher rung runs. After each accepted root the table is
-    closed under composition, and the search stops once its size equals the
-    bound; a bound of 1 needs no search. If the ladder ends below the bound,
+    The search is rung-major on `_LAYOUT_PREC`: every candidate embedding
+    is tried at 96 bits, then every one again at 384, and so on up to 6144,
+    so the automorphisms visible at 96 bits are all found before any higher
+    rung runs. After each accepted root the table is closed under
+    composition, and the search stops once its size equals the bound; a
+    bound of 1 needs no search. If the ladder ends below the bound,
     or a refinement exceeds its precision cap, AutomorphismsUndecided names
     both numbers: a partial table is never returned.
     """
@@ -350,7 +351,7 @@ def nf_automorphisms(K: NumberField) -> dict[tuple[int, ...], FieldElement]:
     ]
     boxes = list(K.embeddings)
     try:
-        for prec in _AUTO_PREC:
+        for prec in _LAYOUT_PREC:
             eps = Fraction(1, 1 << (prec + 16))
             boxes[base] = refine(boxes[base], f, eps)
             for j in todo:
@@ -410,24 +411,19 @@ def _root_in_field(
 
 
 def _relation_lattice(b0: IsolatingBox, bj: IsolatingBox, n: int, prec: int):
-    scale = 1 << prec
-    # exact dyadic powers of the base-root center
-    px, py = _ONE, _ZERO
-    cols = []
-    for _ in range(n):
-        cols.append((px, py))
-        px, py = (
-            px * b0.center[0] - py * b0.center[1],
-            px * b0.center[1] + py * b0.center[0],
-        )
-    cols.append((bj.center[0], bj.center[1]))
-    rows = []
-    for k in range(n + 1):
-        unit = [0] * (n + 1)
-        unit[k] = 1
-        re, im = cols[k]
-        rows.append(unit + [round(re * scale), round(im * scale)])
-    return rows
+    """Rows [e_k | Re, Im] for the powers 1, t, ..., t^(n-1) of the base
+    centre t and the centre of bj: each product in roots' fixed-point kernel
+    at the unit 2^-(prec + _GUARD), each entry floored to 2^-prec."""
+    k = prec + _GUARD
+    t = _ball(*b0.center, 0, k)
+    cols = [(1 << k, 0, 0)]
+    for _ in range(n - 1):
+        cols.append(_ball_mul(cols[-1], t, k))
+    cols.append(_ball(*bj.center, 0, k))
+    return [
+        [int(i == j) for j in range(n + 1)] + [x >> _GUARD, y >> _GUARD]
+        for i, (x, y, _) in enumerate(cols)
+    ]
 
 
 def _short_relations(rows, n: int):
@@ -513,22 +509,25 @@ def _place_logs(K: NumberField, x: FieldElement) -> dict:
     """Per rung prec of _LAYOUT_PREC, j -> log|sigma_j(x)| for a nonzero x, as
     ints at the unit 2^-(prec + _GUARD): the interval of a ball of radius
     2^-prec or finer, rounded outward once per place and rung. A place is
-    computed when first needed, and conjugate embeddings share it. A ball's
-    precision doubles until it excludes 0; later rungs reuse that climb,
-    shifting its ints to their coarser unit."""
+    computed when first needed, and conjugate embeddings share it. While a
+    rung's ball still reaches 0, the rung takes the next rung's interval,
+    shifted outward to its own coarser unit, and the cache lets the next
+    rung reuse it; at the top rung InternalPrecisionExceeded is raised."""
     pairs = _conjugate_pairs(K)
-    known: dict = {}  # place -> (bits, interval at the unit 2^-(bits + _GUARD))
+    above = dict(zip(_LAYOUT_PREC, _LAYOUT_PREC[1:]))
 
     @functools.cache
     def log(prec, j):
         if pairs[j] < j:
             return log(prec, pairs[j])
-        bits, iv = known.get(j, (0, None))
-        while bits < prec or iv is None:
-            bits = max(prec, 2 * bits)
-            iv = _log_abs(K, x, j, bits)
-        known[j] = bits, iv
-        return iv[0] >> (bits - prec), -(-iv[1] >> (bits - prec))
+        iv = _log_abs(K, x, j, prec)
+        if iv is not None:
+            return iv
+        if prec not in above:
+            raise InternalPrecisionExceeded(f"|sigma_{j}(x)| not separated from 0 at {prec} bits")
+        lo, hi = log(above[prec], j)
+        shift = above[prec] - prec
+        return lo >> shift, -(-hi >> shift)
 
     return {prec: functools.partial(log, prec) for prec in _LAYOUT_PREC}
 

@@ -8,9 +8,10 @@ squarefree Graeffe map to its fixed point, torsion-freeness is asked of each
 conjugate ratio one at a time (not of the ratio resolvent), the pair product
 resolvent is built at full degree from the power sums of the pair products
 (not through their half-degree trace resolvent), the logs of a
-product of units are summed exactly over Fractions, and the rank of interval
-rows comes from Gaussian elimination with Fraction quotients. They exist to
-cross-check, never to decide.
+product of units are summed exactly over Fractions, the rank of interval
+rows comes from Gaussian elimination with Fraction quotients, and the
+discovery lattice takes exact Fraction powers of the base centre. They exist
+to cross-check, never to decide.
 """
 
 import math
@@ -249,3 +250,19 @@ def fraction_interval_rank(rows) -> bool:
             return False
         pivots.append((row, pivot))
     return True
+
+
+def fraction_relation_lattice(b0, bj, n: int, prec: int):
+    """Rows [e_k | Re, Im] for the exact Fraction powers 1, t, ..., t^(n-1)
+    of the centre t of b0 and the centre of bj, each rounded at 2^prec."""
+    scale = 1 << prec
+    t = b0.center
+    cols, px, py = [], Fraction(1), Fraction(0)
+    for _ in range(n):
+        cols.append((px, py))
+        px, py = px * t[0] - py * t[1], px * t[1] + py * t[0]
+    cols.append(bj.center)
+    return [
+        [int(i == k) for i in range(n + 1)] + [round(re * scale), round(im * scale)]
+        for k, (re, im) in enumerate(cols)
+    ]

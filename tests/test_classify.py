@@ -342,6 +342,14 @@ class TestClassifyQuartic:
         assert v.certificate == TorsionFreePower(k=2, n=2)
         _assert_exact_certificate(v)
 
+    @pytest.mark.parametrize("p", [S4_MIXED, D4_REAL, P("1,-3,-6,0,1")], ids=["S4_MIXED", "D4_REAL", "S4_REAL"])
+    def test_orbit_agrees_with_the_torsion_free_certificate(self, p):
+        # the engine of mahler, run on the verdict's witness, reads the same
+        # TorsionFreePower off the witness's own measures
+        v = classify_quartic(p)
+        assert v.certificate == TorsionFreePower(k=2, n=2)
+        assert mahler.orbit(v.witness).verdict == mahler.Wandering(v.certificate)
+
     def test_growth_chain_is_the_fallback(self, monkeypatch):
         # with no exact relation found, so no identity, the C4 unit rests on
         # the cited theorem and the chain of its first three measures

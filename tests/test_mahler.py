@@ -1012,6 +1012,31 @@ class TestRelationPathFailure:
     """A numeric failure in the relation path surfaces as Inconclusive or as
     an exception, never as a verdict."""
 
+    def test_exhausted_guesses_factor_up_to_degree_64(self, monkeypatch):
+        # with no guess at all, the degree-32 pair resolvent of a guess-route
+        # input is factored after all, to the same measure
+        p = P("1,3,3,14,3,14,3,3,1")
+        monkeypatch.setattr(mahler, "_measure_cache", {})
+        want = mahler_measure(any_root(p))
+        factored = []
+        monkeypatch.setattr(mahler, "_measure_cache", {})
+        monkeypatch.setattr(mahler, "_candidate_minpolys", lambda *args: iter(()))
+        monkeypatch.setattr(
+            mahler, "_irreducible_factors", lambda f: factored.append(f.degree) or _irreducible_factors(f)
+        )
+        got = mahler_measure(any_root(p))
+        assert factored == [32]
+        assert (got.minpoly, root_index(got)) == (want.minpoly, root_index(want))
+
+    def test_exhausted_guesses_past_degree_64_are_inconclusive(self, monkeypatch):
+        # M^2(WANDER6) needs the degree-192 pair resolvent: with no guess it
+        # is neither factored nor answered
+        monkeypatch.setattr(mahler, "_measure_cache", {})
+        monkeypatch.setattr(mahler, "_candidate_minpolys", lambda *args: iter(()))
+        r = orbit(any_root(WANDER6))
+        assert r.verdict == Inconclusive("precision: no verified minpoly for a degree-192 product resolvent")
+        assert [t.degree for t in r.trace] == [6, 12]
+
     def test_no_convergence_is_inconclusive(self, monkeypatch):
         @_from_candidate_minpolys
         def failing_refine(*args, **kwargs):

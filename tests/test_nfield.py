@@ -62,7 +62,7 @@ from mahlerdyn.nfield import (
     nf_pattern_search,
     nf_unit_sublattice,
 )
-from oracles import fraction_interval_rank, fraction_log_sums, graeffe_is_cyclotomic
+from oracles import fraction_interval_rank, fraction_log_sums, fraction_relation_lattice, graeffe_is_cyclotomic
 
 P = from_text
 
@@ -547,6 +547,37 @@ class TestLLL:
         assert lll_reduce(rows)[0][:3] in ([0, 1, 1], [0, -1, -1])
         assert [Fraction(0), Fraction(-1)] in list(_short_relations(rows, 2))
 
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            SQRT2_POLY,
+            C4_POLY,
+            C5_POLY,
+            CM6,
+            P("-1,3,6,-4,-5,1,1"),  # C6
+            P("108,0,0,0,0,0,1"),  # S3, x^6 + 108
+            P("4,4,-20,4,14,-8,1"),  # S3
+            C2CUBED_OCTIC,
+            P("1,-4,-10,10,15,-6,-7,1,1"),  # C8
+            P("144,0,-288,0,144,0,-24,0,1"),  # Q8
+            P("-1,-15,-51,-15,81,33,-32,-12,3,1"),  # C3 x C3
+        ],
+        ids=["sqrt2", "C4", "C5", "CM6", "C6", "x6+108", "S3", "C2^3", "C8", "Q8", "C3xC3"],
+    )
+    def test_relation_lattice_matches_exact_powers(self, poly):
+        # the fixed-point lattice against exact Fraction powers of the base
+        # centre rounded at 2^prec, on boxes refined as discovery refines them
+        K = nf_new(poly)
+        n = K.degree
+        for prec in nfield._LAYOUT_PREC:
+            eps = Fraction(1, 1 << (prec + 16))
+            b0, *others = (refine(b, K.defining, eps) for b in K.embeddings)
+            for bj in others:
+                got = _relation_lattice(b0, bj, n, prec)
+                want = fraction_relation_lattice(b0, bj, n, prec)
+                assert [r[: n + 1] for r in got] == [r[: n + 1] for r in want]
+                assert max(abs(a - b) for r, s in zip(got, want) for a, b in zip(r, s)) <= 1
+
 
 class TestUnitSublattice:
     def test_real_quadratic_rank_one(self):
@@ -682,7 +713,7 @@ class TestLogIntervals:
 
     def test_a_later_rung_reuses_the_climb(self, monkeypatch):
         # one conjugate of (sqrt 2 - 1)^200 is below 2^-254: the 96-bit rung
-        # climbs to 384 bits, and the 384-bit rung reuses that interval
+        # takes the 384-bit rung's interval, and the 384-bit rung reuses it
         K = nf_new(SQRT2_POLY)
         u = fe_pow(K, nf_element(K, [-1, 1]), 200)
         calls = []
@@ -698,7 +729,24 @@ class TestLogIntervals:
             for j in range(2):
                 logs[prec](j)
         per_place = sorted([p for i, p in calls if i == j] for j in range(2))
-        assert per_place == [[96, 192, 384, 1536], [96, 384, 1536]]
+        assert per_place == [[96, 384, 1536], [96, 384, 1536]]
+
+    def test_the_climb_stops_at_the_layout_cap(self, monkeypatch):
+        # a ball that never excludes 0: the climb walks the rungs of
+        # _LAYOUT_PREC once and raises at the top, with no ladder of its own
+        K = nf_new(SQRT2_POLY)
+        calls = []
+
+        def never_separated(K, x, place, prec):
+            calls.append(prec)
+            if len(calls) > 10:
+                raise RuntimeError("a log climb without an end")
+            return None
+
+        monkeypatch.setattr(nfield, "_log_abs", never_separated)
+        with pytest.raises(InternalPrecisionExceeded):
+            nfield._place_logs(K, nf_element(K, [-1, 1]))[96](0)
+        assert calls == [96, 384, 1536, 6144]
 
     @pytest.mark.parametrize(
         "poly, coords, power",

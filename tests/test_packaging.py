@@ -2,7 +2,8 @@
 no runtime dependency beyond mpmath, no dataclasses at import, no assert
 statement or raised AssertionError, no except that hides a failure, one
 modular layer (the GF(p)[x] kernels in intpoly only) and no import in a
-function body, the cache reads that the benchmark makes, and in classify:
+function body, the cache reads that the benchmark makes, one precision
+ladder for the probes of nfield and classify, and in classify:
 verdict bodies called on a built field rather than their parsers, one raise
 of a failed witness search, and one builder of the unit lattice."""
 
@@ -258,6 +259,32 @@ def test_log_intervals_make_no_fraction():
         for node in ast.walk(stmt)
         if getattr(node, "id", getattr(node, "attr", None)) == "Fraction"
     ]
+    assert found == []
+
+
+def test_field_probes_climb_one_ladder():
+    # discovery, the Cayley sextic, place logs and every field-element probe
+    # climb nfield._LAYOUT_PREC: no other module-level *_PREC ladder and no
+    # loop over a literal tuple of precisions (ints of 64 bits or more; index
+    # tuples are smaller) in nfield or classify
+    trees = _src_trees()
+    found = []
+    for name in ("nfield", "classify"):
+        for node in trees[name].body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found += [
+                    f"{name}:{node.lineno} {t.id}"
+                    for t in targets
+                    if isinstance(t, ast.Name) and t.id.endswith("_PREC") and t.id != "_LAYOUT_PREC"
+                ]
+        found += [
+            f"{name}:{node.iter.lineno} literal ladder"
+            for node in ast.walk(trees[name])
+            if isinstance(node, (ast.For, ast.comprehension))
+            and isinstance(node.iter, ast.Tuple)
+            and all(isinstance(e, ast.Constant) and type(e.value) is int and e.value >= 64 for e in node.iter.elts)
+        ]
     assert found == []
 
 
